@@ -52,7 +52,6 @@ from .measures import (
     bregman_divergence,
     bregman_mi,
     check_dpi,
-    conditional_bregman_mi,
     conditional_mi,
     divergence_monotonicity_witness,
     f_divergence,
@@ -60,7 +59,6 @@ from .measures import (
     is_fine_grained,
     log_score_accuracy_gain,
     mutual_information,
-    proper_score,
     shannon_mi,
 )
 from .agents import (
@@ -78,7 +76,6 @@ from .agents import (
     load_scenario,
     permute_scenario,
     permute_strategy,
-    random_strategy,
     report_joint,
     reported_world_states,
     save_scenario,
@@ -88,6 +85,7 @@ from .agents import (
     truthful_scenario,
     world_tensor,
 )
+from .sampling import random_strategy
 from .mechanisms import (
     ALL_PAIRS,
     SEEDED_RANDOM,
@@ -101,7 +99,6 @@ from .mechanisms import (
     ca_expected_reward,
     ca_payments,
     fmi_mechanism_payments,
-    md_expected_reward,
     md_payments,
     mip_expected_payments,
     payment_report_csv,

@@ -24,6 +24,7 @@ strategy when questions are a priori similar and randomly ordered.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -41,6 +42,7 @@ from .probability import (
     JointDistribution,
     RngSeed,
     TransitionMatrix,
+    _validated_array,
     identity_channel,
     permutation_channel,
     rng_from_seed,
@@ -93,7 +95,7 @@ class FullJointPrior:
     tensor: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.tensor, dtype=np.float64)
+        arr = _validated_array(self.tensor, "full-joint tensor")
         if arr.ndim < 2:
             raise WrongRank("full-joint prior needs at least 2 agents")
         if arr.ndim > MAX_FULL_JOINT_AGENTS:
@@ -102,10 +104,8 @@ class FullJointPrior:
             )
         if len(set(arr.shape)) != 1:
             raise DimensionMismatch("all agents must share one signal alphabet")
-        if np.any(arr < 0) or abs(float(arr.sum()) - 1.0) > 1e-9:
+        if abs(float(arr.sum()) - 1.0) > 1e-9:
             raise ModeMismatch("full-joint tensor must be a normalized distribution")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "tensor", arr)
 
     @property
@@ -153,19 +153,15 @@ class WorldModelPrior:
     def pair_joint(self, i: int, j: int) -> JointDistribution:
         if i == j:
             raise DimensionMismatch("a pair joint needs two distinct agents")
-        m = self.alphabet_size
-        table = np.zeros((m, m))
-        for pw, omega in zip(self.state_probs.weights, self.states):
-            table += float(pw) * np.outer(omega.weights, omega.weights)
-        return JointDistribution(table)
+        return JointDistribution(self._signal_pair_table().sum(axis=0))
 
     def signal_pair_tensor(self) -> JointDistribution:
         """Conditional-mode joint over (Z = world state, X = signal_i, Y = signal_j)."""
-        m = self.alphabet_size
-        tensor = np.zeros((self.n_states, m, m))
-        for w, (pw, omega) in enumerate(zip(self.state_probs.weights, self.states)):
-            tensor[w] = float(pw) * np.outer(omega.weights, omega.weights)
-        return JointDistribution(tensor)
+        return JointDistribution(self._signal_pair_table())
+
+    def _signal_pair_table(self) -> np.ndarray:
+        omega = np.stack([s.weights for s in self.states])
+        return self.state_probs.weights[:, None, None] * (omega[:, :, None] * omega[:, None, :])
 
 
 Prior = Union[PairwisePrior, FullJointPrior, WorldModelPrior]
@@ -214,8 +210,8 @@ class EffortStrategy:
     def __post_init__(self):
         if not 0.0 <= self.full_effort_prob <= 1.0:
             raise DimensionMismatch("full_effort_prob must lie in [0, 1]")
-        if self.cost < 0.0:
-            raise DimensionMismatch("cost must be non-negative")
+        if not (math.isfinite(self.cost) and self.cost >= 0.0):
+            raise DimensionMismatch("cost must be finite and non-negative")
 
     def resolve_no_effort(self, m: int) -> Distribution:
         if self.no_effort_report is None:
@@ -457,9 +453,7 @@ def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
     if isinstance(prior, WorldModelPrior):
         states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
         table = np.stack([s.weights for s in prior.states])
-        cdf = np.cumsum(table, axis=1)
-        u = rng.random((n, T))
-        return (u[:, :, None] > cdf[states][None, :, :]).sum(axis=2)
+        return _inverse_cdf(table[states], rng.random((n, T)))
     if isinstance(prior, PairwisePrior):
         if n != 2:
             raise UnsupportedPriorMode(
@@ -472,9 +466,15 @@ def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
     raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
 
 
-def _push_through_channel(signals: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(rows, axis=1)
-    return (u[:, None] > cdf[signals]).sum(axis=1)
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform ``u``, the first index whose
+    cumulative weight reaches it.  ``weights`` holds distributions along its
+    last axis and broadcasts against ``u``.  The last cumulative weight is
+    pinned to 1, so weights summing to just under 1 (within ``NORM_TOL``)
+    still map every u < 1 into the alphabet."""
+    cdf = np.cumsum(weights, axis=-1)
+    cdf[..., -1] = 1.0
+    return (u[..., None] > cdf).sum(axis=-1)
 
 
 def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
@@ -494,9 +494,8 @@ def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
         eff = scenario.effort(i)
         coin = rng.random(T) < eff.full_effort_prob
         u = rng.random(T)
-        full = _push_through_channel(signals[i], scenario.strategies[i].channel.rows, u)
-        lazy_cdf = np.cumsum(eff.resolve_no_effort(m).weights)
-        lazy = (u[:, None] > lazy_cdf[None, :]).sum(axis=1)
+        full = _inverse_cdf(scenario.strategies[i].channel.rows[signals[i]], u)
+        lazy = _inverse_cdf(eff.resolve_no_effort(m).weights, u)
         entries[i] = np.where(coin, full, lazy)
     return ReportMatrix.full(entries, m)
 
@@ -568,33 +567,6 @@ def permute_scenario(scenario: Scenario, perms: PermutationList) -> Scenario:
         permute_strategy(s, perms.perms[i]) for i, s in enumerate(scenario.strategies)
     )
     return Scenario(_permute_prior(scenario.prior, perms), strategies, scenario.efforts)
-
-
-def random_strategy(seed: RngSeed, m: int, kind: str = "dense") -> Strategy:
-    """Row-stochastic strategy sample of the requested kind, deterministic per seed.
-
-    Kinds: ``dense`` (Dirichlet rows), ``sparse`` (1-2 nonzeros per row),
-    ``permutation``, ``constant`` (signal-independent reporting).
-    """
-    rng = rng_from_seed(seed)
-    return _random_strategy_rng(rng, m, kind)
-
-
-def _random_strategy_rng(rng, m: int, kind: str) -> Strategy:
-    if kind == "dense":
-        rows = rng.dirichlet(np.ones(m), size=m)
-    elif kind == "sparse":
-        rows = np.zeros((m, m))
-        for r in range(m):
-            support = rng.choice(m, size=int(rng.integers(1, min(m, 2) + 1)), replace=False)
-            rows[r, support] = rng.dirichlet(np.ones(support.size))
-    elif kind == "permutation":
-        return Strategy(permutation_channel(rng.permutation(m)), label="permutation")
-    elif kind == "constant":
-        rows = np.tile(rng.dirichlet(np.ones(m)), (m, 1))
-    else:
-        raise DimensionMismatch(f"unknown strategy kind {kind!r}")
-    return Strategy(TransitionMatrix(rows), label=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,13 @@ def _load_json(path: str) -> dict:
         raise CliError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
+def _load_scenario(path: str):
+    try:
+        return load_scenario(path)
+    except (KeyError, PeerLabError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -220,10 +227,7 @@ def cmd_mechanism(args) -> int:
             if not args.scenario:
                 raise CliError(f"{args.mechanism} needs --scenario FILE")
             inputs[args.scenario] = _sha256(args.scenario)
-            try:
-                scenario = load_scenario(args.scenario)
-            except (KeyError, PeerLabError, ValueError) as exc:
-                raise CliError(f"{args.scenario}: {exc}") from exc
+            scenario = _load_scenario(args.scenario)
             gen = _GENERATORS.get(args.measure or "tvd")
             rule = _RULES.get(args.rule or "log")
             if args.measure and gen is None:
@@ -353,10 +357,7 @@ def cmd_sweep(args) -> int:
         if not args.scenario:
             raise CliError("fmi-gap needs --scenario FILE")
         inputs[args.scenario] = _sha256(args.scenario)
-        try:
-            scenario = load_scenario(args.scenario)
-        except (KeyError, PeerLabError, ValueError) as exc:
-            raise CliError(f"{args.scenario}: {exc}") from exc
+        scenario = _load_scenario(args.scenario)
         gen = _GENERATORS.get(args.measure or "tvd")
         if gen is None:
             raise CliError(f"unknown --measure {args.measure!r}")
@@ -369,10 +370,7 @@ def cmd_sweep(args) -> int:
         world = CANONICAL_WORLD
         if args.scenario:
             inputs[args.scenario] = _sha256(args.scenario)
-            try:
-                scenario = load_scenario(args.scenario)
-            except (KeyError, PeerLabError, ValueError) as exc:
-                raise CliError(f"{args.scenario}: {exc}") from exc
+            scenario = _load_scenario(args.scenario)
             if not isinstance(scenario.prior, WorldModelPrior):
                 raise CliError("bts-gap needs a world-model prior")
             world = scenario.prior

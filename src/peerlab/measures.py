@@ -122,10 +122,6 @@ class ScoringRule(enum.Enum):
 Measure = Union[ConvexGenerator, ScoringRule]
 
 
-def proper_score(signal: int, report: Distribution, rule: ScoringRule) -> float:
-    return rule.score(signal, report)
-
-
 def f_divergence(p: Distribution, q: Distribution, f: ConvexGenerator) -> float:
     """D_f(p, q) = sum_sigma p(sigma) f(q(sigma) / p(sigma)).
 
@@ -220,10 +216,6 @@ def conditional_mi(tensor: JointDistribution, measure: Measure) -> float:
         slice_joint = condition_on(tensor, z)
         total += float(pz[z]) * mutual_information(slice_joint, measure)
     return total
-
-
-def conditional_bregman_mi(tensor: JointDistribution, rule: ScoringRule) -> float:
-    return conditional_mi(tensor, rule)
 
 
 def log_score_accuracy_gain(tensor: JointDistribution) -> float:

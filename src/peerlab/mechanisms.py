@@ -115,29 +115,37 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _average_over_peers(scenario: Scenario, value) -> np.ndarray:
+    """Per agent i, ``value`` of the exact report joint of (i, j) averaged over
+    every peer j != i; the sum runs in peer order before the division."""
+    n = scenario.n_agents
+    out = np.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            out[i] += value(
+                report_joint(
+                    scenario.prior,
+                    i,
+                    j,
+                    scenario.strategies[i],
+                    scenario.strategies[j],
+                    scenario.effort(i),
+                    scenario.effort(j),
+                )
+            )
+        out[i] /= n - 1
+    return out
+
+
 def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport:
     """Exact expected payments when each agent is paid the mutual information
     between her report and a uniformly random peer's report.
 
     payment_i = (1 / (n-1)) * sum_{j != i} MI(report_i ; report_j).
     """
-    n = scenario.n_agents
-    payments = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            joint = report_joint(
-                scenario.prior,
-                i,
-                j,
-                scenario.strategies[i],
-                scenario.strategies[j],
-                scenario.effort(i),
-                scenario.effort(j),
-            )
-            payments[i] += mutual_information(joint, measure)
-        payments[i] /= n - 1
+    payments = _average_over_peers(scenario, lambda joint: mutual_information(joint, measure))
     effort_costs = utilities = None
     if scenario.efforts is not None:
         effort_costs = np.array(
@@ -208,18 +216,76 @@ def _empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> Paymen
 # ---------------------------------------------------------------------------
 
 
-def _draw_disjoint_subsets(rng, own: np.ndarray, peer: np.ndarray, k: int, d: int):
+def _draw_disjoint_subsets(rng, own: np.ndarray, peer: np.ndarray, k: int, d: int, T: int):
     """A from own \\ {k}, then B from peer \\ ({k} u A), both of size d."""
     pool_a = own[own != k]
     if pool_a.size < d:
         return None
     a = rng.choice(pool_a, size=d, replace=False)
-    exclude = set(a.tolist()) | {int(k)}
-    pool_b = np.array([q for q in peer.tolist() if q not in exclude], dtype=np.intp)
+    blocked = np.zeros(T, dtype=bool)
+    blocked[a] = True
+    blocked[k] = True
+    pool_b = peer[~blocked[peer]]
     if pool_b.size < d:
         return None
     b = rng.choice(pool_b, size=d, replace=False)
     return a, b
+
+
+def _average_answer_term(rng, x: np.ndarray, y: np.ndarray, k: int, a, b) -> float:
+    """Agreement on question k minus the agreement rate of the average answers
+    over the comparison subsets (binary reports)."""
+    si = float(x[k])
+    sj = float(y[k])
+    abar = float(x[a].mean())
+    bbar = float(y[b].mean())
+    agree = si * sj + (1.0 - si) * (1.0 - sj)
+    base = abar * bbar + (1.0 - abar) * (1.0 - bbar)
+    return agree - base
+
+
+def _random_pair_term(rng, x: np.ndarray, y: np.ndarray, k: int, a, b) -> float:
+    """1(agree on question k) minus 1(agree on one random question pair drawn
+    from the comparison subsets)."""
+    la = int(a[int(rng.integers(a.size))])
+    lb = int(b[int(rng.integers(b.size))])
+    return float(x[k] == y[k]) - float(x[la] == y[lb])
+
+
+def _subset_payments(
+    reports: ReportMatrix, d: int, seed: RngSeed, pairing: str, mechanism: str, stream: int, term
+) -> PaymentReport:
+    """Per reward question shared with a reference agent, ``term`` of the two
+    report rows, the question and disjoint comparison subsets of size d
+    (reward 0 when no such subsets exist); averaged over questions, then over
+    reference agents.  Subsets are sampled without replacement from rng
+    ``stream`` of the seed."""
+    n = reports.n_agents
+    T = reports.n_questions
+    refs = _reference_sets(n, pairing, seed)
+    rng = rng_from_seed(seed, stream)
+    payments = np.zeros(n)
+    for i in range(n):
+        own = reports.answered(i)
+        per_ref = []
+        for j in refs[i]:
+            peer = reports.answered(j)
+            rewards = []
+            for k in np.intersect1d(own, peer):
+                pick = _draw_disjoint_subsets(rng, own, peer, int(k), d, T)
+                if pick is None:
+                    rewards.append(0.0)
+                else:
+                    rewards.append(term(rng, reports.entries[i], reports.entries[j], k, *pick))
+            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
+        payments[i] = float(np.mean(per_ref))
+    return PaymentReport(
+        mechanism=mechanism,
+        mode="empirical",
+        payments=payments,
+        seed=seed,
+        metadata={"d": d, "pairing": pairing, "T": T},
+    )
 
 
 def md_payments(
@@ -235,39 +301,7 @@ def md_payments(
     """
     if reports.alphabet_size != 2:
         raise NonBinaryAlphabet("this mechanism is binary-only")
-    n = reports.n_agents
-    refs = _reference_sets(n, pairing, seed)
-    rng = rng_from_seed(seed, 1)
-    payments = np.zeros(n)
-    for i in range(n):
-        per_ref = []
-        for j in refs[i]:
-            own = reports.answered(i)
-            peer = reports.answered(j)
-            shared = np.intersect1d(own, peer)
-            rewards = []
-            for k in shared:
-                pick = _draw_disjoint_subsets(rng, own, peer, int(k), d)
-                if pick is None:
-                    rewards.append(0.0)
-                    continue
-                a, b = pick
-                si = float(reports.entries[i, k])
-                sj = float(reports.entries[j, k])
-                abar = float(reports.entries[i, a].mean())
-                bbar = float(reports.entries[j, b].mean())
-                agree = si * sj + (1.0 - si) * (1.0 - sj)
-                base = abar * bbar + (1.0 - abar) * (1.0 - bbar)
-                rewards.append(agree - base)
-            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
-        payments[i] = float(np.mean(per_ref))
-    return PaymentReport(
-        mechanism="md",
-        mode="empirical",
-        payments=payments,
-        seed=seed,
-        metadata={"d": d, "pairing": pairing, "T": reports.n_questions},
-    )
+    return _subset_payments(reports, d, seed, pairing, "md", 1, _average_answer_term)
 
 
 def ca_payments(
@@ -279,46 +313,7 @@ def ca_payments(
     """Agreement-indicator payments for any finite alphabet: per reward
     question, 1(reports agree on the question) minus 1(reports agree on a
     random question pair drawn from the two comparison subsets)."""
-    n = reports.n_agents
-    refs = _reference_sets(n, pairing, seed)
-    rng = rng_from_seed(seed, 2)
-    payments = np.zeros(n)
-    for i in range(n):
-        per_ref = []
-        for j in refs[i]:
-            own = reports.answered(i)
-            peer = reports.answered(j)
-            shared = np.intersect1d(own, peer)
-            rewards = []
-            for k in shared:
-                pick = _draw_disjoint_subsets(rng, own, peer, int(k), d)
-                if pick is None:
-                    rewards.append(0.0)
-                    continue
-                a, b = pick
-                la = int(a[int(rng.integers(a.size))])
-                lb = int(b[int(rng.integers(b.size))])
-                agree = float(reports.entries[i, k] == reports.entries[j, k])
-                base = float(reports.entries[i, la] == reports.entries[j, lb])
-                rewards.append(agree - base)
-            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
-        payments[i] = float(np.mean(per_ref))
-    return PaymentReport(
-        mechanism="ca",
-        mode="empirical",
-        payments=payments,
-        seed=seed,
-        metadata={"d": d, "pairing": pairing, "T": reports.n_questions},
-    )
-
-
-def md_expected_reward(prior_pair: JointDistribution) -> float:
-    """Expected per-question reward of the binary correlation mechanism under
-    the given report-pair joint: sum_s (Pr[s, s] - Pr_i[s] Pr_j[s])."""
-    table = prior_pair._require_pairwise("md_expected_reward")
-    if table.shape != (2, 2):
-        raise NonBinaryAlphabet("expected a 2x2 joint")
-    return ca_expected_reward(prior_pair)
+    return _subset_payments(reports, d, seed, pairing, "ca", 2, _random_pair_term)
 
 
 def ca_expected_reward(pair: JointDistribution) -> float:
@@ -392,34 +387,22 @@ def sppm_expected_payments(
     information of the prior pair joint.
     """
     q, posteriors = _prediction_tables(known_prior)
-    n = scenario.n_agents
-    payments = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
+
+    def expected_shift(joint: JointDistribution) -> float:
+        rj = joint.table
+        val = 0.0
+        for a in range(rj.shape[0]):
+            if float(rj[a].sum()) <= 0.0:
                 continue
-            rj = report_joint(
-                scenario.prior,
-                i,
-                j,
-                scenario.strategies[i],
-                scenario.strategies[j],
-                scenario.effort(i),
-                scenario.effort(j),
-            ).table
-            val = 0.0
-            for a in range(rj.shape[0]):
-                mass_a = float(rj[a].sum())
-                if mass_a <= 0.0:
+            if posteriors[a] is None:
+                raise LogOfZero(f"prior assigns zero mass to reported signal {a}")
+            for b in range(rj.shape[1]):
+                if rj[a, b] <= 0.0:
                     continue
-                if posteriors[a] is None:
-                    raise LogOfZero(f"prior assigns zero mass to reported signal {a}")
-                for b in range(rj.shape[1]):
-                    if rj[a, b] <= 0.0:
-                        continue
-                    val += rj[a, b] * (rule.score(b, posteriors[a]) - rule.score(b, q))
-            payments[i] += val
-        payments[i] /= n - 1
+                val += rj[a, b] * (rule.score(b, posteriors[a]) - rule.score(b, q))
+        return val
+
+    payments = _average_over_peers(scenario, expected_shift)
     return PaymentReport(
         mechanism="sppm", mode="exact", payments=payments, measure=rule.value
     )

@@ -11,15 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agents import (
-    FullJointPrior,
-    PairwisePrior,
-    Strategy,
-    WorldModelPrior,
-    _random_strategy_rng,
-)
+from .agents import FullJointPrior, PairwisePrior, Strategy, WorldModelPrior
+from .errors import DimensionMismatch
 from .measures import ConvexGenerator, ScoringRule, is_fine_grained
-from .probability import Distribution, JointDistribution, TransitionMatrix
+from .probability import Distribution, JointDistribution, RngSeed, TransitionMatrix, rng_from_seed
 
 STRATEGY_KIND_RATIOS = {"dense": 0.4, "sparse": 0.2, "permutation": 0.2, "constant": 0.2}
 
@@ -62,12 +57,25 @@ def random_strategy_kind(rng) -> str:
 
 
 def random_mixed_strategy(rng, m: int, kind: str | None = None) -> Strategy:
-    return _random_strategy_rng(rng, m, kind or random_strategy_kind(rng))
+    """Strategy of the given (else a sampled) kind, labelled with its kind;
+    dense and constant rows carry no uniform floor."""
+    kind = kind or random_strategy_kind(rng)
+    return Strategy(random_channel(rng, m, kind=kind, floor_frac=0.0), label=kind)
+
+
+def random_strategy(seed: RngSeed, m: int, kind: str = "dense") -> Strategy:
+    """Row-stochastic strategy sample of the requested kind, deterministic per seed.
+
+    Kinds: ``dense`` (Dirichlet rows), ``sparse`` (1-2 nonzeros per row),
+    ``permutation``, ``constant`` (signal-independent reporting).
+    """
+    return random_mixed_strategy(rng_from_seed(seed), m, kind)
 
 
 def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
                    floor_frac: float = 0.1) -> TransitionMatrix:
-    """Row-stochastic channel of a sampled kind; dense rows carry a uniform floor."""
+    """Row-stochastic channel of a sampled kind; dense and constant rows carry
+    a uniform floor of ``floor_frac``."""
     m_out = m_out or m_in
     kind = kind or random_strategy_kind(rng)
     if kind == "permutation" and m_in != m_out:
@@ -76,7 +84,7 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
         rows = rng.dirichlet(np.ones(m_out), size=m_in)
         rows = (1.0 - floor_frac) * rows + floor_frac / m_out
     elif kind == "constant":
-        rows = np.tile(random_distribution(rng, m_out).weights, (m_in, 1))
+        rows = np.tile(random_distribution(rng, m_out, floor_frac).weights, (m_in, 1))
     elif kind == "permutation":
         rows = np.zeros((m_in, m_out))
         rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
@@ -87,7 +95,7 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
                                  replace=False)
             rows[r, support] = rng.dirichlet(np.ones(support.size))
     else:
-        raise ValueError(f"unknown channel kind {kind!r}")
+        raise DimensionMismatch(f"unknown channel kind {kind!r}")
     return TransitionMatrix(rows)
 
 

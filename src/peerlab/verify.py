@@ -57,11 +57,11 @@ from .measures import (
 from .mechanisms import (
     SEEDED_RANDOM,
     BtsReportProfile,
+    _average_over_peers,
     bts_idealized_scores,
     bts_payments,
     ca_expected_reward,
     ca_payments,
-    md_expected_reward,
     md_payments,
     mip_expected_payments,
     optimal_predictions,
@@ -533,14 +533,14 @@ def suite_md_equivalence(config: SuiteConfig) -> SuiteVerdict:
         rng = rng_from_seed(config.seed, idx)
         q = sampling.random_positively_correlated_binary_joint(rng)
         half_tvd = 0.5 * f_mutual_information(q, ConvexGenerator.TVD)
-        reward = md_expected_reward(q)
+        reward = ca_expected_reward(q)
         data = {"prior": _jl(q.table), "reward": reward, "half_tvd": half_tvd}
         rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx, data)
 
         s1 = sampling.random_mixed_strategy(rng, 2)
         s2 = sampling.random_mixed_strategy(rng, 2)
         r = report_joint(PairwisePrior(q, symmetric=False), 0, 1, s1, s2)
-        r_reward = md_expected_reward(r)
+        r_reward = ca_expected_reward(r)
         r_half = 0.5 * f_mutual_information(r, ConvexGenerator.TVD)
         sdata = {"prior": _jl(q.table), "s1": _jl(s1.channel.rows), "s2": _jl(s2.channel.rows),
                  "reward": r_reward, "half_tvd": r_half}
@@ -552,7 +552,7 @@ def suite_md_equivalence(config: SuiteConfig) -> SuiteVerdict:
             PairwisePrior(q, symmetric=False), 0, 1,
             Strategy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))), truth_telling(2),
         )
-        gap = 0.5 * f_mutual_information(flipped, ConvexGenerator.TVD) - md_expected_reward(flipped)
+        gap = 0.5 * f_mutual_information(flipped, ConvexGenerator.TVD) - ca_expected_reward(flipped)
         if gap > stol:
             rec.margin(gap)
 
@@ -712,19 +712,9 @@ def _equivalence_payment_vectors(scenario: Scenario, known_prior: PairwisePrior)
     for rule in ScoringRule:
         out[f"mip-bregman-{rule.value}"] = mip_expected_payments(scenario, rule).payments
         out[f"sppm-{rule.value}"] = sppm_expected_payments(scenario, known_prior, rule).payments
-    n = scenario.n_agents
-    agree = np.zeros(n)
-    for i in range(n):
-        vals = [
-            ca_expected_reward(
-                report_joint(scenario.prior, i, j, scenario.strategies[i],
-                             scenario.strategies[j], scenario.effort(i), scenario.effort(j))
-            )
-            for j in range(n) if j != i
-        ]
-        agree[i] = float(np.mean(vals))
-    out["agreement-expected"] = agree
+    out["agreement-expected"] = _average_over_peers(scenario, ca_expected_reward)
     if isinstance(scenario.prior, WorldModelPrior):
+        n = scenario.n_agents
         scores = bts_idealized_scores(scenario.prior, scenario.strategies)
         out["bts-idealized-information"] = np.full(n, scores.information_score)
         out["bts-idealized-prediction"] = np.full(n, scores.prediction_score)
@@ -887,7 +877,7 @@ def replay_violation(violation: dict, config: SuiteConfig) -> bool:
         return abs(log_score_accuracy_gain(tensor) - conditional_mi(tensor, ConvexGenerator.KL)) > tol
     if claim == "truth_identity":
         q = JointDistribution(np.array(data["prior"]))
-        return abs(md_expected_reward(q) - 0.5 * f_mutual_information(q, ConvexGenerator.TVD)) > 1e-12
+        return abs(ca_expected_reward(q) - 0.5 * f_mutual_information(q, ConvexGenerator.TVD)) > 1e-12
     if claim in ("truth_dominates", "non_permutation_strictly_below", "permutation_ties"):
         scn = scenario_from_dict(data["scenario"])
         gen = ConvexGenerator(data["measure"])

@@ -19,13 +19,13 @@ from peerlab import (
     ScoringRule,
     bregman_mi,
     bts_idealized_scores,
+    ca_expected_reward,
     conditional_mi,
     default_config,
     f_mutual_information,
     fmi_mechanism_payments,
     generate_reports,
     log_score_accuracy_gain,
-    md_expected_reward,
     mip_expected_payments,
     run_suite,
     sampling,
@@ -52,13 +52,13 @@ def _report(num, name, elapsed, limit):
 def test_criterion_01_agreement_reward_identity():
     start = time.perf_counter()
     q = JointDistribution(CANONICAL.copy())
-    assert md_expected_reward(q) == pytest.approx(0.3, abs=1e-12)
+    assert ca_expected_reward(q) == pytest.approx(0.3, abs=1e-12)
     assert 0.5 * f_mutual_information(q, TVD) == pytest.approx(0.3, abs=1e-12)
-    assert abs(md_expected_reward(q) - 0.5 * f_mutual_information(q, TVD)) <= 1e-12
+    assert abs(ca_expected_reward(q) - 0.5 * f_mutual_information(q, TVD)) <= 1e-12
     for idx in range(1000):
         rng = rng_from_seed(101, idx)
         prior = sampling.random_positively_correlated_binary_joint(rng)
-        gap = abs(md_expected_reward(prior) - 0.5 * f_mutual_information(prior, TVD))
+        gap = abs(ca_expected_reward(prior) - 0.5 * f_mutual_information(prior, TVD))
         assert gap <= 1e-12
     _report(1, "agreement reward = half TVD information on correlated binary priors",
             time.perf_counter() - start, 1.0)

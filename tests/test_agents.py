@@ -11,8 +11,10 @@ from peerlab import (
     FullJointPrior,
     JointDistribution,
     ModeMismatch,
+    NegativeWeight,
     NoOverlap,
     PairwisePrior,
+    PeerLabError,
     PermutationList,
     ReportMatrix,
     Scenario,
@@ -35,6 +37,7 @@ from peerlab import (
     truthful_scenario,
     world_tensor,
 )
+from peerlab.agents import _inverse_cdf
 
 SWAP = Strategy(permutation_channel([1, 0]), label="swap")
 
@@ -62,6 +65,21 @@ class TestPriors:
     def test_full_joint_agent_guard(self):
         with pytest.raises(UnsupportedPriorMode):
             FullJointPrior(np.full((2,) * 7, 1.0 / 128))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_full_joint_rejects_non_finite(self, bad):
+        t = np.full((2, 2), 0.25)
+        t[0, 1] = bad
+        with pytest.raises(PeerLabError):
+            FullJointPrior(t)
+
+    def test_full_joint_rejects_negative_entry(self):
+        with pytest.raises(NegativeWeight):
+            FullJointPrior(np.array([[0.5, -0.1], [0.3, 0.3]]))
+
+    def test_full_joint_rejects_bad_mass(self):
+        with pytest.raises(ModeMismatch):
+            FullJointPrior(np.full((2, 2), 0.3))
 
 
 class TestReportJoint:
@@ -341,6 +359,34 @@ class TestScenarioFiles:
         scn = Scenario(canonical_prior, (SWAP, truth_telling(2)),
                        (EffortStrategy(0.5, 0.25), EffortStrategy(1.0, 0.0)))
         assert scenario_to_dict(scenario_from_dict(scenario_to_dict(scn))) == scenario_to_dict(scn)
+
+
+class TestEffortValidation:
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_cost(self, cost):
+        with pytest.raises(DimensionMismatch):
+            EffortStrategy(1.0, cost)
+
+    @pytest.mark.parametrize("prob", [np.nan, -0.1, 1.5])
+    def test_rejects_bad_full_effort_prob(self, prob):
+        with pytest.raises(DimensionMismatch):
+            EffortStrategy(prob, 0.0)
+
+
+class TestInverseCdf:
+    def test_weights_just_under_one_stay_in_alphabet(self):
+        weights = np.array([0.25, 0.25, 0.5 - 5e-10])
+        TransitionMatrix(np.tile(weights, (3, 1)))  # accepted within NORM_TOL
+        u = np.array([1.0 - 1e-12])
+        assert _inverse_cdf(weights, u).tolist() == [2]
+        rows = np.tile(weights, (4, 1))
+        assert _inverse_cdf(rows, np.full(4, 1.0 - 1e-12)).tolist() == [2] * 4
+
+    def test_in_range_draws_unchanged(self):
+        weights = np.array([0.2, 0.3, 0.5])
+        u = np.array([0.0, 0.1, 0.2, 0.25, 0.5, 0.7, 0.9999])
+        expect = (u[:, None] > np.cumsum(weights)[None, :]).sum(axis=1)
+        assert np.array_equal(_inverse_cdf(weights, u), expect)
 
 
 class TestScenarioValidation:

@@ -154,6 +154,19 @@ class TestVerifyCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestScenarioErrors:
+    @pytest.mark.parametrize("argv", [
+        ["mechanism", "--mechanism", "mip"],
+        ["sweep", "--kind", "fmi-gap", "--grid", "10"],
+        ["sweep", "--kind", "bts-gap", "--grid", "10"],
+    ])
+    def test_invalid_scenario_exit_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": 1, "strategies": []}))
+        assert main(argv + ["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"peerlab: {path}: ")
+
+
 class TestSweepCommand:
     def test_fmi_gap_table(self, scenario_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -14,7 +14,6 @@ from peerlab import (
     bregman_divergence,
     bregman_mi,
     check_dpi,
-    conditional_bregman_mi,
     conditional_mi,
     divergence_monotonicity_witness,
     f_divergence,
@@ -23,7 +22,6 @@ from peerlab import (
     is_fine_grained,
     log_score_accuracy_gain,
     permutation_channel,
-    proper_score,
     push_first,
     shannon_mi,
 )
@@ -156,18 +154,18 @@ class TestFDivergence:
 
 class TestProperScore:
     def test_log_point_mass(self):
-        assert proper_score(1, Distribution(np.array([0.0, 1.0])), ScoringRule.LOG) == 0.0
+        assert ScoringRule.LOG.score(1, Distribution(np.array([0.0, 1.0]))) == 0.0
 
     def test_log_half(self):
-        val = proper_score(0, Distribution(np.array([0.5, 0.5])), ScoringRule.LOG)
+        val = ScoringRule.LOG.score(0, Distribution(np.array([0.5, 0.5])))
         assert val == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_quadratic_perfect(self):
-        assert proper_score(0, Distribution(np.array([1.0, 0.0])), ScoringRule.QUADRATIC) == 1.0
+        assert ScoringRule.QUADRATIC.score(0, Distribution(np.array([1.0, 0.0]))) == 1.0
 
     def test_log_of_zero(self):
         with pytest.raises(LogOfZero):
-            proper_score(0, Distribution(np.array([0.0, 1.0])), ScoringRule.LOG)
+            ScoringRule.LOG.score(0, Distribution(np.array([0.0, 1.0])))
 
     @given(dists(), st.data(), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -338,7 +336,7 @@ class TestConditionalBregman:
         from peerlab import world_tensor
 
         tensor = world_tensor(two_state_world)
-        assert conditional_bregman_mi(tensor, ScoringRule.LOG) == pytest.approx(
+        assert conditional_mi(tensor, ScoringRule.LOG) == pytest.approx(
             conditional_mi(tensor, KL), abs=1e-10
         )
 
@@ -349,7 +347,7 @@ class TestConditionalBregman:
             t[z].sum() * oracles.bregman_mi((t[z] / t[z].sum()).tolist(), "quadratic")
             for z in range(2)
         )
-        assert conditional_bregman_mi(tensor, ScoringRule.QUADRATIC) == pytest.approx(
+        assert conditional_mi(tensor, ScoringRule.QUADRATIC) == pytest.approx(
             expect, abs=1e-12
         )
 

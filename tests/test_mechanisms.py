@@ -31,7 +31,6 @@ from peerlab import (
     f_mutual_information,
     fmi_mechanism_payments,
     generate_reports,
-    md_expected_reward,
     md_payments,
     mip_expected_payments,
     permutation_channel,
@@ -74,7 +73,7 @@ class TestMipExpectedPayments:
     def test_claim_six_seven_factor(self, canonical_prior):
         rep = mip_expected_payments(truthful_scenario(canonical_prior, 2), TVD)
         assert rep.payments[0] == pytest.approx(
-            2.0 * md_expected_reward(canonical_prior.joint), abs=1e-12
+            2.0 * ca_expected_reward(canonical_prior.joint), abs=1e-12
         )
 
     def test_utilities_with_efforts(self, canonical_prior):
@@ -178,25 +177,25 @@ class TestMdPayments:
 
 class TestMdExpectedReward:
     def test_canonical(self, canonical_joint):
-        assert md_expected_reward(canonical_joint) == pytest.approx(0.3, abs=1e-12)
-        assert md_expected_reward(canonical_joint) == pytest.approx(
+        assert ca_expected_reward(canonical_joint) == pytest.approx(0.3, abs=1e-12)
+        assert ca_expected_reward(canonical_joint) == pytest.approx(
             0.5 * f_mutual_information(canonical_joint, TVD), abs=1e-12
         )
 
     def test_independent_zero(self):
         j = JointDistribution(np.full((2, 2), 0.25))
-        assert md_expected_reward(j) == pytest.approx(0.0, abs=1e-15)
+        assert ca_expected_reward(j) == pytest.approx(0.0, abs=1e-15)
 
     def test_anticorrelated_below_half_tvd(self):
         j = JointDistribution(np.array([[0.1, 0.4], [0.4, 0.1]]))
-        reward = md_expected_reward(j)
+        reward = ca_expected_reward(j)
         assert reward == pytest.approx(-0.3, abs=1e-12)
         assert reward <= 0.5 * f_mutual_information(j, TVD)
 
     def test_matches_loop_oracle(self, rng):
         t = rng.dirichlet(np.ones(4)).reshape(2, 2)
         j = JointDistribution(t)
-        assert md_expected_reward(j) == pytest.approx(
+        assert ca_expected_reward(j) == pytest.approx(
             oracles.agreement_reward(t.tolist()), abs=1e-12
         )
 
