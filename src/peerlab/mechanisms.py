@@ -260,6 +260,8 @@ def _subset_payments(
     (reward 0 when no such subsets exist); averaged over questions, then over
     reference agents.  Subsets are sampled without replacement from rng
     ``stream`` of the seed."""
+    if d < 1:
+        raise DimensionMismatch(f"comparison-subset size d must be >= 1, got {d}")
     n = reports.n_agents
     T = reports.n_questions
     refs = _reference_sets(n, pairing, seed)

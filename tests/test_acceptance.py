@@ -177,8 +177,7 @@ def test_criterion_08_signal_prediction_scores():
 
 def test_criterion_09_scenario_relabeling_equivalence():
     start = time.perf_counter()
-    verdict = run_suite(default_config(
-        "scenario-equivalence", instances=100, seed=909, extra={"perm_lists": 10}))
+    verdict = run_suite(default_config("scenario-equivalence", instances=100, seed=909))
     assert verdict.passed, verdict.violations[:3]
     claims = {c["name"]: c for c in verdict.claims}
     assert claims["payments_identical"]["violations"] == 0

@@ -116,6 +116,15 @@ class TestMechanismCommand:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["report"]["payments"][0] - 0.3) < 0.15
 
+    @pytest.mark.parametrize("mechanism,d", [("md", "0"), ("ca", "0"), ("ca", "-1")])
+    def test_subset_size_below_one_error_record(self, scenario_file, capsys, mechanism, d):
+        code = main(["mechanism", "--mechanism", mechanism, "--scenario", scenario_file,
+                     "-T", "50", "--d", d])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == "DimensionMismatch"
+        assert "report" not in doc
+
     def test_sppm_exact(self, scenario_file, capsys):
         code = main(["mechanism", "--mechanism", "sppm", "--scenario", scenario_file,
                      "--rule", "log", "--exact"])
@@ -137,6 +146,13 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "nosuch"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--equality-tol", "inf"), ("--equality-tol", "nan"), ("--strictness-tol", "inf"),
+    ])
+    def test_non_finite_tolerance_exit_two(self, capsys, flag, value):
+        assert main(["verify", "dpi", "--instances", "5", flag, value]) == 2
+        assert "tolerances" in capsys.readouterr().err
 
     def test_violations_exit_one(self, capsys):
         code = main(["verify", "dpi", "--instances", "200", "--seed", "4",

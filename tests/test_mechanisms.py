@@ -224,6 +224,14 @@ class TestCaPayments:
         assert float(np.mean(sims)) > 0.2
 
 
+@pytest.mark.parametrize("fn", [md_payments, ca_payments])
+@pytest.mark.parametrize("d", [0, -1])
+def test_subset_size_below_one_rejected(fn, d):
+    rows = np.array([[0, 1, 0, 1, 1, 0], [0, 1, 1, 1, 0, 0]])
+    with pytest.raises(DimensionMismatch):
+        fn(ReportMatrix.full(rows, 2), d, seed=0)
+
+
 class TestSppm:
     def test_truth_expectation_equals_bregman_mi(self, canonical_prior):
         scn = truthful_scenario(canonical_prior, 2)

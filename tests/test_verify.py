@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,52 @@ def test_forced_violations_replay():
         assert replay_violation(violation, config)
 
 
+FORCED = [
+    *[(suite, {"strictness_tol": 1e6})
+      for suite in ("dpi", "dominant-truthfulness", "truth-monotone")],
+    *[(suite, {"equality_tol": 1e-300})
+      for suite in ("dpi", "dominant-truthfulness", "truth-monotone", "accuracy-gain",
+                    "bregman-quasi", "md-equivalence")],
+]
+
+
+@pytest.mark.parametrize("suite,tols", FORCED)
+def test_every_forced_violation_replays(suite, tols):
+    config = default_config(suite, instances=SMALL[suite], seed=13, **tols)
+    verdict = run_suite(config)
+    assert not verdict.passed
+    relaxed = default_config(suite, instances=SMALL[suite], seed=13)
+    for violation in verdict.violations:
+        assert replay_violation(violation, config)
+        assert not replay_violation(violation, relaxed)
+
+
+# claims recorded by a suite's global part, at instance -1
+GLOBAL_CLAIMS = {
+    "effort": {"canonical_pure_effort", "canonical_boundary_tie"},
+    "bts": {"cross_oracle_identity", "prediction_negates_information",
+            "finite_population_convergence"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_claim_replays_without_violation(suite):
+    config = default_config(suite, instances=SMALL[suite], seed=13)
+    verdict = run_suite(config)
+    assert verdict.passed
+    for claim in verdict.claims:
+        instance = -1 if claim["name"] in GLOBAL_CLAIMS.get(suite, ()) else 1
+        violation = {"instance": instance, "claim": claim["name"], "data": {}}
+        assert replay_violation(violation, config) is False
+
+
+def test_replay_from_verdict_json_alone():
+    config = default_config("truth-monotone", instances=30, seed=13, strictness_tol=1e6)
+    raw = json.loads(run_suite(config).to_json())
+    violation = next(v for v in raw["violations"] if v["claim"] == "peer_payment_drops_strictly")
+    assert replay_violation(violation, SuiteConfig(**raw["config"]))
+
+
 def test_replay_of_serialized_violation():
     config = default_config("dpi", instances=200, seed=6, strictness_tol=1e6)
     verdict = run_suite(config)
@@ -112,6 +159,17 @@ def test_config_validation():
         SuiteConfig(suite="dpi", equality_tol=0.0)
     with pytest.raises(DimensionMismatch):
         SuiteConfig(suite="dpi", monte_carlo_ci=1.5)
+
+
+@pytest.mark.parametrize("tols", [
+    {"equality_tol": math.inf},
+    {"equality_tol": math.nan},
+    {"strictness_tol": math.inf},
+    {"strictness_tol": math.nan},
+])
+def test_non_finite_tolerances_rejected(tols):
+    with pytest.raises(DimensionMismatch):
+        SuiteConfig(suite="dpi", **tols)
 
 
 def test_unknown_suite_rejected():
