@@ -42,6 +42,7 @@ from .probability import (
     JointDistribution,
     RngSeed,
     TransitionMatrix,
+    _integers,
     _validated_array,
     identity_channel,
     permutation_channel,
@@ -83,9 +84,15 @@ class PairwisePrior:
         return self.joint.shape[0]
 
     def pair_joint(self, i: int, j: int) -> JointDistribution:
-        if i == j:
+        return JointDistribution(self._pair_tables(i, [j])[0])
+
+    def _pair_tables(self, i: int, refs) -> np.ndarray:
+        """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
+        refs = np.asarray(refs)
+        if np.any(refs == i):
             raise DimensionMismatch("a pair joint needs two distinct agents")
-        return self.joint if i < j else self.joint.transpose()
+        table = self.joint.table
+        return np.where((refs > i)[:, None, None], table, table.T)
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,17 @@ class FullJointPrior:
         return self.tensor.shape[0]
 
     def pair_joint(self, i: int, j: int) -> JointDistribution:
-        if i == j or not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
-            raise DimensionMismatch(f"bad agent pair ({i}, {j})")
-        axes = tuple(k for k in range(self.n_agents) if k not in (i, j))
-        table = self.tensor.sum(axis=axes)
-        if i > j:
-            table = table.T
-        return JointDistribution(table.copy())
+        return JointDistribution(self._pair_tables(i, [j])[0])
+
+    def _pair_tables(self, i: int, refs) -> np.ndarray:
+        """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
+        n, m = self.n_agents, self.alphabet_size
+        for j in refs:
+            if i == j or not (0 <= i < n and 0 <= j < n):
+                raise DimensionMismatch(f"bad agent pair ({i}, {j})")
+        return np.stack([
+            np.moveaxis(self.tensor, (i, j), (0, 1)).reshape(m, m, -1).sum(axis=-1) for j in refs
+        ])
 
 
 @dataclass(frozen=True)
@@ -151,9 +162,14 @@ class WorldModelPrior:
         return self.states[0].size
 
     def pair_joint(self, i: int, j: int) -> JointDistribution:
-        if i == j:
+        return JointDistribution(self._pair_tables(i, [j])[0])
+
+    def _pair_tables(self, i: int, refs) -> np.ndarray:
+        """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
+        if np.any(np.asarray(refs) == i):
             raise DimensionMismatch("a pair joint needs two distinct agents")
-        return JointDistribution(self._signal_pair_table().sum(axis=0))
+        table = self._signal_pair_table().sum(axis=0)
+        return np.broadcast_to(table, (len(refs),) + table.shape)
 
     def signal_pair_tensor(self) -> JointDistribution:
         """Conditional-mode joint over (Z = world state, X = signal_i, Y = signal_j)."""
@@ -280,8 +296,8 @@ class Scenario:
         if len(strategies) < 2:
             raise DimensionMismatch("a scenario needs at least 2 agents")
         m = self.prior.alphabet_size
-        if any(s.alphabet_size != m for s in strategies):
-            raise DimensionMismatch("strategy alphabet differs from prior alphabet")
+        if any(s.channel.shape != (m, m) for s in strategies):
+            raise DimensionMismatch("strategy channels must map the prior alphabet to itself")
         if isinstance(self.prior, FullJointPrior) and self.prior.n_agents != len(strategies):
             raise DimensionMismatch("full-joint prior has a different number of agents")
         efforts = self.efforts
@@ -318,38 +334,50 @@ def truthful_scenario(prior: Prior, n: int) -> Scenario:
 def report_joint(
     prior: Prior,
     i: int,
-    j: int,
+    j: int | Sequence[int],
     s_i: Strategy,
-    s_j: Strategy,
+    s_j: Strategy | Sequence[Strategy],
     eff_i: EffortStrategy | None = None,
-    eff_j: EffortStrategy | None = None,
+    eff_j: EffortStrategy | Sequence[EffortStrategy | None] | None = None,
 ) -> JointDistribution:
     """Exact joint of the two agents' reports.
 
     Each agent's report is her channel applied to her signal with probability
     ``full_effort_prob``, else an independent draw from her no-effort
     distribution; the result is the four-way mixture over the effort coins.
+
+    ``j`` may also be a sequence of agents, with ``s_j`` and ``eff_j`` (unless
+    None) sequences alongside it.  The reference agent J is then uniform over
+    ``j``, and the result is the conditional-mode joint of (J, report_i,
+    report_J): slice J = j is the pair joint of (i, j) divided by len(j).
     """
-    eff_i = eff_i or FULL_EFFORT
-    eff_j = eff_j or FULL_EFFORT
-    q = prior.pair_joint(i, j).table
-    m = q.shape[0]
-    a = s_i.channel.rows
-    b = s_j.channel.rows
-    if a.shape[0] != m or b.shape[0] != m:
+    single = np.ndim(j) == 0
+    if single:
+        refs, s_j, eff_j = [j], [s_j], [eff_j]
+    else:
+        refs, s_j = list(j), list(s_j)
+        eff_j = [None] * len(refs) if eff_j is None else list(eff_j)
+    if not refs or len(s_j) != len(refs) or len(eff_j) != len(refs):
+        raise DimensionMismatch("one strategy and one effort per reference agent")
+    a, b = s_i.channel.rows, [s.channel.rows for s in s_j]
+    m = prior.alphabet_size
+    if a.shape[0] != m or any(c.shape != b[0].shape or c.shape[0] != m for c in b):
         raise DimensionMismatch("strategy alphabet differs from prior alphabet")
-    li, lj = eff_i.full_effort_prob, eff_j.full_effort_prob
-    xi = eff_i.resolve_no_effort(a.shape[1]).weights
-    xj = eff_j.resolve_no_effort(b.shape[1]).weights
-    mi = a.T @ q.sum(axis=1)  # agent i's full-effort report marginal
-    mj = b.T @ q.sum(axis=0)
-    table = (
+    q, b = prior._pair_tables(i, refs), np.stack(b)
+    eff_i, eff_j = eff_i or FULL_EFFORT, [e or FULL_EFFORT for e in eff_j]
+    li = eff_i.full_effort_prob
+    lj = np.array([e.full_effort_prob for e in eff_j])[:, None, None]
+    xi = eff_i.resolve_no_effort(a.shape[1]).weights[:, None]
+    xj = np.stack([e.resolve_no_effort(b.shape[2]).weights for e in eff_j])[:, None, :]
+    mi = a.T @ q.sum(axis=2)[:, :, None]  # full-effort report marginals: a column
+    mj = q.sum(axis=1)[:, None, :] @ b  # and a row
+    tables = (
         li * lj * (a.T @ q @ b)
-        + li * (1.0 - lj) * np.outer(mi, xj)
-        + (1.0 - li) * lj * np.outer(xi, mj)
-        + (1.0 - li) * (1.0 - lj) * np.outer(xi, xj)
+        + li * (1.0 - lj) * (mi * xj)
+        + (1.0 - li) * lj * (xi * mj)
+        + (1.0 - li) * (1.0 - lj) * (xi * xj)
     )
-    return JointDistribution(table)
+    return JointDistribution(tables[0] if single else tables / len(refs))
 
 
 def reported_world_states(
@@ -411,23 +439,25 @@ class ReportMatrix:
     alphabet_size: int
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.intp)
+        entries = _integers(self.entries, "report entries")
         mask = np.asarray(self.mask, dtype=bool)
+        alphabet_size = int(_integers(self.alphabet_size, "alphabet_size"))
         if entries.shape != mask.shape or entries.ndim != 2:
             raise DimensionMismatch("entries and mask must share an (n, T) shape")
         if entries[mask].size and (
-            entries[mask].min() < 0 or entries[mask].max() >= self.alphabet_size
+            entries[mask].min() < 0 or entries[mask].max() >= alphabet_size
         ):
             raise DimensionMismatch("report entries outside the alphabet")
         entries.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
 
     @classmethod
     def full(cls, entries, alphabet_size: int) -> "ReportMatrix":
-        entries = np.asarray(entries, dtype=np.intp)
-        return cls(entries, np.ones_like(entries, dtype=bool), alphabet_size)
+        entries = np.asarray(entries)
+        return cls(entries, np.ones(entries.shape, dtype=bool), alphabet_size)
 
     @property
     def n_agents(self) -> int:
@@ -480,6 +510,7 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
     """Sample a full report matrix: T iid questions through each agent's
     effort coin and report channel.  Deterministic per seed."""
+    T = int(_integers(T, "T"))
     if T < 0:
         raise DimensionMismatch("T must be >= 0")
     m = scenario.alphabet_size
@@ -500,16 +531,31 @@ def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
     return ReportMatrix.full(entries, m)
 
 
-def empirical_pair_joint(reports: ReportMatrix, i: int, j: int) -> JointDistribution:
-    """Count matrix over the questions both agents answered, normalized."""
-    shared = reports.mask[i] & reports.mask[j]
-    total = int(shared.sum())
-    if total == 0:
-        raise NoOverlap(f"agents {i} and {j} share no answered question")
+def empirical_pair_joint(
+    reports: ReportMatrix, i: int, j: int | Sequence[int]
+) -> JointDistribution:
+    """Count matrix over the questions both agents answered, normalized.
+
+    ``j`` may also be a sequence of agents: the reference agent J is then
+    uniform over ``j``, and the result is the conditional-mode joint of (J,
+    report_i, report_J) whose slice J = j is the count matrix of (i, j) divided
+    by len(j).  The counts are one bincount of integer codes (slice offset plus
+    cell; unshared questions go past the last slice), in O(len(j) * T) memory.
+    """
+    refs = np.atleast_1d(np.asarray(j, dtype=np.intp))
     m = reports.alphabet_size
-    counts = np.zeros((m, m))
-    np.add.at(counts, (reports.entries[i, shared], reports.entries[j, shared]), 1.0)
-    return JointDistribution(counts / total)
+    shared = reports.mask[refs] & reports.mask[i]
+    totals = shared.sum(axis=1)
+    if np.any(totals == 0):
+        raise NoOverlap(f"agents {i} and {refs[np.argmax(totals == 0)]} share no answered question")
+    cells = refs.size * m * m
+    codes = reports.entries[refs]
+    codes += m * reports.entries[i]
+    codes += np.arange(0, cells, m * m)[:, None]
+    codes[~shared] = cells
+    counts = np.bincount(codes.ravel(), minlength=cells + 1)[:cells]
+    tables = counts.reshape(refs.size, m, m) / totals[:, None, None]
+    return JointDistribution(tables[0] if np.ndim(j) == 0 else tables / refs.size)
 
 
 # ---------------------------------------------------------------------------

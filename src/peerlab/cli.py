@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -120,6 +119,13 @@ def _record(config: dict, inputs: dict, body: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config": config, "inputs": inputs, **body}
 
 
+def _emit_error(path: str | None, config: dict, inputs: dict, exc: PeerLabError) -> int:
+    """Write the error record of a mechanism-level failure; returns exit code 1."""
+    _emit(path, _canonical(_record(config, inputs, {
+        "error": {"type": type(exc).__name__, "message": str(exc)}})))
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -171,9 +177,7 @@ def cmd_measure(args) -> int:
             value = conditional_mi(table, rule) if table.is_conditional else bregman_mi(table, rule)
             name = f"bregman-{rule.value}"
     except PeerLabError as exc:
-        _emit(args.out, _canonical(_record(config, inputs, {
-            "error": {"type": type(exc).__name__, "message": str(exc)}})))
-        return 1
+        return _emit_error(args.out, config, inputs, exc)
     units = "nats" if (args.mi in _NATS or args.bregman == "log") else "dimensionless"
     _emit(args.out, _canonical(_record(config, inputs, {
         "measure": name, "value": float(value), "units": units})))
@@ -214,8 +218,6 @@ def cmd_mechanism(args) -> int:
         "format": args.format,
     }
     inputs = {}
-    body_error = None
-    report = None
     try:
         if args.mechanism == "bts":
             if not args.profile:
@@ -269,10 +271,7 @@ def cmd_mechanism(args) -> int:
             else:
                 raise CliError(f"unknown mechanism {args.mechanism!r}")
     except PeerLabError as exc:
-        body_error = {"type": type(exc).__name__, "message": str(exc)}
-    if body_error is not None:
-        _emit(args.out, _canonical(_record(config, inputs, {"error": body_error})))
-        return 1
+        return _emit_error(args.out, config, inputs, exc)
     if args.format == "csv":
         header = "# " + json.dumps(_record(config, inputs, {}), sort_keys=True)
         _emit(args.out, header + "\n" + payment_report_csv(report))
@@ -349,49 +348,44 @@ def cmd_sweep(args) -> int:
         "seeds": args.seeds,
         "seed": args.seed,
         "measure": args.measure,
-        "jobs": args.jobs,
     }
     grid = _parse_grid(args.grid)
     inputs = {}
-    if args.kind == "fmi-gap":
-        if not args.scenario:
-            raise CliError("fmi-gap needs --scenario FILE")
-        inputs[args.scenario] = _sha256(args.scenario)
-        scenario = _load_scenario(args.scenario)
-        gen = _GENERATORS.get(args.measure or "tvd")
-        if gen is None:
-            raise CliError(f"unknown --measure {args.measure!r}")
-        exact = float(mip_expected_payments(scenario, gen).payments[0])
-
-        def cell(g: int, s: int) -> float:
-            return _fmi_gap_cell(scenario, gen, g, args.seed * 1_000_003 + g * 101 + s, exact)
-
-    elif args.kind == "bts-gap":
-        world = CANONICAL_WORLD
-        if args.scenario:
+    try:
+        if args.kind == "fmi-gap":
+            if not args.scenario:
+                raise CliError("fmi-gap needs --scenario FILE")
             inputs[args.scenario] = _sha256(args.scenario)
             scenario = _load_scenario(args.scenario)
-            if not isinstance(scenario.prior, WorldModelPrior):
-                raise CliError("bts-gap needs a world-model prior")
-            world = scenario.prior
-        ideal = bts_idealized_scores(world).information_score
+            gen = _GENERATORS.get(args.measure or "tvd")
+            if gen is None:
+                raise CliError(f"unknown --measure {args.measure!r}")
+            exact = float(mip_expected_payments(scenario, gen).payments[0])
 
-        def cell(g: int, s: int) -> float:
-            return _bts_gap_cell(world, g, args.seed * 1_000_003 + g * 101 + s, ideal, 3.0)
+            def cell(g: int, s: int) -> float:
+                return _fmi_gap_cell(scenario, gen, g, args.seed * 1_000_003 + g * 101 + s, exact)
 
-    else:
-        raise CliError(f"unknown sweep kind {args.kind!r}")
+        elif args.kind == "bts-gap":
+            world = CANONICAL_WORLD
+            if args.scenario:
+                inputs[args.scenario] = _sha256(args.scenario)
+                scenario = _load_scenario(args.scenario)
+                if not isinstance(scenario.prior, WorldModelPrior):
+                    raise CliError("bts-gap needs a world-model prior")
+                world = scenario.prior
+            ideal = bts_idealized_scores(world).information_score
 
-    points = [(g, s) for g in grid for s in range(args.seeds)]
-    if args.jobs > 1 and points:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            values = dict(zip(points, pool.map(lambda p: cell(*p), points)))
-    else:
-        values = {p: cell(*p) for p in points}
-    lines = ["# " + json.dumps(_record(config, inputs, {}), sort_keys=True), "grid,seed,value"]
-    for g, s in points:
-        lines.append(f"{g},{s},{values[(g, s)]!r}")
-    _emit(args.out, "\n".join(lines) + "\n")
+            def cell(g: int, s: int) -> float:
+                return _bts_gap_cell(world, g, args.seed * 1_000_003 + g * 101 + s, ideal, 3.0)
+
+        else:
+            raise CliError(f"unknown sweep kind {args.kind!r}")
+
+        rows = [f"{g},{s},{cell(g, s)!r}" for g in grid for s in range(args.seeds)]
+    except PeerLabError as exc:
+        return _emit_error(args.out, config, inputs, exc)
+    header = "# " + json.dumps(_record(config, inputs, {}), sort_keys=True)
+    _emit(args.out, "\n".join([header, "grid,seed,value", *rows]) + "\n")
     return 0
 
 
@@ -444,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
     return parser

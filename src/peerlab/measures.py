@@ -40,10 +40,8 @@ from .probability import (
     Distribution,
     JointDistribution,
     TransitionMatrix,
-    condition_on,
     product_of_marginals,
     push_first,
-    z_marginal,
 )
 
 EQUALITY_TOL = 1e-10
@@ -61,14 +59,15 @@ class ConvexGenerator(enum.Enum):
     CHI_SQUARED = "chi2"
     SQUARED_HELLINGER = "hellinger"
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """f at ``x > 0``, elementwise on arrays."""
         if self is ConvexGenerator.KL:
-            return -math.log(x)
+            return -np.log(x)
         if self is ConvexGenerator.TVD:
-            return abs(x - 1.0)
+            return np.abs(x - 1.0)
         if self is ConvexGenerator.CHI_SQUARED:
             return (x - 1.0) ** 2
-        return (math.sqrt(x) - 1.0) ** 2
+        return (np.sqrt(x) - 1.0) ** 2
 
     @property
     def strictly_convex(self) -> bool:
@@ -110,13 +109,18 @@ class ScoringRule(enum.Enum):
         """PS(p, q) = E_{sigma ~ p} PS(sigma, q); linear in ``truth``."""
         if truth.size != report.size:
             raise DimensionMismatch("distribution sizes differ")
-        p, q = truth.weights, report.weights
+        return float(self._expected_scores(truth.weights, report.weights))
+
+    def _expected_scores(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """PS(p, q) along the last axis, broadcast over the leading axes."""
+        p, q = np.broadcast_arrays(p, q)
         if self is ScoringRule.LOG:
             support = p > 0.0
-            if np.any(q[support] <= 0.0):
+            if np.any(support & (q <= 0.0)):
                 raise LogOfZero("report assigns zero mass where truth is positive")
-            return float(np.dot(p[support], np.log(q[support])))
-        return float(2.0 * np.dot(p, q) - np.dot(q, q))
+            logs = np.log(q, out=np.zeros(q.shape), where=support)
+            return (p * logs).sum(axis=-1)
+        return 2.0 * (p * q).sum(axis=-1) - (q * q).sum(axis=-1)
 
 
 Measure = Union[ConvexGenerator, ScoringRule]
@@ -130,27 +134,17 @@ def f_divergence(p: Distribution, q: Distribution, f: ConvexGenerator) -> float:
     """
     if p.size != q.size:
         raise DimensionMismatch("distribution sizes differ")
-    return _f_divergence_raw(p.weights, q.weights, f)
+    return float(_f_divergences(p.weights, q.weights, f))
 
 
-def _f_divergence_raw(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> float:
-    p = p.reshape(-1)
-    q = q.reshape(-1)
-    total = 0.0
-    for pi, qi in zip(p.tolist(), q.tolist()):
-        if pi > 0.0 and qi > 0.0:
-            total += pi * f(qi / pi)
-        elif pi > 0.0:
-            edge = f.at_zero
-            if edge == math.inf:
-                return math.inf
-            total += pi * edge
-        elif qi > 0.0:
-            slope = f.slope_at_infinity
-            if slope == math.inf:
-                return math.inf
-            total += qi * slope
-    return total
+def _f_divergences(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> np.ndarray:
+    """D_f(p, q) along the last axis, with the zero conventions above."""
+    pos_p, pos_q = p > 0.0, q > 0.0
+    both = pos_p & pos_q
+    terms = np.where(both, p * f(np.divide(q, p, out=np.ones(p.shape), where=both)), 0.0)
+    np.multiply(p, f.at_zero, out=terms, where=pos_p & ~pos_q)
+    np.multiply(q, f.slope_at_infinity, out=terms, where=pos_q & ~pos_p)
+    return terms.sum(axis=-1)
 
 
 def bregman_divergence(p: Distribution, q: Distribution, rule: ScoringRule) -> float:
@@ -160,12 +154,14 @@ def bregman_divergence(p: Distribution, q: Distribution, rule: ScoringRule) -> f
 
 def f_mutual_information(joint: JointDistribution, f: ConvexGenerator) -> float:
     """Divergence between the joint table and the product of its marginals."""
-    table = joint._require_pairwise("f_mutual_information")
-    v = product_of_marginals(joint).table
-    # V[x,y] = 0 forces a zero marginal, hence U[x,y] = 0: the p>0,q=0 edge
-    # (infinite for KL) is unreachable in this orientation.
-    assert not np.any((table > 0.0) & (v <= 0.0))
-    return _f_divergence_raw(table, v, f)
+    return float(_f_mi(joint._require_pairwise("f_mutual_information"), f))
+
+
+def _f_mi(tables: np.ndarray, f: ConvexGenerator) -> np.ndarray:
+    """f-mutual information of each table of a stack shaped (..., mx, my)."""
+    v = tables.sum(axis=-1)[..., :, None] * tables.sum(axis=-2)[..., None, :]
+    cells = tables.shape[:-2] + (-1,)
+    return _f_divergences(tables.reshape(cells), v.reshape(cells), f)
 
 
 def shannon_mi(joint: JointDistribution) -> float:
@@ -183,21 +179,22 @@ def bregman_mi(joint: JointDistribution, rule: ScoringRule) -> float:
 
     BMI(X; Y) = E_X [ PS(Pr[Y|X], Pr[Y|X]) - PS(Pr[Y|X], Pr[Y]) ].
     """
-    table = joint._require_pairwise("bregman_mi")
-    mx = table.sum(axis=1)
-    prior_y = Distribution(table.sum(axis=0))
-    total = 0.0
-    for x in range(table.shape[0]):
-        px = float(mx[x])
-        if px <= 0.0:
-            continue
-        posterior = Distribution(table[x] / px)
-        try:
-            total += px * bregman_divergence(posterior, prior_y, rule)
-        except LogOfZero as exc:
-            # posterior support always lies inside the Y-marginal support
-            raise InadmissibleSupport(str(exc)) from exc
-    return total
+    return float(_bregman_mi(joint._require_pairwise("bregman_mi"), rule))
+
+
+def _bregman_mi(tables: np.ndarray, rule: ScoringRule) -> np.ndarray:
+    """Bregman MI of each table of a stack shaped (..., mx, my); zero-mass rows contribute 0."""
+    mx = tables.sum(axis=-1)
+    live = mx > 0.0
+    posterior = tables / np.where(live, mx, 1.0)[..., None]
+    prior_y = tables.sum(axis=-2)[..., None, :]
+    try:
+        score = rule._expected_scores
+        gain = score(posterior, posterior) - score(posterior, prior_y)
+    except LogOfZero as exc:
+        # posterior support always lies inside the Y-marginal support
+        raise InadmissibleSupport(str(exc)) from exc
+    return np.where(live, mx * gain, 0.0).sum(axis=-1)
 
 
 def conditional_mi(tensor: JointDistribution, measure: Measure) -> float:
@@ -208,14 +205,15 @@ def conditional_mi(tensor: JointDistribution, measure: Measure) -> float:
     zero probability contribute 0.
     """
     t = tensor._require_conditional("conditional_mi")
-    pz = z_marginal(tensor).weights
-    total = 0.0
-    for z in range(t.shape[0]):
-        if pz[z] <= 0.0:
-            continue
-        slice_joint = condition_on(tensor, z)
-        total += float(pz[z]) * mutual_information(slice_joint, measure)
-    return total
+    return _slice_mean(t, lambda slices: _mutual_information(slices, measure))
+
+
+def _slice_mean(t: np.ndarray, per_slice) -> float:
+    """sum_z Pr[Z=z] per_slice(joint of (X, Y) given Z=z) over a conditional-mode table,
+    with ``per_slice`` evaluated on the stack of live slices; zero-mass slices contribute 0."""
+    pz = t.sum(axis=(1, 2))
+    live = pz > 0.0
+    return float(np.sum(pz[live] * per_slice(t[live] / pz[live][:, None, None])))
 
 
 def log_score_accuracy_gain(tensor: JointDistribution) -> float:
@@ -247,10 +245,15 @@ def log_score_accuracy_gain(tensor: JointDistribution) -> float:
 
 def mutual_information(joint: JointDistribution, measure: Measure) -> float:
     """Dispatch to the f- or Bregman mutual information of a pairwise joint."""
+    return float(_mutual_information(joint._require_pairwise("mutual_information"), measure))
+
+
+def _mutual_information(tables: np.ndarray, measure: Measure) -> np.ndarray:
+    """f- or Bregman mutual information of each table of a stack shaped (..., mx, my)."""
     if isinstance(measure, ConvexGenerator):
-        return f_mutual_information(joint, measure)
+        return _f_mi(tables, measure)
     if isinstance(measure, ScoringRule):
-        return bregman_mi(joint, measure)
+        return _bregman_mi(tables, measure)
     raise TypeError(f"unsupported measure {measure!r}")
 
 

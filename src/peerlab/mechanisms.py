@@ -6,6 +6,15 @@ correlation mechanism and its agreement variant), the shifted peer prediction
 method for a known prior, and signal-plus-prediction scoring (idealized and
 finite-n).
 
+The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
+agreement reward) read one report joint per agent i: the conditional-mode
+joint of (J, report_i, report_J) with the reference agent J uniform over i's
+reference agents, exact (:func:`report_joint`) or counted
+(:func:`empirical_pair_joint`).  Its slices are i's report-pair tables; one
+stacked kernel (f-MI, BMI, score shift or agreement) runs over them and is
+averaged with the weights Pr[J=j], so a mutual-information payment is
+MI(report_i; report_J | J).
+
 Reference-agent handling defaults to ``all-pairs-average`` (the exact
 expectation over a uniformly random reference agent, which keeps theorem
 checks deterministic); ``seeded-random-reference`` reproduces the literal
@@ -14,6 +23,7 @@ single-reference payment.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -41,11 +51,11 @@ from .measures import (
     ConvexGenerator,
     Measure,
     ScoringRule,
+    _slice_mean,
     conditional_mi,
     log_score_accuracy_gain,
-    mutual_information,
 )
-from .probability import Distribution, JointDistribution, RngSeed, rng_from_seed
+from .probability import Distribution, JointDistribution, RngSeed, _integers, rng_from_seed
 
 ALL_PAIRS = "all-pairs-average"
 SEEDED_RANDOM = "seeded-random-reference"
@@ -115,28 +125,26 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _average_over_peers(scenario: Scenario, value) -> np.ndarray:
-    """Per agent i, ``value`` of the exact report joint of (i, j) averaged over
-    every peer j != i; the sum runs in peer order before the division."""
-    n = scenario.n_agents
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            out[i] += value(
-                report_joint(
-                    scenario.prior,
-                    i,
-                    j,
-                    scenario.strategies[i],
-                    scenario.strategies[j],
-                    scenario.effort(i),
-                    scenario.effort(j),
-                )
-            )
-        out[i] /= n - 1
-    return out
+def _exact_joints(scenario: Scenario):
+    """Per agent i, the exact conditional-mode joint of (J, report_i, report_J) with the
+    reference agent J uniform over the other agents."""
+    s = scenario.strategies
+    for i, refs in enumerate(_reference_sets(scenario.n_agents, ALL_PAIRS, None)):
+        yield report_joint(scenario.prior, i, refs, s[i], [s[j] for j in refs],
+                           scenario.effort(i), [scenario.effort(j) for j in refs])
+
+
+def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):
+    """Per agent i, the empirical conditional-mode joint of (J, report_i, report_J) with J
+    uniform over i's reference agents."""
+    refs = _reference_sets(reports.n_agents, pairing, seed)
+    return (empirical_pair_joint(reports, i, row) for i, row in enumerate(refs))
+
+
+def _peer_means(joints, per_table) -> np.ndarray:
+    """Per agent, ``per_table`` of its pair joints averaged over its reference agents J,
+    from its (J, report_i, report_J) joint, as :func:`conditional_mi` averages MI."""
+    return np.array([_slice_mean(joint.table, per_table) for joint in joints])
 
 
 def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport:
@@ -145,7 +153,7 @@ def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport
 
     payment_i = (1 / (n-1)) * sum_{j != i} MI(report_i ; report_j).
     """
-    payments = _average_over_peers(scenario, lambda joint: mutual_information(joint, measure))
+    payments = np.array([conditional_mi(joint, measure) for joint in _exact_joints(scenario)])
     effort_costs = utilities = None
     if scenario.efforts is not None:
         effort_costs = np.array(
@@ -193,14 +201,8 @@ def bmi_mechanism_payments(
 
 
 def _empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> PaymentReport:
-    n = reports.n_agents
-    refs = _reference_sets(n, pairing, seed)
-    payments = np.zeros(n)
-    for i in range(n):
-        vals = [
-            mutual_information(empirical_pair_joint(reports, i, j), measure) for j in refs[i]
-        ]
-        payments[i] = float(np.mean(vals))
+    joints = _empirical_joints(reports, pairing, seed)
+    payments = np.array([conditional_mi(joint, measure) for joint in joints])
     return PaymentReport(
         mechanism=mechanism,
         mode="empirical",
@@ -260,6 +262,7 @@ def _subset_payments(
     (reward 0 when no such subsets exist); averaged over questions, then over
     reference agents.  Subsets are sampled without replacement from rng
     ``stream`` of the seed."""
+    d = int(_integers(d, "comparison-subset size d"))
     if d < 1:
         raise DimensionMismatch(f"comparison-subset size d must be >= 1, got {d}")
     n = reports.n_agents
@@ -321,10 +324,13 @@ def ca_payments(
 def ca_expected_reward(pair: JointDistribution) -> float:
     """Expected per-question agreement reward on any alphabet:
     sum_s (Pr[s, s] - Pr_i[s] Pr_j[s])."""
-    table = pair._require_pairwise("ca_expected_reward")
-    mi = table.sum(axis=1)
-    mj = table.sum(axis=0)
-    return float(np.trace(table) - np.dot(mi, mj))
+    return float(_agreement_rewards(pair._require_pairwise("ca_expected_reward")))
+
+
+def _agreement_rewards(tables: np.ndarray) -> np.ndarray:
+    """:func:`ca_expected_reward` of each table of a stack shaped (..., m, m)."""
+    marginals = tables.sum(axis=-1) * tables.sum(axis=-2)
+    return np.trace(tables, axis1=-2, axis2=-1) - marginals.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +338,28 @@ def ca_expected_reward(pair: JointDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _prediction_tables(known_prior: PairwisePrior):
-    """The mechanism's prior prediction q and per-signal posteriors q_sigma."""
+def _score_shifts(known_prior: PairwisePrior, rule: ScoringRule):
+    """Expected shifted score sum_{a,b} R[a, b] S[a, b] of each report table R of a stack, with
+    S[a, b] = PS(b, q_a) - PS(b, q) from the known prior's posteriors q_a and prediction q.
+    Cells of zero mass are skipped; a live cell without a finite S raises LogOfZero."""
     table = known_prior.joint.table
     q = Distribution(table.sum(axis=0))
-    posteriors = []
-    for sigma in range(table.shape[0]):
-        row_mass = float(table[sigma].sum())
-        if row_mass <= 0.0:
-            posteriors.append(None)
-        else:
-            posteriors.append(Distribution(table[sigma] / row_mass))
-    return q, posteriors
+    shift = np.full(table.shape, np.nan)
+    for a, row in enumerate(table):
+        if row.sum() > 0.0:
+            posterior = Distribution(row / float(row.sum()))
+            for b in range(q.size):
+                with contextlib.suppress(LogOfZero):
+                    shift[a, b] = rule.score(b, posterior) - rule.score(b, q)
+
+    def expected_shift(tables: np.ndarray) -> np.ndarray:
+        live = tables > 0.0
+        if np.any(live & np.isnan(shift)):
+            _, a, b = np.argwhere(live & np.isnan(shift))[0]
+            raise LogOfZero(f"the known prior gives zero mass to report pair ({a}, {b})")
+        return np.where(live, tables * shift, 0.0).sum(axis=(-2, -1))
+
+    return expected_shift
 
 
 def sppm_payments(
@@ -356,23 +372,13 @@ def sppm_payments(
     """Realized shifted-peer-prediction payments: the accuracy of the posterior
     derived from agent i's report, minus that of the prior, both scored
     against the reference agent's report."""
-    sig = np.asarray(signals, dtype=np.intp)
-    n = sig.shape[0]
-    q, posteriors = _prediction_tables(known_prior)
-    refs = _reference_sets(n, pairing, seed)
-    payments = np.zeros(n)
-    for i in range(n):
-        vals = []
-        for j in refs[i]:
-            post = posteriors[sig[i]]
-            if post is None:
-                raise LogOfZero(f"prior assigns zero mass to reported signal {sig[i]}")
-            vals.append(rule.score(int(sig[j]), post) - rule.score(int(sig[j]), q))
-        payments[i] = float(np.mean(vals))
+    reports = ReportMatrix.full(np.asarray(signals)[:, None], known_prior.alphabet_size)
     return PaymentReport(
         mechanism="sppm",
         mode="empirical",
-        payments=payments,
+        payments=_peer_means(
+            _empirical_joints(reports, pairing, seed), _score_shifts(known_prior, rule)
+        ),
         measure=rule.value,
         seed=seed,
         metadata={"pairing": pairing},
@@ -388,23 +394,7 @@ def sppm_expected_payments(
     truth-telling on the same prior each payment equals the Bregman mutual
     information of the prior pair joint.
     """
-    q, posteriors = _prediction_tables(known_prior)
-
-    def expected_shift(joint: JointDistribution) -> float:
-        rj = joint.table
-        val = 0.0
-        for a in range(rj.shape[0]):
-            if float(rj[a].sum()) <= 0.0:
-                continue
-            if posteriors[a] is None:
-                raise LogOfZero(f"prior assigns zero mass to reported signal {a}")
-            for b in range(rj.shape[1]):
-                if rj[a, b] <= 0.0:
-                    continue
-                val += rj[a, b] * (rule.score(b, posteriors[a]) - rule.score(b, q))
-        return val
-
-    payments = _average_over_peers(scenario, expected_shift)
+    payments = _peer_means(_exact_joints(scenario), _score_shifts(known_prior, rule))
     return PaymentReport(
         mechanism="sppm", mode="exact", payments=payments, measure=rule.value
     )
@@ -423,7 +413,7 @@ class BtsReportProfile:
     predictions: tuple[Distribution, ...]
 
     def __post_init__(self):
-        sig = np.asarray(self.signals, dtype=np.intp)
+        sig = _integers(self.signals, "signals")
         preds = tuple(self.predictions)
         if sig.ndim != 1 or sig.shape[0] != len(preds):
             raise DimensionMismatch("one prediction per reported signal")
@@ -479,6 +469,8 @@ def bts_payments(
     n = profile.n_agents
     if n < 3:
         raise DimensionMismatch("signal-plus-prediction scoring needs n >= 3")
+    if not (math.isfinite(alpha) and math.isfinite(smoothing) and smoothing >= 0.0):
+        raise DimensionMismatch("alpha must be finite, smoothing finite and >= 0")
     m = profile.alphabet_size
     sig = profile.signals
     counts = np.bincount(sig, minlength=m).astype(np.float64)

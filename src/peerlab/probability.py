@@ -78,6 +78,15 @@ class Distribution:
         return float(self.weights[sigma])
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an intp array; DimensionMismatch unless all are whole numbers below 2**53."""
+    arr = np.asarray(values)
+    whole = arr.dtype.kind == "f" and np.all((np.abs(arr) <= 2.0**53) & (arr == np.round(arr)))
+    if arr.dtype.kind not in "biu" and not whole:
+        raise DimensionMismatch(f"{name} must be integers, not {arr.dtype} {arr.ravel()[:3]}")
+    return arr.astype(np.intp, copy=False)
+
+
 def make_distribution(weights) -> Distribution:
     """Normalize a non-negative weight vector into a :class:`Distribution`.
 
@@ -282,6 +291,7 @@ def z_marginal(joint: JointDistribution) -> Distribution:
 
 def sample(dist: Distribution, seed: RngSeed, count: int) -> np.ndarray:
     """``count`` iid indices drawn from ``dist``; deterministic per seed."""
+    count = int(_integers(count, "count"))
     if count < 0:
         raise DimensionMismatch("count must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -59,7 +59,9 @@ from .measures import (
 from .mechanisms import (
     SEEDED_RANDOM,
     BtsReportProfile,
-    _average_over_peers,
+    _agreement_rewards,
+    _exact_joints,
+    _peer_means,
     bts_idealized_scores,
     bts_payments,
     ca_expected_reward,
@@ -73,6 +75,7 @@ from .probability import (
     Distribution,
     JointDistribution,
     TransitionMatrix,
+    _integers,
     push_first,
     push_second,
     rng_from_seed,
@@ -107,6 +110,7 @@ class SuiteConfig:
     monte_carlo_ci: float = 0.95
 
     def __post_init__(self):
+        object.__setattr__(self, "instances", int(_integers(self.instances, "instances")))
         if self.instances < 1:
             raise DimensionMismatch("instances must be >= 1")
         if not all(0 < tol < math.inf for tol in (self.equality_tol, self.strictness_tol)):
@@ -735,7 +739,7 @@ def _equivalence_payment_vectors(scenario: Scenario, known_prior: PairwisePrior)
     for rule in ScoringRule:
         out[f"mip-bregman-{rule.value}"] = mip_expected_payments(scenario, rule).payments
         out[f"sppm-{rule.value}"] = sppm_expected_payments(scenario, known_prior, rule).payments
-    out["agreement-expected"] = _average_over_peers(scenario, ca_expected_reward)
+    out["agreement-expected"] = _peer_means(_exact_joints(scenario), _agreement_rewards)
     if isinstance(scenario.prior, WorldModelPrior):
         n = scenario.n_agents
         scores = bts_idealized_scores(scenario.prior, scenario.strategies)

@@ -11,18 +11,32 @@ import math
 
 import numpy as np
 
-from peerlab.agents import Strategy, report_joint
-from peerlab.errors import DimensionMismatch, LogOfZero, NonBinaryAlphabet
-from peerlab.measures import mutual_information
-from peerlab.mechanisms import (
-    ALL_PAIRS,
-    PaymentReport,
-    _measure_name,
-    _prediction_tables,
-    _reference_sets,
-    ca_expected_reward,
+from peerlab.agents import (
+    FULL_EFFORT,
+    FullJointPrior,
+    PairwisePrior,
+    Strategy,
+    WorldModelPrior,
 )
-from peerlab.probability import TransitionMatrix, permutation_channel, rng_from_seed
+from peerlab.errors import (
+    DimensionMismatch,
+    InadmissibleSupport,
+    LogOfZero,
+    NoOverlap,
+    NonBinaryAlphabet,
+)
+from peerlab.measures import ConvexGenerator, ScoringRule
+from peerlab.mechanisms import ALL_PAIRS, PaymentReport, _measure_name, _reference_sets
+from peerlab.probability import (
+    Distribution,
+    JointDistribution,
+    TransitionMatrix,
+    condition_on,
+    permutation_channel,
+    product_of_marginals,
+    rng_from_seed,
+    z_marginal,
+)
 
 
 def f_value(kind, x):
@@ -186,10 +200,210 @@ def bts_truth_information_score(state_probs, states):
 
 
 # ---------------------------------------------------------------------------
-# Reference routes: the loop implementations that the library's merged
-# engines replaced, kept verbatim so tests can demand exact equality
-# (same floats, same rng stream) from the merged code.
+# Reference routes: the loop implementations that the library's merged and
+# batched engines replaced, kept as they were.  The ``loop_`` routes below
+# are the per-pair, per-row and per-cell loops that the stacked pair-table
+# kernels replaced; they call each other (never the kernels), so a test of a
+# kernel against them compares two independent routes.  Tests demand exact
+# equality from the md/ca and strategy-sampler routes (same floats, same rng
+# stream) and agreement to 1e-12 from the pair-table routes, whose sums run
+# in a different order.
 # ---------------------------------------------------------------------------
+
+
+def loop_f_divergence_raw(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> float:
+    p = p.reshape(-1)
+    q = q.reshape(-1)
+    total = 0.0
+    for pi, qi in zip(p.tolist(), q.tolist()):
+        if pi > 0.0 and qi > 0.0:
+            total += pi * f_value(f.value, qi / pi)
+        elif pi > 0.0:
+            edge = f.at_zero
+            if edge == math.inf:
+                return math.inf
+            total += pi * edge
+        elif qi > 0.0:
+            slope = f.slope_at_infinity
+            if slope == math.inf:
+                return math.inf
+            total += qi * slope
+    return total
+
+
+def loop_f_mutual_information(joint: JointDistribution, f: ConvexGenerator) -> float:
+    table = joint._require_pairwise("f_mutual_information")
+    v = product_of_marginals(joint).table
+    # V[x,y] = 0 forces a zero marginal, hence U[x,y] = 0: the p>0,q=0 edge
+    # (infinite for KL) is unreachable in this orientation.
+    assert not np.any((table > 0.0) & (v <= 0.0))
+    return loop_f_divergence_raw(table, v, f)
+
+
+def loop_expected_score(truth: Distribution, report: Distribution, rule: ScoringRule) -> float:
+    p, q = truth.weights, report.weights
+    if rule is ScoringRule.LOG:
+        support = p > 0.0
+        if np.any(q[support] <= 0.0):
+            raise LogOfZero("report assigns zero mass where truth is positive")
+        return float(np.dot(p[support], np.log(q[support])))
+    return float(2.0 * np.dot(p, q) - np.dot(q, q))
+
+
+def loop_bregman_divergence(p: Distribution, q: Distribution, rule: ScoringRule) -> float:
+    return loop_expected_score(p, p, rule) - loop_expected_score(p, q, rule)
+
+
+def loop_bregman_mi(joint: JointDistribution, rule: ScoringRule) -> float:
+    table = joint._require_pairwise("bregman_mi")
+    mx = table.sum(axis=1)
+    prior_y = Distribution(table.sum(axis=0))
+    total = 0.0
+    for x in range(table.shape[0]):
+        px = float(mx[x])
+        if px <= 0.0:
+            continue
+        posterior = Distribution(table[x] / px)
+        try:
+            total += px * loop_bregman_divergence(posterior, prior_y, rule)
+        except LogOfZero as exc:
+            # posterior support always lies inside the Y-marginal support
+            raise InadmissibleSupport(str(exc)) from exc
+    return total
+
+
+def loop_mutual_information(joint: JointDistribution, measure) -> float:
+    if isinstance(measure, ConvexGenerator):
+        return loop_f_mutual_information(joint, measure)
+    if isinstance(measure, ScoringRule):
+        return loop_bregman_mi(joint, measure)
+    raise TypeError(f"unsupported measure {measure!r}")
+
+
+def loop_conditional_mi(tensor: JointDistribution, measure) -> float:
+    t = tensor._require_conditional("conditional_mi")
+    pz = z_marginal(tensor).weights
+    total = 0.0
+    for z in range(t.shape[0]):
+        if pz[z] <= 0.0:
+            continue
+        slice_joint = condition_on(tensor, z)
+        total += float(pz[z]) * loop_mutual_information(slice_joint, measure)
+    return total
+
+
+def loop_pair_table(prior, i: int, j: int) -> np.ndarray:
+    """Prior signal-pair table of agents (i, j), one prior mode at a time."""
+    if isinstance(prior, PairwisePrior):
+        return prior.joint.table if i < j else prior.joint.table.T
+    if isinstance(prior, FullJointPrior):
+        axes = tuple(k for k in range(prior.n_agents) if k not in (i, j))
+        table = prior.tensor.sum(axis=axes)
+        return table.T if i > j else table
+    assert isinstance(prior, WorldModelPrior)
+    table = np.zeros((prior.alphabet_size, prior.alphabet_size))
+    for pw, omega in zip(prior.state_probs.weights, prior.states):
+        table += float(pw) * np.outer(omega.weights, omega.weights)
+    return table
+
+
+def loop_report_joint(prior, i, j, s_i, s_j, eff_i=None, eff_j=None) -> JointDistribution:
+    eff_i = eff_i or FULL_EFFORT
+    eff_j = eff_j or FULL_EFFORT
+    q = loop_pair_table(prior, i, j)
+    m = q.shape[0]
+    a = s_i.channel.rows
+    b = s_j.channel.rows
+    if a.shape[0] != m or b.shape[0] != m:
+        raise DimensionMismatch("strategy alphabet differs from prior alphabet")
+    li, lj = eff_i.full_effort_prob, eff_j.full_effort_prob
+    xi = eff_i.resolve_no_effort(a.shape[1]).weights
+    xj = eff_j.resolve_no_effort(b.shape[1]).weights
+    mi = a.T @ q.sum(axis=1)  # agent i's full-effort report marginal
+    mj = b.T @ q.sum(axis=0)
+    table = (
+        li * lj * (a.T @ q @ b)
+        + li * (1.0 - lj) * np.outer(mi, xj)
+        + (1.0 - li) * lj * np.outer(xi, mj)
+        + (1.0 - li) * (1.0 - lj) * np.outer(xi, xj)
+    )
+    return JointDistribution(table)
+
+
+def loop_empirical_pair_joint(reports, i: int, j: int) -> JointDistribution:
+    shared = reports.mask[i] & reports.mask[j]
+    total = int(shared.sum())
+    if total == 0:
+        raise NoOverlap(f"agents {i} and {j} share no answered question")
+    m = reports.alphabet_size
+    counts = np.zeros((m, m))
+    np.add.at(counts, (reports.entries[i, shared], reports.entries[j, shared]), 1.0)
+    return JointDistribution(counts / total)
+
+
+def loop_empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> PaymentReport:
+    n = reports.n_agents
+    refs = _reference_sets(n, pairing, seed)
+    payments = np.zeros(n)
+    for i in range(n):
+        vals = [
+            loop_mutual_information(loop_empirical_pair_joint(reports, i, j), measure)
+            for j in refs[i]
+        ]
+        payments[i] = float(np.mean(vals))
+    return PaymentReport(
+        mechanism=mechanism,
+        mode="empirical",
+        payments=payments,
+        measure=_measure_name(measure),
+        seed=seed,
+        metadata={"pairing": pairing, "T": reports.n_questions},
+    )
+
+
+def loop_ca_expected_reward(pair: JointDistribution) -> float:
+    table = pair._require_pairwise("ca_expected_reward")
+    mi = table.sum(axis=1)
+    mj = table.sum(axis=0)
+    return float(np.trace(table) - np.dot(mi, mj))
+
+
+def _prediction_tables(known_prior):
+    """The mechanism's prior prediction q and per-signal posteriors q_sigma."""
+    table = known_prior.joint.table
+    q = Distribution(table.sum(axis=0))
+    posteriors = []
+    for sigma in range(table.shape[0]):
+        row_mass = float(table[sigma].sum())
+        if row_mass <= 0.0:
+            posteriors.append(None)
+        else:
+            posteriors.append(Distribution(table[sigma] / row_mass))
+    return q, posteriors
+
+
+def sppm_payments(signals, known_prior, rule, pairing=ALL_PAIRS, seed=None):
+    sig = np.asarray(signals, dtype=np.intp)
+    n = sig.shape[0]
+    q, posteriors = _prediction_tables(known_prior)
+    refs = _reference_sets(n, pairing, seed)
+    payments = np.zeros(n)
+    for i in range(n):
+        vals = []
+        for j in refs[i]:
+            post = posteriors[sig[i]]
+            if post is None:
+                raise LogOfZero(f"prior assigns zero mass to reported signal {sig[i]}")
+            vals.append(rule.score(int(sig[j]), post) - rule.score(int(sig[j]), q))
+        payments[i] = float(np.mean(vals))
+    return PaymentReport(
+        mechanism="sppm",
+        mode="empirical",
+        payments=payments,
+        measure=rule.value,
+        seed=seed,
+        metadata={"pairing": pairing},
+    )
 
 
 def mip_expected_payments(scenario, measure):
@@ -199,7 +413,7 @@ def mip_expected_payments(scenario, measure):
         for j in range(n):
             if j == i:
                 continue
-            joint = report_joint(
+            joint = loop_report_joint(
                 scenario.prior,
                 i,
                 j,
@@ -208,7 +422,7 @@ def mip_expected_payments(scenario, measure):
                 scenario.effort(i),
                 scenario.effort(j),
             )
-            payments[i] += mutual_information(joint, measure)
+            payments[i] += loop_mutual_information(joint, measure)
         payments[i] /= n - 1
     effort_costs = utilities = None
     if scenario.efforts is not None:
@@ -234,7 +448,7 @@ def sppm_expected_payments(scenario, known_prior, rule):
         for j in range(n):
             if j == i:
                 continue
-            rj = report_joint(
+            rj = loop_report_joint(
                 scenario.prior,
                 i,
                 j,
@@ -267,9 +481,9 @@ def agreement_expected(scenario):
     agree = np.zeros(n)
     for i in range(n):
         vals = [
-            ca_expected_reward(
-                report_joint(scenario.prior, i, j, scenario.strategies[i],
-                             scenario.strategies[j], scenario.effort(i), scenario.effort(j))
+            loop_ca_expected_reward(
+                loop_report_joint(scenario.prior, i, j, scenario.strategies[i],
+                                  scenario.strategies[j], scenario.effort(i), scenario.effort(j))
             )
             for j in range(n) if j != i
         ]

@@ -92,6 +92,19 @@ class TestMechanismCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"]["type"] == "ZeroFrequency"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_bts_non_finite_alpha_error_record(self, tmp_path, capsys, value):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({
+            "signals": [0, 0, 1, 1],
+            "predictions": [[0.7, 0.3]] * 4,
+        }))
+        code = main(["mechanism", "--mechanism", "bts", "--profile", str(profile),
+                     f"--alpha={value}"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == "DimensionMismatch"
+
     def test_byte_identical_reruns(self, scenario_file, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mechanism", "--mechanism", "fmi", "--measure", "tvd",
@@ -201,15 +214,24 @@ class TestSweepCommand:
         assert lines[-1] == "grid,seed,value"
         assert len(lines) == 2
 
-    def test_jobs_do_not_change_bytes(self, scenario_file, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["sweep", "--kind", "fmi-gap", "--scenario", scenario_file,
-                "--grid", "300,600", "--seeds", "4"]
-        assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
-        assert main(base + ["--jobs", "3", "--out", str(b)]) == 0
-        a_rows = a.read_text().splitlines()[1:]
-        b_rows = b.read_text().splitlines()[1:]
-        assert a_rows == b_rows
+    def test_header_has_no_jobs_key(self, scenario_file, capsys):
+        assert main(["sweep", "--kind", "fmi-gap", "--scenario", scenario_file,
+                     "--grid", "100", "--seeds", "1"]) == 0
+        header = json.loads(capsys.readouterr().out.splitlines()[0][2:])
+        assert "jobs" not in header["config"]
+        with pytest.raises(SystemExit):
+            main(["sweep", "--kind", "fmi-gap", "--scenario", scenario_file, "--jobs", "2"])
+
+    def test_unsupported_prior_error_record(self, tmp_path, capsys):
+        prior = PairwisePrior(JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]])))
+        path = tmp_path / "four.json"
+        save_scenario(truthful_scenario(prior, 4), path)
+        code = main(["sweep", "--kind", "fmi-gap", "--scenario", str(path),
+                     "--grid", "10", "--seeds", "1"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == "UnsupportedPriorMode"
+        assert doc["config"]["kind"] == "fmi-gap"
 
     def test_bts_gap_kind(self, tmp_path):
         out = tmp_path / "bts.csv"

@@ -348,6 +348,17 @@ class TestBtsPayments:
         assert bts_payments(profile, alpha=0.5).metadata["alpha_warning"]
         assert not bts_payments(profile, alpha=2.0).metadata["alpha_warning"]
 
+    @pytest.mark.parametrize("alpha,smoothing", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+        (2.0, math.nan), (2.0, math.inf), (2.0, -0.5),
+    ])
+    def test_rejects_non_finite_alpha_and_bad_smoothing(self, alpha, smoothing):
+        profile = BtsReportProfile(
+            np.array([0, 0, 1, 1]), tuple(Distribution(np.array([0.6, 0.4])) for _ in range(4))
+        )
+        with pytest.raises(DimensionMismatch):
+            bts_payments(profile, alpha=alpha, smoothing=smoothing)
+
 
 class TestBtsIdealized:
     def test_truth_scores(self, two_state_world):
