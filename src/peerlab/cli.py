@@ -15,6 +15,7 @@ round-trip precision and nothing clock-dependent is written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -90,25 +91,31 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
+    with _input_errors(path), open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+@contextlib.contextmanager
+def _input_errors(path: str):
+    """Report an unreadable, malformed or ill-typed input file as a CliError naming it."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
+        yield
+    except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (AttributeError, KeyError, PeerLabError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    with _input_errors(path), open(path) as fh:
+        return json.load(fh)
 
 
 def _load_scenario(path: str):
-    try:
+    with _input_errors(path):
         return load_scenario(path)
-    except (KeyError, PeerLabError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
 
 
 def _canonical(obj) -> str:
@@ -133,12 +140,10 @@ def _emit_error(path: str | None, config: dict, inputs: dict, exc: PeerLabError)
 
 def _load_table(path: str) -> JointDistribution:
     doc = _load_json(path)
-    if "table" not in doc:
-        raise CliError(f"{path}: missing 'table' field")
-    try:
+    with _input_errors(path):
+        if "table" not in doc:
+            raise CliError(f"{path}: missing 'table' field")
         return JointDistribution(np.array(doc["table"], dtype=np.float64))
-    except (PeerLabError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
 
 
 def cmd_measure(args) -> int:
@@ -191,15 +196,12 @@ def cmd_measure(args) -> int:
 
 def _load_bts_profile(path: str, alpha_override: float | None) -> tuple[BtsReportProfile, float]:
     doc = _load_json(path)
-    try:
+    with _input_errors(path):
         profile = BtsReportProfile(
-            np.array(doc["signals"], dtype=np.intp),
+            doc["signals"],
             tuple(Distribution(np.array(p, dtype=np.float64)) for p in doc["predictions"]),
         )
-    except (KeyError, PeerLabError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    alpha = alpha_override if alpha_override is not None else float(doc.get("alpha", 3.0))
-    return profile, alpha
+        return profile, alpha_override if alpha_override is not None else float(doc.get("alpha", 3.0))
 
 
 def cmd_mechanism(args) -> int:

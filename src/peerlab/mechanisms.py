@@ -13,7 +13,12 @@ reference agents, exact (:func:`report_joint`) or counted
 (:func:`empirical_pair_joint`).  Its slices are i's report-pair tables; one
 stacked kernel (f-MI, BMI, score shift or agreement) runs over them and is
 averaged with the weights Pr[J=j], so a mutual-information payment is
-MI(report_i; report_J | J).
+MI(report_i; report_J | J).  Finite-n signal-plus-prediction scores
+(:func:`bts_payments`) need no joint: with P the predictions, they are closed
+forms info_i = log fr_i - mean_j log P[j, s_i] and
+pred_i = mean_j log P[i, s_j] - mean_j log fr_j, O(n·m) array operations over
+the signal counts.  Errors are those of the first failing (i, j) pair in agent
+order: fr_i, then per reference j, P[j, s_i], fr_j and P[i, s_j].
 
 Reference-agent handling defaults to ``all-pairs-average`` (the exact
 expectation over a uniformly random reference agent, which keeps theorem
@@ -62,18 +67,16 @@ SEEDED_RANDOM = "seeded-random-reference"
 
 
 def _reference_sets(n: int, pairing: str, seed: RngSeed | None):
-    """Per agent, the reference agents to average over."""
+    """Per agent, the reference agents to average over.  Seeded pairing draws one per
+    agent i, in agent order: k uniform on 0..n-2, mapped past i as j = k + (k >= i)."""
     if pairing == ALL_PAIRS:
         return [[j for j in range(n) if j != i] for i in range(n)]
     if pairing == SEEDED_RANDOM:
         if seed is None:
             raise DimensionMismatch("seeded-random-reference pairing needs a seed")
         rng = rng_from_seed(seed, 17)
-        out = []
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            out.append([others[int(rng.integers(len(others)))]])
-        return out
+        draws = [int(rng.integers(n - 1)) for _ in range(n)]
+        return [[k + (k >= i)] for i, k in enumerate(draws)]
     raise DimensionMismatch(f"unknown pairing {pairing!r}")
 
 
@@ -166,12 +169,8 @@ def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport
         payments=payments,
         effort_costs=effort_costs,
         utilities=utilities,
-        measure=_measure_name(measure),
+        measure=measure.value,
     )
-
-
-def _measure_name(measure: Measure) -> str:
-    return measure.value
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def _empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> Paymen
         mechanism=mechanism,
         mode="empirical",
         payments=payments,
-        measure=_measure_name(measure),
+        measure=measure.value,
         seed=seed,
         metadata={"pairing": pairing, "T": reports.n_questions},
     )
@@ -436,15 +435,6 @@ class BtsReportProfile:
         return self.predictions[0].size
 
 
-def _peer_frequency(
-    counts: np.ndarray, signals: np.ndarray, exclude: int, sigma: int, smoothing: float
-) -> float:
-    m = counts.shape[0]
-    count = float(counts[sigma]) - float(signals[exclude] == sigma)
-    n_others = signals.shape[0] - 1
-    return (count + smoothing) / (n_others + smoothing * m)
-
-
 def bts_payments(
     profile: BtsReportProfile,
     alpha: float,
@@ -462,9 +452,20 @@ def bts_payments(
     report's realized peer frequency.  Realized frequencies always exclude
     the agent whose report is being scored.
 
+    Both scores are means over the reference agents j, so they take O(n·m) array
+    operations in closed form.  With P the stacked (n, m) predictions, c the signal
+    counts, L = log P (0 where P = 0) and fr_i = (c[s_i] - 1 + smoothing) /
+    (n - 1 + smoothing·m), all-pairs pairing gives
+    info_i = log fr_i - (sum_j L[j, s_i] - L[i, s_i]) / (n-1) and
+    pred_i = (L[i]·c - L[i, s_i]) / (n-1) - (sum_j log fr_j - log fr_i) / (n-1);
+    seeded pairing gathers L and fr through one reference j(i) per agent.
+
     Zero realized frequencies raise :class:`ZeroFrequency` unless an additive
     ``smoothing`` pseudo-count is supplied (a documented deviation from the
-    infinite-population model this scoring idealizes).
+    infinite-population model this scoring idealizes); a zero prediction that a
+    score needs raises :class:`LogOfZero`.  The error raised is the first met in
+    agent order i, checking fr_i, then per reference j in order P[j, s_i], fr_j and
+    P[i, s_j]; per-agent failure counts find i, and only its references are scanned.
     """
     n = profile.n_agents
     if n < 3:
@@ -473,46 +474,41 @@ def bts_payments(
         raise DimensionMismatch("alpha must be finite, smoothing finite and >= 0")
     m = profile.alphabet_size
     sig = profile.signals
-    counts = np.bincount(sig, minlength=m).astype(np.float64)
-    refs = _reference_sets(n, pairing, seed)
-    info = np.zeros(n)
-    pred = np.zeros(n)
-    for i in range(n):
-        vals_info, vals_pred = [], []
-        fr_own = _peer_frequency(counts, sig, i, int(sig[i]), smoothing)
-        if fr_own <= 0.0:
-            raise ZeroFrequency(
-                f"agent {i}'s reported signal {int(sig[i])} has zero peer frequency"
-            )
-        for j in refs[i]:
-            pj = profile.predictions[j][int(sig[i])]
-            if pj <= 0.0:
-                raise LogOfZero(f"agent {j} predicted zero mass on signal {int(sig[i])}")
-            vals_info.append(math.log(fr_own) - math.log(pj))
-            fr_ref = _peer_frequency(counts, sig, j, int(sig[j]), smoothing)
-            if fr_ref <= 0.0:
-                raise ZeroFrequency(
-                    f"agent {j}'s reported signal {int(sig[j])} has zero peer frequency"
-                )
-            pi = profile.predictions[i][int(sig[j])]
-            if pi <= 0.0:
-                raise LogOfZero(f"agent {i} predicted zero mass on signal {int(sig[j])}")
-            vals_pred.append(math.log(pi) - math.log(fr_ref))
-        info[i] = float(np.mean(vals_info))
-        pred[i] = float(np.mean(vals_pred))
+    agents = np.arange(n)
+    counts = np.bincount(sig, minlength=m)
+    preds = np.stack([p.weights for p in profile.predictions])
+    fr = (counts[sig] - 1.0 + smoothing) / (n - 1 + smoothing * m)
+    zero, lone = preds <= 0.0, fr <= 0.0
+    logs, log_fr = np.log(np.where(zero, 1.0, preds)), np.log(np.where(lone, 1.0, fr))
+    if pairing == ALL_PAIRS:
+        refs, own, zero_own = None, logs[agents, sig], zero[agents, sig]
+        failing = (lone | (lone.sum() > lone) | (zero.sum(axis=0)[sig] > zero_own)
+                   | (zero @ counts > zero_own))
+        info = log_fr - (logs.sum(axis=0)[sig] - own) / (n - 1)
+        pred = (logs @ counts - own - log_fr.sum() + log_fr) / (n - 1)
+    elif pairing == SEEDED_RANDOM:
+        refs = np.array(_reference_sets(n, pairing, seed), dtype=np.intp)[:, 0]
+        failing = lone | lone[refs] | zero[refs, sig] | zero[agents, sig[refs]]
+        info = log_fr - logs[refs, sig]
+        pred = logs[agents, sig[refs]] - log_fr[refs]
+    else:
+        raise DimensionMismatch(f"unknown pairing {pairing!r}")
+    if failing.any():
+        i = int(np.argmax(failing))
+        if lone[i]:
+            raise ZeroFrequency(f"agent {i}'s reported signal {sig[i]} has zero peer frequency")
+        for j in (agents[agents != i] if refs is None else refs[i:i + 1]).tolist():
+            if zero[j, sig[i]]:
+                raise LogOfZero(f"agent {j} predicted zero mass on signal {sig[i]}")
+            if lone[j]:
+                raise ZeroFrequency(f"agent {j}'s reported signal {sig[j]} has zero peer frequency")
+            if zero[i, sig[j]]:
+                raise LogOfZero(f"agent {i} predicted zero mass on signal {sig[j]}")
     return PaymentReport(
-        mechanism="bts",
-        mode="empirical",
-        payments=pred + alpha * info,
-        information_scores=info,
-        prediction_scores=pred,
-        seed=seed,
-        metadata={
-            "alpha": alpha,
-            "alpha_warning": alpha <= 1.0,
-            "pairing": pairing,
-            "smoothing": smoothing,
-        },
+        mechanism="bts", mode="empirical", payments=pred + alpha * info,
+        information_scores=info, prediction_scores=pred, seed=seed,
+        metadata={"alpha": alpha, "alpha_warning": alpha <= 1.0, "pairing": pairing,
+                  "smoothing": smoothing},
     )
 
 

@@ -10,7 +10,8 @@ It prints one sha256 per output and a combined digest over all of them.  The
 outputs are the nine ``verify`` suites at seeds 0 and 7 (fixed instance
 counts), every ``mechanism`` over fixed world-model, pairwise and full-joint
 scenario files with and without efforts in json and csv, ``measure`` on a
-joint and a tensor file, both ``sweep`` kinds, and three error cases.  A
+joint and a tensor file, both ``sweep`` kinds, and five error cases (two of
+them ``bts`` profiles with a zero prediction and a lone dissenter).  A
 command that raises instead of writing an output is digested as its
 exception type.  ``--keep DIR`` also writes every output to DIR; ``--diff``
 compares two such directories field by field and prints, per changed field,
@@ -93,6 +94,11 @@ def write_inputs(workdir: str) -> dict[str, str]:
     docs["tensor"] = {"table": (tensor / tensor.sum()).tolist()}
     docs["profile"] = {"signals": (list(range(3)) * 7)[:20],
                        "predictions": [_dist(rng, 3) for _ in range(20)], "alpha": 3.0}
+    # agent 4 predicts zero on a reported signal; agent 0 is alone with signal 2
+    docs["profile-zero-prediction"] = {"signals": [0, 1, 0, 1, 0, 1],
+                                       "predictions": [[0.5, 0.3, 0.2]] * 4 + [[0.0, 0.6, 0.4]] * 2}
+    docs["profile-lone-dissenter"] = {"signals": [2, 0, 1, 0, 1, 1],
+                                      "predictions": [[0.4, 0.4, 0.2]] * 6}
     paths = {}
     for name, doc in docs.items():
         paths[name] = os.path.join(workdir, f"{name}.json")
@@ -125,6 +131,9 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     for fmt in ("json", "csv"):
         out.append((f"mechanism-bts-{fmt}", bts + ["--format", fmt]))
     out.append(("mechanism-bts-alpha-nan", bts + ["--alpha=nan"]))
+    for name in ("zero-prediction", "lone-dissenter"):
+        out.append((f"mechanism-bts-{name}",
+                    ["mechanism", "--mechanism", "bts", "--profile", paths[f"profile-{name}"]]))
     for kind in ("joint", "tensor"):
         for flag, value in [("--mi", v) for v in ("shannon",) + GENERATORS] + [
                 ("--bregman", r) for r in RULES]:
@@ -133,7 +142,7 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     sweep = ["sweep", "--kind", "fmi-gap", "--grid", "100,400", "--seeds", "3", "--seed", "2"]
     out.append(("sweep-fmi-gap", sweep + ["--scenario", paths["pairwise"]]))
     out.append(("sweep-fmi-gap-four-agents", sweep + ["--scenario", paths["pairwise-four"]]))
-    out.append(("sweep-bts-gap", ["sweep", "--kind", "bts-gap", "--grid", "10,40", "--seeds", "2"]))
+    out.append(("sweep-bts-gap", ["sweep", "--kind", "bts-gap", "--grid", "10,40,2000", "--seeds", "2"]))
     return out
 
 

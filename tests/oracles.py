@@ -24,12 +24,19 @@ from peerlab.errors import (
     LogOfZero,
     NoOverlap,
     NonBinaryAlphabet,
+    ZeroFrequency,
 )
 from peerlab.measures import ConvexGenerator, ScoringRule
-from peerlab.mechanisms import ALL_PAIRS, PaymentReport, _measure_name, _reference_sets
+from peerlab.mechanisms import (
+    ALL_PAIRS,
+    SEEDED_RANDOM,
+    PaymentReport,
+    _reference_sets,
+)
 from peerlab.probability import (
     Distribution,
     JointDistribution,
+    RngSeed,
     TransitionMatrix,
     condition_on,
     permutation_channel,
@@ -355,7 +362,7 @@ def loop_empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> Pa
         mechanism=mechanism,
         mode="empirical",
         payments=payments,
-        measure=_measure_name(measure),
+        measure=measure.value,
         seed=seed,
         metadata={"pairing": pairing, "T": reports.n_questions},
     )
@@ -436,7 +443,7 @@ def mip_expected_payments(scenario, measure):
         payments=payments,
         effort_costs=effort_costs,
         utilities=utilities,
-        measure=_measure_name(measure),
+        measure=measure.value,
     )
 
 
@@ -597,3 +604,87 @@ def random_strategy_rng(rng, m, kind):
     else:
         raise DimensionMismatch(f"unknown strategy kind {kind!r}")
     return Strategy(TransitionMatrix(rows), label=kind)
+
+
+def loop_reference_sets(n: int, pairing: str, seed: RngSeed | None):
+    """Per agent, the reference agents to average over; the seeded branch builds the
+    list of the other agents for each agent."""
+    if pairing == ALL_PAIRS:
+        return [[j for j in range(n) if j != i] for i in range(n)]
+    if pairing == SEEDED_RANDOM:
+        if seed is None:
+            raise DimensionMismatch("seeded-random-reference pairing needs a seed")
+        rng = rng_from_seed(seed, 17)
+        out = []
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            out.append([others[int(rng.integers(len(others)))]])
+        return out
+    raise DimensionMismatch(f"unknown pairing {pairing!r}")
+
+
+def _peer_frequency(
+    counts: np.ndarray, signals: np.ndarray, exclude: int, sigma: int, smoothing: float
+) -> float:
+    m = counts.shape[0]
+    count = float(counts[sigma]) - float(signals[exclude] == sigma)
+    n_others = signals.shape[0] - 1
+    return (count + smoothing) / (n_others + smoothing * m)
+
+
+def loop_bts_payments(
+    profile,
+    alpha: float,
+    pairing: str = ALL_PAIRS,
+    seed: RngSeed | None = None,
+    smoothing: float = 0.0,
+) -> PaymentReport:
+    """The pair loop that ``bts_payments`` replaced: per agent, per reference agent."""
+    n = profile.n_agents
+    if n < 3:
+        raise DimensionMismatch("signal-plus-prediction scoring needs n >= 3")
+    if not (math.isfinite(alpha) and math.isfinite(smoothing) and smoothing >= 0.0):
+        raise DimensionMismatch("alpha must be finite, smoothing finite and >= 0")
+    m = profile.alphabet_size
+    sig = profile.signals
+    counts = np.bincount(sig, minlength=m).astype(np.float64)
+    refs = loop_reference_sets(n, pairing, seed)
+    info = np.zeros(n)
+    pred = np.zeros(n)
+    for i in range(n):
+        vals_info, vals_pred = [], []
+        fr_own = _peer_frequency(counts, sig, i, int(sig[i]), smoothing)
+        if fr_own <= 0.0:
+            raise ZeroFrequency(
+                f"agent {i}'s reported signal {int(sig[i])} has zero peer frequency"
+            )
+        for j in refs[i]:
+            pj = profile.predictions[j][int(sig[i])]
+            if pj <= 0.0:
+                raise LogOfZero(f"agent {j} predicted zero mass on signal {int(sig[i])}")
+            vals_info.append(math.log(fr_own) - math.log(pj))
+            fr_ref = _peer_frequency(counts, sig, j, int(sig[j]), smoothing)
+            if fr_ref <= 0.0:
+                raise ZeroFrequency(
+                    f"agent {j}'s reported signal {int(sig[j])} has zero peer frequency"
+                )
+            pi = profile.predictions[i][int(sig[j])]
+            if pi <= 0.0:
+                raise LogOfZero(f"agent {i} predicted zero mass on signal {int(sig[j])}")
+            vals_pred.append(math.log(pi) - math.log(fr_ref))
+        info[i] = float(np.mean(vals_info))
+        pred[i] = float(np.mean(vals_pred))
+    return PaymentReport(
+        mechanism="bts",
+        mode="empirical",
+        payments=pred + alpha * info,
+        information_scores=info,
+        prediction_scores=pred,
+        seed=seed,
+        metadata={
+            "alpha": alpha,
+            "alpha_warning": alpha <= 1.0,
+            "pairing": pairing,
+            "smoothing": smoothing,
+        },
+    )

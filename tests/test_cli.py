@@ -196,6 +196,44 @@ class TestScenarioErrors:
         assert capsys.readouterr().err.startswith(f"peerlab: {path}: ")
 
 
+_PREDICTIONS = [[0.6, 0.4]] * 4
+
+
+class TestWrongTypeInputs:
+    """Valid JSON of the wrong shape is a clean exit-2 error naming the file."""
+
+    @pytest.mark.parametrize("doc", [
+        {"signals": [0, 0, 1, 1], "predictions": _PREDICTIONS, "alpha": "x"},
+        {"signals": [0, 0, 1, 1], "predictions": _PREDICTIONS, "alpha": None},
+        {"signals": [0, 0, 1, 1], "predictions": 5},
+        {"signals": [0.5, 0, 1, 1], "predictions": _PREDICTIONS},
+        {"signals": [0, 0, 1, 1], "predictions": _PREDICTIONS[:3] + [{"p": 0.5}]},
+        [[0, 0, 1, 1], _PREDICTIONS],
+    ])
+    def test_bts_profile(self, tmp_path, capsys, doc):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mechanism", "--mechanism", "bts", "--profile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"peerlab: {path}: ") and captured.out == ""
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"schema_version": 1, "prior": 5, "strategies": []}])
+    @pytest.mark.parametrize("argv", [
+        ["mechanism", "--mechanism", "mip"],
+        ["sweep", "--kind", "bts-gap", "--grid", "10"],
+    ])
+    def test_scenario(self, tmp_path, capsys, doc, argv):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"peerlab: {path}: ")
+
+    def test_missing_profile_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["mechanism", "--mechanism", "bts", "--profile", str(path)]) == 2
+        assert capsys.readouterr().err == f"peerlab: {path}: No such file or directory\n"
+
+
 class TestSweepCommand:
     def test_fmi_gap_table(self, scenario_file, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,10 +1,11 @@
 """The merged and batched engines against the loop implementations they
-replaced (``oracles`` reference routes).  The md/ca engines and the strategy
-sampler must match exactly: same floats, same rng stream.  The pair-table
-routes (exact and empirical all-pairs payments, single-table measures) sum
+replaced (``oracles`` reference routes).  The md/ca engines, the strategy
+sampler and the seeded reference draw must match exactly: same floats, same
+rng stream.  The pair-table routes (exact and empirical all-pairs payments,
+single-table measures) and the closed-form signal-plus-prediction scores sum
 cells and pairs in another order, so they must match to
 |got - want| <= 1e-12 * max(1, |want|), with equal infinities and the same
-exception type on both sides."""
+exception type on both sides (and, for the scores, the same message)."""
 
 import math
 
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peerlab import (
+    BtsReportProfile,
     ConvexGenerator,
+    Distribution,
     DimensionMismatch,
     EffortStrategy,
     JointDistribution,
@@ -24,6 +27,7 @@ from peerlab import (
     ScoringRule,
     bmi_mechanism_payments,
     bregman_mi,
+    bts_payments,
     ca_payments,
     conditional_mi,
     empirical_pair_joint,
@@ -40,8 +44,8 @@ from peerlab import (
     sppm_expected_payments,
     sppm_payments,
 )
-from peerlab.errors import PeerLabError
-from peerlab.mechanisms import _agreement_rewards, _exact_joints, _peer_means
+from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
+from peerlab.mechanisms import _agreement_rewards, _exact_joints, _peer_means, _reference_sets
 from peerlab.probability import rng_from_seed
 
 import oracles
@@ -296,6 +300,94 @@ class TestEmpiricalPairLoop:
         got = outcome(sppm_payments, signals, known, rule, pairing, seed)
         want = outcome(oracles.sppm_payments, signals, known, rule, pairing, seed)
         assert_same_outcome(got, want, assert_close_report)
+
+
+@st.composite
+def bts_profiles(draw):
+    """A signal/prediction profile with n in 3..12 and m in 2..4, optionally with one
+    agent alone with its signal, and with zero prediction cells on some agents' own
+    signal, on a signal nobody reports, or on a reported signal."""
+    n, m = draw(st.integers(3, 12)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(seeds))
+    zeros = draw(st.sets(st.sampled_from(("own", "unreported", "reported"))))
+    reported = m - 1 if "unreported" in zeros else m
+    signals = rng.integers(0, reported, n)
+    if draw(st.booleans()):  # a lone dissenter
+        signals[:] = signals[0]
+        signals[rng.integers(n)] = (signals[0] + 1) % reported
+    preds = rng.dirichlet(np.ones(m), size=n)
+    rate = draw(st.floats(0.0, 0.6))
+    if "own" in zeros:
+        hit = rng.random(n) < rate
+        preds[hit, signals[hit]] = 0.0
+    if "unreported" in zeros:
+        preds[rng.random(n) < rate, reported:] = 0.0
+    if "reported" in zeros:
+        preds[rng.random(n) < rate, signals[rng.integers(n)]] = 0.0
+    preds[preds.sum(axis=1) <= 0.0] = 1.0
+    preds /= preds.sum(axis=1, keepdims=True)
+    return BtsReportProfile(signals, tuple(Distribution(p) for p in preds))
+
+
+def outcome_with_message(fn, *args):
+    """(value, None) on success, (None, (exception type, message)) on a PeerLabError."""
+    try:
+        return fn(*args), None
+    except PeerLabError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_close_scores(got, want):
+    assert_close_report(got, want)
+    assert_close(got.information_scores, want.information_scores)
+    assert_close(got.prediction_scores, want.prediction_scores)
+    assert np.all(np.isfinite(got.payments))
+
+
+class TestBtsPairLoop:
+    @given(bts_profiles(), st.floats(-5.0, 5.0), st.sampled_from(PAIRINGS),
+           st.sampled_from((0.0, 0.0, 1e-3, 0.5, 2.0)), seeds)
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_matches_loop(self, profile, alpha, pairing, smoothing, seed):
+        args = (profile, alpha, pairing, seed, smoothing)
+        assert_same_outcome(outcome_with_message(bts_payments, *args),
+                            outcome_with_message(oracles.loop_bts_payments, *args),
+                            assert_close_scores)
+
+    @pytest.mark.parametrize("signals,preds,smoothing,error", [
+        # agent 1 is alone and predicts zero on agent 0's signal: LogOfZero comes first
+        ([0, 1, 0, 0], [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5]], 0.0, LogOfZero),
+        # agent 0 predicts zero on its own signal, which nobody else reports: under smoothing
+        # no score reads it, and agent 2's zero on a reported signal is the first error
+        ([1, 0, 0, 0], [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5]], 0.5, LogOfZero),
+        ([1, 0, 0, 0], [[1.0, 0.0], [0.6, 0.4], [0.7, 0.3], [0.5, 0.5]], 0.5, None),
+        ([2, 0, 1, 0, 1, 1], [[0.4, 0.4, 0.2]] * 6, 0.0, ZeroFrequency),
+        ([0, 1, 0, 1, 0, 1], [[0.5, 0.3, 0.2]] * 4 + [[0.0, 0.6, 0.4]] * 2, 0.0, LogOfZero),
+    ])
+    def test_hand_built_profiles_match_loop(self, signals, preds, smoothing, error):
+        profile = BtsReportProfile(np.array(signals),
+                                   tuple(Distribution(np.array(p)) for p in preds))
+        for pairing, seed in [(p, s) for p in PAIRINGS for s in range(4)]:
+            args = (profile, 2.0, pairing, seed, smoothing)
+            want = outcome_with_message(oracles.loop_bts_payments, *args)
+            assert pairing != PAIRINGS[0] or (want[1] and want[1][0]) == error
+            assert_same_outcome(outcome_with_message(bts_payments, *args), want,
+                                assert_close_scores)
+
+    @pytest.mark.parametrize("pairing,seed", [("seeded-random-reference", None), ("nosuch", 0)])
+    def test_pairing_errors_match_loop(self, pairing, seed):
+        profile = BtsReportProfile(np.array([0, 0, 1, 1]),
+                                   tuple(Distribution(np.array([0.5, 0.5])) for _ in range(4)))
+        got = outcome_with_message(bts_payments, profile, 2.0, pairing, seed)
+        assert got[1] is not None
+        assert got == outcome_with_message(oracles.loop_bts_payments, profile, 2.0, pairing, seed)
+
+
+@given(st.integers(2, 50), seeds)
+@settings(max_examples=300, deadline=None)
+def test_seeded_reference_draw_matches_list_form(n, seed):
+    for pairing in PAIRINGS:
+        assert _reference_sets(n, pairing, seed) == oracles.loop_reference_sets(n, pairing, seed)
 
 
 @st.composite
