@@ -40,6 +40,7 @@ from .measures import (
 )
 from .mechanisms import (
     BtsReportProfile,
+    _mip_payment,
     bmi_mechanism_payments,
     bts_payments,
     bts_idealized_scores,
@@ -213,7 +214,7 @@ def cmd_mechanism(args) -> int:
         "measure": args.measure,
         "rule": args.rule,
         "T": args.T,
-        "seed": args.seed,
+        "seed": _at_least(args.seed, "--seed"),
         "exact": args.exact,
         "d": args.d,
         "alpha": args.alpha,
@@ -315,11 +316,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(value: int, name: str, low: int = 0) -> int:
+    if value < low:
+        raise CliError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> list[int]:
     if not text.strip():
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [_at_least(int(tok), "--grid point") for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliError(f"bad --grid {text!r}: {exc}") from exc
 
@@ -347,8 +354,8 @@ def cmd_sweep(args) -> int:
         "kind": args.kind,
         "scenario": args.scenario,
         "grid": args.grid,
-        "seeds": args.seeds,
-        "seed": args.seed,
+        "seeds": _at_least(args.seeds, "--seeds", 1),
+        "seed": _at_least(args.seed, "--seed"),
         "measure": args.measure,
     }
     grid = _parse_grid(args.grid)
@@ -362,7 +369,7 @@ def cmd_sweep(args) -> int:
             gen = _GENERATORS.get(args.measure or "tvd")
             if gen is None:
                 raise CliError(f"unknown --measure {args.measure!r}")
-            exact = float(mip_expected_payments(scenario, gen).payments[0])
+            exact = _mip_payment(scenario, gen)
 
             def cell(g: int, s: int) -> float:
                 return _fmi_gap_cell(scenario, gen, g, args.seed * 1_000_003 + g * 101 + s, exact)

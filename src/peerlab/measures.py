@@ -205,7 +205,7 @@ def conditional_mi(tensor: JointDistribution, measure: Measure) -> float:
     zero probability contribute 0.
     """
     t = tensor._require_conditional("conditional_mi")
-    return _slice_mean(t, lambda slices: _mutual_information(slices, measure))
+    return _slice_mean(t, _mi_kernel(measure))
 
 
 def _slice_mean(t: np.ndarray, per_slice) -> float:
@@ -245,15 +245,15 @@ def log_score_accuracy_gain(tensor: JointDistribution) -> float:
 
 def mutual_information(joint: JointDistribution, measure: Measure) -> float:
     """Dispatch to the f- or Bregman mutual information of a pairwise joint."""
-    return float(_mutual_information(joint._require_pairwise("mutual_information"), measure))
+    return float(_mi_kernel(measure)(joint._require_pairwise("mutual_information")))
 
 
-def _mutual_information(tables: np.ndarray, measure: Measure) -> np.ndarray:
-    """f- or Bregman mutual information of each table of a stack shaped (..., mx, my)."""
+def _mi_kernel(measure: Measure):
+    """The function of a stack shaped (..., mx, my) that gives each table's f- or Bregman MI."""
     if isinstance(measure, ConvexGenerator):
-        return _f_mi(tables, measure)
+        return lambda tables: _f_mi(tables, measure)
     if isinstance(measure, ScoringRule):
-        return _bregman_mi(tables, measure)
+        return lambda tables: _bregman_mi(tables, measure)
     raise TypeError(f"unsupported measure {measure!r}")
 
 

@@ -7,13 +7,13 @@ method for a known prior, and signal-plus-prediction scoring (idealized and
 finite-n).
 
 The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
-agreement reward) read one report joint per agent i: the conditional-mode
-joint of (J, report_i, report_J) with the reference agent J uniform over i's
-reference agents, exact (:func:`report_joint`) or counted
-(:func:`empirical_pair_joint`).  Its slices are i's report-pair tables; one
-stacked kernel (f-MI, BMI, score shift or agreement) runs over them and is
+agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
+(J, report_i, report_J) with J uniform over i's reference agents is exact
+(:func:`report_joint`) or counted (:func:`empirical_pair_joint`); one stacked
+kernel (f-MI, BMI, score shift or agreement) runs over its report-pair slices,
 averaged with the weights Pr[J=j], so a mutual-information payment is
-MI(report_i; report_J | J).  Finite-n signal-plus-prediction scores
+MI(report_i; report_J | J).  The joints can be built once for many kernels,
+or for one agent alone.  Finite-n signal-plus-prediction scores
 (:func:`bts_payments`) need no joint: with P the predictions, they are closed
 forms info_i = log fr_i - mean_j log P[j, s_i] and
 pred_i = mean_j log P[i, s_j] - mean_j log fr_j, O(n·m) array operations over
@@ -56,6 +56,7 @@ from .measures import (
     ConvexGenerator,
     Measure,
     ScoringRule,
+    _mi_kernel,
     _slice_mean,
     conditional_mi,
     log_score_accuracy_gain,
@@ -128,13 +129,13 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_joints(scenario: Scenario):
-    """Per agent i, the exact conditional-mode joint of (J, report_i, report_J) with the
-    reference agent J uniform over the other agents."""
-    s = scenario.strategies
-    for i, refs in enumerate(_reference_sets(scenario.n_agents, ALL_PAIRS, None)):
-        yield report_joint(scenario.prior, i, refs, s[i], [s[j] for j in refs],
-                           scenario.effort(i), [scenario.effort(j) for j in refs])
+def _exact_joints(scenario: Scenario, agents: Sequence[int] | None = None):
+    """Per agent i of ``agents`` (default: all, in order), the exact conditional-mode joint
+    of (J, report_i, report_J) with the reference agent J uniform over the other agents."""
+    s, refs = scenario.strategies, _reference_sets(scenario.n_agents, ALL_PAIRS, None)
+    for i in range(scenario.n_agents) if agents is None else agents:
+        yield report_joint(scenario.prior, i, refs[i], s[i], [s[j] for j in refs[i]],
+                           scenario.effort(i), [scenario.effort(j) for j in refs[i]])
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):
@@ -150,13 +151,18 @@ def _peer_means(joints, per_table) -> np.ndarray:
     return np.array([_slice_mean(joint.table, per_table) for joint in joints])
 
 
+def _mip_payment(scenario: Scenario, measure: Measure) -> float:
+    """``mip_expected_payments(scenario, measure).payments[0]``, from agent 0's joint alone."""
+    return float(_peer_means(_exact_joints(scenario, [0]), _mi_kernel(measure))[0])
+
+
 def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport:
     """Exact expected payments when each agent is paid the mutual information
     between her report and a uniformly random peer's report.
 
     payment_i = (1 / (n-1)) * sum_{j != i} MI(report_i ; report_j).
     """
-    payments = np.array([conditional_mi(joint, measure) for joint in _exact_joints(scenario)])
+    payments = _peer_means(_exact_joints(scenario), _mi_kernel(measure))
     effort_costs = utilities = None
     if scenario.efforts is not None:
         effort_costs = np.array(
@@ -200,8 +206,7 @@ def bmi_mechanism_payments(
 
 
 def _empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> PaymentReport:
-    joints = _empirical_joints(reports, pairing, seed)
-    payments = np.array([conditional_mi(joint, measure) for joint in joints])
+    payments = _peer_means(_empirical_joints(reports, pairing, seed), _mi_kernel(measure))
     return PaymentReport(
         mechanism=mechanism,
         mode="empirical",
@@ -547,28 +552,25 @@ class IdealizedBtsScores:
 def bts_idealized_scores(
     world: WorldModelPrior,
     strategies: Sequence[Strategy] | None = None,
-    measure: Measure | str = "shannon",
+    measure: Measure = ConvexGenerator.KL,
 ) -> IdealizedBtsScores:
     """Expected average information and prediction scores in the population
     limit, where realized report frequencies equal the per-state report
     distributions.
 
-    The information score is the conditional mutual information (under the
-    chosen measure) between the reported-state variable and a random agent's
-    report, given a reference agent's private signal; the prediction score is
-    the negated log-score accuracy gain computed by direct enumeration, an
-    independent route that must agree with the Shannon information score up
-    to sign.
+    The information score is the conditional mutual information (under
+    ``measure``, Shannon by default) between the reported-state variable and
+    a random agent's report, given a reference agent's private signal; the
+    prediction score is the negated log-score accuracy gain computed by direct
+    enumeration, an independent route that must agree with the Shannon
+    information score up to sign.
     """
-    tensor = world_tensor(world, strategies)
-    if isinstance(measure, str):
-        if measure != "shannon":
-            raise DimensionMismatch(f"unknown measure {measure!r}")
-        info = conditional_mi(tensor, ConvexGenerator.KL)
-    else:
-        info = conditional_mi(tensor, measure)
-    prediction = -log_score_accuracy_gain(tensor)
-    return IdealizedBtsScores(information_score=info, prediction_score=prediction)
+    return _tensor_scores(world_tensor(world, strategies), measure)
+
+
+def _tensor_scores(tensor: JointDistribution, measure: Measure = ConvexGenerator.KL):
+    """:func:`bts_idealized_scores` from an already built :func:`world_tensor`."""
+    return IdealizedBtsScores(conditional_mi(tensor, measure), -log_score_accuracy_gain(tensor))
 
 
 # ---------------------------------------------------------------------------

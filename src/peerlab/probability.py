@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,7 @@ def make_distribution(weights) -> Distribution:
     return Distribution(arr / total)
 
 
+@functools.cache  # one shared, read-only object per m
 def uniform_distribution(m: int) -> Distribution:
     return Distribution(np.full(m, 1.0 / m))
 
@@ -208,6 +210,7 @@ class TransitionMatrix:
         return TransitionMatrix(self.rows.T.copy())
 
 
+@functools.cache  # one shared, read-only object per m
 def identity_channel(m: int) -> TransitionMatrix:
     return TransitionMatrix(np.eye(m))
 

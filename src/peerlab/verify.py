@@ -45,6 +45,7 @@ from .errors import DimensionMismatch
 from .measures import (
     ConvexGenerator,
     ScoringRule,
+    _mi_kernel,
     bregman_mi,
     check_dpi,
     conditional_mi,
@@ -61,15 +62,16 @@ from .mechanisms import (
     BtsReportProfile,
     _agreement_rewards,
     _exact_joints,
+    _mip_payment,
     _peer_means,
+    _score_shifts,
+    _tensor_scores,
     bts_idealized_scores,
     bts_payments,
     ca_expected_reward,
     ca_payments,
     md_payments,
-    mip_expected_payments,
     optimal_predictions,
-    sppm_expected_payments,
 )
 from .probability import (
     Distribution,
@@ -113,6 +115,8 @@ class SuiteConfig:
         object.__setattr__(self, "instances", int(_integers(self.instances, "instances")))
         if self.instances < 1:
             raise DimensionMismatch("instances must be >= 1")
+        if self.seed < 0:
+            raise DimensionMismatch(f"seed must be >= 0, got {self.seed}")
         if not all(0 < tol < math.inf for tol in (self.equality_tol, self.strictness_tol)):
             raise DimensionMismatch("tolerances must be finite and > 0")
         if not 0 < self.monte_carlo_ci < 1:
@@ -310,8 +314,8 @@ def _dominant_truthfulness_instance(
     deviation = sampling.random_mixed_strategy(rng, m)
     truth_scn = Scenario(prior, tuple([truth_telling(m)] + opponents))
     dev_scn = Scenario(prior, tuple([deviation] + opponents))
-    pay_truth = float(mip_expected_payments(truth_scn, gen).payments[0])
-    pay_dev = float(mip_expected_payments(dev_scn, gen).payments[0])
+    pay_truth = _mip_payment(truth_scn, gen)
+    pay_dev = _mip_payment(dev_scn, gen)
     data = {
         "scenario": scenario_to_dict(dev_scn),
         "measure": gen.value,
@@ -354,8 +358,8 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
     deviation = sampling.random_mixed_strategy(rng, m)
     before_scn = Scenario(prior, (observer, truth_telling(m), bystander))
     after_scn = Scenario(prior, (observer, deviation, bystander))
-    pay_before = float(mip_expected_payments(before_scn, gen).payments[0])
-    pay_after = float(mip_expected_payments(after_scn, gen).payments[0])
+    pay_before = _mip_payment(before_scn, gen)
+    pay_after = _mip_payment(after_scn, gen)
     data = {
         "scenario": scenario_to_dict(after_scn),
         "measure": gen.value,
@@ -395,13 +399,13 @@ _CANONICAL_BINARY = np.array([[0.4, 0.1], [0.1, 0.4]])
 _EFFORT_GRID = np.linspace(0.0, 1.0, 11)
 
 
-def _effort_utility(prior, n: int, m: int, lam: float, cost: float, gen) -> float:
-    efforts = tuple(
-        [EffortStrategy(lam, cost)] + [EffortStrategy(1.0, 0.0) for _ in range(n - 1)]
-    )
-    scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)), efforts)
-    rep = mip_expected_payments(scn, gen)
-    return float(rep.utilities[0])
+def _effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=None) -> float:
+    """Truthful agent 0's utility as ``mip_expected_payments`` gives it, payment - lam * cost,
+    when it invests with probability lam and its first ``active`` peers (default: all) do."""
+    peers = [EffortStrategy(1.0 if active is None or k < active else 0.0) for k in range(n - 1)]
+    scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)),
+                   (EffortStrategy(lam, cost), *peers))
+    return _mip_payment(scn, gen) - lam * cost
 
 
 def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
@@ -433,14 +437,7 @@ def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None
               max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
 
     # effort monotonicity: payment under truth as peers join full effort
-    payments = []
-    for active in range(n):
-        efforts = tuple(
-            [EffortStrategy(1.0, cost)]
-            + [EffortStrategy(1.0 if k < active else 0.0, 0.0) for k in range(n - 1)]
-        )
-        scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)), efforts)
-        payments.append(float(mip_expected_payments(scn, gen).payments[0]))
+    payments = [_effort_utility(prior, n, m, 1.0, 0.0, gen, active) for active in range(n)]
     monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
     rec.check("effort_monotone", "inequality", monotone, idx,
               {"payments_by_active_peers": payments, **data})
@@ -687,8 +684,8 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     strategies = tuple(
         sampling.random_mixed_strategy(rng, world.alphabet_size) for _ in range(n)
     )
-    truth = bts_idealized_scores(world)
-    played = bts_idealized_scores(world, strategies)
+    truth_tensor, played_tensor = world_tensor(world), world_tensor(world, strategies)
+    truth, played = _tensor_scores(truth_tensor), _tensor_scores(played_tensor)
     data = {
         "world_state_probs": _jl(world.state_probs.weights),
         "world_states": [_jl(s.weights) for s in world.states],
@@ -705,8 +702,8 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     rec.check("welfare_ordering", "inequality",
               welfare_played <= welfare_truth + n * (alpha - 1.0) * tol + 1e-9, idx, data)
     gen = sampling.random_generator_choice(rng)
-    f_truth = bts_idealized_scores(world, None, gen).information_score
-    f_played = bts_idealized_scores(world, strategies, gen).information_score
+    f_truth = conditional_mi(truth_tensor, gen)
+    f_played = conditional_mi(played_tensor, gen)
     rec.check("f_score_ordering", "inequality", f_played <= f_truth + tol, idx,
               {**data, "generator": gen.value, "f_truth": f_truth, "f_played": f_played})
     # a shared relabeling leaves the scores unchanged; distinct per-agent
@@ -732,14 +729,15 @@ def suite_bts(config: SuiteConfig) -> SuiteVerdict:
 
 
 def _equivalence_payment_vectors(scenario: Scenario, known_prior: PairwisePrior) -> dict:
-    """Exact per-agent payments for every mechanism with an exact evaluator."""
+    """Exact per-agent payments of every exact evaluator, from one build of the report joints."""
+    joints = list(_exact_joints(scenario))
     out = {}
     for gen in ConvexGenerator:
-        out[f"mip-{gen.value}"] = mip_expected_payments(scenario, gen).payments
+        out[f"mip-{gen.value}"] = _peer_means(joints, _mi_kernel(gen))
     for rule in ScoringRule:
-        out[f"mip-bregman-{rule.value}"] = mip_expected_payments(scenario, rule).payments
-        out[f"sppm-{rule.value}"] = sppm_expected_payments(scenario, known_prior, rule).payments
-    out["agreement-expected"] = _peer_means(_exact_joints(scenario), _agreement_rewards)
+        out[f"mip-bregman-{rule.value}"] = _peer_means(joints, _mi_kernel(rule))
+        out[f"sppm-{rule.value}"] = _peer_means(joints, _score_shifts(known_prior, rule))
+    out["agreement-expected"] = _peer_means(joints, _agreement_rewards)
     if isinstance(scenario.prior, WorldModelPrior):
         n = scenario.n_agents
         scores = bts_idealized_scores(scenario.prior, scenario.strategies)

@@ -283,3 +283,27 @@ class TestSweepCommand:
         assert main(["sweep", "--kind", "fmi-gap", "--scenario", scenario_file,
                      "--grid", "100", "--seeds", "1", "--out", "table.csv"]) == 0
         assert (tmp_path / "outputs" / "table.csv").exists()
+
+
+class TestNegativeCounts:
+    """Seeds and grid points are non-negative and a sweep needs a seed count >= 1:
+    anything else is a clean exit-2 error, not a traceback or an empty table."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "bts", "--seed", "-1", "--instances", "2"], "seed must be >= 0"),
+        (["sweep", "--kind", "bts-gap", "--grid", "10", "--seeds", "1", "--seed", "-1"],
+         "--seed must be >= 0"),
+        (["sweep", "--kind", "bts-gap", "--grid=-5", "--seeds", "1"], "--grid point must be >= 0"),
+        (["sweep", "--kind", "bts-gap", "--grid", "10", "--seeds", "0"], "--seeds must be >= 1"),
+        (["sweep", "--kind", "bts-gap", "--grid", "10", "--seeds", "-2"], "--seeds must be >= 1"),
+    ])
+    def test_exit_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"peerlab: {message}") and captured.out == ""
+
+    @pytest.mark.parametrize("mechanism", ["fmi", "mip"])
+    def test_mechanism_seed(self, scenario_file, capsys, mechanism):
+        argv = ["mechanism", "--mechanism", mechanism, "--scenario", scenario_file, "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "peerlab: --seed must be >= 0, got -1\n"

@@ -25,6 +25,7 @@ from peerlab import (
     ReportMatrix,
     Scenario,
     ScoringRule,
+    Strategy,
     bmi_mechanism_payments,
     bregman_mi,
     bts_payments,
@@ -45,8 +46,11 @@ from peerlab import (
     sppm_payments,
 )
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
-from peerlab.mechanisms import _agreement_rewards, _exact_joints, _peer_means, _reference_sets
-from peerlab.probability import rng_from_seed
+from peerlab.mechanisms import (
+    _agreement_rewards, _exact_joints, _mip_payment, _peer_means, _reference_sets,
+)
+from peerlab.probability import identity_channel, rng_from_seed, uniform_distribution
+from peerlab.verify import _effort_utility
 
 import oracles
 
@@ -236,6 +240,59 @@ class TestExactPairLoop:
         got = report_joint(prior, i, refs, s[i], [s[j] for j in refs], e(i), [e(j) for j in refs])
         want = [oracles.loop_report_joint(prior, i, j, s[i], s[j], e(i), e(j)).table for j in refs]
         assert_close(got.table, np.array(want) / len(refs))
+
+
+class TestAgentZeroRoute:
+    """The suites read agent 0's exact payment or utility from agent 0's joint alone; it
+    must be the very float the all-agents engine gives, not merely a close one."""
+
+    @given(seeds, st.integers(2, 5), st.booleans(), st.sampled_from(MEASURES))
+    @settings(max_examples=100, deadline=None)
+    def test_payment_and_utility_equal_engine(self, seed, n, efforts, measure):
+        scenario = random_scenario(seed, n, efforts)
+        report = mip_expected_payments(scenario, measure)
+        pay = _mip_payment(scenario, measure)
+        assert pay == report.payments[0]
+        e = scenario.effort(0)
+        assert (report.utilities is None) == (not efforts)
+        if efforts:
+            assert pay - e.full_effort_prob * e.cost == report.utilities[0]
+
+    @given(seeds, st.integers(2, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_listed_agent_joint_is_generator_joint(self, seed, n, efforts):
+        scenario = random_scenario(seed, n, efforts)
+        full = list(_exact_joints(scenario))
+        for i in range(n):
+            (joint,) = _exact_joints(scenario, [i])
+            assert np.array_equal(joint.table, full[i].table)
+        reordered = list(_exact_joints(scenario, range(n)[::-1]))
+        assert all(np.array_equal(a.table, b.table) for a, b in zip(reordered[::-1], full))
+
+    @given(seeds, st.integers(2, 5), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+           st.sampled_from(MEASURES), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_effort_utility_equals_engine(self, seed, n, lam, cost, measure, data):
+        prior = random_scenario(seed, n, False).prior
+        m = prior.alphabet_size
+        active = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        peers = [EffortStrategy(1.0 if active is None or k < active else 0.0, 0.0)
+                 for k in range(n - 1)]
+        scenario = Scenario(prior, tuple(Strategy(identity_channel(m)) for _ in range(n)),
+                            (EffortStrategy(lam, cost), *peers))
+        want = mip_expected_payments(scenario, measure).utilities[0]
+        assert _effort_utility(prior, n, m, lam, cost, measure, active) == want
+
+
+@pytest.mark.parametrize("make", [uniform_distribution, identity_channel])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_shared_constants_are_read_only(make, m):
+    value = make(m)
+    assert make(m) is value
+    array = value.weights if make is uniform_distribution else value.rows
+    with pytest.raises(ValueError):
+        array[0] = 0.5
+    assert np.array_equal(array, np.full(m, 1.0 / m) if make is uniform_distribution else np.eye(m))
 
 
 class TestEmpiricalPairLoop:

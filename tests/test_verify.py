@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -16,6 +17,9 @@ from peerlab import (
     truth_telling,
     truthful_scenario,
 )
+from peerlab import mechanisms, verify
+from peerlab.measures import ConvexGenerator
+from peerlab.probability import rng_from_seed
 from peerlab.verify import SUITES, suite_dominant_truthfulness
 
 SMALL = {
@@ -172,6 +176,11 @@ def test_non_finite_tolerances_rejected(tols):
         SuiteConfig(suite="dpi", **tols)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(DimensionMismatch, match="seed must be >= 0"):
+        SuiteConfig(suite="dpi", seed=-1)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         default_config("nosuch")
@@ -187,3 +196,34 @@ def test_dominant_truthfulness_accepts_base_scenario(canonical_prior):
     config = default_config("dominant-truthfulness", instances=40, seed=9)
     verdict = suite_dominant_truthfulness(config, base_scenario=base)
     assert verdict.passed
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Calls of ``_exact_joints`` and ``report_joint``, through whichever module they are
+    called."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (mechanisms, verify):
+        for name in ("_exact_joints", "report_joint"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+def test_equivalence_vectors_build_each_joint_once(call_counts):
+    scenario, _ = verify._random_equivalence_scenario(rng_from_seed(0, 1))
+    known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
+    verify._equivalence_payment_vectors(scenario, known)
+    assert call_counts == {"_exact_joints": 1, "report_joint": scenario.n_agents}
+
+
+def test_effort_utility_builds_agent_zero_joint_alone(call_counts):
+    prior = PairwisePrior(JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]])))
+    verify._effort_utility(prior, 3, 2, 0.5, 0.1, ConvexGenerator.TVD)
+    assert call_counts["report_joint"] == 1
