@@ -75,7 +75,6 @@ from .agents import (
     generate_reports,
     load_scenario,
     permute_scenario,
-    permute_strategy,
     report_joint,
     reported_world_states,
     save_scenario,

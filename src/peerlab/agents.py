@@ -3,7 +3,9 @@
 A *scenario* bundles a prior over private signals, one report channel per
 agent and (optionally) one zero-one effort strategy per agent.  It is both
 the unit of simulation (``generate_reports``) and the unit of the
-relabeling-equivalence checks (``permute_scenario``).
+relabeling-equivalence checks (``permute_scenario``).  A relabeling
+(``PermutationList``) is one integer index map per agent, not a permutation
+matrix.
 
 Priors come in three modes:
 
@@ -45,7 +47,6 @@ from .probability import (
     _integers,
     _validated_array,
     identity_channel,
-    permutation_channel,
     rng_from_seed,
     uniform_distribution,
 )
@@ -242,45 +243,37 @@ FULL_EFFORT = EffortStrategy()
 
 @dataclass(frozen=True)
 class PermutationList:
-    """One signal relabeling per agent (pi_1, ..., pi_n)."""
+    """One signal relabeling per agent: row i of ``maps`` sends agent i's signal
+    sigma to ``maps[i, sigma]``.  Validated once; ``maps`` is read-only."""
 
-    perms: tuple[TransitionMatrix, ...]
+    maps: np.ndarray
 
     def __post_init__(self):
-        perms = tuple(self.perms)
-        if not perms:
-            raise DimensionMismatch("empty permutation list")
-        for p in perms:
-            if not p.is_permutation:
-                raise ModeMismatch("every entry must be a permutation matrix")
-        if len({p.shape[0] for p in perms}) != 1:
-            raise DimensionMismatch("permutations must share one alphabet")
-        object.__setattr__(self, "perms", perms)
-
-    @classmethod
-    def from_maps(cls, maps: Sequence[Sequence[int]]) -> "PermutationList":
-        return cls(tuple(permutation_channel(m) for m in maps))
+        try:
+            maps = np.array(self.maps)
+        except ValueError as exc:
+            raise DimensionMismatch("permutations must share one alphabet") from exc
+        if maps.ndim != 2 or maps.size == 0:
+            raise DimensionMismatch("need one non-empty map per agent, all of one length")
+        maps = _integers(maps, "permutation maps")
+        if np.any(np.sort(maps, axis=1) != np.arange(maps.shape[1])):
+            raise DimensionMismatch(f"every map must be a permutation of 0..{maps.shape[1] - 1}")
+        maps.setflags(write=False)
+        object.__setattr__(self, "maps", maps)
 
     @classmethod
     def symmetric(cls, mapping: Sequence[int], n: int) -> "PermutationList":
-        return cls(tuple(permutation_channel(mapping) for _ in range(n)))
+        return cls([mapping] * n)
 
     def __len__(self) -> int:
-        return len(self.perms)
+        return self.maps.shape[0]
 
     @property
     def alphabet_size(self) -> int:
-        return self.perms[0].shape[0]
-
-    def index_map(self, i: int) -> np.ndarray:
-        return self.perms[i].permutation_indices()
+        return self.maps.shape[1]
 
     def inverse(self) -> "PermutationList":
-        return PermutationList(tuple(p.inverse_permutation() for p in self.perms))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(p.is_identity for p in self.perms)
+        return PermutationList(np.argsort(self.maps, axis=1))
 
 
 @dataclass(frozen=True)
@@ -413,16 +406,9 @@ def world_tensor(
     """
     if not isinstance(prior, WorldModelPrior):
         raise ModeMismatch("world_tensor needs a WorldModelPrior")
-    reported = reported_world_states(prior, strategies)
-    m = prior.alphabet_size
-    k = prior.n_states
-    tensor = np.zeros((m, k, m))
-    for w in range(k):
-        pw = prior.state_probs[w]
-        omega = prior.states[w].weights
-        omega_hat = reported[w].weights
-        tensor[:, w, :] = pw * np.outer(omega, omega_hat)
-    return JointDistribution(tensor)
+    omega = np.stack([s.weights for s in prior.states], axis=1)[:, :, None]
+    omega_hat = np.stack([r.weights for r in reported_world_states(prior, strategies)])
+    return JointDistribution(prior.state_probs.weights[:, None] * (omega * omega_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -563,42 +549,25 @@ def empirical_pair_joint(
 # ---------------------------------------------------------------------------
 
 
-def permute_strategy(strategy: Strategy, perm: TransitionMatrix) -> Strategy:
-    """Relabel a strategy's inputs: the new channel on signal s plays the old
-    channel's row pi(s).  Outputs are left unrelabeled, so the permuted
-    strategy applied to a pi-inverse-relabeled signal reproduces the original
-    report distribution exactly."""
-    pmap = perm.permutation_indices()
-    if perm.shape[0] != strategy.alphabet_size:
-        raise DimensionMismatch("permutation alphabet differs from strategy alphabet")
-    return Strategy(TransitionMatrix(strategy.channel.rows[pmap, :].copy()), strategy.label)
-
-
-def _permute_prior(prior: Prior, perms: PermutationList) -> Prior:
-    maps = [perms.index_map(i) for i in range(len(perms))]
+def _permute_prior(prior: Prior, maps: np.ndarray) -> Prior:
     if isinstance(prior, FullJointPrior):
-        if len(perms) != prior.n_agents:
-            raise DimensionMismatch("one permutation per agent")
-        return FullJointPrior(prior.tensor[np.ix_(*maps)].copy())
-    symmetric_list = all(np.array_equal(maps[0], p) for p in maps[1:])
-    if not symmetric_list:
+        return FullJointPrior(prior.tensor[np.ix_(*maps)])
+    if np.any(maps != maps[0]):
         raise UnsupportedPriorMode(
             "pairwise and world-model priors only support symmetric permutation lists"
         )
     p = maps[0]
     if isinstance(prior, PairwisePrior):
-        return PairwisePrior(
-            JointDistribution(prior.joint.table[np.ix_(p, p)].copy()), prior.symmetric
-        )
+        return PairwisePrior(JointDistribution(prior.joint.table[np.ix_(p, p)]), prior.symmetric)
     if isinstance(prior, WorldModelPrior):
-        states = tuple(Distribution(s.weights[p].copy()) for s in prior.states)
+        states = tuple(Distribution(s.weights[p]) for s in prior.states)
         return WorldModelPrior(prior.state_probs, states)
     raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
 
 
 def permute_scenario(scenario: Scenario, perms: PermutationList) -> Scenario:
     """The relabeled twin of a scenario: prior relabeled by the inverse list,
-    each strategy's inputs relabeled by its own permutation.
+    each strategy's row s replaced by its old row pi(s), outputs unrelabeled.
 
     The twin is coupled to the original by relabeling every agent's signal,
     so each agent reports with the same distribution and holds the same
@@ -610,9 +579,10 @@ def permute_scenario(scenario: Scenario, perms: PermutationList) -> Scenario:
     if perms.alphabet_size != scenario.alphabet_size:
         raise DimensionMismatch("permutation alphabet differs from scenario alphabet")
     strategies = tuple(
-        permute_strategy(s, perms.perms[i]) for i, s in enumerate(scenario.strategies)
+        Strategy(TransitionMatrix(s.channel.rows[pmap]), s.label)
+        for s, pmap in zip(scenario.strategies, perms.maps)
     )
-    return Scenario(_permute_prior(scenario.prior, perms), strategies, scenario.efforts)
+    return Scenario(_permute_prior(scenario.prior, perms.maps), strategies, scenario.efforts)
 
 
 # ---------------------------------------------------------------------------

@@ -171,15 +171,11 @@ def cmd_measure(args) -> int:
             value = conditional_mi(table, ConvexGenerator.KL) if table.is_conditional else shannon_mi(table)
             name = "shannon"
         elif args.mi:
-            gen = _GENERATORS.get(args.mi)
-            if gen is None:
-                raise CliError(f"unknown --mi measure {args.mi!r}")
+            gen = _GENERATORS[args.mi]
             value = conditional_mi(table, gen) if table.is_conditional else f_mutual_information(table, gen)
             name = f"mi-{gen.value}"
         else:
-            rule = _RULES.get(args.bregman)
-            if rule is None:
-                raise CliError(f"unknown --bregman rule {args.bregman!r}")
+            rule = _RULES[args.bregman]
             value = conditional_mi(table, rule) if table.is_conditional else bregman_mi(table, rule)
             name = f"bregman-{rule.value}"
     except PeerLabError as exc:
@@ -262,7 +258,7 @@ def cmd_mechanism(args) -> int:
                 else:
                     reports = generate_reports(scenario, 1, args.seed)
                     report = sppm_payments(reports.entries[:, 0], known, rule, seed=args.seed)
-            elif args.mechanism == "bts-idealized":
+            else:  # bts-idealized
                 if not isinstance(scenario.prior, WorldModelPrior):
                     raise CliError("bts-idealized needs a world-model prior")
                 scores = bts_idealized_scores(scenario.prior, scenario.strategies)
@@ -271,8 +267,6 @@ def cmd_mechanism(args) -> int:
                     "prediction_score": scores.prediction_score,
                 })))
                 return 0
-            else:
-                raise CliError(f"unknown mechanism {args.mechanism!r}")
     except PeerLabError as exc:
         return _emit_error(args.out, config, inputs, exc)
     if args.format == "csv":
@@ -374,7 +368,7 @@ def cmd_sweep(args) -> int:
             def cell(g: int, s: int) -> float:
                 return _fmi_gap_cell(scenario, gen, g, args.seed * 1_000_003 + g * 101 + s, exact)
 
-        elif args.kind == "bts-gap":
+        else:  # bts-gap
             world = CANONICAL_WORLD
             if args.scenario:
                 inputs[args.scenario] = _sha256(args.scenario)
@@ -386,9 +380,6 @@ def cmd_sweep(args) -> int:
 
             def cell(g: int, s: int) -> float:
                 return _bts_gap_cell(world, g, args.seed * 1_000_003 + g * 101 + s, ideal, 3.0)
-
-        else:
-            raise CliError(f"unknown sweep kind {args.kind!r}")
 
         rows = [f"{g},{s},{cell(g, s)!r}" for g in grid for s in range(args.seeds)]
     except PeerLabError as exc:

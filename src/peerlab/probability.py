@@ -198,17 +198,6 @@ class TransitionMatrix:
             np.allclose(arr, np.eye(arr.shape[0]), atol=1e-12)
         )
 
-    def permutation_indices(self) -> np.ndarray:
-        """For a permutation matrix, the map ``sigma -> image(sigma)``."""
-        if not self.is_permutation:
-            raise WrongRank("not a permutation matrix")
-        return np.argmax(self.rows, axis=1)
-
-    def inverse_permutation(self) -> "TransitionMatrix":
-        if not self.is_permutation:
-            raise WrongRank("not a permutation matrix")
-        return TransitionMatrix(self.rows.T.copy())
-
 
 @functools.cache  # one shared, read-only object per m
 def identity_channel(m: int) -> TransitionMatrix:

@@ -17,7 +17,6 @@ never conversely.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import statistics
@@ -294,22 +293,12 @@ def _pair_prior_for(rng, n: int, m: int):
     return sampling.random_full_joint_prior(rng, n, m)
 
 
-def _dominant_truthfulness_instance(
-    rec: _Recorder, config: SuiteConfig, idx: int, rng, base_scenario: Scenario | None = None
-) -> None:
+def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
-    if base_scenario is None:
-        m = int(rng.choice(_ALPHABET_SIZES))
-        n = int(rng.choice(_AGENT_COUNTS))
-        prior = _pair_prior_for(rng, n, m)
-        opponents = [truth_telling(m)] + [
-            sampling.random_mixed_strategy(rng, m) for _ in range(n - 2)
-        ]
-    else:
-        prior = base_scenario.prior
-        m = base_scenario.alphabet_size
-        n = base_scenario.n_agents
-        opponents = list(base_scenario.strategies[1:])
+    m = int(rng.choice(_ALPHABET_SIZES))
+    n = int(rng.choice(_AGENT_COUNTS))
+    prior = _pair_prior_for(rng, n, m)
+    opponents = [truth_telling(m)] + [sampling.random_mixed_strategy(rng, m) for _ in range(n - 2)]
     gen = sampling.random_generator_choice(rng, strictly_convex_only=True)
     deviation = sampling.random_mixed_strategy(rng, m)
     truth_scn = Scenario(prior, tuple([truth_telling(m)] + opponents))
@@ -336,14 +325,11 @@ def _dominant_truthfulness_instance(
         rec.check("constant_pays_zero", "equality", abs(pay_dev) <= 1e-12, idx, data)
 
 
-def suite_dominant_truthfulness(
-    config: SuiteConfig, base_scenario: Scenario | None = None
-) -> SuiteVerdict:
+def suite_dominant_truthfulness(config: SuiteConfig) -> SuiteVerdict:
     """Truth-telling maximizes exact expected payment against any opponents;
     permutation deviations tie, non-permutation deviations lose strictly on
     all-ratios-separated priors under strictly convex generators."""
-    instance = functools.partial(_dominant_truthfulness_instance, base_scenario=base_scenario)
-    return _run(config, None, instance).verdict()
+    return _run(config, None, _dominant_truthfulness_instance).verdict()
 
 
 def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
@@ -728,16 +714,20 @@ def suite_bts(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _equivalence_payment_vectors(scenario: Scenario, known_prior: PairwisePrior) -> dict:
+def _equivalence_kernels(known_prior: PairwisePrior) -> dict:
+    """Name -> per-table kernel of every exact evaluator that pays from report joints."""
+    kernels = {f"mip-{gen.value}": _mi_kernel(gen) for gen in ConvexGenerator}
+    for rule in ScoringRule:
+        kernels[f"mip-bregman-{rule.value}"] = _mi_kernel(rule)
+        kernels[f"sppm-{rule.value}"] = _score_shifts(known_prior, rule)
+    kernels["agreement-expected"] = _agreement_rewards
+    return kernels
+
+
+def _equivalence_payment_vectors(scenario: Scenario, kernels: dict) -> dict:
     """Exact per-agent payments of every exact evaluator, from one build of the report joints."""
     joints = list(_exact_joints(scenario))
-    out = {}
-    for gen in ConvexGenerator:
-        out[f"mip-{gen.value}"] = _peer_means(joints, _mi_kernel(gen))
-    for rule in ScoringRule:
-        out[f"mip-bregman-{rule.value}"] = _peer_means(joints, _mi_kernel(rule))
-        out[f"sppm-{rule.value}"] = _peer_means(joints, _score_shifts(known_prior, rule))
-    out["agreement-expected"] = _peer_means(joints, _agreement_rewards)
+    out = {name: _peer_means(joints, kernel) for name, kernel in kernels.items()}
     if isinstance(scenario.prior, WorldModelPrior):
         n = scenario.n_agents
         scores = bts_idealized_scores(scenario.prior, scenario.strategies)
@@ -746,19 +736,24 @@ def _equivalence_payment_vectors(scenario: Scenario, known_prior: PairwisePrior)
     return out
 
 
+def _random_perms(rng, prior, n: int, m: int) -> PermutationList:
+    """One map per agent under a full-joint prior, else one map shared by all agents."""
+    if isinstance(prior, FullJointPrior):
+        return PermutationList([rng.permutation(m) for _ in range(n)])
+    return PermutationList.symmetric(rng.permutation(m), n)
+
+
 def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
     m = int(rng.choice((2, 3)))
     n = int(rng.choice(_AGENT_COUNTS))
     mode = int(rng.integers(3))
     if mode == 0:
         prior = sampling.random_full_joint_prior(rng, n, m)
-        perms = PermutationList.from_maps([rng.permutation(m).tolist() for _ in range(n)])
     elif mode == 1:
         prior = sampling.random_pairwise_symmetric_prior(rng, m)
-        perms = PermutationList.symmetric(rng.permutation(m).tolist(), n)
     else:
         prior = sampling.random_world_model(rng, int(rng.integers(2, 4)), m)
-        perms = PermutationList.symmetric(rng.permutation(m).tolist(), n)
+    perms = _random_perms(rng, prior, n, m)
     strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
     efforts = None
     if rng.random() < 0.5:
@@ -771,31 +766,26 @@ def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
 
 def _scenario_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     scenario, _ = _random_equivalence_scenario(rng)
-    known_prior = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
-    base = _equivalence_payment_vectors(scenario, known_prior)
-    for li in range(_PERM_LISTS):
-        m = scenario.alphabet_size
-        n = scenario.n_agents
-        if isinstance(scenario.prior, FullJointPrior):
-            perms = PermutationList.from_maps(
-                [rng.permutation(m).tolist() for _ in range(n)]
-            )
-        else:
-            perms = PermutationList.symmetric(rng.permutation(m).tolist(), n)
+    kernels = _equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False))
+    base = _equivalence_payment_vectors(scenario, kernels)
+    base_dict = scenario_to_dict(scenario)
+    n, m = scenario.n_agents, scenario.alphabet_size
+    for _ in range(_PERM_LISTS):
+        perms = _random_perms(rng, scenario.prior, n, m)
+        matrices = _jl(np.eye(m)[perms.maps])
         twin = permute_scenario(scenario, perms)
-        twin_pay = _equivalence_payment_vectors(twin, known_prior)
+        twin_pay = _equivalence_payment_vectors(twin, kernels)
         for name in sorted(base):
             diff = float(np.max(np.abs(base[name] - twin_pay[name])))
             rec.check("payments_identical", "equality", diff <= 1e-12, idx, {
                 "mechanism": name,
-                "scenario": scenario_to_dict(scenario),
-                "perms": [_jl(p.rows) for p in perms.perms],
+                "scenario": base_dict,
+                "perms": matrices,
                 "difference": diff,
             })
         back = permute_scenario(twin, perms.inverse())
-        same = scenario_to_dict(back) == scenario_to_dict(scenario)
-        rec.check("inverse_roundtrip", "equality", same, idx, {
-            "perms": [_jl(p.rows) for p in perms.perms]})
+        rec.check("inverse_roundtrip", "equality", scenario_to_dict(back) == base_dict, idx,
+                  {"perms": matrices})
 
 
 def suite_scenario_equivalence(config: SuiteConfig) -> SuiteVerdict:
@@ -869,8 +859,7 @@ def replay_violation(violation: dict, config: SuiteConfig) -> bool:
     config's tolerances.  Instances are pure functions of
     ``(config.seed, instance)``, so every claim replays; the violation's
     ``data`` payload is not read.  A verdict replays at the code version
-    that wrote it, and a ``suite_dominant_truthfulness`` run with a
-    ``base_scenario`` does not replay (this re-runs the random instance).
+    that wrote it.
     """
     rec = _run(config, *_PARTS[config.suite], indices=(violation["instance"],))
     return violation["claim"] in {v["claim"] for v in rec.violations}

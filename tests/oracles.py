@@ -15,6 +15,7 @@ from peerlab.agents import (
     FULL_EFFORT,
     FullJointPrior,
     PairwisePrior,
+    Scenario,
     Strategy,
     WorldModelPrior,
 )
@@ -24,6 +25,7 @@ from peerlab.errors import (
     LogOfZero,
     NoOverlap,
     NonBinaryAlphabet,
+    UnsupportedPriorMode,
     ZeroFrequency,
 )
 from peerlab.measures import ConvexGenerator, ScoringRule
@@ -688,3 +690,31 @@ def loop_bts_payments(
             "smoothing": smoothing,
         },
     )
+
+
+def matrix_permute_scenario(scenario: Scenario, maps) -> Scenario:
+    """``permute_scenario`` through permutation matrices, as it was written before
+    relabelings became index maps: one ``permutation_channel`` per map, read back
+    into an index map by argmax."""
+    idx = [np.argmax(permutation_channel(row).rows, axis=1) for row in maps]
+    prior = scenario.prior
+    if isinstance(prior, FullJointPrior):
+        prior = FullJointPrior(prior.tensor[np.ix_(*idx)].copy())
+    elif not all(np.array_equal(idx[0], p) for p in idx[1:]):
+        raise UnsupportedPriorMode("pairwise and world-model priors need one shared map")
+    elif isinstance(prior, PairwisePrior):
+        p = idx[0]
+        prior = PairwisePrior(JointDistribution(prior.joint.table[np.ix_(p, p)].copy()),
+                              prior.symmetric)
+    else:
+        p = idx[0]
+        prior = WorldModelPrior(prior.state_probs,
+                                tuple(Distribution(s.weights[p].copy()) for s in prior.states))
+    strategies = tuple(Strategy(TransitionMatrix(s.channel.rows[p, :].copy()), s.label)
+                       for s, p in zip(scenario.strategies, idx))
+    return Scenario(prior, strategies, scenario.efforts)
+
+
+def matrix_inverse_maps(maps) -> list:
+    """The inverse relabeling, read from the transposed permutation matrices."""
+    return [np.argmax(permutation_channel(row).rows.T, axis=1).tolist() for row in maps]

@@ -254,7 +254,7 @@ class TestPermuteScenario:
         prior = FullJointPrior(rng.dirichlet(np.ones(27)).reshape(3, 3, 3))
         strategies = tuple(random_strategy(seed=i, m=3, kind="dense") for i in range(3))
         scn = Scenario(prior, strategies)
-        perms = PermutationList.from_maps([[1, 2, 0], [2, 0, 1], [0, 2, 1]])
+        perms = PermutationList([[1, 2, 0], [2, 0, 1], [0, 2, 1]])
         back = permute_scenario(permute_scenario(scn, perms), perms.inverse())
         assert scenario_to_dict(back) == scenario_to_dict(scn)
 
@@ -265,7 +265,7 @@ class TestPermuteScenario:
             FullJointPrior(rng.dirichlet(np.ones(9)).reshape(3, 3)), (strat, truth_telling(3))
         )
         pmap = [2, 0, 1]
-        perms = PermutationList.from_maps([pmap, [0, 1, 2]])
+        perms = PermutationList([pmap, [0, 1, 2]])
         twin = permute_scenario(scn, perms)
         inv = np.argsort(pmap)
         for sigma in range(3):
@@ -279,7 +279,7 @@ class TestPermuteScenario:
         prior = FullJointPrior(0.9 * rng.dirichlet(np.ones(8)).reshape(2, 2, 2) + 0.1 / 8)
         strategies = tuple(random_strategy(seed=10 + i, m=2, kind="dense") for i in range(3))
         scn = Scenario(prior, strategies)
-        perms = PermutationList.from_maps([[1, 0], [0, 1], [1, 0]])
+        perms = PermutationList([[1, 0], [0, 1], [1, 0]])
         twin = permute_scenario(scn, perms)
         for i in range(3):
             for j in range(3):
@@ -292,7 +292,7 @@ class TestPermuteScenario:
     def test_asymmetric_list_needs_full_joint(self, canonical_prior):
         scn = truthful_scenario(canonical_prior, 2)
         with pytest.raises(UnsupportedPriorMode):
-            permute_scenario(scn, PermutationList.from_maps([[1, 0], [0, 1]]))
+            permute_scenario(scn, PermutationList([[1, 0], [0, 1]]))
 
     def test_world_model_symmetric_relabel(self, two_state_world):
         scn = truthful_scenario(two_state_world, 3)

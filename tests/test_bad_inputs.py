@@ -5,15 +5,18 @@ bare numpy or Python error and never a silent NaN."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from peerlab import (
     BtsReportProfile,
+    DimensionMismatch,
     Distribution,
     EffortStrategy,
     FullJointPrior,
     JointDistribution,
     PairwisePrior,
+    PermutationList,
     ReportMatrix,
     SuiteConfig,
     TransitionMatrix,
@@ -112,3 +115,34 @@ def test_bts_profile_and_weights(signal, alpha, smoothing):
     profile = BtsReportProfile(np.array([0, 0, 1, 1]), preds)
     report = built(lambda: bts_payments(profile, alpha, smoothing=smoothing))
     assert report is None or finite(report.payments)
+
+
+@pytest.mark.parametrize("maps", [
+    [], [[]], [0, 1],  # empty, or not one map per agent
+    [[0, 1], [0, 1, 2]], [[0, 1], [[0], [1]]],  # ragged
+    [[0, 0], [1, 0]],  # repeated entry
+    [[0, 2]], [[-1, 0]],  # out of range
+    [[0.5, 1.0]], [["a", "b"]], [[None, 0]],  # not integers
+])
+def test_permutation_list_rejects_bad_maps(maps):
+    with pytest.raises(DimensionMismatch):
+        PermutationList(maps)
+
+
+@given(st.lists(st.lists(VALUES, min_size=0, max_size=4), min_size=0, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_permutation_list(maps):
+    perms = built(lambda: PermutationList(maps))
+    if perms is not None:
+        m = perms.alphabet_size
+        assert perms.maps.shape == (len(maps), m) and perms.maps.dtype == np.intp
+        assert np.array_equal(np.sort(perms.maps, axis=1), np.tile(np.arange(m), (len(maps), 1)))
+        with pytest.raises(ValueError):
+            perms.maps[0, 0] = 0
+
+
+def test_permutation_list_maps_read_only():
+    perms = PermutationList([[1, 0, 2], [2, 0, 1]])
+    for maps in (perms.maps, perms.inverse().maps, PermutationList.symmetric([1, 0], 3).maps):
+        with pytest.raises(ValueError):
+            maps[0, 0] = 0

@@ -153,7 +153,7 @@ class TestPushFirst:
 
     def test_permutation_roundtrip_exact(self, canonical_joint):
         perm = permutation_channel([1, 0])
-        back = push_first(push_first(canonical_joint, perm.inverse_permutation()), perm)
+        back = push_first(push_first(canonical_joint, TransitionMatrix(perm.rows.T)), perm)
         assert np.array_equal(back.table, canonical_joint.table)
 
 

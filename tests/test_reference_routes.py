@@ -19,9 +19,11 @@ from peerlab import (
     Distribution,
     DimensionMismatch,
     EffortStrategy,
+    FullJointPrior,
     JointDistribution,
     NonBinaryAlphabet,
     PairwisePrior,
+    PermutationList,
     ReportMatrix,
     Scenario,
     ScoringRule,
@@ -39,9 +41,11 @@ from peerlab import (
     md_payments,
     mip_expected_payments,
     mutual_information,
+    permute_scenario,
     random_strategy,
     report_joint,
     sampling,
+    scenario_to_dict,
     sppm_expected_payments,
     sppm_payments,
 )
@@ -282,6 +286,30 @@ class TestAgentZeroRoute:
                             (EffortStrategy(lam, cost), *peers))
         want = mip_expected_payments(scenario, measure).utilities[0]
         assert _effort_utility(prior, n, m, lam, cost, measure, active) == want
+
+
+def assert_same_scenario(got, want):
+    assert scenario_to_dict(got) == scenario_to_dict(want)
+
+
+class TestMatrixRelabelRoute:
+    """Relabeling by index maps gives the very scenario the permutation-matrix route gave."""
+
+    @given(seeds, st.integers(2, 4), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_index_maps_match_matrix_route(self, seed, n, efforts, data):
+        scenario = random_scenario(seed, n, efforts)
+        m = scenario.alphabet_size
+        maps = [data.draw(st.permutations(range(m))) for _ in range(n)]
+        if not isinstance(scenario.prior, FullJointPrior) and data.draw(st.booleans()):
+            maps = [maps[0]] * n
+        perms = PermutationList(maps)
+        got = outcome(permute_scenario, scenario, perms)
+        want = outcome(oracles.matrix_permute_scenario, scenario, maps)
+        assert_same_outcome(got, want, assert_same_scenario)
+        assert perms.inverse().maps.tolist() == oracles.matrix_inverse_maps(maps)
+        if got[0] is not None:
+            assert_same_scenario(permute_scenario(got[0], perms.inverse()), scenario)
 
 
 @pytest.mark.parametrize("make", [uniform_distribution, identity_channel])

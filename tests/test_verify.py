@@ -12,15 +12,15 @@ from peerlab import (
     Scenario,
     SuiteConfig,
     default_config,
+    permutation_channel,
     replay_violation,
     run_suite,
     truth_telling,
-    truthful_scenario,
 )
 from peerlab import mechanisms, verify
-from peerlab.measures import ConvexGenerator
+from peerlab.measures import ConvexGenerator, ScoringRule
 from peerlab.probability import rng_from_seed
-from peerlab.verify import SUITES, suite_dominant_truthfulness
+from peerlab.verify import SUITES
 
 SMALL = {
     "dpi": 400,
@@ -188,20 +188,10 @@ def test_unknown_suite_rejected():
         run_suite(SuiteConfig(suite="nosuch"))
 
 
-def test_dominant_truthfulness_accepts_base_scenario(canonical_prior):
-    asym = PairwisePrior(
-        JointDistribution(np.array([[0.42, 0.08], [0.13, 0.37]])), symmetric=False
-    )
-    base = truthful_scenario(asym, 2)
-    config = default_config("dominant-truthfulness", instances=40, seed=9)
-    verdict = suite_dominant_truthfulness(config, base_scenario=base)
-    assert verdict.passed
-
-
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of ``_exact_joints`` and ``report_joint``, through whichever module they are
-    called."""
+    """Calls of ``_exact_joints``, ``report_joint`` and ``_score_shifts``, through whichever
+    module they are called."""
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -211,7 +201,7 @@ def call_counts(monkeypatch):
         return wrapper
 
     for module in (mechanisms, verify):
-        for name in ("_exact_joints", "report_joint"):
+        for name in ("_exact_joints", "report_joint", "_score_shifts"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return counts
 
@@ -219,8 +209,46 @@ def call_counts(monkeypatch):
 def test_equivalence_vectors_build_each_joint_once(call_counts):
     scenario, _ = verify._random_equivalence_scenario(rng_from_seed(0, 1))
     known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
-    verify._equivalence_payment_vectors(scenario, known)
+    kernels = verify._equivalence_kernels(known)
+    call_counts.clear()
+    verify._equivalence_payment_vectors(scenario, kernels)
     assert call_counts == {"_exact_joints": 1, "report_joint": scenario.n_agents}
+
+
+def test_equivalence_instance_builds_score_shifts_once(call_counts):
+    # one kernel per scoring rule, shared by the scenario and its relabeled twins
+    config = default_config("scenario-equivalence", instances=1)
+    verify._scenario_equivalence_instance(verify._Recorder(config), config, 0,
+                                          rng_from_seed(0, 0))
+    assert call_counts["_score_shifts"] == len(ScoringRule)
+
+
+def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypatch):
+    config = default_config("scenario-equivalence", instances=1, seed=3)
+    pay, permute = verify._equivalence_payment_vectors, verify.permute_scenario
+    calls, maps = [], []
+
+    def skewed(scenario, kernels):
+        # the base scenario is paid first; every twin after it is paid 1 more
+        out = pay(scenario, kernels)
+        calls.append(scenario)
+        return out if len(calls) == 1 else {k: v + 1.0 for k, v in out.items()}
+
+    def recorded(scenario, perms):
+        maps.append(perms.maps)
+        return permute(scenario, perms)
+
+    monkeypatch.setattr(verify, "_equivalence_payment_vectors", skewed)
+    monkeypatch.setattr(verify, "permute_scenario", recorded)
+    verdict = run_suite(config)
+    violations = [v for v in verdict.violations if v["claim"] == "payments_identical"]
+    assert violations and not verdict.passed
+    want = [permutation_channel(row).rows.tolist() for row in maps[0]]
+    assert violations[0]["data"]["perms"] == want
+    calls.clear()
+    assert replay_violation(violations[0], config)
+    monkeypatch.undo()
+    assert not replay_violation(violations[0], config)
 
 
 def test_effort_utility_builds_agent_zero_joint_alone(call_counts):
