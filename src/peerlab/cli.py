@@ -55,7 +55,7 @@ from .mechanisms import (
     sppm_payments,
 )
 from .probability import Distribution, JointDistribution, rng_from_seed
-from .verify import CANONICAL_WORLD, SUITES, SuiteConfig, run_suite
+from .verify import CANONICAL_WORLD, SUITES, run_suite
 
 SCHEMA_VERSION = 1
 

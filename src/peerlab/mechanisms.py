@@ -70,6 +70,8 @@ SEEDED_RANDOM = "seeded-random-reference"
 def _reference_sets(n: int, pairing: str, seed: RngSeed | None):
     """Per agent, the reference agents to average over.  Seeded pairing draws one per
     agent i, in agent order: k uniform on 0..n-2, mapped past i as j = k + (k >= i)."""
+    if n < 2:
+        raise DimensionMismatch("payments need at least 2 agents")
     if pairing == ALL_PAIRS:
         return [[j for j in range(n) if j != i] for i in range(n)]
     if pairing == SEEDED_RANDOM:
@@ -222,40 +224,45 @@ def _empirical_mi_payments(reports, measure, pairing, seed, mechanism) -> Paymen
 # ---------------------------------------------------------------------------
 
 
-def _draw_disjoint_subsets(rng, own: np.ndarray, peer: np.ndarray, k: int, d: int, T: int):
-    """A from own \\ {k}, then B from peer \\ ({k} u A), both of size d."""
-    pool_a = own[own != k]
-    if pool_a.size < d:
-        return None
-    a = rng.choice(pool_a, size=d, replace=False)
-    blocked = np.zeros(T, dtype=bool)
-    blocked[a] = True
-    blocked[k] = True
-    pool_b = peer[~blocked[peer]]
-    if pool_b.size < d:
-        return None
-    b = rng.choice(pool_b, size=d, replace=False)
-    return a, b
+def _draw_subsets(rng, pool: np.ndarray, holes: np.ndarray, d: int) -> np.ndarray:
+    """Per row of ``holes`` (ascending positions in the sorted ``pool``, padded with pool.size),
+    a uniform d-subset of ``pool`` without them.  Floyd's algorithm: column c draws a rank in
+    0..top (top = size - d + c), top if already drawn; ranks then skip the holes in order."""
+    size = pool.size - (holes < pool.size).sum(axis=1)
+    ranks = np.empty((holes.shape[0], d), dtype=np.intp)
+    for c in range(d):
+        top = size - d + c
+        r = rng.integers(0, top + 1)
+        ranks[:, c] = np.where((ranks[:, :c] == r[:, None]).any(axis=1), top, r)
+    for h in holes.T:
+        ranks += ranks >= h[:, None]
+    return pool[ranks]
 
 
-def _average_answer_term(rng, x: np.ndarray, y: np.ndarray, k: int, a, b) -> float:
+def _comparison_subsets(rng, own: np.ndarray, peer: np.ndarray, shared: np.ndarray, d: int):
+    """Per shared question k, uniform d-subsets A of own \\ {k} and B of peer \\ ({k} u A)
+    (own must hold more than d): the rows that have a B, A on every row, B on those rows."""
+    a = _draw_subsets(rng, own, np.searchsorted(own, shared)[:, None], d)
+    at = np.full(max(own[-1], peer[-1]) + 1, peer.size)  # position in peer, peer.size if absent
+    at[peer] = np.arange(peer.size)
+    holes = np.column_stack([at[shared], at[a]])
+    ok = peer.size - (holes < peer.size).sum(axis=1) >= d
+    return ok, a, _draw_subsets(rng, peer, np.sort(holes[ok], axis=1), d)
+
+
+def _average_answer_terms(rng, x: np.ndarray, y: np.ndarray, k, a, b) -> np.ndarray:
     """Agreement on question k minus the agreement rate of the average answers
-    over the comparison subsets (binary reports)."""
-    si = float(x[k])
-    sj = float(y[k])
-    abar = float(x[a].mean())
-    bbar = float(y[b].mean())
-    agree = si * sj + (1.0 - si) * (1.0 - sj)
-    base = abar * bbar + (1.0 - abar) * (1.0 - bbar)
-    return agree - base
+    over the comparison subsets (binary reports), per row."""
+    abar, bbar = x[a].mean(axis=1), y[b].mean(axis=1)
+    return (x[k] == y[k]) - (abar * bbar + (1.0 - abar) * (1.0 - bbar))
 
 
-def _random_pair_term(rng, x: np.ndarray, y: np.ndarray, k: int, a, b) -> float:
+def _random_pair_terms(rng, x: np.ndarray, y: np.ndarray, k, a, b) -> np.ndarray:
     """1(agree on question k) minus 1(agree on one random question pair drawn
-    from the comparison subsets)."""
-    la = int(a[int(rng.integers(a.size))])
-    lb = int(b[int(rng.integers(b.size))])
-    return float(x[k] == y[k]) - float(x[la] == y[lb])
+    from the comparison subsets), per row."""
+    la = a[np.arange(k.size), rng.integers(a.shape[1], size=k.size)]
+    lb = b[np.arange(k.size), rng.integers(b.shape[1], size=k.size)]
+    return (x[k] == y[k]) - (x[la] == y[lb]).astype(np.float64)
 
 
 def _subset_payments(
@@ -264,13 +271,12 @@ def _subset_payments(
     """Per reward question shared with a reference agent, ``term`` of the two
     report rows, the question and disjoint comparison subsets of size d
     (reward 0 when no such subsets exist); averaged over questions, then over
-    reference agents.  Subsets are sampled without replacement from rng
-    ``stream`` of the seed."""
+    reference agents.  Each pair's subsets are drawn at once from rng ``stream``
+    of the seed (:func:`_comparison_subsets`)."""
     d = int(_integers(d, "comparison-subset size d"))
     if d < 1:
         raise DimensionMismatch(f"comparison-subset size d must be >= 1, got {d}")
     n = reports.n_agents
-    T = reports.n_questions
     refs = _reference_sets(n, pairing, seed)
     rng = rng_from_seed(seed, stream)
     payments = np.zeros(n)
@@ -279,21 +285,19 @@ def _subset_payments(
         per_ref = []
         for j in refs[i]:
             peer = reports.answered(j)
-            rewards = []
-            for k in np.intersect1d(own, peer):
-                pick = _draw_disjoint_subsets(rng, own, peer, int(k), d, T)
-                if pick is None:
-                    rewards.append(0.0)
-                else:
-                    rewards.append(term(rng, reports.entries[i], reports.entries[j], k, *pick))
-            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
+            shared = np.flatnonzero(reports.mask[i] & reports.mask[j])
+            rewards = np.zeros(shared.size)
+            if shared.size and own.size > d:
+                ok, a, b = _comparison_subsets(rng, own, peer, shared, d)
+                rewards[ok] = term(rng, reports.entries[i], reports.entries[j], shared[ok], a[ok], b)
+            per_ref.append(float(rewards.mean()) if shared.size else 0.0)
         payments[i] = float(np.mean(per_ref))
     return PaymentReport(
         mechanism=mechanism,
         mode="empirical",
         payments=payments,
         seed=seed,
-        metadata={"d": d, "pairing": pairing, "T": T},
+        metadata={"d": d, "pairing": pairing, "T": reports.n_questions},
     )
 
 
@@ -306,11 +310,11 @@ def md_payments(
     """Binary correlation payments: per reward question, agreement on the
     question minus the agreement rate of the agents' average answers over
     disjoint comparison subsets of size d (reward 0 when no such subsets
-    exist).  Subsets are sampled uniformly without replacement per seed.
-    """
+    exist).  Subsets are uniform per seed: Floyd's algorithm per column,
+    vectorized over the shared questions."""
     if reports.alphabet_size != 2:
         raise NonBinaryAlphabet("this mechanism is binary-only")
-    return _subset_payments(reports, d, seed, pairing, "md", 1, _average_answer_term)
+    return _subset_payments(reports, d, seed, pairing, "md", 1, _average_answer_terms)
 
 
 def ca_payments(
@@ -321,8 +325,8 @@ def ca_payments(
 ) -> PaymentReport:
     """Agreement-indicator payments for any finite alphabet: per reward
     question, 1(reports agree on the question) minus 1(reports agree on a
-    random question pair drawn from the two comparison subsets)."""
-    return _subset_payments(reports, d, seed, pairing, "ca", 2, _random_pair_term)
+    random question pair of the two comparison subsets, drawn as in md)."""
+    return _subset_payments(reports, d, seed, pairing, "ca", 2, _random_pair_terms)
 
 
 def ca_expected_reward(pair: JointDistribution) -> float:

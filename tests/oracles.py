@@ -4,7 +4,8 @@ The measure oracles are written with plain Python loops and math functions,
 deliberately avoiding the library's own vectorized code paths, so tests can
 cross-check the two routes against each other.  The reference routes at the
 end are the payment loops and strategy sampler that the library's merged
-engines replaced, kept as they were.
+engines replaced, kept as they were; the md/ca loops take their comparison
+subsets from the engine's batched draw and apply the per-question rewards.
 """
 
 import math
@@ -33,6 +34,7 @@ from peerlab.mechanisms import (
     ALL_PAIRS,
     SEEDED_RANDOM,
     PaymentReport,
+    _draw_subsets,
     _reference_sets,
 )
 from peerlab.probability import (
@@ -501,7 +503,9 @@ def agreement_expected(scenario):
 
 
 def _draw_disjoint_subsets(rng, own, peer, k, d):
-    """A from own \\ {k}, then B from peer \\ ({k} u A), both of size d."""
+    """The per-question draw the md/ca engines used before they drew a pair's
+    subsets at once: A from own \\ {k}, then B from peer \\ ({k} u A), both of
+    size d, or None when either pool is smaller than d."""
     pool_a = own[own != k]
     if pool_a.size < d:
         return None
@@ -514,76 +518,80 @@ def _draw_disjoint_subsets(rng, own, peer, k, d):
     return a, b
 
 
+def comparison_subsets(rng, own, peer, shared, d):
+    """One pair's subsets through ``mechanisms._draw_subsets``, with the same calls
+    as the engine, but each row's holes built from Python sets: k's position in
+    own for A; the positions in peer of {k} u A for B.  Returns, per shared
+    question, A and then B (None when the row has no B)."""
+    own_list, peer_list = own.tolist(), peer.tolist()
+    a = _draw_subsets(rng, own, np.array([[own_list.index(k)] for k in shared.tolist()]), d)
+    holes = []
+    for k, row in zip(shared.tolist(), a.tolist()):
+        blocked = sorted(p for p, q in enumerate(peer_list) if q == k or q in row)
+        holes.append(blocked + [peer.size] * (d + 1 - len(blocked)))
+    ok = [peer.size - sum(p < peer.size for p in row) >= d for row in holes]
+    valid = np.array([row for row, good in zip(holes, ok) if good], dtype=np.intp)
+    b = iter(_draw_subsets(rng, peer, valid.reshape(-1, d + 1), d))
+    return [(row, next(b) if good else None) for row, good in zip(a, ok)]
+
+
+def _subset_payments(reports, d, seed, pairing, mechanism):
+    """md/ca payments question by question, with the subsets of
+    :func:`comparison_subsets` and the per-question reward formulas."""
+    n = reports.n_agents
+    refs = _reference_sets(n, pairing, seed)
+    rng = rng_from_seed(seed, 1 if mechanism == "md" else 2)
+    payments = np.zeros(n)
+    for i in range(n):
+        per_ref = []
+        for j in refs[i]:
+            own = reports.answered(i)
+            peer = reports.answered(j)
+            shared = np.intersect1d(own, peer)
+            rewards = [0.0] * shared.size
+            if shared.size and own.size - 1 >= d:
+                picks = comparison_subsets(rng, own, peer, shared, d)
+                rows = sum(b is not None for _, b in picks)
+                if mechanism == "ca":
+                    cols_a = rng.integers(d, size=rows)
+                    cols_b = rng.integers(d, size=rows)
+                r = 0
+                for q, (k, (a, b)) in enumerate(zip(shared.tolist(), picks)):
+                    if b is None:
+                        continue
+                    if mechanism == "md":
+                        si = float(reports.entries[i, k])
+                        sj = float(reports.entries[j, k])
+                        abar = float(reports.entries[i, a].mean())
+                        bbar = float(reports.entries[j, b].mean())
+                        agree = si * sj + (1.0 - si) * (1.0 - sj)
+                        base = abar * bbar + (1.0 - abar) * (1.0 - bbar)
+                    else:
+                        la = int(a[cols_a[r]])
+                        lb = int(b[cols_b[r]])
+                        agree = float(reports.entries[i, k] == reports.entries[j, k])
+                        base = float(reports.entries[i, la] == reports.entries[j, lb])
+                    rewards[q] = agree - base
+                    r += 1
+            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
+        payments[i] = float(np.mean(per_ref))
+    return PaymentReport(
+        mechanism=mechanism,
+        mode="empirical",
+        payments=payments,
+        seed=seed,
+        metadata={"d": d, "pairing": pairing, "T": reports.n_questions},
+    )
+
+
 def md_payments(reports, d, seed, pairing=ALL_PAIRS):
     if reports.alphabet_size != 2:
         raise NonBinaryAlphabet("this mechanism is binary-only")
-    n = reports.n_agents
-    refs = _reference_sets(n, pairing, seed)
-    rng = rng_from_seed(seed, 1)
-    payments = np.zeros(n)
-    for i in range(n):
-        per_ref = []
-        for j in refs[i]:
-            own = reports.answered(i)
-            peer = reports.answered(j)
-            shared = np.intersect1d(own, peer)
-            rewards = []
-            for k in shared:
-                pick = _draw_disjoint_subsets(rng, own, peer, int(k), d)
-                if pick is None:
-                    rewards.append(0.0)
-                    continue
-                a, b = pick
-                si = float(reports.entries[i, k])
-                sj = float(reports.entries[j, k])
-                abar = float(reports.entries[i, a].mean())
-                bbar = float(reports.entries[j, b].mean())
-                agree = si * sj + (1.0 - si) * (1.0 - sj)
-                base = abar * bbar + (1.0 - abar) * (1.0 - bbar)
-                rewards.append(agree - base)
-            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
-        payments[i] = float(np.mean(per_ref))
-    return PaymentReport(
-        mechanism="md",
-        mode="empirical",
-        payments=payments,
-        seed=seed,
-        metadata={"d": d, "pairing": pairing, "T": reports.n_questions},
-    )
+    return _subset_payments(reports, d, seed, pairing, "md")
 
 
 def ca_payments(reports, d, seed, pairing=ALL_PAIRS):
-    n = reports.n_agents
-    refs = _reference_sets(n, pairing, seed)
-    rng = rng_from_seed(seed, 2)
-    payments = np.zeros(n)
-    for i in range(n):
-        per_ref = []
-        for j in refs[i]:
-            own = reports.answered(i)
-            peer = reports.answered(j)
-            shared = np.intersect1d(own, peer)
-            rewards = []
-            for k in shared:
-                pick = _draw_disjoint_subsets(rng, own, peer, int(k), d)
-                if pick is None:
-                    rewards.append(0.0)
-                    continue
-                a, b = pick
-                la = int(a[int(rng.integers(a.size))])
-                lb = int(b[int(rng.integers(b.size))])
-                agree = float(reports.entries[i, k] == reports.entries[j, k])
-                base = float(reports.entries[i, la] == reports.entries[j, lb])
-                rewards.append(agree - base)
-            per_ref.append(float(np.mean(rewards)) if rewards else 0.0)
-        payments[i] = float(np.mean(per_ref))
-    return PaymentReport(
-        mechanism="ca",
-        mode="empirical",
-        payments=payments,
-        seed=seed,
-        metadata={"d": d, "pairing": pairing, "T": reports.n_questions},
-    )
+    return _subset_payments(reports, d, seed, pairing, "ca")
 
 
 def random_strategy(seed, m, kind="dense"):

@@ -6,7 +6,6 @@ test).
 """
 
 import json
-import math
 import time
 
 import numpy as np

@@ -21,7 +21,6 @@ from peerlab import (
     Strategy,
     TransitionMatrix,
     UnsupportedPriorMode,
-    WorldModelPrior,
     empirical_pair_joint,
     generate_reports,
     load_scenario,

@@ -1,6 +1,7 @@
 """Public constructors and integer size parameters fed finite, non-finite and
 non-integral values: each gives a valid object or a PeerLabError, never a
-bare numpy or Python error and never a silent NaN."""
+bare numpy or Python error and never a silent NaN.  The same holds for the
+empirical payment engines given a single agent."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from peerlab import (
     BtsReportProfile,
+    ConvexGenerator,
     DimensionMismatch,
     Distribution,
     EffortStrategy,
@@ -19,12 +21,16 @@ from peerlab import (
     PermutationList,
     ReportMatrix,
     SuiteConfig,
+    ScoringRule,
     TransitionMatrix,
+    bmi_mechanism_payments,
     bts_payments,
     ca_payments,
+    fmi_mechanism_payments,
     generate_reports,
     make_distribution,
     md_payments,
+    sppm_payments,
     truthful_scenario,
 )
 from peerlab.errors import PeerLabError
@@ -146,3 +152,19 @@ def test_permutation_list_maps_read_only():
     for maps in (perms.maps, perms.inverse().maps, PermutationList.symmetric([1, 0], 3).maps):
         with pytest.raises(ValueError):
             maps[0, 0] = 0
+
+
+ONE_AGENT = ReportMatrix.full(np.array([[0, 1, 1, 0, 1, 0]]), 2)
+
+
+@pytest.mark.parametrize("pairing", ["all-pairs-average", "seeded-random-reference"])
+@pytest.mark.parametrize("pay", [
+    lambda pairing: md_payments(ONE_AGENT, 1, 0, pairing),
+    lambda pairing: ca_payments(ONE_AGENT, 1, 0, pairing),
+    lambda pairing: fmi_mechanism_payments(ONE_AGENT, ConvexGenerator.TVD, pairing, 0),
+    lambda pairing: bmi_mechanism_payments(ONE_AGENT, ScoringRule.LOG, pairing, 0),
+    lambda pairing: sppm_payments([0], PRIOR, ScoringRule.LOG, pairing, 0),
+], ids=["md", "ca", "fmi", "bmi", "sppm"])
+def test_empirical_engines_need_two_agents(pay, pairing):
+    with pytest.raises(DimensionMismatch, match="payments need at least 2 agents"):
+        pay(pairing)

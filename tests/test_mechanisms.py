@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from peerlab import (
-    ALL_PAIRS,
     BtsReportProfile,
     ConvexGenerator,
     DimensionMismatch,
@@ -18,7 +17,6 @@ from peerlab import (
     Scenario,
     ScoringRule,
     Strategy,
-    TransitionMatrix,
     ZeroFrequency,
     agent_welfare,
     bmi_mechanism_payments,
@@ -38,7 +36,6 @@ from peerlab import (
     sppm_payments,
     truth_telling,
     truthful_scenario,
-    uniform_distribution,
 )
 from peerlab.mechanisms import optimal_predictions
 
@@ -211,6 +208,14 @@ class TestCaPayments:
         expected = ca_expected_reward(canonical_prior.joint)
         assert abs(float(np.mean(md_sims)) - expected) < 0.03
         assert abs(float(np.mean(ca_sims)) - expected) < 0.03
+
+    def test_matches_enumeration_expectation(self):
+        # with d = 1 the random pair is (A, B) itself, so ca's expected reward is md's
+        rows = np.array([[1, 0, 1, 1, 0], [1, 0, 1, 0, 0]])
+        matrix = ReportMatrix.full(rows, 2)
+        expect = md_enumeration_expectation(rows, d=1)
+        sims = [float(ca_payments(matrix, 1, seed=s).payments[0]) for s in range(400)]
+        assert abs(float(np.mean(sims)) - expect) < 0.02
 
     def test_identical_constant_reports_zero(self):
         rows = np.zeros((2, 8), dtype=int)

@@ -5,8 +5,12 @@ rng stream.  The pair-table routes (exact and empirical all-pairs payments,
 single-table measures) and the closed-form signal-plus-prediction scores sum
 cells and pairs in another order, so they must match to
 |got - want| <= 1e-12 * max(1, |want|), with equal infinities and the same
-exception type on both sides (and, for the scores, the same message)."""
+exception type on both sides (and, for the scores, the same message).  The
+md/ca oracles take each pair's comparison subsets from the engine's batched
+draw, whose law ``TestSubsetDraws`` checks against exact enumeration."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -51,7 +55,8 @@ from peerlab import (
 )
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
-    _agreement_rewards, _exact_joints, _mip_payment, _peer_means, _reference_sets,
+    _agreement_rewards, _comparison_subsets, _exact_joints, _mip_payment, _peer_means,
+    _reference_sets,
 )
 from peerlab.probability import identity_channel, rng_from_seed, uniform_distribution
 from peerlab.verify import _effort_utility
@@ -139,6 +144,123 @@ class TestSubsetEngines:
         for fn in (md_payments, oracles.md_payments):
             with pytest.raises(NonBinaryAlphabet):
                 fn(reports, 1, 0)
+
+
+def chi2_sf(stat, df):
+    """Upper tail of the chi-squared law, 1 - P(df/2, stat/2), with the regularized
+    lower incomplete gamma P summed as its power series."""
+    a, x = df / 2.0, stat / 2.0
+    if x <= 0.0:
+        return 1.0
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= x / (a + n)
+        total += term
+    return max(0.0, 1.0 - total * math.exp(a * math.log(x) - x - math.lgamma(a)))
+
+
+class _FixedChoice:
+    """An rng whose first ``choice`` returns the given subset and whose later
+    ones return the pool's first entries."""
+
+    def __init__(self, subset):
+        self.subset = subset
+        self.pools = []
+
+    def choice(self, pool, size, replace):
+        self.pools.append(pool)
+        return self.subset if len(self.pools) == 1 else pool[:size]
+
+
+# (own, peer, k, d): the questions each agent answered, the reward question, the
+# subset size.  A never meets peer; A meets peer in part; k at the low and the high
+# end of both pools; A's pool exactly d; B's pool exactly d on some rows; no B on
+# some rows.
+DRAW_PATTERNS = {
+    "no-overlap": ([0, 1, 2, 3, 4], [4, 5, 6, 7], 4, 2),
+    "partial-overlap": ([0, 1, 2, 3, 4, 5], [3, 4, 5, 6, 7, 8], 4, 2),
+    "k-low": ([2, 3, 4, 5], [2, 3, 4, 5, 6], 2, 2),
+    "k-high": ([0, 1, 2, 3, 6], [1, 2, 3, 6], 6, 1),
+    "a-pool-exactly-d": ([0, 1, 2], [0, 1, 2, 3, 4, 5], 1, 2),
+    "b-pool-exactly-d": ([0, 1, 2, 3], [1, 2, 3, 4, 5], 1, 2),
+    "some-rows-without-b": ([0, 1, 2, 3, 4], [0, 1, 2, 4], 0, 2),
+}
+
+
+def enumerate_draws(own, peer, k, d):
+    """Exact law of the (A, B) draw: {(A, B or None): probability}."""
+    law = {}
+    pool_a = [q for q in own if q != k]
+    subsets_a = list(itertools.combinations(pool_a, d))
+    for a in subsets_a:
+        pool_b = [q for q in peer if q != k and q not in a]
+        subsets_b = list(itertools.combinations(pool_b, d)) or [None]
+        for b in subsets_b:
+            law[(a, b)] = 1.0 / (len(subsets_a) * len(subsets_b))
+    return law
+
+
+class TestSubsetDraws:
+    """The batched draw's law, at fixed seeds: each row's (A, B) is uniform over
+    disjoint d-subsets of own \\ {k} and peer \\ ({k} u A), and a row has a B
+    exactly when the per-question draw would have found one."""
+
+    @staticmethod
+    def rows(own, peer, shared, d, seed):
+        """Per row, (k, A, B or None) from one batched draw."""
+        ok, a, b = _comparison_subsets(np.random.default_rng(seed), np.asarray(own),
+                                       np.asarray(peer), np.asarray(shared), d)
+        assert a.shape == (len(shared), d) and b.shape == (int(ok.sum()), d)
+        b_rows = iter(b.tolist())
+        return [(k, row, next(b_rows) if good else None)
+                for k, row, good in zip(list(shared), a.tolist(), ok.tolist())]
+
+    @staticmethod
+    def assert_valid_rows(own, peer, d, rows):
+        for k, a, b in rows:
+            assert len(set(a)) == d and set(a) <= set(own) - {k}
+            old = _FixedChoice(np.array(a))
+            assert (b is not None) == (
+                oracles._draw_disjoint_subsets(old, np.asarray(own), np.asarray(peer), k, d)
+                is not None)
+            assert set(a) <= set(old.pools[0].tolist())
+            if b is not None:
+                assert len(set(b)) == d and set(b) <= set(peer) - {k} - set(a)
+
+    @pytest.mark.parametrize("seed, name", enumerate(sorted(DRAW_PATTERNS)))
+    def test_pair_frequencies_match_enumeration(self, seed, name):
+        own, peer, k, d = DRAW_PATTERNS[name]
+        law = enumerate_draws(own, peer, k, d)
+        draws = 20_000
+        rows = self.rows(own, peer, [k] * draws, d, seed)
+        self.assert_valid_rows(own, peer, d, rows)
+        counts = collections.Counter(
+            (tuple(sorted(a)), None if b is None else tuple(sorted(b))) for _, a, b in rows)
+        assert set(counts) <= set(law)
+        expected = np.array([law[key] * draws for key in law])
+        observed = np.array([counts[key] for key in law])
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2_sf(stat, len(law) - 1) > 1e-3, (name, stat, len(law))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_are_disjoint_subsets_of_their_pools(self, seed):
+        rng = np.random.default_rng(seed)
+        shared = own = np.zeros(0)
+        while shared.size == 0 or own.size <= d:  # redraw until the pair has rows to draw
+            T, d = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+            mask = rng.random((2, T)) < rng.uniform(0.3, 1.0)
+            own, peer = np.flatnonzero(mask[0]), np.flatnonzero(mask[1])
+            shared = np.intersect1d(own, peer)
+        self.assert_valid_rows(own.tolist(), peer.tolist(), d,
+                               self.rows(own, peer, shared, d, seed))
+
+    def test_chi2_tail_matches_known_quantiles(self):
+        # chi-squared 0.999 quantiles: df 1 -> 10.828, df 10 -> 29.588
+        assert chi2_sf(10.828, 1) == pytest.approx(1e-3, rel=1e-3)
+        assert chi2_sf(29.588, 10) == pytest.approx(1e-3, rel=1e-3)
+        assert chi2_sf(10.0, 10) == pytest.approx(0.44049, rel=1e-4)
 
 
 class TestStrategySampler:

@@ -9,13 +9,11 @@ from peerlab import (
     DimensionMismatch,
     JointDistribution,
     PairwisePrior,
-    Scenario,
     SuiteConfig,
     default_config,
     permutation_channel,
     replay_violation,
     run_suite,
-    truth_telling,
 )
 from peerlab import mechanisms, verify
 from peerlab.measures import ConvexGenerator, ScoringRule
