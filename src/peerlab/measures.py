@@ -166,12 +166,33 @@ def _f_mi(tables: np.ndarray, f: ConvexGenerator) -> np.ndarray:
 
 def shannon_mi(joint: JointDistribution) -> float:
     """Shannon mutual information in nats, via the direct sum U log(U/V)."""
-    table = joint._require_pairwise("shannon_mi")
-    mx = table.sum(axis=1)
-    my = table.sum(axis=0)
-    v = np.outer(mx, my)
-    mask = table > 0.0
-    return float(np.sum(table[mask] * np.log(table[mask] / v[mask])))
+    return float(_shannon_mi(joint._require_pairwise("shannon_mi")))
+
+
+def _shannon_mi(tables: np.ndarray) -> np.ndarray:
+    """Shannon MI of each table of a stack shaped (..., mx, my): U log(U/V) summed over
+    the cells with U > 0."""
+    v = tables.sum(axis=-1)[..., :, None] * tables.sum(axis=-2)[..., None, :]
+    cells = tables.shape[:-2] + (-1,)
+    u, v = tables.reshape(cells), v.reshape(cells)
+    mask = u > 0.0
+    return _row_sums(u[mask] * np.log(u[mask] / v[mask]), mask)
+
+
+def _row_sums(compact: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row of ``mask`` (its last axis), the sum of the row's entries in ``compact``, which
+    holds the masked entries row after row (``values[mask]``).  Each sum is bit for bit
+    ``np.sum`` of the row's own entries: a lone row is that sum, and rows with one count
+    of entries are summed as one (rows, count) array."""
+    if mask.ndim == 1:
+        return np.sum(compact)
+    counts = mask.sum(axis=-1).ravel()
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(counts.shape)
+    for n in np.unique(counts):
+        rows = counts == n
+        out[rows] = compact[starts[rows][:, None] + np.arange(n)].sum(axis=-1)
+    return out.reshape(mask.shape[:-1])
 
 
 def bregman_mi(joint: JointDistribution, rule: ScoringRule) -> float:
@@ -205,15 +226,16 @@ def conditional_mi(tensor: JointDistribution, measure: Measure) -> float:
     zero probability contribute 0.
     """
     t = tensor._require_conditional("conditional_mi")
-    return _slice_mean(t, _mi_kernel(measure))
+    return float(_slice_mean(t, _mi_kernel(measure)))
 
 
-def _slice_mean(t: np.ndarray, per_slice) -> float:
-    """sum_z Pr[Z=z] per_slice(joint of (X, Y) given Z=z) over a conditional-mode table,
-    with ``per_slice`` evaluated on the stack of live slices; zero-mass slices contribute 0."""
-    pz = t.sum(axis=(1, 2))
+def _slice_mean(t: np.ndarray, per_slice) -> np.ndarray:
+    """sum_z Pr[Z=z] per_slice(joint of (X, Y) given Z=z) for each conditional-mode table of a
+    stack shaped (..., mz, mx, my), with ``per_slice`` evaluated once on the stack of all live
+    slices; zero-mass slices contribute 0."""
+    pz = t.sum(axis=(-2, -1))
     live = pz > 0.0
-    return float(np.sum(pz[live] * per_slice(t[live] / pz[live][:, None, None])))
+    return _row_sums(pz[live] * per_slice(t[live] / pz[live][:, None, None]), live)
 
 
 def log_score_accuracy_gain(tensor: JointDistribution) -> float:

@@ -79,6 +79,24 @@ class Distribution:
         return float(self.weights[sigma])
 
 
+def _validated_tables(values, rank: int | None = None) -> np.ndarray:
+    """``values`` as a read-only array of probability tables, each over its last ``rank`` axes
+    (default: one table of rank 2 or 3): finite, non-negative, and each of mass 1 within
+    ``NORM_TOL``.  Validates a :class:`JointDistribution` table and a stack of them alike."""
+    arr = _validated_array(values, "table")
+    if rank is None:
+        if arr.ndim not in (2, 3):
+            raise WrongRank(f"joint table must have rank 2 or 3, got {arr.ndim}")
+        rank = arr.ndim
+    lead = arr.ndim - rank
+    mass = arr.sum(axis=tuple(range(lead, arr.ndim)) if lead else None)
+    off = abs(mass - 1.0)
+    if (off.max() if lead else off) > NORM_TOL:
+        mass = np.ravel(mass)[np.argmax(off)]
+        raise ZeroMass(f"table mass is {mass!r}, expected 1 within {NORM_TOL}")
+    return arr
+
+
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as an intp array; DimensionMismatch unless all are whole numbers below 2**53."""
     arr = np.asarray(values)
@@ -86,6 +104,15 @@ def _integers(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "biu" and not whole:
         raise DimensionMismatch(f"{name} must be integers, not {arr.dtype} {arr.ravel()[:3]}")
     return arr.astype(np.intp, copy=False)
+
+
+def _index(value, size: int, name: str) -> int:
+    """``value`` as an index into an axis of length ``size``; DimensionMismatch unless it is
+    one whole number in 0..size-1 (a negative index does not count from the end)."""
+    idx = _integers(value, name)
+    if idx.ndim or not 0 <= idx < size:
+        raise DimensionMismatch(f"{name} must be an integer in 0..{size - 1}, got {value!r}")
+    return int(idx)
 
 
 def make_distribution(weights) -> Distribution:
@@ -109,6 +136,8 @@ def uniform_distribution(m: int) -> Distribution:
 
 
 def point_mass(m: int, sigma: int) -> Distribution:
+    m = int(_integers(m, "m"))
+    sigma = _index(sigma, m, "sigma")
     w = np.zeros(m)
     w[sigma] = 1.0
     return Distribution(w)
@@ -127,12 +156,7 @@ class JointDistribution:
     labels: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        arr = _validated_array(self.table, "table")
-        if arr.ndim not in (2, 3):
-            raise WrongRank(f"joint table must have rank 2 or 3, got {arr.ndim}")
-        if abs(float(arr.sum()) - 1.0) > NORM_TOL:
-            raise ZeroMass(f"table mass is {arr.sum()!r}, expected 1 within {NORM_TOL}")
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", _validated_tables(self.table))
 
     @property
     def is_conditional(self) -> bool:
@@ -193,10 +217,16 @@ class TransitionMatrix:
 
     @property
     def is_identity(self) -> bool:
-        arr = self.rows
-        return arr.shape[0] == arr.shape[1] and bool(
-            np.allclose(arr, np.eye(arr.shape[0]), atol=1e-12)
-        )
+        return bool(_identity_mask(self.rows))
+
+
+def _identity_mask(rows: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack shaped (..., m, m') is the identity, as
+    ``np.allclose(matrix, np.eye(m), atol=1e-12)`` decides it; never for m != m'."""
+    m, m_out = rows.shape[-2:]
+    if m != m_out:
+        return np.zeros(rows.shape[:-2], dtype=bool)
+    return np.isclose(rows, np.eye(m), atol=1e-12).all(axis=(-2, -1))
 
 
 @functools.cache  # one shared, read-only object per m
@@ -244,7 +274,13 @@ def push_first(joint: JointDistribution, channel: TransitionMatrix) -> JointDist
         raise DimensionMismatch(
             f"channel has {channel.shape[0]} input rows, joint X-alphabet is {table.shape[0]}"
         )
-    return JointDistribution(channel.rows.T @ table)
+    return JointDistribution(_push_first(table, channel.rows))
+
+
+def _push_first(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`push_first` of each table of a stack shaped (..., mx, my) through the matching
+    channel of a stack shaped (..., mx, mx'); a stack gives each table's single-table bits."""
+    return np.swapaxes(rows, -1, -2) @ tables
 
 
 def push_second(joint: JointDistribution, channel: TransitionMatrix) -> JointDistribution:
@@ -269,6 +305,7 @@ def apply_channel(dist: Distribution, channel: TransitionMatrix) -> Distribution
 def condition_on(joint: JointDistribution, z: int) -> JointDistribution:
     """Pairwise joint of (X, Y) given Z = z, from a conditional-mode tensor."""
     tensor = joint._require_conditional("condition_on")
+    z = _index(z, tensor.shape[0], "z")
     mass = float(tensor[z].sum())
     if mass <= 0.0:
         raise ZeroConditioningEvent(f"Pr[Z={z}] = 0")
@@ -286,7 +323,9 @@ def sample(dist: Distribution, seed: RngSeed, count: int) -> np.ndarray:
     count = int(_integers(count, "count"))
     if count < 0:
         raise DimensionMismatch("count must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if _integers(seed, "seed").ndim or seed < 0:
+        raise DimensionMismatch(f"seed must be one integer >= 0, got {seed!r}")
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
     return rng.choice(dist.size, size=count, p=dist.weights)
 
 

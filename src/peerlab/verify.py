@@ -2,12 +2,18 @@
 
 Each suite draws seeded random instances, checks the claimed (in)equalities
 at configured tolerances, and returns a machine-readable verdict.  A suite is
-an optional global part (checks recorded at instance -1) plus a per-instance
-part; instance ``idx`` is a pure function of ``(config.seed, idx)``, so
-verdict JSON is byte-identical across runs and any recorded violation is
-replayed by re-running its one instance (``replay_violation``).  Violations
-also carry their witness data for reading.  Claims that are asymptotic in the
-source theory are tagged ``convergence`` rather than ``equality``.
+an optional global part (checks recorded at instance -1) plus an instance
+part that the runner hands the instance indices in chunks.  Each instance is
+drawn on its own from ``rng_from_seed(config.seed, idx)``; most suites then
+check it alone, while the one-table suites (bregman-quasi, accuracy-gain)
+check a chunk's drawn tables together, one stacked kernel call per shape
+group, and record them in index order.  A table's value never depends on the
+stack it is in, so instance ``idx`` stays a pure function of
+``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
+recorded violation is replayed by re-running its one instance as a chunk of
+one (``replay_violation``).  Violations also carry their witness data for
+reading.  Claims that are asymptotic in the source theory are tagged
+``convergence`` rather than ``equality``.
 
 Strictness assertions follow the proved direction only: a strict decrease is
 required exactly where the witness condition holds (strictly convex
@@ -44,8 +50,10 @@ from .errors import DimensionMismatch
 from .measures import (
     ConvexGenerator,
     ScoringRule,
+    _bregman_mi,
     _mi_kernel,
-    bregman_mi,
+    _shannon_mi,
+    _slice_mean,
     check_dpi,
     conditional_mi,
     divergence_monotonicity_witness,
@@ -54,7 +62,6 @@ from .measures import (
     is_fine_grained,
     log_score_accuracy_gain,
     mutual_information,
-    shannon_mi,
 )
 from .mechanisms import (
     SEEDED_RANDOM,
@@ -76,9 +83,10 @@ from .probability import (
     Distribution,
     JointDistribution,
     TransitionMatrix,
+    _identity_mask,
     _integers,
-    push_first,
-    push_second,
+    _push_first,
+    _validated_tables,
     rng_from_seed,
 )
 
@@ -216,18 +224,49 @@ class _Recorder:
         )
 
 
-def _run(config: SuiteConfig, setup, instance, indices=None) -> _Recorder:
+_CHUNK = 512  # instances drawn before one check; bounds what a check holds at once
+
+
+def _run(config: SuiteConfig, setup, instances, indices=None) -> _Recorder:
     """Run a suite's parts on a fresh recorder over ``indices`` (default: all
     of them).  Index -1 is the global part ``setup(rec, config)``, skipped
-    when the suite has none; index ``idx >= 0`` is
-    ``instance(rec, config, idx, rng_from_seed(config.seed, idx))``."""
+    when the suite has none.  The indices ``>= 0`` go, in order and in chunks
+    of at most ``_CHUNK``, to ``instances(rec, config, chunk)``, which draws
+    each instance ``idx`` of the chunk from ``rng_from_seed(config.seed, idx)``
+    alone, checks the chunk (per instance or stacked) and records it in index
+    order; so each instance is still a pure function of ``(config.seed, idx)``."""
     rec = _Recorder(config)
-    for idx in range(-1, config.instances) if indices is None else indices:
-        if idx >= 0:
-            instance(rec, config, idx, rng_from_seed(config.seed, idx))
-        elif setup is not None:
-            setup(rec, config)
+    indices = range(-1, config.instances) if indices is None else indices
+    if setup is not None and -1 in indices:
+        setup(rec, config)
+    todo = [idx for idx in indices if idx >= 0]
+    for start in range(0, len(todo), _CHUNK):
+        instances(rec, config, todo[start:start + _CHUNK])
     return rec
+
+
+def _each(instance):
+    """The chunk part of a suite that checks one instance at a time:
+    ``instance(rec, config, idx, rng_from_seed(config.seed, idx))`` per index."""
+    def run_chunk(rec: _Recorder, config: SuiteConfig, chunk) -> None:
+        for idx in chunk:
+            instance(rec, config, idx, rng_from_seed(config.seed, idx))
+    return run_chunk
+
+
+def _grouped(items: list, key, check) -> list:
+    """Per item, in order, its row (as Python scalars) of the arrays that
+    ``check(group)`` returns, with one entry per member, for the group of items
+    sharing its ``key``; ``check`` runs once per group."""
+    groups: dict = {}
+    for pos, item in enumerate(items):
+        groups.setdefault(key(item), []).append(pos)
+    rows = [None] * len(items)
+    for positions in groups.values():
+        columns = [col.tolist() for col in check([items[p] for p in positions])]
+        for pos, row in zip(positions, zip(*columns)):
+            rows[pos] = row
+    return rows
 
 
 def _jl(arr) -> list:
@@ -279,7 +318,7 @@ def suite_dpi(config: SuiteConfig) -> SuiteVerdict:
     """Channel processing never increases f-mutual information; strictly
     decreases it under the witness condition.  Also checks the divergence
     level monotonicity D_f(theta^T p, theta^T q) <= D_f(p, q)."""
-    return _run(config, None, _dpi_instance).verdict()
+    return _run(config, *_PARTS["dpi"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +368,7 @@ def suite_dominant_truthfulness(config: SuiteConfig) -> SuiteVerdict:
     """Truth-telling maximizes exact expected payment against any opponents;
     permutation deviations tie, non-permutation deviations lose strictly on
     all-ratios-separated priors under strictly convex generators."""
-    return _run(config, None, _dominant_truthfulness_instance).verdict()
+    return _run(config, *_PARTS["dominant-truthfulness"]).verdict()
 
 
 def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
@@ -374,7 +413,7 @@ def suite_truth_monotone(config: SuiteConfig) -> SuiteVerdict:
     """A truthful agent's deviation weakly lowers every other agent's exact
     payment; strictly for truthful observers on separated priors when the
     deviation is non-permutation and the generator strictly convex."""
-    return _run(config, None, _truth_monotone_instance).verdict()
+    return _run(config, *_PARTS["truth-monotone"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +487,7 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
     """Utility over the effort mixture is maximized at a pure effort level;
     optimal payment weakly rises as more peers invest; the mutual information
     of the effort mixture is convex in the mixing weight."""
-    return _run(config, _effort_global, _effort_instance).verdict()
+    return _run(config, *_PARTS["effort"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -456,35 +495,54 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _bregman_quasi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    tol, stol = config.equality_tol, config.strictness_tol
+def _bregman_quasi_draw(rng) -> tuple:
     mx = int(rng.choice(_ALPHABET_SIZES))
     my = int(rng.choice(_ALPHABET_SIZES))
     joint = sampling.random_joint(rng, mx, my)
     rule = sampling.random_rule_choice(rng)
     channel = sampling.random_channel(rng, mx)
-    before = bregman_mi(joint, rule)
-    after = bregman_mi(push_first(joint, channel), rule)
-    data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "rule": rule.value,
-            "before": before, "after": after}
-    rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
-    if channel.is_identity:
-        rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
-    bridge_gap = abs(bregman_mi(joint, ScoringRule.LOG) - shannon_mi(joint))
-    rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
-              {"joint": _jl(joint.table), "gap": bridge_gap})
     y_channel = sampling.random_channel(rng, my)
-    after_y = bregman_mi(push_second(joint, y_channel), rule)
-    if after_y > before + stol:
-        rec.finding({
-            "kind": "second_entry_increase",
-            "instance": idx,
-            "joint": _jl(joint.table),
-            "y_channel": _jl(y_channel.rows),
-            "rule": rule.value,
-            "before": before,
-            "after": after_y,
-        })
+    return joint, rule, channel, y_channel
+
+
+def _bregman_quasi_check(group: list) -> tuple:
+    """Per instance of a group with one joint shape and one rule: BMI before and
+    after each channel, whether the X channel is the identity, and the log bridge gap."""
+    joints = np.stack([joint.table for joint, _, _, _ in group])
+    rule = group[0][1]
+    before = _bregman_mi(joints, rule)
+    channels = np.stack([channel.rows for _, _, channel, _ in group])
+    after = _bregman_mi(_validated_tables(_push_first(joints, channels), rank=2), rule)
+    log_bmi = before if rule is ScoringRule.LOG else _bregman_mi(joints, ScoringRule.LOG)
+    bridge_gap = np.abs(log_bmi - _shannon_mi(joints))
+    y_channels = np.stack([y_channel.rows for _, _, _, y_channel in group])
+    after_y = _bregman_mi(_validated_tables(joints @ y_channels, rank=2), rule)
+    return before, after, _identity_mask(channels), bridge_gap, after_y
+
+
+def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
+    tol, stol = config.equality_tol, config.strictness_tol
+    drawn = [_bregman_quasi_draw(rng_from_seed(config.seed, idx)) for idx in chunk]
+    checked = _grouped(drawn, lambda d: (d[0].shape, d[1]), _bregman_quasi_check)
+    for idx, (joint, rule, channel, y_channel), values in zip(chunk, drawn, checked):
+        before, after, identity, bridge_gap, after_y = values
+        data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "rule": rule.value,
+                "before": before, "after": after}
+        rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
+        if identity:
+            rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
+        rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
+                  {"joint": _jl(joint.table), "gap": bridge_gap})
+        if after_y > before + stol:
+            rec.finding({
+                "kind": "second_entry_increase",
+                "instance": idx,
+                "joint": _jl(joint.table),
+                "y_channel": _jl(y_channel.rows),
+                "rule": rule.value,
+                "before": before,
+                "after": after_y,
+            })
 
 
 def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
@@ -492,7 +550,7 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
     the log-rule instance coincides with Shannon information.  A seeded
     search for second-entry violations records findings without asserting
     either way."""
-    return _run(config, None, _bregman_quasi_instance).verdict()
+    return _run(config, *_PARTS["bregman-quasi"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -500,32 +558,46 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _accuracy_gain_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    tol = config.equality_tol
+def _accuracy_gain_draw(rng, idx: int) -> JointDistribution:
     mz = int(rng.choice(_ALPHABET_SIZES))
     mx = int(rng.choice(_ALPHABET_SIZES))
     my = int(rng.choice(_ALPHABET_SIZES))
     if idx % 3 == 1:
-        tensor = sampling.random_ci_tensor(rng, mz, mx, my)
-    elif idx % 5 == 2:
-        tensor = sampling.random_conditional_tensor(rng, 1, mx, my)
-    else:
-        tensor = sampling.random_conditional_tensor(rng, mz, mx, my)
-    lhs = log_score_accuracy_gain(tensor)
-    rhs = conditional_mi(tensor, ConvexGenerator.KL)
-    data = {"tensor": _jl(tensor.table), "accuracy_gain": lhs, "conditional_mi": rhs}
-    rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
-    if idx % 3 == 1:
-        rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
-    if idx % 5 == 2 and idx % 3 != 1:
-        flat = shannon_mi(JointDistribution(tensor.table[0] / tensor.table[0].sum()))
-        rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
+        return sampling.random_ci_tensor(rng, mz, mx, my)
+    if idx % 5 == 2:
+        return sampling.random_conditional_tensor(rng, 1, mx, my)
+    return sampling.random_conditional_tensor(rng, mz, mx, my)
+
+
+def _accuracy_gain_check(tensors: list) -> tuple:
+    """Per tensor of a group with one shape: the conditional KL information and, where Z
+    has one value, the Shannon information of its one slice (else NaN)."""
+    t = np.stack([tensor.table for tensor in tensors])
+    rhs = _slice_mean(t, _mi_kernel(ConvexGenerator.KL))
+    if t.shape[1] > 1:
+        return rhs, np.full_like(rhs, np.nan)
+    flat = _validated_tables(t[:, 0] / t[:, 0].sum(axis=(-2, -1))[:, None, None], rank=2)
+    return rhs, _shannon_mi(flat)
+
+
+def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
+    tol = config.equality_tol
+    drawn = [_accuracy_gain_draw(rng_from_seed(config.seed, idx), idx) for idx in chunk]
+    checked = _grouped(drawn, lambda tensor: tensor.shape, _accuracy_gain_check)
+    for idx, tensor, (rhs, flat) in zip(chunk, drawn, checked):
+        lhs = log_score_accuracy_gain(tensor)
+        data = {"tensor": _jl(tensor.table), "accuracy_gain": lhs, "conditional_mi": rhs}
+        rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
+        if idx % 3 == 1:
+            rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
+        if idx % 5 == 2 and idx % 3 != 1:
+            rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
 
 
 def suite_accuracy_gain(config: SuiteConfig) -> SuiteVerdict:
     """The expected log-score gain of conditioning on X equals the conditional
     Shannon mutual information, computed by two independent routes."""
-    return _run(config, None, _accuracy_gain_instance).verdict()
+    return _run(config, *_PARTS["accuracy-gain"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +666,7 @@ def suite_md_equivalence(config: SuiteConfig) -> SuiteVerdict:
     equals half the total-variation mutual information under truth-telling
     and never exceeds it under any strategy pair; the agreement-indicator
     variant matches in expectation (seeded Monte Carlo interval)."""
-    return _run(config, None, _md_equivalence_instance).verdict()
+    return _run(config, *_PARTS["md-equivalence"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +778,7 @@ def suite_bts(config: SuiteConfig) -> SuiteVerdict:
     truth-telling information score, prediction = -information, ordering of
     sampled strategy profiles below truth (Shannon and f-variants), welfare
     ordering for alpha > 1, and finite-population convergence."""
-    return _run(config, _bts_global, _bts_instance).verdict()
+    return _run(config, *_PARTS["bts"]).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -792,24 +864,24 @@ def suite_scenario_equivalence(config: SuiteConfig) -> SuiteVerdict:
     """Relabeled scenario twins pay every agent identically under every
     mechanism with an exact evaluator, and relabeling composed with its
     inverse is the identity."""
-    return _run(config, None, _scenario_equivalence_instance).verdict()
+    return _run(config, *_PARTS["scenario-equivalence"]).verdict()
 
 
 # ---------------------------------------------------------------------------
 # Registry, defaults, replay
 # ---------------------------------------------------------------------------
 
-# (global part, per-instance part) of each suite, as its public function runs them
+# (global part, instance part) of each suite, as its public function runs them
 _PARTS = {
-    "dpi": (None, _dpi_instance),
-    "dominant-truthfulness": (None, _dominant_truthfulness_instance),
-    "truth-monotone": (None, _truth_monotone_instance),
-    "effort": (_effort_global, _effort_instance),
-    "bregman-quasi": (None, _bregman_quasi_instance),
-    "accuracy-gain": (None, _accuracy_gain_instance),
-    "md-equivalence": (None, _md_equivalence_instance),
-    "bts": (_bts_global, _bts_instance),
-    "scenario-equivalence": (None, _scenario_equivalence_instance),
+    "dpi": (None, _each(_dpi_instance)),
+    "dominant-truthfulness": (None, _each(_dominant_truthfulness_instance)),
+    "truth-monotone": (None, _each(_truth_monotone_instance)),
+    "effort": (_effort_global, _each(_effort_instance)),
+    "bregman-quasi": (None, _bregman_quasi_instances),
+    "accuracy-gain": (None, _accuracy_gain_instances),
+    "md-equivalence": (None, _each(_md_equivalence_instance)),
+    "bts": (_bts_global, _each(_bts_instance)),
+    "scenario-equivalence": (None, _each(_scenario_equivalence_instance)),
 }
 
 SUITES = {

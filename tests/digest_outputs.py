@@ -8,7 +8,10 @@ Run it once per version, with PYTHONPATH pointing at that version's ``src``::
 
 It prints one sha256 per output and a combined digest over all of them.  The
 outputs are the nine ``verify`` suites at seeds 0 and 7 (fixed instance
-counts), every ``mechanism`` over fixed world-model, pairwise and full-joint
+counts), the two one-table suites (bregman-quasi, accuracy-gain) under
+``--equality-tol 1e-300`` so that their violation payloads are digested too,
+bregman-quasi at 1100 instances (more than two of the 512-instance chunks
+its check stacks, and not a multiple of them), every ``mechanism`` over fixed world-model, pairwise and full-joint
 scenario files with and without efforts in json and csv, ``measure`` on a
 joint and a tensor file, both ``sweep`` kinds, and five error cases (two of
 them ``bts`` profiles with a zero prediction and a lone dissenter).  A
@@ -113,6 +116,11 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         for seed in (0, 7):
             out.append((f"verify-{suite}-{seed}",
                         ["verify", suite, "--instances", str(instances), "--seed", str(seed)]))
+    for suite in ("bregman-quasi", "accuracy-gain"):
+        out.append((f"verify-{suite}-forced", ["verify", suite, "--instances", str(SUITES[suite]),
+                                               "--seed", "3", "--equality-tol", "1e-300"]))
+    out.append(("verify-bregman-quasi-1100",
+                ["verify", "bregman-quasi", "--instances", "1100", "--seed", "11"]))
     runs = [("mip", ["--measure", g]) for g in GENERATORS] + [("mip", ["--rule", r]) for r in RULES]
     runs += [("fmi", ["--measure", g]) for g in GENERATORS] + [("bmi", ["--rule", r]) for r in RULES]
     runs += [("fmi", ["--exact", "--measure", "kl"]), ("bmi", ["--exact", "--rule", "quadratic"])]

@@ -6,6 +6,9 @@ cross-check the two routes against each other.  The reference routes at the
 end are the payment loops and strategy sampler that the library's merged
 engines replaced, kept as they were; the md/ca loops take their comparison
 subsets from the engine's batched draw and apply the per-question rewards.
+The one-table suites' per-instance parts, which drew and checked one table at
+a time through the public single-table functions, and the masked sums the
+Shannon and slice-mean code used before it took stacks close the file.
 """
 
 import math
@@ -29,6 +32,7 @@ from peerlab.errors import (
     UnsupportedPriorMode,
     ZeroFrequency,
 )
+from peerlab import measures, sampling
 from peerlab.measures import ConvexGenerator, ScoringRule
 from peerlab.mechanisms import (
     ALL_PAIRS,
@@ -45,9 +49,12 @@ from peerlab.probability import (
     condition_on,
     permutation_channel,
     product_of_marginals,
+    push_first,
+    push_second,
     rng_from_seed,
     z_marginal,
 )
+from peerlab.verify import _ALPHABET_SIZES, _jl
 
 
 def f_value(kind, x):
@@ -726,3 +733,75 @@ def matrix_permute_scenario(scenario: Scenario, maps) -> Scenario:
 def matrix_inverse_maps(maps) -> list:
     """The inverse relabeling, read from the transposed permutation matrices."""
     return [np.argmax(permutation_channel(row).rows.T, axis=1).tolist() for row in maps]
+
+
+def bregman_quasi_instance(rec, config, idx: int, rng) -> None:
+    """One bregman-quasi instance, drawn and checked on its own, as the suite ran before its
+    check was stacked over a chunk of instances."""
+    tol, stol = config.equality_tol, config.strictness_tol
+    mx = int(rng.choice(_ALPHABET_SIZES))
+    my = int(rng.choice(_ALPHABET_SIZES))
+    joint = sampling.random_joint(rng, mx, my)
+    rule = sampling.random_rule_choice(rng)
+    channel = sampling.random_channel(rng, mx)
+    before = measures.bregman_mi(joint, rule)
+    after = measures.bregman_mi(push_first(joint, channel), rule)
+    data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "rule": rule.value,
+            "before": before, "after": after}
+    rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
+    if channel.is_identity:
+        rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
+    bridge_gap = abs(measures.bregman_mi(joint, ScoringRule.LOG) - measures.shannon_mi(joint))
+    rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
+              {"joint": _jl(joint.table), "gap": bridge_gap})
+    y_channel = sampling.random_channel(rng, my)
+    after_y = measures.bregman_mi(push_second(joint, y_channel), rule)
+    if after_y > before + stol:
+        rec.finding({
+            "kind": "second_entry_increase",
+            "instance": idx,
+            "joint": _jl(joint.table),
+            "y_channel": _jl(y_channel.rows),
+            "rule": rule.value,
+            "before": before,
+            "after": after_y,
+        })
+
+
+def accuracy_gain_instance(rec, config, idx: int, rng) -> None:
+    """One accuracy-gain instance, drawn and checked on its own, as the suite ran before its
+    check was stacked over a chunk of instances."""
+    tol = config.equality_tol
+    mz = int(rng.choice(_ALPHABET_SIZES))
+    mx = int(rng.choice(_ALPHABET_SIZES))
+    my = int(rng.choice(_ALPHABET_SIZES))
+    if idx % 3 == 1:
+        tensor = sampling.random_ci_tensor(rng, mz, mx, my)
+    elif idx % 5 == 2:
+        tensor = sampling.random_conditional_tensor(rng, 1, mx, my)
+    else:
+        tensor = sampling.random_conditional_tensor(rng, mz, mx, my)
+    lhs = measures.log_score_accuracy_gain(tensor)
+    rhs = measures.conditional_mi(tensor, ConvexGenerator.KL)
+    data = {"tensor": _jl(tensor.table), "accuracy_gain": lhs, "conditional_mi": rhs}
+    rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
+    if idx % 3 == 1:
+        rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
+    if idx % 5 == 2 and idx % 3 != 1:
+        flat = measures.shannon_mi(JointDistribution(tensor.table[0] / tensor.table[0].sum()))
+        rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
+
+
+def masked_shannon_mi(table: np.ndarray) -> float:
+    """Shannon MI as the single-table code summed it: one ``np.sum`` over the cells with U > 0."""
+    v = np.outer(table.sum(axis=1), table.sum(axis=0))
+    mask = table > 0.0
+    return float(np.sum(table[mask] * np.log(table[mask] / v[mask])))
+
+
+def masked_slice_mean(t: np.ndarray, per_slice) -> float:
+    """The Pr[Z]-weighted slice mean as the single-tensor code summed it: one ``np.sum`` over
+    the live slices of one tensor."""
+    pz = t.sum(axis=(1, 2))
+    live = pz > 0.0
+    return float(np.sum(pz[live] * per_slice(t[live] / pz[live][:, None, None])))

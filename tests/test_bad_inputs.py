@@ -1,7 +1,8 @@
 """Public constructors and integer size parameters fed finite, non-finite and
 non-integral values: each gives a valid object or a PeerLabError, never a
 bare numpy or Python error and never a silent NaN.  The same holds for the
-empirical payment engines given a single agent."""
+empirical payment engines given a single agent, and for signal indices and
+seeds, where a negative value never counts from the end."""
 
 import math
 
@@ -26,10 +27,12 @@ from peerlab import (
     bmi_mechanism_payments,
     bts_payments,
     ca_payments,
+    condition_on,
     fmi_mechanism_payments,
     generate_reports,
     make_distribution,
     md_payments,
+    point_mass,
     sppm_payments,
     truthful_scenario,
 )
@@ -110,6 +113,30 @@ def test_integer_size_parameters(v):
         assert report is None or (report.metadata["d"] == v and finite(report.payments))
     draws = built(lambda: sample(Distribution(np.array([0.5, 0.5])), 0, v))
     assert draws is None or draws.shape == (v,)
+
+
+HALF = Distribution(np.array([0.5, 0.5]))
+TENSOR = JointDistribution(np.full((2, 2, 2), 0.125))
+
+
+@given(VALUES)
+@settings(max_examples=100, deadline=None)
+def test_indices_and_seeds(v):
+    for obj in (built(lambda: point_mass(3, v)), built(lambda: condition_on(TENSOR, v)),
+                built(lambda: sample(HALF, v, 3))):
+        assert obj is None or v >= 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: condition_on(TENSOR, -1), lambda: condition_on(TENSOR, 2),
+    lambda: condition_on(TENSOR, 0.5), lambda: point_mass(3, -1), lambda: point_mass(3, 3),
+    lambda: point_mass(3, 1.5), lambda: sample(HALF, -1, 3), lambda: sample(HALF, 1.5, 3),
+    lambda: sample(HALF, [1, 2], 3),
+], ids=["z=-1", "z=2", "z=0.5", "sigma=-1", "sigma=3", "sigma=1.5", "seed=-1", "seed=1.5",
+        "seed=list"])
+def test_index_or_seed_out_of_range(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 @given(VALUES, WEIGHTS, WEIGHTS)

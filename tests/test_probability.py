@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,8 @@ from peerlab import (
     push_first,
     sample,
 )
+from peerlab.errors import PeerLabError
+from peerlab.probability import _validated_tables
 
 import oracles
 
@@ -228,3 +232,38 @@ class TestTransitionMatrix:
     def test_row_sum_validated(self):
         with pytest.raises(ZeroMass):
             TransitionMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+
+class TestValidatedTables:
+    """One validator checks a JointDistribution table and a stack of tables alike."""
+
+    @staticmethod
+    def stack(rank: int) -> np.ndarray:
+        shape = (2, 3) if rank == 2 else (2, 2, 3)
+        rng = np.random.default_rng(rank)
+        return rng.dirichlet(np.ones(math.prod(shape)), size=4).reshape((4,) + shape)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_valid_stack_passes_read_only(self, rank):
+        stack = self.stack(rank)
+        out = _validated_tables(stack, rank=rank)
+        assert np.array_equal(out, stack) and not out.flags.writeable
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("bad", ["nan", "negative", "heavy", "light"])
+    def test_one_bad_table_raises_as_joint_distribution(self, rank, position, bad):
+        stack = self.stack(rank)
+        table = stack[position].reshape(-1)
+        if bad == "nan":
+            table[1] = np.nan
+        elif bad == "negative":
+            table[0], table[1] = table[0] + 1e-6, -1e-6
+        else:
+            table[0] += 1e-8 if bad == "heavy" else -1e-8
+        with pytest.raises(PeerLabError) as single:
+            JointDistribution(stack[position])
+        with pytest.raises(PeerLabError) as stacked:
+            _validated_tables(stack, rank=rank)
+        assert type(stacked.value) is type(single.value)
+        assert type(single.value) is (ZeroMass if bad in ("heavy", "light") else NegativeWeight)

@@ -7,7 +7,10 @@ cells and pairs in another order, so they must match to
 |got - want| <= 1e-12 * max(1, |want|), with equal infinities and the same
 exception type on both sides (and, for the scores, the same message).  The
 md/ca oracles take each pair's comparison subsets from the engine's batched
-draw, whose law ``TestSubsetDraws`` checks against exact enumeration."""
+draw, whose law ``TestSubsetDraws`` checks against exact enumeration.  The
+stacked measure kernels must give each table of a stack the exact bits of its
+public single-table function, and the one-table suites, which check a chunk of
+instances on stacks, the exact verdict JSON of their per-instance parts."""
 
 import collections
 import itertools
@@ -37,6 +40,7 @@ from peerlab import (
     bts_payments,
     ca_payments,
     conditional_mi,
+    default_config,
     empirical_pair_joint,
     f_divergence,
     f_mutual_information,
@@ -46,19 +50,29 @@ from peerlab import (
     mip_expected_payments,
     mutual_information,
     permute_scenario,
+    push_first,
+    push_second,
     random_strategy,
+    replay_violation,
     report_joint,
+    run_suite,
     sampling,
     scenario_to_dict,
+    shannon_mi,
     sppm_expected_payments,
     sppm_payments,
+    verify,
 )
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _exact_joints, _mip_payment, _peer_means,
     _reference_sets,
 )
-from peerlab.probability import identity_channel, rng_from_seed, uniform_distribution
+from peerlab.measures import _mi_kernel, _shannon_mi, _slice_mean
+from peerlab.probability import (
+    TransitionMatrix, _identity_mask, _push_first, identity_channel, rng_from_seed,
+    uniform_distribution,
+)
 from peerlab.verify import _effort_utility
 
 import oracles
@@ -664,3 +678,130 @@ def test_world_model_pair_joint_matches_state_loop(seed, k, m):
         table += float(pw) * np.outer(omega.weights, omega.weights)
     assert np.array_equal(world.pair_joint(0, 1).table, table)
     assert np.array_equal(world.signal_pair_tensor().table.sum(axis=0), table)
+
+
+@st.composite
+def table_stacks(draw, rank=2):
+    """A stack of 1-5 random tables of one shape (each axis 1-4), each of mass 1, with some
+    cells (and, for rank 3, some whole slices) set to zero."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(rank))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(seeds))
+    stack = rng.dirichlet(np.ones(math.prod(shape)), size=k).reshape((k,) + shape)
+    stack[rng.random(stack.shape) < draw(st.floats(0.0, 0.6))] = 0.0
+    if rank == 3:
+        stack[rng.random((k, shape[0])) < 0.4] = 0.0
+    cells = stack.reshape(k, -1)
+    cells[cells.sum(axis=1) <= 0.0, 0] = 1.0
+    return stack / cells.sum(axis=1).reshape((k,) + (1,) * rank)
+
+
+def unchecked_channel(rows) -> TransitionMatrix:
+    """A TransitionMatrix holding ``rows`` as given, bypassing the row-sum validation."""
+    channel = object.__new__(TransitionMatrix)
+    object.__setattr__(channel, "rows", np.asarray(rows, dtype=np.float64))
+    return channel
+
+
+# allclose's edge on a diagonal entry (b = 1): |a - b| <= atol + rtol * |b|
+RTOL_EDGE = 1e-12 + 1e-5
+IDENTITY_OFFSETS = (0.0, 1e-13, -1e-13, 2e-12, 5e-10, -RTOL_EDGE,
+                    np.nextafter(-RTOL_EDGE, 0.0), np.nextafter(-RTOL_EDGE, -1.0), 0.5)
+
+
+class TestStackedKernels:
+    """Each stacked kernel gives every table of a stack the bits that its public single-table
+    function gives that table alone, and that the single-table code gave before it took
+    stacks (``oracles.masked_*``, ``rows.T @ table``, ``np.allclose``)."""
+
+    @given(table_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_shannon(self, stack):
+        got = _shannon_mi(stack)
+        assert np.array_equal(got, [shannon_mi(JointDistribution(t)) for t in stack])
+        assert np.array_equal(got, [oracles.masked_shannon_mi(t) for t in stack])
+
+    @given(table_stacks(rank=3), st.sampled_from(MEASURES))
+    @settings(max_examples=200, deadline=None)
+    def test_conditional_mi(self, stack, measure):
+        got = _slice_mean(stack, _mi_kernel(measure))
+        assert np.array_equal(got, [conditional_mi(JointDistribution(t), measure) for t in stack])
+        assert np.array_equal(got, [oracles.masked_slice_mean(t, _mi_kernel(measure))
+                                    for t in stack])
+
+    @given(table_stacks(), st.integers(1, 4), seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_pushes(self, stack, m_out, seed):
+        rng = np.random.default_rng(seed)
+        k, mx, my = stack.shape
+        first = rng.dirichlet(np.ones(m_out), size=(k, mx))
+        second = rng.dirichlet(np.ones(m_out), size=(k, my))
+        first[:, 0] = np.eye(m_out)[rng.integers(m_out, size=k)]  # one-hot rows too
+        got_first, got_second = _push_first(stack, first), stack @ second
+        for i, table in enumerate(stack):
+            joint = JointDistribution(table)
+            assert np.array_equal(got_first[i], push_first(joint, TransitionMatrix(first[i])).table)
+            assert np.array_equal(got_first[i], first[i].T @ table)
+            assert np.array_equal(got_second[i],
+                                  push_second(joint, TransitionMatrix(second[i])).table)
+
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.lists(st.tuples(st.sampled_from(IDENTITY_OFFSETS), st.integers(0, 15)),
+                    min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_identity_mask(self, m, m_out, offsets):
+        stack = np.tile(np.eye(m, m_out), (len(offsets), 1, 1))
+        for table, (offset, cell) in zip(stack, offsets):
+            table.flat[cell % table.size] += offset
+        got = _identity_mask(stack)
+        assert got.shape == (len(offsets),)
+        for table, flag in zip(stack, got.tolist()):
+            assert flag == unchecked_channel(table).is_identity
+            assert flag == (m == m_out and np.allclose(table, np.eye(m), atol=1e-12))
+
+    def test_identity_mask_edges(self):
+        # a few floats either side of allclose's edge on a diagonal entry, and atol's edge
+        near = 1.0 - RTOL_EDGE
+        diagonal = [near]
+        for _ in range(3):
+            diagonal = [np.nextafter(diagonal[0], 0.0), *diagonal, np.nextafter(diagonal[-1], 2.0)]
+        cases = [np.diag([d, 1.0]) for d in diagonal]
+        cases += [np.eye(2) + [[0.0, off], [0.0, 0.0]] for off in (1e-13, 1e-12, 2e-12)]
+        got = _identity_mask(np.stack(cases)).tolist()
+        assert got == [bool(np.allclose(rows, np.eye(2), atol=1e-12)) for rows in cases]
+        assert got == [unchecked_channel(rows).is_identity for rows in cases]
+        assert True in got[:7] and False in got[:7] and got[-3:] == [True, True, False]
+        assert TransitionMatrix(np.diag([1.0 - 5e-10, 1.0])).is_identity
+
+
+ONE_TABLE = {"bregman-quasi": oracles.bregman_quasi_instance,
+             "accuracy-gain": oracles.accuracy_gain_instance}
+CHUNK = verify._CHUNK
+
+
+def reference_verdict(config) -> str:
+    """The verdict JSON of ``config`` with every instance drawn and checked on its own, in
+    index order, as the suites ran before their check took chunks."""
+    rec = verify._Recorder(config)
+    for idx in range(config.instances):
+        ONE_TABLE[config.suite](rec, config, idx, rng_from_seed(config.seed, idx))
+    return rec.verdict().to_json()
+
+
+class TestOneTableSuites:
+    @pytest.mark.parametrize("suite", sorted(ONE_TABLE))
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
+    def test_verdict_equals_reference(self, suite, seed, count):
+        config = default_config(suite, instances=count, seed=seed)
+        assert run_suite(config).to_json() == reference_verdict(config)
+
+    @pytest.mark.parametrize("suite", sorted(ONE_TABLE))
+    @pytest.mark.parametrize("seed", [3, 13])
+    def test_forced_violations_equal_reference_and_replay(self, suite, seed):
+        config = default_config(suite, instances=CHUNK + 1, seed=seed, equality_tol=1e-300)
+        verdict = run_suite(config)
+        assert verdict.to_json() == reference_verdict(config)
+        assert len(verdict.violations) > 0
+        for violation in verdict.violations:
+            assert replay_violation(violation, config)
