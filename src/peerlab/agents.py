@@ -59,8 +59,15 @@ MAX_FULL_JOINT_AGENTS = 6
 # ---------------------------------------------------------------------------
 
 
+class _PairJoints:
+    """The pair joint of each prior mode, from the mode's ``_pair_tables(i, refs)``."""
+
+    def pair_joint(self, i: int, j: int) -> JointDistribution:
+        return JointDistribution(self._pair_tables(i, [j])[0])
+
+
 @dataclass(frozen=True)
-class PairwisePrior:
+class PairwisePrior(_PairJoints):
     """One signal-pair joint shared by all ordered agent pairs.
 
     ``joint`` is Q(signal_i, signal_j) for i < j; the reverse order uses the
@@ -84,9 +91,6 @@ class PairwisePrior:
     def alphabet_size(self) -> int:
         return self.joint.shape[0]
 
-    def pair_joint(self, i: int, j: int) -> JointDistribution:
-        return JointDistribution(self._pair_tables(i, [j])[0])
-
     def _pair_tables(self, i: int, refs) -> np.ndarray:
         """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
         refs = np.asarray(refs)
@@ -97,7 +101,7 @@ class PairwisePrior:
 
 
 @dataclass(frozen=True)
-class FullJointPrior:
+class FullJointPrior(_PairJoints):
     """Explicit joint over all n agents' signals, one tensor axis per agent."""
 
     tensor: np.ndarray
@@ -124,9 +128,6 @@ class FullJointPrior:
     def alphabet_size(self) -> int:
         return self.tensor.shape[0]
 
-    def pair_joint(self, i: int, j: int) -> JointDistribution:
-        return JointDistribution(self._pair_tables(i, [j])[0])
-
     def _pair_tables(self, i: int, refs) -> np.ndarray:
         """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
         n, m = self.n_agents, self.alphabet_size
@@ -139,7 +140,7 @@ class FullJointPrior:
 
 
 @dataclass(frozen=True)
-class WorldModelPrior:
+class WorldModelPrior(_PairJoints):
     """Latent world state w ~ state_probs; signals iid from states[w]."""
 
     state_probs: Distribution
@@ -161,9 +162,6 @@ class WorldModelPrior:
     @property
     def alphabet_size(self) -> int:
         return self.states[0].size
-
-    def pair_joint(self, i: int, j: int) -> JointDistribution:
-        return JointDistribution(self._pair_tables(i, [j])[0])
 
     def _pair_tables(self, i: int, refs) -> np.ndarray:
         """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
@@ -195,10 +193,6 @@ class Strategy:
 
     channel: TransitionMatrix
     label: str = ""
-
-    @property
-    def is_truthful(self) -> bool:
-        return self.channel.is_identity
 
     @property
     def is_permutation(self) -> bool:

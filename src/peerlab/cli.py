@@ -55,7 +55,7 @@ from .mechanisms import (
     sppm_payments,
 )
 from .probability import Distribution, JointDistribution, rng_from_seed
-from .verify import CANONICAL_WORLD, SUITES, run_suite
+from .verify import CANONICAL_WORLD, SUITES, _bts_population_gap, default_config, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -243,10 +243,8 @@ def cmd_mechanism(args) -> int:
                     report = mip_expected_payments(scenario, measure)
                 else:
                     reports = generate_reports(scenario, args.T, args.seed)
-                    if args.mechanism == "fmi":
-                        report = fmi_mechanism_payments(reports, gen, seed=args.seed)
-                    else:
-                        report = bmi_mechanism_payments(reports, rule, seed=args.seed)
+                    fn = fmi_mechanism_payments if args.mechanism == "fmi" else bmi_mechanism_payments
+                    report = fn(reports, measure, seed=args.seed)
             elif args.mechanism in ("md", "ca"):
                 reports = generate_reports(scenario, args.T, args.seed)
                 fn = md_payments if args.mechanism == "md" else ca_payments
@@ -285,8 +283,6 @@ def cmd_mechanism(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
-    from .verify import default_config
-
     overrides = {"seed": args.seed}
     if args.instances is not None:
         overrides["instances"] = args.instances
@@ -325,23 +321,6 @@ def _parse_grid(text: str) -> list[int]:
         raise CliError(f"bad --grid {text!r}: {exc}") from exc
 
 
-def _fmi_gap_cell(scenario, gen, T: int, seed: int, exact: float) -> float:
-    reports = generate_reports(scenario, T, seed)
-    emp = float(fmi_mechanism_payments(reports, gen).payments[0])
-    return abs(emp - exact)
-
-
-def _bts_gap_cell(world, n_agents: int, seed: int, ideal: float, alpha: float) -> float:
-    rng = rng_from_seed(seed)
-    w = int(rng.choice(world.n_states, p=world.state_probs.weights))
-    sig = rng.choice(world.alphabet_size, size=n_agents, p=world.states[w].weights)
-    preds = optimal_predictions(world)
-    profile = BtsReportProfile(sig, tuple(preds[s] for s in sig.tolist()))
-    pay = bts_payments(profile, alpha, pairing="seeded-random-reference",
-                       seed=int(rng.integers(2**31)), smoothing=0.5)
-    return abs(float(pay.information_scores.mean()) - ideal)
-
-
 def cmd_sweep(args) -> int:
     config = {
         "command": "sweep",
@@ -365,8 +344,10 @@ def cmd_sweep(args) -> int:
                 raise CliError(f"unknown --measure {args.measure!r}")
             exact = _mip_payment(scenario, gen)
 
-            def cell(g: int, s: int) -> float:
-                return _fmi_gap_cell(scenario, gen, g, args.seed * 1_000_003 + g * 101 + s, exact)
+            def cell(g: int, seed: int) -> float:
+                reports = generate_reports(scenario, g, seed)
+                emp = float(fmi_mechanism_payments(reports, gen).payments[0])
+                return abs(emp - exact)
 
         else:  # bts-gap
             world = CANONICAL_WORLD
@@ -377,11 +358,13 @@ def cmd_sweep(args) -> int:
                     raise CliError("bts-gap needs a world-model prior")
                 world = scenario.prior
             ideal = bts_idealized_scores(world).information_score
+            preds = optimal_predictions(world)
 
-            def cell(g: int, s: int) -> float:
-                return _bts_gap_cell(world, g, args.seed * 1_000_003 + g * 101 + s, ideal, 3.0)
+            def cell(g: int, seed: int) -> float:
+                return _bts_population_gap(world, g, preds, ideal, rng_from_seed(seed))
 
-        rows = [f"{g},{s},{cell(g, s)!r}" for g in grid for s in range(args.seeds)]
+        rows = [f"{g},{s},{cell(g, args.seed * 1_000_003 + g * 101 + s)!r}"
+                for g in grid for s in range(args.seeds)]
     except PeerLabError as exc:
         return _emit_error(args.out, config, inputs, exc)
     header = "# " + json.dumps(_record(config, inputs, {}), sort_keys=True)

@@ -83,6 +83,9 @@ def _reference_sets(n: int, pairing: str, seed: RngSeed | None):
     raise DimensionMismatch(f"unknown pairing {pairing!r}")
 
 
+_REPORT_ARRAYS = ("payments", "information_scores", "prediction_scores", "effort_costs", "utilities")
+
+
 @dataclass(frozen=True)
 class PaymentReport:
     """Per-agent payments with an optional score decomposition.
@@ -103,10 +106,7 @@ class PaymentReport:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        pay = np.asarray(self.payments, dtype=np.float64)
-        pay.setflags(write=False)
-        object.__setattr__(self, "payments", pay)
-        for name in ("information_scores", "prediction_scores", "effort_costs", "utilities"):
+        for name in _REPORT_ARRAYS:
             val = getattr(self, name)
             if val is not None:
                 arr = np.asarray(val, dtype=np.float64)
@@ -587,16 +587,10 @@ _CSV_COLUMNS = ("agent", "payment", "information_score", "prediction_score", "ef
 def payment_report_csv(report: PaymentReport) -> str:
     """One row per agent; absent decomposition columns are left empty."""
     lines = [",".join(_CSV_COLUMNS)]
+    arrays = [getattr(report, name) for name in _REPORT_ARRAYS]
     for i in range(report.n_agents):
-        row = [str(i), repr(float(report.payments[i]))]
-        for arr in (
-            report.information_scores,
-            report.prediction_scores,
-            report.effort_costs,
-            report.utilities,
-        ):
-            row.append("" if arr is None else repr(float(arr[i])))
-        lines.append(",".join(row))
+        cells = ["" if arr is None else repr(float(arr[i])) for arr in arrays]
+        lines.append(",".join([str(i), *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -609,10 +603,6 @@ def payment_report_dict(report: PaymentReport) -> dict:
         "mode": report.mode,
         "measure": report.measure,
         "seed": report.seed,
-        "payments": listify(report.payments),
-        "information_scores": listify(report.information_scores),
-        "prediction_scores": listify(report.prediction_scores),
-        "effort_costs": listify(report.effort_costs),
-        "utilities": listify(report.utilities),
+        **{name: listify(getattr(report, name)) for name in _REPORT_ARRAYS},
         "metadata": report.metadata,
     }

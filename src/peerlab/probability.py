@@ -2,8 +2,8 @@
 
 Distributions, pairwise and conditional joints, row-stochastic channels,
 marginalization, conditioning, channel application, and seeded sampling.
-Signals are indices 0..m-1; an optional label table can be attached to joints
-for presentation only.
+Signals are indices 0..m-1; any other index, a negative one included, raises
+``DimensionMismatch``.
 
 All values are immutable after construction (arrays are set read-only), so
 they are safe to share across threads; sampling takes an explicit seed so
@@ -20,7 +20,7 @@ Conventions
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class Distribution:
         return self.weights.shape[0]
 
     def __getitem__(self, sigma: int) -> float:
-        return float(self.weights[sigma])
+        return float(self.weights[_index(sigma, self.size, "sigma")])
 
 
 def _validated_tables(values, rank: int | None = None) -> np.ndarray:
@@ -153,7 +153,6 @@ class JointDistribution:
     """
 
     table: np.ndarray
-    labels: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "table", _validated_tables(self.table))

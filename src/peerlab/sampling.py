@@ -2,12 +2,14 @@
 
 All samplers take an explicit ``numpy.random.Generator`` so suites stay
 deterministic per seed.  Dense objects are mixed with a uniform component
-(``floor_frac``) so every cell keeps macroscopic mass; this keeps strict
-data-processing margins well away from the strictness tolerance without ever
-filtering instances on outcomes.
+(``_FLOOR_FRAC`` of the mass, or ``floor_frac``) so every cell keeps
+macroscopic mass; this keeps strict data-processing margins well away from
+the strictness tolerance without ever filtering instances on outcomes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,26 +19,25 @@ from .measures import ConvexGenerator, ScoringRule, is_fine_grained
 from .probability import Distribution, JointDistribution, RngSeed, TransitionMatrix, rng_from_seed
 
 STRATEGY_KIND_RATIOS = {"dense": 0.4, "sparse": 0.2, "permutation": 0.2, "constant": 0.2}
+_FLOOR_FRAC = 0.1
 
 
-def random_distribution(rng, m: int, floor_frac: float = 0.1) -> Distribution:
-    w = rng.dirichlet(np.ones(m))
-    w = (1.0 - floor_frac) * w + floor_frac / m
-    return Distribution(w)
+def _floored(rng, shape: tuple, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
+    """A flat-Dirichlet table of ``shape`` mixed with the uniform table at weight ``floor_frac``."""
+    t = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    return (1.0 - floor_frac) * t + floor_frac / t.size
 
 
-def random_joint(rng, mx: int, my: int, floor_frac: float = 0.1) -> JointDistribution:
-    t = rng.dirichlet(np.ones(mx * my)).reshape(mx, my)
-    t = (1.0 - floor_frac) * t + floor_frac / (mx * my)
-    return JointDistribution(t)
+def random_distribution(rng, m: int, floor_frac: float = _FLOOR_FRAC) -> Distribution:
+    return Distribution(_floored(rng, (m,), floor_frac))
 
 
-def random_conditional_tensor(
-    rng, mz: int, mx: int, my: int, floor_frac: float = 0.1
-) -> JointDistribution:
-    t = rng.dirichlet(np.ones(mz * mx * my)).reshape(mz, mx, my)
-    t = (1.0 - floor_frac) * t + floor_frac / t.size
-    return JointDistribution(t)
+def random_joint(rng, mx: int, my: int) -> JointDistribution:
+    return JointDistribution(_floored(rng, (mx, my)))
+
+
+def random_conditional_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
+    return JointDistribution(_floored(rng, (mz, mx, my)))
 
 
 def random_ci_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
@@ -73,7 +74,7 @@ def random_strategy(seed: RngSeed, m: int, kind: str = "dense") -> Strategy:
 
 
 def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
-                   floor_frac: float = 0.1) -> TransitionMatrix:
+                   floor_frac: float = _FLOOR_FRAC) -> TransitionMatrix:
     """Row-stochastic channel of a sampled kind; dense and constant rows carry
     a uniform floor of ``floor_frac``."""
     m_out = m_out or m_in
@@ -108,15 +109,15 @@ def random_rule_choice(rng) -> ScoringRule:
     return list(ScoringRule)[int(rng.integers(len(ScoringRule)))]
 
 
-def random_fine_grained_joint(rng, m: int, tol: float = 1e-9, max_tries: int = 200) -> JointDistribution:
-    """Rejection-sample a joint whose likelihood ratios separate all cells.
+def random_fine_grained_joint(rng, m: int) -> JointDistribution:
+    """Rejection-sample, in at most 200 draws, a joint whose likelihood ratios separate all cells.
 
     Dense asymmetric joints are almost surely fine-grained; symmetric tables
     never are (mirror cells tie), so no symmetrization is applied.
     """
-    for _ in range(max_tries):
+    for _ in range(200):
         j = random_joint(rng, m, m)
-        if is_fine_grained(j, tol):
+        if is_fine_grained(j):
             return j
     raise RuntimeError("failed to sample a fine-grained joint")
 
@@ -143,9 +144,7 @@ def random_world_model(rng, n_states: int, m: int) -> WorldModelPrior:
 
 
 def random_full_joint_prior(rng, n: int, m: int) -> FullJointPrior:
-    t = rng.dirichlet(np.ones(m**n)).reshape((m,) * n)
-    t = 0.9 * t + 0.1 / t.size
-    return FullJointPrior(t)
+    return FullJointPrior(_floored(rng, (m,) * n))
 
 
 def random_pairwise_symmetric_prior(rng, m: int) -> PairwisePrior:

@@ -122,8 +122,12 @@ class SuiteConfig:
         object.__setattr__(self, "instances", int(_integers(self.instances, "instances")))
         if self.instances < 1:
             raise DimensionMismatch("instances must be >= 1")
-        if self.seed < 0:
+        seed = _integers(self.seed, "seed")
+        if seed.ndim:
+            raise DimensionMismatch(f"seed must be one integer, got {self.seed!r}")
+        if seed < 0:
             raise DimensionMismatch(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", int(seed))
         if not all(0 < tol < math.inf for tol in (self.equality_tol, self.strictness_tol)):
             raise DimensionMismatch("tolerances must be finite and > 0")
         if not 0 < self.monte_carlo_ci < 1:
@@ -184,12 +188,9 @@ class _Recorder:
         self.margins: list[float] = []
         self.findings: list[dict] = []
 
-    def claim(self, name: str, kind: str) -> None:
-        self.claims.setdefault(name, {"name": name, "kind": kind, "instances": 0, "violations": 0})
-
     def check(self, name: str, kind: str, ok: bool, instance: int, data: dict | None = None) -> None:
-        self.claim(name, kind)
-        entry = self.claims[name]
+        entry = self.claims.setdefault(
+            name, {"name": name, "kind": kind, "instances": 0, "violations": 0})
         entry["instances"] += 1
         if not ok:
             entry["violations"] += 1
@@ -227,14 +228,15 @@ class _Recorder:
 _CHUNK = 512  # instances drawn before one check; bounds what a check holds at once
 
 
-def _run(config: SuiteConfig, setup, instances, indices=None) -> _Recorder:
-    """Run a suite's parts on a fresh recorder over ``indices`` (default: all
-    of them).  Index -1 is the global part ``setup(rec, config)``, skipped
-    when the suite has none.  The indices ``>= 0`` go, in order and in chunks
-    of at most ``_CHUNK``, to ``instances(rec, config, chunk)``, which draws
-    each instance ``idx`` of the chunk from ``rng_from_seed(config.seed, idx)``
-    alone, checks the chunk (per instance or stacked) and records it in index
-    order; so each instance is still a pure function of ``(config.seed, idx)``."""
+def _run(config: SuiteConfig, indices=None) -> _Recorder:
+    """Run the parts of ``config.suite`` on a fresh recorder over ``indices``
+    (default: all of them).  Index -1 is the global part ``setup(rec, config)``,
+    skipped when the suite has none.  The indices ``>= 0`` go, in order and in
+    chunks of at most ``_CHUNK``, to ``instances(rec, config, chunk)``, which
+    draws each instance ``idx`` of the chunk from ``rng_from_seed(config.seed,
+    idx)`` alone, checks the chunk (per instance or stacked) and records it in
+    index order; so each instance is still a pure function of ``(config.seed, idx)``."""
+    setup, instances, _ = _PARTS[config.suite]
     rec = _Recorder(config)
     indices = range(-1, config.instances) if indices is None else indices
     if setup is not None and -1 in indices:
@@ -318,7 +320,7 @@ def suite_dpi(config: SuiteConfig) -> SuiteVerdict:
     """Channel processing never increases f-mutual information; strictly
     decreases it under the witness condition.  Also checks the divergence
     level monotonicity D_f(theta^T p, theta^T q) <= D_f(p, q)."""
-    return _run(config, *_PARTS["dpi"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def suite_dominant_truthfulness(config: SuiteConfig) -> SuiteVerdict:
     """Truth-telling maximizes exact expected payment against any opponents;
     permutation deviations tie, non-permutation deviations lose strictly on
     all-ratios-separated priors under strictly convex generators."""
-    return _run(config, *_PARTS["dominant-truthfulness"]).verdict()
+    return _run(config).verdict()
 
 
 def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
@@ -413,7 +415,7 @@ def suite_truth_monotone(config: SuiteConfig) -> SuiteVerdict:
     """A truthful agent's deviation weakly lowers every other agent's exact
     payment; strictly for truthful observers on separated priors when the
     deviation is non-permutation and the generator strictly convex."""
-    return _run(config, *_PARTS["truth-monotone"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +489,7 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
     """Utility over the effort mixture is maximized at a pure effort level;
     optimal payment weakly rises as more peers invest; the mutual information
     of the effort mixture is convex in the mixing weight."""
-    return _run(config, *_PARTS["effort"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +552,7 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
     the log-rule instance coincides with Shannon information.  A seeded
     search for second-entry violations records findings without asserting
     either way."""
-    return _run(config, *_PARTS["bregman-quasi"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +599,7 @@ def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None
 def suite_accuracy_gain(config: SuiteConfig) -> SuiteVerdict:
     """The expected log-score gain of conditioning on X equals the conditional
     Shannon mutual information, computed by two independent routes."""
-    return _run(config, *_PARTS["accuracy-gain"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +668,7 @@ def suite_md_equivalence(config: SuiteConfig) -> SuiteVerdict:
     equals half the total-variation mutual information under truth-telling
     and never exceeds it under any strategy pair; the agreement-indicator
     variant matches in expectation (seeded Monte Carlo interval)."""
-    return _run(config, *_PARTS["md-equivalence"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +700,17 @@ def _shannon_conditional_direct(tensor: JointDistribution) -> float:
     return total
 
 
+def _bts_population_gap(world: WorldModelPrior, n_agents: int, preds, ideal: float, rng) -> float:
+    """|mean information score - ideal| of ``n_agents`` truthful agents reporting ``preds``,
+    drawing from ``rng`` in order the world state, their signals and the pairing seed."""
+    w = int(rng.choice(world.n_states, p=world.state_probs.weights))
+    sig = rng.choice(world.alphabet_size, size=n_agents, p=world.states[w].weights)
+    profile = BtsReportProfile(sig, tuple(preds[s] for s in sig.tolist()))
+    pay = bts_payments(profile, _BTS_ALPHA, pairing=SEEDED_RANDOM,
+                       seed=int(rng.integers(2**31)), smoothing=0.5)
+    return abs(float(pay.information_scores.mean()) - ideal)
+
+
 def _bts_global(rec: _Recorder, config: SuiteConfig) -> None:
     # cross-oracle on the canonical two-state model
     truth_scores = bts_idealized_scores(CANONICAL_WORLD)
@@ -717,12 +730,7 @@ def _bts_global(rec: _Recorder, config: SuiteConfig) -> None:
         gaps = []
         for rep_i in range(_POPULATION_REPS):
             rng = rng_from_seed(config.seed, 900000 + pos * 1000 + rep_i)
-            w = int(rng.choice(2, p=CANONICAL_WORLD.state_probs.weights))
-            sig = rng.choice(2, size=n_agents, p=CANONICAL_WORLD.states[w].weights)
-            profile = BtsReportProfile(sig, tuple(preds[s] for s in sig.tolist()))
-            pay = bts_payments(profile, _BTS_ALPHA, pairing=SEEDED_RANDOM,
-                               seed=int(rng.integers(2**31)), smoothing=0.5)
-            gaps.append(abs(float(pay.information_scores.mean()) - ideal))
+            gaps.append(_bts_population_gap(CANONICAL_WORLD, n_agents, preds, ideal, rng))
         medians.append(statistics.median(gaps))
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     rec.check("finite_population_convergence", "convergence", decreasing, -1,
@@ -778,7 +786,7 @@ def suite_bts(config: SuiteConfig) -> SuiteVerdict:
     truth-telling information score, prediction = -information, ordering of
     sampled strategy profiles below truth (Shannon and f-variants), welfare
     ordering for alpha > 1, and finite-population convergence."""
-    return _run(config, *_PARTS["bts"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -864,24 +872,24 @@ def suite_scenario_equivalence(config: SuiteConfig) -> SuiteVerdict:
     """Relabeled scenario twins pay every agent identically under every
     mechanism with an exact evaluator, and relabeling composed with its
     inverse is the identity."""
-    return _run(config, *_PARTS["scenario-equivalence"]).verdict()
+    return _run(config).verdict()
 
 
 # ---------------------------------------------------------------------------
 # Registry, defaults, replay
 # ---------------------------------------------------------------------------
 
-# (global part, instance part) of each suite, as its public function runs them
+# (global part, instance part, default instance count) of each suite, as _run runs them
 _PARTS = {
-    "dpi": (None, _each(_dpi_instance)),
-    "dominant-truthfulness": (None, _each(_dominant_truthfulness_instance)),
-    "truth-monotone": (None, _each(_truth_monotone_instance)),
-    "effort": (_effort_global, _each(_effort_instance)),
-    "bregman-quasi": (None, _bregman_quasi_instances),
-    "accuracy-gain": (None, _accuracy_gain_instances),
-    "md-equivalence": (None, _each(_md_equivalence_instance)),
-    "bts": (_bts_global, _each(_bts_instance)),
-    "scenario-equivalence": (None, _each(_scenario_equivalence_instance)),
+    "dpi": (None, _each(_dpi_instance), 10000),
+    "dominant-truthfulness": (None, _each(_dominant_truthfulness_instance), 1000),
+    "truth-monotone": (None, _each(_truth_monotone_instance), 1000),
+    "effort": (_effort_global, _each(_effort_instance), 1000),
+    "bregman-quasi": (None, _bregman_quasi_instances, 10000),
+    "accuracy-gain": (None, _accuracy_gain_instances, 1000),
+    "md-equivalence": (None, _each(_md_equivalence_instance), 1000),
+    "bts": (_bts_global, _each(_bts_instance), 1000),
+    "scenario-equivalence": (None, _each(_scenario_equivalence_instance), 100),
 }
 
 SUITES = {
@@ -896,23 +904,11 @@ SUITES = {
     "scenario-equivalence": suite_scenario_equivalence,
 }
 
-_DEFAULT_INSTANCES = {
-    "dpi": 10000,
-    "dominant-truthfulness": 1000,
-    "truth-monotone": 1000,
-    "effort": 1000,
-    "bregman-quasi": 10000,
-    "accuracy-gain": 1000,
-    "md-equivalence": 1000,
-    "bts": 1000,
-    "scenario-equivalence": 100,
-}
-
 
 def default_config(suite: str, **overrides) -> SuiteConfig:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
-    params = {"suite": suite, "instances": _DEFAULT_INSTANCES[suite]}
+    params = {"suite": suite, "instances": _PARTS[suite][2]}
     params.update(overrides)
     return SuiteConfig(**params)
 
@@ -933,5 +929,5 @@ def replay_violation(violation: dict, config: SuiteConfig) -> bool:
     ``data`` payload is not read.  A verdict replays at the code version
     that wrote it.
     """
-    rec = _run(config, *_PARTS[config.suite], indices=(violation["instance"],))
+    rec = _run(config, indices=(violation["instance"],))
     return violation["claim"] in {v["claim"] for v in rec.violations}

@@ -10,16 +10,18 @@ It prints one sha256 per output and a combined digest over all of them.  The
 outputs are the nine ``verify`` suites at seeds 0 and 7 (fixed instance
 counts), the two one-table suites (bregman-quasi, accuracy-gain) under
 ``--equality-tol 1e-300`` so that their violation payloads are digested too,
-bregman-quasi at 1100 instances (more than two of the 512-instance chunks
-its check stacks, and not a multiple of them), every ``mechanism`` over fixed world-model, pairwise and full-joint
-scenario files with and without efforts in json and csv, ``measure`` on a
-joint and a tensor file, both ``sweep`` kinds, and five error cases (two of
-them ``bts`` profiles with a zero prediction and a lone dissenter).  A
-command that raises instead of writing an output is digested as its
-exception type.  ``--keep DIR`` also writes every output to DIR; ``--diff``
-compares two such directories field by field and prints, per changed field,
-the largest relative change of a float (|a - b| / max(1, |b|)) or the two
-differing values.
+bregman-quasi at 1100 instances (more than two of the 512-instance chunks its
+check stacks, and not a multiple of them), every ``mechanism`` over fixed
+world-model, pairwise and full-joint scenario files with and without efforts
+in json and csv, ``measure`` on a joint and a tensor file, both ``sweep``
+kinds (``bts-gap`` on the built-in world and on two world-model scenario
+files, one of them with three states), and five error cases (two of them
+``bts`` profiles with a zero prediction and a lone dissenter).  A command that
+raises instead of writing an output is digested as its exception type.
+``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
+directories field by field and prints, per changed field, the largest
+relative change of a float (|a - b| / max(1, |b|)) or the two differing
+values.
 
 pytest does not collect this file.
 """
@@ -97,6 +99,10 @@ def write_inputs(workdir: str) -> dict[str, str]:
     docs["tensor"] = {"table": (tensor / tensor.sum()).tolist()}
     docs["profile"] = {"signals": (list(range(3)) * 7)[:20],
                        "predictions": [_dist(rng, 3) for _ in range(20)], "alpha": 3.0}
+    # drawn after every other input, so that adding it left their bytes as they were
+    docs["world-three-states"] = _scenario(rng, "world", False)
+    docs["world-three-states"]["prior"] = {"mode": "world_model", "state_probs": _dist(rng, 3),
+                                           "states": [_dist(rng, 3) for _ in range(3)]}
     # agent 4 predicts zero on a reported signal; agent 0 is alone with signal 2
     docs["profile-zero-prediction"] = {"signals": [0, 1, 0, 1, 0, 1],
                                        "predictions": [[0.5, 0.3, 0.2]] * 4 + [[0.0, 0.6, 0.4]] * 2}
@@ -150,7 +156,10 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     sweep = ["sweep", "--kind", "fmi-gap", "--grid", "100,400", "--seeds", "3", "--seed", "2"]
     out.append(("sweep-fmi-gap", sweep + ["--scenario", paths["pairwise"]]))
     out.append(("sweep-fmi-gap-four-agents", sweep + ["--scenario", paths["pairwise-four"]]))
-    out.append(("sweep-bts-gap", ["sweep", "--kind", "bts-gap", "--grid", "10,40,2000", "--seeds", "2"]))
+    bts_gap = ["sweep", "--kind", "bts-gap", "--grid", "10,40,2000", "--seeds", "2"]
+    out.append(("sweep-bts-gap", bts_gap))
+    for scenario in ("world", "world-three-states"):
+        out.append((f"sweep-bts-gap-{scenario}", bts_gap + ["--seed", "5", "--scenario", paths[scenario]]))
     return out
 
 

@@ -37,9 +37,12 @@ from peerlab.measures import ConvexGenerator, ScoringRule
 from peerlab.mechanisms import (
     ALL_PAIRS,
     SEEDED_RANDOM,
+    BtsReportProfile,
     PaymentReport,
     _draw_subsets,
     _reference_sets,
+    bts_payments,
+    optimal_predictions,
 )
 from peerlab.probability import (
     Distribution,
@@ -705,6 +708,19 @@ def loop_bts_payments(
             "smoothing": smoothing,
         },
     )
+
+
+def bts_gap_cell(world, n_agents: int, seed: int, ideal: float, alpha: float) -> float:
+    """One ``sweep --kind bts-gap`` cell as the CLI drew it on its own, before it shared
+    the bts suite's population draw: predictions rebuilt per cell, rng from ``seed``."""
+    rng = rng_from_seed(seed)
+    w = int(rng.choice(world.n_states, p=world.state_probs.weights))
+    sig = rng.choice(world.alphabet_size, size=n_agents, p=world.states[w].weights)
+    preds = optimal_predictions(world)
+    profile = BtsReportProfile(sig, tuple(preds[s] for s in sig.tolist()))
+    pay = bts_payments(profile, alpha, pairing="seeded-random-reference",
+                       seed=int(rng.integers(2**31)), smoothing=0.5)
+    return abs(float(pay.information_scores.mean()) - ideal)
 
 
 def matrix_permute_scenario(scenario: Scenario, maps) -> Scenario:

@@ -4,6 +4,7 @@ bare numpy or Python error and never a silent NaN.  The same holds for the
 empirical payment engines given a single agent, and for signal indices and
 seeds, where a negative value never counts from the end."""
 
+import json
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from peerlab import (
     make_distribution,
     md_payments,
     point_mass,
+    run_suite,
     sppm_payments,
     truthful_scenario,
 )
@@ -123,7 +125,7 @@ TENSOR = JointDistribution(np.full((2, 2, 2), 0.125))
 @settings(max_examples=100, deadline=None)
 def test_indices_and_seeds(v):
     for obj in (built(lambda: point_mass(3, v)), built(lambda: condition_on(TENSOR, v)),
-                built(lambda: sample(HALF, v, 3))):
+                built(lambda: sample(HALF, v, 3)), built(lambda: HALF[v])):
         assert obj is None or v >= 0
 
 
@@ -131,12 +133,23 @@ def test_indices_and_seeds(v):
     lambda: condition_on(TENSOR, -1), lambda: condition_on(TENSOR, 2),
     lambda: condition_on(TENSOR, 0.5), lambda: point_mass(3, -1), lambda: point_mass(3, 3),
     lambda: point_mass(3, 1.5), lambda: sample(HALF, -1, 3), lambda: sample(HALF, 1.5, 3),
-    lambda: sample(HALF, [1, 2], 3),
+    lambda: sample(HALF, [1, 2], 3), lambda: Distribution(np.array([0.2, 0.8]))[-1],
+    lambda: HALF[2], lambda: HALF[0.5],
+    lambda: SuiteConfig(suite="bregman-quasi", instances=2, seed=1.5),
+    lambda: SuiteConfig(suite="bregman-quasi", instances=2, seed=[1, 2]),
 ], ids=["z=-1", "z=2", "z=0.5", "sigma=-1", "sigma=3", "sigma=1.5", "seed=-1", "seed=1.5",
-        "seed=list"])
+        "seed=list", "getitem=-1", "getitem=2", "getitem=0.5", "suite-seed=1.5",
+        "suite-seed=list"])
 def test_index_or_seed_out_of_range(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def test_suite_config_whole_float_seed():
+    verdict = run_suite(SuiteConfig(suite="bregman-quasi", instances=2, seed=2.0)).to_json()
+    seed = json.loads(verdict)["config"]["seed"]
+    assert type(seed) is int and seed == 2
+    assert verdict == run_suite(SuiteConfig(suite="bregman-quasi", instances=2, seed=2)).to_json()
 
 
 @given(VALUES, WEIGHTS, WEIGHTS)

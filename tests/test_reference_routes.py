@@ -37,6 +37,7 @@ from peerlab import (
     Strategy,
     bmi_mechanism_payments,
     bregman_mi,
+    bts_idealized_scores,
     bts_payments,
     ca_payments,
     conditional_mi,
@@ -66,7 +67,7 @@ from peerlab import (
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _exact_joints, _mip_payment, _peer_means,
-    _reference_sets,
+    _reference_sets, optimal_predictions,
 )
 from peerlab.measures import _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
@@ -602,6 +603,18 @@ class TestBtsPairLoop:
         got = outcome_with_message(bts_payments, profile, 2.0, pairing, seed)
         assert got[1] is not None
         assert got == outcome_with_message(oracles.loop_bts_payments, profile, 2.0, pairing, seed)
+
+
+@given(st.integers(2, 3), st.integers(2, 4), seeds, st.integers(3, 60), seeds)
+@settings(max_examples=100, deadline=None)
+def test_bts_population_gap_matches_sweep_cell(n_states, m, world_seed, n_agents, seed):
+    """The population draw the bts suite and ``sweep --kind bts-gap`` share gives the
+    sweep's old per-cell draw exactly, on random worlds."""
+    world = sampling.random_world_model(rng_from_seed(world_seed), n_states, m)
+    ideal = bts_idealized_scores(world).information_score
+    got = verify._bts_population_gap(world, n_agents, optimal_predictions(world), ideal,
+                                     rng_from_seed(seed))
+    assert got == oracles.bts_gap_cell(world, n_agents, seed, ideal, 3.0)
 
 
 @given(st.integers(2, 50), seeds)

@@ -179,6 +179,20 @@ def test_negative_seed_rejected():
         SuiteConfig(suite="dpi", seed=-1)
 
 
+def test_default_instance_counts():
+    assert {suite: default_config(suite).instances for suite in SUITES} == {
+        "dpi": 10000,
+        "dominant-truthfulness": 1000,
+        "truth-monotone": 1000,
+        "effort": 1000,
+        "bregman-quasi": 10000,
+        "accuracy-gain": 1000,
+        "md-equivalence": 1000,
+        "bts": 1000,
+        "scenario-equivalence": 100,
+    }
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         default_config("nosuch")
