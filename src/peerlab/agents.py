@@ -337,6 +337,10 @@ def report_joint(
     None) sequences alongside it.  The reference agent J is then uniform over
     ``j``, and the result is the conditional-mode joint of (J, report_i,
     report_J): slice J = j is the pair joint of (i, j) divided by len(j).
+
+    This validates the inputs and hands them to :func:`_report_tables`, whose
+    inputs may also carry leading axes (a grid of effort probabilities, a
+    stack of channels), giving a stack of these joints from one call.
     """
     single = np.ndim(j) == 0
     if single:
@@ -350,21 +354,37 @@ def report_joint(
     m = prior.alphabet_size
     if a.shape[0] != m or any(c.shape != b[0].shape or c.shape[0] != m for c in b):
         raise DimensionMismatch("strategy alphabet differs from prior alphabet")
-    q, b = prior._pair_tables(i, refs), np.stack(b)
     eff_i, eff_j = eff_i or FULL_EFFORT, [e or FULL_EFFORT for e in eff_j]
-    li = eff_i.full_effort_prob
-    lj = np.array([e.full_effort_prob for e in eff_j])[:, None, None]
-    xi = eff_i.resolve_no_effort(a.shape[1]).weights[:, None]
-    xj = np.stack([e.resolve_no_effort(b.shape[2]).weights for e in eff_j])[:, None, :]
-    mi = a.T @ q.sum(axis=2)[:, :, None]  # full-effort report marginals: a column
-    mj = q.sum(axis=1)[:, None, :] @ b  # and a row
-    tables = (
-        li * lj * (a.T @ q @ b)
+    tables = _report_tables(
+        a, np.stack(b), prior._pair_tables(i, refs),
+        eff_i.full_effort_prob, np.array([e.full_effort_prob for e in eff_j])[:, None, None],
+        eff_i.resolve_no_effort(a.shape[1]).weights,
+        np.stack([e.resolve_no_effort(b[0].shape[1]).weights for e in eff_j]),
+    )
+    return JointDistribution(tables[0] if single else tables / len(refs))
+
+
+def _report_tables(a, b, q, li, lj, xi, xj) -> np.ndarray:
+    """The body of :func:`report_joint` on arrays: per reference agent, agent i's joint
+    report table with it, shaped (..., k, m', m'), before any division by k.
+
+    ``a`` (..., m, m') is agent i's channel and ``xi`` (..., m') its no-effort weights;
+    ``b`` (..., k, m, m'), ``q`` (..., k, m, m) and ``xj`` (..., k, m') hold one channel,
+    signal-pair table and no-effort weights per reference agent.  ``li`` and ``lj`` are
+    the effort probabilities, broadcast against the (..., k, m', m') result.  Leading axes
+    broadcast against one another, ``a`` and ``xi`` carrying a unit reference axis; each
+    table of the stack has the bits of the call on its slice alone.
+    """
+    at = a.swapaxes(-1, -2)
+    mi = at @ q.sum(axis=-1)[..., :, None]  # full-effort report marginals: a column
+    mj = q.sum(axis=-2)[..., None, :] @ b  # and a row
+    xi, xj = xi[..., :, None], xj[..., None, :]
+    return (
+        li * lj * (at @ q @ b)
         + li * (1.0 - lj) * (mi * xj)
         + (1.0 - li) * lj * (xi * mj)
         + (1.0 - li) * (1.0 - lj) * (xi * xj)
     )
-    return JointDistribution(tables[0] if single else tables / len(refs))
 
 
 def reported_world_states(

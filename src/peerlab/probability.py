@@ -98,11 +98,16 @@ def _validated_tables(values, rank: int | None = None) -> np.ndarray:
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """``values`` as an intp array; DimensionMismatch unless all are whole numbers below 2**53."""
+    """``values`` as an intp array; DimensionMismatch unless all are whole numbers below 2**53
+    or integers in the intp range (an unsigned 2**63 never wraps to a negative)."""
     arr = np.asarray(values)
     whole = arr.dtype.kind == "f" and np.all((np.abs(arr) <= 2.0**53) & (arr == np.round(arr)))
     if arr.dtype.kind not in "biu" and not whole:
         raise DimensionMismatch(f"{name} must be integers, not {arr.dtype} {arr.ravel()[:3]}")
+    if arr.dtype.kind in "iu" and arr.size and not np.can_cast(arr.dtype, np.intp):
+        info = np.iinfo(np.intp)
+        if arr.min() < info.min or arr.max() > info.max:
+            raise DimensionMismatch(f"{name} must lie in the intp range, got {arr.ravel()[:3]}")
     return arr.astype(np.intp, copy=False)
 
 

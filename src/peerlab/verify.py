@@ -39,6 +39,7 @@ from .agents import (
     Scenario,
     Strategy,
     WorldModelPrior,
+    _report_tables,
     generate_reports,
     permute_scenario,
     report_joint,
@@ -68,7 +69,6 @@ from .mechanisms import (
     BtsReportProfile,
     _agreement_rewards,
     _exact_joints,
-    _mip_payment,
     _peer_means,
     _score_shifts,
     _tensor_scores,
@@ -88,6 +88,7 @@ from .probability import (
     _push_first,
     _validated_tables,
     rng_from_seed,
+    uniform_distribution,
 )
 
 # ---------------------------------------------------------------------------
@@ -119,15 +120,16 @@ class SuiteConfig:
     monte_carlo_ci: float = 0.95
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", int(_integers(self.instances, "instances")))
+        for name in ("instances", "seed"):
+            raw = getattr(self, name)
+            value = _integers(raw, name)
+            if value.ndim:
+                raise DimensionMismatch(f"{name} must be one integer, got {raw!r}")
+            object.__setattr__(self, name, int(value))
         if self.instances < 1:
             raise DimensionMismatch("instances must be >= 1")
-        seed = _integers(self.seed, "seed")
-        if seed.ndim:
-            raise DimensionMismatch(f"seed must be one integer, got {self.seed!r}")
-        if seed < 0:
+        if self.seed < 0:
             raise DimensionMismatch(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "seed", int(seed))
         if not all(0 < tol < math.inf for tol in (self.equality_tol, self.strictness_tol)):
             raise DimensionMismatch("tolerances must be finite and > 0")
         if not 0 < self.monte_carlo_ci < 1:
@@ -334,6 +336,17 @@ def _pair_prior_for(rng, n: int, m: int):
     return sampling.random_full_joint_prior(rng, n, m)
 
 
+def _agent0_payments(q, a, b, li, lj, gen) -> np.ndarray:
+    """Agent 0's exact mip payment, as ``mip_expected_payments`` gives it, per leading index of
+    the inputs, from one :func:`_report_tables` call: its channel ``a`` and its k peers'
+    channels ``b`` on their pair tables ``q`` (k, m, m), at effort probabilities ``li`` and
+    ``lj``, with uniform no-effort reports."""
+    k, m = q.shape[0], q.shape[-1]
+    x = uniform_distribution(m).weights
+    tables = _report_tables(a, b, q, li, lj, x, np.broadcast_to(x, (k, m)))
+    return _slice_mean(_validated_tables(tables / k, 3), _mi_kernel(gen))
+
+
 def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
     m = int(rng.choice(_ALPHABET_SIZES))
@@ -342,10 +355,12 @@ def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: in
     opponents = [truth_telling(m)] + [sampling.random_mixed_strategy(rng, m) for _ in range(n - 2)]
     gen = sampling.random_generator_choice(rng, strictly_convex_only=True)
     deviation = sampling.random_mixed_strategy(rng, m)
-    truth_scn = Scenario(prior, tuple([truth_telling(m)] + opponents))
     dev_scn = Scenario(prior, tuple([deviation] + opponents))
-    pay_truth = _mip_payment(truth_scn, gen)
-    pay_dev = _mip_payment(dev_scn, gen)
+    # agent 0 truthful and deviating, as one leading channel axis on one build of the pair tables
+    q = prior._pair_tables(0, range(1, n))
+    channels = np.stack([np.eye(m), deviation.channel.rows])[:, None]
+    opponent_channels = np.stack([s.channel.rows for s in opponents])
+    pay_truth, pay_dev = _agent0_payments(q, channels, opponent_channels, 1.0, 1.0, gen).tolist()
     data = {
         "scenario": scenario_to_dict(dev_scn),
         "measure": gen.value,
@@ -357,7 +372,7 @@ def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: in
         rec.check("permutation_ties", "equality",
                   abs(pay_dev - pay_truth) <= 1e-12, idx, data)
     else:
-        fg = bool(is_fine_grained(prior.pair_joint(0, 1)))
+        fg = bool(is_fine_grained(JointDistribution(q[0])))
         if fg and gen.strictly_convex:
             rec.check("non_permutation_strictly_below", "inequality",
                       pay_truth - pay_dev > stol, idx, data)
@@ -383,10 +398,13 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
     bystander = sampling.random_mixed_strategy(rng, m)
     gen = sampling.random_generator_choice(rng)
     deviation = sampling.random_mixed_strategy(rng, m)
-    before_scn = Scenario(prior, (observer, truth_telling(m), bystander))
     after_scn = Scenario(prior, (observer, deviation, bystander))
-    pay_before = _mip_payment(before_scn, gen)
-    pay_after = _mip_payment(after_scn, gen)
+    # agent 1 truthful and deviating, as one leading channel axis on one build of the pair tables
+    q = prior._pair_tables(0, (1, 2))
+    peer_channels = np.stack([[np.eye(m), bystander.channel.rows],
+                              [deviation.channel.rows, bystander.channel.rows]])
+    pay_before, pay_after = _agent0_payments(q, observer.channel.rows, peer_channels,
+                                             1.0, 1.0, gen).tolist()
     data = {
         "scenario": scenario_to_dict(after_scn),
         "measure": gen.value,
@@ -400,7 +418,7 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
     elif (
         observer_truthful
         and gen.strictly_convex
-        and is_fine_grained(prior.pair_joint(0, 1))
+        and is_fine_grained(JointDistribution(q[0]))
     ):
         rec.check("peer_payment_drops_strictly", "inequality",
                   pay_before - pay_after > stol, idx, data)
@@ -422,29 +440,32 @@ def suite_truth_monotone(config: SuiteConfig) -> SuiteVerdict:
 # Zero-one effort structure
 # ---------------------------------------------------------------------------
 
+# Each list of payments is one stack: agent 0's report joints at all 11 effort levels, or at
+# every count of active peers, come from one _report_tables call on the prior's pair tables.
 _CANONICAL_BINARY = np.array([[0.4, 0.1], [0.1, 0.4]])
 _EFFORT_GRID = np.linspace(0.0, 1.0, 11)
 
 
-def _effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=None) -> float:
-    """Truthful agent 0's utility as ``mip_expected_payments`` gives it, payment - lam * cost,
-    when it invests with probability lam and its first ``active`` peers (default: all) do."""
-    peers = [EffortStrategy(1.0 if active is None or k < active else 0.0) for k in range(n - 1)]
-    scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)),
-                   (EffortStrategy(lam, cost), *peers))
-    return _mip_payment(scn, gen) - lam * cost
+def _effort_payments(q, gen) -> tuple:
+    """Truthful agent 0's exact payments with truthful peers on pair tables ``q`` (k, m, m): at
+    each effort level of the grid with every peer investing, and in full effort with its first
+    a peers investing, for a = 0..k."""
+    k, eye = q.shape[0], np.eye(q.shape[-1])
+    grid = _agent0_payments(q, eye, eye, _EFFORT_GRID[:, None, None, None], 1.0, gen)
+    active = _agent0_payments(q, eye, eye, 1.0, np.tri(k + 1, k, -1)[:, :, None, None], gen)
+    return grid, active
 
 
 def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
     # canonical binary example: totals decide the pure effort level
     grid = _EFFORT_GRID
-    canon = PairwisePrior(JointDistribution(_CANONICAL_BINARY))
+    pay = _effort_payments(_CANONICAL_BINARY[None], ConvexGenerator.TVD)[0]
     for cost, best in ((0.7, 0.0), (0.2, 1.0)):
-        utils = [_effort_utility(canon, 2, 2, float(l), cost, ConvexGenerator.TVD) for l in grid]
+        utils = (pay - grid * cost).tolist()
         data = {"cost": cost, "grid_utilities": utils}
         rec.check("canonical_pure_effort", "equality",
                   abs(grid[int(np.argmax(utils))] - best) <= 1e-12, -1, data)
-    utils = [_effort_utility(canon, 2, 2, float(l), 0.6, ConvexGenerator.TVD) for l in grid]
+    utils = (pay - grid * 0.6).tolist()
     rec.check("canonical_boundary_tie", "equality",
               abs(utils[0] - utils[-1]) <= 1e-12, -1, {"grid_utilities": utils})
 
@@ -457,14 +478,16 @@ def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None
     gen = sampling.random_generator_choice(rng)
     full_mi = mutual_information(prior.pair_joint(0, 1), gen)
     cost = float(rng.uniform(0.0, 1.5 * max(full_mi, 1e-3)))
-    utils = [_effort_utility(prior, n, m, float(l), cost, gen) for l in _EFFORT_GRID]
+    q = prior._pair_tables(0, range(1, n))
+    pay, payments = _effort_payments(q, gen)
+    utils = (pay - _EFFORT_GRID * cost).tolist()
     data = {"prior": _jl(prior.joint.table), "measure": gen.value, "cost": cost,
             "grid_utilities": utils}
     rec.check("pure_effort_optimal", "inequality",
               max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
 
     # effort monotonicity: payment under truth as peers join full effort
-    payments = [_effort_utility(prior, n, m, 1.0, 0.0, gen, active) for active in range(n)]
+    payments = payments.tolist()
     monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
     rec.check("effort_monotone", "inequality", monotone, idx,
               {"payments_by_active_peers": payments, **data})
@@ -472,17 +495,23 @@ def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None
     # mixture convexity of the information measure
     lam = float(rng.uniform(0.0, 1.0))
     strat = sampling.random_mixed_strategy(rng, m)
-    eff = lambda l: EffortStrategy(l, 0.0)  # noqa: E731
-    j_full = report_joint(prior, 0, 1, strat, truth_telling(m), eff(1.0), eff(1.0))
-    j_none = report_joint(prior, 0, 1, strat, truth_telling(m), eff(0.0), eff(1.0))
-    j_mix = report_joint(prior, 0, 1, strat, truth_telling(m), eff(lam), eff(1.0))
-    mix_table = lam * j_full.table + (1.0 - lam) * j_none.table
+    j_full, j_none, j_mix = joints = _effort_mixture(q[:1], strat.channel.rows, lam)
+    mix_table = lam * j_full + (1.0 - lam) * j_none
     rec.check("effort_mixture_law", "equality",
-              float(np.max(np.abs(j_mix.table - mix_table))) <= 1e-12, idx, data)
-    lhs = mutual_information(j_mix, gen)
-    rhs = lam * mutual_information(j_full, gen) + (1.0 - lam) * mutual_information(j_none, gen)
+              float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, data)
+    mi_full, mi_none, lhs = _mi_kernel(gen)(joints).tolist()
+    rhs = lam * mi_full + (1.0 - lam) * mi_none
     rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
               {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
+
+
+def _effort_mixture(q, channel, lam: float) -> np.ndarray:
+    """The report joints of agent 0 playing ``channel`` against one truthful peer in full
+    effort on pair table ``q`` (1, m, m), at its effort probabilities 1, 0 and ``lam``."""
+    x = uniform_distribution(q.shape[-1]).weights
+    li = np.array([1.0, 0.0, lam])[:, None, None, None]
+    tables = _report_tables(channel, np.eye(len(x)), q, li, 1.0, x, x[None])
+    return _validated_tables(tables[:, 0], rank=2)
 
 
 def suite_effort(config: SuiteConfig) -> SuiteVerdict:

@@ -15,8 +15,11 @@ check stacks, and not a multiple of them), every ``mechanism`` over fixed
 world-model, pairwise and full-joint scenario files with and without efforts
 in json and csv, ``measure`` on a joint and a tensor file, both ``sweep``
 kinds (``bts-gap`` on the built-in world and on two world-model scenario
-files, one of them with three states), and five error cases (two of them
-``bts`` profiles with a zero prediction and a lone dissenter).  A command that
+files, one of them with three states), five error cases (two of them
+``bts`` profiles with a zero prediction and a lone dissenter), and last the
+three exact-payment suites (effort, dominant-truthfulness, truth-monotone) at
+100 instances under ``--equality-tol 1e-300``, whose violations carry the grid
+utilities, the mixture sides and both payments.  A command that
 raises instead of writing an output is digested as its exception type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
@@ -160,6 +163,10 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("sweep-bts-gap", bts_gap))
     for scenario in ("world", "world-three-states"):
         out.append((f"sweep-bts-gap-{scenario}", bts_gap + ["--seed", "5", "--scenario", paths[scenario]]))
+    # after every other command, so that adding them left the earlier list as it was
+    for suite in ("effort", "dominant-truthfulness", "truth-monotone"):
+        out.append((f"verify-{suite}-forced", ["verify", suite, "--instances", "100",
+                                               "--seed", "3", "--equality-tol", "1e-300"]))
     return out
 
 

@@ -3,9 +3,10 @@
 The measure oracles are written with plain Python loops and math functions,
 deliberately avoiding the library's own vectorized code paths, so tests can
 cross-check the two routes against each other.  The reference routes at the
-end are the payment loops and strategy sampler that the library's merged
-engines replaced, kept as they were; the md/ca loops take their comparison
-subsets from the engine's batched draw and apply the per-question rewards.
+end are the payment loops, the one-scenario-per-effort-level utility and the
+strategy sampler that the library's merged engines and stacks replaced, kept
+as they were; the md/ca loops take their comparison subsets from the engine's
+batched draw and apply the per-question rewards.
 The one-table suites' per-instance parts, which drew and checked one table at
 a time through the public single-table functions, and the masked sums the
 Shannon and slice-mean code used before it took stacks close the file.
@@ -17,11 +18,13 @@ import numpy as np
 
 from peerlab.agents import (
     FULL_EFFORT,
+    EffortStrategy,
     FullJointPrior,
     PairwisePrior,
     Scenario,
     Strategy,
     WorldModelPrior,
+    truth_telling,
 )
 from peerlab.errors import (
     DimensionMismatch,
@@ -40,6 +43,7 @@ from peerlab.mechanisms import (
     BtsReportProfile,
     PaymentReport,
     _draw_subsets,
+    _mip_payment,
     _reference_sets,
     bts_payments,
     optimal_predictions,
@@ -459,6 +463,17 @@ def mip_expected_payments(scenario, measure):
         utilities=utilities,
         measure=measure.value,
     )
+
+
+def effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=None) -> float:
+    """Truthful agent 0's utility as ``mip_expected_payments`` gives it, payment - lam * cost,
+    when it invests with probability lam and its first ``active`` peers (default: all) do;
+    one scenario per effort level, as the effort suite built them before it paid a grid
+    from one stack."""
+    peers = [EffortStrategy(1.0 if active is None or k < active else 0.0) for k in range(n - 1)]
+    scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)),
+                   (EffortStrategy(lam, cost), *peers))
+    return _mip_payment(scn, gen) - lam * cost
 
 
 def sppm_expected_payments(scenario, known_prior, rule):

@@ -137,9 +137,12 @@ def test_indices_and_seeds(v):
     lambda: HALF[2], lambda: HALF[0.5],
     lambda: SuiteConfig(suite="bregman-quasi", instances=2, seed=1.5),
     lambda: SuiteConfig(suite="bregman-quasi", instances=2, seed=[1, 2]),
+    lambda: SuiteConfig(suite="dpi", seed=2**63),
+    lambda: SuiteConfig(suite="dpi", instances=[1, 2]),
+    lambda: ReportMatrix.full(np.array([[np.uint64(2**63), 0], [1, 0]], dtype=np.uint64), 2),
 ], ids=["z=-1", "z=2", "z=0.5", "sigma=-1", "sigma=3", "sigma=1.5", "seed=-1", "seed=1.5",
         "seed=list", "getitem=-1", "getitem=2", "getitem=0.5", "suite-seed=1.5",
-        "suite-seed=list"])
+        "suite-seed=list", "suite-seed=2**63", "suite-instances=list", "report-entry=2**63"])
 def test_index_or_seed_out_of_range(call):
     with pytest.raises(DimensionMismatch):
         call()

@@ -10,7 +10,9 @@ md/ca oracles take each pair's comparison subsets from the engine's batched
 draw, whose law ``TestSubsetDraws`` checks against exact enumeration.  The
 stacked measure kernels must give each table of a stack the exact bits of its
 public single-table function, and the one-table suites, which check a chunk of
-instances on stacks, the exact verdict JSON of their per-instance parts."""
+instances on stacks, the exact verdict JSON of their per-instance parts.  So
+must the report-joint core on a stack (against ``report_joint`` per slice) and
+the effort suite's stacked payments (against ``oracles.effort_utility``)."""
 
 import collections
 import itertools
@@ -64,6 +66,7 @@ from peerlab import (
     sppm_payments,
     verify,
 )
+from peerlab.agents import _report_tables
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _exact_joints, _mip_payment, _peer_means,
@@ -74,7 +77,6 @@ from peerlab.probability import (
     TransitionMatrix, _identity_mask, _push_first, identity_channel, rng_from_seed,
     uniform_distribution,
 )
-from peerlab.verify import _effort_utility
 
 import oracles
 
@@ -422,7 +424,82 @@ class TestAgentZeroRoute:
         scenario = Scenario(prior, tuple(Strategy(identity_channel(m)) for _ in range(n)),
                             (EffortStrategy(lam, cost), *peers))
         want = mip_expected_payments(scenario, measure).utilities[0]
-        assert _effort_utility(prior, n, m, lam, cost, measure, active) == want
+        assert oracles.effort_utility(prior, n, m, lam, cost, measure, active) == want
+
+
+class TestReportStacks:
+    """The report-joint core pays a whole stack at once (an effort grid, a stack of channels);
+    each table of the stack must have the bits of the public call on its slice alone."""
+
+    @given(seeds, st.sampled_from((2, 3, 4)), st.integers(2, 4), st.integers(1, 3),
+           st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_leading_axes_equal_per_slice_calls(self, seed, m, n, lead, own_stacked,
+                                                peers_stacked, data):
+        rng = rng_from_seed(seed)
+        prior = (sampling.random_full_joint_prior(rng, n, m) if data.draw(st.booleans())
+                 else sampling.random_pairwise_symmetric_prior(rng, m))
+        refs, k = list(range(1, n)), n - 1
+
+        def agent():
+            lam = data.draw(st.sampled_from([0.0, 1.0, float(rng.uniform())]))
+            return (sampling.random_mixed_strategy(rng, m),
+                    EffortStrategy(lam, 0.0, sampling.random_distribution(rng, m)))
+
+        # agent 0's inputs, and its peers', either carry the leading axis or are one shared slice
+        own = [agent() for _ in range(lead if own_stacked else 1)]
+        peers = [[agent() for _ in refs] for _ in range(lead if peers_stacked else 1)]
+        a = np.array([s.channel.rows for s, _ in own])[:, None]
+        li = np.array([e.full_effort_prob for _, e in own])[:, None, None, None]
+        xi = np.array([e.no_effort_report.weights for _, e in own])[:, None]
+        b = np.array([[s.channel.rows for s, _ in row] for row in peers])
+        lj = np.array([[e.full_effort_prob for _, e in row] for row in peers])[..., None, None]
+        xj = np.array([[e.no_effort_report.weights for _, e in row] for row in peers])
+        got = _report_tables(a, b, prior._pair_tables(0, refs), li, lj, xi, xj)
+        assert got.shape == (max(len(own), len(peers)), k, m, m)
+        for t, table in enumerate(got):
+            (s_i, e_i), row = own[min(t, len(own) - 1)], peers[min(t, len(peers) - 1)]
+            s_j, e_j = [s for s, _ in row], [e for _, e in row]
+            want = report_joint(prior, 0, refs, s_i, s_j, e_i, e_j)
+            assert np.array_equal(JointDistribution(table / k).table, want.table)
+            want = report_joint(prior, 0, 1, s_i, s_j[0], e_i, e_j[0])
+            assert np.array_equal(JointDistribution(table[0]).table, want.table)
+
+
+class TestEffortStacks:
+    """The effort suite pays each grid, each list of active-peer counts and each mixture
+    triple from one stack; every value must be the very float of the one-scenario-per-point
+    route it replaced (``oracles.effort_utility``, one ``report_joint`` per mixture joint)."""
+
+    @given(seeds, st.sampled_from((2, 3, 4)), st.sampled_from((2, 3)),
+           st.sampled_from(MEASURES), st.floats(0.0, 2.0), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_and_active_peers_equal_reference(self, seed, m, n, measure, cost, canonical):
+        if canonical:
+            prior, m = PairwisePrior(JointDistribution(verify._CANONICAL_BINARY)), 2
+        else:
+            prior = sampling.random_pairwise_symmetric_prior(rng_from_seed(seed), m)
+        grid = verify._EFFORT_GRID
+        pay, active = verify._effort_payments(prior._pair_tables(0, range(1, n)), measure)
+        want = [oracles.effort_utility(prior, n, m, float(lam), cost, measure) for lam in grid]
+        assert np.array_equal(pay - grid * cost, want)
+        want = [oracles.effort_utility(prior, n, m, 1.0, 0.0, measure, a) for a in range(n)]
+        assert np.array_equal(active, want)
+
+    @given(seeds, st.sampled_from((2, 3, 4)), st.sampled_from(MEASURES),
+           st.sampled_from(KINDS), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_mixture_triple_equals_reference(self, seed, m, measure, kind, lam):
+        rng = rng_from_seed(seed)
+        prior = sampling.random_pairwise_symmetric_prior(rng, m)
+        strat = sampling.random_mixed_strategy(rng, m, kind)
+        joints = verify._effort_mixture(prior._pair_tables(0, [1]), strat.channel.rows, lam)
+        truth = Strategy(identity_channel(m))
+        want = [report_joint(prior, 0, 1, strat, truth, EffortStrategy(l), EffortStrategy(1.0))
+                for l in (1.0, 0.0, lam)]
+        assert np.array_equal(joints, [w.table for w in want])
+        assert np.array_equal(_mi_kernel(measure)(joints),
+                              [mutual_information(w, measure) for w in want])
 
 
 def assert_same_scenario(got, want):

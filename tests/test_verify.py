@@ -2,12 +2,10 @@ import collections
 import json
 import math
 
-import numpy as np
 import pytest
 
 from peerlab import (
     DimensionMismatch,
-    JointDistribution,
     PairwisePrior,
     SuiteConfig,
     default_config,
@@ -16,7 +14,7 @@ from peerlab import (
     run_suite,
 )
 from peerlab import mechanisms, verify
-from peerlab.measures import ConvexGenerator, ScoringRule
+from peerlab.measures import ScoringRule
 from peerlab.probability import rng_from_seed
 from peerlab.verify import SUITES
 
@@ -263,7 +261,12 @@ def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypat
     assert not replay_violation(violations[0], config)
 
 
-def test_effort_utility_builds_agent_zero_joint_alone(call_counts):
-    prior = PairwisePrior(JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]])))
-    verify._effort_utility(prior, 3, 2, 0.5, 0.1, ConvexGenerator.TVD)
-    assert call_counts["report_joint"] == 1
+def test_effort_suite_pays_each_list_from_one_stack(call_counts, monkeypatch):
+    # no report_joint per grid point: the canonical grid and active-peer list, then per
+    # instance its grid, its active-peer list and its mixture triple, one core call each
+    stacks = []
+    core = verify._report_tables
+    monkeypatch.setattr(verify, "_report_tables", lambda *args: stacks.append(1) or core(*args))
+    assert run_suite(default_config("effort", instances=3)).passed
+    assert call_counts["report_joint"] == call_counts["_exact_joints"] == 0
+    assert len(stacks) == 2 + 3 * 3
