@@ -483,7 +483,7 @@ def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
     if isinstance(prior, WorldModelPrior):
         states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
         table = np.stack([s.weights for s in prior.states])
-        return _inverse_cdf(table[states], rng.random((n, T)))
+        return _inverse_cdf(table, rng.random((n, T)), states)
     if isinstance(prior, PairwisePrior):
         if n != 2:
             raise UnsupportedPriorMode(
@@ -496,15 +496,20 @@ def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
     raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
 
 
-def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: for each uniform ``u``, the first index whose
-    cumulative weight reaches it.  ``weights`` holds distributions along its
-    last axis and broadcasts against ``u``.  The last cumulative weight is
-    pinned to 1, so weights summing to just under 1 (within ``NORM_TOL``)
-    still map every u < 1 into the alphabet."""
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform ``u``, the first index whose cumulative
+    weight reaches it.  ``weights`` holds distributions along its last axis.  Without
+    ``rows`` it broadcasts against ``u``; with ``rows``, an index into its leading
+    axes that broadcasts against ``u``, each u draws from its row.  The cumulative sums
+    are taken before that gather, and counted one column at a time.  The last column
+    is never compared: it counts as 1, so weights summing to just under 1 (within
+    ``NORM_TOL``) still map every u < 1 into the alphabet."""
     cdf = np.cumsum(weights, axis=-1)
-    cdf[..., -1] = 1.0
-    return (u[..., None] > cdf).sum(axis=-1)
+    draws = np.zeros(u.shape, dtype=np.intp)
+    for k in range(cdf.shape[-1] - 1):
+        column = cdf[..., k]
+        draws += u > (column if rows is None else column[rows])
+    return draws
 
 
 def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
@@ -519,16 +524,71 @@ def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
     if T == 0:
         empty = np.zeros((n, 0), dtype=np.intp)
         return ReportMatrix(empty, np.zeros((n, 0), dtype=bool), m)
-    signals = _sample_signal_tuples(scenario, T, rng)
-    entries = np.zeros((n, T), dtype=np.intp)
+    entries = _sample_signal_tuples(scenario, T, rng)  # row i becomes agent i's reports
     for i in range(n):
         eff = scenario.effort(i)
         coin = rng.random(T) < eff.full_effort_prob
         u = rng.random(T)
-        full = _inverse_cdf(scenario.strategies[i].channel.rows[signals[i]], u)
+        full = _inverse_cdf(scenario.strategies[i].channel.rows, u, entries[i])
         lazy = _inverse_cdf(eff.resolve_no_effort(m).weights, u)
         entries[i] = np.where(coin, full, lazy)
     return ReportMatrix.full(entries, m)
+
+
+COUNT_CELLS = 2**18  # report-pair cells per step of :func:`_count_tables`: 2 MiB of scratch
+
+
+def _packed_one_hot(reports: ReportMatrix, agents: np.ndarray) -> np.ndarray:
+    """The masked one-hot report array F of ``agents``, bit-packed along the questions:
+    shaped (words, agents, m) in uint64, where bit q of word w of (i, a) is set when the
+    i-th listed agent answered question 64·w + q with report a."""
+    entries, mask = reports.entries[agents], reports.mask[agents]
+    T, m = reports.n_questions, reports.alphabet_size
+    packed = np.zeros((len(agents), m, -(-T // 64) * 8), dtype=np.uint8)
+    for a in range(m):
+        packed[:, a, :(T + 7) // 8] = np.packbits((entries == a) & mask, axis=-1)
+    return np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
+
+
+def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
+    """Per block of consecutive agents of ``agents``, the empirical pair joint of each agent
+    with each agent of its row of ``refs`` (one row of k reference agents per agent), shaped
+    (agents in the block, k, m, m).
+
+    With F the masked one-hot report array, rows i·m + a and one column per question, the
+    count of report pair (a, b) for agents (i, j) is entry (i·m + a, j·m + b) of the Gram
+    product F Fᵀ.  Only the entries of listed pairs are taken, one step at a time: F is
+    bit-packed (:func:`_packed_one_hot`), and each step sums the popcounts of the ANDs of
+    64-question words over about ``COUNT_CELLS`` report-pair cells, in integers.  So
+    all-pairs pairing costs the Gram's n²·m²·T/64 word operations and seeded pairing
+    n·m²·T/64.  The shared-question total of (i, j), the Gram of the answer mask, is the sum
+    of its m x m block, and each table is its counts divided by that total.  The first
+    agent in order with a reference it shares no answered question with raises
+    :class:`NoOverlap`, naming its first such reference.
+    """
+    m, k = reports.alphabet_size, refs.shape[1]
+    listed, at = np.unique(np.concatenate([agents, refs.ravel()]), return_inverse=True)
+    bits = _packed_one_hot(reports, listed)
+    own_at, ref_at = at[:len(agents)], at[len(agents):].reshape(refs.shape)
+    cells = max(k * m * m, 1)  # per agent and word
+    block = max(COUNT_CELLS // cells, 1)
+    for start in range(0, len(agents), block):
+        rows, cols = own_at[start:start + block], ref_at[start:start + block]
+        step = max(COUNT_CELLS // (rows.size * cells), 1)
+        counts = np.zeros((rows.size, m, k * m), dtype=np.uint64)
+        for w in range(0, bits.shape[0], step):
+            words = bits[w:w + step]
+            own = np.take(words, rows, axis=1)[..., None]
+            pairs = own & np.take(words, cols, axis=1).reshape(len(words), rows.size, 1, -1)
+            counts += np.bitwise_count(pairs).sum(axis=0, dtype=np.uint64)
+        # in C order, so that each table sums cell by cell as it would alone
+        tables = np.ascontiguousarray(counts.reshape(rows.size, m, k, m).transpose(0, 2, 1, 3))
+        totals = tables.sum(axis=(-2, -1))
+        if not totals.all():
+            r, c = np.argwhere(totals == 0)[0]
+            raise NoOverlap(f"agents {agents[start + r]} and {refs[start + r, c]} "
+                            "share no answered question")
+        yield tables / totals[..., None, None]
 
 
 def empirical_pair_joint(
@@ -539,23 +599,13 @@ def empirical_pair_joint(
     ``j`` may also be a sequence of agents: the reference agent J is then
     uniform over ``j``, and the result is the conditional-mode joint of (J,
     report_i, report_J) whose slice J = j is the count matrix of (i, j) divided
-    by len(j).  The counts are one bincount of integer codes (slice offset plus
-    cell; unshared questions go past the last slice), in O(len(j) * T) memory.
+    by len(j).  The counts are entries of the Gram product F Fᵀ of the masked
+    one-hot report array F, taken as popcounts of bit-packed words
+    (:func:`_count_tables`), divided by the shared-question totals and then by len(j).
     """
     refs = np.atleast_1d(np.asarray(j, dtype=np.intp))
-    m = reports.alphabet_size
-    shared = reports.mask[refs] & reports.mask[i]
-    totals = shared.sum(axis=1)
-    if np.any(totals == 0):
-        raise NoOverlap(f"agents {i} and {refs[np.argmax(totals == 0)]} share no answered question")
-    cells = refs.size * m * m
-    codes = reports.entries[refs]
-    codes += m * reports.entries[i]
-    codes += np.arange(0, cells, m * m)[:, None]
-    codes[~shared] = cells
-    counts = np.bincount(codes.ravel(), minlength=cells + 1)[:cells]
-    tables = counts.reshape(refs.size, m, m) / totals[:, None, None]
-    return JointDistribution(tables[0] if np.ndim(j) == 0 else tables / refs.size)
+    (tables,) = _count_tables(reports, np.array([i], dtype=np.intp), refs[None])
+    return JointDistribution(tables[0, 0] if np.ndim(j) == 0 else tables[0] / refs.size)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ finite-n).
 The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
 agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
 (J, report_i, report_J) with J uniform over i's reference agents is exact
-(:func:`report_joint`) or counted (:func:`empirical_pair_joint`); one stacked
-kernel (f-MI, BMI, score shift or agreement) runs over its report-pair slices,
-averaged with the weights Pr[J=j], so a mutual-information payment is
-MI(report_i; report_J | J).  The joints can be built once for many kernels,
-or for one agent alone.  Finite-n signal-plus-prediction scores
-(:func:`bts_payments`) need no joint: with P the predictions, they are closed
-forms info_i = log fr_i - mean_j log P[j, s_i] and
+(:func:`report_joint`) or counted (the Gram kernel of :func:`empirical_pair_joint`,
+a block of agents at a time); one stacked kernel (f-MI, BMI, score shift or
+agreement) runs over its report-pair slices, averaged with the weights Pr[J=j],
+so a mutual-information payment is MI(report_i; report_J | J).  The joints can
+be built once for many kernels, or for one agent alone.  Finite-n
+signal-plus-prediction scores (:func:`bts_payments`) need no joint: with P the
+predictions, they are closed forms info_i = log fr_i - mean_j log P[j, s_i] and
 pred_i = mean_j log P[i, s_j] - mean_j log fr_j, O(n·m) array operations over
 the signal counts.  Errors are those of the first failing (i, j) pair in agent
 order: fr_i, then per reference j, P[j, s_i], fr_j and P[i, s_j].
@@ -41,7 +41,7 @@ from .agents import (
     Scenario,
     Strategy,
     WorldModelPrior,
-    empirical_pair_joint,
+    _count_tables,
     report_joint,
     reported_world_states,
     world_tensor,
@@ -132,25 +132,30 @@ def agent_welfare(report: PaymentReport) -> float:
 
 
 def _exact_joints(scenario: Scenario, agents: Sequence[int] | None = None):
-    """Per agent i of ``agents`` (default: all, in order), the exact conditional-mode joint
-    of (J, report_i, report_J) with the reference agent J uniform over the other agents."""
+    """Per agent i of ``agents`` (default: all, in order), the table of the exact
+    conditional-mode joint of (J, report_i, report_J) with the reference agent J uniform
+    over the other agents."""
     s, refs = scenario.strategies, _reference_sets(scenario.n_agents, ALL_PAIRS, None)
     for i in range(scenario.n_agents) if agents is None else agents:
         yield report_joint(scenario.prior, i, refs[i], s[i], [s[j] for j in refs[i]],
-                           scenario.effort(i), [scenario.effort(j) for j in refs[i]])
+                           scenario.effort(i), [scenario.effort(j) for j in refs[i]]).table
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):
-    """Per agent i, the empirical conditional-mode joint of (J, report_i, report_J) with J
-    uniform over i's reference agents."""
-    refs = _reference_sets(reports.n_agents, pairing, seed)
-    return (empirical_pair_joint(reports, i, row) for i, row in enumerate(refs))
+    """Per block of agents, in agent order, the tables of the empirical conditional-mode
+    joints of (J, report_i, report_J) with J uniform over each agent i's reference agents,
+    shaped (agents in the block, k, m, m)."""
+    refs = np.array(_reference_sets(reports.n_agents, pairing, seed), dtype=np.intp)
+    blocks = _count_tables(reports, np.arange(reports.n_agents), refs)
+    return (tables / refs.shape[1] for tables in blocks)
 
 
-def _peer_means(joints, per_table) -> np.ndarray:
+def _peer_means(tables, per_table) -> np.ndarray:
     """Per agent, ``per_table`` of its pair joints averaged over its reference agents J,
-    from its (J, report_i, report_J) joint, as :func:`conditional_mi` averages MI."""
-    return np.array([_slice_mean(joint.table, per_table) for joint in joints])
+    from its (J, report_i, report_J) table, as :func:`conditional_mi` averages MI.
+    ``tables`` yields, in agent order, one agent's table (k, m, m) or a stack of
+    agents' tables (agents, k, m, m)."""
+    return np.hstack([_slice_mean(t, per_table) for t in tables])
 
 
 def _mip_payment(scenario: Scenario, measure: Measure) -> float:

@@ -208,20 +208,25 @@ class TransitionMatrix:
     @property
     def is_permutation(self) -> bool:
         """True iff the matrix has exactly one 1 per row and per column."""
-        arr = self.rows
-        if arr.shape[0] != arr.shape[1]:
-            return False
-        ones = np.isclose(arr, 1.0, atol=1e-12)
-        zeros = np.isclose(arr, 0.0, atol=1e-12)
-        return bool(
-            np.all(ones | zeros)
-            and np.all(ones.sum(axis=0) == 1)
-            and np.all(ones.sum(axis=1) == 1)
-        )
+        return _is_permutation(self.rows)
 
     @property
     def is_identity(self) -> bool:
         return bool(_identity_mask(self.rows))
+
+
+def _is_permutation(arr: np.ndarray) -> bool:
+    """Whether a square matrix has exactly one 1 per row and per column, every other
+    entry 0, as ``np.isclose(.., atol=1e-12)`` with its default ``rtol = 1e-5`` decides
+    each entry: a 1 lies within 1e-12 + 1e-5 of 1, a 0 within 1e-12 of 0."""
+    if arr.shape[0] != arr.shape[1]:
+        return False
+    ones = np.abs(arr - 1.0) <= 1e-12 + 1e-5
+    return bool(
+        np.all(ones | (np.abs(arr) <= 1e-12))
+        and np.all(ones.sum(axis=0) == 1)
+        and np.all(ones.sum(axis=1) == 1)
+    )
 
 
 def _identity_mask(rows: np.ndarray) -> np.ndarray:

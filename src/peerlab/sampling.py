@@ -19,6 +19,9 @@ from .measures import ConvexGenerator, ScoringRule, is_fine_grained
 from .probability import Distribution, JointDistribution, RngSeed, TransitionMatrix, rng_from_seed
 
 STRATEGY_KIND_RATIOS = {"dense": 0.4, "sparse": 0.2, "permutation": 0.2, "constant": 0.2}
+_KINDS = tuple(STRATEGY_KIND_RATIOS)
+_KIND_PROBS = np.array([STRATEGY_KIND_RATIOS[k] for k in _KINDS])
+_KIND_PROBS.setflags(write=False)
 _FLOOR_FRAC = 0.1
 
 
@@ -52,9 +55,7 @@ def random_ci_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
 
 
 def random_strategy_kind(rng) -> str:
-    kinds = list(STRATEGY_KIND_RATIOS)
-    probs = np.array([STRATEGY_KIND_RATIOS[k] for k in kinds])
-    return kinds[int(rng.choice(len(kinds), p=probs))]
+    return _KINDS[int(rng.choice(len(_KINDS), p=_KIND_PROBS))]
 
 
 def random_mixed_strategy(rng, m: int, kind: str | None = None) -> Strategy:

@@ -835,8 +835,8 @@ def _equivalence_kernels(known_prior: PairwisePrior) -> dict:
 
 def _equivalence_payment_vectors(scenario: Scenario, kernels: dict) -> dict:
     """Exact per-agent payments of every exact evaluator, from one build of the report joints."""
-    joints = list(_exact_joints(scenario))
-    out = {name: _peer_means(joints, kernel) for name, kernel in kernels.items()}
+    tables = list(_exact_joints(scenario))
+    out = {name: _peer_means(tables, kernel) for name, kernel in kernels.items()}
     if isinstance(scenario.prior, WorldModelPrior):
         n = scenario.n_agents
         scores = bts_idealized_scores(scenario.prior, scenario.strategies)

@@ -19,7 +19,9 @@ files, one of them with three states), five error cases (two of them
 ``bts`` profiles with a zero prediction and a lone dissenter), and last the
 three exact-payment suites (effort, dominant-truthfulness, truth-monotone) at
 100 instances under ``--equality-tol 1e-300``, whose violations carry the grid
-utilities, the mixture sides and both payments.  A command that
+utilities, the mixture sides and both payments, then fmi and bmi on the
+world-model scenario with efforts at T = 2500 questions (40 of the count
+kernel's 64-question words, the last one partial).  A command that
 raises instead of writing an output is digested as its exception type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
@@ -167,6 +169,11 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     for suite in ("effort", "dominant-truthfulness", "truth-monotone"):
         out.append((f"verify-{suite}-forced", ["verify", suite, "--instances", "100",
                                                "--seed", "3", "--equality-tol", "1e-300"]))
+    # questions over many 64-question words of the count kernel, the last one partial
+    for name, extra in (("fmi", ["--measure", "kl"]), ("bmi", ["--rule", "log"])):
+        out.append((f"mechanism-world-effort-{name}-T2500",
+                    ["mechanism", "--mechanism", name, "--scenario", paths["world-effort"],
+                     "-T", "2500", "--seed", "9", *extra]))
     return out
 
 

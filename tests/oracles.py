@@ -9,7 +9,11 @@ as they were; the md/ca loops take their comparison subsets from the engine's
 batched draw and apply the per-question rewards.
 The one-table suites' per-instance parts, which drew and checked one table at
 a time through the public single-table functions, and the masked sums the
-Shannon and slice-mean code used before it took stacks close the file.
+Shannon and slice-mean code used before it took stacks follow.  The file closes
+with the bincount route of the empirical pair counts, the report sampler that
+gathered each draw's weights before its cumulative sums, and the two-``isclose``
+permutation test, as they were before the Gram kernel, the column-wise inverse
+CDF and the direct tolerance test replaced them.
 """
 
 import math
@@ -836,3 +840,69 @@ def masked_slice_mean(t: np.ndarray, per_slice) -> float:
     pz = t.sum(axis=(1, 2))
     live = pz > 0.0
     return float(np.sum(pz[live] * per_slice(t[live] / pz[live][:, None, None])))
+
+
+def bincount_empirical_pair_joint(reports, i: int, j) -> JointDistribution:
+    """``empirical_pair_joint`` as it counted before the Gram kernel: one bincount of integer
+    codes (slice offset plus cell; unshared questions go past the last slice)."""
+    refs = np.atleast_1d(np.asarray(j, dtype=np.intp))
+    m = reports.alphabet_size
+    shared = reports.mask[refs] & reports.mask[i]
+    totals = shared.sum(axis=1)
+    if np.any(totals == 0):
+        raise NoOverlap(f"agents {i} and {refs[np.argmax(totals == 0)]} share no answered question")
+    cells = refs.size * m * m
+    codes = reports.entries[refs]
+    codes += m * reports.entries[i]
+    codes += np.arange(0, cells, m * m)[:, None]
+    codes[~shared] = cells
+    counts = np.bincount(codes.ravel(), minlength=cells + 1)[:cells]
+    tables = counts.reshape(refs.size, m, m) / totals[:, None, None]
+    return JointDistribution(tables[0] if np.ndim(j) == 0 else tables / refs.size)
+
+
+def gathered_inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws as the sampler took them before the column-wise count: the cumsum
+    of the gathered weights, last column pinned to 1, compared as one (..., m) cube."""
+    cdf = np.cumsum(weights, axis=-1)
+    cdf[..., -1] = 1.0
+    return (u[..., None] > cdf).sum(axis=-1)
+
+
+def gathered_generate_reports(scenario: Scenario, T: int, seed) -> np.ndarray:
+    """The report entries ``generate_reports`` drew before the column-wise inverse CDF, with
+    the same rng calls in the same order (T >= 1)."""
+    prior, n, m = scenario.prior, scenario.n_agents, scenario.alphabet_size
+    rng = rng_from_seed(seed)
+    if isinstance(prior, FullJointPrior):
+        flat = prior.tensor.reshape(-1)
+        signals = np.array(np.unravel_index(rng.choice(flat.size, size=T, p=flat),
+                                            prior.tensor.shape))
+    elif isinstance(prior, WorldModelPrior):
+        states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
+        table = np.stack([s.weights for s in prior.states])
+        signals = gathered_inverse_cdf(table[states], rng.random((n, T)))
+    else:
+        if n != 2:
+            raise UnsupportedPriorMode("a pairwise prior is only generative for 2 agents")
+        flat = prior.joint.table.reshape(-1)
+        signals = np.array(np.unravel_index(rng.choice(flat.size, size=T, p=flat), (m, m)))
+    entries = np.zeros((n, T), dtype=np.intp)
+    for i in range(n):
+        eff = scenario.effort(i)
+        coin = rng.random(T) < eff.full_effort_prob
+        u = rng.random(T)
+        full = gathered_inverse_cdf(scenario.strategies[i].channel.rows[signals[i]], u)
+        lazy = gathered_inverse_cdf(eff.resolve_no_effort(m).weights, u)
+        entries[i] = np.where(coin, full, lazy)
+    return entries
+
+
+def isclose_is_permutation(arr: np.ndarray) -> bool:
+    """``TransitionMatrix.is_permutation`` as two full ``np.isclose`` calls decided it."""
+    if arr.shape[0] != arr.shape[1]:
+        return False
+    ones = np.isclose(arr, 1.0, atol=1e-12)
+    zeros = np.isclose(arr, 0.0, atol=1e-12)
+    return bool(np.all(ones | zeros) and np.all(ones.sum(axis=0) == 1)
+                and np.all(ones.sum(axis=1) == 1))

@@ -25,7 +25,7 @@ from peerlab import (
     sample,
 )
 from peerlab.errors import PeerLabError
-from peerlab.probability import _validated_tables
+from peerlab.probability import _is_permutation, _validated_tables
 
 import oracles
 
@@ -232,6 +232,24 @@ class TestTransitionMatrix:
     def test_row_sum_validated(self):
         with pytest.raises(ZeroMass):
             TransitionMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    # offsets on both sides of the tolerances: 1e-12 around 0, 1e-12 + 1e-5 around 1
+    NEAR = st.sampled_from((0.0, 1e-12, 2e-12, 1e-5, 1e-5 + 1e-12, 1e-5 + 2e-12, 1.1e-5)) | (
+        st.floats(0.0, 2e-5))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_permutation_test_matches_isclose(self, m, m_out, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = np.zeros((m, m_out))
+        base[np.arange(m), rng.integers(0, m_out, m)] = 1.0  # sometimes two 1s in a column
+        if data.draw(st.booleans()) and m == m_out:
+            base = np.eye(m)[rng.permutation(m)]
+        sign = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=base.size,
+                                  max_size=base.size))
+        near = data.draw(st.lists(self.NEAR, min_size=base.size, max_size=base.size))
+        arr = base + np.reshape(sign, base.shape) * np.reshape(near, base.shape)
+        assert _is_permutation(arr) == oracles.isclose_is_permutation(arr)
 
 
 class TestValidatedTables:

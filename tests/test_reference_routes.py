@@ -17,6 +17,7 @@ the effort suite's stacked payments (against ``oracles.effort_utility``)."""
 import collections
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from peerlab import (
     EffortStrategy,
     FullJointPrior,
     JointDistribution,
+    NoOverlap,
     NonBinaryAlphabet,
     PairwisePrior,
     PermutationList,
@@ -37,6 +39,7 @@ from peerlab import (
     Scenario,
     ScoringRule,
     Strategy,
+    WorldModelPrior,
     bmi_mechanism_payments,
     bregman_mi,
     bts_idealized_scores,
@@ -48,6 +51,7 @@ from peerlab import (
     f_divergence,
     f_mutual_information,
     fmi_mechanism_payments,
+    generate_reports,
     make_distribution,
     md_payments,
     mip_expected_payments,
@@ -66,11 +70,12 @@ from peerlab import (
     sppm_payments,
     verify,
 )
-from peerlab.agents import _report_tables
+from peerlab import agents as agents_module
+from peerlab.agents import _inverse_cdf, _report_tables
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
-    _agreement_rewards, _comparison_subsets, _exact_joints, _mip_payment, _peer_means,
-    _reference_sets, optimal_predictions,
+    _agreement_rewards, _comparison_subsets, _empirical_joints, _empirical_mi_payments,
+    _exact_joints, _mip_payment, _peer_means, _reference_sets, optimal_predictions,
 )
 from peerlab.measures import _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
@@ -407,10 +412,10 @@ class TestAgentZeroRoute:
         scenario = random_scenario(seed, n, efforts)
         full = list(_exact_joints(scenario))
         for i in range(n):
-            (joint,) = _exact_joints(scenario, [i])
-            assert np.array_equal(joint.table, full[i].table)
+            (table,) = _exact_joints(scenario, [i])
+            assert np.array_equal(table, full[i])
         reordered = list(_exact_joints(scenario, range(n)[::-1]))
-        assert all(np.array_equal(a.table, b.table) for a, b in zip(reordered[::-1], full))
+        assert all(np.array_equal(a, b) for a, b in zip(reordered[::-1], full))
 
     @given(seeds, st.integers(2, 5), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
            st.sampled_from(MEASURES), st.data())
@@ -641,6 +646,133 @@ def assert_close_scores(got, want):
     assert_close(got.information_scores, want.information_scores)
     assert_close(got.prediction_scores, want.prediction_scores)
     assert np.all(np.isfinite(got.payments))
+
+
+class TestGramCounts:
+    """The Gram count kernel against the bincount route it replaced and the per-pair loop,
+    bit for bit.  ``COUNT_CELLS`` is patched small so that the examples split the agents
+    into several blocks and the 64-question words into several steps; T falls below, on
+    and past the word and step edges."""
+
+    @staticmethod
+    def bincount_route(reports, refs):
+        return [oracles.bincount_empirical_pair_joint(reports, i, row).table
+                for i, row in enumerate(refs)]
+
+    @given(st.sampled_from((1, 8, 40, 300, agents_module.COUNT_CELLS)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_joints_match_bincount_and_loop(self, cells, data):
+        m = data.draw(st.integers(2, 4))
+        n = data.draw(st.sampled_from((2, 3)) | st.integers(4, 9))
+        T = data.draw(st.sampled_from((1, 63, 64, 65, 128, 129, 320)) | st.integers(1, 400))
+        rng = np.random.default_rng(data.draw(seeds))
+        entries = rng.integers(0, m, (n, T))
+        mask = rng.random((n, T)) < data.draw(st.floats(0.2, 1.0))
+        entries[~mask] = rng.integers(-3, m + 3, int((~mask).sum()))  # never read
+        reports = ReportMatrix(entries, mask, m)
+        pairing, seed = data.draw(st.sampled_from(PAIRINGS)), data.draw(seeds)
+        refs = _reference_sets(n, pairing, seed)
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            got = outcome_with_message(lambda: np.concatenate(list(
+                _empirical_joints(reports, pairing, seed))))
+        want = outcome_with_message(self.bincount_route, reports, refs)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert np.array_equal(got[0], np.array(want[0]))
+            loop = [[oracles.loop_empirical_pair_joint(reports, i, j).table / len(row)
+                     for j in row] for i, row in enumerate(refs)]
+            assert np.array_equal(got[0], np.array(loop))
+
+    @given(masked_reports(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_public_forms_match_bincount(self, reports, data):
+        who = st.integers(0, reports.n_agents - 1)
+        i = data.draw(who)
+        j = data.draw(who | st.lists(who, min_size=1, max_size=4))
+        got = outcome_with_message(empirical_pair_joint, reports, i, j)
+        want = outcome_with_message(oracles.bincount_empirical_pair_joint, reports, i, j)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert np.array_equal(got[0].table, want[0].table)
+
+    @pytest.mark.parametrize("pairing", PAIRINGS)
+    def test_module_sizes_match_bincount(self, pairing):
+        # all-pairs: 130 agents of 129 references span two blocks, 200 questions four words
+        # (one step each)
+        n, T, m = 130, 200, 4
+        rng = np.random.default_rng(11)
+        reports = ReportMatrix(rng.integers(0, m, (n, T)), rng.random((n, T)) < 0.7, m)
+        refs = _reference_sets(n, pairing, 5)
+        got = np.concatenate(list(_empirical_joints(reports, pairing, 5)))
+        assert np.array_equal(got, np.array(self.bincount_route(reports, refs)))
+
+    @given(masked_reports(), st.sampled_from(MEASURES), st.sampled_from(PAIRINGS), seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_payments_are_the_per_agent_bits(self, reports, measure, pairing, seed):
+        # one kernel call per block of agents gives each agent the bits of its own call
+        refs = _reference_sets(reports.n_agents, pairing, seed)
+        got = outcome(_empirical_mi_payments, reports, measure, pairing, seed, "x")
+        want = outcome(lambda: np.array([_slice_mean(table, _mi_kernel(measure)) for table in
+                                         self.bincount_route(reports, refs)]))
+        assert_same_outcome(got, want, lambda a, b: np.testing.assert_array_equal(a.payments, b))
+
+    def test_no_overlap_names_first_agent_and_reference(self):
+        # agents 0 and 2 answer the last two questions, 1 and 4 the first two, 3 none
+        mask = np.array([[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [1, 1, 0, 0]],
+                        dtype=bool)
+        reports = ReportMatrix(np.zeros((5, 4), dtype=int), mask, 2)
+        for pairing in PAIRINGS:
+            refs = _reference_sets(5, pairing, 3)
+            with mock.patch.object(agents_module, "COUNT_CELLS", 8):  # blocks of one or two agents
+                got = outcome_with_message(lambda: list(_empirical_joints(reports, pairing, 3)))
+            want = outcome_with_message(self.bincount_route, reports, refs)
+            assert want[1] is not None and got[1] == want[1]
+        with pytest.raises(NoOverlap, match="agents 0 and 1 share"):
+            empirical_pair_joint(reports, 0, [2, 1, 3])
+
+
+class TestColumnwiseSampling:
+    """``generate_reports`` against the sampler that gathered each draw's weights before
+    taking their cumulative sums: the same rng calls, the same entries."""
+
+    @given(seeds, st.integers(2, 5), st.booleans(), st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_entries_match_gathered_sampler(self, seed, n, efforts, T):
+        scenario = random_scenario(seed, n, efforts)
+        got = outcome(generate_reports, scenario, T, seed)
+        want = outcome(oracles.gathered_generate_reports, scenario, T, seed)
+        assert_same_outcome(got, want, lambda a, b: np.testing.assert_array_equal(a.entries, b))
+
+    @pytest.mark.parametrize("mode", ("world", "full", "pairwise"))
+    def test_each_prior_mode_with_effort_coins(self, mode):
+        rng = rng_from_seed(4)
+        n = 2 if mode == "pairwise" else 3
+        prior = {"world": lambda: sampling.random_world_model(rng, 3, 3),
+                 "full": lambda: sampling.random_full_joint_prior(rng, n, 3),
+                 "pairwise": lambda: PairwisePrior(sampling.random_joint(rng, 3, 3), False)}[mode]()
+        strategies = tuple(sampling.random_mixed_strategy(rng, 3, "dense") for _ in range(n))
+        efforts = (EffortStrategy(0.5, 0.1, sampling.random_distribution(rng, 3)),
+                   EffortStrategy(0.0, 0.0)) + (EffortStrategy(0.7, 0.0),) * (n - 2)
+        scenario = Scenario(prior, strategies, efforts)
+        reports = generate_reports(scenario, 3000, 8)
+        assert np.array_equal(reports.entries,
+                              oracles.gathered_generate_reports(scenario, 3000, 8))
+        # agent 1 never invests: its reports are its uniform no-effort draws
+        assert set(np.unique(reports.entries[1])) == {0, 1, 2}
+
+    def test_weights_just_under_one_stay_in_alphabet(self):
+        weights = np.array([0.25, 0.25, 0.5]) * (1.0 - 1e-9)  # sums to 1 - 1e-9
+        u = np.concatenate([np.linspace(0.0, 1.0, 10_001)[:-1], [1.0 - 2**-53, 1.0 - 1e-10]])
+        for rows in (None, np.zeros(u.size, dtype=np.intp)):
+            draws = _inverse_cdf(weights if rows is None else weights[None], u, rows)
+            assert draws.min() == 0 and draws.max() == 2
+            assert np.array_equal(draws, oracles.gathered_inverse_cdf(weights, u))
+        channel = TransitionMatrix(np.tile(weights, (3, 1)))
+        world = WorldModelPrior(Distribution(np.ones(2) / 2), (Distribution(weights),) * 2)
+        scenario = Scenario(world, (Strategy(channel),) * 3,
+                            (EffortStrategy(0.5, 0.0, Distribution(weights)),) * 3)
+        entries = generate_reports(scenario, 5000, 1).entries
+        assert entries.min() >= 0 and entries.max() <= 2
 
 
 class TestBtsPairLoop:
