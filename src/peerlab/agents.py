@@ -21,6 +21,10 @@ Priors come in three modes:
 Strategies are *consistent* channels (one per agent, applied to every
 question); mixed per-question behavior is equivalent to a mixed consistent
 strategy when questions are a priori similar and randomly ordered.
+
+Exact report tables have one builder, ``_report_tables``, and counted ones the Gram
+kernel ``_count_tables``; both take blocks of agents, and ``report_joint`` and
+``empirical_pair_joint`` are their public forms for one agent pair.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ from .probability import (
     JointDistribution,
     RngSeed,
     TransitionMatrix,
+    _index,
     _integers,
     _validated_array,
+    _validated_tables,
     identity_channel,
     rng_from_seed,
     uniform_distribution,
@@ -321,11 +327,11 @@ def truthful_scenario(prior: Prior, n: int) -> Scenario:
 def report_joint(
     prior: Prior,
     i: int,
-    j: int | Sequence[int],
+    j: int,
     s_i: Strategy,
-    s_j: Strategy | Sequence[Strategy],
+    s_j: Strategy,
     eff_i: EffortStrategy | None = None,
-    eff_j: EffortStrategy | Sequence[EffortStrategy | None] | None = None,
+    eff_j: EffortStrategy | None = None,
 ) -> JointDistribution:
     """Exact joint of the two agents' reports.
 
@@ -333,40 +339,26 @@ def report_joint(
     ``full_effort_prob``, else an independent draw from her no-effort
     distribution; the result is the four-way mixture over the effort coins.
 
-    ``j`` may also be a sequence of agents, with ``s_j`` and ``eff_j`` (unless
-    None) sequences alongside it.  The reference agent J is then uniform over
-    ``j``, and the result is the conditional-mode joint of (J, report_i,
-    report_J): slice J = j is the pair joint of (i, j) divided by len(j).
-
-    This validates the inputs and hands them to :func:`_report_tables`, whose
-    inputs may also carry leading axes (a grid of effort probabilities, a
-    stack of channels), giving a stack of these joints from one call.
+    This validates the inputs and hands them to :func:`_report_tables`.
     """
-    single = np.ndim(j) == 0
-    if single:
-        refs, s_j, eff_j = [j], [s_j], [eff_j]
-    else:
-        refs, s_j = list(j), list(s_j)
-        eff_j = [None] * len(refs) if eff_j is None else list(eff_j)
-    if not refs or len(s_j) != len(refs) or len(eff_j) != len(refs):
-        raise DimensionMismatch("one strategy and one effort per reference agent")
-    a, b = s_i.channel.rows, [s.channel.rows for s in s_j]
-    m = prior.alphabet_size
-    if a.shape[0] != m or any(c.shape != b[0].shape or c.shape[0] != m for c in b):
+    if np.ndim(j) != 0:
+        raise DimensionMismatch(f"report_joint takes one reference agent j, got {j!r}")
+    a, b, m = s_i.channel.rows, s_j.channel.rows, prior.alphabet_size
+    if a.shape[0] != m or b.shape[0] != m:
         raise DimensionMismatch("strategy alphabet differs from prior alphabet")
-    eff_i, eff_j = eff_i or FULL_EFFORT, [e or FULL_EFFORT for e in eff_j]
+    eff_i, eff_j = eff_i or FULL_EFFORT, eff_j or FULL_EFFORT
     tables = _report_tables(
-        a, np.stack(b), prior._pair_tables(i, refs),
-        eff_i.full_effort_prob, np.array([e.full_effort_prob for e in eff_j])[:, None, None],
+        a, b[None], prior._pair_tables(i, [j]), eff_i.full_effort_prob, eff_j.full_effort_prob,
         eff_i.resolve_no_effort(a.shape[1]).weights,
-        np.stack([e.resolve_no_effort(b[0].shape[1]).weights for e in eff_j]),
+        eff_j.resolve_no_effort(b.shape[1]).weights[None],
     )
-    return JointDistribution(tables[0] if single else tables / len(refs))
+    return JointDistribution(tables[0])
 
 
 def _report_tables(a, b, q, li, lj, xi, xj) -> np.ndarray:
-    """The body of :func:`report_joint` on arrays: per reference agent, agent i's joint
-    report table with it, shaped (..., k, m', m'), before any division by k.
+    """Every exact report table is built here: per reference agent J of k, agent i's joint
+    report table with it divided by k, so that the validated (..., k, m', m') result is
+    the conditional-mode joint of (J, report_i, report_J) with J uniform over the k agents.
 
     ``a`` (..., m, m') is agent i's channel and ``xi`` (..., m') its no-effort weights;
     ``b`` (..., k, m, m'), ``q`` (..., k, m, m) and ``xj`` (..., k, m') hold one channel,
@@ -379,12 +371,13 @@ def _report_tables(a, b, q, li, lj, xi, xj) -> np.ndarray:
     mi = at @ q.sum(axis=-1)[..., :, None]  # full-effort report marginals: a column
     mj = q.sum(axis=-2)[..., None, :] @ b  # and a row
     xi, xj = xi[..., :, None], xj[..., None, :]
-    return (
+    tables = (
         li * lj * (at @ q @ b)
         + li * (1.0 - lj) * (mi * xj)
         + (1.0 - li) * lj * (xi * mj)
         + (1.0 - li) * (1.0 - lj) * (xi * xj)
     )
+    return _validated_tables(tables / tables.shape[-3], rank=3)
 
 
 def reported_world_states(
@@ -444,9 +437,8 @@ class ReportMatrix:
         alphabet_size = int(_integers(self.alphabet_size, "alphabet_size"))
         if entries.shape != mask.shape or entries.ndim != 2:
             raise DimensionMismatch("entries and mask must share an (n, T) shape")
-        if entries[mask].size and (
-            entries[mask].min() < 0 or entries[mask].max() >= alphabet_size
-        ):
+        answered = entries[mask]
+        if answered.size and (answered.min() < 0 or answered.max() >= alphabet_size):
             raise DimensionMismatch("report entries outside the alphabet")
         entries.setflags(write=False)
         mask.setflags(write=False)
@@ -591,21 +583,15 @@ def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
         yield tables / totals[..., None, None]
 
 
-def empirical_pair_joint(
-    reports: ReportMatrix, i: int, j: int | Sequence[int]
-) -> JointDistribution:
+def empirical_pair_joint(reports: ReportMatrix, i: int, j: int) -> JointDistribution:
     """Count matrix over the questions both agents answered, normalized.
 
-    ``j`` may also be a sequence of agents: the reference agent J is then
-    uniform over ``j``, and the result is the conditional-mode joint of (J,
-    report_i, report_J) whose slice J = j is the count matrix of (i, j) divided
-    by len(j).  The counts are entries of the Gram product F Fᵀ of the masked
-    one-hot report array F, taken as popcounts of bit-packed words
-    (:func:`_count_tables`), divided by the shared-question totals and then by len(j).
+    The counts are entries of the Gram product F Fᵀ of the masked one-hot report
+    array F, taken as popcounts of bit-packed words (:func:`_count_tables`).
     """
-    refs = np.atleast_1d(np.asarray(j, dtype=np.intp))
-    (tables,) = _count_tables(reports, np.array([i], dtype=np.intp), refs[None])
-    return JointDistribution(tables[0, 0] if np.ndim(j) == 0 else tables[0] / refs.size)
+    i, j = _index(i, reports.n_agents, "i"), _index(j, reports.n_agents, "j")
+    (tables,) = _count_tables(reports, np.array([i]), np.array([[j]]))
+    return JointDistribution(tables[0, 0])
 
 
 # ---------------------------------------------------------------------------

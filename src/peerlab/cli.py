@@ -33,14 +33,17 @@ from .errors import PeerLabError
 from .measures import (
     ConvexGenerator,
     ScoringRule,
-    bregman_mi,
+    _mi_kernel,
     conditional_mi,
-    f_mutual_information,
+    mutual_information,
     shannon_mi,
 )
 from .mechanisms import (
+    ALL_PAIRS,
     BtsReportProfile,
-    _mip_payment,
+    _empirical_joints,
+    _exact_joints,
+    _peer_means,
     bmi_mechanism_payments,
     bts_payments,
     bts_idealized_scores,
@@ -166,18 +169,19 @@ def cmd_measure(args) -> int:
     if args.tensor and not table.is_conditional:
         raise CliError(f"{path}: --tensor expects a rank-3 table")
     inputs = {path: _sha256(path)}
+    if args.mi == "shannon":
+        measure, name = ConvexGenerator.KL, "shannon"
+    elif args.mi:
+        measure = _GENERATORS[args.mi]
+        name = f"mi-{measure.value}"
+    else:
+        measure = _RULES[args.bregman]
+        name = f"bregman-{measure.value}"
     try:
-        if args.mi == "shannon":
-            value = conditional_mi(table, ConvexGenerator.KL) if table.is_conditional else shannon_mi(table)
-            name = "shannon"
-        elif args.mi:
-            gen = _GENERATORS[args.mi]
-            value = conditional_mi(table, gen) if table.is_conditional else f_mutual_information(table, gen)
-            name = f"mi-{gen.value}"
-        else:
-            rule = _RULES[args.bregman]
-            value = conditional_mi(table, rule) if table.is_conditional else bregman_mi(table, rule)
-            name = f"bregman-{rule.value}"
+        if table.is_conditional:
+            value = conditional_mi(table, measure)
+        else:  # Shannon MI keeps its own direct sum
+            value = shannon_mi(table) if args.mi == "shannon" else mutual_information(table, measure)
     except PeerLabError as exc:
         return _emit_error(args.out, config, inputs, exc)
     units = "nats" if (args.mi in _NATS or args.bregman == "log") else "dimensionless"
@@ -321,6 +325,11 @@ def _parse_grid(text: str) -> list[int]:
         raise CliError(f"bad --grid {text!r}: {exc}") from exc
 
 
+def _agent0_payment(blocks, measure) -> float:
+    """The engine's ``payments[0]``, from the first block alone (blocks come in agent order)."""
+    return float(_peer_means([next(blocks)], _mi_kernel(measure))[0])
+
+
 def cmd_sweep(args) -> int:
     config = {
         "command": "sweep",
@@ -342,11 +351,11 @@ def cmd_sweep(args) -> int:
             gen = _GENERATORS.get(args.measure or "tvd")
             if gen is None:
                 raise CliError(f"unknown --measure {args.measure!r}")
-            exact = _mip_payment(scenario, gen)
+            exact = _agent0_payment(_exact_joints(scenario), gen)
 
             def cell(g: int, seed: int) -> float:
                 reports = generate_reports(scenario, g, seed)
-                emp = float(fmi_mechanism_payments(reports, gen).payments[0])
+                emp = _agent0_payment(_empirical_joints(reports, ALL_PAIRS, None), gen)
                 return abs(emp - exact)
 
         else:  # bts-gap

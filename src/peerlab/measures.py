@@ -46,6 +46,7 @@ from .probability import (
 
 EQUALITY_TOL = 1e-10
 STRICTNESS_TOL = 1e-10
+_PAIR_CELLS = 2**16  # cell pairs per step of :func:`is_fine_grained`: 0.5 MiB of differences
 
 
 class ConvexGenerator(enum.Enum):
@@ -299,19 +300,19 @@ def is_fine_grained(joint: JointDistribution, tol: float = 1e-9) -> FineGrainedR
     channels and strictly convex generators.
     """
     table = joint._require_pairwise("is_fine_grained")
-    v = product_of_marginals(joint).table
     cells = [(x, y) for x in range(table.shape[0]) for y in range(table.shape[1])]
     for idx, (x, y) in enumerate(cells):
         if table[x, y] <= tol:
             other = cells[idx + 1] if idx + 1 < len(cells) else cells[idx - 1]
             return FineGrainedReport(False, ((x, y), other))
-    ratios = v / table
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            xa, ya = cells[a]
-            xb, yb = cells[b]
-            if abs(float(ratios[xa, ya] - ratios[xb, yb])) <= tol:
-                return FineGrainedReport(False, (cells[a], cells[b]))
+    r = (product_of_marginals(joint).table / table).ravel()
+    # cell pairs (a, b) with a < b, a block of rows a of about _PAIR_CELLS pairs per step;
+    # argwhere lists a block's pairs in the order a, then b, so its first is the first tie
+    step = max(_PAIR_CELLS // r.size, 1)
+    for start in range(0, r.size, step):
+        close = np.argwhere(np.triu(np.abs(r[start:start + step, None] - r) <= tol, start + 1))
+        if close.size:
+            return FineGrainedReport(False, (cells[start + close[0, 0]], cells[close[0, 1]]))
     return FineGrainedReport(True)
 
 

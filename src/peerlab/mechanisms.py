@@ -8,12 +8,12 @@ finite-n).
 
 The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
 agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
-(J, report_i, report_J) with J uniform over i's reference agents is exact
-(:func:`report_joint`) or counted (the Gram kernel of :func:`empirical_pair_joint`,
-a block of agents at a time); one stacked kernel (f-MI, BMI, score shift or
-agreement) runs over its report-pair slices, averaged with the weights Pr[J=j],
-so a mutual-information payment is MI(report_i; report_J | J).  The joints can
-be built once for many kernels, or for one agent alone.  Finite-n
+(J, report_i, report_J) with J uniform over i's reference agents is exact or
+counted, one call of the core of :func:`report_joint` or :func:`empirical_pair_joint`
+per block of agents of about ``agents.COUNT_CELLS`` cells; one stacked kernel (f-MI,
+BMI, score shift or agreement) runs over its report-pair slices, averaged with the
+weights Pr[J=j], so a mutual-information payment is MI(report_i; report_J | J).  The
+blocks can be built once for many kernels.  Finite-n
 signal-plus-prediction scores (:func:`bts_payments`) need no joint: with P the
 predictions, they are closed forms info_i = log fr_i - mean_j log P[j, s_i] and
 pred_i = mean_j log P[i, s_j] - mean_j log fr_j, O(n·m) array operations over
@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import agents
 from .agents import (
     PairwisePrior,
     ReportMatrix,
@@ -42,7 +43,7 @@ from .agents import (
     Strategy,
     WorldModelPrior,
     _count_tables,
-    report_joint,
+    _report_tables,
     reported_world_states,
     world_tensor,
 )
@@ -62,6 +63,7 @@ from .measures import (
     log_score_accuracy_gain,
 )
 from .probability import Distribution, JointDistribution, RngSeed, _integers, rng_from_seed
+report_joint = agents.report_joint  # not called here; still importable from this module
 
 ALL_PAIRS = "all-pairs-average"
 SEEDED_RANDOM = "seeded-random-reference"
@@ -131,14 +133,22 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_joints(scenario: Scenario, agents: Sequence[int] | None = None):
-    """Per agent i of ``agents`` (default: all, in order), the table of the exact
-    conditional-mode joint of (J, report_i, report_J) with the reference agent J uniform
-    over the other agents."""
-    s, refs = scenario.strategies, _reference_sets(scenario.n_agents, ALL_PAIRS, None)
-    for i in range(scenario.n_agents) if agents is None else agents:
-        yield report_joint(scenario.prior, i, refs[i], s[i], [s[j] for j in refs[i]],
-                           scenario.effort(i), [scenario.effort(j) for j in refs[i]]).table
+def _exact_joints(scenario: Scenario):
+    """Per block of agents, in agent order, the tables of the exact conditional-mode joints
+    of (J, report_i, report_J) with J uniform over each agent i's other agents, shaped
+    (agents in the block, n-1, m, m): one :func:`_report_tables` call per block of about
+    ``agents.COUNT_CELLS`` cells, the budget of the count kernel."""
+    n, m, prior = scenario.n_agents, scenario.alphabet_size, scenario.prior
+    refs = np.array(_reference_sets(n, ALL_PAIRS, None), dtype=np.intp)
+    efforts = [scenario.effort(i) for i in range(n)]
+    channels = np.stack([s.channel.rows for s in scenario.strategies])
+    probs = np.array([e.full_effort_prob for e in efforts])[:, None, None]
+    lazy = np.stack([e.resolve_no_effort(m).weights for e in efforts])
+    block = max(agents.COUNT_CELLS // (refs.shape[1] * m * m), 1)
+    for own in np.array_split(np.arange(n), range(block, n, block)):
+        q = np.stack([prior._pair_tables(i, refs[i]) for i in own])
+        yield _report_tables(channels[own, None], channels[refs[own]], q, probs[own, None],
+                             probs[refs[own]], lazy[own, None], lazy[refs[own]])
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):
@@ -153,14 +163,8 @@ def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None)
 def _peer_means(tables, per_table) -> np.ndarray:
     """Per agent, ``per_table`` of its pair joints averaged over its reference agents J,
     from its (J, report_i, report_J) table, as :func:`conditional_mi` averages MI.
-    ``tables`` yields, in agent order, one agent's table (k, m, m) or a stack of
-    agents' tables (agents, k, m, m)."""
+    ``tables`` yields, in agent order, blocks of agents' tables (agents, k, m, m)."""
     return np.hstack([_slice_mean(t, per_table) for t in tables])
-
-
-def _mip_payment(scenario: Scenario, measure: Measure) -> float:
-    """``mip_expected_payments(scenario, measure).payments[0]``, from agent 0's joint alone."""
-    return float(_peer_means(_exact_joints(scenario, [0]), _mi_kernel(measure))[0])
 
 
 def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport:

@@ -341,10 +341,9 @@ def _agent0_payments(q, a, b, li, lj, gen) -> np.ndarray:
     the inputs, from one :func:`_report_tables` call: its channel ``a`` and its k peers'
     channels ``b`` on their pair tables ``q`` (k, m, m), at effort probabilities ``li`` and
     ``lj``, with uniform no-effort reports."""
-    k, m = q.shape[0], q.shape[-1]
-    x = uniform_distribution(m).weights
-    tables = _report_tables(a, b, q, li, lj, x, np.broadcast_to(x, (k, m)))
-    return _slice_mean(_validated_tables(tables / k, 3), _mi_kernel(gen))
+    x = uniform_distribution(q.shape[-1]).weights
+    tables = _report_tables(a, b, q, li, lj, x, x[None])
+    return _slice_mean(tables, _mi_kernel(gen))
 
 
 def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
@@ -510,8 +509,7 @@ def _effort_mixture(q, channel, lam: float) -> np.ndarray:
     effort on pair table ``q`` (1, m, m), at its effort probabilities 1, 0 and ``lam``."""
     x = uniform_distribution(q.shape[-1]).weights
     li = np.array([1.0, 0.0, lam])[:, None, None, None]
-    tables = _report_tables(channel, np.eye(len(x)), q, li, 1.0, x, x[None])
-    return _validated_tables(tables[:, 0], rank=2)
+    return _report_tables(channel, np.eye(len(x)), q, li, 1.0, x, x[None])[:, 0]
 
 
 def suite_effort(config: SuiteConfig) -> SuiteVerdict:

@@ -21,7 +21,9 @@ three exact-payment suites (effort, dominant-truthfulness, truth-monotone) at
 100 instances under ``--equality-tol 1e-300``, whose violations carry the grid
 utilities, the mixture sides and both payments, then fmi and bmi on the
 world-model scenario with efforts at T = 2500 questions (40 of the count
-kernel's 64-question words, the last one partial).  A command that
+kernel's 64-question words, the last one partial), then exact mip and sppm on
+a 200-agent, 4-signal world-model scenario with efforts, whose report tables
+the exact engines build in three blocks of agents.  A command that
 raises instead of writing an output is digested as its exception type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
@@ -68,8 +70,8 @@ def _dist(rng, m: int, zero: bool = False) -> list[float]:
     return (w / w.sum()).tolist()
 
 
-def _scenario(rng, mode: str, efforts: bool) -> dict:
-    m, n = {"world": (3, 4), "pairwise": (3, 2), "full": (2, 3)}[mode]
+def _scenario(rng, mode: str, efforts: bool, size: tuple[int, int] | None = None) -> dict:
+    m, n = size or {"world": (3, 4), "pairwise": (3, 2), "full": (2, 3)}[mode]
     if mode == "world":
         prior = {"mode": "world_model", "state_probs": _dist(rng, 2),
                  "states": [_dist(rng, m) for _ in range(2)]}
@@ -113,6 +115,8 @@ def write_inputs(workdir: str) -> dict[str, str]:
                                        "predictions": [[0.5, 0.3, 0.2]] * 4 + [[0.0, 0.6, 0.4]] * 2}
     docs["profile-lone-dissenter"] = {"signals": [2, 0, 1, 0, 1, 1],
                                       "predictions": [[0.4, 0.4, 0.2]] * 6}
+    # 200 agents of 4 signals: the exact engines build its report tables in three blocks
+    docs["world-effort-200"] = _scenario(rng, "world", True, (4, 200))
     paths = {}
     for name, doc in docs.items():
         paths[name] = os.path.join(workdir, f"{name}.json")
@@ -174,6 +178,10 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"mechanism-world-effort-{name}-T2500",
                     ["mechanism", "--mechanism", name, "--scenario", paths["world-effort"],
                      "-T", "2500", "--seed", "9", *extra]))
+    for name, extra in (("mip", ["--measure", "hellinger"]), ("sppm", ["--exact", "--rule", "log"])):
+        out.append((f"mechanism-world-effort-200-{name}{''.join(extra)}",
+                    ["mechanism", "--mechanism", name, "--scenario", paths["world-effort-200"],
+                     *extra]))
     return out
 
 

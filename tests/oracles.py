@@ -11,9 +11,10 @@ The one-table suites' per-instance parts, which drew and checked one table at
 a time through the public single-table functions, and the masked sums the
 Shannon and slice-mean code used before it took stacks follow.  The file closes
 with the bincount route of the empirical pair counts, the report sampler that
-gathered each draw's weights before its cumulative sums, and the two-``isclose``
-permutation test, as they were before the Gram kernel, the column-wise inverse
-CDF and the direct tolerance test replaced them.
+gathered each draw's weights before its cumulative sums, the two-``isclose``
+permutation test and the cell-pair loop of the fine-grained test, as they were before
+the Gram kernel, the column-wise inverse CDF, the direct tolerance test and the
+all-pairs comparison replaced them.
 """
 
 import math
@@ -39,7 +40,7 @@ from peerlab.errors import (
     UnsupportedPriorMode,
     ZeroFrequency,
 )
-from peerlab import measures, sampling
+from peerlab import measures, mechanisms, sampling
 from peerlab.measures import ConvexGenerator, ScoringRule
 from peerlab.mechanisms import (
     ALL_PAIRS,
@@ -47,7 +48,6 @@ from peerlab.mechanisms import (
     BtsReportProfile,
     PaymentReport,
     _draw_subsets,
-    _mip_payment,
     _reference_sets,
     bts_payments,
     optimal_predictions,
@@ -477,7 +477,7 @@ def effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=N
     peers = [EffortStrategy(1.0 if active is None or k < active else 0.0) for k in range(n - 1)]
     scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)),
                    (EffortStrategy(lam, cost), *peers))
-    return _mip_payment(scn, gen) - lam * cost
+    return float(mechanisms.mip_expected_payments(scn, gen).payments[0]) - lam * cost
 
 
 def sppm_expected_payments(scenario, known_prior, rule):
@@ -906,3 +906,22 @@ def isclose_is_permutation(arr: np.ndarray) -> bool:
     zeros = np.isclose(arr, 0.0, atol=1e-12)
     return bool(np.all(ones | zeros) and np.all(ones.sum(axis=0) == 1)
                 and np.all(ones.sum(axis=1) == 1))
+
+
+def loop_is_fine_grained(joint: JointDistribution, tol: float = 1e-9):
+    """``measures.is_fine_grained`` as one Python loop over the cell pairs decided it."""
+    table = joint.table
+    v = product_of_marginals(joint).table
+    cells = [(x, y) for x in range(table.shape[0]) for y in range(table.shape[1])]
+    for idx, (x, y) in enumerate(cells):
+        if table[x, y] <= tol:
+            other = cells[idx + 1] if idx + 1 < len(cells) else cells[idx - 1]
+            return measures.FineGrainedReport(False, ((x, y), other))
+    ratios = v / table
+    for a in range(len(cells)):
+        for b in range(a + 1, len(cells)):
+            xa, ya = cells[a]
+            xb, yb = cells[b]
+            if abs(float(ratios[xa, ya] - ratios[xb, yb])) <= tol:
+                return measures.FineGrainedReport(False, (cells[a], cells[b]))
+    return measures.FineGrainedReport(True)

@@ -2,7 +2,7 @@
 non-integral values: each gives a valid object or a PeerLabError, never a
 bare numpy or Python error and never a silent NaN.  The same holds for the
 empirical payment engines given a single agent, and for signal indices and
-seeds, where a negative value never counts from the end."""
+seeds, and for agent indices, where a negative value never counts from the end."""
 
 import json
 import math
@@ -29,13 +29,16 @@ from peerlab import (
     bts_payments,
     ca_payments,
     condition_on,
+    empirical_pair_joint,
     fmi_mechanism_payments,
     generate_reports,
     make_distribution,
     md_payments,
     point_mass,
+    report_joint,
     run_suite,
     sppm_payments,
+    truth_telling,
     truthful_scenario,
 )
 from peerlab.errors import PeerLabError
@@ -211,3 +214,22 @@ ONE_AGENT = ReportMatrix.full(np.array([[0, 1, 1, 0, 1, 0]]), 2)
 def test_empirical_engines_need_two_agents(pay, pairing):
     with pytest.raises(DimensionMismatch, match="payments need at least 2 agents"):
         pay(pairing)
+
+
+THREE_AGENTS = ReportMatrix.full(np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]), 2)
+TRUTH = truth_telling(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: empirical_pair_joint(THREE_AGENTS, -1, 0),
+    lambda: empirical_pair_joint(THREE_AGENTS, 0, -1),
+    lambda: empirical_pair_joint(THREE_AGENTS, 0, 3),
+    lambda: empirical_pair_joint(THREE_AGENTS, 3, 0),
+    lambda: empirical_pair_joint(THREE_AGENTS, 0.5, 1),
+    lambda: empirical_pair_joint(THREE_AGENTS, 0, [1, 2]),
+    lambda: report_joint(PRIOR, 0, [1], TRUTH, TRUTH),
+    lambda: report_joint(PRIOR, 0, [1, 2], TRUTH, [TRUTH, TRUTH]),
+], ids=["i=-1", "j=-1", "j=n", "i=n", "i=0.5", "j=list", "report-j=[1]", "report-j=list"])
+def test_agent_index_out_of_range_or_not_one(call):
+    with pytest.raises(DimensionMismatch):
+        call()

@@ -11,8 +11,9 @@ draw, whose law ``TestSubsetDraws`` checks against exact enumeration.  The
 stacked measure kernels must give each table of a stack the exact bits of its
 public single-table function, and the one-table suites, which check a chunk of
 instances on stacks, the exact verdict JSON of their per-instance parts.  So
-must the report-joint core on a stack (against ``report_joint`` per slice) and
-the effort suite's stacked payments (against ``oracles.effort_utility``)."""
+must the report-joint core on a stack and on the exact engines' blocks of agents
+(against ``report_joint`` per pair) and the effort suite's stacked payments
+(against ``oracles.effort_utility``)."""
 
 import collections
 import itertools
@@ -52,11 +53,13 @@ from peerlab import (
     f_mutual_information,
     fmi_mechanism_payments,
     generate_reports,
+    is_fine_grained,
     make_distribution,
     md_payments,
     mip_expected_payments,
     mutual_information,
     permute_scenario,
+    product_of_marginals,
     push_first,
     push_second,
     random_strategy,
@@ -71,11 +74,13 @@ from peerlab import (
     verify,
 )
 from peerlab import agents as agents_module
-from peerlab.agents import _inverse_cdf, _report_tables
+from peerlab import cli
+from peerlab import measures as measures_module
+from peerlab.agents import _count_tables, _inverse_cdf, _report_tables
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _empirical_joints, _empirical_mi_payments,
-    _exact_joints, _mip_payment, _peer_means, _reference_sets, optimal_predictions,
+    _exact_joints, _peer_means, _reference_sets, optimal_predictions,
 )
 from peerlab.measures import _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
@@ -385,37 +390,72 @@ class TestExactPairLoop:
         i = int(rng_from_seed(seed, 3).integers(n))
         refs = [j for j in range(n) if j != i][::-1]
         s, e, prior = scenario.strategies, scenario.effort, scenario.prior
-        got = report_joint(prior, i, refs, s[i], [s[j] for j in refs], e(i), [e(j) for j in refs])
+        m = scenario.alphabet_size
+        got = _report_tables(
+            s[i].channel.rows, np.array([s[j].channel.rows for j in refs]),
+            prior._pair_tables(i, refs), e(i).full_effort_prob,
+            np.array([e(j).full_effort_prob for j in refs])[:, None, None],
+            e(i).resolve_no_effort(m).weights,
+            np.array([e(j).resolve_no_effort(m).weights for j in refs]))
         want = [oracles.loop_report_joint(prior, i, j, s[i], s[j], e(i), e(j)).table for j in refs]
-        assert_close(got.table, np.array(want) / len(refs))
+        assert_close(got, np.array(want) / len(refs))
+
+
+class TestExactBlocks:
+    """The exact engines build a block of agents per report-table call, of about
+    ``COUNT_CELLS`` cells; each agent's (J, report_i, report_J) table must have the bits of
+    the per-pair public joints divided by n - 1, whatever the blocks."""
+
+    @staticmethod
+    def per_pair_tables(scenario):
+        s, e, n, prior = scenario.strategies, scenario.effort, scenario.n_agents, scenario.prior
+        return np.array([[report_joint(prior, i, j, s[i], s[j], e(i), e(j)).table / (n - 1)
+                          for j in range(n) if j != i] for i in range(n)])
+
+    @staticmethod
+    def blocks(scenario, cells):
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            return list(_exact_joints(scenario))
+
+    @given(st.sampled_from((1, 40, agents_module.COUNT_CELLS)), seeds, st.integers(2, 6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_equal_per_pair_joints(self, cells, seed, n, efforts):
+        scenario = random_scenario(seed, n, efforts)
+        blocks = self.blocks(scenario, cells)
+        size = max(cells // ((n - 1) * scenario.alphabet_size**2), 1)
+        assert [len(b) for b in blocks] == [len(range(n)[k:k + size]) for k in range(0, n, size)]
+        assert np.array_equal(np.concatenate(blocks), self.per_pair_tables(scenario))
+
+    @given(st.sampled_from((1, 40, agents_module.COUNT_CELLS)), seeds, st.integers(2, 6),
+           st.booleans(), st.sampled_from(tuple(ConvexGenerator)))
+    @settings(max_examples=100, deadline=None)
+    def test_first_block_gives_agent0_engine_payment(self, cells, seed, n, efforts, gen):
+        # sweep --kind fmi-gap reads agent 0 from the first block alone, exact and counted
+        scenario = random_scenario(seed, n, efforts)
+        m = scenario.alphabet_size
+        reports = ReportMatrix.full(rng_from_seed(seed).integers(m, size=(n, 100)), m)
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            exact = cli._agent0_payment(_exact_joints(scenario), gen)
+            assert exact == mip_expected_payments(scenario, gen).payments[0]
+            counted = cli._agent0_payment(_empirical_joints(reports, PAIRINGS[0], None), gen)
+            assert counted == fmi_mechanism_payments(reports, gen).payments[0]
+
+    def test_module_sizes_split_into_blocks(self):
+        # 130 agents of 4 signals: blocks of 262144 // (129 * 16) = 127 agents, then 3
+        rng = rng_from_seed(13)
+        prior = sampling.random_world_model(rng, 3, 4)
+        strategies = tuple(sampling.random_mixed_strategy(rng, 4) for _ in range(130))
+        efforts = tuple(EffortStrategy(float(rng.uniform())) for _ in range(130))
+        scenario = Scenario(prior, strategies, efforts)
+        blocks = self.blocks(scenario, agents_module.COUNT_CELLS)
+        assert [len(b) for b in blocks] == [127, 3]
+        assert np.array_equal(np.concatenate(blocks), self.per_pair_tables(scenario))
 
 
 class TestAgentZeroRoute:
-    """The suites read agent 0's exact payment or utility from agent 0's joint alone; it
-    must be the very float the all-agents engine gives, not merely a close one."""
-
-    @given(seeds, st.integers(2, 5), st.booleans(), st.sampled_from(MEASURES))
-    @settings(max_examples=100, deadline=None)
-    def test_payment_and_utility_equal_engine(self, seed, n, efforts, measure):
-        scenario = random_scenario(seed, n, efforts)
-        report = mip_expected_payments(scenario, measure)
-        pay = _mip_payment(scenario, measure)
-        assert pay == report.payments[0]
-        e = scenario.effort(0)
-        assert (report.utilities is None) == (not efforts)
-        if efforts:
-            assert pay - e.full_effort_prob * e.cost == report.utilities[0]
-
-    @given(seeds, st.integers(2, 5), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_listed_agent_joint_is_generator_joint(self, seed, n, efforts):
-        scenario = random_scenario(seed, n, efforts)
-        full = list(_exact_joints(scenario))
-        for i in range(n):
-            (table,) = _exact_joints(scenario, [i])
-            assert np.array_equal(table, full[i])
-        reordered = list(_exact_joints(scenario, range(n)[::-1]))
-        assert all(np.array_equal(a, b) for a, b in zip(reordered[::-1], full))
+    """The effort oracle reads agent 0's payment from the all-agents engine; its utility,
+    payment - lam * cost, must be the very float the engine's utilities give."""
 
     @given(seeds, st.integers(2, 5), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
            st.sampled_from(MEASURES), st.data())
@@ -434,7 +474,8 @@ class TestAgentZeroRoute:
 
 class TestReportStacks:
     """The report-joint core pays a whole stack at once (an effort grid, a stack of channels);
-    each table of the stack must have the bits of the public call on its slice alone."""
+    each table of the stack must have the bits of the public per-pair calls on its slice,
+    divided by the k reference agents."""
 
     @given(seeds, st.sampled_from((2, 3, 4)), st.integers(2, 4), st.integers(1, 3),
            st.booleans(), st.booleans(), st.data())
@@ -464,11 +505,9 @@ class TestReportStacks:
         assert got.shape == (max(len(own), len(peers)), k, m, m)
         for t, table in enumerate(got):
             (s_i, e_i), row = own[min(t, len(own) - 1)], peers[min(t, len(peers) - 1)]
-            s_j, e_j = [s for s, _ in row], [e for _, e in row]
-            want = report_joint(prior, 0, refs, s_i, s_j, e_i, e_j)
-            assert np.array_equal(JointDistribution(table / k).table, want.table)
-            want = report_joint(prior, 0, 1, s_i, s_j[0], e_i, e_j[0])
-            assert np.array_equal(JointDistribution(table[0]).table, want.table)
+            want = [report_joint(prior, 0, j, s_i, s_j, e_i, e_j).table / k
+                    for j, (s_j, e_j) in zip(refs, row)]
+            assert np.array_equal(table, want)
 
 
 class TestEffortStacks:
@@ -577,11 +616,14 @@ class TestEmpiricalPairLoop:
         i, refs = data.draw(agents), data.draw(st.lists(agents, min_size=1, max_size=4))
 
         def loop_stack():
-            tables = [oracles.loop_empirical_pair_joint(reports, i, j).table for j in refs]
-            return np.array(tables) / len(refs)
+            return np.array([oracles.loop_empirical_pair_joint(reports, i, j).table for j in refs])
 
-        assert_same_outcome(outcome(empirical_pair_joint, reports, i, refs), outcome(loop_stack),
-                            lambda a, b: np.testing.assert_array_equal(a.table, b))
+        def kernel_stack():
+            (tables,) = _count_tables(reports, np.array([i]), np.array([refs]))
+            return tables[0]
+
+        assert_same_outcome(outcome(kernel_stack), outcome(loop_stack),
+                            lambda a, b: np.testing.assert_array_equal(a, b))
 
     def test_no_overlap_raises_like_loop(self):
         mask = np.array([[True, True, False, False], [False, False, True, True], [True] * 4])
@@ -688,7 +730,7 @@ class TestGramCounts:
     def test_public_forms_match_bincount(self, reports, data):
         who = st.integers(0, reports.n_agents - 1)
         i = data.draw(who)
-        j = data.draw(who | st.lists(who, min_size=1, max_size=4))
+        j = data.draw(who)
         got = outcome_with_message(empirical_pair_joint, reports, i, j)
         want = outcome_with_message(oracles.bincount_empirical_pair_joint, reports, i, j)
         assert got[1] == want[1]
@@ -728,7 +770,7 @@ class TestGramCounts:
             want = outcome_with_message(self.bincount_route, reports, refs)
             assert want[1] is not None and got[1] == want[1]
         with pytest.raises(NoOverlap, match="agents 0 and 1 share"):
-            empirical_pair_joint(reports, 0, [2, 1, 3])
+            empirical_pair_joint(reports, 0, 1)
 
 
 class TestColumnwiseSampling:
@@ -929,6 +971,55 @@ def unchecked_channel(rows) -> TransitionMatrix:
 RTOL_EDGE = 1e-12 + 1e-5
 IDENTITY_OFFSETS = (0.0, 1e-13, -1e-13, 2e-12, 5e-10, -RTOL_EDGE,
                     np.nextafter(-RTOL_EDGE, 0.0), np.nextafter(-RTOL_EDGE, -1.0), 0.5)
+
+
+@st.composite
+def fine_grained_candidates(draw):
+    """Tables of 1-4 x 1-4 cells, dense, integer-valued with zeros, symmetric or a product
+    of their marginals, so that cell masses and likelihood ratios tie now and then."""
+    mx, my = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(("dense", "integer", "symmetric", "product")))
+    if kind == "dense":
+        table = rng.dirichlet(np.ones(mx * my)).reshape(mx, my)
+    elif kind == "integer":
+        table = rng.integers(0, 4, (mx, my)).astype(float)
+        table[0, 0] += 1.0
+    elif kind == "symmetric":
+        table = rng.dirichlet(np.ones(mx * mx)).reshape(mx, mx)
+        table += table.T
+    else:
+        table = np.outer(rng.dirichlet(np.ones(mx)), rng.dirichlet(np.ones(my)))
+    return JointDistribution(table / table.sum())
+
+
+class TestFineGrainedPairs:
+    """``is_fine_grained`` compares the cell pairs a block of rows at a time, of about
+    ``_PAIR_CELLS`` pairs; its decision and first witness must be the pair loop's."""
+
+    @given(fine_grained_candidates(), st.sampled_from((1e-9, 1e-2)),
+           st.sampled_from((1, 5, measures_module._PAIR_CELLS)))
+    @settings(max_examples=300, deadline=None)
+    def test_pair_comparison_matches_loop(self, joint, tol, pair_cells):
+        with mock.patch.object(measures_module, "_PAIR_CELLS", pair_cells):
+            got = is_fine_grained(joint, tol)
+        assert got == oracles.loop_is_fine_grained(joint, tol)
+        assert got.witness is None or all(type(v) is int for cell in got.witness for v in cell)
+
+    @pytest.mark.parametrize("pair_cells", (1, 5000, measures_module._PAIR_CELLS))
+    def test_large_table_finds_the_closest_pair(self, pair_cells):
+        # 40 x 40: 1600 cells, in blocks of 1, 3 and 40 rows; at a tol just above the smallest
+        # gap between two cells' likelihood ratios that pair is the only tie, below it none
+        table = np.random.default_rng(40).dirichlet(np.ones(1600)).reshape(40, 40)
+        joint = JointDistribution(table)
+        r = (product_of_marginals(joint).table / table).ravel()
+        gaps = np.triu(np.abs(r[:, None] - r[None, :]), 1) + np.tril(np.full((1600, 1600), np.inf))
+        a, b = np.unravel_index(np.argmin(gaps), gaps.shape)
+        cells = [(x, y) for x in range(40) for y in range(40)]
+        with mock.patch.object(measures_module, "_PAIR_CELLS", pair_cells):
+            assert is_fine_grained(joint, np.nextafter(gaps[a, b], -np.inf))
+            got = is_fine_grained(joint, gaps[a, b])
+        assert not got and got.witness == (cells[a], cells[b])
 
 
 class TestStackedKernels:

@@ -200,8 +200,8 @@ def test_unknown_suite_rejected():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of ``_exact_joints``, ``report_joint`` and ``_score_shifts``, through whichever
-    module they are called."""
+    """Calls of ``_exact_joints``, ``report_joint``, the report-table core ``_report_tables``
+    and ``_score_shifts``, through whichever module they are called."""
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -211,18 +211,21 @@ def call_counts(monkeypatch):
         return wrapper
 
     for module in (mechanisms, verify):
-        for name in ("_exact_joints", "report_joint", "_score_shifts"):
+        for name in ("_exact_joints", "report_joint", "_report_tables", "_score_shifts"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return counts
 
 
 def test_equivalence_vectors_build_each_joint_once(call_counts):
-    scenario, _ = verify._random_equivalence_scenario(rng_from_seed(0, 1))
-    known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
-    kernels = verify._equivalence_kernels(known)
-    call_counts.clear()
-    verify._equivalence_payment_vectors(scenario, kernels)
-    assert call_counts == {"_exact_joints": 1, "report_joint": scenario.n_agents}
+    # n <= 3 agents: every agent's joints come from one report-table call
+    for stream in range(1, 7):
+        scenario, _ = verify._random_equivalence_scenario(rng_from_seed(0, stream))
+        assert scenario.n_agents <= 3
+        known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
+        kernels = verify._equivalence_kernels(known)
+        call_counts.clear()
+        verify._equivalence_payment_vectors(scenario, kernels)
+        assert call_counts == {"_exact_joints": 1, "_report_tables": 1}
 
 
 def test_equivalence_instance_builds_score_shifts_once(call_counts):
@@ -261,12 +264,9 @@ def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypat
     assert not replay_violation(violations[0], config)
 
 
-def test_effort_suite_pays_each_list_from_one_stack(call_counts, monkeypatch):
+def test_effort_suite_pays_each_list_from_one_stack(call_counts):
     # no report_joint per grid point: the canonical grid and active-peer list, then per
     # instance its grid, its active-peer list and its mixture triple, one core call each
-    stacks = []
-    core = verify._report_tables
-    monkeypatch.setattr(verify, "_report_tables", lambda *args: stacks.append(1) or core(*args))
     assert run_suite(default_config("effort", instances=3)).passed
     assert call_counts["report_joint"] == call_counts["_exact_joints"] == 0
-    assert len(stacks) == 2 + 3 * 3
+    assert call_counts["_report_tables"] == 2 + 3 * 3
