@@ -5,10 +5,15 @@ deterministic per seed.  Dense objects are mixed with a uniform component
 (``_FLOOR_FRAC`` of the mass, or ``floor_frac``) so every cell keeps
 macroscopic mass; this keeps strict data-processing margins well away from
 the strictness tolerance without ever filtering instances on outcomes.
+
+The private forms ``_floored``, ``_channel_rows`` and ``_ci_table`` return raw
+arrays with the rng calls of the public samplers, which wrap them in validated
+objects; suites that validate whole stacks of tables at once draw through them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -20,9 +25,18 @@ from .probability import Distribution, JointDistribution, RngSeed, TransitionMat
 
 STRATEGY_KIND_RATIOS = {"dense": 0.4, "sparse": 0.2, "permutation": 0.2, "constant": 0.2}
 _KINDS = tuple(STRATEGY_KIND_RATIOS)
-_KIND_PROBS = np.array([STRATEGY_KIND_RATIOS[k] for k in _KINDS])
-_KIND_PROBS.setflags(write=False)
+# the cumulative table ``rng.choice(len(_KINDS), p=...)`` searches: cumsum, then / last entry
+_KIND_CDF = np.cumsum([STRATEGY_KIND_RATIOS[k] for k in _KINDS])
+_KIND_CDF = tuple((_KIND_CDF / _KIND_CDF[-1]).tolist())
+_GENERATORS = tuple(ConvexGenerator)
+_STRICT_GENERATORS = tuple(g for g in ConvexGenerator if g.strictly_convex)
+_RULES = tuple(ScoringRule)
 _FLOOR_FRAC = 0.1
+
+
+def _pick(rng, seq):
+    """One uniform item of ``seq``: the value and next state of ``rng.choice(seq)``."""
+    return seq[int(rng.integers(len(seq)))]
 
 
 def _floored(rng, shape: tuple, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
@@ -45,17 +59,22 @@ def random_conditional_tensor(rng, mz: int, mx: int, my: int) -> JointDistributi
 
 def random_ci_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
     """Tensor with X independent of Y given Z."""
-    pz = random_distribution(rng, mz).weights
+    return JointDistribution(_ci_table(rng, mz, mx, my))
+
+
+def _ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
+    pz = _floored(rng, (mz,))
     t = np.zeros((mz, mx, my))
     for z in range(mz):
-        px = random_distribution(rng, mx).weights
-        py = random_distribution(rng, my).weights
+        px = _floored(rng, (mx,))
+        py = _floored(rng, (my,))
         t[z] = pz[z] * np.outer(px, py)
-    return JointDistribution(t)
+    return t
 
 
 def random_strategy_kind(rng) -> str:
-    return _KINDS[int(rng.choice(len(_KINDS), p=_KIND_PROBS))]
+    """A kind at ``STRATEGY_KIND_RATIOS``; the value and next state of ``rng.choice(p=...)``."""
+    return _KINDS[bisect.bisect_right(_KIND_CDF, rng.random())]
 
 
 def random_mixed_strategy(rng, m: int, kind: str | None = None) -> Strategy:
@@ -78,6 +97,11 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
                    floor_frac: float = _FLOOR_FRAC) -> TransitionMatrix:
     """Row-stochastic channel of a sampled kind; dense and constant rows carry
     a uniform floor of ``floor_frac``."""
+    return TransitionMatrix(_channel_rows(rng, m_in, m_out, kind, floor_frac))
+
+
+def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
+                  floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
     m_out = m_out or m_in
     kind = kind or random_strategy_kind(rng)
     if kind == "permutation" and m_in != m_out:
@@ -86,7 +110,7 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
         rows = rng.dirichlet(np.ones(m_out), size=m_in)
         rows = (1.0 - floor_frac) * rows + floor_frac / m_out
     elif kind == "constant":
-        rows = np.tile(random_distribution(rng, m_out, floor_frac).weights, (m_in, 1))
+        rows = np.tile(_floored(rng, (m_out,), floor_frac), (m_in, 1))
     elif kind == "permutation":
         rows = np.zeros((m_in, m_out))
         rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
@@ -98,16 +122,15 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
             rows[r, support] = rng.dirichlet(np.ones(support.size))
     else:
         raise DimensionMismatch(f"unknown channel kind {kind!r}")
-    return TransitionMatrix(rows)
+    return rows
 
 
 def random_generator_choice(rng, strictly_convex_only: bool = False) -> ConvexGenerator:
-    pool = [g for g in ConvexGenerator if g.strictly_convex or not strictly_convex_only]
-    return pool[int(rng.integers(len(pool)))]
+    return _pick(rng, _STRICT_GENERATORS if strictly_convex_only else _GENERATORS)
 
 
 def random_rule_choice(rng) -> ScoringRule:
-    return list(ScoringRule)[int(rng.integers(len(ScoringRule)))]
+    return _pick(rng, _RULES)
 
 
 def random_fine_grained_joint(rng, m: int) -> JointDistribution:

@@ -7,7 +7,9 @@ part that the runner hands the instance indices in chunks.  Each instance is
 drawn on its own from ``rng_from_seed(config.seed, idx)``; most suites then
 check it alone, while the one-table suites (bregman-quasi, accuracy-gain)
 check a chunk's drawn tables together, one stacked kernel call per shape
-group, and record them in index order.  A table's value never depends on the
+group, and record them in index order.  They draw raw arrays through the
+private samplers and validate each shape group's stack once, with the tests
+the validated objects would have applied.  A table's value never depends on the
 stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
 recorded violation is replayed by re-running its one instance as a chunk of
@@ -285,8 +287,8 @@ def _jl(arr) -> list:
 
 def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
-    mx = int(rng.choice(_ALPHABET_SIZES))
-    my = int(rng.choice(_ALPHABET_SIZES))
+    mx = sampling._pick(rng, _ALPHABET_SIZES)
+    my = sampling._pick(rng, _ALPHABET_SIZES)
     rectangular = idx % 7 == 3
     m_out = max(2, mx + int(rng.integers(-1, 2))) if rectangular else mx
     joint = sampling.random_joint(rng, mx, my)
@@ -348,8 +350,8 @@ def _agent0_payments(q, a, b, li, lj, gen) -> np.ndarray:
 
 def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
-    m = int(rng.choice(_ALPHABET_SIZES))
-    n = int(rng.choice(_AGENT_COUNTS))
+    m = sampling._pick(rng, _ALPHABET_SIZES)
+    n = sampling._pick(rng, _AGENT_COUNTS)
     prior = _pair_prior_for(rng, n, m)
     opponents = [truth_telling(m)] + [sampling.random_mixed_strategy(rng, m) for _ in range(n - 2)]
     gen = sampling.random_generator_choice(rng, strictly_convex_only=True)
@@ -389,7 +391,7 @@ def suite_dominant_truthfulness(config: SuiteConfig) -> SuiteVerdict:
 
 def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
-    m = int(rng.choice(_ALPHABET_SIZES))
+    m = sampling._pick(rng, _ALPHABET_SIZES)
     n = 3
     prior = sampling.random_full_joint_prior(rng, n, m)
     observer_truthful = idx % 2 == 0
@@ -471,8 +473,8 @@ def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
 
 def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol = config.equality_tol
-    m = int(rng.choice(_ALPHABET_SIZES))
-    n = int(rng.choice(_AGENT_COUNTS))
+    m = sampling._pick(rng, _ALPHABET_SIZES)
+    n = sampling._pick(rng, _AGENT_COUNTS)
     prior = sampling.random_pairwise_symmetric_prior(rng, m)
     gen = sampling.random_generator_choice(rng)
     full_mi = mutual_information(prior.pair_joint(0, 1), gen)
@@ -525,26 +527,28 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
 
 
 def _bregman_quasi_draw(rng) -> tuple:
-    mx = int(rng.choice(_ALPHABET_SIZES))
-    my = int(rng.choice(_ALPHABET_SIZES))
-    joint = sampling.random_joint(rng, mx, my)
+    """Raw joint, rule, X channel rows and Y channel rows, with the public samplers' rng calls."""
+    mx = sampling._pick(rng, _ALPHABET_SIZES)
+    my = sampling._pick(rng, _ALPHABET_SIZES)
+    joint = sampling._floored(rng, (mx, my))
     rule = sampling.random_rule_choice(rng)
-    channel = sampling.random_channel(rng, mx)
-    y_channel = sampling.random_channel(rng, my)
+    channel = sampling._channel_rows(rng, mx)
+    y_channel = sampling._channel_rows(rng, my)
     return joint, rule, channel, y_channel
 
 
 def _bregman_quasi_check(group: list) -> tuple:
-    """Per instance of a group with one joint shape and one rule: BMI before and
-    after each channel, whether the X channel is the identity, and the log bridge gap."""
-    joints = np.stack([joint.table for joint, _, _, _ in group])
+    """Per instance of a group with one joint shape, one rule and one Y channel shape: BMI
+    before and after each channel, whether the X channel is the identity, and the log bridge
+    gap.  The joints are validated as rank-2 tables, the channels row by row."""
+    joints = _validated_tables(np.stack([d[0] for d in group]), rank=2)
+    channels = _validated_tables(np.stack([d[2] for d in group]), rank=1)
+    y_channels = _validated_tables(np.stack([d[3] for d in group]), rank=1)
     rule = group[0][1]
     before = _bregman_mi(joints, rule)
-    channels = np.stack([channel.rows for _, _, channel, _ in group])
     after = _bregman_mi(_validated_tables(_push_first(joints, channels), rank=2), rule)
     log_bmi = before if rule is ScoringRule.LOG else _bregman_mi(joints, ScoringRule.LOG)
     bridge_gap = np.abs(log_bmi - _shannon_mi(joints))
-    y_channels = np.stack([y_channel.rows for _, _, _, y_channel in group])
     after_y = _bregman_mi(_validated_tables(joints @ y_channels, rank=2), rule)
     return before, after, _identity_mask(channels), bridge_gap, after_y
 
@@ -552,22 +556,22 @@ def _bregman_quasi_check(group: list) -> tuple:
 def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
     drawn = [_bregman_quasi_draw(rng_from_seed(config.seed, idx)) for idx in chunk]
-    checked = _grouped(drawn, lambda d: (d[0].shape, d[1]), _bregman_quasi_check)
+    checked = _grouped(drawn, lambda d: (d[0].shape, d[1], d[3].shape), _bregman_quasi_check)
     for idx, (joint, rule, channel, y_channel), values in zip(chunk, drawn, checked):
         before, after, identity, bridge_gap, after_y = values
-        data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "rule": rule.value,
+        data = {"joint": _jl(joint), "channel": _jl(channel), "rule": rule.value,
                 "before": before, "after": after}
         rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
         if identity:
             rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
         rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
-                  {"joint": _jl(joint.table), "gap": bridge_gap})
+                  {"joint": _jl(joint), "gap": bridge_gap})
         if after_y > before + stol:
             rec.finding({
                 "kind": "second_entry_increase",
                 "instance": idx,
-                "joint": _jl(joint.table),
-                "y_channel": _jl(y_channel.rows),
+                "joint": _jl(joint),
+                "y_channel": _jl(y_channel),
                 "rule": rule.value,
                 "before": before,
                 "after": after_y,
@@ -587,21 +591,21 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _accuracy_gain_draw(rng, idx: int) -> JointDistribution:
-    mz = int(rng.choice(_ALPHABET_SIZES))
-    mx = int(rng.choice(_ALPHABET_SIZES))
-    my = int(rng.choice(_ALPHABET_SIZES))
+def _accuracy_gain_draw(rng, idx: int) -> np.ndarray:
+    """A raw (Z, X, Y) tensor, with the public samplers' rng calls."""
+    mz = sampling._pick(rng, _ALPHABET_SIZES)
+    mx = sampling._pick(rng, _ALPHABET_SIZES)
+    my = sampling._pick(rng, _ALPHABET_SIZES)
     if idx % 3 == 1:
-        return sampling.random_ci_tensor(rng, mz, mx, my)
-    if idx % 5 == 2:
-        return sampling.random_conditional_tensor(rng, 1, mx, my)
-    return sampling.random_conditional_tensor(rng, mz, mx, my)
+        return sampling._ci_table(rng, mz, mx, my)
+    return sampling._floored(rng, (1 if idx % 5 == 2 else mz, mx, my))
 
 
 def _accuracy_gain_check(tensors: list) -> tuple:
-    """Per tensor of a group with one shape: the conditional KL information and, where Z
-    has one value, the Shannon information of its one slice (else NaN)."""
-    t = np.stack([tensor.table for tensor in tensors])
+    """Per tensor of a group with one shape, validated once as rank-3 tables: the conditional
+    KL information and, where Z has one value, the Shannon information of its one slice
+    (else NaN)."""
+    t = _validated_tables(np.stack(tensors), rank=3)
     rhs = _slice_mean(t, _mi_kernel(ConvexGenerator.KL))
     if t.shape[1] > 1:
         return rhs, np.full_like(rhs, np.nan)
@@ -614,8 +618,8 @@ def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None
     drawn = [_accuracy_gain_draw(rng_from_seed(config.seed, idx), idx) for idx in chunk]
     checked = _grouped(drawn, lambda tensor: tensor.shape, _accuracy_gain_check)
     for idx, tensor, (rhs, flat) in zip(chunk, drawn, checked):
-        lhs = log_score_accuracy_gain(tensor)
-        data = {"tensor": _jl(tensor.table), "accuracy_gain": lhs, "conditional_mi": rhs}
+        lhs = log_score_accuracy_gain(JointDistribution(tensor))
+        data = {"tensor": _jl(tensor), "accuracy_gain": lhs, "conditional_mi": rhs}
         rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
         if idx % 3 == 1:
             rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
@@ -771,7 +775,7 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
         world = CANONICAL_WORLD
     else:
         world = sampling.random_world_model(
-            rng, int(rng.integers(2, 4)), int(rng.choice(_ALPHABET_SIZES))
+            rng, int(rng.integers(2, 4)), sampling._pick(rng, _ALPHABET_SIZES)
         )
     n = int(rng.integers(3, 6))
     strategies = tuple(
@@ -851,8 +855,8 @@ def _random_perms(rng, prior, n: int, m: int) -> PermutationList:
 
 
 def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
-    m = int(rng.choice((2, 3)))
-    n = int(rng.choice(_AGENT_COUNTS))
+    m = sampling._pick(rng, (2, 3))
+    n = sampling._pick(rng, _AGENT_COUNTS)
     mode = int(rng.integers(3))
     if mode == 0:
         prior = sampling.random_full_joint_prior(rng, n, m)

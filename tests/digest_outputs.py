@@ -23,8 +23,11 @@ utilities, the mixture sides and both payments, then fmi and bmi on the
 world-model scenario with efforts at T = 2500 questions (40 of the count
 kernel's 64-question words, the last one partial), then exact mip and sppm on
 a 200-agent, 4-signal world-model scenario with efforts, whose report tables
-the exact engines build in three blocks of agents.  A command that
-raises instead of writing an output is digested as its exception type.
+the exact engines build in three blocks of agents, and last dpi at 300
+instances under ``--equality-tol 1e-300 --strictness-tol 1``, whose violations
+carry the joints, channels and divergence inputs of its sampled instances.  A
+command that raises instead of writing an output is digested as its exception
+type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
 relative change of a float (|a - b| / max(1, |b|)) or the two differing
@@ -182,6 +185,9 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"mechanism-world-effort-200-{name}{''.join(extra)}",
                     ["mechanism", "--mechanism", name, "--scenario", paths["world-effort-200"],
                      *extra]))
+    # every equality and strictness claim violated, so the violations carry each witness
+    out.append(("verify-dpi-forced", ["verify", "dpi", "--instances", "300", "--seed", "3",
+                                      "--equality-tol", "1e-300", "--strictness-tol", "1"]))
     return out
 
 

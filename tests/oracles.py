@@ -14,7 +14,9 @@ with the bincount route of the empirical pair counts, the report sampler that
 gathered each draw's weights before its cumulative sums, the two-``isclose``
 permutation test and the cell-pair loop of the fine-grained test, as they were before
 the Gram kernel, the column-wise inverse CDF, the direct tolerance test and the
-all-pairs comparison replaced them.
+all-pairs comparison replaced them, and last the ``rng.choice`` draws of a strategy
+kind and of one item of a tuple, as the samplers and suites took them before the
+bisect and the one-integer pick.
 """
 
 import math
@@ -925,3 +927,16 @@ def loop_is_fine_grained(joint: JointDistribution, tol: float = 1e-9):
             if abs(float(ratios[xa, ya] - ratios[xb, yb])) <= tol:
                 return measures.FineGrainedReport(False, (cells[a], cells[b]))
     return measures.FineGrainedReport(True)
+
+
+KIND_PROBS = np.array([sampling.STRATEGY_KIND_RATIOS[k] for k in sampling._KINDS])
+
+
+def choice_strategy_kind(rng) -> str:
+    """``sampling.random_strategy_kind`` as one ``rng.choice`` over the kind ratios drew it."""
+    return sampling._KINDS[int(rng.choice(len(sampling._KINDS), p=KIND_PROBS))]
+
+
+def choice_pick(rng, seq: tuple) -> int:
+    """One uniform integer of ``seq``, as the suites drew it with ``rng.choice``."""
+    return int(rng.choice(seq))

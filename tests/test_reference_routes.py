@@ -1,7 +1,8 @@
 """The merged and batched engines against the loop implementations they
 replaced (``oracles`` reference routes).  The md/ca engines, the strategy
-sampler and the seeded reference draw must match exactly: same floats, same
-rng stream.  The pair-table routes (exact and empirical all-pairs payments,
+sampler, the seeded reference draw, the kind and tuple draws and the private
+array samplers must match exactly: same floats, same rng stream.  The
+pair-table routes (exact and empirical all-pairs payments,
 single-table measures) and the closed-form signal-plus-prediction scores sum
 cells and pairs in another order, so they must match to
 |got - want| <= 1e-12 * max(1, |want|), with equal infinities and the same
@@ -316,6 +317,63 @@ class TestStrategySampler:
             random_strategy(0, 3, "diagonal")
         with pytest.raises(ValueError):
             sampling.random_channel(rng_from_seed(0), 3, kind="diagonal")
+
+
+class TestStreamEqualDraws:
+    """The one-integer pick and the bisected kind draw give the value of the ``rng.choice`` they
+    replaced and leave the generator where it left it; each private array sampler gives the
+    array of its public wrapper, with the same rng calls."""
+
+    @given(seeds, st.sampled_from([(2, 3, 4), (2, 3), (5,), tuple(range(10))]))
+    @settings(max_examples=300, deadline=None)
+    def test_pick_matches_choice(self, seed, seq):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        assert sampling._pick(rng_a, seq) == oracles.choice_pick(rng_b, seq)
+        assert rng_a.random() == rng_b.random()
+
+    @given(seeds, st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_strategy_kind_matches_choice(self, seed, draws):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        got = [sampling.random_strategy_kind(rng_a) for _ in range(draws)]
+        assert got == [oracles.choice_strategy_kind(rng_b) for _ in range(draws)]
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("kind", KINDS + (None,))
+    @pytest.mark.parametrize("m_in, m_out", [(3, None), (3, 3), (2, 4), (4, 2), (1, 3)])
+    @pytest.mark.parametrize("floor_frac", [0.0, sampling._FLOOR_FRAC])
+    @given(seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_channel_rows_equal_random_channel(self, kind, m_in, m_out, floor_frac, seed):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        rows = sampling._channel_rows(rng_a, m_in, m_out, kind, floor_frac)
+        channel = sampling.random_channel(rng_b, m_in, m_out, kind, floor_frac)
+        assert type(rows) is np.ndarray and np.array_equal(rows, channel.rows)
+        assert rng_a.random() == rng_b.random()
+        if kind == "permutation" and m_in != (m_out or m_in):
+            rng_c = rng_from_seed(seed)
+            assert np.array_equal(rows, sampling._channel_rows(rng_c, m_in, m_out, "sparse",
+                                                               floor_frac))
+
+    @given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from((0.0, sampling._FLOOR_FRAC)))
+    @settings(max_examples=150, deadline=None)
+    def test_tables_equal_public_samplers(self, seed, mz, mx, my, floor_frac):
+        routes = [
+            (lambda r: sampling._ci_table(r, mz, mx, my),
+             lambda r: sampling.random_ci_tensor(r, mz, mx, my).table),
+            (lambda r: sampling._floored(r, (mz, mx, my)),
+             lambda r: sampling.random_conditional_tensor(r, mz, mx, my).table),
+            (lambda r: sampling._floored(r, (mx, my)),
+             lambda r: sampling.random_joint(r, mx, my).table),
+            (lambda r: sampling._floored(r, (mx,), floor_frac),
+             lambda r: sampling.random_distribution(r, mx, floor_frac).weights),
+        ]
+        for raw, public in routes:
+            rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+            table = raw(rng_a)
+            assert type(table) is np.ndarray and np.array_equal(table, public(rng_b))
+            assert rng_a.random() == rng_b.random()
 
 
 def random_scenario(seed: int, n: int, efforts: bool) -> Scenario:

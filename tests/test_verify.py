@@ -6,14 +6,18 @@ import pytest
 
 from peerlab import (
     DimensionMismatch,
+    JointDistribution,
+    NegativeWeight,
     PairwisePrior,
     SuiteConfig,
+    TransitionMatrix,
+    ZeroMass,
     default_config,
     permutation_channel,
     replay_violation,
     run_suite,
 )
-from peerlab import mechanisms, verify
+from peerlab import mechanisms, sampling, verify
 from peerlab.measures import ScoringRule
 from peerlab.probability import rng_from_seed
 from peerlab.verify import SUITES
@@ -270,3 +274,43 @@ def test_effort_suite_pays_each_list_from_one_stack(call_counts):
     assert run_suite(default_config("effort", instances=3)).passed
     assert call_counts["report_joint"] == call_counts["_exact_joints"] == 0
     assert call_counts["_report_tables"] == 2 + 3 * 3
+
+
+# (suite, private sampler, rank of the spoiled result, which such result): instance 5's joint,
+# X channel and Y channel; the 5th non-CI tensor (instance 6) and the 2nd CI tensor (instance 4)
+SPOILED_DRAWS = [
+    ("bregman-quasi", "_floored", 2, 5),
+    ("bregman-quasi", "_channel_rows", 2, 10),
+    ("bregman-quasi", "_channel_rows", 2, 11),
+    ("accuracy-gain", "_floored", 3, 4),
+    ("accuracy-gain", "_ci_table", 3, 1),
+]
+
+
+@pytest.mark.parametrize("suite, name, ndim, at", SPOILED_DRAWS)
+@pytest.mark.parametrize("offset, error", [(1e-6, ZeroMass), (math.nan, NegativeWeight)])
+def test_stacked_validation_rejects_one_spoiled_draw(monkeypatch, suite, name, ndim, at,
+                                                     offset, error):
+    # one drawn table of a chunk is off by 1e-6 in mass, or holds a NaN: the suite raises
+    # what the validated object of that draw raises
+    draw, seen, spoiled = getattr(sampling, name), [], []
+
+    def spoiling(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        if out.ndim == ndim:
+            seen.append(out)
+            if len(seen) == at + 1:
+                out = out.copy()
+                out.flat[0] += offset
+                spoiled.append(out)
+        return out
+
+    monkeypatch.setattr(sampling, name, spoiling)
+    with pytest.raises(error):
+        run_suite(default_config(suite, instances=12))
+    assert len(spoiled) == 1
+    make = TransitionMatrix if name == "_channel_rows" else JointDistribution
+    with pytest.raises(error):
+        make(spoiled[0])
+    monkeypatch.undo()
+    assert run_suite(default_config(suite, instances=12)).passed
