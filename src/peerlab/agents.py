@@ -49,8 +49,8 @@ from .probability import (
     RngSeed,
     TransitionMatrix,
     _index,
+    _int_at_least,
     _integers,
-    _validated_array,
     _validated_tables,
     identity_channel,
     rng_from_seed,
@@ -113,7 +113,7 @@ class FullJointPrior(_PairJoints):
     tensor: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_array(self.tensor, "full-joint tensor")
+        arr = np.asarray(self.tensor, dtype=np.float64)
         if arr.ndim < 2:
             raise WrongRank("full-joint prior needs at least 2 agents")
         if arr.ndim > MAX_FULL_JOINT_AGENTS:
@@ -122,9 +122,7 @@ class FullJointPrior(_PairJoints):
             )
         if len(set(arr.shape)) != 1:
             raise DimensionMismatch("all agents must share one signal alphabet")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise ModeMismatch("full-joint tensor must be a normalized distribution")
-        object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "tensor", _validated_tables(arr, arr.ndim, "full-joint tensor"))
 
     @property
     def n_agents(self) -> int:
@@ -434,7 +432,7 @@ class ReportMatrix:
     def __post_init__(self):
         entries = _integers(self.entries, "report entries")
         mask = np.asarray(self.mask, dtype=bool)
-        alphabet_size = int(_integers(self.alphabet_size, "alphabet_size"))
+        alphabet_size = _int_at_least(self.alphabet_size, 1, "alphabet_size")
         if entries.shape != mask.shape or entries.ndim != 2:
             raise DimensionMismatch("entries and mask must share an (n, T) shape")
         answered = entries[mask]
@@ -507,9 +505,7 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
 def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
     """Sample a full report matrix: T iid questions through each agent's
     effort coin and report channel.  Deterministic per seed."""
-    T = int(_integers(T, "T"))
-    if T < 0:
-        raise DimensionMismatch("T must be >= 0")
+    T = _int_at_least(T, 0, "T")
     m = scenario.alphabet_size
     n = scenario.n_agents
     rng = rng_from_seed(seed)

@@ -40,7 +40,6 @@ from .probability import (
     Distribution,
     JointDistribution,
     TransitionMatrix,
-    product_of_marginals,
     push_first,
 )
 
@@ -300,19 +299,21 @@ def is_fine_grained(joint: JointDistribution, tol: float = 1e-9) -> FineGrainedR
     channels and strictly convex generators.
     """
     table = joint._require_pairwise("is_fine_grained")
-    cells = [(x, y) for x in range(table.shape[0]) for y in range(table.shape[1])]
-    for idx, (x, y) in enumerate(cells):
-        if table[x, y] <= tol:
-            other = cells[idx + 1] if idx + 1 < len(cells) else cells[idx - 1]
-            return FineGrainedReport(False, ((x, y), other))
-    r = (product_of_marginals(joint).table / table).ravel()
+    size, cols = table.size, table.shape[1]
+    low = np.flatnonzero(table <= tol)
+    if low.size:  # the first light cell, with the cell after it (the last: before it)
+        a = int(low[0])
+        b = a + 1 if a + 1 < size else max(a - 1, 0)
+        return FineGrainedReport(False, (divmod(a, cols), divmod(b, cols)))
+    r = (np.outer(table.sum(axis=1), table.sum(axis=0)) / table).ravel()
     # cell pairs (a, b) with a < b, a block of rows a of about _PAIR_CELLS pairs per step;
     # argwhere lists a block's pairs in the order a, then b, so its first is the first tie
-    step = max(_PAIR_CELLS // r.size, 1)
-    for start in range(0, r.size, step):
+    step = max(_PAIR_CELLS // size, 1)
+    for start in range(0, size, step):
         close = np.argwhere(np.triu(np.abs(r[start:start + step, None] - r) <= tol, start + 1))
         if close.size:
-            return FineGrainedReport(False, (cells[start + close[0, 0]], cells[close[0, 1]]))
+            a, b = start + int(close[0, 0]), int(close[0, 1])
+            return FineGrainedReport(False, (divmod(a, cols), divmod(b, cols)))
     return FineGrainedReport(True)
 
 
@@ -325,19 +326,39 @@ def divergence_monotonicity_witness(
     ``p, q`` distinguish: p(s') > 0, p(s'') > 0, the likelihood ratios q/p at
     s' and s'' differ, and theta(s', s), theta(s'', s) > 0 for some s.
     """
-    pw, qw, rows = p.weights, q.weights, theta.rows
-    m = pw.shape[0]
-    for s1 in range(m):
-        if pw[s1] <= 0.0:
-            continue
-        for s2 in range(s1 + 1, m):
-            if pw[s2] <= 0.0:
-                continue
-            if abs(qw[s1] / pw[s1] - qw[s2] / pw[s2]) <= tol:
-                continue
-            if np.any((rows[s1] > 0.0) & (rows[s2] > 0.0)):
-                return True
-    return False
+    if not p.size == q.size == theta.shape[0]:
+        raise DimensionMismatch("p, q and the rows of theta must share one alphabet")
+    return bool(_witness_mask(p.weights, q.weights, theta.rows, tol))
+
+
+def _witness_mask(p: np.ndarray, q: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`divergence_monotonicity_witness` of each (p, q, theta) of stacks shaped (..., m),
+    (..., m) and (..., m, m'), over the signal pairs s1 < s2 with p > 0 at both."""
+    live = p > 0.0
+    r = np.divide(q, p, out=np.zeros(p.shape), where=live)
+    uses = ((rows > 0.0) & live[..., None]).astype(np.float64)
+    mixed = uses @ np.swapaxes(uses, -1, -2) > 0.0  # live s1, s2 that share an output
+    apart = ~(np.abs(r[..., :, None] - r[..., None, :]) <= tol)
+    return np.triu(mixed & apart, 1).any(axis=(-2, -1))
+
+
+def _divergence_decrease_bound(p: np.ndarray, q: np.ndarray, rows: np.ndarray,
+                               f: ConvexGenerator) -> float:
+    """A proved lower bound B on D_f(p, q) - D_f(theta^T p, theta^T q), f strictly convex and
+    r = q/p > 0 where p > 0: Jensen's gap (Csiszar & Shields, 2004) at each output s, which mixes
+    r with weights w(s'|s) = p(s') theta(s', s) / p'(s).  With c_s = min f'' over the ratios s
+    mixes (KL 1/r^2 and Hellinger r^(-3/2)/2 at the largest; chi^2 2, where B is exact),
+    B = sum_s p'(s) (c_s / 2) sum_s' w(s'|s) (r(s') - mean_s r)^2; centred, because
+    E[r^2] - mean^2 cancels catastrophically at r near 1."""
+    r = np.divide(q, p, out=np.zeros(p.shape), where=p > 0.0)[:, None]
+    mass = p[:, None] * rows  # p(s') theta(s', s) = p'(s) w(s'|s)
+    out = mass.sum(axis=0)
+    mass, out = mass[:, out > 0.0], out[out > 0.0]
+    spread = (mass * (r - (mass * r).sum(axis=0) / out) ** 2).sum(axis=0)
+    top = np.where(mass > 0.0, r, 0.0).max(axis=0)
+    c = {ConvexGenerator.KL: top**-2.0, ConvexGenerator.SQUARED_HELLINGER: 0.5 * top**-1.5,
+         ConvexGenerator.CHI_SQUARED: 2.0}[f]
+    return float(np.sum(c / 2.0 * spread))
 
 
 @dataclass(frozen=True)

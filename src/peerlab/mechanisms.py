@@ -62,7 +62,9 @@ from .measures import (
     conditional_mi,
     log_score_accuracy_gain,
 )
-from .probability import Distribution, JointDistribution, RngSeed, _integers, rng_from_seed
+from .probability import (
+    Distribution, JointDistribution, RngSeed, _int_at_least, _integers, rng_from_seed,
+)
 report_joint = agents.report_joint  # not called here; still importable from this module
 
 ALL_PAIRS = "all-pairs-average"
@@ -282,9 +284,7 @@ def _subset_payments(
     (reward 0 when no such subsets exist); averaged over questions, then over
     reference agents.  Each pair's subsets are drawn at once from rng ``stream``
     of the seed (:func:`_comparison_subsets`)."""
-    d = int(_integers(d, "comparison-subset size d"))
-    if d < 1:
-        raise DimensionMismatch(f"comparison-subset size d must be >= 1, got {d}")
+    d = _int_at_least(d, 1, "comparison-subset size d")
     n = reports.n_agents
     refs = _reference_sets(n, pairing, seed)
     rng = rng_from_seed(seed, stream)

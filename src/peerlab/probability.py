@@ -15,6 +15,9 @@ Conventions
   ``M.T @ p`` on its output alphabet: ``M[i, j] = Pr[out=j | in=i]``.
 * Construction tolerance on normalization is ``NORM_TOL`` (1e-9); internal
   identities are expected to hold to 1e-12.
+* ``_validated_tables`` is the one validator of every probability object and
+  stack: finite, mass 1 within ``NORM_TOL``, and non-negative once entries in
+  (-1e-12, 0), the rounding noise of mixtures, are clipped to 0.
 """
 
 from __future__ import annotations
@@ -41,22 +44,6 @@ NORM_TOL = 1e-9
 RngSeed = int
 
 
-def _validated_array(values, name: str, allow_tiny_negative: bool = True) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyAlphabet(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise NegativeWeight(f"{name} contains non-finite entries")
-    if allow_tiny_negative:
-        # rounding noise from mixtures (e.g. 1 - lam products) is clipped,
-        # anything worse is a genuine contract violation
-        arr = np.where((arr < 0) & (arr > -1e-12), 0.0, arr)
-    if np.any(arr < 0):
-        raise NegativeWeight(f"{name} contains negative entries")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite signal alphabet (dimensionless)."""
@@ -64,12 +51,10 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_array(self.weights, "weights")
+        arr = np.asarray(self.weights, dtype=np.float64)
         if arr.ndim != 1:
             raise WrongRank("a Distribution is one-dimensional")
-        if abs(float(arr.sum()) - 1.0) > NORM_TOL:
-            raise ZeroMass(f"weights sum to {arr.sum()!r}, expected 1 within {NORM_TOL}")
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", _validated_tables(arr, 1, "weights"))
 
     @property
     def size(self) -> int:
@@ -79,21 +64,25 @@ class Distribution:
         return float(self.weights[_index(sigma, self.size, "sigma")])
 
 
-def _validated_tables(values, rank: int | None = None) -> np.ndarray:
-    """``values`` as a read-only array of probability tables, each over its last ``rank`` axes
-    (default: one table of rank 2 or 3): finite, non-negative, and each of mass 1 within
-    ``NORM_TOL``.  Validates a :class:`JointDistribution` table and a stack of them alike."""
-    arr = _validated_array(values, "table")
-    if rank is None:
-        if arr.ndim not in (2, 3):
-            raise WrongRank(f"joint table must have rank 2 or 3, got {arr.ndim}")
-        rank = arr.ndim
+def _validated_tables(values, rank: int, name: str = "table") -> np.ndarray:
+    """``values`` as a read-only array of probability tables, each over its last ``rank`` axes,
+    checked as the module docstring says; ``name`` leads the messages.  Validates every
+    probability object, after the object's own rank check, and a stack of tables alike."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptyAlphabet(f"{name} must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise NegativeWeight(f"{name} contains non-finite entries")
+    arr = np.where((arr < 0) & (arr > -1e-12), 0.0, arr)
+    if np.any(arr < 0):
+        raise NegativeWeight(f"{name} contains negative entries")
     lead = arr.ndim - rank
-    mass = arr.sum(axis=tuple(range(lead, arr.ndim)) if lead else None)
+    mass = arr.sum(axis=tuple(range(lead, arr.ndim))) if lead else float(arr.sum())
     off = abs(mass - 1.0)
     if (off.max() if lead else off) > NORM_TOL:
         mass = np.ravel(mass)[np.argmax(off)]
-        raise ZeroMass(f"table mass is {mass!r}, expected 1 within {NORM_TOL}")
+        raise ZeroMass(f"{name} mass is {mass!r}, expected 1 within {NORM_TOL}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -120,28 +109,36 @@ def _index(value, size: int, name: str) -> int:
     return int(idx)
 
 
+def _int_at_least(value, low: int, name: str) -> int:
+    """``value`` as a Python int; DimensionMismatch unless it is one whole number >= ``low``."""
+    arr = _integers(value, name)
+    if arr.ndim:
+        raise DimensionMismatch(f"{name} must be one integer, got {value!r}")
+    if arr < low:
+        raise DimensionMismatch(f"{name} must be >= {low}, got {value!r}")
+    return int(arr)
+
+
 def make_distribution(weights) -> Distribution:
     """Normalize a non-negative weight vector into a :class:`Distribution`.
 
     Raises ``EmptyAlphabet``, ``NegativeWeight`` or ``ZeroMass`` when the
     weights cannot describe a probability vector.
     """
-    arr = _validated_array(weights, "weights", allow_tiny_negative=False)
-    if arr.ndim != 1:
-        raise WrongRank("weights must be one-dimensional")
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ZeroMass("weights sum to zero")
-    return Distribution(arr / total)
+    arr = np.asarray(weights, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf weights: the validator names them
+        total = arr.sum()  # not > 0: the weights go to the validator as they are
+        return Distribution(arr / total if total > 0.0 else arr)
 
 
 @functools.cache  # one shared, read-only object per m
 def uniform_distribution(m: int) -> Distribution:
+    m = _int_at_least(m, 1, "m")
     return Distribution(np.full(m, 1.0 / m))
 
 
 def point_mass(m: int, sigma: int) -> Distribution:
-    m = int(_integers(m, "m"))
+    m = _int_at_least(m, 1, "m")
     sigma = _index(sigma, m, "sigma")
     w = np.zeros(m)
     w[sigma] = 1.0
@@ -160,7 +157,10 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _validated_tables(self.table))
+        arr = np.asarray(self.table, dtype=np.float64)
+        if arr.ndim not in (2, 3):
+            raise WrongRank(f"joint table must have rank 2 or 3, got {arr.ndim}")
+        object.__setattr__(self, "table", _validated_tables(arr, arr.ndim))
 
     @property
     def is_conditional(self) -> bool:
@@ -193,13 +193,10 @@ class TransitionMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_array(self.rows, "rows")
+        arr = np.asarray(self.rows, dtype=np.float64)
         if arr.ndim != 2:
             raise WrongRank("a TransitionMatrix is two-dimensional")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > NORM_TOL):
-            raise ZeroMass(f"rows must sum to 1 within {NORM_TOL}, got {sums!r}")
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _validated_tables(arr, 1, "rows"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -240,23 +237,21 @@ def _identity_mask(rows: np.ndarray) -> np.ndarray:
 
 @functools.cache  # one shared, read-only object per m
 def identity_channel(m: int) -> TransitionMatrix:
-    return TransitionMatrix(np.eye(m))
+    return TransitionMatrix(np.eye(_int_at_least(m, 1, "m")))
 
 
 def permutation_channel(mapping) -> TransitionMatrix:
     """Channel deterministically relabeling ``sigma -> mapping[sigma]``."""
-    mapping = np.asarray(mapping, dtype=np.intp)
-    m = mapping.shape[0]
-    if sorted(mapping.tolist()) != list(range(m)):
+    mapping = _integers(mapping, "mapping")
+    m = mapping.size
+    if mapping.ndim != 1 or sorted(mapping.tolist()) != list(range(m)):
         raise DimensionMismatch(f"{mapping!r} is not a permutation of 0..{m - 1}")
-    rows = np.zeros((m, m))
-    rows[np.arange(m), mapping] = 1.0
-    return TransitionMatrix(rows)
+    return TransitionMatrix(np.eye(m)[mapping])
 
 
 def constant_channel(m: int, output: Distribution) -> TransitionMatrix:
     """Signal-independent channel: every row equals ``output``."""
-    return TransitionMatrix(np.tile(output.weights, (m, 1)))
+    return TransitionMatrix(np.tile(output.weights, (_int_at_least(m, 1, "m"), 1)))
 
 
 def marginals(joint: JointDistribution) -> tuple[Distribution, Distribution]:
@@ -329,12 +324,8 @@ def z_marginal(joint: JointDistribution) -> Distribution:
 
 def sample(dist: Distribution, seed: RngSeed, count: int) -> np.ndarray:
     """``count`` iid indices drawn from ``dist``; deterministic per seed."""
-    count = int(_integers(count, "count"))
-    if count < 0:
-        raise DimensionMismatch("count must be >= 0")
-    if _integers(seed, "seed").ndim or seed < 0:
-        raise DimensionMismatch(f"seed must be one integer >= 0, got {seed!r}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    count, seed = _int_at_least(count, 0, "count"), _int_at_least(seed, 0, "seed")
+    rng = np.random.Generator(np.random.PCG64(seed))
     return rng.choice(dist.size, size=count, p=dist.weights)
 
 

@@ -185,7 +185,8 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"mechanism-world-effort-200-{name}{''.join(extra)}",
                     ["mechanism", "--mechanism", name, "--scenario", paths["world-effort-200"],
                      *extra]))
-    # every equality and strictness claim violated, so the violations carry each witness
+    # equality-tol and strictness claims violated, so the violations carry each witness;
+    # divergence_strict fails only where its proved bound exceeds 1, at no instance here
     out.append(("verify-dpi-forced", ["verify", "dpi", "--instances", "300", "--seed", "3",
                                       "--equality-tol", "1e-300", "--strictness-tol", "1"]))
     return out

@@ -12,11 +12,11 @@ a time through the public single-table functions, and the masked sums the
 Shannon and slice-mean code used before it took stacks follow.  The file closes
 with the bincount route of the empirical pair counts, the report sampler that
 gathered each draw's weights before its cumulative sums, the two-``isclose``
-permutation test and the cell-pair loop of the fine-grained test, as they were before
-the Gram kernel, the column-wise inverse CDF, the direct tolerance test and the
-all-pairs comparison replaced them, and last the ``rng.choice`` draws of a strategy
-kind and of one item of a tuple, as the samplers and suites took them before the
-bisect and the one-integer pick.
+permutation test, the cell-pair loop of the fine-grained test and the signal-pair loop of
+the divergence witness, as they were before the Gram kernel, the column-wise inverse
+CDF, the direct tolerance test, the all-pairs comparison and the broadcast witness mask
+replaced them, and last the ``rng.choice`` draws of a strategy kind and of one item of
+a tuple, as the samplers and suites took them before the bisect and the one-integer pick.
 """
 
 import math
@@ -927,6 +927,25 @@ def loop_is_fine_grained(joint: JointDistribution, tol: float = 1e-9):
             if abs(float(ratios[xa, ya] - ratios[xb, yb])) <= tol:
                 return measures.FineGrainedReport(False, (cells[a], cells[b]))
     return measures.FineGrainedReport(True)
+
+
+def loop_divergence_monotonicity_witness(p: Distribution, q: Distribution,
+                                         theta: TransitionMatrix, tol: float = 1e-9) -> bool:
+    """``measures.divergence_monotonicity_witness`` as one Python loop over the signal pairs
+    decided it."""
+    pw, qw, rows = p.weights, q.weights, theta.rows
+    m = pw.shape[0]
+    for s1 in range(m):
+        if pw[s1] <= 0.0:
+            continue
+        for s2 in range(s1 + 1, m):
+            if pw[s2] <= 0.0:
+                continue
+            if abs(qw[s1] / pw[s1] - qw[s2] / pw[s2]) <= tol:
+                continue
+            if np.any((rows[s1] > 0.0) & (rows[s2] > 0.0)):
+                return True
+    return False
 
 
 KIND_PROBS = np.array([sampling.STRATEGY_KIND_RATIOS[k] for k in sampling._KINDS])

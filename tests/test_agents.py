@@ -35,6 +35,7 @@ from peerlab import (
     truth_telling,
     truthful_scenario,
     world_tensor,
+    ZeroMass,
 )
 from peerlab.agents import _inverse_cdf
 
@@ -77,7 +78,7 @@ class TestPriors:
             FullJointPrior(np.array([[0.5, -0.1], [0.3, 0.3]]))
 
     def test_full_joint_rejects_bad_mass(self):
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(ZeroMass):
             FullJointPrior(np.full((2, 2), 0.3))
 
 

@@ -29,17 +29,22 @@ from peerlab import (
     bts_payments,
     ca_payments,
     condition_on,
+    constant_channel,
+    divergence_monotonicity_witness,
     empirical_pair_joint,
     fmi_mechanism_payments,
     generate_reports,
+    identity_channel,
     make_distribution,
     md_payments,
+    permutation_channel,
     point_mass,
     report_joint,
     run_suite,
     sppm_payments,
     truth_telling,
     truthful_scenario,
+    uniform_distribution,
 )
 from peerlab.errors import PeerLabError
 from peerlab.probability import sample
@@ -149,6 +154,34 @@ def test_indices_and_seeds(v):
 def test_index_or_seed_out_of_range(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: uniform_distribution(0), lambda: uniform_distribution(2.5),
+    lambda: uniform_distribution(-1), lambda: identity_channel(2.5),
+    lambda: constant_channel(-1, HALF), lambda: permutation_channel([0.5, 1.2]),
+    lambda: permutation_channel(["a", "b"]), lambda: permutation_channel(1),
+    lambda: ReportMatrix(np.array([[0, 1]]), np.ones((1, 2), dtype=bool), [2]),
+    lambda: divergence_monotonicity_witness(HALF, HALF, TransitionMatrix(np.eye(3))),
+], ids=["uniform-0", "uniform-2.5", "uniform-(-1)", "identity-2.5", "constant-(-1)",
+        "permutation-floats", "permutation-strings", "permutation-scalar",
+        "report-alphabet-list", "witness-sizes"])
+def test_bad_alphabet_sizes_raise_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+def test_point_mass_on_empty_alphabet_names_the_size():
+    with pytest.raises(DimensionMismatch, match=r"m must be >= 1, got 0"):
+        point_mass(0, 0)
+
+
+@given(VALUES)
+@settings(max_examples=100, deadline=None)
+def test_alphabet_sizes(v):
+    for obj in (built(lambda: uniform_distribution(v)), built(lambda: identity_channel(v)),
+                built(lambda: constant_channel(v, HALF)), built(lambda: point_mass(v, 0))):
+        assert obj is None or (v >= 1 and v == int(v))
 
 
 def test_suite_config_whole_float_seed():

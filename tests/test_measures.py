@@ -25,6 +25,7 @@ from peerlab import (
     push_first,
     shannon_mi,
 )
+from peerlab.measures import _divergence_decrease_bound
 
 import oracles
 
@@ -140,7 +141,23 @@ class TestFDivergence:
             )
             assert after <= before + 1e-10
             if gen.strictly_convex and divergence_monotonicity_witness(p, q, theta):
-                assert before - after > 1e-10
+                # the decrease reaches the proved Jensen bound; it must exceed the
+                # strictness tolerance only where the bound does
+                bound = _divergence_decrease_bound(p.weights, q.weights, theta.rows, gen)
+                assert before - after >= bound * (1.0 - 1e-9)
+                assert bound <= 1e-10 or before - after > 1e-10
+
+    def test_decrease_bound_exact_for_chi_squared(self):
+        p, q = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.25, 0.25])
+        theta = np.array([[0.7, 0.3], [0.4, 0.6], [0.0, 1.0]])
+        for gen in (CHI2, KL, HELLINGER):
+            drop = f_divergence(Distribution(p), Distribution(q), gen) - f_divergence(
+                Distribution(theta.T @ p), Distribution(theta.T @ q), gen)
+            bound = _divergence_decrease_bound(p, q, theta, gen)
+            if gen is CHI2:
+                assert bound == pytest.approx(drop, rel=1e-12)
+            else:
+                assert 0.0 < bound < drop
 
     @given(dists(), st.data())
     @settings(max_examples=40, deadline=None)

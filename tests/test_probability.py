@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from peerlab import (
     DimensionMismatch,
     Distribution,
     EmptyAlphabet,
+    FullJointPrior,
     JointDistribution,
     NegativeWeight,
     TransitionMatrix,
@@ -79,6 +81,18 @@ class TestMakeDistribution:
             make_distribution([0.5, -0.1])
         with pytest.raises(ZeroMass):
             make_distribution([0.0, 0.0])
+
+    @pytest.mark.parametrize("weights", [[np.inf, 1.0], [np.inf, -np.inf], [-np.inf, 1.0],
+                                         [np.inf, np.nan]])
+    def test_non_finite_raises_without_runtime_warning(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegativeWeight):
+                make_distribution(weights)
+
+    def test_rounding_noise_clipped(self):
+        w = make_distribution([-1e-13, 1.0]).weights
+        assert w[0] == 0.0 and w[1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMarginals:
@@ -285,3 +299,50 @@ class TestValidatedTables:
             _validated_tables(stack, rank=rank)
         assert type(stacked.value) is type(single.value)
         assert type(single.value) is (ZeroMass if bad in ("heavy", "light") else NegativeWeight)
+
+
+def _bad(values, kind: str, rank: int) -> np.ndarray:
+    """``values`` (mass 1, at least two cells in its first row) with the fault ``kind``."""
+    arr = np.array(values, dtype=np.float64)
+    cells = arr.reshape(-1)
+    if kind == "empty":
+        return np.zeros((0,) * rank)
+    if kind == "wrong rank":
+        return arr[0] if rank > 1 else arr[None, :]
+    if kind in ("nan", "inf"):
+        cells[0] = np.nan if kind == "nan" else np.inf
+    elif kind in ("-0.1", "-1e-13"):  # the mass moves to the next cell
+        cells[1] += cells[0] - float(kind)
+        cells[0] = float(kind)
+    else:
+        cells[0] += float(kind.removeprefix("mass 1 "))
+    return arr
+
+
+RAISES = {"empty": EmptyAlphabet, "nan": NegativeWeight, "inf": NegativeWeight,
+          "-0.1": NegativeWeight, "-1e-13": None, "mass 1 +2e-9": ZeroMass,
+          "mass 1 -2e-9": ZeroMass, "wrong rank": WrongRank}
+BUILDERS = {  # the constructor, a valid input, its rank, and the field holding the entries
+    "Distribution": (Distribution, [0.5, 0.5], 1, "weights"),
+    "TransitionMatrix": (TransitionMatrix, [[0.5, 0.5], [0.25, 0.75]], 2, "rows"),
+    "JointDistribution": (JointDistribution, [[0.25, 0.25], [0.1, 0.4]], 2, "table"),
+    "FullJointPrior": (FullJointPrior, [[0.25, 0.25], [0.1, 0.4]], 2, "tensor"),
+    # normalizes, so a mass off by 2e-9 is not a fault
+    "make_distribution": (make_distribution, [0.5, 0.5], 1, "weights"),
+}
+
+
+@pytest.mark.parametrize("kind", list(RAISES))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_probability_objects_raise_one_error_type_per_fault(name, kind):
+    """Every probability object is checked by ``_validated_tables``: a fault raises one type,
+    whichever object meets it, and noise above -1e-12 is clipped to 0."""
+    build, values, rank, field = BUILDERS[name]
+    want = None if name == "make_distribution" and kind.startswith("mass") else RAISES[kind]
+    arr = _bad(values, kind, rank)
+    if want is None:
+        entries = getattr(build(arr), field)
+        assert np.all(entries >= 0.0) and not entries.flags.writeable
+    else:
+        with pytest.raises(want):
+            build(arr)

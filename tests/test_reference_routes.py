@@ -49,6 +49,7 @@ from peerlab import (
     ca_payments,
     conditional_mi,
     default_config,
+    divergence_monotonicity_witness,
     empirical_pair_joint,
     f_divergence,
     f_mutual_information,
@@ -1078,6 +1079,61 @@ class TestFineGrainedPairs:
             assert is_fine_grained(joint, np.nextafter(gaps[a, b], -np.inf))
             got = is_fine_grained(joint, gaps[a, b])
         assert not got and got.witness == (cells[a], cells[b])
+
+
+@st.composite
+def witness_stacks(draw):
+    """1-4 triples (p, q, theta) of one shape (m = 1-4 inputs, 1-4 outputs): p with zero
+    cells, q dense, equal to p or sparse, theta with zeros; and a tol of 0, 1e-9 or 1e-3,
+    or exactly one signal pair's ratio gap, or the float just below it."""
+    m, m_out, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(seeds))
+
+    def simplex(shape, zeros):
+        t = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        t[rng.random(t.shape) < zeros] = 0.0
+        t[..., 0] += t.sum(axis=-1) <= 0.0
+        return t / t.sum(axis=-1, keepdims=True)
+
+    p = simplex((k, m), draw(st.floats(0.0, 0.6)))
+    q = {"dense": simplex((k, m), 0.0), "equal": p.copy(),
+         "sparse": simplex((k, m), 0.5)}[draw(st.sampled_from(("dense", "equal", "sparse")))]
+    rows = simplex((k, m, m_out), draw(st.floats(0.0, 0.6)))
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3, "gap", "below")))
+    live = np.flatnonzero(p[0] > 0.0)
+    if isinstance(tol, str):
+        if live.size < 2:
+            tol = 0.0
+        else:
+            s1, s2 = sorted(draw(st.permutations(live.tolist()))[:2])
+            gap = abs(q[0, s1] / p[0, s1] - q[0, s2] / p[0, s2])
+            tol = gap if tol == "gap" else np.nextafter(gap, -np.inf)
+    return p, q, rows, float(tol)
+
+
+class TestWitnessMask:
+    """The broadcast witness mask gives each (p, q, theta) of a stack the signal-pair loop's
+    decision, with ratio gaps at and just under ``tol``, zero-mass cells and rectangular
+    channels; the public form wraps it."""
+
+    @given(witness_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_mask_matches_loop(self, stack):
+        p, q, rows, tol = stack
+        want = [oracles.loop_divergence_monotonicity_witness(
+            Distribution(pk), Distribution(qk), TransitionMatrix(rk), tol)
+            for pk, qk, rk in zip(p, q, rows)]
+        assert measures_module._witness_mask(p, q, rows, tol).tolist() == want
+        got = divergence_monotonicity_witness(
+            Distribution(p[0]), Distribution(q[0]), TransitionMatrix(rows[0]), tol)
+        assert got is want[0]
+
+    def test_gap_at_tol_is_not_a_witness(self):
+        p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        rows = np.full((2, 2), 0.5)
+        gap = abs(q[0] / p[0] - q[1] / p[1])
+        assert not measures_module._witness_mask(p, q, rows, gap)
+        assert measures_module._witness_mask(p, q, rows, np.nextafter(gap, -np.inf))
 
 
 class TestStackedKernels:
