@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyAlphabet,
+    ModeMismatch,
     NegativeWeight,
     WrongRank,
     ZeroConditioningEvent,
@@ -131,9 +132,16 @@ def make_distribution(weights) -> Distribution:
         return Distribution(arr / total if total > 0.0 else arr)
 
 
-@functools.cache  # one shared, read-only object per m
+def _shared_per_size(build):
+    """``build`` cached per alphabet size m, one shared, read-only object per m.  The cache
+    holds only ints that :func:`_int_at_least` passed, and reads no other type of m unchecked."""
+    cached = functools.cache(lambda m: build(_int_at_least(m, 1, "m")))
+    return functools.wraps(build)(
+        lambda m: cached(m if type(m) is int else _int_at_least(m, 1, "m")))
+
+
+@_shared_per_size
 def uniform_distribution(m: int) -> Distribution:
-    m = _int_at_least(m, 1, "m")
     return Distribution(np.full(m, 1.0 / m))
 
 
@@ -235,9 +243,9 @@ def _identity_mask(rows: np.ndarray) -> np.ndarray:
     return np.isclose(rows, np.eye(m), atol=1e-12).all(axis=(-2, -1))
 
 
-@functools.cache  # one shared, read-only object per m
+@_shared_per_size
 def identity_channel(m: int) -> TransitionMatrix:
-    return TransitionMatrix(np.eye(_int_at_least(m, 1, "m")))
+    return TransitionMatrix(np.eye(m))
 
 
 def permutation_channel(mapping) -> TransitionMatrix:
@@ -251,6 +259,8 @@ def permutation_channel(mapping) -> TransitionMatrix:
 
 def constant_channel(m: int, output: Distribution) -> TransitionMatrix:
     """Signal-independent channel: every row equals ``output``."""
+    if not isinstance(output, Distribution):
+        raise ModeMismatch(f"constant_channel needs a Distribution output, got {output!r}")
     return TransitionMatrix(np.tile(output.weights, (_int_at_least(m, 1, "m"), 1)))
 
 

@@ -5,11 +5,12 @@ at configured tolerances, and returns a machine-readable verdict.  A suite is
 an optional global part (checks recorded at instance -1) plus an instance
 part that the runner hands the instance indices in chunks.  Each instance is
 drawn on its own from ``rng_from_seed(config.seed, idx)``; most suites then
-check it alone, while the one-table suites (bregman-quasi, accuracy-gain)
-check a chunk's drawn tables together, one stacked kernel call per shape
-group, and record them in index order.  They draw raw arrays through the
-private samplers and validate each shape group's stack once, with the tests
-the validated objects would have applied.  A table's value never depends on the
+check it alone (scenario-equivalence pays it and its relabeled twins as one
+stack), while the one-table suites (bregman-quasi, accuracy-gain) check a
+chunk's drawn tables together, one stacked kernel call per shape group, and
+record them in index order.  They draw raw arrays through the private
+samplers and validate each shape group's stack once, with the tests the
+validated objects would have applied.  A table's value never depends on the
 stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
 recorded violation is replayed by re-running its one instance as a chunk of
@@ -20,8 +21,8 @@ reading.  Claims that are asymptotic in the source theory are tagged
 Strictness assertions follow the proved direction only: a strict decrease is
 required exactly where the witness condition holds (strictly convex
 generator, square non-permutation channel on an all-ratios-separated joint),
-never conversely.  A divergence-level decrease must reach its proved Jensen
-bound, and exceed the strictness tolerance only where that bound does.
+never conversely.  A strict decrease of a divergence or of f-MI must reach its
+proved Jensen bound, and exceed the strictness tolerance only where it does.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .mechanisms import (
     BtsReportProfile,
     _agreement_rewards,
     _exact_joints,
-    _peer_means,
     _score_shifts,
     _tensor_scores,
     bts_idealized_scores,
@@ -198,6 +198,14 @@ class _Recorder:
     def margin(self, value: float) -> None:
         self.margins.append(float(value))
 
+    def strict_drop(self, name: str, instance: int, drop: float, bound: float, data: dict) -> None:
+        """Claim ``name``: ``drop`` reaches its proved Jensen bound (exact for chi^2, hence the
+        float slack), and exceeds the strictness tolerance only where the bound does."""
+        stol = self.config.strictness_tol
+        ok = drop >= bound * (1.0 - 1e-9) and (bound <= stol or drop > stol)
+        self.check(name, "inequality", ok, instance, {**data, "bound": bound})
+        self.margin(drop)
+
     def finding(self, entry: dict) -> None:
         self.findings.append(entry)
 
@@ -297,8 +305,10 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
         rec.check("mi_permutation_equality", "equality",
                   abs(rep.before - rep.after) <= 1e-12, idx, data)
     elif channel.shape[0] == channel.shape[1] and gen.strictly_convex and is_fine_grained(joint):
-        rec.check("mi_dpi_strict", "inequality", rep.strict, idx, data)
-        rec.margin(rep.before - rep.after)
+        v = np.outer(joint.table.sum(axis=1), joint.table.sum(axis=0))
+        bound = _divergence_decrease_bound(joint.table.ravel(), v.ravel(),
+                                           np.kron(channel.rows, np.eye(my)), gen)
+        rec.strict_drop("mi_dpi_strict", idx, rep.before - rep.after, bound, data)
     # divergence-level monotonicity on the same channel
     p = sampling.random_distribution(rng, mx)
     q = sampling.random_distribution(rng, mx)
@@ -308,18 +318,15 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
              "generator": gen.value, "before": d_before, "after": d_after}
     rec.check("divergence_monotonicity", "inequality", d_after <= d_before + tol, idx, ddata)
     if gen.strictly_convex and divergence_monotonicity_witness(p, q, channel):
-        # the bound is exact for chi^2, hence the float slack
         bound = _divergence_decrease_bound(p.weights, q.weights, channel.rows, gen)
-        drop = d_before - d_after
-        ok = drop >= bound * (1.0 - 1e-9) and (bound <= stol or drop > stol)
-        rec.check("divergence_strict", "inequality", ok, idx, {**ddata, "bound": bound})
-        rec.margin(drop)
+        rec.strict_drop("divergence_strict", idx, d_before - d_after, bound, ddata)
 
 
 def suite_dpi(config: SuiteConfig) -> SuiteVerdict:
-    """Channel processing never increases f-mutual information; strictly
-    decreases it under the witness condition.  Also checks the divergence
-    level monotonicity D_f(theta^T p, theta^T q) <= D_f(p, q)."""
+    """Channel processing never increases f-mutual information; strictly decreases it under the
+    witness condition.  Also checks D_f(theta^T p, theta^T q) <= D_f(p, q).  f-MI is D_f(J, V)
+    on cells, which M on X moves through M (x) I; its Jensen bound is taken there, and no cell
+    has p = 0, as the fine-grained gate needs every cell > 1e-9."""
     return _run(config).verdict()
 
 
@@ -334,14 +341,18 @@ def _pair_prior_for(rng, n: int, m: int):
     return sampling.random_full_joint_prior(rng, n, m)
 
 
+def _agent0_tables(q, a, b, li, lj) -> np.ndarray:
+    """Agent 0's report tables (..., k, m, m) per leading index of the inputs, from one
+    :func:`_report_tables` call: its channel ``a`` and its k peers' channels ``b`` on their pair
+    tables ``q`` (k, m, m), at effort probabilities ``li`` and ``lj``, uniform without effort."""
+    x = uniform_distribution(q.shape[-1]).weights
+    return _report_tables(a, b, q, li, lj, x, x[None])
+
+
 def _agent0_payments(q, a, b, li, lj, gen) -> np.ndarray:
     """Agent 0's exact mip payment, as ``mip_expected_payments`` gives it, per leading index of
-    the inputs, from one :func:`_report_tables` call: its channel ``a`` and its k peers'
-    channels ``b`` on their pair tables ``q`` (k, m, m), at effort probabilities ``li`` and
-    ``lj``, with uniform no-effort reports."""
-    x = uniform_distribution(q.shape[-1]).weights
-    tables = _report_tables(a, b, q, li, lj, x, x[None])
-    return _slice_mean(tables, _mi_kernel(gen))
+    the inputs: the peer mean of the kernel on :func:`_agent0_tables`."""
+    return _slice_mean(_agent0_tables(q, a, b, li, lj), _mi_kernel(gen))
 
 
 def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
@@ -485,8 +496,9 @@ def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None
 
     # mixture convexity of the information measure
     lam = float(rng.uniform(0.0, 1.0))
-    strat = sampling.random_mixed_strategy(rng, m)
-    j_full, j_none, j_mix = joints = _effort_mixture(q[:1], strat.channel.rows, lam)
+    rows = sampling.random_mixed_strategy(rng, m).channel.rows
+    li = np.array([1.0, 0.0, lam])[:, None, None, None]  # agent 0 at effort 1, 0 and lam
+    j_full, j_none, j_mix = joints = _agent0_tables(q[:1], rows, np.eye(m), li, 1.0)[:, 0]
     mix_table = lam * j_full + (1.0 - lam) * j_none
     rec.check("effort_mixture_law", "equality",
               float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, data)
@@ -494,14 +506,6 @@ def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None
     rhs = lam * mi_full + (1.0 - lam) * mi_none
     rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
               {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
-
-
-def _effort_mixture(q, channel, lam: float) -> np.ndarray:
-    """The report joints of agent 0 playing ``channel`` against one truthful peer in full
-    effort on pair table ``q`` (1, m, m), at its effort probabilities 1, 0 and ``lam``."""
-    x = uniform_distribution(q.shape[-1]).weights
-    li = np.array([1.0, 0.0, lam])[:, None, None, None]
-    return _report_tables(channel, np.eye(len(x)), q, li, 1.0, x, x[None])[:, 0]
 
 
 def suite_effort(config: SuiteConfig) -> SuiteVerdict:
@@ -825,18 +829,6 @@ def _equivalence_kernels(known_prior: PairwisePrior) -> dict:
     return kernels
 
 
-def _equivalence_payment_vectors(scenario: Scenario, kernels: dict) -> dict:
-    """Exact per-agent payments of every exact evaluator, from one build of the report joints."""
-    tables = list(_exact_joints(scenario))
-    out = {name: _peer_means(tables, kernel) for name, kernel in kernels.items()}
-    if isinstance(scenario.prior, WorldModelPrior):
-        n = scenario.n_agents
-        scores = bts_idealized_scores(scenario.prior, scenario.strategies)
-        out["bts-idealized-information"] = np.full(n, scores.information_score)
-        out["bts-idealized-prediction"] = np.full(n, scores.prediction_score)
-    return out
-
-
 def _random_perms(rng, prior, n: int, m: int) -> PermutationList:
     """One map per agent under a full-joint prior, else one map shared by all agents."""
     if isinstance(prior, FullJointPrior):
@@ -867,17 +859,22 @@ def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
 
 def _scenario_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     scenario, _ = _random_equivalence_scenario(rng)
-    kernels = _equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False))
-    base = _equivalence_payment_vectors(scenario, kernels)
-    base_dict = scenario_to_dict(scenario)
     n, m = scenario.n_agents, scenario.alphabet_size
-    for _ in range(_PERM_LISTS):
-        perms = _random_perms(rng, scenario.prior, n, m)
+    perm_lists = [_random_perms(rng, scenario.prior, n, m) for _ in range(_PERM_LISTS)]
+    scenarios = [scenario] + [permute_scenario(scenario, perms) for perms in perm_lists]
+    # every agent's exact joints in the scenario and its twins, as one (11, n, n-1, m, m) stack
+    tables = np.stack([np.concatenate(list(_exact_joints(s))) for s in scenarios])
+    kernels = _equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False))
+    pay = {name: _slice_mean(tables, kernel) for name, kernel in kernels.items()}
+    if isinstance(scenario.prior, WorldModelPrior):
+        scores = [bts_idealized_scores(s.prior, s.strategies) for s in scenarios]
+        pay["bts-idealized-information"] = np.array([[s.information_score] * n for s in scores])
+        pay["bts-idealized-prediction"] = np.array([[s.prediction_score] * n for s in scores])
+    base_dict = scenario_to_dict(scenario)
+    for t, (perms, twin) in enumerate(zip(perm_lists, scenarios[1:]), 1):
         matrices = _jl(np.eye(m)[perms.maps])
-        twin = permute_scenario(scenario, perms)
-        twin_pay = _equivalence_payment_vectors(twin, kernels)
-        for name in sorted(base):
-            diff = float(np.max(np.abs(base[name] - twin_pay[name])))
+        for name in sorted(pay):
+            diff = float(np.max(np.abs(pay[name][0] - pay[name][t])))
             rec.check("payments_identical", "equality", diff <= 1e-12, idx, {
                 "mechanism": name,
                 "scenario": base_dict,

@@ -23,11 +23,13 @@ utilities, the mixture sides and both payments, then fmi and bmi on the
 world-model scenario with efforts at T = 2500 questions (40 of the count
 kernel's 64-question words, the last one partial), then exact mip and sppm on
 a 200-agent, 4-signal world-model scenario with efforts, whose report tables
-the exact engines build in three blocks of agents, and last dpi at 300
+the exact engines build in three blocks of agents, then dpi at 300
 instances under ``--equality-tol 1e-300 --strictness-tol 1``, whose violations
-carry the joints, channels and divergence inputs of its sampled instances.  A
-command that raises instead of writing an output is digested as its exception
-type.
+carry the joints, channels and divergence inputs of its sampled instances, and
+last scenario-equivalence at 40 instances and seed 11, which draws three-agent
+full-joint priors (each agent relabeled by its own map) with and without
+efforts.  A command that raises instead of writing an output is digested as
+its exception type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
 relative change of a float (|a - b| / max(1, |b|)) or the two differing
@@ -186,9 +188,14 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
                     ["mechanism", "--mechanism", name, "--scenario", paths["world-effort-200"],
                      *extra]))
     # equality-tol and strictness claims violated, so the violations carry each witness;
-    # divergence_strict fails only where its proved bound exceeds 1, at no instance here
+    # divergence_strict and mi_dpi_strict fail only where their proved bound exceeds 1, at no
+    # instance here
     out.append(("verify-dpi-forced", ["verify", "dpi", "--instances", "300", "--seed", "3",
                                       "--equality-tol", "1e-300", "--strictness-tol", "1"]))
+    # seed 11 draws three-agent full-joint priors, whose twins relabel each agent differently,
+    # with and without efforts
+    out.append(("verify-scenario-equivalence-40-11",
+                ["verify", "scenario-equivalence", "--instances", "40", "--seed", "11"]))
     return out
 
 

@@ -3,7 +3,8 @@
 The measure oracles are written with plain Python loops and math functions,
 deliberately avoiding the library's own vectorized code paths, so tests can
 cross-check the two routes against each other.  The reference routes at the
-end are the payment loops, the one-scenario-per-effort-level utility and the
+end are the payment loops, the one-scenario-per-effort-level utility, the
+one-scenario-at-a-time payments of the scenario-equivalence suite and the
 strategy sampler that the library's merged engines and stacks replaced, kept
 as they were; the md/ca loops take their comparison subsets from the engine's
 batched draw and apply the per-question rewards.
@@ -480,6 +481,20 @@ def effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=N
     scn = Scenario(prior, tuple(truth_telling(m) for _ in range(n)),
                    (EffortStrategy(lam, cost), *peers))
     return float(mechanisms.mip_expected_payments(scn, gen).payments[0]) - lam * cost
+
+
+def equivalence_payment_vectors(scenario: Scenario, kernels: dict) -> dict:
+    """Exact per-agent payments of every exact evaluator of the scenario-equivalence suite
+    (``kernels``, plus the idealized bts scores under a world model), one scenario at a time,
+    as the suite paid the scenario and each twin before it paid them as one stack."""
+    tables = list(mechanisms._exact_joints(scenario))
+    out = {name: mechanisms._peer_means(tables, kernel) for name, kernel in kernels.items()}
+    if isinstance(scenario.prior, WorldModelPrior):
+        n = scenario.n_agents
+        scores = mechanisms.bts_idealized_scores(scenario.prior, scenario.strategies)
+        out["bts-idealized-information"] = np.full(n, scores.information_score)
+        out["bts-idealized-prediction"] = np.full(n, scores.prediction_score)
+    return out
 
 
 def sppm_expected_payments(scenario, known_prior, rule):

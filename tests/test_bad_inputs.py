@@ -1,8 +1,9 @@
 """Public constructors and integer size parameters fed finite, non-finite and
-non-integral values: each gives a valid object or a PeerLabError, never a
-bare numpy or Python error and never a silent NaN.  The same holds for the
-empirical payment engines given a single agent, and for signal indices and
-seeds, and for agent indices, where a negative value never counts from the end."""
+non-integral values, or a list where one size or one Distribution belongs:
+each gives a valid object or a PeerLabError, never a bare numpy or Python
+error and never a silent NaN.  The same holds for the empirical payment
+engines given a single agent, and for signal indices and seeds, and for agent
+indices, where a negative value never counts from the end."""
 
 import json
 import math
@@ -19,6 +20,7 @@ from peerlab import (
     EffortStrategy,
     FullJointPrior,
     JointDistribution,
+    ModeMismatch,
     PairwisePrior,
     PermutationList,
     ReportMatrix,
@@ -163,12 +165,19 @@ def test_index_or_seed_out_of_range(call):
     lambda: permutation_channel(["a", "b"]), lambda: permutation_channel(1),
     lambda: ReportMatrix(np.array([[0, 1]]), np.ones((1, 2), dtype=bool), [2]),
     lambda: divergence_monotonicity_witness(HALF, HALF, TransitionMatrix(np.eye(3))),
+    lambda: uniform_distribution([1, 2]), lambda: identity_channel([2]),
 ], ids=["uniform-0", "uniform-2.5", "uniform-(-1)", "identity-2.5", "constant-(-1)",
         "permutation-floats", "permutation-strings", "permutation-scalar",
-        "report-alphabet-list", "witness-sizes"])
+        "report-alphabet-list", "witness-sizes", "uniform-list", "identity-list"])
 def test_bad_alphabet_sizes_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def test_constant_channel_needs_a_distribution():
+    # a list of weights is not a Distribution, though it would make one
+    with pytest.raises(ModeMismatch, match="constant_channel needs a Distribution"):
+        constant_channel(2, [0.5, 0.5])
 
 
 def test_point_mass_on_empty_alphabet_names_the_size():

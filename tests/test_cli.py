@@ -168,8 +168,10 @@ class TestVerifyCommand:
         assert "tolerances" in capsys.readouterr().err
 
     def test_violations_exit_one(self, capsys):
+        # a tight equality tolerance forces violations; dpi's strict claims, certified by
+        # their proved bounds, hold at any strictness tolerance
         code = main(["verify", "dpi", "--instances", "200", "--seed", "4",
-                     "--strictness-tol", "1e6"])
+                     "--equality-tol", "1e-300"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is False

@@ -13,8 +13,10 @@ stacked measure kernels must give each table of a stack the exact bits of its
 public single-table function, and the one-table suites, which check a chunk of
 instances on stacks, the exact verdict JSON of their per-instance parts.  So
 must the report-joint core on a stack and on the exact engines' blocks of agents
-(against ``report_joint`` per pair) and the effort suite's stacked payments
-(against ``oracles.effort_utility``)."""
+(against ``report_joint`` per pair), the effort suite's stacked payments
+(against ``oracles.effort_utility``) and the scenario-equivalence suite's one
+stack of a scenario and its twins (against
+``oracles.equivalence_payment_vectors``)."""
 
 import collections
 import itertools
@@ -596,13 +598,63 @@ class TestEffortStacks:
         rng = rng_from_seed(seed)
         prior = sampling.random_pairwise_symmetric_prior(rng, m)
         strat = sampling.random_mixed_strategy(rng, m, kind)
-        joints = verify._effort_mixture(prior._pair_tables(0, [1]), strat.channel.rows, lam)
+        li = np.array([1.0, 0.0, lam])[:, None, None, None]
+        joints = verify._agent0_tables(prior._pair_tables(0, [1]), strat.channel.rows,
+                                       np.eye(m), li, 1.0)[:, 0]
         truth = Strategy(identity_channel(m))
         want = [report_joint(prior, 0, 1, strat, truth, EffortStrategy(l), EffortStrategy(1.0))
                 for l in (1.0, 0.0, lam)]
         assert np.array_equal(joints, [w.table for w in want])
         assert np.array_equal(_mi_kernel(measure)(joints),
                               [mutual_information(w, measure) for w in want])
+
+
+class TestEquivalenceStack:
+    """The scenario-equivalence suite pays a scenario and its ten relabeled twins as one stack;
+    each kernel's payments must be the very floats of the one-scenario-at-a-time route it
+    replaced (``oracles.equivalence_payment_vectors``), under every prior mode of the suite."""
+
+    @given(seeds, st.sampled_from((2, 3)), st.sampled_from((2, 3)),
+           st.sampled_from(("full", "pairwise", "world")), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_scenario_route(self, seed, m, n, mode, efforts):
+        rng = rng_from_seed(seed)
+        if mode == "full":
+            prior = sampling.random_full_joint_prior(rng, n, m)
+        elif mode == "pairwise":
+            prior = sampling.random_pairwise_symmetric_prior(rng, m)
+        else:
+            prior = sampling.random_world_model(rng, int(rng.integers(2, 4)), m)
+        strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
+        profile = tuple(EffortStrategy(float(rng.uniform()), float(rng.uniform(0, 0.5)))
+                        for _ in range(n)) if efforts else None
+        scenario = Scenario(prior, strategies, profile)
+        stacks, twins = [], []
+        slice_mean, permute = verify._slice_mean, verify.permute_scenario
+
+        def spied_mean(tables, kernel):
+            stacks.append(slice_mean(tables, kernel))
+            return stacks[-1]
+
+        def spied_permute(base, perms):
+            twins.append(permute(base, perms))
+            return twins[-1]
+
+        config = default_config("scenario-equivalence", instances=1)
+        with mock.patch.object(verify, "_random_equivalence_scenario",
+                               return_value=(scenario, None)), \
+                mock.patch.object(verify, "_slice_mean", spied_mean), \
+                mock.patch.object(verify, "permute_scenario", spied_permute):
+            verify._scenario_equivalence_instance(verify._Recorder(config), config, 0, rng)
+        kernels = verify._equivalence_kernels(PairwisePrior(prior.pair_joint(0, 1),
+                                                            symmetric=False))
+        assert len(stacks) == len(kernels)
+        # the twins are built before the inverse round trips
+        for t, paid in enumerate([scenario] + twins[:verify._PERM_LISTS]):
+            want = oracles.equivalence_payment_vectors(paid, kernels)
+            for name, got in zip(kernels, stacks):
+                assert got.shape == (1 + verify._PERM_LISTS, n)
+                assert np.array_equal(got[t], want[name]), name
 
 
 def assert_same_scenario(got, want):

@@ -3,13 +3,13 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from peerlab import (
     DimensionMismatch,
     JointDistribution,
     NegativeWeight,
-    PairwisePrior,
     SuiteConfig,
     TransitionMatrix,
     ZeroMass,
@@ -91,16 +91,18 @@ def test_second_entry_findings_recorded_not_failed():
 
 
 def test_forced_violations_replay():
-    # an absurd strictness tolerance forces "missing strict decrease" records,
-    # whose witnesses must reproduce standalone
-    config = default_config("dpi", instances=300, seed=4, strictness_tol=1e6)
-    verdict = run_suite(config)
-    assert not verdict.passed
-    strict_violations = [v for v in verdict.violations if v["claim"] in
-                         ("mi_dpi_strict", "divergence_strict")]
-    assert strict_violations
-    for violation in strict_violations[:10]:
-        assert replay_violation(violation, config)
+    # a bound no decrease reaches forces "missing strict decrease" records, whose witnesses
+    # must reproduce standalone; no tolerance forces them, as each decrease reaches its bound
+    config = default_config("dpi", instances=300, seed=4)
+    with mock.patch.object(verify, "_divergence_decrease_bound", return_value=1e3):
+        verdict = run_suite(config)
+        assert not verdict.passed
+        strict_violations = [v for v in verdict.violations if v["claim"] in
+                             ("mi_dpi_strict", "divergence_strict")]
+        assert {v["claim"] for v in strict_violations} == {"mi_dpi_strict", "divergence_strict"}
+        for violation in strict_violations[:10]:
+            assert replay_violation(violation, config)
+    assert not any(replay_violation(v, config) for v in strict_violations[:10])
 
 
 @pytest.mark.parametrize("seed,idx", [(129, 145), (14100072004, 152)])
@@ -113,18 +115,37 @@ def test_divergence_strict_holds_where_p_is_close_to_q(seed, idx):
     assert not rec.violations
 
 
-def test_divergence_strict_violation_carries_the_bound():
+def test_strict_violations_carry_the_bound():
     config = default_config("dpi", instances=20, seed=13)
     with mock.patch.object(verify, "_divergence_decrease_bound", return_value=1e3):
         violations = verify._run(config).violations
-    strict = [v for v in violations if v["claim"] == "divergence_strict"]
-    assert strict and all(v["data"]["bound"] == 1e3 for v in strict)
-    assert {v["claim"] for v in violations} == {"divergence_strict"}
+    assert {v["claim"] for v in violations} == {"divergence_strict", "mi_dpi_strict"}
+    assert all(v["data"]["bound"] == 1e3 for v in violations)
 
 
+def test_mi_dpi_strict_bound_is_exact_for_chi_squared():
+    # f-MI is D_f(J, V) on cells, which M on X moves through M (x) I: there the Jensen bound is
+    # exact for chi^2 and below the decrease for KL and Hellinger
+    seen, strict_drop = [], verify._Recorder.strict_drop
+
+    def spied(rec, name, idx, drop, bound, data):
+        seen.append((name, data["generator"], drop, bound))
+        return strict_drop(rec, name, idx, drop, bound, data)
+
+    with mock.patch.object(verify._Recorder, "strict_drop", spied):
+        assert run_suite(default_config("dpi", instances=300, seed=13)).passed
+    mi = [(gen, drop, bound) for name, gen, drop, bound in seen if name == "mi_dpi_strict"]
+    assert {gen for gen, _, _ in mi} == {"kl", "chi2", "hellinger"}
+    for gen, drop, bound in mi:
+        if gen == "chi2":
+            assert bound == pytest.approx(drop, rel=1e-9)
+        else:
+            assert 0.0 < bound <= drop
+
+
+# dpi's strict claims are certified by their Jensen bounds, which no tolerance can force
 FORCED = [
-    *[(suite, {"strictness_tol": 1e6})
-      for suite in ("dpi", "dominant-truthfulness", "truth-monotone")],
+    *[(suite, {"strictness_tol": 1e6}) for suite in ("dominant-truthfulness", "truth-monotone")],
     *[(suite, {"equality_tol": 1e-300})
       for suite in ("dpi", "dominant-truthfulness", "truth-monotone", "accuracy-gain",
                     "bregman-quasi", "md-equivalence")],
@@ -169,11 +190,11 @@ def test_replay_from_verdict_json_alone():
 
 
 def test_replay_of_serialized_violation():
-    config = default_config("dpi", instances=200, seed=6, strictness_tol=1e6)
-    verdict = run_suite(config)
-    raw = json.loads(verdict.to_json())
-    violation = next(v for v in raw["violations"] if v["claim"] == "mi_dpi_strict")
-    assert replay_violation(violation, config)
+    config = default_config("dpi", instances=200, seed=6)
+    with mock.patch.object(verify, "_divergence_decrease_bound", return_value=1e3):
+        raw = json.loads(run_suite(config).to_json())
+        violation = next(v for v in raw["violations"] if v["claim"] == "mi_dpi_strict")
+        assert replay_violation(violation, config)
 
 
 def test_config_validation():
@@ -240,16 +261,16 @@ def call_counts(monkeypatch):
     return counts
 
 
-def test_equivalence_vectors_build_each_joint_once(call_counts):
-    # n <= 3 agents: every agent's joints come from one report-table call
+def test_equivalence_instance_builds_each_joint_once(call_counts):
+    # n <= 3 agents: the scenario and each of its 10 twins build every agent's joints with one
+    # report-table call, and one score-shift kernel per rule pays the whole stack
+    config = default_config("scenario-equivalence", instances=1)
     for stream in range(1, 7):
-        scenario, _ = verify._random_equivalence_scenario(rng_from_seed(0, stream))
-        assert scenario.n_agents <= 3
-        known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
-        kernels = verify._equivalence_kernels(known)
+        assert verify._random_equivalence_scenario(rng_from_seed(0, stream))[0].n_agents <= 3
         call_counts.clear()
-        verify._equivalence_payment_vectors(scenario, kernels)
-        assert call_counts == {"_exact_joints": 1, "_report_tables": 1}
+        verify._scenario_equivalence_instance(verify._Recorder(config), config, stream,
+                                              rng_from_seed(0, stream))
+        assert call_counts == {"_exact_joints": 11, "_report_tables": 11, "_score_shifts": 2}
 
 
 def test_equivalence_instance_builds_score_shifts_once(call_counts):
@@ -262,26 +283,33 @@ def test_equivalence_instance_builds_score_shifts_once(call_counts):
 
 def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypatch):
     config = default_config("scenario-equivalence", instances=1, seed=3)
-    pay, permute = verify._equivalence_payment_vectors, verify.permute_scenario
+    joints, permute = verify._exact_joints, verify.permute_scenario
     calls, maps = [], []
 
-    def skewed(scenario, kernels):
-        # the base scenario is paid first; every twin after it is paid 1 more
-        out = pay(scenario, kernels)
+    def skewed(scenario):
+        # the base scenario's joints are built first; the first twin's get extra agreement
         calls.append(scenario)
-        return out if len(calls) == 1 else {k: v + 1.0 for k, v in out.items()}
+        blocks = list(joints(scenario))
+        if len(calls) == 2:
+            blocks[0] = blocks[0] + 0.1 * np.eye(blocks[0].shape[-1])
+        return blocks
 
     def recorded(scenario, perms):
         maps.append(perms.maps)
         return permute(scenario, perms)
 
-    monkeypatch.setattr(verify, "_equivalence_payment_vectors", skewed)
+    monkeypatch.setattr(verify, "_exact_joints", skewed)
     monkeypatch.setattr(verify, "permute_scenario", recorded)
     verdict = run_suite(config)
     violations = [v for v in verdict.violations if v["claim"] == "payments_identical"]
     assert violations and not verdict.passed
     want = [permutation_channel(row).rows.tolist() for row in maps[0]]
-    assert violations[0]["data"]["perms"] == want
+    scenario = verify.scenario_to_dict(calls[0])
+    for v in violations:
+        assert set(v["data"]) == {"mechanism", "scenario", "perms", "difference"}
+        assert v["data"]["perms"] == want and v["data"]["scenario"] == scenario
+        assert v["data"]["difference"] > 1e-12
+    assert {v["data"]["mechanism"] for v in violations} >= {"mip-kl", "agreement-expected"}
     calls.clear()
     assert replay_violation(violations[0], config)
     monkeypatch.undo()
