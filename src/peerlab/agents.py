@@ -390,13 +390,10 @@ def reported_world_states(
     if strategies is None:
         return prior.states
     mats = [s.channel.rows for s in strategies]
-    if any(mat.shape[0] != prior.alphabet_size for mat in mats):
-        raise DimensionMismatch("strategy alphabet differs from world-state alphabet")
-    out = []
-    for omega in prior.states:
-        mixed = sum(mat.T @ omega.weights for mat in mats) / len(mats)
-        out.append(Distribution(mixed))
-    return tuple(out)
+    if len({mat.shape for mat in mats}) != 1 or mats[0].shape[0] != prior.alphabet_size:
+        raise DimensionMismatch("strategies need one channel shape on the world-state alphabet")
+    omega = np.stack([s.weights for s in prior.states])
+    return tuple(Distribution(row) for row in (omega @ np.stack(mats)).mean(axis=0))
 
 
 def world_tensor(
@@ -463,27 +460,24 @@ class ReportMatrix:
 
 def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
     """T iid draws of all n agents' private signals, shape (n, T)."""
-    prior = scenario.prior
-    n = scenario.n_agents
-    m = scenario.alphabet_size
-    if isinstance(prior, FullJointPrior):
-        flat = prior.tensor.reshape(-1)
-        draws = rng.choice(flat.size, size=T, p=flat)
-        return np.array(np.unravel_index(draws, prior.tensor.shape))
+    prior, n = scenario.prior, scenario.n_agents
     if isinstance(prior, WorldModelPrior):
         states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
         table = np.stack([s.weights for s in prior.states])
         return _inverse_cdf(table, rng.random((n, T)), states)
-    if isinstance(prior, PairwisePrior):
+    if isinstance(prior, FullJointPrior):
+        table = prior.tensor
+    elif isinstance(prior, PairwisePrior):
         if n != 2:
             raise UnsupportedPriorMode(
                 "a pairwise prior is only generative for 2 agents; "
                 "use a full-joint or world-model prior"
             )
-        flat = prior.joint.table.reshape(-1)
-        draws = rng.choice(flat.size, size=T, p=flat)
-        return np.array(np.unravel_index(draws, (m, m)))
-    raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
+        table = prior.joint.table
+    else:
+        raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
+    draws = rng.choice(table.size, size=T, p=table.reshape(-1))
+    return np.array(np.unravel_index(draws, table.shape))
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:

@@ -40,6 +40,7 @@ from .probability import (
     Distribution,
     JointDistribution,
     TransitionMatrix,
+    _index,
     push_first,
 )
 
@@ -96,14 +97,17 @@ class ScoringRule(enum.Enum):
 
     def score(self, signal: int, report: Distribution) -> float:
         """Score a realized signal against a reported distribution."""
-        if not 0 <= signal < report.size:
-            raise DimensionMismatch(f"signal {signal} out of range for alphabet {report.size}")
-        q = report.weights
+        value = self._scores(report.weights)[_index(signal, report.size, "signal")]
+        if np.isnan(value):
+            raise LogOfZero(f"log score of zero-probability signal {signal}")
+        return float(value)
+
+    def _scores(self, q: np.ndarray) -> np.ndarray:
+        """PS(b, q) for every signal b along the last axis, broadcast over the leading axes;
+        NaN where the log rule meets q = 0, and wherever q is NaN."""
         if self is ScoringRule.LOG:
-            if q[signal] <= 0.0:
-                raise LogOfZero(f"log score of zero-probability signal {signal}")
-            return float(np.log(q[signal]))
-        return float(2.0 * q[signal] - np.dot(q, q))
+            return np.log(q, out=np.full(q.shape, np.nan), where=q > 0.0)
+        return 2.0 * q - np.vecdot(q, q)[..., None]
 
     def expected_score(self, truth: Distribution, report: Distribution) -> float:
         """PS(p, q) = E_{sigma ~ p} PS(sigma, q); linear in ``truth``."""
@@ -246,23 +250,16 @@ def log_score_accuracy_gain(tensor: JointDistribution) -> float:
     a route independent of :func:`conditional_mi`, with which it must agree
     (both equal the conditional Shannon mutual information in nats).
     """
-    t = tensor._require_conditional("log_score_accuracy_gain")
-    total = 0.0
-    for z in range(t.shape[0]):
-        pz = float(t[z].sum())
-        if pz <= 0.0:
-            continue
-        y_given_z = t[z].sum(axis=0) / pz
-        for x in range(t.shape[1]):
-            pxz = float(t[z, x].sum())
-            if pxz <= 0.0:
-                continue
-            for y in range(t.shape[2]):
-                atom = float(t[z, x, y])
-                if atom <= 0.0:
-                    continue
-                total += atom * math.log((atom / pxz) / y_given_z[y])
-    return total
+    return float(_log_score_gains(tensor._require_conditional("log_score_accuracy_gain")))
+
+
+def _log_score_gains(t: np.ndarray) -> np.ndarray:
+    """:func:`log_score_accuracy_gain` of each table of a stack shaped (..., mz, mx, my): each
+    atom P > 0 weighs log(P P(z) / (P(z, x) P(z, y))); zero atoms contribute 0."""
+    pz = t.sum(axis=(-2, -1), keepdims=True)
+    margins = t.sum(axis=-1, keepdims=True) * t.sum(axis=-2, keepdims=True)
+    ratio = np.divide(t * pz, margins, out=np.ones(t.shape), where=t > 0.0)
+    return (t * np.log(ratio)).sum(axis=(-3, -2, -1))
 
 
 def mutual_information(joint: JointDistribution, measure: Measure) -> float:
@@ -363,7 +360,8 @@ def _divergence_decrease_bound(p: np.ndarray, q: np.ndarray, rows: np.ndarray,
 
 @dataclass(frozen=True)
 class DpiReport:
-    """Before/after mutual information across a channel on X, with verdicts."""
+    """Before/after mutual information across a channel on X, with verdicts; ``strict`` is the
+    observed ``before - after > strictness_tol``, not the certified claim of ``verify dpi``."""
 
     before: float
     after: float
@@ -378,7 +376,8 @@ def check_dpi(
     equality_tol: float = EQUALITY_TOL,
     strictness_tol: float = STRICTNESS_TOL,
 ) -> DpiReport:
-    """Evaluate the data processing inequality MI(M(X); Y) <= MI(X; Y)."""
+    """Evaluate the data processing inequality MI(M(X); Y) <= MI(X; Y); ``strict`` is the
+    observed drop, not a certified one (see :class:`DpiReport`)."""
     before = mutual_information(joint, measure)
     after = mutual_information(push_first(joint, channel), measure)
     if math.isinf(before):

@@ -28,7 +28,6 @@ single-reference payment.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -358,16 +357,12 @@ def _agreement_rewards(tables: np.ndarray) -> np.ndarray:
 def _score_shifts(known_prior: PairwisePrior, rule: ScoringRule):
     """Expected shifted score sum_{a,b} R[a, b] S[a, b] of each report table R of a stack, with
     S[a, b] = PS(b, q_a) - PS(b, q) from the known prior's posteriors q_a and prediction q.
-    Cells of zero mass are skipped; a live cell without a finite S raises LogOfZero."""
+    S is NaN on rows of zero mass and, under the log rule, where q_a is 0.  Cells of zero mass
+    are skipped; a live cell without a finite S raises LogOfZero."""
     table = known_prior.joint.table
-    q = Distribution(table.sum(axis=0))
-    shift = np.full(table.shape, np.nan)
-    for a, row in enumerate(table):
-        if row.sum() > 0.0:
-            posterior = Distribution(row / float(row.sum()))
-            for b in range(q.size):
-                with contextlib.suppress(LogOfZero):
-                    shift[a, b] = rule.score(b, posterior) - rule.score(b, q)
+    mass = table.sum(axis=1, keepdims=True)
+    posteriors = np.divide(table, mass, out=np.full(table.shape, np.nan), where=mass > 0.0)
+    shift = rule._scores(posteriors) - rule._scores(table.sum(axis=0))
 
     def expected_shift(tables: np.ndarray) -> np.ndarray:
         live = tables > 0.0
@@ -540,18 +535,12 @@ def optimal_predictions(
     distributions of the strategy profile (truthful when None).  These are
     the prediction reports a score-maximizing agent submits.
     """
-    reported = reported_world_states(world, strategies)
-    true_states = np.stack([s.weights for s in world.states])
-    reported_states = np.stack([s.weights for s in reported])
-    pw = world.state_probs.weights
-    out = []
-    for sigma in range(world.alphabet_size):
-        post_w = pw * true_states[:, sigma]
-        total = float(post_w.sum())
-        if total <= 0.0:
-            raise ZeroFrequency(f"signal {sigma} has zero prior probability")
-        out.append(Distribution((post_w / total) @ reported_states))
-    return tuple(out)
+    reported = np.stack([r.weights for r in reported_world_states(world, strategies)])
+    joint = world.state_probs.weights[:, None] * np.stack([s.weights for s in world.states])
+    total = joint.sum(axis=0)
+    if np.any(total <= 0.0):
+        raise ZeroFrequency(f"signal {np.argmax(total <= 0.0)} has zero prior probability")
+    return tuple(Distribution(row) for row in (joint / total).T @ reported)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ instances under ``--equality-tol 1e-300 --strictness-tol 1``, whose violations
 carry the joints, channels and divergence inputs of its sampled instances, and
 last scenario-equivalence at 40 instances and seed 11, which draws three-agent
 full-joint priors (each agent relabeled by its own map) with and without
-efforts.  A command that raises instead of writing an output is digested as
+efforts, and last ``mechanism bts-idealized`` and ``sweep --kind bts-gap`` on a
+9-agent, 6-signal world-model scenario with four states.  A command that raises instead of writing an output is digested as
 its exception type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
@@ -122,6 +123,10 @@ def write_inputs(workdir: str) -> dict[str, str]:
                                       "predictions": [[0.4, 0.4, 0.2]] * 6}
     # 200 agents of 4 signals: the exact engines build its report tables in three blocks
     docs["world-effort-200"] = _scenario(rng, "world", True, (4, 200))
+    # 9 agents of 6 signals over 4 world states, for the reported states and predictions
+    docs["world-four-states"] = _scenario(rng, "world", False, (6, 9))
+    docs["world-four-states"]["prior"] = {"mode": "world_model", "state_probs": _dist(rng, 4),
+                                          "states": [_dist(rng, 6) for _ in range(4)]}
     paths = {}
     for name, doc in docs.items():
         paths[name] = os.path.join(workdir, f"{name}.json")
@@ -196,6 +201,11 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     # with and without efforts
     out.append(("verify-scenario-equivalence-40-11",
                 ["verify", "scenario-equivalence", "--instances", "40", "--seed", "11"]))
+    out.append(("mechanism-world-four-states-bts-idealized",
+                ["mechanism", "--mechanism", "bts-idealized", "--scenario",
+                 paths["world-four-states"]]))
+    out.append(("sweep-bts-gap-world-four-states",
+                bts_gap + ["--seed", "5", "--scenario", paths["world-four-states"]]))
     return out
 
 

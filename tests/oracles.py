@@ -16,8 +16,13 @@ gathered each draw's weights before its cumulative sums, the two-``isclose``
 permutation test, the cell-pair loop of the fine-grained test and the signal-pair loop of
 the divergence witness, as they were before the Gram kernel, the column-wise inverse
 CDF, the direct tolerance test, the all-pairs comparison and the broadcast witness mask
-replaced them, and last the ``rng.choice`` draws of a strategy kind and of one item of
+replaced them, then the ``rng.choice`` draws of a strategy kind and of one item of
 a tuple, as the samplers and suites took them before the bisect and the one-integer pick.
+Last come the one-signal form of ``ScoringRule.score`` and the per-cell, per-atom,
+per-state and per-signal loops of the shifted-score table, the log-score gain, the
+reported world states and the optimal predictions, as they were before each got one
+array body.  The two per-signal scores, ``log_score`` and ``quadratic_score``, take
+numpy's scalar log and ``np.dot``, so that the score routes give the library's bits.
 """
 
 import math
@@ -166,11 +171,13 @@ def accuracy_gain(tensor):
 
 
 def log_score(sigma, q):
-    return math.log(q[sigma])
+    """numpy's scalar log, which gives the library's bits where ``math.log`` may not."""
+    return float(np.log(q[sigma]))
 
 
 def quadratic_score(sigma, q):
-    return 2.0 * q[sigma] - sum(c * c for c in q)
+    """2 q[sigma] - |q|^2, with the norm as one ``np.dot``: the bits of the library's score."""
+    return float(2.0 * q[sigma] - np.dot(q, q))
 
 
 def expected_score(p, q, rule):
@@ -426,7 +433,7 @@ def sppm_payments(signals, known_prior, rule, pairing=ALL_PAIRS, seed=None):
             post = posteriors[sig[i]]
             if post is None:
                 raise LogOfZero(f"prior assigns zero mass to reported signal {sig[i]}")
-            vals.append(rule.score(int(sig[j]), post) - rule.score(int(sig[j]), q))
+            vals.append(loop_score(rule, int(sig[j]), post) - loop_score(rule, int(sig[j]), q))
         payments[i] = float(np.mean(vals))
     return PaymentReport(
         mechanism="sppm",
@@ -524,7 +531,7 @@ def sppm_expected_payments(scenario, known_prior, rule):
                 for b in range(rj.shape[1]):
                     if rj[a, b] <= 0.0:
                         continue
-                    val += rj[a, b] * (rule.score(b, posteriors[a]) - rule.score(b, q))
+                    val += rj[a, b] * (loop_score(rule, b, posteriors[a]) - loop_score(rule, b, q))
             payments[i] += val
         payments[i] /= n - 1
     return PaymentReport(
@@ -974,3 +981,84 @@ def choice_strategy_kind(rng) -> str:
 def choice_pick(rng, seq: tuple) -> int:
     """One uniform integer of ``seq``, as the suites drew it with ``rng.choice``."""
     return int(rng.choice(seq))
+
+
+def loop_score(rule: ScoringRule, signal: int, report: Distribution) -> float:
+    """``ScoringRule.score`` as it scored one signal, through ``log_score`` and
+    ``quadratic_score``, before its one body gave PS(b, q) for every b."""
+    if not 0 <= signal < report.size:
+        raise DimensionMismatch(f"signal {signal} out of range for alphabet {report.size}")
+    q = report.weights
+    if rule is ScoringRule.LOG:
+        if q[signal] <= 0.0:
+            raise LogOfZero(f"log score of zero-probability signal {signal}")
+        return log_score(signal, q)
+    return quadratic_score(signal, q)
+
+
+def loop_score_shifts(known_prior: PairwisePrior, rule: ScoringRule) -> np.ndarray:
+    """The shift table S[a, b] = PS(b, q_a) - PS(b, q) of ``mechanisms._score_shifts``, built
+    one cell at a time: NaN on rows of zero mass and where a log score is undefined."""
+    table = known_prior.joint.table
+    q = Distribution(table.sum(axis=0))
+    shift = np.full(table.shape, np.nan)
+    for a, row in enumerate(table):
+        if row.sum() > 0.0:
+            posterior = Distribution(row / float(row.sum()))
+            for b in range(q.size):
+                try:
+                    shift[a, b] = loop_score(rule, b, posterior) - loop_score(rule, b, q)
+                except LogOfZero:
+                    pass
+    return shift
+
+
+def loop_log_score_accuracy_gain(tensor: JointDistribution) -> float:
+    """``log_score_accuracy_gain`` as it enumerated atoms one at a time."""
+    t = tensor._require_conditional("log_score_accuracy_gain")
+    total = 0.0
+    for z in range(t.shape[0]):
+        pz = float(t[z].sum())
+        if pz <= 0.0:
+            continue
+        y_given_z = t[z].sum(axis=0) / pz
+        for x in range(t.shape[1]):
+            pxz = float(t[z, x].sum())
+            if pxz <= 0.0:
+                continue
+            for y in range(t.shape[2]):
+                atom = float(t[z, x, y])
+                if atom <= 0.0:
+                    continue
+                total += atom * math.log((atom / pxz) / y_given_z[y])
+    return total
+
+
+def loop_reported_world_states(prior: WorldModelPrior, strategies) -> tuple:
+    """``reported_world_states`` as it mixed the channels one state at a time."""
+    if strategies is None:
+        return prior.states
+    mats = [s.channel.rows for s in strategies]
+    if any(mat.shape[0] != prior.alphabet_size for mat in mats):
+        raise DimensionMismatch("strategy alphabet differs from world-state alphabet")
+    out = []
+    for omega in prior.states:
+        mixed = sum(mat.T @ omega.weights for mat in mats) / len(mats)
+        out.append(Distribution(mixed))
+    return tuple(out)
+
+
+def loop_optimal_predictions(world: WorldModelPrior, strategies=None) -> tuple:
+    """``optimal_predictions`` as it built one signal's posterior at a time."""
+    reported = loop_reported_world_states(world, strategies)
+    true_states = np.stack([s.weights for s in world.states])
+    reported_states = np.stack([s.weights for s in reported])
+    pw = world.state_probs.weights
+    out = []
+    for sigma in range(world.alphabet_size):
+        post_w = pw * true_states[:, sigma]
+        total = float(post_w.sum())
+        if total <= 0.0:
+            raise ZeroFrequency(f"signal {sigma} has zero prior probability")
+        out.append(Distribution((post_w / total) @ reported_states))
+    return tuple(out)

@@ -2,7 +2,8 @@
 non-integral values, or a list where one size or one Distribution belongs:
 each gives a valid object or a PeerLabError, never a bare numpy or Python
 error and never a silent NaN.  The same holds for the empirical payment
-engines given a single agent, and for signal indices and seeds, and for agent
+engines given a single agent, for strategies whose channels do not share one
+shape on a world's signals, and for signal indices and seeds, and for agent
 indices, where a negative value never counts from the end."""
 
 import json
@@ -26,7 +27,9 @@ from peerlab import (
     ReportMatrix,
     SuiteConfig,
     ScoringRule,
+    Strategy,
     TransitionMatrix,
+    WorldModelPrior,
     bmi_mechanism_payments,
     bts_payments,
     ca_payments,
@@ -42,6 +45,7 @@ from peerlab import (
     permutation_channel,
     point_mass,
     report_joint,
+    reported_world_states,
     run_suite,
     sppm_payments,
     truth_telling,
@@ -135,7 +139,9 @@ TENSOR = JointDistribution(np.full((2, 2, 2), 0.125))
 @settings(max_examples=100, deadline=None)
 def test_indices_and_seeds(v):
     for obj in (built(lambda: point_mass(3, v)), built(lambda: condition_on(TENSOR, v)),
-                built(lambda: sample(HALF, v, 3)), built(lambda: HALF[v])):
+                built(lambda: sample(HALF, v, 3)), built(lambda: HALF[v]),
+                built(lambda: ScoringRule.LOG.score(v, HALF)),
+                built(lambda: ScoringRule.QUADRATIC.score(v, HALF))):
         assert obj is None or v >= 0
 
 
@@ -150,9 +156,11 @@ def test_indices_and_seeds(v):
     lambda: SuiteConfig(suite="dpi", seed=2**63),
     lambda: SuiteConfig(suite="dpi", instances=[1, 2]),
     lambda: ReportMatrix.full(np.array([[np.uint64(2**63), 0], [1, 0]], dtype=np.uint64), 2),
+    lambda: ScoringRule.LOG.score(1.5, HALF), lambda: ScoringRule.QUADRATIC.score("1", HALF),
 ], ids=["z=-1", "z=2", "z=0.5", "sigma=-1", "sigma=3", "sigma=1.5", "seed=-1", "seed=1.5",
         "seed=list", "getitem=-1", "getitem=2", "getitem=0.5", "suite-seed=1.5",
-        "suite-seed=list", "suite-seed=2**63", "suite-instances=list", "report-entry=2**63"])
+        "suite-seed=list", "suite-seed=2**63", "suite-instances=list", "report-entry=2**63",
+        "score=1.5", "score=str"])
 def test_index_or_seed_out_of_range(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -172,6 +180,15 @@ def test_index_or_seed_out_of_range(call):
 def test_bad_alphabet_sizes_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def test_reported_world_states_need_one_channel_shape():
+    # a (3, 2) channel beside a (3, 3) one on a 3-signal world, and a channel on 2 signals
+    world = WorldModelPrior(Distribution(np.array([1.0])), (uniform_distribution(3),))
+    three, narrow = Strategy(identity_channel(3)), Strategy(TransitionMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])))
+    for strategies in ((three, narrow), (narrow, three), (truth_telling(2),), ()):
+        with pytest.raises(DimensionMismatch, match="one channel shape"):
+            reported_world_states(world, strategies)
 
 
 def test_constant_channel_needs_a_distribution():

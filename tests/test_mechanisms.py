@@ -17,6 +17,7 @@ from peerlab import (
     Scenario,
     ScoringRule,
     Strategy,
+    WorldModelPrior,
     ZeroFrequency,
     agent_welfare,
     bmi_mechanism_payments,
@@ -392,6 +393,14 @@ class TestBtsIdealized:
         preds = optimal_predictions(two_state_world)
         assert np.allclose(preds[0].weights, [0.68, 0.32], atol=1e-12)
         assert np.allclose(preds[1].weights, [0.32, 0.68], atol=1e-12)
+
+    def test_optimal_predictions_name_the_lowest_zero_signal(self):
+        # signals 1 and 3 have zero prior probability; state 1, which would give 3 mass, has none
+        world = WorldModelPrior(Distribution(np.array([1.0, 0.0])),
+                                (Distribution(np.array([0.5, 0.0, 0.5, 0.0])),
+                                 Distribution(np.array([0.0, 0.0, 0.0, 1.0]))))
+        with pytest.raises(ZeroFrequency, match="^signal 1 has zero prior probability$"):
+            optimal_predictions(world)
 
 
 class TestWelfareAndReports:

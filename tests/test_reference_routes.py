@@ -16,7 +16,10 @@ must the report-joint core on a stack and on the exact engines' blocks of agents
 (against ``report_joint`` per pair), the effort suite's stacked payments
 (against ``oracles.effort_utility``) and the scenario-equivalence suite's one
 stack of a scenario and its twins (against
-``oracles.equivalence_payment_vectors``)."""
+``oracles.equivalence_payment_vectors``).  Last, the scores and the shifted-score
+table must match their one-signal and one-cell loops bit for bit, and the log-score
+gain, the reported world states and the optimal predictions their per-atom,
+per-state and per-signal loops to 1e-12."""
 
 import collections
 import itertools
@@ -58,6 +61,7 @@ from peerlab import (
     fmi_mechanism_payments,
     generate_reports,
     is_fine_grained,
+    log_score_accuracy_gain,
     make_distribution,
     md_payments,
     mip_expected_payments,
@@ -69,6 +73,7 @@ from peerlab import (
     random_strategy,
     replay_violation,
     report_joint,
+    reported_world_states,
     run_suite,
     sampling,
     scenario_to_dict,
@@ -84,9 +89,9 @@ from peerlab.agents import _count_tables, _inverse_cdf, _report_tables
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _empirical_joints, _empirical_mi_payments,
-    _exact_joints, _peer_means, _reference_sets, optimal_predictions,
+    _exact_joints, _peer_means, _reference_sets, _score_shifts, optimal_predictions,
 )
-from peerlab.measures import _mi_kernel, _shannon_mi, _slice_mean
+from peerlab.measures import _log_score_gains, _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
     TransitionMatrix, _identity_mask, _push_first, identity_channel, rng_from_seed,
     uniform_distribution,
@@ -1284,3 +1289,100 @@ class TestOneTableSuites:
         assert len(verdict.violations) > 0
         for violation in verdict.violations:
             assert replay_violation(violation, config)
+
+
+@st.composite
+def known_priors(draw):
+    """A pairwise known prior over 1-5 signals with some cells, and sometimes whole rows,
+    of zero mass."""
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(seeds))
+    table = rng.dirichlet(np.ones(m * m)).reshape(m, m)
+    table[rng.random((m, m)) < draw(st.floats(0.0, 0.6))] = 0.0
+    if draw(st.booleans()):
+        table[rng.integers(m)] = 0.0
+    if table.sum() <= 0.0:
+        table[-1, -1] = 1.0
+    return PairwisePrior(JointDistribution(table / table.sum()), symmetric=False)
+
+
+@st.composite
+def world_profiles(draw):
+    """A world model of 1-8 states over 2-8 signals, with some state probabilities and some
+    signals of every state set to zero, and None or 1-11 random strategies."""
+    k, m = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(seeds))
+    probs, states = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m), size=k)
+    probs[rng.random(k) < draw(st.floats(0.0, 0.4))] = 0.0
+    states[:, rng.random(m) < draw(st.floats(0.0, 0.4))] = 0.0
+    states[states.sum(axis=1) <= 0.0, 0] = 1.0
+    probs[np.argmax(probs)] += probs.sum() <= 0.0
+    world = WorldModelPrior(make_distribution(probs),
+                            tuple(make_distribution(s) for s in states))
+    if draw(st.booleans()):
+        return world, None
+    return world, tuple(sampling.random_mixed_strategy(rng, m)
+                        for _ in range(draw(st.integers(1, 11))))
+
+
+def assert_close_distributions(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_close(g.weights, w.weights)
+
+
+class TestArrayBodies:
+    """The one-array bodies of the score, the shifted-score table, the log-score gain, the
+    reported world states and the optimal predictions against the one-cell loops they
+    replaced: the scores and the shift table bit for bit, with LogOfZero in the same cells;
+    the others to REL_TOL, with the same exception and message."""
+
+    @given(st.integers(1, 6), seeds, st.sampled_from(tuple(ScoringRule)))
+    @settings(max_examples=200, deadline=None)
+    def test_score_matches_loop(self, m, seed, rule):
+        rng = np.random.default_rng(seed)
+        q = rng.dirichlet(np.ones(m))
+        q[rng.random(m) < 0.3] = 0.0
+        q[np.argmax(q)] += 1.0
+        report = make_distribution(q)
+        for b in range(m):
+            got = outcome(rule.score, b, report)
+            want = outcome(oracles.loop_score, rule, b, report)
+            assert got[1] == want[1]
+            assert want[1] is not None or np.array_equal(got[0], want[0])
+
+    @given(known_priors(), st.sampled_from(tuple(ScoringRule)))
+    @settings(max_examples=300, deadline=None)
+    def test_shift_table_matches_loop(self, known, rule):
+        """The kernel on the one-cell report table of each cell (a, b) reads S[a, b] exactly,
+        and raises LogOfZero where the loop left S[a, b] undefined."""
+        want = oracles.loop_score_shifts(known, rule)
+        expected_shift = _score_shifts(known, rule)
+        m = want.shape[0]
+        cells = np.eye(m * m).reshape(m * m, m, m)
+        finite = ~np.isnan(want).ravel()
+        assert np.array_equal(expected_shift(cells[finite]), want.ravel()[finite])
+        for cell in cells[~finite]:
+            with pytest.raises(LogOfZero):
+                expected_shift(cell[None])
+
+    @given(table_stacks(rank=3))
+    @settings(max_examples=300, deadline=None)
+    def test_log_score_gain_matches_loop(self, stack):
+        want = [oracles.loop_log_score_accuracy_gain(JointDistribution(t)) for t in stack]
+        assert_close(_log_score_gains(stack), want)
+        assert_close([log_score_accuracy_gain(JointDistribution(t)) for t in stack], want)
+        assert_close(want, [oracles.accuracy_gain(t.tolist()) for t in stack])
+
+    @given(world_profiles())
+    @settings(max_examples=300, deadline=None)
+    def test_reported_world_states_match_loop(self, profile):
+        assert_close_distributions(reported_world_states(*profile),
+                                   oracles.loop_reported_world_states(*profile))
+
+    @given(world_profiles())
+    @settings(max_examples=300, deadline=None)
+    def test_optimal_predictions_match_loop(self, profile):
+        assert_same_outcome(outcome_with_message(optimal_predictions, *profile),
+                            outcome_with_message(oracles.loop_optimal_predictions, *profile),
+                            assert_close_distributions)
