@@ -6,9 +6,9 @@ deterministic per seed.  Dense objects are mixed with a uniform component
 macroscopic mass; this keeps strict data-processing margins well away from
 the strictness tolerance without ever filtering instances on outcomes.
 
-The private forms ``_floored``, ``_channel_rows`` and ``_ci_table`` return raw
-arrays with the rng calls of the public samplers, which wrap them in validated
-objects; suites that validate whole stacks of tables at once draw through them.
+The private forms ``_floored``, ``_channel_rows``, ``_ci_table`` (with the public samplers'
+rng calls) and ``_symmetrized`` return the raw arrays that the public samplers wrap in
+validated objects; suites that validate whole stacks of tables at once draw through them.
 """
 
 from __future__ import annotations
@@ -172,6 +172,9 @@ def random_full_joint_prior(rng, n: int, m: int) -> FullJointPrior:
 
 
 def random_pairwise_symmetric_prior(rng, m: int) -> PairwisePrior:
-    j = random_joint(rng, m, m)
-    table = 0.5 * (j.table + j.table.T)
-    return PairwisePrior(JointDistribution(table), symmetric=True)
+    return PairwisePrior(JointDistribution(_symmetrized(random_joint(rng, m, m).table)))
+
+
+def _symmetrized(tables: np.ndarray) -> np.ndarray:
+    """The mean of each square table of a stack (..., m, m) and its transpose."""
+    return 0.5 * (tables + tables.swapaxes(-1, -2))

@@ -6,9 +6,9 @@ an optional global part (checks recorded at instance -1) plus an instance
 part that the runner hands the instance indices in chunks.  Each instance is
 drawn on its own from ``rng_from_seed(config.seed, idx)``; most suites then
 check it alone (scenario-equivalence pays it and its relabeled twins as one
-stack), while the one-table suites (bregman-quasi, accuracy-gain) check a
-chunk's drawn tables together, one stacked kernel call per shape group, and
-record them in index order.  They draw raw arrays through the private
+stack), while the one-table suites (bregman-quasi, accuracy-gain) and effort
+check a chunk's drawn instances together, one stacked call per shape group,
+and record them in index order.  They draw raw arrays through the private
 samplers and validate each shape group's stack once, with the tests the
 validated objects would have applied.  A table's value never depends on the
 stack it is in, so instance ``idx`` stays a pure function of
@@ -443,25 +443,25 @@ def suite_truth_monotone(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 # Each list of payments is one stack: agent 0's report joints at all 11 effort levels, or at
-# every count of active peers, come from one _report_tables call on the prior's pair tables.
+# every count of active peers, come from one _report_tables call per group of instances.
 _CANONICAL_BINARY = np.array([[0.4, 0.1], [0.1, 0.4]])
 _EFFORT_GRID = np.linspace(0.0, 1.0, 11)
 
 
 def _effort_payments(q, gen) -> tuple:
-    """Truthful agent 0's exact payments with truthful peers on pair tables ``q`` (k, m, m): at
-    each effort level of the grid with every peer investing, and in full effort with its first
-    a peers investing, for a = 0..k."""
-    k, eye = q.shape[0], np.eye(q.shape[-1])
-    grid = _agent0_payments(q, eye, eye, _EFFORT_GRID[:, None, None, None], 1.0, gen)
-    active = _agent0_payments(q, eye, eye, 1.0, np.tri(k + 1, k, -1)[:, :, None, None], gen)
-    return grid, active
+    """Truthful agent 0's exact payments with truthful peers on each instance's pair tables
+    ``q`` (g, k, m, m): (g, 11) at each effort level of the grid with every peer investing,
+    and (g, k + 1) in full effort with its first a peers investing, for a = 0..k."""
+    k, eye = q.shape[1], np.eye(q.shape[-1])
+    grid = _agent0_payments(q, eye, eye, _EFFORT_GRID[:, None, None, None, None], 1.0, gen)
+    active = _agent0_payments(q, eye, eye, 1.0, np.tri(k + 1, k, -1)[:, None, :, None, None], gen)
+    return grid.T, active.T
 
 
 def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
     # canonical binary example: totals decide the pure effort level
     grid = _EFFORT_GRID
-    pay = _effort_payments(_CANONICAL_BINARY[None], ConvexGenerator.TVD)[0]
+    pay = _effort_payments(_CANONICAL_BINARY[None, None], ConvexGenerator.TVD)[0][0]
     for cost, best in ((0.7, 0.0), (0.2, 1.0)):
         utils = (pay - grid * cost).tolist()
         data = {"cost": cost, "grid_utilities": utils}
@@ -472,40 +472,57 @@ def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
               abs(utils[0] - utils[-1]) <= 1e-12, -1, {"grid_utilities": utils})
 
 
-def _effort_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    tol = config.equality_tol
+def _effort_draw(rng) -> tuple:
+    """Peer count, raw joint, generator, the unit draws of cost and lambda, and raw strategy
+    rows, with the public samplers' rng calls: ``rng.uniform(0.0, h)`` is ``h * rng.random()``."""
     m = sampling._pick(rng, _ALPHABET_SIZES)
     n = sampling._pick(rng, _AGENT_COUNTS)
-    prior = sampling.random_pairwise_symmetric_prior(rng, m)
+    joint = sampling._floored(rng, (m, m))
     gen = sampling.random_generator_choice(rng)
-    full_mi = mutual_information(prior.pair_joint(0, 1), gen)
-    cost = float(rng.uniform(0.0, 1.5 * max(full_mi, 1e-3)))
-    q = prior._pair_tables(0, range(1, n))
-    pay, payments = _effort_payments(q, gen)
-    utils = (pay - _EFFORT_GRID * cost).tolist()
-    data = {"prior": _jl(prior.joint.table), "measure": gen.value, "cost": cost,
-            "grid_utilities": utils}
-    rec.check("pure_effort_optimal", "inequality",
-              max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
+    cost_unit, lam = rng.random(), rng.random()
+    rows = sampling._channel_rows(rng, m, None, sampling.random_strategy_kind(rng), 0.0)
+    return n, joint, gen, cost_unit, lam, rows
 
-    # effort monotonicity: payment under truth as peers join full effort
-    payments = payments.tolist()
-    monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
-    rec.check("effort_monotone", "inequality", monotone, idx,
-              {"payments_by_active_peers": payments, **data})
 
-    # mixture convexity of the information measure
-    lam = float(rng.uniform(0.0, 1.0))
-    rows = sampling.random_mixed_strategy(rng, m).channel.rows
-    li = np.array([1.0, 0.0, lam])[:, None, None, None]  # agent 0 at effort 1, 0 and lam
-    j_full, j_none, j_mix = joints = _agent0_tables(q[:1], rows, np.eye(m), li, 1.0)[:, 0]
-    mix_table = lam * j_full + (1.0 - lam) * j_none
-    rec.check("effort_mixture_law", "equality",
-              float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, data)
-    mi_full, mi_none, lhs = _mi_kernel(gen)(joints).tolist()
+def _effort_check(group: list) -> tuple:
+    """Per instance of a group with one alphabet, peer count and generator: its symmetric prior,
+    cost, grid utilities, payments by active peers, mixture-law gap and both sides of mixture
+    convexity.  Joints and priors are validated as rank-2 tables, strategies by row."""
+    n, gen = group[0][0], group[0][2]
+    joints = _validated_tables(np.stack([d[1] for d in group]), rank=2)
+    priors = _validated_tables(sampling._symmetrized(joints), rank=2)
+    rows = _validated_tables(np.stack([d[5] for d in group]), rank=1)
+    cost_unit, lam = np.array([d[3] for d in group]), np.array([d[4] for d in group])
+    cost = 1.5 * np.maximum(_mi_kernel(gen)(priors), 1e-3) * cost_unit
+    q = np.broadcast_to(priors[:, None], (len(group), n - 1) + priors.shape[1:])
+    pay, active = _effort_payments(q, gen)
+    # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
+    li = np.stack([np.ones_like(lam), np.zeros_like(lam), lam])[:, :, None, None, None]
+    j_full, j_none, j_mix = tables = _agent0_tables(q[:, :1], rows[:, None], np.eye(q.shape[-1]),
+                                                    li, 1.0)[:, :, 0]
+    w = lam[:, None, None]
+    mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
+    mi_full, mi_none, lhs = _mi_kernel(gen)(tables)
     rhs = lam * mi_full + (1.0 - lam) * mi_none
-    rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
-              {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
+    return priors, cost, pay - _EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
+
+
+def _effort_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
+    tol = config.equality_tol
+    drawn = [_effort_draw(rng_from_seed(config.seed, idx)) for idx in chunk]
+    checked = _grouped(drawn, lambda d: (d[1].shape, d[0], d[2]), _effort_check)
+    for idx, d, (prior, cost, utils, payments, gap, lhs, rhs) in zip(chunk, drawn, checked):
+        data = {"prior": prior, "measure": d[2].value, "cost": cost, "grid_utilities": utils}
+        rec.check("pure_effort_optimal", "inequality",
+                  max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
+        # effort monotonicity: payment under truth as peers join full effort
+        monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
+        rec.check("effort_monotone", "inequality", monotone, idx,
+                  {"payments_by_active_peers": payments, **data})
+        # mixture convexity of the information measure
+        rec.check("effort_mixture_law", "equality", gap <= 1e-12, idx, data)
+        rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
+                  {"lam": d[4], "lhs": lhs, "rhs": rhs, **data})
 
 
 def suite_effort(config: SuiteConfig) -> SuiteVerdict:
@@ -902,7 +919,7 @@ _PARTS = {
     "dpi": (None, _each(_dpi_instance), 10000),
     "dominant-truthfulness": (None, _each(_dominant_truthfulness_instance), 1000),
     "truth-monotone": (None, _each(_truth_monotone_instance), 1000),
-    "effort": (_effort_global, _each(_effort_instance), 1000),
+    "effort": (_effort_global, _effort_instances, 1000),
     "bregman-quasi": (None, _bregman_quasi_instances, 10000),
     "accuracy-gain": (None, _accuracy_gain_instances, 1000),
     "md-equivalence": (None, _each(_md_equivalence_instance), 1000),

@@ -28,8 +28,11 @@ instances under ``--equality-tol 1e-300 --strictness-tol 1``, whose violations
 carry the joints, channels and divergence inputs of its sampled instances, and
 last scenario-equivalence at 40 instances and seed 11, which draws three-agent
 full-joint priors (each agent relabeled by its own map) with and without
-efforts, and last ``mechanism bts-idealized`` and ``sweep --kind bts-gap`` on a
-9-agent, 6-signal world-model scenario with four states.  A command that raises instead of writing an output is digested as
+efforts, then ``mechanism bts-idealized`` and ``sweep --kind bts-gap`` on a
+9-agent, 6-signal world-model scenario with four states, and last effort at 1100
+instances and seed 11 under ``--equality-tol 1e-300`` (more than two of the
+512-instance chunks its check groups, not a multiple of them, with violation
+payloads).  A command that raises instead of writing an output is digested as
 its exception type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
@@ -206,6 +209,11 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
                  paths["world-four-states"]]))
     out.append(("sweep-bts-gap-world-four-states",
                 bts_gap + ["--seed", "5", "--scenario", paths["world-four-states"]]))
+    # more than two of the 512-instance chunks the effort check groups, not a multiple of
+    # one, with the violation payloads of every group
+    out.append(("verify-effort-1100-forced",
+                ["verify", "effort", "--instances", "1100", "--seed", "11",
+                 "--equality-tol", "1e-300"]))
     return out
 
 

@@ -9,8 +9,10 @@ strategy sampler that the library's merged engines and stacks replaced, kept
 as they were; the md/ca loops take their comparison subsets from the engine's
 batched draw and apply the per-question rewards.
 The one-table suites' per-instance parts, which drew and checked one table at
-a time through the public single-table functions, and the masked sums the
-Shannon and slice-mean code used before it took stacks follow.  The file closes
+a time through the public single-table functions, the effort suite's per-instance
+part, which drew one prior, strategy and cost through the public samplers and paid
+each instance from stacks of one, and the masked sums the Shannon and slice-mean
+code used before it took stacks follow.  The file closes
 with the bincount route of the empirical pair counts, the report sampler that
 gathered each draw's weights before its cumulative sums, the two-``isclose``
 permutation test, the cell-pair loop of the fine-grained test and the signal-pair loop of
@@ -48,7 +50,7 @@ from peerlab.errors import (
     UnsupportedPriorMode,
     ZeroFrequency,
 )
-from peerlab import measures, mechanisms, sampling
+from peerlab import measures, mechanisms, sampling, verify
 from peerlab.measures import ConvexGenerator, ScoringRule
 from peerlab.mechanisms import (
     ALL_PAIRS,
@@ -73,7 +75,7 @@ from peerlab.probability import (
     rng_from_seed,
     z_marginal,
 )
-from peerlab.verify import _ALPHABET_SIZES, _jl
+from peerlab.verify import _AGENT_COUNTS, _ALPHABET_SIZES, _jl
 
 
 def f_value(kind, x):
@@ -849,6 +851,45 @@ def accuracy_gain_instance(rec, config, idx: int, rng) -> None:
     if idx % 5 == 2 and idx % 3 != 1:
         flat = measures.shannon_mi(JointDistribution(tensor.table[0] / tensor.table[0].sum()))
         rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
+
+
+def effort_instance(rec, config, idx: int, rng) -> None:
+    """One effort instance, drawn through the public samplers and paid from stacks of one
+    instance, as the suite ran before it drew raw arrays and paid each group of a chunk
+    from one stack."""
+    tol = config.equality_tol
+    m = sampling._pick(rng, _ALPHABET_SIZES)
+    n = sampling._pick(rng, _AGENT_COUNTS)
+    prior = sampling.random_pairwise_symmetric_prior(rng, m)
+    gen = sampling.random_generator_choice(rng)
+    full_mi = measures.mutual_information(prior.pair_joint(0, 1), gen)
+    cost = float(rng.uniform(0.0, 1.5 * max(full_mi, 1e-3)))
+    q = prior._pair_tables(0, range(1, n))
+    pay, payments = (p[0] for p in verify._effort_payments(q[None], gen))
+    utils = (pay - verify._EFFORT_GRID * cost).tolist()
+    data = {"prior": _jl(prior.joint.table), "measure": gen.value, "cost": cost,
+            "grid_utilities": utils}
+    rec.check("pure_effort_optimal", "inequality",
+              max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
+
+    # effort monotonicity: payment under truth as peers join full effort
+    payments = payments.tolist()
+    monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
+    rec.check("effort_monotone", "inequality", monotone, idx,
+              {"payments_by_active_peers": payments, **data})
+
+    # mixture convexity of the information measure
+    lam = float(rng.uniform(0.0, 1.0))
+    rows = sampling.random_mixed_strategy(rng, m).channel.rows
+    li = np.array([1.0, 0.0, lam])[:, None, None, None]  # agent 0 at effort 1, 0 and lam
+    j_full, j_none, j_mix = joints = verify._agent0_tables(q[:1], rows, np.eye(m), li, 1.0)[:, 0]
+    mix_table = lam * j_full + (1.0 - lam) * j_none
+    rec.check("effort_mixture_law", "equality",
+              float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, data)
+    mi_full, mi_none, lhs = measures._mi_kernel(gen)(joints).tolist()
+    rhs = lam * mi_full + (1.0 - lam) * mi_none
+    rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
+              {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
 
 
 def masked_shannon_mi(table: np.ndarray) -> float:

@@ -10,12 +10,12 @@ exception type on both sides (and, for the scores, the same message).  The
 md/ca oracles take each pair's comparison subsets from the engine's batched
 draw, whose law ``TestSubsetDraws`` checks against exact enumeration.  The
 stacked measure kernels must give each table of a stack the exact bits of its
-public single-table function, and the one-table suites, which check a chunk of
-instances on stacks, the exact verdict JSON of their per-instance parts.  So
-must the report-joint core on a stack and on the exact engines' blocks of agents
-(against ``report_joint`` per pair), the effort suite's stacked payments
-(against ``oracles.effort_utility``) and the scenario-equivalence suite's one
-stack of a scenario and its twins (against
+public single-table function, and the one-table suites and the effort suite,
+which check a chunk of instances on stacks, the exact verdict JSON of their
+per-instance parts.  So must the report-joint core on a stack and on the exact
+engines' blocks of agents (against ``report_joint`` per pair), the effort suite's
+stacked payments (against ``oracles.effort_utility``) and the scenario-equivalence
+suite's one stack of a scenario and its twins (against
 ``oracles.equivalence_payment_vectors``).  Last, the scores and the shifted-score
 table must match their one-signal and one-cell loops bit for bit, and the log-score
 gain, the reported world states and the optimal predictions their per-atom,
@@ -330,7 +330,8 @@ class TestStrategySampler:
 class TestStreamEqualDraws:
     """The one-integer pick and the bisected kind draw give the value of the ``rng.choice`` they
     replaced and leave the generator where it left it; each private array sampler gives the
-    array of its public wrapper, with the same rng calls."""
+    array of its public wrapper, with the same rng calls, and ``rng.uniform(0.0, h)`` is
+    ``h * rng.random()``, which lets the effort suite scale its cost draw after the fact."""
 
     @given(seeds, st.sampled_from([(2, 3, 4), (2, 3), (5,), tuple(range(10))]))
     @settings(max_examples=300, deadline=None)
@@ -382,6 +383,33 @@ class TestStreamEqualDraws:
             table = raw(rng_a)
             assert type(table) is np.ndarray and np.array_equal(table, public(rng_b))
             assert rng_a.random() == rng_b.random()
+
+    @given(seeds, st.one_of(st.just(1.5e-3), st.floats(0.0, 10.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_uniform_from_zero_is_scaled_unit_draw(self, seed, h):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        assert np.array_equal(rng_a.uniform(0.0, h), h * rng_b.random())
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("kind", KINDS + (None,))
+    @given(seeds, st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_rows_equal_random_mixed_strategy(self, kind, seed, m):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        rows = sampling._channel_rows(rng_a, m, None, kind or sampling.random_strategy_kind(rng_a),
+                                      0.0)
+        strategy = sampling.random_mixed_strategy(rng_b, m, kind)
+        assert type(rows) is np.ndarray and np.array_equal(rows, strategy.channel.rows)
+        assert rng_a.random() == rng_b.random()
+
+    @given(seeds, st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_symmetrized_table_equals_symmetric_prior(self, seed, m):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        table = sampling._symmetrized(sampling._floored(rng_a, (m, m)))
+        prior = sampling.random_pairwise_symmetric_prior(rng_b, m)
+        assert type(table) is np.ndarray and np.array_equal(table, prior.joint.table)
+        assert rng_a.random() == rng_b.random()
 
 
 def random_scenario(seed: int, n: int, efforts: bool) -> Scenario:
@@ -590,7 +618,8 @@ class TestEffortStacks:
         else:
             prior = sampling.random_pairwise_symmetric_prior(rng_from_seed(seed), m)
         grid = verify._EFFORT_GRID
-        pay, active = verify._effort_payments(prior._pair_tables(0, range(1, n)), measure)
+        q = prior._pair_tables(0, range(1, n))
+        pay, active = (p[0] for p in verify._effort_payments(q[None], measure))
         want = [oracles.effort_utility(prior, n, m, float(lam), cost, measure) for lam in grid]
         assert np.array_equal(pay - grid * cost, want)
         want = [oracles.effort_utility(prior, n, m, 1.0, 0.0, measure, a) for a in range(n)]
@@ -1259,14 +1288,19 @@ class TestStackedKernels:
 
 
 ONE_TABLE = {"bregman-quasi": oracles.bregman_quasi_instance,
-             "accuracy-gain": oracles.accuracy_gain_instance}
+             "accuracy-gain": oracles.accuracy_gain_instance,
+             "effort": oracles.effort_instance}
 CHUNK = verify._CHUNK
 
 
 def reference_verdict(config) -> str:
-    """The verdict JSON of ``config`` with every instance drawn and checked on its own, in
-    index order, as the suites ran before their check took chunks."""
+    """The verdict JSON of ``config`` with the global part, if any, first and then every
+    instance drawn and checked on its own, in index order, as the suites ran before their
+    check took chunks."""
     rec = verify._Recorder(config)
+    setup = verify._PARTS[config.suite][0]
+    if setup is not None:
+        setup(rec, config)
     for idx in range(config.instances):
         ONE_TABLE[config.suite](rec, config, idx, rng_from_seed(config.seed, idx))
     return rec.verdict().to_json()

@@ -317,21 +317,27 @@ def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypat
 
 
 def test_effort_suite_pays_each_list_from_one_stack(call_counts):
-    # no report_joint per grid point: the canonical grid and active-peer list, then per
-    # instance its grid, its active-peer list and its mixture triple, one core call each
-    assert run_suite(default_config("effort", instances=3)).passed
+    # no report_joint per grid point or per instance: the canonical grid and active-peer list,
+    # then per (alphabet, peer count, generator) group of the chunk its grids, its active-peer
+    # lists and its mixture triples, one core call each
+    drawn = [verify._effort_draw(rng_from_seed(0, idx)) for idx in range(60)]
+    groups = {(d[1].shape, d[0], d[2]) for d in drawn}
+    assert run_suite(default_config("effort", instances=60)).passed
     assert call_counts["report_joint"] == call_counts["_exact_joints"] == 0
-    assert call_counts["_report_tables"] == 2 + 3 * 3
+    assert call_counts["_report_tables"] == 2 + 3 * len(groups) <= 2 + 3 * 24 < 2 + 3 * 60
 
 
 # (suite, private sampler, rank of the spoiled result, which such result): instance 5's joint,
-# X channel and Y channel; the 5th non-CI tensor (instance 6) and the 2nd CI tensor (instance 4)
+# X channel and Y channel; the 5th non-CI tensor (instance 6) and the 2nd CI tensor
+# (instance 4); instance 5's effort joint and instance 8's mixed strategy
 SPOILED_DRAWS = [
     ("bregman-quasi", "_floored", 2, 5),
     ("bregman-quasi", "_channel_rows", 2, 10),
     ("bregman-quasi", "_channel_rows", 2, 11),
     ("accuracy-gain", "_floored", 3, 4),
     ("accuracy-gain", "_ci_table", 3, 1),
+    ("effort", "_floored", 2, 5),
+    ("effort", "_channel_rows", 2, 8),
 ]
 
 
