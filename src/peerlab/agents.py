@@ -286,6 +286,8 @@ class Scenario:
         strategies = tuple(self.strategies)
         if len(strategies) < 2:
             raise DimensionMismatch("a scenario needs at least 2 agents")
+        if not isinstance(self.prior, Prior):
+            raise UnsupportedPriorMode(f"unknown prior {type(self.prior).__name__}")
         m = self.prior.alphabet_size
         if any(s.channel.shape != (m, m) for s in strategies):
             raise DimensionMismatch("strategy channels must map the prior alphabet to itself")
@@ -465,17 +467,12 @@ def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
         states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
         table = np.stack([s.weights for s in prior.states])
         return _inverse_cdf(table, rng.random((n, T)), states)
-    if isinstance(prior, FullJointPrior):
-        table = prior.tensor
-    elif isinstance(prior, PairwisePrior):
-        if n != 2:
-            raise UnsupportedPriorMode(
-                "a pairwise prior is only generative for 2 agents; "
-                "use a full-joint or world-model prior"
-            )
-        table = prior.joint.table
-    else:
-        raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
+    if isinstance(prior, PairwisePrior) and n != 2:
+        raise UnsupportedPriorMode(
+            "a pairwise prior is only generative for 2 agents; "
+            "use a full-joint or world-model prior"
+        )
+    table = prior.tensor if isinstance(prior, FullJointPrior) else prior.joint.table
     draws = rng.choice(table.size, size=T, p=table.reshape(-1))
     return np.array(np.unravel_index(draws, table.shape))
 
@@ -599,10 +596,8 @@ def _permute_prior(prior: Prior, maps: np.ndarray) -> Prior:
     p = maps[0]
     if isinstance(prior, PairwisePrior):
         return PairwisePrior(JointDistribution(prior.joint.table[np.ix_(p, p)]), prior.symmetric)
-    if isinstance(prior, WorldModelPrior):
-        states = tuple(Distribution(s.weights[p]) for s in prior.states)
-        return WorldModelPrior(prior.state_probs, states)
-    raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
+    states = tuple(Distribution(s.weights[p]) for s in prior.states)
+    return WorldModelPrior(prior.state_probs, states)
 
 
 def permute_scenario(scenario: Scenario, perms: PermutationList) -> Scenario:
@@ -641,13 +636,11 @@ def _prior_to_dict(prior: Prior) -> dict:
         }
     if isinstance(prior, FullJointPrior):
         return {"mode": "full_joint", "tensor": prior.tensor.tolist()}
-    if isinstance(prior, WorldModelPrior):
-        return {
-            "mode": "world_model",
-            "state_probs": prior.state_probs.weights.tolist(),
-            "states": [s.weights.tolist() for s in prior.states],
-        }
-    raise UnsupportedPriorMode(f"unknown prior {type(prior).__name__}")
+    return {
+        "mode": "world_model",
+        "state_probs": prior.state_probs.weights.tolist(),
+        "states": [s.weights.tolist() for s in prior.states],
+    }
 
 
 def _prior_from_dict(d: dict) -> Prior:

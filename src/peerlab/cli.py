@@ -7,9 +7,10 @@ suites), and ``sweep`` (convergence tables).
 Contract: machine-readable output goes to files or stdout, human-readable
 messages to stderr.  Exit codes: 0 success, 1 mechanism-level error or suite
 violations, 2 parse/configuration errors.  Every output file embeds the run
-config and a sha256 of each input file; re-running an identical config
-reproduces the output byte for byte (floats are serialized at full
-round-trip precision and nothing clock-dependent is written).
+config and a sha256 of each input file, taken of the very bytes parsed (each
+input is read once); re-running an identical config reproduces the output
+byte for byte (floats are serialized at full round-trip precision and nothing
+clock-dependent is written).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -27,7 +29,7 @@ from .agents import (
     PairwisePrior,
     WorldModelPrior,
     generate_reports,
-    load_scenario,
+    scenario_from_dict,
 )
 from .errors import PeerLabError
 from .measures import (
@@ -44,6 +46,7 @@ from .mechanisms import (
     _empirical_joints,
     _exact_joints,
     _peer_means,
+    _predictive_table,
     bmi_mechanism_payments,
     bts_payments,
     bts_idealized_scores,
@@ -51,7 +54,6 @@ from .mechanisms import (
     fmi_mechanism_payments,
     md_payments,
     mip_expected_payments,
-    optimal_predictions,
     payment_report_csv,
     payment_report_dict,
     sppm_expected_payments,
@@ -94,11 +96,6 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _sha256(path: str) -> str:
-    with _input_errors(path), open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 @contextlib.contextmanager
 def _input_errors(path: str):
     """Report an unreadable, malformed or ill-typed input file as a CliError naming it."""
@@ -112,14 +109,18 @@ def _input_errors(path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _load_json(path: str) -> dict:
-    with _input_errors(path), open(path) as fh:
-        return json.load(fh)
+def _load_json(path: str, inputs: dict) -> dict:
+    """The JSON document of ``path``, read once: ``inputs[path]`` gets the sha256 of the bytes
+    parsed, which are decoded as ``open(path)`` decodes them."""
+    with _input_errors(path), open(path, "rb") as fh:
+        data = fh.read()
+        inputs[path] = hashlib.sha256(data).hexdigest()
+        return json.load(io.TextIOWrapper(io.BytesIO(data)))
 
 
-def _load_scenario(path: str):
+def _load_scenario(path: str, inputs: dict):
     with _input_errors(path):
-        return load_scenario(path)
+        return scenario_from_dict(_load_json(path, inputs))
 
 
 def _canonical(obj) -> str:
@@ -142,8 +143,8 @@ def _emit_error(path: str | None, config: dict, inputs: dict, exc: PeerLabError)
 # ---------------------------------------------------------------------------
 
 
-def _load_table(path: str) -> JointDistribution:
-    doc = _load_json(path)
+def _load_table(path: str, inputs: dict) -> JointDistribution:
+    doc = _load_json(path, inputs)
     with _input_errors(path):
         if "table" not in doc:
             raise CliError(f"{path}: missing 'table' field")
@@ -162,13 +163,12 @@ def cmd_measure(args) -> int:
         raise CliError("choose exactly one of --mi / --bregman")
     if (args.joint is None) == (args.tensor is None):
         raise CliError("choose exactly one of --joint / --tensor")
-    path = args.joint or args.tensor
-    table = _load_table(path)
+    path, inputs = args.joint or args.tensor, {}
+    table = _load_table(path, inputs)
     if args.joint and table.is_conditional:
         raise CliError(f"{path}: --joint expects a rank-2 table")
     if args.tensor and not table.is_conditional:
         raise CliError(f"{path}: --tensor expects a rank-3 table")
-    inputs = {path: _sha256(path)}
     if args.mi == "shannon":
         measure, name = ConvexGenerator.KL, "shannon"
     elif args.mi:
@@ -195,8 +195,9 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_bts_profile(path: str, alpha_override: float | None) -> tuple[BtsReportProfile, float]:
-    doc = _load_json(path)
+def _load_bts_profile(path: str, alpha_override: float | None,
+                      inputs: dict) -> tuple[BtsReportProfile, float]:
+    doc = _load_json(path, inputs)
     with _input_errors(path):
         profile = BtsReportProfile(
             doc["signals"],
@@ -225,14 +226,12 @@ def cmd_mechanism(args) -> int:
         if args.mechanism == "bts":
             if not args.profile:
                 raise CliError("bts needs --profile FILE")
-            inputs[args.profile] = _sha256(args.profile)
-            profile, alpha = _load_bts_profile(args.profile, args.alpha)
+            profile, alpha = _load_bts_profile(args.profile, args.alpha, inputs)
             report = bts_payments(profile, alpha, seed=args.seed)
         else:
             if not args.scenario:
                 raise CliError(f"{args.mechanism} needs --scenario FILE")
-            inputs[args.scenario] = _sha256(args.scenario)
-            scenario = _load_scenario(args.scenario)
+            scenario = _load_scenario(args.scenario, inputs)
             gen = _GENERATORS.get(args.measure or "tvd")
             rule = _RULES.get(args.rule or "log")
             if args.measure and gen is None:
@@ -346,8 +345,7 @@ def cmd_sweep(args) -> int:
         if args.kind == "fmi-gap":
             if not args.scenario:
                 raise CliError("fmi-gap needs --scenario FILE")
-            inputs[args.scenario] = _sha256(args.scenario)
-            scenario = _load_scenario(args.scenario)
+            scenario = _load_scenario(args.scenario, inputs)
             gen = _GENERATORS.get(args.measure or "tvd")
             if gen is None:
                 raise CliError(f"unknown --measure {args.measure!r}")
@@ -361,13 +359,14 @@ def cmd_sweep(args) -> int:
         else:  # bts-gap
             world = CANONICAL_WORLD
             if args.scenario:
-                inputs[args.scenario] = _sha256(args.scenario)
-                scenario = _load_scenario(args.scenario)
+                scenario = _load_scenario(args.scenario, inputs)
                 if not isinstance(scenario.prior, WorldModelPrior):
                     raise CliError("bts-gap needs a world-model prior")
                 world = scenario.prior
             ideal = bts_idealized_scores(world).information_score
-            preds = optimal_predictions(world)
+            # no prediction for a signal of zero prior probability, which is never drawn
+            preds = {s: Distribution(row) for s, row in enumerate(_predictive_table(world))
+                     if not np.isnan(row[0])}
 
             def cell(g: int, seed: int) -> float:
                 return _bts_population_gap(world, g, preds, ideal, rng_from_seed(seed))

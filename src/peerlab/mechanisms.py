@@ -535,12 +535,18 @@ def optimal_predictions(
     distributions of the strategy profile (truthful when None).  These are
     the prediction reports a score-maximizing agent submits.
     """
+    table = _predictive_table(world, strategies)
+    if np.isnan(table).any():
+        raise ZeroFrequency(f"signal {np.argmax(np.isnan(table[:, 0]))} has zero prior probability")
+    return tuple(Distribution(row) for row in table)
+
+
+def _predictive_table(world: WorldModelPrior, strategies=None) -> np.ndarray:
+    """:func:`optimal_predictions` as one table, with NaN rows for signals of zero prior mass."""
     reported = np.stack([r.weights for r in reported_world_states(world, strategies)])
     joint = world.state_probs.weights[:, None] * np.stack([s.weights for s in world.states])
     total = joint.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise ZeroFrequency(f"signal {np.argmax(total <= 0.0)} has zero prior probability")
-    return tuple(Distribution(row) for row in (joint / total).T @ reported)
+    return np.divide(joint, total, out=np.full(joint.shape, np.nan), where=total > 0.0).T @ reported
 
 
 @dataclass(frozen=True)
@@ -567,11 +573,7 @@ def bts_idealized_scores(
     enumeration, an independent route that must agree with the Shannon
     information score up to sign.
     """
-    return _tensor_scores(world_tensor(world, strategies), measure)
-
-
-def _tensor_scores(tensor: JointDistribution, measure: Measure = ConvexGenerator.KL):
-    """:func:`bts_idealized_scores` from an already built :func:`world_tensor`."""
+    tensor = world_tensor(world, strategies)
     return IdealizedBtsScores(conditional_mi(tensor, measure), -log_score_accuracy_gain(tensor))
 
 

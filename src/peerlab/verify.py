@@ -5,13 +5,14 @@ at configured tolerances, and returns a machine-readable verdict.  A suite is
 an optional global part (checks recorded at instance -1) plus an instance
 part that the runner hands the instance indices in chunks.  Each instance is
 drawn on its own from ``rng_from_seed(config.seed, idx)``; most suites then
-check it alone (scenario-equivalence pays it and its relabeled twins as one
-stack), while the one-table suites (bregman-quasi, accuracy-gain) and effort
-check a chunk's drawn instances together, one stacked call per shape group,
-and record them in index order.  They draw raw arrays through the private
-samplers and validate each shape group's stack once, with the tests the
-validated objects would have applied.  A table's value never depends on the
-stack it is in, so instance ``idx`` stays a pure function of
+check it alone, some on one stack per instance (scenario-equivalence of it
+and its relabeled twins, md-equivalence of its three report pairs, bts of its
+two world tensors), while the one-table suites (bregman-quasi, accuracy-gain)
+and effort check a chunk's drawn instances together, one stacked call per
+shape group, and record them in index order.  They draw raw arrays through
+the private samplers and validate each shape group's stack once, with the
+tests the validated objects would have applied.  A table's value never
+depends on the stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
 recorded violation is replayed by re-running its one instance as a chunk of
 one (``replay_violation``).  Violations also carry their witness data for
@@ -41,12 +42,10 @@ from .agents import (
     PairwisePrior,
     PermutationList,
     Scenario,
-    Strategy,
     WorldModelPrior,
     _report_tables,
     generate_reports,
     permute_scenario,
-    report_joint,
     scenario_to_dict,
     truth_telling,
     world_tensor,
@@ -57,17 +56,16 @@ from .measures import (
     ScoringRule,
     _bregman_mi,
     _divergence_decrease_bound,
+    _f_mi,
+    _log_score_gains,
     _mi_kernel,
     _shannon_mi,
     _slice_mean,
     check_dpi,
-    conditional_mi,
     divergence_monotonicity_witness,
     f_divergence,
-    f_mutual_information,
     is_fine_grained,
     log_score_accuracy_gain,
-    mutual_information,
 )
 from .mechanisms import (
     SEEDED_RANDOM,
@@ -75,10 +73,8 @@ from .mechanisms import (
     _agreement_rewards,
     _exact_joints,
     _score_shifts,
-    _tensor_scores,
     bts_idealized_scores,
     bts_payments,
-    ca_expected_reward,
     ca_payments,
     md_payments,
     optimal_predictions,
@@ -86,12 +82,12 @@ from .mechanisms import (
 from .probability import (
     Distribution,
     JointDistribution,
-    TransitionMatrix,
     _identity_mask,
     _int_at_least,
     _push_first,
     _validated_tables,
     apply_channel,
+    permutation_channel,
     rng_from_seed,
     uniform_distribution,
 )
@@ -110,6 +106,7 @@ _BTS_ALPHA = 3.0
 _POPULATION_SIZES = (10, 100, 1000)
 _POPULATION_REPS = 24
 _PERM_LISTS = 10  # scenario-equivalence: relabelings per scenario
+_SWAP = permutation_channel([1, 0]).rows  # md-equivalence: agent 0 anti-correlating; read-only
 
 
 @dataclass(frozen=True)
@@ -426,9 +423,9 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
                   pay_before - pay_after > stol, idx, data)
         rec.margin(pay_before - pay_after)
     if deviation.label == "constant":
-        pair = report_joint(prior, 0, 1, observer, deviation)
-        rec.check("constant_pairing_zero", "equality",
-                  abs(mutual_information(pair, gen)) <= 1e-12, idx, data)
+        pair = _agent0_tables(q[:1], observer.channel.rows, deviation.channel.rows[None], 1.0, 1.0)
+        rec.check("constant_pairing_zero", "equality", abs(_mi_kernel(gen)(pair[0])) <= 1e-12,
+                  idx, data)
 
 
 def suite_truth_monotone(config: SuiteConfig) -> SuiteVerdict:
@@ -652,27 +649,24 @@ def suite_accuracy_gain(config: SuiteConfig) -> SuiteVerdict:
 def _md_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
     q = sampling.random_positively_correlated_binary_joint(rng)
-    half_tvd = 0.5 * f_mutual_information(q, ConvexGenerator.TVD)
-    reward = ca_expected_reward(q)
+    s1 = sampling.random_mixed_strategy(rng, 2)
+    s2 = sampling.random_mixed_strategy(rng, 2)
+    # the truthful pair, the drawn pair and agent 0 anti-correlating, as one stack
+    eye = np.eye(2)
+    tables = _agent0_tables(q.table[None], np.stack([eye, s1.channel.rows, _SWAP])[:, None],
+                            np.stack([eye, s2.channel.rows, eye])[:, None], 1.0, 1.0)[:, 0]
+    half_tvd, r_half, flip_half = (0.5 * _f_mi(tables, ConvexGenerator.TVD)).tolist()
+    reward, r_reward, flip_reward = _agreement_rewards(tables).tolist()
     data = {"prior": _jl(q.table), "reward": reward, "half_tvd": half_tvd}
     rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx, data)
 
-    s1 = sampling.random_mixed_strategy(rng, 2)
-    s2 = sampling.random_mixed_strategy(rng, 2)
-    r = report_joint(PairwisePrior(q, symmetric=False), 0, 1, s1, s2)
-    r_reward = ca_expected_reward(r)
-    r_half = 0.5 * f_mutual_information(r, ConvexGenerator.TVD)
     sdata = {"prior": _jl(q.table), "s1": _jl(s1.channel.rows), "s2": _jl(s2.channel.rows),
              "reward": r_reward, "half_tvd": r_half}
     rec.check("strategy_upper_bound", "inequality", r_reward <= r_half + tol, idx, sdata)
     rec.check("processing_chain", "inequality", r_half <= half_tvd + tol, idx, sdata)
 
     # anti-correlating one agent flips the correlation sign: strict gap
-    flipped = report_joint(
-        PairwisePrior(q, symmetric=False), 0, 1,
-        Strategy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))), truth_telling(2),
-    )
-    gap = 0.5 * f_mutual_information(flipped, ConvexGenerator.TVD) - ca_expected_reward(flipped)
+    gap = flip_half - flip_reward
     if gap > stol:
         rec.margin(gap)
 
@@ -683,7 +677,6 @@ def _md_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
         # overlap.  The closed-form value and both intervals are recorded
         # for inspection; its containment is a calibrated-by-construction
         # statistical statement, so it is reported rather than gated.
-        expected = ca_expected_reward(q)
         scn = Scenario(PairwisePrior(q, symmetric=False), (truth_telling(2), truth_telling(2)))
         reps = _MONTE_CARLO_REPS
         md_samples, ca_samples = [], []
@@ -696,13 +689,13 @@ def _md_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
         hw_ca = z * statistics.stdev(ca_samples) / math.sqrt(reps)
         mean_md = statistics.fmean(md_samples)
         mean_ca = statistics.fmean(ca_samples)
-        mc_data = {"prior": _jl(q.table), "expected": expected,
+        mc_data = {"prior": _jl(q.table), "expected": reward,
                    "mean_md": mean_md, "mean_ca": mean_ca,
                    "half_width_md": hw_md, "half_width_ca": hw_ca}
         rec.check("agreement_variant_interval", "convergence",
                   abs(mean_md - mean_ca) <= hw_md + hw_ca, idx, mc_data)
         rec.finding({"kind": "expected_reward_interval", "instance": idx,
-                     "covered": abs(mean_ca - expected) <= hw_ca, **mc_data})
+                     "covered": abs(mean_ca - reward) <= hw_ca, **mc_data})
 
 
 def suite_md_equivalence(config: SuiteConfig) -> SuiteVerdict:
@@ -792,26 +785,26 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     strategies = tuple(
         sampling.random_mixed_strategy(rng, world.alphabet_size) for _ in range(n)
     )
-    truth_tensor, played_tensor = world_tensor(world), world_tensor(world, strategies)
-    truth, played = _tensor_scores(truth_tensor), _tensor_scores(played_tensor)
+    gen = sampling.random_generator_choice(rng)
+    # the truthful and the played world tensor, as one (2, m, states, m) stack
+    tensors = np.stack([world_tensor(world).table, world_tensor(world, strategies).table])
+    info_truth, info_played = _slice_mean(tensors, _mi_kernel(ConvexGenerator.KL)).tolist()
+    pred_truth, pred_played = (-_log_score_gains(tensors)).tolist()
+    f_truth, f_played = _slice_mean(tensors, _mi_kernel(gen)).tolist()
     data = {
         "world_state_probs": _jl(world.state_probs.weights),
         "world_states": [_jl(s.weights) for s in world.states],
         "strategies": [_jl(s.channel.rows) for s in strategies],
-        "truth_info": truth.information_score,
-        "played_info": played.information_score,
+        "truth_info": info_truth,
+        "played_info": info_played,
     }
-    rec.check("information_score_ordering", "inequality",
-              played.information_score <= truth.information_score + tol, idx, data)
+    rec.check("information_score_ordering", "inequality", info_played <= info_truth + tol, idx, data)
     rec.check("prediction_negates_information", "equality",
-              abs(played.prediction_score + played.information_score) <= 1e-12, idx, data)
-    welfare_truth = n * (truth.prediction_score + alpha * truth.information_score)
-    welfare_played = n * (played.prediction_score + alpha * played.information_score)
+              abs(pred_played + info_played) <= 1e-12, idx, data)
+    welfare_truth = n * (pred_truth + alpha * info_truth)
+    welfare_played = n * (pred_played + alpha * info_played)
     rec.check("welfare_ordering", "inequality",
               welfare_played <= welfare_truth + n * (alpha - 1.0) * tol + 1e-9, idx, data)
-    gen = sampling.random_generator_choice(rng)
-    f_truth = conditional_mi(truth_tensor, gen)
-    f_played = conditional_mi(played_tensor, gen)
     rec.check("f_score_ordering", "inequality", f_played <= f_truth + tol, idx,
               {**data, "generator": gen.value, "f_truth": f_truth, "f_played": f_played})
     # a shared relabeling leaves the scores unchanged; distinct per-agent
@@ -820,7 +813,7 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
         np.array_equal(s.channel.rows, strategies[0].channel.rows) for s in strategies[1:]
     ):
         rec.check("permutation_profile_ties", "equality",
-                  abs(played.information_score - truth.information_score) <= 1e-10, idx, data)
+                  abs(info_played - info_truth) <= 1e-10, idx, data)
 
 
 def suite_bts(config: SuiteConfig) -> SuiteVerdict:

@@ -29,11 +29,14 @@ carry the joints, channels and divergence inputs of its sampled instances, and
 last scenario-equivalence at 40 instances and seed 11, which draws three-agent
 full-joint priors (each agent relabeled by its own map) with and without
 efforts, then ``mechanism bts-idealized`` and ``sweep --kind bts-gap`` on a
-9-agent, 6-signal world-model scenario with four states, and last effort at 1100
+9-agent, 6-signal world-model scenario with four states, then effort at 1100
 instances and seed 11 under ``--equality-tol 1e-300`` (more than two of the
 512-instance chunks its check groups, not a multiple of them, with violation
-payloads).  A command that raises instead of writing an output is digested as
-its exception type.
+payloads), and last md-equivalence at 300 instances and seed 3 under
+``--equality-tol 1e-300``, whose violations carry the rewards and half
+total-variation informations of the truthful and the drawn report pairs.  A
+command that raises instead of writing an output is digested as its exception
+type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
 directories field by field and prints, per changed field, the largest
 relative change of a float (|a - b| / max(1, |b|)) or the two differing
@@ -213,6 +216,9 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     # one, with the violation payloads of every group
     out.append(("verify-effort-1100-forced",
                 ["verify", "effort", "--instances", "1100", "--seed", "11",
+                 "--equality-tol", "1e-300"]))
+    out.append(("verify-md-equivalence-forced",
+                ["verify", "md-equivalence", "--instances", "300", "--seed", "3",
                  "--equality-tol", "1e-300"]))
     return out
 

@@ -11,7 +11,9 @@ batched draw and apply the per-question rewards.
 The one-table suites' per-instance parts, which drew and checked one table at
 a time through the public single-table functions, the effort suite's per-instance
 part, which drew one prior, strategy and cost through the public samplers and paid
-each instance from stacks of one, and the masked sums the Shannon and slice-mean
+each instance from stacks of one, the md-equivalence and bts per-instance parts,
+which paid each report pair and scored each world tensor on its own through the
+public single-pair functions, and the masked sums the Shannon and slice-mean
 code used before it took stacks follow.  The file closes
 with the bincount route of the empirical pair counts, the report sampler that
 gathered each draw's weights before its cumulative sums, the two-``isclose``
@@ -28,6 +30,7 @@ numpy's scalar log and ``np.dot``, so that the score routes give the library's b
 """
 
 import math
+import statistics
 
 import numpy as np
 
@@ -39,7 +42,10 @@ from peerlab.agents import (
     Scenario,
     Strategy,
     WorldModelPrior,
+    generate_reports,
+    report_joint,
     truth_telling,
+    world_tensor,
 )
 from peerlab.errors import (
     DimensionMismatch,
@@ -890,6 +896,112 @@ def effort_instance(rec, config, idx: int, rng) -> None:
     rhs = lam * mi_full + (1.0 - lam) * mi_none
     rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
               {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
+
+
+def md_equivalence_instance(rec, config, idx: int, rng) -> None:
+    """One md-equivalence instance through the single-pair public functions, as the suite ran
+    before it paid the truthful, the drawn and the flipped pair from one stack."""
+    tol, stol = config.equality_tol, config.strictness_tol
+    q = sampling.random_positively_correlated_binary_joint(rng)
+    half_tvd = 0.5 * measures.f_mutual_information(q, ConvexGenerator.TVD)
+    reward = mechanisms.ca_expected_reward(q)
+    data = {"prior": _jl(q.table), "reward": reward, "half_tvd": half_tvd}
+    rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx, data)
+
+    s1 = sampling.random_mixed_strategy(rng, 2)
+    s2 = sampling.random_mixed_strategy(rng, 2)
+    r = report_joint(PairwisePrior(q, symmetric=False), 0, 1, s1, s2)
+    r_reward = mechanisms.ca_expected_reward(r)
+    r_half = 0.5 * measures.f_mutual_information(r, ConvexGenerator.TVD)
+    sdata = {"prior": _jl(q.table), "s1": _jl(s1.channel.rows), "s2": _jl(s2.channel.rows),
+             "reward": r_reward, "half_tvd": r_half}
+    rec.check("strategy_upper_bound", "inequality", r_reward <= r_half + tol, idx, sdata)
+    rec.check("processing_chain", "inequality", r_half <= half_tvd + tol, idx, sdata)
+
+    # anti-correlating one agent flips the correlation sign: strict gap
+    flipped = report_joint(
+        PairwisePrior(q, symmetric=False), 0, 1,
+        Strategy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))), truth_telling(2),
+    )
+    gap = (0.5 * measures.f_mutual_information(flipped, ConvexGenerator.TVD)
+           - mechanisms.ca_expected_reward(flipped))
+    if gap > stol:
+        rec.margin(gap)
+
+    if idx % verify._MONTE_CARLO_EVERY == 0:
+        expected = mechanisms.ca_expected_reward(q)
+        scn = Scenario(PairwisePrior(q, symmetric=False), (truth_telling(2), truth_telling(2)))
+        reps = verify._MONTE_CARLO_REPS
+        md_samples, ca_samples = [], []
+        for rep_i in range(reps):
+            reports = generate_reports(scn, 300, seed=(config.seed + 1) * 7919 + idx * 97 + rep_i)
+            md_samples.append(float(
+                mechanisms.md_payments(reports, 2, seed=idx * 97 + rep_i).payments[0]))
+            ca_samples.append(float(
+                mechanisms.ca_payments(reports, 2, seed=idx * 97 + rep_i).payments[0]))
+        z = statistics.NormalDist().inv_cdf(0.5 + config.monte_carlo_ci / 2)
+        hw_md = z * statistics.stdev(md_samples) / math.sqrt(reps)
+        hw_ca = z * statistics.stdev(ca_samples) / math.sqrt(reps)
+        mean_md = statistics.fmean(md_samples)
+        mean_ca = statistics.fmean(ca_samples)
+        mc_data = {"prior": _jl(q.table), "expected": expected,
+                   "mean_md": mean_md, "mean_ca": mean_ca,
+                   "half_width_md": hw_md, "half_width_ca": hw_ca}
+        rec.check("agreement_variant_interval", "convergence",
+                  abs(mean_md - mean_ca) <= hw_md + hw_ca, idx, mc_data)
+        rec.finding({"kind": "expected_reward_interval", "instance": idx,
+                     "covered": abs(mean_ca - expected) <= hw_ca, **mc_data})
+
+
+def tensor_scores(tensor: JointDistribution, measure=ConvexGenerator.KL):
+    """``bts_idealized_scores`` from an already built world tensor, as the bts suite scored
+    each tensor through the public single-tensor functions."""
+    return mechanisms.IdealizedBtsScores(measures.conditional_mi(tensor, measure),
+                                         -measures.log_score_accuracy_gain(tensor))
+
+
+def bts_instance(rec, config, idx: int, rng) -> None:
+    """One bts instance, scoring the truthful and the played world tensor one at a time, as
+    the suite ran before it scored both from one stack."""
+    tol = config.equality_tol
+    alpha = verify._BTS_ALPHA
+    if idx % 2 == 0:
+        world = verify.CANONICAL_WORLD
+    else:
+        world = sampling.random_world_model(
+            rng, int(rng.integers(2, 4)), sampling._pick(rng, _ALPHABET_SIZES)
+        )
+    n = int(rng.integers(3, 6))
+    strategies = tuple(
+        sampling.random_mixed_strategy(rng, world.alphabet_size) for _ in range(n)
+    )
+    truth_tensor, played_tensor = world_tensor(world), world_tensor(world, strategies)
+    truth, played = tensor_scores(truth_tensor), tensor_scores(played_tensor)
+    data = {
+        "world_state_probs": _jl(world.state_probs.weights),
+        "world_states": [_jl(s.weights) for s in world.states],
+        "strategies": [_jl(s.channel.rows) for s in strategies],
+        "truth_info": truth.information_score,
+        "played_info": played.information_score,
+    }
+    rec.check("information_score_ordering", "inequality",
+              played.information_score <= truth.information_score + tol, idx, data)
+    rec.check("prediction_negates_information", "equality",
+              abs(played.prediction_score + played.information_score) <= 1e-12, idx, data)
+    welfare_truth = n * (truth.prediction_score + alpha * truth.information_score)
+    welfare_played = n * (played.prediction_score + alpha * played.information_score)
+    rec.check("welfare_ordering", "inequality",
+              welfare_played <= welfare_truth + n * (alpha - 1.0) * tol + 1e-9, idx, data)
+    gen = sampling.random_generator_choice(rng)
+    f_truth = measures.conditional_mi(truth_tensor, gen)
+    f_played = measures.conditional_mi(played_tensor, gen)
+    rec.check("f_score_ordering", "inequality", f_played <= f_truth + tol, idx,
+              {**data, "generator": gen.value, "f_truth": f_truth, "f_played": f_played})
+    if all(s.is_permutation for s in strategies) and all(
+        np.array_equal(s.channel.rows, strategies[0].channel.rows) for s in strategies[1:]
+    ):
+        rec.check("permutation_profile_ties", "equality",
+                  abs(played.information_score - truth.information_score) <= 1e-10, idx, data)
 
 
 def masked_shannon_mi(table: np.ndarray) -> float:

@@ -8,6 +8,7 @@ indices, where a negative value never counts from the end."""
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from peerlab import (
     PairwisePrior,
     PermutationList,
     ReportMatrix,
+    Scenario,
     SuiteConfig,
     ScoringRule,
     Strategy,
@@ -52,7 +54,7 @@ from peerlab import (
     truthful_scenario,
     uniform_distribution,
 )
-from peerlab.errors import PeerLabError
+from peerlab.errors import PeerLabError, UnsupportedPriorMode
 from peerlab.probability import sample
 
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.5, -1.0, 0.0, 3.0])
@@ -189,6 +191,12 @@ def test_reported_world_states_need_one_channel_shape():
     for strategies in ((three, narrow), (narrow, three), (truth_telling(2),), ()):
         with pytest.raises(DimensionMismatch, match="one channel shape"):
             reported_world_states(world, strategies)
+
+
+def test_scenario_refuses_an_unknown_prior():
+    # duck-typed: it has an alphabet size, but is none of the three prior modes
+    with pytest.raises(UnsupportedPriorMode, match="unknown prior SimpleNamespace"):
+        Scenario(types.SimpleNamespace(alphabet_size=2), (truth_telling(2), truth_telling(2)))
 
 
 def test_constant_channel_needs_a_distribution():

@@ -1,10 +1,22 @@
+import builtins
+import collections
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from peerlab import JointDistribution, PairwisePrior, save_scenario, truthful_scenario
+from peerlab import (
+    Distribution,
+    JointDistribution,
+    PairwisePrior,
+    WorldModelPrior,
+    save_scenario,
+    truthful_scenario,
+)
 from peerlab.cli import main
+from peerlab.verify import CANONICAL_WORLD
 
 
 @pytest.fixture
@@ -51,6 +63,15 @@ class TestMeasureCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_parse_error_position_under_each_newline(self, tmp_path, capsys, newline):
+        # lines are counted after newline translation, as text-mode open() reads the file
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(newline.join(["{", '  "table": [[0.5, 0.5],', "  [0.1,, 0.4]]", "}"]).encode())
+        assert main(["measure", "--mi", "kl", "--joint", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"peerlab: {bad}: parse error at line 3 column 8: Expecting value\n")
 
     def test_tensor_conditional_measure(self, tmp_path, capsys):
         t = np.zeros((2, 2, 2))
@@ -236,6 +257,43 @@ class TestWrongTypeInputs:
         assert capsys.readouterr().err == f"peerlab: {path}: No such file or directory\n"
 
 
+@pytest.fixture
+def input_files(joint_file, scenario_file, tmp_path):
+    profile, world = tmp_path / "profile.json", tmp_path / "world.json"
+    profile.write_text(json.dumps({"signals": [0, 0, 1, 1], "predictions": [[0.7, 0.3]] * 4}))
+    save_scenario(truthful_scenario(CANONICAL_WORLD, 3), world)
+    return {"<joint>": joint_file, "<scenario>": scenario_file, "<profile>": str(profile),
+            "<world>": str(world)}
+
+
+class TestInputReads:
+    """Each input file is opened once, and the sha256 recorded is of the bytes parsed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--mi", "kl", "--joint", "<joint>"],
+        ["mechanism", "--mechanism", "mip", "--scenario", "<scenario>"],
+        ["mechanism", "--mechanism", "bts", "--profile", "<profile>"],
+        ["sweep", "--kind", "fmi-gap", "--grid", "10", "--seeds", "1", "--scenario", "<scenario>"],
+        ["sweep", "--kind", "bts-gap", "--grid", "10", "--seeds", "1", "--scenario", "<world>"],
+    ])
+    def test_each_input_opened_once(self, input_files, monkeypatch, capsys, argv):
+        argv = [input_files.get(token, token) for token in argv]
+        path, real_open, opened = argv[-1], builtins.open, collections.Counter()
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert opened[path] == 1
+        out = capsys.readouterr().out
+        record = json.loads(out.splitlines()[0][2:] if out.startswith("# ") else out)
+        with open(path, "rb") as fh:
+            assert record["inputs"] == {path: hashlib.sha256(fh.read()).hexdigest()}
+
+
 class TestSweepCommand:
     def test_fmi_gap_table(self, scenario_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -279,6 +337,19 @@ class TestSweepCommand:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 6
+
+    def test_bts_gap_zero_prior_signal(self, tmp_path, capsys):
+        # signal 1 has zero prior probability, so no agent of the sweep draws it
+        states = (Distribution(np.array([0.5, 0.0, 0.5])), Distribution(np.array([0.2, 0.0, 0.8])))
+        path = tmp_path / "world.json"
+        save_scenario(truthful_scenario(WorldModelPrior(Distribution(np.array([0.5, 0.5])),
+                                                        states), 3), path)
+        assert main(["mechanism", "--mechanism", "bts-idealized", "--scenario", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--kind", "bts-gap", "--scenario", str(path), "--grid", "10,50",
+                     "--seeds", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 4 and all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
     def test_out_dir_env(self, scenario_file, tmp_path, monkeypatch):
         monkeypatch.setenv("PEERLAB_OUT_DIR", str(tmp_path / "outputs"))

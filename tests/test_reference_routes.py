@@ -81,6 +81,7 @@ from peerlab import (
     sppm_expected_payments,
     sppm_payments,
     verify,
+    world_tensor,
 )
 from peerlab import agents as agents_module
 from peerlab import cli
@@ -1290,19 +1291,23 @@ class TestStackedKernels:
 ONE_TABLE = {"bregman-quasi": oracles.bregman_quasi_instance,
              "accuracy-gain": oracles.accuracy_gain_instance,
              "effort": oracles.effort_instance}
+ONE_STACK = {"md-equivalence": oracles.md_equivalence_instance,
+             "bts": oracles.bts_instance}
 CHUNK = verify._CHUNK
 
 
 def reference_verdict(config) -> str:
     """The verdict JSON of ``config`` with the global part, if any, first and then every
     instance drawn and checked on its own, in index order, as the suites ran before their
-    check took chunks."""
+    check took chunks (``ONE_TABLE``) or each instance's pairs took one stack
+    (``ONE_STACK``)."""
     rec = verify._Recorder(config)
     setup = verify._PARTS[config.suite][0]
     if setup is not None:
         setup(rec, config)
+    instance = {**ONE_TABLE, **ONE_STACK}[config.suite]
     for idx in range(config.instances):
-        ONE_TABLE[config.suite](rec, config, idx, rng_from_seed(config.seed, idx))
+        instance(rec, config, idx, rng_from_seed(config.seed, idx))
     return rec.verdict().to_json()
 
 
@@ -1420,3 +1425,52 @@ class TestArrayBodies:
         assert_same_outcome(outcome_with_message(optimal_predictions, *profile),
                             outcome_with_message(oracles.loop_optimal_predictions, *profile),
                             assert_close_distributions)
+
+
+class TestOneStackInstances:
+    """md-equivalence pays each instance's truthful, drawn and flipped report pairs, and bts
+    scores its truthful and played world tensors, from one stack: the verdict JSON must be
+    that of the per-pair routes they replaced, and each stacked table or score the bits of
+    its public single-pair function."""
+
+    @pytest.mark.parametrize("suite", sorted(ONE_STACK))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_verdict_equals_reference(self, suite, seed):
+        config = default_config(suite, seed=seed)
+        assert run_suite(config).to_json() == reference_verdict(config)
+
+    def test_forced_md_violations_equal_reference_and_replay(self):
+        config = default_config("md-equivalence", instances=300, seed=3, equality_tol=1e-300)
+        verdict = run_suite(config)
+        assert verdict.to_json() == reference_verdict(config)
+        assert len(verdict.violations) > 0
+        for violation in verdict.violations:
+            assert replay_violation(violation, config)
+
+    @given(seeds, st.sampled_from((2, 3)), st.sampled_from((2, 3, 4)), st.sampled_from(KINDS),
+           st.sampled_from(KINDS), st.sampled_from(MEASURES))
+    @settings(max_examples=150, deadline=None)
+    def test_agent0_pair_equals_report_joint(self, seed, n, m, kind_a, kind_b, measure):
+        rng = rng_from_seed(seed)
+        prior = verify._pair_prior_for(rng, n, m)
+        a = sampling.random_mixed_strategy(rng, m, kind_a)
+        b = sampling.random_mixed_strategy(rng, m, kind_b)
+        q = prior._pair_tables(0, range(1, n))
+        got = verify._agent0_tables(q[:1], a.channel.rows, b.channel.rows[None], 1.0, 1.0)[0]
+        want = report_joint(prior, 0, 1, a, b)
+        assert np.array_equal(got, want.table)
+        assert np.array_equal(_mi_kernel(measure)(got), mutual_information(want, measure))
+
+    @given(world_profiles(), st.sampled_from(tuple(ConvexGenerator)))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_world_tensor_scores_equal_public(self, profile, gen):
+        world, strategies = profile
+        tensors = np.stack([world_tensor(world).table, world_tensor(world, strategies).table])
+        info = _slice_mean(tensors, _mi_kernel(ConvexGenerator.KL))
+        pred = -_log_score_gains(tensors)
+        f_scores = _slice_mean(tensors, _mi_kernel(gen))
+        for row, played in enumerate((None, strategies)):
+            want = bts_idealized_scores(world, played)
+            assert np.array_equal([info[row], pred[row]],
+                                  [want.information_score, want.prediction_score])
+            assert f_scores[row] == bts_idealized_scores(world, played, gen).information_score

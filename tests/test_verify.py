@@ -246,7 +246,7 @@ def test_unknown_suite_rejected():
 @pytest.fixture
 def call_counts(monkeypatch):
     """Calls of ``_exact_joints``, ``report_joint``, the report-table core ``_report_tables``
-    and ``_score_shifts``, through whichever module they are called."""
+    and ``_score_shifts``, through whichever of the two modules holds the name."""
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -257,7 +257,8 @@ def call_counts(monkeypatch):
 
     for module in (mechanisms, verify):
         for name in ("_exact_joints", "report_joint", "_report_tables", "_score_shifts"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return counts
 
 
