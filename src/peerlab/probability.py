@@ -69,14 +69,15 @@ def _validated_tables(values, rank: int, name: str = "table") -> np.ndarray:
     """``values`` as a read-only array of probability tables, each over its last ``rank`` axes,
     checked as the module docstring says; ``name`` leads the messages.  Validates every
     probability object, after the object's own rank check, and a stack of tables alike."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)  # a private copy: the caller's array is never frozen
     if arr.size == 0:
         raise EmptyAlphabet(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise NegativeWeight(f"{name} contains non-finite entries")
-    arr = np.where((arr < 0) & (arr > -1e-12), 0.0, arr)
-    if np.any(arr < 0):
-        raise NegativeWeight(f"{name} contains negative entries")
+    if arr.min() < 0:
+        arr[(arr < 0) & (arr > -1e-12)] = 0.0
+        if arr.min() < 0:
+            raise NegativeWeight(f"{name} contains negative entries")
     lead = arr.ndim - rank
     mass = arr.sum(axis=tuple(range(lead, arr.ndim))) if lead else float(arr.sum())
     off = abs(mass - 1.0)

@@ -6,9 +6,11 @@ deterministic per seed.  Dense objects are mixed with a uniform component
 macroscopic mass; this keeps strict data-processing margins well away from
 the strictness tolerance without ever filtering instances on outcomes.
 
-The private forms ``_floored``, ``_channel_rows``, ``_ci_table`` (with the public samplers'
-rng calls) and ``_symmetrized`` return the raw arrays that the public samplers wrap in
-validated objects; suites that validate whole stacks of tables at once draw through them.
+The private forms ``_floored``, ``_channel_rows``, ``_ci_table`` and ``_symmetrized`` return
+the raw arrays that the public samplers wrap in validated objects; suites that validate whole
+stacks of tables at once draw through them.  Each flat-Dirichlet draw is taken as the unit
+exponentials ``rng.dirichlet(np.ones(k))`` draws for it (``_floored_rows``), so it reads the
+same stream and gives the same bits as ``rng.dirichlet``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from .agents import FullJointPrior, PairwisePrior, Strategy, WorldModelPrior
 from .errors import DimensionMismatch
 from .measures import ConvexGenerator, ScoringRule, is_fine_grained
-from .probability import Distribution, JointDistribution, RngSeed, TransitionMatrix, rng_from_seed
+from .probability import (
+    Distribution, JointDistribution, RngSeed, TransitionMatrix, _int_at_least, rng_from_seed,
+)
 
 STRATEGY_KIND_RATIOS = {"dense": 0.4, "sparse": 0.2, "permutation": 0.2, "constant": 0.2}
 _KINDS = tuple(STRATEGY_KIND_RATIOS)
@@ -39,10 +43,17 @@ def _pick(rng, seq):
     return seq[int(rng.integers(len(seq)))]
 
 
+def _floored_rows(e: np.ndarray, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
+    """Unit exponentials ``e`` as flat-Dirichlet rows over the last axis, mixed with the uniform
+    row at weight ``floor_frac``: for alpha = 1 ``rng.dirichlet`` scales each row of ziggurat
+    ``standard_exponential`` draws by 1 / its running sum (``e.sum`` would sum pairwise)."""
+    rows = e * (1.0 / e.cumsum(axis=-1)[..., -1:])
+    return (1.0 - floor_frac) * rows + floor_frac / e.shape[-1]
+
+
 def _floored(rng, shape: tuple, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
     """A flat-Dirichlet table of ``shape`` mixed with the uniform table at weight ``floor_frac``."""
-    t = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
-    return (1.0 - floor_frac) * t + floor_frac / t.size
+    return _floored_rows(rng.standard_exponential(math.prod(shape)), floor_frac).reshape(shape)
 
 
 def random_distribution(rng, m: int, floor_frac: float = _FLOOR_FRAC) -> Distribution:
@@ -63,13 +74,13 @@ def random_ci_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
 
 
 def _ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
-    pz = _floored(rng, (mz,))
-    t = np.zeros((mz, mx, my))
-    for z in range(mz):
-        px = _floored(rng, (mx,))
-        py = _floored(rng, (my,))
-        t[z] = pz[z] * np.outer(px, py)
-    return t
+    """pz, then each z's px and py, as one run of the floored draws that follow one another
+    in the stream; ``t[z] = pz[z] * outer(px, py)``."""
+    e = rng.standard_exponential(mz * (1 + mx + my))
+    pz = _floored_rows(e[:mz])
+    factors = e[mz:].reshape(mz, mx + my)
+    px, py = _floored_rows(factors[:, :mx]), _floored_rows(factors[:, mx:])
+    return pz[:, None, None] * (px[:, :, None] * py[:, None, :])
 
 
 def random_strategy_kind(rng) -> str:
@@ -90,27 +101,29 @@ def random_strategy(seed: RngSeed, m: int, kind: str = "dense") -> Strategy:
     Kinds: ``dense`` (Dirichlet rows), ``sparse`` (1-2 nonzeros per row),
     ``permutation``, ``constant`` (signal-independent reporting).
     """
+    m, seed = _int_at_least(m, 1, "m"), _int_at_least(seed, 0, "seed")
     return random_mixed_strategy(rng_from_seed(seed), m, kind)
 
 
 def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
                    floor_frac: float = _FLOOR_FRAC) -> TransitionMatrix:
     """Row-stochastic channel of a sampled kind; dense and constant rows carry
-    a uniform floor of ``floor_frac``."""
+    a uniform floor of ``floor_frac``.  ``m_out`` defaults to ``m_in``."""
+    m_in = _int_at_least(m_in, 1, "m_in")
+    m_out = m_in if m_out is None else _int_at_least(m_out, 1, "m_out")
     return TransitionMatrix(_channel_rows(rng, m_in, m_out, kind, floor_frac))
 
 
 def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
                   floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
-    m_out = m_out or m_in
+    m_out = m_in if m_out is None else m_out
     kind = kind or random_strategy_kind(rng)
     if kind == "permutation" and m_in != m_out:
         kind = "sparse"
     if kind == "dense":
-        rows = rng.dirichlet(np.ones(m_out), size=m_in)
-        rows = (1.0 - floor_frac) * rows + floor_frac / m_out
+        rows = _floored_rows(rng.standard_exponential((m_in, m_out)), floor_frac)
     elif kind == "constant":
-        rows = np.tile(_floored(rng, (m_out,), floor_frac), (m_in, 1))
+        rows = np.repeat(_floored(rng, (1, m_out), floor_frac), m_in, axis=0)
     elif kind == "permutation":
         rows = np.zeros((m_in, m_out))
         rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
@@ -119,7 +132,7 @@ def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = N
         for r in range(m_in):
             support = rng.choice(m_out, size=int(rng.integers(1, min(m_out, 2) + 1)),
                                  replace=False)
-            rows[r, support] = rng.dirichlet(np.ones(support.size))
+            rows[r, support] = _floored_rows(rng.standard_exponential(support.size), 0.0)
     else:
         raise DimensionMismatch(f"unknown channel kind {kind!r}")
     return rows

@@ -10,8 +10,9 @@ and its relabeled twins, md-equivalence of its three report pairs, bts of its
 two world tensors), while the one-table suites (bregman-quasi, accuracy-gain)
 and effort check a chunk's drawn instances together, one stacked call per
 shape group, and record them in index order.  They draw raw arrays through
-the private samplers and validate each shape group's stack once, with the
-tests the validated objects would have applied.  A table's value never
+the private samplers, which read the public samplers' stream and give their
+bits, and validate each shape group's stack once, with the tests the
+validated objects would have applied.  A table's value never
 depends on the stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
 recorded violation is replayed by re-running its one instance as a chunk of
@@ -65,7 +66,6 @@ from .measures import (
     divergence_monotonicity_witness,
     f_divergence,
     is_fine_grained,
-    log_score_accuracy_gain,
 )
 from .mechanisms import (
     SEEDED_RANDOM,
@@ -471,7 +471,8 @@ def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
 
 def _effort_draw(rng) -> tuple:
     """Peer count, raw joint, generator, the unit draws of cost and lambda, and raw strategy
-    rows, with the public samplers' rng calls: ``rng.uniform(0.0, h)`` is ``h * rng.random()``."""
+    rows, from the public samplers' stream and bits: ``rng.uniform(0.0, h)`` is
+    ``h * rng.random()``."""
     m = sampling._pick(rng, _ALPHABET_SIZES)
     n = sampling._pick(rng, _AGENT_COUNTS)
     joint = sampling._floored(rng, (m, m))
@@ -535,7 +536,8 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
 
 
 def _bregman_quasi_draw(rng) -> tuple:
-    """Raw joint, rule, X channel rows and Y channel rows, with the public samplers' rng calls."""
+    """Raw joint, rule, X channel rows and Y channel rows, from the public samplers' stream
+    and bits."""
     mx = sampling._pick(rng, _ALPHABET_SIZES)
     my = sampling._pick(rng, _ALPHABET_SIZES)
     joint = sampling._floored(rng, (mx, my))
@@ -546,25 +548,29 @@ def _bregman_quasi_draw(rng) -> tuple:
 
 
 def _bregman_quasi_check(group: list) -> tuple:
-    """Per instance of a group with one joint shape, one rule and one Y channel shape: BMI
+    """Per instance of a group with one joint shape (so one shape of each square channel): BMI
     before and after each channel, whether the X channel is the identity, and the log bridge
-    gap.  The joints are validated as rank-2 tables, the channels row by row."""
+    gap.  The joints are validated as rank-2 tables, the channels row by row and both pushes
+    as one stack; the BMI of the joints and both pushes is taken once per rule of the group,
+    and each instance reads its own rule's."""
     joints = _validated_tables(np.stack([d[0] for d in group]), rank=2)
     channels = _validated_tables(np.stack([d[2] for d in group]), rank=1)
     y_channels = _validated_tables(np.stack([d[3] for d in group]), rank=1)
-    rule = group[0][1]
-    before = _bregman_mi(joints, rule)
-    after = _bregman_mi(_validated_tables(_push_first(joints, channels), rank=2), rule)
-    log_bmi = before if rule is ScoringRule.LOG else _bregman_mi(joints, ScoringRule.LOG)
-    bridge_gap = np.abs(log_bmi - _shannon_mi(joints))
-    after_y = _bregman_mi(_validated_tables(joints @ y_channels, rank=2), rule)
+    pushed = _validated_tables(np.concatenate([_push_first(joints, channels),
+                                               joints @ y_channels]), rank=2)
+    tables = np.concatenate([joints, pushed])
+    rules = list(dict.fromkeys([ScoringRule.LOG] + [d[1] for d in group]))
+    bmi = np.stack([_bregman_mi(tables, rule).reshape(3, len(group)) for rule in rules])
+    pick = [rules.index(d[1]) for d in group]
+    before, after, after_y = bmi[pick, :, np.arange(len(group))].T
+    bridge_gap = np.abs(bmi[0, 0] - _shannon_mi(joints))
     return before, after, _identity_mask(channels), bridge_gap, after_y
 
 
 def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
     drawn = [_bregman_quasi_draw(rng_from_seed(config.seed, idx)) for idx in chunk]
-    checked = _grouped(drawn, lambda d: (d[0].shape, d[1], d[3].shape), _bregman_quasi_check)
+    checked = _grouped(drawn, lambda d: d[0].shape, _bregman_quasi_check)
     for idx, (joint, rule, channel, y_channel), values in zip(chunk, drawn, checked):
         before, after, identity, bridge_gap, after_y = values
         data = {"joint": _jl(joint), "channel": _jl(channel), "rule": rule.value,
@@ -600,7 +606,7 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
 
 
 def _accuracy_gain_draw(rng, idx: int) -> np.ndarray:
-    """A raw (Z, X, Y) tensor, with the public samplers' rng calls."""
+    """A raw (Z, X, Y) tensor, from the public samplers' stream and bits."""
     mz = sampling._pick(rng, _ALPHABET_SIZES)
     mx = sampling._pick(rng, _ALPHABET_SIZES)
     my = sampling._pick(rng, _ALPHABET_SIZES)
@@ -610,23 +616,22 @@ def _accuracy_gain_draw(rng, idx: int) -> np.ndarray:
 
 
 def _accuracy_gain_check(tensors: list) -> tuple:
-    """Per tensor of a group with one shape, validated once as rank-3 tables: the conditional
-    KL information and, where Z has one value, the Shannon information of its one slice
-    (else NaN)."""
+    """Per tensor of a group with one shape, validated once as rank-3 tables: the log-score
+    accuracy gain, the conditional KL information and, where Z has one value, the Shannon
+    information of its one slice (else NaN)."""
     t = _validated_tables(np.stack(tensors), rank=3)
-    rhs = _slice_mean(t, _mi_kernel(ConvexGenerator.KL))
+    lhs, rhs = _log_score_gains(t), _slice_mean(t, _mi_kernel(ConvexGenerator.KL))
     if t.shape[1] > 1:
-        return rhs, np.full_like(rhs, np.nan)
+        return lhs, rhs, np.full_like(rhs, np.nan)
     flat = _validated_tables(t[:, 0] / t[:, 0].sum(axis=(-2, -1))[:, None, None], rank=2)
-    return rhs, _shannon_mi(flat)
+    return lhs, rhs, _shannon_mi(flat)
 
 
 def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol = config.equality_tol
     drawn = [_accuracy_gain_draw(rng_from_seed(config.seed, idx), idx) for idx in chunk]
     checked = _grouped(drawn, lambda tensor: tensor.shape, _accuracy_gain_check)
-    for idx, tensor, (rhs, flat) in zip(chunk, drawn, checked):
-        lhs = log_score_accuracy_gain(JointDistribution(tensor))
+    for idx, tensor, (lhs, rhs, flat) in zip(chunk, drawn, checked):
         data = {"tensor": _jl(tensor), "accuracy_gain": lhs, "conditional_mi": rhs}
         rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
         if idx % 3 == 1:

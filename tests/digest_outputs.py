@@ -32,9 +32,12 @@ efforts, then ``mechanism bts-idealized`` and ``sweep --kind bts-gap`` on a
 9-agent, 6-signal world-model scenario with four states, then effort at 1100
 instances and seed 11 under ``--equality-tol 1e-300`` (more than two of the
 512-instance chunks its check groups, not a multiple of them, with violation
-payloads), and last md-equivalence at 300 instances and seed 3 under
+payloads), then md-equivalence at 300 instances and seed 3 under
 ``--equality-tol 1e-300``, whose violations carry the rewards and half
-total-variation informations of the truthful and the drawn report pairs.  A
+total-variation informations of the truthful and the drawn report pairs, and
+last accuracy-gain at 1100 instances and seed 11 under ``--equality-tol
+1e-300``, whose violations carry the stacked accuracy gain of every tensor
+shape over three chunks next to its conditional information.  A
 command that raises instead of writing an output is digested as its exception
 type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
@@ -219,6 +222,10 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
                  "--equality-tol", "1e-300"]))
     out.append(("verify-md-equivalence-forced",
                 ["verify", "md-equivalence", "--instances", "300", "--seed", "3",
+                 "--equality-tol", "1e-300"]))
+    # the stacked accuracy gain of every shape group over three chunks, with its payloads
+    out.append(("verify-accuracy-gain-1100-forced",
+                ["verify", "accuracy-gain", "--instances", "1100", "--seed", "11",
                  "--equality-tol", "1e-300"]))
     return out
 

@@ -6,12 +6,15 @@ cross-check the two routes against each other.  The reference routes at the
 end are the payment loops, the one-scenario-per-effort-level utility, the
 one-scenario-at-a-time payments of the scenario-equivalence suite and the
 strategy sampler that the library's merged engines and stacks replaced, kept
-as they were; the md/ca loops take their comparison subsets from the engine's
+as they were, with the ``rng.dirichlet`` draws of the floored table, the channel
+rows and the CI table that the private samplers made before they took unit
+exponentials; the md/ca loops take their comparison subsets from the engine's
 batched draw and apply the per-question rewards.
-The one-table suites' per-instance parts, which drew and checked one table at
-a time through the public single-table functions, the effort suite's per-instance
-part, which drew one prior, strategy and cost through the public samplers and paid
-each instance from stacks of one, the md-equivalence and bts per-instance parts,
+The one-table suites' per-instance parts, which drew through those ``rng.dirichlet``
+forms and checked one table at a time through the public single-table functions,
+the bregman-quasi check per joint shape, rule and Y channel shape, the effort
+suite's per-instance part, which drew one prior, strategy and cost through those
+forms and paid each instance from stacks of one, the md-equivalence and bts per-instance parts,
 which paid each report pair and scored each world tensor on its own through the
 public single-pair functions, and the masked sums the Shannon and slice-mean
 code used before it took stacks follow.  The file closes
@@ -73,6 +76,9 @@ from peerlab.probability import (
     JointDistribution,
     RngSeed,
     TransitionMatrix,
+    _identity_mask,
+    _push_first,
+    _validated_tables,
     condition_on,
     permutation_channel,
     product_of_marginals,
@@ -677,6 +683,50 @@ def random_strategy_rng(rng, m, kind):
     return Strategy(TransitionMatrix(rows), label=kind)
 
 
+def dirichlet_floored(rng, shape: tuple, floor_frac: float = sampling._FLOOR_FRAC) -> np.ndarray:
+    """``sampling._floored`` as it drew its table with one ``rng.dirichlet``."""
+    t = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    return (1.0 - floor_frac) * t + floor_frac / t.size
+
+
+def dirichlet_channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
+                           floor_frac: float = sampling._FLOOR_FRAC) -> np.ndarray:
+    """``sampling._channel_rows`` as it drew dense and sparse rows with ``rng.dirichlet`` and
+    tiled the constant row."""
+    m_out = m_in if m_out is None else m_out
+    kind = kind or choice_strategy_kind(rng)
+    if kind == "permutation" and m_in != m_out:
+        kind = "sparse"
+    if kind == "dense":
+        rows = rng.dirichlet(np.ones(m_out), size=m_in)
+        rows = (1.0 - floor_frac) * rows + floor_frac / m_out
+    elif kind == "constant":
+        rows = np.tile(dirichlet_floored(rng, (m_out,), floor_frac), (m_in, 1))
+    elif kind == "permutation":
+        rows = np.zeros((m_in, m_out))
+        rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
+    elif kind == "sparse":
+        rows = np.zeros((m_in, m_out))
+        for r in range(m_in):
+            support = rng.choice(m_out, size=int(rng.integers(1, min(m_out, 2) + 1)),
+                                 replace=False)
+            rows[r, support] = rng.dirichlet(np.ones(support.size))
+    else:
+        raise DimensionMismatch(f"unknown channel kind {kind!r}")
+    return rows
+
+
+def loop_ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
+    """``sampling._ci_table`` as it drew pz and then each z's px and py in a loop over z."""
+    pz = dirichlet_floored(rng, (mz,))
+    t = np.zeros((mz, mx, my))
+    for z in range(mz):
+        px = dirichlet_floored(rng, (mx,))
+        py = dirichlet_floored(rng, (my,))
+        t[z] = pz[z] * np.outer(px, py)
+    return t
+
+
 def loop_reference_sets(n: int, pairing: str, seed: RngSeed | None):
     """Per agent, the reference agents to average over; the seeded branch builds the
     list of the other agents for each agent."""
@@ -803,14 +853,14 @@ def matrix_inverse_maps(maps) -> list:
 
 
 def bregman_quasi_instance(rec, config, idx: int, rng) -> None:
-    """One bregman-quasi instance, drawn and checked on its own, as the suite ran before its
-    check was stacked over a chunk of instances."""
+    """One bregman-quasi instance, drawn with ``rng.dirichlet`` and checked on its own, as the
+    suite ran before its check was stacked over a chunk of instances."""
     tol, stol = config.equality_tol, config.strictness_tol
     mx = int(rng.choice(_ALPHABET_SIZES))
     my = int(rng.choice(_ALPHABET_SIZES))
-    joint = sampling.random_joint(rng, mx, my)
+    joint = JointDistribution(dirichlet_floored(rng, (mx, my)))
     rule = sampling.random_rule_choice(rng)
-    channel = sampling.random_channel(rng, mx)
+    channel = TransitionMatrix(dirichlet_channel_rows(rng, mx))
     before = measures.bregman_mi(joint, rule)
     after = measures.bregman_mi(push_first(joint, channel), rule)
     data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "rule": rule.value,
@@ -821,7 +871,7 @@ def bregman_quasi_instance(rec, config, idx: int, rng) -> None:
     bridge_gap = abs(measures.bregman_mi(joint, ScoringRule.LOG) - measures.shannon_mi(joint))
     rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
               {"joint": _jl(joint.table), "gap": bridge_gap})
-    y_channel = sampling.random_channel(rng, my)
+    y_channel = TransitionMatrix(dirichlet_channel_rows(rng, my))
     after_y = measures.bregman_mi(push_second(joint, y_channel), rule)
     if after_y > before + stol:
         rec.finding({
@@ -836,18 +886,16 @@ def bregman_quasi_instance(rec, config, idx: int, rng) -> None:
 
 
 def accuracy_gain_instance(rec, config, idx: int, rng) -> None:
-    """One accuracy-gain instance, drawn and checked on its own, as the suite ran before its
-    check was stacked over a chunk of instances."""
+    """One accuracy-gain instance, drawn with ``rng.dirichlet`` and checked on its own, as the
+    suite ran before its check was stacked over a chunk of instances."""
     tol = config.equality_tol
     mz = int(rng.choice(_ALPHABET_SIZES))
     mx = int(rng.choice(_ALPHABET_SIZES))
     my = int(rng.choice(_ALPHABET_SIZES))
     if idx % 3 == 1:
-        tensor = sampling.random_ci_tensor(rng, mz, mx, my)
-    elif idx % 5 == 2:
-        tensor = sampling.random_conditional_tensor(rng, 1, mx, my)
+        tensor = JointDistribution(loop_ci_table(rng, mz, mx, my))
     else:
-        tensor = sampling.random_conditional_tensor(rng, mz, mx, my)
+        tensor = JointDistribution(dirichlet_floored(rng, (1 if idx % 5 == 2 else mz, mx, my)))
     lhs = measures.log_score_accuracy_gain(tensor)
     rhs = measures.conditional_mi(tensor, ConvexGenerator.KL)
     data = {"tensor": _jl(tensor.table), "accuracy_gain": lhs, "conditional_mi": rhs}
@@ -859,14 +907,31 @@ def accuracy_gain_instance(rec, config, idx: int, rng) -> None:
         rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
 
 
+def shape_rule_bregman_quasi_check(group: list) -> tuple:
+    """``verify._bregman_quasi_check`` as it ran on a group with one joint shape, one rule and
+    one Y channel shape, before it took one group per joint shape and picked each instance's
+    rule from the BMI of one stack of joints and pushes per rule."""
+    joints = _validated_tables(np.stack([d[0] for d in group]), rank=2)
+    channels = _validated_tables(np.stack([d[2] for d in group]), rank=1)
+    y_channels = _validated_tables(np.stack([d[3] for d in group]), rank=1)
+    rule = group[0][1]
+    before = measures._bregman_mi(joints, rule)
+    after = measures._bregman_mi(_validated_tables(_push_first(joints, channels), rank=2), rule)
+    log_bmi = before if rule is ScoringRule.LOG else measures._bregman_mi(joints, ScoringRule.LOG)
+    bridge_gap = np.abs(log_bmi - measures._shannon_mi(joints))
+    after_y = measures._bregman_mi(_validated_tables(joints @ y_channels, rank=2), rule)
+    return before, after, _identity_mask(channels), bridge_gap, after_y
+
+
 def effort_instance(rec, config, idx: int, rng) -> None:
-    """One effort instance, drawn through the public samplers and paid from stacks of one
+    """One effort instance, drawn with ``rng.dirichlet`` and paid from stacks of one
     instance, as the suite ran before it drew raw arrays and paid each group of a chunk
     from one stack."""
     tol = config.equality_tol
     m = sampling._pick(rng, _ALPHABET_SIZES)
     n = sampling._pick(rng, _AGENT_COUNTS)
-    prior = sampling.random_pairwise_symmetric_prior(rng, m)
+    table = sampling._symmetrized(dirichlet_floored(rng, (m, m)))
+    prior = PairwisePrior(JointDistribution(table))
     gen = sampling.random_generator_choice(rng)
     full_mi = measures.mutual_information(prior.pair_joint(0, 1), gen)
     cost = float(rng.uniform(0.0, 1.5 * max(full_mi, 1e-3)))
@@ -886,7 +951,7 @@ def effort_instance(rec, config, idx: int, rng) -> None:
 
     # mixture convexity of the information measure
     lam = float(rng.uniform(0.0, 1.0))
-    rows = sampling.random_mixed_strategy(rng, m).channel.rows
+    rows = TransitionMatrix(dirichlet_channel_rows(rng, m, None, None, 0.0)).rows
     li = np.array([1.0, 0.0, lam])[:, None, None, None]  # agent 0 at effort 1, 0 and lam
     j_full, j_none, j_mix = joints = verify._agent0_tables(q[:1], rows, np.eye(m), li, 1.0)[:, 0]
     mix_table = lam * j_full + (1.0 - lam) * j_none

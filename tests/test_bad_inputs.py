@@ -3,8 +3,9 @@ non-integral values, or a list where one size or one Distribution belongs:
 each gives a valid object or a PeerLabError, never a bare numpy or Python
 error and never a silent NaN.  The same holds for the empirical payment
 engines given a single agent, for strategies whose channels do not share one
-shape on a world's signals, and for signal indices and seeds, and for agent
-indices, where a negative value never counts from the end."""
+shape on a world's signals, for the exported strategy sampler's size and seed,
+and for signal indices and seeds, and for agent indices, where a negative value
+never counts from the end."""
 
 import json
 import math
@@ -46,6 +47,7 @@ from peerlab import (
     md_payments,
     permutation_channel,
     point_mass,
+    random_strategy,
     report_joint,
     reported_world_states,
     run_suite,
@@ -54,8 +56,9 @@ from peerlab import (
     truthful_scenario,
     uniform_distribution,
 )
+from peerlab import sampling
 from peerlab.errors import PeerLabError, UnsupportedPriorMode
-from peerlab.probability import sample
+from peerlab.probability import rng_from_seed, sample
 
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.5, -1.0, 0.0, 3.0])
 # Kept small: an accepted size parameter is used, and a huge one would only
@@ -143,7 +146,8 @@ def test_indices_and_seeds(v):
     for obj in (built(lambda: point_mass(3, v)), built(lambda: condition_on(TENSOR, v)),
                 built(lambda: sample(HALF, v, 3)), built(lambda: HALF[v]),
                 built(lambda: ScoringRule.LOG.score(v, HALF)),
-                built(lambda: ScoringRule.QUADRATIC.score(v, HALF))):
+                built(lambda: ScoringRule.QUADRATIC.score(v, HALF)),
+                built(lambda: random_strategy(v, 2))):
         assert obj is None or v >= 0
 
 
@@ -159,10 +163,11 @@ def test_indices_and_seeds(v):
     lambda: SuiteConfig(suite="dpi", instances=[1, 2]),
     lambda: ReportMatrix.full(np.array([[np.uint64(2**63), 0], [1, 0]], dtype=np.uint64), 2),
     lambda: ScoringRule.LOG.score(1.5, HALF), lambda: ScoringRule.QUADRATIC.score("1", HALF),
+    lambda: random_strategy(-1, 3), lambda: random_strategy(1.5, 3),
 ], ids=["z=-1", "z=2", "z=0.5", "sigma=-1", "sigma=3", "sigma=1.5", "seed=-1", "seed=1.5",
         "seed=list", "getitem=-1", "getitem=2", "getitem=0.5", "suite-seed=1.5",
         "suite-seed=list", "suite-seed=2**63", "suite-instances=list", "report-entry=2**63",
-        "score=1.5", "score=str"])
+        "score=1.5", "score=str", "strategy-seed=-1", "strategy-seed=1.5"])
 def test_index_or_seed_out_of_range(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -176,9 +181,12 @@ def test_index_or_seed_out_of_range(call):
     lambda: ReportMatrix(np.array([[0, 1]]), np.ones((1, 2), dtype=bool), [2]),
     lambda: divergence_monotonicity_witness(HALF, HALF, TransitionMatrix(np.eye(3))),
     lambda: uniform_distribution([1, 2]), lambda: identity_channel([2]),
+    lambda: random_strategy(1, 0), lambda: random_strategy(1, -1),
+    lambda: random_strategy(1, 2.5), lambda: sampling.random_channel(rng_from_seed(0), 3, 0),
 ], ids=["uniform-0", "uniform-2.5", "uniform-(-1)", "identity-2.5", "constant-(-1)",
         "permutation-floats", "permutation-strings", "permutation-scalar",
-        "report-alphabet-list", "witness-sizes", "uniform-list", "identity-list"])
+        "report-alphabet-list", "witness-sizes", "uniform-list", "identity-list",
+        "strategy-0", "strategy-(-1)", "strategy-2.5", "channel-m_out-0"])
 def test_bad_alphabet_sizes_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -214,7 +222,8 @@ def test_point_mass_on_empty_alphabet_names_the_size():
 @settings(max_examples=100, deadline=None)
 def test_alphabet_sizes(v):
     for obj in (built(lambda: uniform_distribution(v)), built(lambda: identity_channel(v)),
-                built(lambda: constant_channel(v, HALF)), built(lambda: point_mass(v, 0))):
+                built(lambda: constant_channel(v, HALF)), built(lambda: point_mass(v, 0)),
+                built(lambda: random_strategy(0, v))):
         assert obj is None or (v >= 1 and v == int(v))
 
 
@@ -300,3 +309,4 @@ TRUTH = truth_telling(2)
 def test_agent_index_out_of_range_or_not_one(call):
     with pytest.raises(DimensionMismatch):
         call()
+

@@ -280,6 +280,7 @@ class TestValidatedTables:
         stack = self.stack(rank)
         out = _validated_tables(stack, rank=rank)
         assert np.array_equal(out, stack) and not out.flags.writeable
+        assert stack.flags.writeable and not np.shares_memory(out, stack)
 
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("position", [0, 2])
@@ -346,3 +347,18 @@ def test_probability_objects_raise_one_error_type_per_fault(name, kind):
     else:
         with pytest.raises(want):
             build(arr)
+
+
+@pytest.mark.parametrize("kind", ["clean", "-1e-13"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_caller_array_stays_writable_and_unshared(name, kind):
+    """The validator keeps a private copy, clipped or not: the caller's float64 array stays
+    writable and unchanged, and a later write to it leaves the object as it was."""
+    build, values, rank, field = BUILDERS[name]
+    arr = np.array(values, dtype=np.float64) if kind == "clean" else _bad(values, kind, rank)
+    given = arr.copy()
+    entries = getattr(build(arr), field)
+    assert arr.flags.writeable and np.array_equal(arr, given)
+    kept = entries.copy()
+    arr[...] = 7.0
+    assert np.array_equal(entries, kept)

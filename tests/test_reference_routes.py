@@ -413,6 +413,50 @@ class TestStreamEqualDraws:
         assert rng_a.random() == rng_b.random()
 
 
+class TestExponentialDraws:
+    """The private samplers draw unit exponentials where they drew ``rng.dirichlet``, and the
+    CI table draws one run of them where it looped over z: the arrays of the ``rng.dirichlet``
+    forms, bit for bit, and the generator left where those forms left it."""
+
+    @given(seeds, st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           st.sampled_from((0.0, sampling._FLOOR_FRAC)))
+    @settings(max_examples=300, deadline=None)
+    def test_floored_equals_dirichlet_form(self, seed, shape, floor_frac):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        got = sampling._floored(rng_a, tuple(shape), floor_frac)
+        assert np.array_equal(got, oracles.dirichlet_floored(rng_b, tuple(shape), floor_frac))
+        assert rng_a.random() == rng_b.random()
+
+    @given(seeds, st.sampled_from(KINDS + (None,)), st.integers(1, 10),
+           st.one_of(st.none(), st.integers(1, 10)), st.sampled_from((0.0, sampling._FLOOR_FRAC)))
+    @settings(max_examples=400, deadline=None)
+    def test_channel_rows_equal_dirichlet_form(self, seed, kind, m_in, m_out, floor_frac):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        got = sampling._channel_rows(rng_a, m_in, m_out, kind, floor_frac)
+        want = oracles.dirichlet_channel_rows(rng_b, m_in, m_out, kind, floor_frac)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()
+
+    @given(seeds, st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_ci_table_equals_loop(self, seed, mz, mx, my):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        got = sampling._ci_table(rng_a, mz, mx, my)
+        assert np.array_equal(got, oracles.loop_ci_table(rng_b, mz, mx, my))
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    def test_bregman_quasi_check_per_joint_shape_equals_per_shape_and_rule(self, seed):
+        # one group per joint shape, both rules' BMI on one stack, against one group per
+        # (joint shape, rule, Y channel shape)
+        drawn = [verify._bregman_quasi_draw(rng_from_seed(seed, idx)) for idx in range(700)]
+        got = verify._grouped(drawn, lambda d: d[0].shape, verify._bregman_quasi_check)
+        want = verify._grouped(drawn, lambda d: (d[0].shape, d[1], d[3].shape),
+                               oracles.shape_rule_bregman_quasi_check)
+        assert got == want
+        assert {d[1] for d in drawn} == set(ScoringRule)
+
+
 def random_scenario(seed: int, n: int, efforts: bool) -> Scenario:
     rng = rng_from_seed(seed)
     m = int(rng.integers(2, 4))
@@ -1412,6 +1456,14 @@ class TestArrayBodies:
         assert_close(_log_score_gains(stack), want)
         assert_close([log_score_accuracy_gain(JointDistribution(t)) for t in stack], want)
         assert_close(want, [oracles.accuracy_gain(t.tolist()) for t in stack])
+
+    @given(table_stacks(rank=3))
+    @settings(max_examples=300, deadline=None)
+    def test_suite_gain_stack_equals_wrapper(self, stack):
+        # the accuracy-gain suite's left side, one stack per shape group, reads each tensor's
+        # log_score_accuracy_gain bit for bit
+        lhs = verify._accuracy_gain_check(list(stack))[0]
+        assert lhs.tolist() == [log_score_accuracy_gain(JointDistribution(t)) for t in stack]
 
     @given(world_profiles())
     @settings(max_examples=300, deadline=None)
