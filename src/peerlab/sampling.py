@@ -7,10 +7,10 @@ macroscopic mass; this keeps strict data-processing margins well away from
 the strictness tolerance without ever filtering instances on outcomes.
 
 The private forms ``_floored``, ``_channel_rows``, ``_ci_table`` and ``_symmetrized`` return
-the raw arrays that the public samplers wrap in validated objects; suites that validate whole
-stacks of tables at once draw through them.  Each flat-Dirichlet draw is taken as the unit
-exponentials ``rng.dirichlet(np.ones(k))`` draws for it (``_floored_rows``), so it reads the
-same stream and gives the same bits as ``rng.dirichlet``.
+raw arrays, which the public samplers (all but ``_ci_table``) wrap in validated objects;
+suites that validate whole stacks of tables at once draw through them.  Each flat-Dirichlet
+draw is taken as the unit exponentials ``rng.dirichlet(np.ones(k))`` draws for it
+(``_floored_rows``), so it reads the same stream and gives the same bits as ``rng.dirichlet``.
 """
 
 from __future__ import annotations
@@ -56,21 +56,21 @@ def _floored(rng, shape: tuple, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
     return _floored_rows(rng.standard_exponential(math.prod(shape)), floor_frac).reshape(shape)
 
 
+def _shape(**sizes) -> tuple:
+    """The table shape of the named sizes, each checked to be one integer >= 1."""
+    return tuple(_int_at_least(size, 1, name) for name, size in sizes.items())
+
+
 def random_distribution(rng, m: int, floor_frac: float = _FLOOR_FRAC) -> Distribution:
-    return Distribution(_floored(rng, (m,), floor_frac))
+    return Distribution(_floored(rng, _shape(m=m), floor_frac))
 
 
 def random_joint(rng, mx: int, my: int) -> JointDistribution:
-    return JointDistribution(_floored(rng, (mx, my)))
+    return JointDistribution(_floored(rng, _shape(mx=mx, my=my)))
 
 
 def random_conditional_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
-    return JointDistribution(_floored(rng, (mz, mx, my)))
-
-
-def random_ci_tensor(rng, mz: int, mx: int, my: int) -> JointDistribution:
-    """Tensor with X independent of Y given Z."""
-    return JointDistribution(_ci_table(rng, mz, mx, my))
+    return JointDistribution(_floored(rng, _shape(mz=mz, mx=mx, my=my)))
 
 
 def _ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
@@ -109,8 +109,7 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
                    floor_frac: float = _FLOOR_FRAC) -> TransitionMatrix:
     """Row-stochastic channel of a sampled kind; dense and constant rows carry
     a uniform floor of ``floor_frac``.  ``m_out`` defaults to ``m_in``."""
-    m_in = _int_at_least(m_in, 1, "m_in")
-    m_out = m_in if m_out is None else _int_at_least(m_out, 1, "m_out")
+    m_in, m_out = _shape(m_in=m_in, m_out=m_in if m_out is None else m_out)
     return TransitionMatrix(_channel_rows(rng, m_in, m_out, kind, floor_frac))
 
 

@@ -23,8 +23,10 @@ reading.  Claims that are asymptotic in the source theory are tagged
 Strictness assertions follow the proved direction only: a strict decrease is
 required exactly where the witness condition holds (strictly convex
 generator, square non-permutation channel on an all-ratios-separated joint),
-never conversely.  A strict decrease of a divergence or of f-MI must reach its
-proved Jensen bound, and exceed the strictness tolerance only where it does.
+never conversely.  ``_Recorder.strict_drop`` decides each strict claim: a drop
+of a divergence or of f-MI must reach its proved Jensen bound, and exceed the
+strictness tolerance only where the bound does; a payment drop must reach its
+moved pair's certified drop over n - 1 peers (data processing: no other term rises).
 """
 
 from __future__ import annotations
@@ -195,12 +197,15 @@ class _Recorder:
     def margin(self, value: float) -> None:
         self.margins.append(float(value))
 
-    def strict_drop(self, name: str, instance: int, drop: float, bound: float, data: dict) -> None:
-        """Claim ``name``: ``drop`` reaches its proved Jensen bound (exact for chi^2, hence the
-        float slack), and exceeds the strictness tolerance only where the bound does."""
+    def strict_drop(self, name: str, instance: int, drop: float, certified: float, bound: float,
+                    data: dict) -> None:
+        """Claim ``name``: ``drop`` reaches ``certified`` (its lower bound free of cancelling
+        sums) up to a float tie, ``certified`` reaches the proved Jensen ``bound`` (exact for
+        chi^2, hence the slack); ``drop`` exceeds the strictness tolerance where ``bound`` does."""
         stol = self.config.strictness_tol
-        ok = drop >= bound * (1.0 - 1e-9) and (bound <= stol or drop > stol)
-        self.check(name, "inequality", ok, instance, {**data, "bound": bound})
+        ok = certified >= bound * (1.0 - 1e-9) and drop >= certified - 1e-12
+        self.check(name, "inequality", ok and (bound <= stol or drop > stol), instance,
+                   {**data, "certified": certified, "bound": bound})
         self.margin(drop)
 
     def finding(self, entry: dict) -> None:
@@ -285,8 +290,16 @@ def _jl(arr) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _pair_drop(pair: np.ndarray, cells: np.ndarray, gen: ConvexGenerator) -> tuple:
+    """The fall of the f-MI D_f(J, V) of the pair table J when the channel ``cells`` moves its
+    raveled cells, and the proved Jensen bound of that fall."""
+    v = np.outer(pair.sum(axis=1), pair.sum(axis=0))
+    before, after = _f_mi(np.stack([pair, (pair.ravel() @ cells).reshape(pair.shape)]), gen)
+    return float(before - after), _divergence_decrease_bound(pair.ravel(), v.ravel(), cells, gen)
+
+
 def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    tol, stol = config.equality_tol, config.strictness_tol
+    tol = config.equality_tol
     mx = sampling._pick(rng, _ALPHABET_SIZES)
     my = sampling._pick(rng, _ALPHABET_SIZES)
     rectangular = idx % 7 == 3
@@ -294,7 +307,7 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     joint = sampling.random_joint(rng, mx, my)
     channel = sampling.random_channel(rng, mx, m_out)
     gen = sampling.random_generator_choice(rng)
-    rep = check_dpi(joint, channel, gen, tol, stol)
+    rep = check_dpi(joint, channel, gen, tol)
     data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "generator": gen.value,
             "before": rep.before, "after": rep.after}
     rec.check("mi_dpi", "inequality", rep.holds, idx, data)
@@ -302,10 +315,9 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
         rec.check("mi_permutation_equality", "equality",
                   abs(rep.before - rep.after) <= 1e-12, idx, data)
     elif channel.shape[0] == channel.shape[1] and gen.strictly_convex and is_fine_grained(joint):
-        v = np.outer(joint.table.sum(axis=1), joint.table.sum(axis=0))
-        bound = _divergence_decrease_bound(joint.table.ravel(), v.ravel(),
-                                           np.kron(channel.rows, np.eye(my)), gen)
-        rec.strict_drop("mi_dpi_strict", idx, rep.before - rep.after, bound, data)
+        _, bound = _pair_drop(joint.table, np.kron(channel.rows, np.eye(my)), gen)
+        rec.strict_drop("mi_dpi_strict", idx, rep.before - rep.after, rep.before - rep.after,
+                        bound, data)
     # divergence-level monotonicity on the same channel
     p = sampling.random_distribution(rng, mx)
     q = sampling.random_distribution(rng, mx)
@@ -316,7 +328,8 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     rec.check("divergence_monotonicity", "inequality", d_after <= d_before + tol, idx, ddata)
     if gen.strictly_convex and divergence_monotonicity_witness(p, q, channel):
         bound = _divergence_decrease_bound(p.weights, q.weights, channel.rows, gen)
-        rec.strict_drop("divergence_strict", idx, d_before - d_after, bound, ddata)
+        rec.strict_drop("divergence_strict", idx, d_before - d_after, d_before - d_after, bound,
+                        ddata)
 
 
 def suite_dpi(config: SuiteConfig) -> SuiteVerdict:
@@ -353,7 +366,7 @@ def _agent0_payments(q, a, b, li, lj, gen) -> np.ndarray:
 
 
 def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    tol, stol = config.equality_tol, config.strictness_tol
+    tol = config.equality_tol
     m = sampling._pick(rng, _ALPHABET_SIZES)
     n = sampling._pick(rng, _AGENT_COUNTS)
     prior = _pair_prior_for(rng, n, m)
@@ -377,9 +390,10 @@ def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: in
         rec.check("permutation_ties", "equality",
                   abs(pay_dev - pay_truth) <= 1e-12, idx, data)
     elif gen.strictly_convex and is_fine_grained(JointDistribution(q[0])):
-        rec.check("non_permutation_strictly_below", "inequality",
-                  pay_truth - pay_dev > stol, idx, data)
-        rec.margin(pay_truth - pay_dev)
+        # agent 0's pair with truthful peer 1 moves through S (x) I; no other peer term rises
+        drop, bound = _pair_drop(q[0], np.kron(deviation.channel.rows, np.eye(m)), gen)
+        rec.strict_drop("non_permutation_strictly_below", idx, pay_truth - pay_dev,
+                        drop / (n - 1), bound / (n - 1), data)
     if deviation.label == "constant":
         rec.check("constant_pays_zero", "equality", abs(pay_dev) <= 1e-12, idx, data)
 
@@ -392,7 +406,7 @@ def suite_dominant_truthfulness(config: SuiteConfig) -> SuiteVerdict:
 
 
 def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    tol, stol = config.equality_tol, config.strictness_tol
+    tol = config.equality_tol
     m = sampling._pick(rng, _ALPHABET_SIZES)
     n = 3
     prior = sampling.random_full_joint_prior(rng, n, m)
@@ -419,9 +433,10 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
         rec.check("permutation_leaves_peers", "equality",
                   abs(pay_after - pay_before) <= 1e-12, idx, data)
     elif observer_truthful and gen.strictly_convex and is_fine_grained(JointDistribution(q[0])):
-        rec.check("peer_payment_drops_strictly", "inequality",
-                  pay_before - pay_after > stol, idx, data)
-        rec.margin(pay_before - pay_after)
+        # the truthful observer's pair with peer 1 moves through I (x) S; the bystander's stays
+        drop, bound = _pair_drop(q[0], np.kron(np.eye(m), deviation.channel.rows), gen)
+        rec.strict_drop("peer_payment_drops_strictly", idx, pay_before - pay_after,
+                        drop / (n - 1), bound / (n - 1), data)
     if deviation.label == "constant":
         pair = _agent0_tables(q[:1], observer.channel.rows, deviation.channel.rows[None], 1.0, 1.0)
         rec.check("constant_pairing_zero", "equality", abs(_mi_kernel(gen)(pair[0])) <= 1e-12,
@@ -606,7 +621,7 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
 
 
 def _accuracy_gain_draw(rng, idx: int) -> np.ndarray:
-    """A raw (Z, X, Y) tensor, from the public samplers' stream and bits."""
+    """A raw (Z, X, Y) tensor: ``_ci_table``'s draw, or ``random_conditional_tensor``'s."""
     mz = sampling._pick(rng, _ALPHABET_SIZES)
     mx = sampling._pick(rng, _ALPHABET_SIZES)
     my = sampling._pick(rng, _ALPHABET_SIZES)

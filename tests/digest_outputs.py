@@ -37,7 +37,10 @@ payloads), then md-equivalence at 300 instances and seed 3 under
 total-variation informations of the truthful and the drawn report pairs, and
 last accuracy-gain at 1100 instances and seed 11 under ``--equality-tol
 1e-300``, whose violations carry the stacked accuracy gain of every tensor
-shape over three chunks next to its conditional information.  A
+shape over three chunks next to its conditional information, and last
+truth-monotone at 985 instances and seed 14 and dominant-truthfulness at 514
+instances and seed 255, whose last instances drop a payment strictly by less
+than the strictness tolerance, as their proved pair bounds allow.  A
 command that raises instead of writing an output is digested as its exception
 type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
@@ -227,6 +230,11 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("verify-accuracy-gain-1100-forced",
                 ["verify", "accuracy-gain", "--instances", "1100", "--seed", "11",
                  "--equality-tol", "1e-300"]))
+    # strict payment drops below strictness_tol, whose pair bounds lie below it too
+    out.append(("verify-truth-monotone-985-14",
+                ["verify", "truth-monotone", "--instances", "985", "--seed", "14"]))
+    out.append(("verify-dominant-truthfulness-514-255",
+                ["verify", "dominant-truthfulness", "--instances", "514", "--seed", "255"]))
     return out
 
 

@@ -4,7 +4,7 @@ each gives a valid object or a PeerLabError, never a bare numpy or Python
 error and never a silent NaN.  The same holds for the empirical payment
 engines given a single agent, for strategies whose channels do not share one
 shape on a world's signals, for the exported strategy sampler's size and seed,
-and for signal indices and seeds, and for agent indices, where a negative value
+for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
 never counts from the end."""
 
 import json
@@ -183,10 +183,17 @@ def test_index_or_seed_out_of_range(call):
     lambda: uniform_distribution([1, 2]), lambda: identity_channel([2]),
     lambda: random_strategy(1, 0), lambda: random_strategy(1, -1),
     lambda: random_strategy(1, 2.5), lambda: sampling.random_channel(rng_from_seed(0), 3, 0),
+    *[lambda size=size: sampling.random_distribution(rng_from_seed(0), size)
+      for size in (0, -1, 2.5)],
+    *[lambda size=size: sampling.random_joint(rng_from_seed(0), 2, size) for size in (0, -1, 2.5)],
+    *[lambda size=size: sampling.random_conditional_tensor(rng_from_seed(0), size, 2, 2)
+      for size in (0, -1, 2.5)],
 ], ids=["uniform-0", "uniform-2.5", "uniform-(-1)", "identity-2.5", "constant-(-1)",
         "permutation-floats", "permutation-strings", "permutation-scalar",
         "report-alphabet-list", "witness-sizes", "uniform-list", "identity-list",
-        "strategy-0", "strategy-(-1)", "strategy-2.5", "channel-m_out-0"])
+        "strategy-0", "strategy-(-1)", "strategy-2.5", "channel-m_out-0",
+        *[f"{name}-{size}" for name in ("distribution", "joint-my", "tensor-mz")
+          for size in ("0", "(-1)", "2.5")]])
 def test_bad_alphabet_sizes_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()

@@ -394,14 +394,14 @@ class TestCheckDpi:
     def test_identity_channel_equal(self, canonical_joint):
         rep = check_dpi(canonical_joint, identity_channel(2), KL)
         assert rep.before == pytest.approx(rep.after, abs=1e-15)
-        assert rep.holds and not rep.strict
+        assert rep.holds
 
     def test_full_garbling_tvd(self, canonical_joint):
         garble = TransitionMatrix(np.full((2, 2), 0.5))
         rep = check_dpi(canonical_joint, garble, TVD)
         assert rep.before == pytest.approx(0.6, abs=1e-12)
         assert rep.after == pytest.approx(0.0, abs=1e-12)
-        assert rep.holds and rep.strict
+        assert rep.holds
 
     def test_permutation_equal(self, canonical_joint):
         rep = check_dpi(canonical_joint, permutation_channel([1, 0]), CHI2)

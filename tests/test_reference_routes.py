@@ -371,7 +371,7 @@ class TestStreamEqualDraws:
     def test_tables_equal_public_samplers(self, seed, mz, mx, my, floor_frac):
         routes = [
             (lambda r: sampling._ci_table(r, mz, mx, my),
-             lambda r: sampling.random_ci_tensor(r, mz, mx, my).table),
+             lambda r: JointDistribution(sampling._ci_table(r, mz, mx, my)).table),
             (lambda r: sampling._floored(r, (mz, mx, my)),
              lambda r: sampling.random_conditional_tensor(r, mz, mx, my).table),
             (lambda r: sampling._floored(r, (mx, my)),

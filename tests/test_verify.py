@@ -90,19 +90,24 @@ def test_second_entry_findings_recorded_not_failed():
         assert finding["after"] > finding["before"]
 
 
-def test_forced_violations_replay():
+STRICT_CLAIMS = {
+    "dpi": {"mi_dpi_strict", "divergence_strict"},
+    "dominant-truthfulness": {"non_permutation_strictly_below"},
+    "truth-monotone": {"peer_payment_drops_strictly"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(STRICT_CLAIMS))
+def test_forced_violations_replay(suite):
     # a bound no decrease reaches forces "missing strict decrease" records, whose witnesses
     # must reproduce standalone; no tolerance forces them, as each decrease reaches its bound
-    config = default_config("dpi", instances=300, seed=4)
+    config = default_config(suite, instances=SMALL[suite], seed=13)
     with mock.patch.object(verify, "_divergence_decrease_bound", return_value=1e3):
         verdict = run_suite(config)
-        assert not verdict.passed
-        strict_violations = [v for v in verdict.violations if v["claim"] in
-                             ("mi_dpi_strict", "divergence_strict")]
-        assert {v["claim"] for v in strict_violations} == {"mi_dpi_strict", "divergence_strict"}
-        for violation in strict_violations[:10]:
+        assert {v["claim"] for v in verdict.violations} == STRICT_CLAIMS[suite]
+        for violation in verdict.violations:
             assert replay_violation(violation, config)
-    assert not any(replay_violation(v, config) for v in strict_violations[:10])
+    assert not any(replay_violation(v, config) for v in verdict.violations)
 
 
 @pytest.mark.parametrize("seed,idx", [(129, 145), (14100072004, 152)])
@@ -115,46 +120,80 @@ def test_divergence_strict_holds_where_p_is_close_to_q(seed, idx):
     assert not rec.violations
 
 
+@pytest.mark.parametrize("suite,seed,idx,claim", [
+    ("truth-monotone", 14, 984, "peer_payment_drops_strictly"),
+    ("dominant-truthfulness", 255, 513, "non_permutation_strictly_below"),
+])
+def test_payment_strict_drop_holds_below_the_tolerance(suite, seed, idx, claim):
+    # chi^2 and Hellinger on fine-grained pairs of f-MI near 1e-10: the payment drops, 3.0e-11
+    # and 6.2e-11, lie below strictness_tol, and so does the pair's bound over n - 1; at seed 14
+    # the payment difference reads (1 - 1.2e-7) times that bound, which the pair's drop reaches
+    rec = verify._run(SuiteConfig(suite, instances=1000, seed=seed), [idx])
+    assert rec.claims[claim]["instances"] == 1
+    assert not rec.violations
+
+
 def test_strict_violations_carry_the_bound():
     config = default_config("dpi", instances=20, seed=13)
     with mock.patch.object(verify, "_divergence_decrease_bound", return_value=1e3):
         violations = verify._run(config).violations
     assert {v["claim"] for v in violations} == {"divergence_strict", "mi_dpi_strict"}
     assert all(v["data"]["bound"] == 1e3 for v in violations)
+    assert all(v["data"]["certified"] == v["data"]["before"] - v["data"]["after"]
+               for v in violations if v["claim"] == "mi_dpi_strict")
+
+
+@pytest.mark.parametrize("drop,passes", [(3e-11 - 1e-13, True), (3e-11 - 2e-12, False),
+                                         (0.0, False), (-1e-11, False)])
+def test_strict_drop_must_reach_its_certified_value(drop, passes):
+    # below strictness_tol the bound asks nothing of the drop itself; the certified value, a
+    # lower bound of the drop in exact arithmetic, still does, up to a float tie
+    rec = verify._Recorder(default_config("truth-monotone"))
+    rec.strict_drop("peer_payment_drops_strictly", 0, drop, 3e-11, 2e-11, {})
+    assert rec.claims["peer_payment_drops_strictly"]["violations"] == (0 if passes else 1)
+    assert rec.margins == [drop]
+    if not passes:
+        assert rec.violations[0]["data"] == {"certified": 3e-11, "bound": 2e-11}
 
 
 def test_mi_dpi_strict_bound_is_exact_for_chi_squared():
-    # f-MI is D_f(J, V) on cells, which M on X moves through M (x) I: there the Jensen bound is
-    # exact for chi^2 and below the decrease for KL and Hellinger
+    # f-MI is D_f(J, V) on cells, which M on X moves through M (x) I, and a peer's S on Y through
+    # I (x) S: there the Jensen bound is exact for chi^2 and below the decrease for KL and
+    # Hellinger.  A payment's certified value, its moved pair's drop over n - 1, is at most the
+    # payment drop, and equal to it where no other peer term moves: one peer, or truth-monotone,
+    # whose bystander's term stays; for dpi it is the recorded drop itself
     seen, strict_drop = [], verify._Recorder.strict_drop
 
-    def spied(rec, name, idx, drop, bound, data):
-        seen.append((name, data["generator"], drop, bound))
-        return strict_drop(rec, name, idx, drop, bound, data)
+    def spied(rec, name, idx, drop, certified, bound, data):
+        n = len(data["scenario"]["strategies"]) if "scenario" in data else 2
+        seen.append((name, data.get("generator", data.get("measure")), n, drop, certified, bound))
+        return strict_drop(rec, name, idx, drop, certified, bound, data)
 
     with mock.patch.object(verify._Recorder, "strict_drop", spied):
-        assert run_suite(default_config("dpi", instances=300, seed=13)).passed
-    mi = [(gen, drop, bound) for name, gen, drop, bound in seen if name == "mi_dpi_strict"]
-    assert {gen for gen, _, _ in mi} == {"kl", "chi2", "hellinger"}
-    for gen, drop, bound in mi:
-        if gen == "chi2":
-            assert bound == pytest.approx(drop, rel=1e-9)
-        else:
-            assert 0.0 < bound <= drop
+        for suite, instances in (("dpi", 300), ("dominant-truthfulness", 60),
+                                 ("truth-monotone", 60)):
+            assert run_suite(default_config(suite, instances=instances, seed=13)).passed
+    for claim in ("mi_dpi_strict", "non_permutation_strictly_below",
+                  "peer_payment_drops_strictly"):
+        mi = [entry[1:] for entry in seen if entry[0] == claim]
+        assert {gen for gen, *_ in mi} == {"kl", "chi2", "hellinger"}
+        for gen, n, drop, certified, bound in mi:
+            if gen == "chi2":
+                assert bound == pytest.approx(certified, rel=1e-9)
+            else:
+                assert 0.0 < bound <= certified
+            if claim == "non_permutation_strictly_below" and n == 3:
+                assert certified <= drop + 1e-15
+            else:
+                assert certified == pytest.approx(drop, rel=1e-9, abs=1e-15)
 
 
-# dpi's strict claims are certified by their Jensen bounds, which no tolerance can force
-FORCED = [
-    *[(suite, {"strictness_tol": 1e6}) for suite in ("dominant-truthfulness", "truth-monotone")],
-    *[(suite, {"equality_tol": 1e-300})
-      for suite in ("dpi", "dominant-truthfulness", "truth-monotone", "accuracy-gain",
-                    "bregman-quasi", "md-equivalence")],
-]
-
-
-@pytest.mark.parametrize("suite,tols", FORCED)
-def test_every_forced_violation_replays(suite, tols):
-    config = default_config(suite, instances=SMALL[suite], seed=13, **tols)
+# a tight equality tolerance forces violations; strict claims are certified by their Jensen
+# bounds, which no tolerance can force
+@pytest.mark.parametrize("suite", ["dpi", "dominant-truthfulness", "truth-monotone",
+                                   "accuracy-gain", "bregman-quasi", "md-equivalence"])
+def test_every_forced_violation_replays(suite):
+    config = default_config(suite, instances=SMALL[suite], seed=13, equality_tol=1e-300)
     verdict = run_suite(config)
     assert not verdict.passed
     relaxed = default_config(suite, instances=SMALL[suite], seed=13)
@@ -183,10 +222,13 @@ def test_every_claim_replays_without_violation(suite):
 
 
 def test_replay_from_verdict_json_alone():
-    config = default_config("truth-monotone", instances=30, seed=13, strictness_tol=1e6)
-    raw = json.loads(run_suite(config).to_json())
-    violation = next(v for v in raw["violations"] if v["claim"] == "peer_payment_drops_strictly")
-    assert replay_violation(violation, SuiteConfig(**raw["config"]))
+    config = default_config("truth-monotone", instances=30, seed=13)
+    with mock.patch.object(verify, "_divergence_decrease_bound", return_value=1e3):
+        raw = json.loads(run_suite(config).to_json())
+        violation = next(v for v in raw["violations"]
+                         if v["claim"] == "peer_payment_drops_strictly")
+        assert replay_violation(violation, SuiteConfig(**raw["config"]))
+    assert not replay_violation(violation, SuiteConfig(**raw["config"]))
 
 
 def test_replay_of_serialized_violation():
