@@ -24,7 +24,10 @@ strategy when questions are a priori similar and randomly ordered.
 
 Exact report tables have one builder, ``_report_tables``, and counted ones the Gram
 kernel ``_count_tables``; both take blocks of agents, and ``report_joint`` and
-``empirical_pair_joint`` are their public forms for one agent pair.
+``empirical_pair_joint`` are their public forms for one agent pair.  The Gram kernel
+counts each unordered agent pair once, into a store of n(n-1)/2·m² counts under
+all-pairs pairing (64 MB at n = 1000 and m = 4), with at most ``COUNT_CELLS`` cells
+of scratch per step, and reads the reverse pair transposed.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .probability import (
     JointDistribution,
     RngSeed,
     TransitionMatrix,
+    _check_seed,
     _index,
     _int_at_least,
     _integers,
@@ -422,7 +426,8 @@ def world_tensor(
 
 @dataclass(frozen=True)
 class ReportMatrix:
-    """n agents x T questions of reported signal indices, with an answered mask."""
+    """n agents x T questions of reported signal indices, with an answered mask of bools
+    or 0/1 integers.  Unanswered entries may hold any integers."""
 
     entries: np.ndarray
     mask: np.ndarray
@@ -430,12 +435,20 @@ class ReportMatrix:
 
     def __post_init__(self):
         entries = _integers(self.entries, "report entries")
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.asarray(self.mask)
+        if mask.dtype != bool:
+            if mask.dtype.kind not in "iu" or np.any((mask != 0) & (mask != 1)):
+                raise DimensionMismatch(f"mask must hold bools or 0/1 integers, not {mask.dtype} "
+                                        f"{mask.ravel()[:3]}")
+            mask = mask.astype(bool)
         alphabet_size = _int_at_least(self.alphabet_size, 1, "alphabet_size")
         if entries.shape != mask.shape or entries.ndim != 2:
             raise DimensionMismatch("entries and mask must share an (n, T) shape")
-        answered = entries[mask]
-        if answered.size and (answered.min() < 0 or answered.max() >= alphabet_size):
+
+        def outside(values):
+            return values.size and (values.min() < 0 or values.max() >= alphabet_size)
+
+        if outside(entries) and outside(entries[mask]):  # copies the answered ones only then
             raise DimensionMismatch("report entries outside the alphabet")
         entries.setflags(write=False)
         mask.setflags(write=False)
@@ -460,13 +473,21 @@ class ReportMatrix:
         return np.flatnonzero(self.mask[i])
 
 
+COUNT_CELLS = 2**18  # 8-byte scratch cells per step of the signal draw and of the count kernel
+
+
 def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
     """T iid draws of all n agents' private signals, shape (n, T)."""
     prior, n = scenario.prior, scenario.n_agents
     if isinstance(prior, WorldModelPrior):
         states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
         table = np.stack([s.weights for s in prior.states])
-        return _inverse_cdf(table, rng.random((n, T)), states)
+        signals = np.empty((n, T), dtype=np.intp)
+        block = max(COUNT_CELLS // (2 * T), 1)  # a block's uniforms and draws stay in cache
+        for start in range(0, n, block):  # the rng stream of one (n, T) draw, block by block
+            rows = signals[start:start + block]
+            rows[:] = _inverse_cdf(table, rng.random(rows.shape), states)
+        return signals
     if isinstance(prior, PairwisePrior) and n != 2:
         raise UnsupportedPriorMode(
             "a pairwise prior is only generative for 2 agents; "
@@ -482,21 +503,27 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
     weight reaches it.  ``weights`` holds distributions along its last axis.  Without
     ``rows`` it broadcasts against ``u``; with ``rows``, an index into its leading
     axes that broadcasts against ``u``, each u draws from its row.  The cumulative sums
-    are taken before that gather, and counted one column at a time.  The last column
-    is never compared: it counts as 1, so weights summing to just under 1 (within
+    are taken before that gather, and counted one column at a time in the narrowest
+    unsigned type that holds the alphabet size; the draws come back as intp.  The last
+    column is never compared: it counts as 1, so weights summing to just under 1 (within
     ``NORM_TOL``) still map every u < 1 into the alphabet."""
     cdf = np.cumsum(weights, axis=-1)
-    draws = np.zeros(u.shape, dtype=np.intp)
+    draws = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[-1]))
     for k in range(cdf.shape[-1] - 1):
         column = cdf[..., k]
         draws += u > (column if rows is None else column[rows])
-    return draws
+    return draws.astype(np.intp)
 
 
 def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
     """Sample a full report matrix: T iid questions through each agent's
-    effort coin and report channel.  Deterministic per seed."""
+    effort coin and report channel.  Deterministic per seed.
+
+    Per agent, its channel rows and its no-effort weights are one (m+1, m) table: a
+    question whose effort coin comes up draws from the row of its signal, any other from
+    row m, with one uniform per question either way."""
     T = _int_at_least(T, 0, "T")
+    _check_seed(seed)
     m = scenario.alphabet_size
     n = scenario.n_agents
     rng = rng_from_seed(seed)
@@ -506,26 +533,26 @@ def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
     entries = _sample_signal_tuples(scenario, T, rng)  # row i becomes agent i's reports
     for i in range(n):
         eff = scenario.effort(i)
+        rows = np.vstack([scenario.strategies[i].channel.rows, eff.resolve_no_effort(m).weights])
         coin = rng.random(T) < eff.full_effort_prob
         u = rng.random(T)
-        full = _inverse_cdf(scenario.strategies[i].channel.rows, u, entries[i])
-        lazy = _inverse_cdf(eff.resolve_no_effort(m).weights, u)
-        entries[i] = np.where(coin, full, lazy)
+        entries[i] = _inverse_cdf(rows, u, np.where(coin, entries[i], m))
     return ReportMatrix.full(entries, m)
 
 
-COUNT_CELLS = 2**18  # report-pair cells per step of :func:`_count_tables`: 2 MiB of scratch
-
-
 def _packed_one_hot(reports: ReportMatrix, agents: np.ndarray) -> np.ndarray:
-    """The masked one-hot report array F of ``agents``, bit-packed along the questions:
-    shaped (words, agents, m) in uint64, where bit q of word w of (i, a) is set when the
-    i-th listed agent answered question 64·w + q with report a."""
-    entries, mask = reports.entries[agents], reports.mask[agents]
+    """The masked one-hot report array F of ``agents`` (ascending and distinct), bit-packed
+    along the questions: shaped (words, m, agents) in uint64, where bit q of word w of
+    (a, i) is set when the i-th listed agent answered question 64·w + q with report a.
+    The report rows are compared in the narrowest unsigned type that holds m (an unanswered
+    entry may wrap, but is masked out), and are not gathered when every agent is listed."""
     T, m = reports.n_questions, reports.alphabet_size
-    packed = np.zeros((len(agents), m, -(-T // 64) * 8), dtype=np.uint8)
+    rows = slice(None) if len(agents) == reports.n_agents else agents
+    entries = reports.entries[rows].astype(np.min_scalar_type(m))
+    mask = reports.mask[rows]
+    packed = np.zeros((m, len(agents), -(-T // 64) * 8), dtype=np.uint8)
     for a in range(m):
-        packed[:, a, :(T + 7) // 8] = np.packbits((entries == a) & mask, axis=-1)
+        packed[a, :, :(T + 7) // 8] = np.packbits((entries == a) & mask, axis=-1)
     return np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
 
 
@@ -536,32 +563,50 @@ def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
 
     With F the masked one-hot report array, rows i·m + a and one column per question, the
     count of report pair (a, b) for agents (i, j) is entry (i·m + a, j·m + b) of the Gram
-    product F Fᵀ.  Only the entries of listed pairs are taken, one step at a time: F is
-    bit-packed (:func:`_packed_one_hot`), and each step sums the popcounts of the ANDs of
-    64-question words over about ``COUNT_CELLS`` report-pair cells, in integers.  So
-    all-pairs pairing costs the Gram's n²·m²·T/64 word operations and seeded pairing
-    n·m²·T/64.  The shared-question total of (i, j), the Gram of the answer mask, is the sum
-    of its m x m block, and each table is its counts divided by that total.  The first
-    agent in order with a reference it shares no answered question with raises
-    :class:`NoOverlap`, naming its first such reference.
+    product F Fᵀ.  F Fᵀ is symmetric, so each requested pair maps to its unordered key
+    (min, max), through one ``np.unique``, and each distinct key is counted once; an agent
+    reads its table with a lower-numbered reference transposed.  The uint64 store of the
+    keys' m x m counts holds n(n-1)/2·m² counts under all-pairs pairing (157 KB at n = 50,
+    64 MB at n = 1000, with m = 4) and at most n tables under seeded pairing.
+
+    F is bit-packed (:func:`_packed_one_hot`), and each step gathers the lower and the
+    higher agent's m words of a run of 64-question words, key axis innermost, ANDs the
+    lower agent's word of one report at a time with the higher agent's m words and sums
+    the popcounts.  A step's scratch, both gathered operands and one report's ANDs, stays
+    within ``COUNT_CELLS`` cells; its sums are taken in uint32 (exact: a step covers at
+    most 64·``COUNT_CELLS`` < 2³² questions) and then added to the store.  So all-pairs
+    pairing costs n(n-1)/2·m²·T/64 word operations and seeded pairing at most n·m²·T/64.
+    The shared-question total of (i, j), the Gram of the answer mask, is the sum of its
+    m x m table, and each table is its counts divided by that total.  The first agent in
+    order with a reference it shares no answered question with raises :class:`NoOverlap`,
+    naming its first such reference.
     """
     m, k = reports.alphabet_size, refs.shape[1]
     listed, at = np.unique(np.concatenate([agents, refs.ravel()]), return_inverse=True)
+    own, ref = np.repeat(at[:len(agents)], k), at[len(agents):]
+    keys, key_at = np.unique(np.minimum(own, ref) * listed.size + np.maximum(own, ref),
+                             return_inverse=True)
+    low, high = np.divmod(keys, listed.size)
     bits = _packed_one_hot(reports, listed)
-    own_at, ref_at = at[:len(agents)], at[len(agents):].reshape(refs.shape)
-    cells = max(k * m * m, 1)  # per agent and word
+    cells = 3 * m  # per key and question word: both operands' m words, one report's m ANDs
+    store = np.empty((keys.size, m, m), dtype=np.uint64)
     block = max(COUNT_CELLS // cells, 1)
-    for start in range(0, len(agents), block):
-        rows, cols = own_at[start:start + block], ref_at[start:start + block]
+    for start in range(0, keys.size, block):
+        rows, cols = low[start:start + block], high[start:start + block]
         step = max(COUNT_CELLS // (rows.size * cells), 1)
-        counts = np.zeros((rows.size, m, k * m), dtype=np.uint64)
+        counts = np.zeros((m, m, rows.size), dtype=np.uint64)
         for w in range(0, bits.shape[0], step):
             words = bits[w:w + step]
-            own = np.take(words, rows, axis=1)[..., None]
-            pairs = own & np.take(words, cols, axis=1).reshape(len(words), rows.size, 1, -1)
-            counts += np.bitwise_count(pairs).sum(axis=0, dtype=np.uint64)
-        # in C order, so that each table sums cell by cell as it would alone
-        tables = np.ascontiguousarray(counts.reshape(rows.size, m, k, m).transpose(0, 2, 1, 3))
+            first, second = np.take(words, rows, axis=2), np.take(words, cols, axis=2)
+            for a in range(m):  # report a of the lower agent against each of the higher's
+                pairs = first[:, a, None] & second
+                counts[a] += np.bitwise_count(pairs).sum(axis=0, dtype=np.uint32)
+        store[start:start + rows.size] = counts.transpose(2, 0, 1)
+    key_at, flip = key_at.reshape(refs.shape), (own > ref).reshape(refs.shape)[..., None, None]
+    block = max(COUNT_CELLS // max(k * m * m, 1), 1)
+    for start in range(0, len(agents), block):
+        tables = store[key_at[start:start + block]]
+        tables = np.where(flip[start:start + block], tables.swapaxes(-1, -2), tables)
         totals = tables.sum(axis=(-2, -1))
         if not totals.all():
             r, c = np.argwhere(totals == 0)[0]

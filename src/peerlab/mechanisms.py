@@ -10,7 +10,10 @@ The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
 agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
 (J, report_i, report_J) with J uniform over i's reference agents is exact or
 counted, one call of the core of :func:`report_joint` or :func:`empirical_pair_joint`
-per block of agents of about ``agents.COUNT_CELLS`` cells; one stacked kernel (f-MI,
+per block of agents of about ``agents.COUNT_CELLS`` cells.  Counted joints are read
+from one store that counts each unordered agent pair once (n(n-1)/2·m² counts under
+all-pairs pairing, 64 MB at n = 1000 and m = 4), each counting step within
+``agents.COUNT_CELLS`` cells of scratch; one stacked kernel (f-MI,
 BMI, score shift or agreement) runs over its report-pair slices, averaged with the
 weights Pr[J=j], so a mutual-information payment is MI(report_i; report_J | J).  The
 blocks can be built once for many kernels.  Finite-n
@@ -62,7 +65,8 @@ from .measures import (
     log_score_accuracy_gain,
 )
 from .probability import (
-    Distribution, JointDistribution, RngSeed, _int_at_least, _integers, rng_from_seed,
+    Distribution, JointDistribution, RngSeed, _check_seed, _int_at_least, _integers,
+    rng_from_seed,
 )
 report_joint = agents.report_joint  # not called here; still importable from this module
 
@@ -80,6 +84,7 @@ def _reference_sets(n: int, pairing: str, seed: RngSeed | None):
     if pairing == SEEDED_RANDOM:
         if seed is None:
             raise DimensionMismatch("seeded-random-reference pairing needs a seed")
+        _check_seed(seed)
         rng = rng_from_seed(seed, 17)
         draws = [int(rng.integers(n - 1)) for _ in range(n)]
         return [[k + (k >= i)] for i, k in enumerate(draws)]
@@ -284,6 +289,7 @@ def _subset_payments(
     reference agents.  Each pair's subsets are drawn at once from rng ``stream``
     of the seed (:func:`_comparison_subsets`)."""
     d = _int_at_least(d, 1, "comparison-subset size d")
+    _check_seed(seed)
     n = reports.n_agents
     refs = _reference_sets(n, pairing, seed)
     rng = rng_from_seed(seed, stream)

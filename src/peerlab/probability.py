@@ -340,6 +340,14 @@ def sample(dist: Distribution, seed: RngSeed, count: int) -> np.ndarray:
     return rng.choice(dist.size, size=count, p=dist.weights)
 
 
+def _check_seed(seed) -> None:
+    """DimensionMismatch unless ``seed`` is one integer >= 0, of any size: numpy seeds a
+    generator with integers past the intp range, which :func:`_int_at_least` refuses."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DimensionMismatch(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def rng_from_seed(seed: RngSeed, *stream: int) -> np.random.Generator:
-    """A PCG64 generator for (seed, stream...); distinct streams never collide."""
+    """A PCG64 generator for (seed, stream...); distinct streams never collide.  The seed
+    is not checked here: public entry points check theirs with :func:`_check_seed`."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))

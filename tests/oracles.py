@@ -59,7 +59,7 @@ from peerlab.errors import (
     UnsupportedPriorMode,
     ZeroFrequency,
 )
-from peerlab import measures, mechanisms, sampling, verify
+from peerlab import agents, measures, mechanisms, sampling, verify
 from peerlab.measures import ConvexGenerator, ScoringRule
 from peerlab.mechanisms import (
     ALL_PAIRS,
@@ -1101,6 +1101,40 @@ def bincount_empirical_pair_joint(reports, i: int, j) -> JointDistribution:
     counts = np.bincount(codes.ravel(), minlength=cells + 1)[:cells]
     tables = counts.reshape(refs.size, m, m) / totals[:, None, None]
     return JointDistribution(tables[0] if np.ndim(j) == 0 else tables / refs.size)
+
+
+def ordered_count_tables(reports, agent_list: np.ndarray, refs: np.ndarray):
+    """``agents._count_tables`` as it counted before the unordered store: every requested
+    (agent, reference) pair counted on its own, in agent order, with the one-hot words
+    packed as (words, agents, m) and the ANDs of a step taken over (m, 1) & (1, k·m), per
+    block of agents of ``agents.COUNT_CELLS`` report-pair cells (read at call time)."""
+    m, k = reports.alphabet_size, refs.shape[1]
+    listed, at = np.unique(np.concatenate([agent_list, refs.ravel()]), return_inverse=True)
+    T = reports.n_questions
+    entries, mask = reports.entries[listed], reports.mask[listed]
+    packed = np.zeros((len(listed), m, -(-T // 64) * 8), dtype=np.uint8)
+    for a in range(m):
+        packed[:, a, :(T + 7) // 8] = np.packbits((entries == a) & mask, axis=-1)
+    bits = np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
+    own_at, ref_at = at[:len(agent_list)], at[len(agent_list):].reshape(refs.shape)
+    cells = max(k * m * m, 1)  # per agent and word
+    block = max(agents.COUNT_CELLS // cells, 1)
+    for start in range(0, len(agent_list), block):
+        rows, cols = own_at[start:start + block], ref_at[start:start + block]
+        step = max(agents.COUNT_CELLS // (rows.size * cells), 1)
+        counts = np.zeros((rows.size, m, k * m), dtype=np.uint64)
+        for w in range(0, bits.shape[0], step):
+            words = bits[w:w + step]
+            own = np.take(words, rows, axis=1)[..., None]
+            pairs = own & np.take(words, cols, axis=1).reshape(len(words), rows.size, 1, -1)
+            counts += np.bitwise_count(pairs).sum(axis=0, dtype=np.uint64)
+        tables = np.ascontiguousarray(counts.reshape(rows.size, m, k, m).transpose(0, 2, 1, 3))
+        totals = tables.sum(axis=(-2, -1))
+        if not totals.all():
+            r, c = np.argwhere(totals == 0)[0]
+            raise NoOverlap(f"agents {agent_list[start + r]} and {refs[start + r, c]} "
+                            "share no answered question")
+        yield tables / totals[..., None, None]
 
 
 def gathered_inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

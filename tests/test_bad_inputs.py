@@ -5,7 +5,8 @@ error and never a silent NaN.  The same holds for the empirical payment
 engines given a single agent, for strategies whose channels do not share one
 shape on a world's signals, for the exported strategy sampler's size and seed,
 for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
-never counts from the end."""
+never counts from the end.  Report masks hold bools or 0/1 integers, and the seeds of the
+sampler and the seeded payment engines are non-negative integers of any size."""
 
 import json
 import math
@@ -317,3 +318,46 @@ def test_agent_index_out_of_range_or_not_one(call):
     with pytest.raises(DimensionMismatch):
         call()
 
+
+
+SEEDED = "seeded-random-reference"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, np.int64(-2)], ids=["-1", "1.5", "None", "int64"])
+@pytest.mark.parametrize("call", [
+    lambda seed: generate_reports(SCENARIO, 5, seed),
+    lambda seed: fmi_mechanism_payments(REPORTS, ConvexGenerator.TVD, SEEDED, seed),
+    lambda seed: bmi_mechanism_payments(REPORTS, ScoringRule.LOG, SEEDED, seed),
+    lambda seed: md_payments(REPORTS, 1, seed),
+    lambda seed: ca_payments(REPORTS, 1, seed),
+], ids=["generate_reports", "fmi", "bmi", "md", "ca"])
+def test_bad_seeds_raise_dimension_mismatch(call, seed):
+    with pytest.raises(DimensionMismatch, match="seed"):
+        call(seed)
+
+
+@pytest.mark.parametrize("seed", [0, True, np.uint64(2**63), 2**63, 2**80])
+def test_seeds_past_the_intp_range_are_accepted(seed):
+    assert generate_reports(SCENARIO, 5, seed).n_questions == 5
+    for pay in (lambda: fmi_mechanism_payments(REPORTS, ConvexGenerator.TVD, SEEDED, seed),
+                lambda: bmi_mechanism_payments(REPORTS, ScoringRule.LOG, SEEDED, seed),
+                lambda: md_payments(REPORTS, 1, seed), lambda: ca_payments(REPORTS, 1, seed)):
+        assert finite(pay().payments)
+
+
+@pytest.mark.parametrize("mask", [
+    np.full((2, 2), 0.5), np.array([[1.0, np.nan], [1.0, 1.0]]), np.array([[1, 2], [1, 1]]),
+    np.array([[1, -1], [1, 1]]), np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([["1", "1"]] * 2),
+], ids=["0.5", "nan", "2", "-1", "float-ones", "strings"])
+def test_report_mask_must_be_bool_or_zero_one(mask):
+    with pytest.raises(DimensionMismatch, match="mask"):
+        ReportMatrix(np.array([[0, 1], [1, 0]]), mask, 2)
+
+
+def test_zero_one_integer_mask_reads_as_bool():
+    entries = np.array([[0, 1, 5], [1, 0, -2]])  # the unanswered entries are never read
+    ints = ReportMatrix(entries, np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8), 2)
+    bools = ReportMatrix(entries, np.array([[True, True, False]] * 2), 2)
+    assert ints.mask.dtype == bool and np.array_equal(ints.mask, bools.mask)
+    assert np.array_equal(empirical_pair_joint(ints, 0, 1).table,
+                          empirical_pair_joint(bools, 0, 1).table)

@@ -134,6 +134,14 @@ class TestMechanismCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("mechanism", ["fmi", "md"])
+    def test_seed_past_the_intp_range(self, scenario_file, tmp_path, mechanism):
+        extra = ["--measure", "tvd"] if mechanism == "fmi" else ["--d", "1"]
+        out = tmp_path / "pay.json"
+        assert main(["mechanism", "--mechanism", mechanism, *extra, "--scenario", scenario_file,
+                     "-T", "50", "--seed", "9223372036854775808", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["seed"] == 2**63
+
     def test_csv_format(self, scenario_file, tmp_path):
         out = tmp_path / "pay.csv"
         assert main(["mechanism", "--mechanism", "mip", "--measure", "kl",

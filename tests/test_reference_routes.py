@@ -963,6 +963,78 @@ class TestGramCounts:
             empirical_pair_joint(reports, 0, 1)
 
 
+class TestUnorderedCounts:
+    """The count kernel, which counts each unordered agent pair once and reads the reverse
+    pair transposed, against the ordered-pair route it replaced: block for block and bit
+    for bit, or the same NoOverlap message.  ``COUNT_CELLS`` is patched small so that key
+    blocks, word steps and agent blocks all split.  References repeat, include the agent
+    itself, and hold (i, j) beside (j, i)."""
+
+    @staticmethod
+    def both_routes(reports, agent_list, refs, cells):
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            got = outcome_with_message(lambda: list(_count_tables(reports, agent_list, refs)))
+            want = outcome_with_message(
+                lambda: list(oracles.ordered_count_tables(reports, agent_list, refs)))
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert len(got[0]) == len(want[0])
+            for a, b in zip(got[0], want[0]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @given(st.sampled_from((1, 8, 40, 300, agents_module.COUNT_CELLS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_ordered_route(self, cells, data):
+        m = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(2, 9))
+        T = data.draw(st.sampled_from((1, 63, 64, 65, 128, 129, 320)) | st.integers(1, 400))
+        rng = np.random.default_rng(data.draw(seeds))
+        entries = rng.integers(0, m, (n, T))
+        mask = rng.random((n, T)) < data.draw(st.floats(0.05, 1.0))
+        entries[~mask] = rng.integers(-3, m + 3, int((~mask).sum()))  # never read
+        reports = ReportMatrix(entries, mask, m)
+        who = st.integers(0, n - 1)
+        form = data.draw(st.sampled_from(PAIRINGS + ("drawn",)))
+        if form == "drawn":  # any agents, in any order, with repeats and self-references
+            agent_list = np.array(data.draw(st.lists(who, min_size=1, max_size=2 * n)))
+            k = data.draw(st.integers(1, 4))
+            refs = np.array(data.draw(st.lists(st.lists(who, min_size=k, max_size=k),
+                                               min_size=len(agent_list),
+                                               max_size=len(agent_list))))
+        else:
+            agent_list = np.arange(n)
+            refs = np.array(_reference_sets(n, form, data.draw(seeds)), dtype=np.intp)
+        self.both_routes(reports, agent_list, refs, cells)
+
+    @pytest.mark.parametrize("cells", (1, 8, 40, 300, agents_module.COUNT_CELLS))
+    def test_seeded_mirror_pairs_and_self_references(self, cells):
+        # seed 4 pairs agents 2 and 3 both ways; then rows that repeat a reference and
+        # name the agent itself
+        n, m, T = 5, 3, 200
+        rng = np.random.default_rng(3)
+        reports = ReportMatrix(rng.integers(0, m, (n, T)), rng.random((n, T)) < 0.8, m)
+        refs = np.array(_reference_sets(n, "seeded-random-reference", 4), dtype=np.intp)
+        pairs = {(i, int(j)) for i, (j,) in enumerate(refs)}
+        assert any((j, i) in pairs for i, j in pairs)
+        self.both_routes(reports, np.arange(n), refs, cells)
+        mixed = np.array([[1, 0, 0, 3], [0, 1, 1, 4], [3, 2, 2, 1], [2, 3, 0, 3]])
+        self.both_routes(reports, np.array([0, 1, 2, 3]), mixed, cells)
+
+    def test_no_overlap_names_a_transposed_reference_in_agent_order(self):
+        # agents 1 and 3 share no answered question; the pair is stored as (1, 3) and read
+        # transposed for agent 3, whose message still names it first
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1]], dtype=bool)
+        reports = ReportMatrix(np.zeros((4, 4), dtype=int), mask, 2)
+        for agent_list, refs in (([3], [[1]]), ([2, 3], [[0, 3], [0, 1]]), ([3, 1], [[1], [3]])):
+            with pytest.raises(NoOverlap, match="^agents 3 and 1 share"):
+                list(_count_tables(reports, np.array(agent_list), np.array(refs)))
+            self.both_routes(reports, np.array(agent_list), np.array(refs), 8)
+        with pytest.raises(NoOverlap, match="^agents 3 and 1 share"):
+            empirical_pair_joint(reports, 3, 1)
+        with pytest.raises(NoOverlap, match="^agents 1 and 3 share"):
+            fmi_mechanism_payments(reports, ConvexGenerator.TVD)
+
+
 class TestColumnwiseSampling:
     """``generate_reports`` against the sampler that gathered each draw's weights before
     taking their cumulative sums: the same rng calls, the same entries."""
@@ -1005,6 +1077,20 @@ class TestColumnwiseSampling:
                             (EffortStrategy(0.5, 0.0, Distribution(weights)),) * 3)
         entries = generate_reports(scenario, 5000, 1).entries
         assert entries.min() >= 0 and entries.max() <= 2
+
+    @pytest.mark.parametrize("m", (255, 256, 257))
+    def test_wide_alphabets_stay_in_alphabet(self, m):
+        # the count type widens from uint8 at m = 256; u just under 1 reaches the last column
+        weights = np.full(m, (1.0 - 1e-9) / m)
+        assert abs(weights.sum() - (1.0 - 1e-9)) < 1e-15
+        u = np.concatenate([np.linspace(0.0, 1.0, 4001)[:-1], [1.0 - 2**-53]])
+        for rows in (None, np.arange(u.size) % 2):
+            table = weights if rows is None else np.stack([weights, weights[::-1]])
+            draws = _inverse_cdf(table, u, rows)
+            assert draws.dtype == np.intp
+            assert draws.min() == 0 and draws.max() == m - 1 and draws[-1] == m - 1
+            gathered = table if rows is None else table[rows]
+            assert np.array_equal(draws, oracles.gathered_inverse_cdf(gathered, u))
 
 
 class TestBtsPairLoop:
