@@ -99,7 +99,8 @@ class PaymentReport:
     """Per-agent payments with an optional score decomposition.
 
     When effort costs are present, ``utilities = payments - effort_costs``
-    with ``effort_costs[i] = full_effort_prob_i * cost_i``.
+    with ``effort_costs[i] = full_effort_prob_i * cost_i``.  A seed, where an
+    engine records one, passes :func:`_check_seed`.
     """
 
     mechanism: str
@@ -123,6 +124,8 @@ class PaymentReport:
         if self.utilities is not None and self.effort_costs is not None:
             if not np.allclose(self.utilities, self.payments - self.effort_costs, atol=1e-12):
                 raise DimensionMismatch("utilities must equal payments - effort costs")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
     @property
     def n_agents(self) -> int:

@@ -335,7 +335,8 @@ def z_marginal(joint: JointDistribution) -> Distribution:
 
 def sample(dist: Distribution, seed: RngSeed, count: int) -> np.ndarray:
     """``count`` iid indices drawn from ``dist``; deterministic per seed."""
-    count, seed = _int_at_least(count, 0, "count"), _int_at_least(seed, 0, "seed")
+    count = _int_at_least(count, 0, "count")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.choice(dist.size, size=count, p=dist.weights)
 
@@ -351,3 +352,52 @@ def rng_from_seed(seed: RngSeed, *stream: int) -> np.random.Generator:
     """A PCG64 generator for (seed, stream...); distinct streams never collide.  The seed
     is not checked here: public entry points check theirs with :func:`_check_seed`."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
+
+
+# numpy's SeedSequence (a pool of 4 uint32 words) steps through hash constants, each the last
+# times a multiplier; its hashmix k xors constant k and multiplies by constant k + 1.  Mixing
+# entropy in takes 4 + 12 hashmixes, generate_state(4, np.uint64) 8 more on a second sequence.
+_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & 0xFFFFFFFF for k in range(17)],
+                   dtype=np.uint32)
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & 0xFFFFFFFF for k in range(9)],
+                   dtype=np.uint32)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_ORDER = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1  # PCG64's LCG
+
+
+def _fold(value: np.ndarray) -> np.ndarray:
+    """SeedSequence's last step of a hash or mix: xor each uint32 with its high half."""
+    return value ^ (value >> 16)
+
+
+def _instance_rngs(seed: int, indices):
+    """Per index in [0, 2**64), one reused generator in the state ``rng_from_seed(seed, idx)``
+    starts in; it is valid only until the next one is yielded.  SeedSequence's hash of each
+    (seed, idx) entropy, its little-endian uint32 words with missing pool words hashed as 0,
+    runs as array operations over all indices at once, and PCG64's ``srandom`` step in Python
+    ints.  DimensionMismatch where an entropy needs more than the pool's 4 words."""
+    seed = int(seed)
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    high = idx >> np.uint64(32)
+    if len(seed_words) + 1 + bool(high.any()) > 4:
+        raise DimensionMismatch(f"seed {seed} with indices up to {idx.max()} needs over 4 words")
+    pool = np.zeros((4, idx.size), dtype=np.uint32)
+    columns = [*seed_words, idx & np.uint64(0xFFFFFFFF), high]
+    for row, column in zip(pool, columns):
+        row[:] = column
+    pool = _fold((pool ^ _HASH_A[:4, None]) * _HASH_A[1:5, None])
+    for k, (src, dst) in enumerate(_MIX_ORDER, 4):
+        word = _fold((pool[src] ^ _HASH_A[k]) * _HASH_A[k + 1])
+        pool[dst] = _fold(_MIX_MULT_L * pool[dst] - _MIX_MULT_R * word)
+    words = _fold((pool[[0, 1, 2, 3] * 2] ^ _HASH_B[:8, None]) * _HASH_B[1:, None])
+    words = words.astype(np.uint64)
+    state = (words[1::2] << np.uint64(32) | words[::2]).tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_high, s_low, i_high, i_low in zip(*state):
+        inc = (i_high << 65 | i_low << 1 | 1) & _MASK128
+        start = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng

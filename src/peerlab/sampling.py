@@ -11,6 +11,9 @@ raw arrays, which the public samplers (all but ``_ci_table``) wrap in validated 
 suites that validate whole stacks of tables at once draw through them.  Each flat-Dirichlet
 draw is taken as the unit exponentials ``rng.dirichlet(np.ones(k))`` draws for it
 (``_floored_rows``), so it reads the same stream and gives the same bits as ``rng.dirichlet``.
+A sparse row's one or two columns are the bounded integers ``rng.choice(m_out, k,
+replace=False)`` draws (Floyd's algorithm, then a one-swap shuffle), taken one by one; they
+read PCG64's buffered 32-bit halves as that call does, so the stream and the bits match too.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .agents import FullJointPrior, PairwisePrior, Strategy, WorldModelPrior
 from .errors import DimensionMismatch
 from .measures import ConvexGenerator, ScoringRule, is_fine_grained
 from .probability import (
-    Distribution, JointDistribution, RngSeed, TransitionMatrix, _int_at_least, rng_from_seed,
+    Distribution, JointDistribution, RngSeed, TransitionMatrix, _check_seed, _int_at_least,
+    rng_from_seed,
 )
 
 STRATEGY_KIND_RATIOS = {"dense": 0.4, "sparse": 0.2, "permutation": 0.2, "constant": 0.2}
@@ -101,7 +105,8 @@ def random_strategy(seed: RngSeed, m: int, kind: str = "dense") -> Strategy:
     Kinds: ``dense`` (Dirichlet rows), ``sparse`` (1-2 nonzeros per row),
     ``permutation``, ``constant`` (signal-independent reporting).
     """
-    m, seed = _int_at_least(m, 1, "m"), _int_at_least(seed, 0, "seed")
+    m = _int_at_least(m, 1, "m")
+    _check_seed(seed)
     return random_mixed_strategy(rng_from_seed(seed), m, kind)
 
 
@@ -127,11 +132,21 @@ def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = N
         rows = np.zeros((m_in, m_out))
         rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
     elif kind == "sparse":
+        # per row 1 or 2 columns, as rng.choice(m_out, size, replace=False) draws them (Floyd's
+        # draws, then a one-swap shuffle), over the flat-Dirichlet weights of _floored_rows
         rows = np.zeros((m_in, m_out))
         for r in range(m_in):
-            support = rng.choice(m_out, size=int(rng.integers(1, min(m_out, 2) + 1)),
-                                 replace=False)
-            rows[r, support] = _floored_rows(rng.standard_exponential(support.size), 0.0)
+            if rng.integers(1, min(m_out, 2) + 1) == 1:
+                support = [int(rng.integers(m_out))]
+            else:
+                first, second = int(rng.integers(m_out - 1)), int(rng.integers(m_out))
+                support = [first, m_out - 1 if second == first else second]
+                if rng.integers(2) == 0:
+                    support.reverse()
+            e = rng.standard_exponential(len(support)).tolist()
+            scale = 1.0 / (e[0] + e[1] if len(e) == 2 else e[0])
+            for col, x in zip(support, e):
+                rows[r, col] = x * scale
     else:
         raise DimensionMismatch(f"unknown channel kind {kind!r}")
     return rows

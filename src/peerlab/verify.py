@@ -4,7 +4,9 @@ Each suite draws seeded random instances, checks the claimed (in)equalities
 at configured tolerances, and returns a machine-readable verdict.  A suite is
 an optional global part (checks recorded at instance -1) plus an instance
 part that the runner hands the instance indices in chunks.  Each instance is
-drawn on its own from ``rng_from_seed(config.seed, idx)``; most suites then
+drawn on its own from a generator in the state ``rng_from_seed(config.seed,
+idx)`` starts in, which ``probability._instance_rngs`` sets from one
+SeedSequence hash of the whole chunk's seeds; most suites then
 check it alone, some on one stack per instance (scenario-equivalence of it
 and its relabeled twins, md-equivalence of its three report pairs, bts of its
 two world tensors), while the one-table suites (bregman-quasi, accuracy-gain)
@@ -17,7 +19,8 @@ depends on the stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
 recorded violation is replayed by re-running its one instance as a chunk of
 one (``replay_violation``).  Violations also carry their witness data for
-reading.  Claims that are asymptotic in the source theory are tagged
+reading, which the recorder builds only for a claim that fails.  Claims that
+are asymptotic in the source theory are tagged
 ``convergence`` rather than ``equality``.
 
 Strictness assertions follow the proved direction only: a strict decrease is
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -85,6 +89,7 @@ from .probability import (
     Distribution,
     JointDistribution,
     _identity_mask,
+    _instance_rngs,
     _int_at_least,
     _push_first,
     _validated_tables,
@@ -186,26 +191,29 @@ class _Recorder:
         self.margins: list[float] = []
         self.findings: list[dict] = []
 
-    def check(self, name: str, kind: str, ok: bool, instance: int, data: dict | None = None) -> None:
+    def check(self, name: str, kind: str, ok: bool, instance: int,
+              data: Callable[[], dict]) -> None:
+        """Count one instance of claim ``name``; where it fails, record a violation whose witness
+        payload is ``data()``, which is called for failed claims only."""
         entry = self.claims.setdefault(
             name, {"name": name, "kind": kind, "instances": 0, "violations": 0})
         entry["instances"] += 1
         if not ok:
             entry["violations"] += 1
-            self.violations.append({"instance": instance, "claim": name, "data": data or {}})
+            self.violations.append({"instance": instance, "claim": name, "data": data()})
 
     def margin(self, value: float) -> None:
         self.margins.append(float(value))
 
     def strict_drop(self, name: str, instance: int, drop: float, certified: float, bound: float,
-                    data: dict) -> None:
+                    data: Callable[[], dict]) -> None:
         """Claim ``name``: ``drop`` reaches ``certified`` (its lower bound free of cancelling
         sums) up to a float tie, ``certified`` reaches the proved Jensen ``bound`` (exact for
         chi^2, hence the slack); ``drop`` exceeds the strictness tolerance where ``bound`` does."""
         stol = self.config.strictness_tol
         ok = certified >= bound * (1.0 - 1e-9) and drop >= certified - 1e-12
         self.check(name, "inequality", ok and (bound <= stol or drop > stol), instance,
-                   {**data, "certified": certified, "bound": bound})
+                   lambda: {**data(), "certified": certified, "bound": bound})
         self.margin(drop)
 
     def finding(self, entry: dict) -> None:
@@ -242,9 +250,10 @@ def _run(config: SuiteConfig, indices=None) -> _Recorder:
     (default: all of them).  Index -1 is the global part ``setup(rec, config)``,
     skipped when the suite has none.  The indices ``>= 0`` go, in order and in
     chunks of at most ``_CHUNK``, to ``instances(rec, config, chunk)``, which
-    draws each instance ``idx`` of the chunk from ``rng_from_seed(config.seed,
-    idx)`` alone, checks the chunk (per instance or stacked) and records it in
-    index order; so each instance is still a pure function of ``(config.seed, idx)``."""
+    draws each instance ``idx`` of the chunk alone, from ``_instance_rngs``' generator
+    in the state of ``rng_from_seed(config.seed, idx)``, checks the chunk (per instance
+    or stacked) and records it in index order; so each instance is still a pure
+    function of ``(config.seed, idx)``."""
     setup, instances, _ = _PARTS[config.suite]
     rec = _Recorder(config)
     indices = range(-1, config.instances) if indices is None else indices
@@ -258,10 +267,11 @@ def _run(config: SuiteConfig, indices=None) -> _Recorder:
 
 def _each(instance):
     """The chunk part of a suite that checks one instance at a time:
-    ``instance(rec, config, idx, rng_from_seed(config.seed, idx))`` per index."""
+    ``instance(rec, config, idx, rng)`` per index, ``rng`` in the state of
+    ``rng_from_seed(config.seed, idx)``."""
     def run_chunk(rec: _Recorder, config: SuiteConfig, chunk) -> None:
-        for idx in chunk:
-            instance(rec, config, idx, rng_from_seed(config.seed, idx))
+        for idx, rng in zip(chunk, _instance_rngs(config.seed, chunk)):
+            instance(rec, config, idx, rng)
     return run_chunk
 
 
@@ -308,8 +318,10 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     channel = sampling.random_channel(rng, mx, m_out)
     gen = sampling.random_generator_choice(rng)
     rep = check_dpi(joint, channel, gen, tol)
-    data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "generator": gen.value,
-            "before": rep.before, "after": rep.after}
+
+    def data() -> dict:
+        return {"joint": _jl(joint.table), "channel": _jl(channel.rows), "generator": gen.value,
+                "before": rep.before, "after": rep.after}
     rec.check("mi_dpi", "inequality", rep.holds, idx, data)
     if channel.is_permutation:
         rec.check("mi_permutation_equality", "equality",
@@ -323,8 +335,10 @@ def _dpi_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     q = sampling.random_distribution(rng, mx)
     d_before = f_divergence(p, q, gen)
     d_after = f_divergence(apply_channel(p, channel), apply_channel(q, channel), gen)
-    ddata = {"p": _jl(p.weights), "q": _jl(q.weights), "theta": _jl(channel.rows),
-             "generator": gen.value, "before": d_before, "after": d_after}
+
+    def ddata() -> dict:
+        return {"p": _jl(p.weights), "q": _jl(q.weights), "theta": _jl(channel.rows),
+                "generator": gen.value, "before": d_before, "after": d_after}
     rec.check("divergence_monotonicity", "inequality", d_after <= d_before + tol, idx, ddata)
     if gen.strictly_convex and divergence_monotonicity_witness(p, q, channel):
         bound = _divergence_decrease_bound(p.weights, q.weights, channel.rows, gen)
@@ -379,12 +393,10 @@ def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: in
     channels = np.stack([np.eye(m), deviation.channel.rows])[:, None]
     opponent_channels = np.stack([s.channel.rows for s in opponents])
     pay_truth, pay_dev = _agent0_payments(q, channels, opponent_channels, 1.0, 1.0, gen).tolist()
-    data = {
-        "scenario": scenario_to_dict(dev_scn),
-        "measure": gen.value,
-        "pay_truth": pay_truth,
-        "pay_dev": pay_dev,
-    }
+
+    def data() -> dict:
+        return {"scenario": scenario_to_dict(dev_scn), "measure": gen.value,
+                "pay_truth": pay_truth, "pay_dev": pay_dev}
     rec.check("truth_dominates", "inequality", pay_dev <= pay_truth + tol, idx, data)
     if deviation.is_permutation:
         rec.check("permutation_ties", "equality",
@@ -422,12 +434,10 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
                               [deviation.channel.rows, bystander.channel.rows]])
     pay_before, pay_after = _agent0_payments(q, observer.channel.rows, peer_channels,
                                              1.0, 1.0, gen).tolist()
-    data = {
-        "scenario": scenario_to_dict(after_scn),
-        "measure": gen.value,
-        "pay_before": pay_before,
-        "pay_after": pay_after,
-    }
+
+    def data() -> dict:
+        return {"scenario": scenario_to_dict(after_scn), "measure": gen.value,
+                "pay_before": pay_before, "pay_after": pay_after}
     rec.check("peer_payment_drops", "inequality", pay_after <= pay_before + tol, idx, data)
     if deviation.is_permutation:
         rec.check("permutation_leaves_peers", "equality",
@@ -476,12 +486,12 @@ def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
     pay = _effort_payments(_CANONICAL_BINARY[None, None], ConvexGenerator.TVD)[0][0]
     for cost, best in ((0.7, 0.0), (0.2, 1.0)):
         utils = (pay - grid * cost).tolist()
-        data = {"cost": cost, "grid_utilities": utils}
         rec.check("canonical_pure_effort", "equality",
-                  abs(grid[int(np.argmax(utils))] - best) <= 1e-12, -1, data)
+                  abs(grid[int(np.argmax(utils))] - best) <= 1e-12, -1,
+                  lambda: {"cost": cost, "grid_utilities": utils})
     utils = (pay - grid * 0.6).tolist()
     rec.check("canonical_boundary_tie", "equality",
-              abs(utils[0] - utils[-1]) <= 1e-12, -1, {"grid_utilities": utils})
+              abs(utils[0] - utils[-1]) <= 1e-12, -1, lambda: {"grid_utilities": utils})
 
 
 def _effort_draw(rng) -> tuple:
@@ -522,20 +532,21 @@ def _effort_check(group: list) -> tuple:
 
 def _effort_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol = config.equality_tol
-    drawn = [_effort_draw(rng_from_seed(config.seed, idx)) for idx in chunk]
+    drawn = [_effort_draw(rng) for rng in _instance_rngs(config.seed, chunk)]
     checked = _grouped(drawn, lambda d: (d[1].shape, d[0], d[2]), _effort_check)
     for idx, d, (prior, cost, utils, payments, gap, lhs, rhs) in zip(chunk, drawn, checked):
-        data = {"prior": prior, "measure": d[2].value, "cost": cost, "grid_utilities": utils}
+        def data() -> dict:
+            return {"prior": prior, "measure": d[2].value, "cost": cost, "grid_utilities": utils}
         rec.check("pure_effort_optimal", "inequality",
                   max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
         # effort monotonicity: payment under truth as peers join full effort
         monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
         rec.check("effort_monotone", "inequality", monotone, idx,
-                  {"payments_by_active_peers": payments, **data})
+                  lambda: {"payments_by_active_peers": payments, **data()})
         # mixture convexity of the information measure
         rec.check("effort_mixture_law", "equality", gap <= 1e-12, idx, data)
         rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
-                  {"lam": d[4], "lhs": lhs, "rhs": rhs, **data})
+                  lambda: {"lam": d[4], "lhs": lhs, "rhs": rhs, **data()})
 
 
 def suite_effort(config: SuiteConfig) -> SuiteVerdict:
@@ -584,17 +595,19 @@ def _bregman_quasi_check(group: list) -> tuple:
 
 def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
-    drawn = [_bregman_quasi_draw(rng_from_seed(config.seed, idx)) for idx in chunk]
+    drawn = [_bregman_quasi_draw(rng) for rng in _instance_rngs(config.seed, chunk)]
     checked = _grouped(drawn, lambda d: d[0].shape, _bregman_quasi_check)
     for idx, (joint, rule, channel, y_channel), values in zip(chunk, drawn, checked):
         before, after, identity, bridge_gap, after_y = values
-        data = {"joint": _jl(joint), "channel": _jl(channel), "rule": rule.value,
-                "before": before, "after": after}
+
+        def data() -> dict:
+            return {"joint": _jl(joint), "channel": _jl(channel), "rule": rule.value,
+                    "before": before, "after": after}
         rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
         if identity:
             rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
         rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
-                  {"joint": _jl(joint), "gap": bridge_gap})
+                  lambda: {"joint": _jl(joint), "gap": bridge_gap})
         if after_y > before + stol:
             rec.finding({
                 "kind": "second_entry_increase",
@@ -644,10 +657,12 @@ def _accuracy_gain_check(tensors: list) -> tuple:
 
 def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol = config.equality_tol
-    drawn = [_accuracy_gain_draw(rng_from_seed(config.seed, idx), idx) for idx in chunk]
+    drawn = [_accuracy_gain_draw(rng, idx)
+             for idx, rng in zip(chunk, _instance_rngs(config.seed, chunk))]
     checked = _grouped(drawn, lambda tensor: tensor.shape, _accuracy_gain_check)
     for idx, tensor, (lhs, rhs, flat) in zip(chunk, drawn, checked):
-        data = {"tensor": _jl(tensor), "accuracy_gain": lhs, "conditional_mi": rhs}
+        def data() -> dict:
+            return {"tensor": _jl(tensor), "accuracy_gain": lhs, "conditional_mi": rhs}
         rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
         if idx % 3 == 1:
             rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
@@ -677,11 +692,12 @@ def _md_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
                             np.stack([eye, s2.channel.rows, eye])[:, None], 1.0, 1.0)[:, 0]
     half_tvd, r_half, flip_half = (0.5 * _f_mi(tables, ConvexGenerator.TVD)).tolist()
     reward, r_reward, flip_reward = _agreement_rewards(tables).tolist()
-    data = {"prior": _jl(q.table), "reward": reward, "half_tvd": half_tvd}
-    rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx, data)
+    rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx,
+              lambda: {"prior": _jl(q.table), "reward": reward, "half_tvd": half_tvd})
 
-    sdata = {"prior": _jl(q.table), "s1": _jl(s1.channel.rows), "s2": _jl(s2.channel.rows),
-             "reward": r_reward, "half_tvd": r_half}
+    def sdata() -> dict:
+        return {"prior": _jl(q.table), "s1": _jl(s1.channel.rows), "s2": _jl(s2.channel.rows),
+                "reward": r_reward, "half_tvd": r_half}
     rec.check("strategy_upper_bound", "inequality", r_reward <= r_half + tol, idx, sdata)
     rec.check("processing_chain", "inequality", r_half <= half_tvd + tol, idx, sdata)
 
@@ -713,7 +729,7 @@ def _md_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
                    "mean_md": mean_md, "mean_ca": mean_ca,
                    "half_width_md": hw_md, "half_width_ca": hw_ca}
         rec.check("agreement_variant_interval", "convergence",
-                  abs(mean_md - mean_ca) <= hw_md + hw_ca, idx, mc_data)
+                  abs(mean_md - mean_ca) <= hw_md + hw_ca, idx, lambda: mc_data)
         rec.finding({"kind": "expected_reward_interval", "instance": idx,
                      "covered": abs(mean_ca - reward) <= hw_ca, **mc_data})
 
@@ -772,10 +788,10 @@ def _bts_global(rec: _Recorder, config: SuiteConfig) -> None:
     direct = _shannon_conditional_direct(world_tensor(CANONICAL_WORLD))
     rec.check("cross_oracle_identity", "equality",
               abs(truth_scores.information_score - direct) <= 1e-12, -1,
-              {"conditional_mi": truth_scores.information_score, "direct": direct})
+              lambda: {"conditional_mi": truth_scores.information_score, "direct": direct})
     rec.check("prediction_negates_information", "equality",
               abs(truth_scores.prediction_score + truth_scores.information_score) <= 1e-12, -1,
-              {"scores": asdict(truth_scores)})
+              lambda: {"scores": asdict(truth_scores)})
 
     # finite-population convergence toward the idealized information score
     ideal = truth_scores.information_score
@@ -789,7 +805,7 @@ def _bts_global(rec: _Recorder, config: SuiteConfig) -> None:
         medians.append(statistics.median(gaps))
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     rec.check("finite_population_convergence", "convergence", decreasing, -1,
-              {"population_sizes": list(_POPULATION_SIZES), "median_gaps": medians})
+              lambda: {"population_sizes": list(_POPULATION_SIZES), "median_gaps": medians})
 
 
 def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
@@ -811,13 +827,12 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     info_truth, info_played = _slice_mean(tensors, _mi_kernel(ConvexGenerator.KL)).tolist()
     pred_truth, pred_played = (-_log_score_gains(tensors)).tolist()
     f_truth, f_played = _slice_mean(tensors, _mi_kernel(gen)).tolist()
-    data = {
-        "world_state_probs": _jl(world.state_probs.weights),
-        "world_states": [_jl(s.weights) for s in world.states],
-        "strategies": [_jl(s.channel.rows) for s in strategies],
-        "truth_info": info_truth,
-        "played_info": info_played,
-    }
+
+    def data() -> dict:
+        return {"world_state_probs": _jl(world.state_probs.weights),
+                "world_states": [_jl(s.weights) for s in world.states],
+                "strategies": [_jl(s.channel.rows) for s in strategies],
+                "truth_info": info_truth, "played_info": info_played}
     rec.check("information_score_ordering", "inequality", info_played <= info_truth + tol, idx, data)
     rec.check("prediction_negates_information", "equality",
               abs(pred_played + info_played) <= 1e-12, idx, data)
@@ -826,7 +841,7 @@ def _bts_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     rec.check("welfare_ordering", "inequality",
               welfare_played <= welfare_truth + n * (alpha - 1.0) * tol + 1e-9, idx, data)
     rec.check("f_score_ordering", "inequality", f_played <= f_truth + tol, idx,
-              {**data, "generator": gen.value, "f_truth": f_truth, "f_played": f_played})
+              lambda: {**data(), "generator": gen.value, "f_truth": f_truth, "f_played": f_played})
     # a shared relabeling leaves the scores unchanged; distinct per-agent
     # permutations mix into a garbling and may score lower
     if all(s.is_permutation for s in strategies) and all(
@@ -902,18 +917,19 @@ def _scenario_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int
         pay["bts-idealized-prediction"] = np.array([[s.prediction_score] * n for s in scores])
     base_dict = scenario_to_dict(scenario)
     for t, (perms, twin) in enumerate(zip(perm_lists, scenarios[1:]), 1):
-        matrices = _jl(np.eye(m)[perms.maps])
+        def matrices() -> list:
+            return _jl(np.eye(m)[perms.maps])
         for name in sorted(pay):
             diff = float(np.max(np.abs(pay[name][0] - pay[name][t])))
-            rec.check("payments_identical", "equality", diff <= 1e-12, idx, {
+            rec.check("payments_identical", "equality", diff <= 1e-12, idx, lambda: {
                 "mechanism": name,
                 "scenario": base_dict,
-                "perms": matrices,
+                "perms": matrices(),
                 "difference": diff,
             })
         back = permute_scenario(twin, perms.inverse())
         rec.check("inverse_roundtrip", "equality", scenario_to_dict(back) == base_dict, idx,
-                  {"perms": matrices})
+                  lambda: {"perms": matrices()})
 
 
 def suite_scenario_equivalence(config: SuiteConfig) -> SuiteVerdict:

@@ -865,12 +865,12 @@ def bregman_quasi_instance(rec, config, idx: int, rng) -> None:
     after = measures.bregman_mi(push_first(joint, channel), rule)
     data = {"joint": _jl(joint.table), "channel": _jl(channel.rows), "rule": rule.value,
             "before": before, "after": after}
-    rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
+    rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, lambda: data)
     if channel.is_identity:
-        rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
+        rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, lambda: data)
     bridge_gap = abs(measures.bregman_mi(joint, ScoringRule.LOG) - measures.shannon_mi(joint))
     rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
-              {"joint": _jl(joint.table), "gap": bridge_gap})
+              lambda: {"joint": _jl(joint.table), "gap": bridge_gap})
     y_channel = TransitionMatrix(dirichlet_channel_rows(rng, my))
     after_y = measures.bregman_mi(push_second(joint, y_channel), rule)
     if after_y > before + stol:
@@ -899,12 +899,13 @@ def accuracy_gain_instance(rec, config, idx: int, rng) -> None:
     lhs = measures.log_score_accuracy_gain(tensor)
     rhs = measures.conditional_mi(tensor, ConvexGenerator.KL)
     data = {"tensor": _jl(tensor.table), "accuracy_gain": lhs, "conditional_mi": rhs}
-    rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
+    rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, lambda: data)
     if idx % 3 == 1:
-        rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
+        rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, lambda: data)
     if idx % 5 == 2 and idx % 3 != 1:
         flat = measures.shannon_mi(JointDistribution(tensor.table[0] / tensor.table[0].sum()))
-        rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
+        rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx,
+                  lambda: data)
 
 
 def shape_rule_bregman_quasi_check(group: list) -> tuple:
@@ -941,13 +942,13 @@ def effort_instance(rec, config, idx: int, rng) -> None:
     data = {"prior": _jl(prior.joint.table), "measure": gen.value, "cost": cost,
             "grid_utilities": utils}
     rec.check("pure_effort_optimal", "inequality",
-              max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
+              max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, lambda: data)
 
     # effort monotonicity: payment under truth as peers join full effort
     payments = payments.tolist()
     monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
     rec.check("effort_monotone", "inequality", monotone, idx,
-              {"payments_by_active_peers": payments, **data})
+              lambda: {"payments_by_active_peers": payments, **data})
 
     # mixture convexity of the information measure
     lam = float(rng.uniform(0.0, 1.0))
@@ -956,11 +957,11 @@ def effort_instance(rec, config, idx: int, rng) -> None:
     j_full, j_none, j_mix = joints = verify._agent0_tables(q[:1], rows, np.eye(m), li, 1.0)[:, 0]
     mix_table = lam * j_full + (1.0 - lam) * j_none
     rec.check("effort_mixture_law", "equality",
-              float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, data)
+              float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, lambda: data)
     mi_full, mi_none, lhs = measures._mi_kernel(gen)(joints).tolist()
     rhs = lam * mi_full + (1.0 - lam) * mi_none
     rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
-              {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
+              lambda: {"lam": lam, "lhs": lhs, "rhs": rhs, **data})
 
 
 def md_equivalence_instance(rec, config, idx: int, rng) -> None:
@@ -971,7 +972,7 @@ def md_equivalence_instance(rec, config, idx: int, rng) -> None:
     half_tvd = 0.5 * measures.f_mutual_information(q, ConvexGenerator.TVD)
     reward = mechanisms.ca_expected_reward(q)
     data = {"prior": _jl(q.table), "reward": reward, "half_tvd": half_tvd}
-    rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx, data)
+    rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx, lambda: data)
 
     s1 = sampling.random_mixed_strategy(rng, 2)
     s2 = sampling.random_mixed_strategy(rng, 2)
@@ -980,8 +981,8 @@ def md_equivalence_instance(rec, config, idx: int, rng) -> None:
     r_half = 0.5 * measures.f_mutual_information(r, ConvexGenerator.TVD)
     sdata = {"prior": _jl(q.table), "s1": _jl(s1.channel.rows), "s2": _jl(s2.channel.rows),
              "reward": r_reward, "half_tvd": r_half}
-    rec.check("strategy_upper_bound", "inequality", r_reward <= r_half + tol, idx, sdata)
-    rec.check("processing_chain", "inequality", r_half <= half_tvd + tol, idx, sdata)
+    rec.check("strategy_upper_bound", "inequality", r_reward <= r_half + tol, idx, lambda: sdata)
+    rec.check("processing_chain", "inequality", r_half <= half_tvd + tol, idx, lambda: sdata)
 
     # anti-correlating one agent flips the correlation sign: strict gap
     flipped = report_joint(
@@ -1013,7 +1014,7 @@ def md_equivalence_instance(rec, config, idx: int, rng) -> None:
                    "mean_md": mean_md, "mean_ca": mean_ca,
                    "half_width_md": hw_md, "half_width_ca": hw_ca}
         rec.check("agreement_variant_interval", "convergence",
-                  abs(mean_md - mean_ca) <= hw_md + hw_ca, idx, mc_data)
+                  abs(mean_md - mean_ca) <= hw_md + hw_ca, idx, lambda: mc_data)
         rec.finding({"kind": "expected_reward_interval", "instance": idx,
                      "covered": abs(mean_ca - expected) <= hw_ca, **mc_data})
 
@@ -1050,23 +1051,25 @@ def bts_instance(rec, config, idx: int, rng) -> None:
         "played_info": played.information_score,
     }
     rec.check("information_score_ordering", "inequality",
-              played.information_score <= truth.information_score + tol, idx, data)
+              played.information_score <= truth.information_score + tol, idx, lambda: data)
     rec.check("prediction_negates_information", "equality",
-              abs(played.prediction_score + played.information_score) <= 1e-12, idx, data)
+              abs(played.prediction_score + played.information_score) <= 1e-12, idx, lambda: data)
     welfare_truth = n * (truth.prediction_score + alpha * truth.information_score)
     welfare_played = n * (played.prediction_score + alpha * played.information_score)
     rec.check("welfare_ordering", "inequality",
-              welfare_played <= welfare_truth + n * (alpha - 1.0) * tol + 1e-9, idx, data)
+              welfare_played <= welfare_truth + n * (alpha - 1.0) * tol + 1e-9, idx, lambda: data)
     gen = sampling.random_generator_choice(rng)
     f_truth = measures.conditional_mi(truth_tensor, gen)
     f_played = measures.conditional_mi(played_tensor, gen)
     rec.check("f_score_ordering", "inequality", f_played <= f_truth + tol, idx,
-              {**data, "generator": gen.value, "f_truth": f_truth, "f_played": f_played})
+              lambda: {**data, "generator": gen.value, "f_truth": f_truth,
+                       "f_played": f_played})
     if all(s.is_permutation for s in strategies) and all(
         np.array_equal(s.channel.rows, strategies[0].channel.rows) for s in strategies[1:]
     ):
         rec.check("permutation_profile_ties", "equality",
-                  abs(played.information_score - truth.information_score) <= 1e-10, idx, data)
+                  abs(played.information_score - truth.information_score) <= 1e-10, idx,
+                  lambda: data)
 
 
 def masked_shannon_mi(table: np.ndarray) -> float:

@@ -5,8 +5,9 @@ error and never a silent NaN.  The same holds for the empirical payment
 engines given a single agent, for strategies whose channels do not share one
 shape on a world's signals, for the exported strategy sampler's size and seed,
 for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
-never counts from the end.  Report masks hold bools or 0/1 integers, and the seeds of the
-sampler and the seeded payment engines are non-negative integers of any size."""
+never counts from the end.  Report masks hold bools or 0/1 integers.  The seeds of the samplers
+and of the payment engines, all-pairs engines that only record one included, are non-negative
+integers of any size; a suite's seed stays in the intp range."""
 
 import json
 import math
@@ -330,15 +331,37 @@ SEEDED = "seeded-random-reference"
     lambda seed: bmi_mechanism_payments(REPORTS, ScoringRule.LOG, SEEDED, seed),
     lambda seed: md_payments(REPORTS, 1, seed),
     lambda seed: ca_payments(REPORTS, 1, seed),
-], ids=["generate_reports", "fmi", "bmi", "md", "ca"])
+    lambda seed: sample(HALF, seed, 3),
+    lambda seed: random_strategy(seed, 2),
+], ids=["generate_reports", "fmi", "bmi", "md", "ca", "sample", "random_strategy"])
 def test_bad_seeds_raise_dimension_mismatch(call, seed):
     with pytest.raises(DimensionMismatch, match="seed"):
         call(seed)
 
 
+BTS_PROFILE = BtsReportProfile(np.array([0, 0, 1, 1]), (HALF,) * 4)
+
+
+@pytest.mark.parametrize("seed", [-1.5, -1, 1.5, "7", np.int64(-2)],
+                         ids=["-1.5", "-1", "1.5", "str", "int64"])
+@pytest.mark.parametrize("call", [
+    lambda seed: fmi_mechanism_payments(REPORTS, ConvexGenerator.TVD, seed=seed),
+    lambda seed: bmi_mechanism_payments(REPORTS, ScoringRule.LOG, seed=seed),
+    lambda seed: sppm_payments([0, 1, 1], PRIOR, ScoringRule.LOG, seed=seed),
+    lambda seed: bts_payments(BTS_PROFILE, 2.0, seed=seed),
+], ids=["fmi", "bmi", "sppm", "bts"])
+def test_all_pairs_engines_check_a_seed_they_record(call, seed):
+    # all-pairs pairing draws nothing, but the report records the seed; None records none
+    with pytest.raises(DimensionMismatch, match="seed"):
+        call(seed)
+    assert call(None).seed is None and call(2**63).seed == 2**63
+
+
 @pytest.mark.parametrize("seed", [0, True, np.uint64(2**63), 2**63, 2**80])
 def test_seeds_past_the_intp_range_are_accepted(seed):
     assert generate_reports(SCENARIO, 5, seed).n_questions == 5
+    assert sample(HALF, seed, 3).shape == (3,)
+    assert random_strategy(seed, 2).channel.shape == (2, 2)
     for pay in (lambda: fmi_mechanism_payments(REPORTS, ConvexGenerator.TVD, SEEDED, seed),
                 lambda: bmi_mechanism_payments(REPORTS, ScoringRule.LOG, SEEDED, seed),
                 lambda: md_payments(REPORTS, 1, seed), lambda: ca_payments(REPORTS, 1, seed)):

@@ -94,8 +94,8 @@ from peerlab.mechanisms import (
 )
 from peerlab.measures import _log_score_gains, _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
-    TransitionMatrix, _identity_mask, _push_first, identity_channel, rng_from_seed,
-    uniform_distribution,
+    TransitionMatrix, _identity_mask, _instance_rngs, _push_first, identity_channel,
+    rng_from_seed, uniform_distribution,
 )
 
 import oracles
@@ -332,14 +332,16 @@ class TestStreamEqualDraws:
     """The one-integer pick and the bisected kind draw give the value of the ``rng.choice`` they
     replaced and leave the generator where it left it; each private array sampler gives the
     array of its public wrapper, with the same rng calls, and ``rng.uniform(0.0, h)`` is
-    ``h * rng.random()``, which lets the effort suite scale its cost draw after the fact."""
+    ``h * rng.random()``, which lets the effort suite scale its cost draw after the fact.
+    "Where it left it" is the whole ``bit_generator.state``: a next ``rng.random()`` reads a
+    fresh 64-bit word and cannot see a stray draw from PCG64's buffered 32-bit half."""
 
     @given(seeds, st.sampled_from([(2, 3, 4), (2, 3), (5,), tuple(range(10))]))
     @settings(max_examples=300, deadline=None)
     def test_pick_matches_choice(self, seed, seq):
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
         assert sampling._pick(rng_a, seq) == oracles.choice_pick(rng_b, seq)
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @given(seeds, st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
@@ -347,7 +349,7 @@ class TestStreamEqualDraws:
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
         got = [sampling.random_strategy_kind(rng_a) for _ in range(draws)]
         assert got == [oracles.choice_strategy_kind(rng_b) for _ in range(draws)]
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("kind", KINDS + (None,))
     @pytest.mark.parametrize("m_in, m_out", [(3, None), (3, 3), (2, 4), (4, 2), (1, 3)])
@@ -359,7 +361,7 @@ class TestStreamEqualDraws:
         rows = sampling._channel_rows(rng_a, m_in, m_out, kind, floor_frac)
         channel = sampling.random_channel(rng_b, m_in, m_out, kind, floor_frac)
         assert type(rows) is np.ndarray and np.array_equal(rows, channel.rows)
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
         if kind == "permutation" and m_in != (m_out or m_in):
             rng_c = rng_from_seed(seed)
             assert np.array_equal(rows, sampling._channel_rows(rng_c, m_in, m_out, "sparse",
@@ -383,14 +385,14 @@ class TestStreamEqualDraws:
             rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
             table = raw(rng_a)
             assert type(table) is np.ndarray and np.array_equal(table, public(rng_b))
-            assert rng_a.random() == rng_b.random()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @given(seeds, st.one_of(st.just(1.5e-3), st.floats(0.0, 10.0)))
     @settings(max_examples=300, deadline=None)
     def test_uniform_from_zero_is_scaled_unit_draw(self, seed, h):
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
         assert np.array_equal(rng_a.uniform(0.0, h), h * rng_b.random())
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("kind", KINDS + (None,))
     @given(seeds, st.integers(1, 5))
@@ -401,7 +403,7 @@ class TestStreamEqualDraws:
                                       0.0)
         strategy = sampling.random_mixed_strategy(rng_b, m, kind)
         assert type(rows) is np.ndarray and np.array_equal(rows, strategy.channel.rows)
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @given(seeds, st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
@@ -410,13 +412,67 @@ class TestStreamEqualDraws:
         table = sampling._symmetrized(sampling._floored(rng_a, (m, m)))
         prior = sampling.random_pairwise_symmetric_prior(rng_b, m)
         assert type(table) is np.ndarray and np.array_equal(table, prior.joint.table)
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def assert_same_stream(rng, want):
+    """``rng`` and ``want`` in one state, and still so after floats, 32-bit integers (an odd
+    count leaves a buffered half) and exponentials drawn from each."""
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.random(3).tolist() == want.random(3).tolist()
+    assert rng.integers(5, size=3).tolist() == want.integers(5, size=3).tolist()
+    assert rng.standard_exponential(3).tolist() == want.standard_exponential(3).tolist()
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+class TestInstanceRngs:
+    """The suites' one-hash-per-chunk generators against ``rng_from_seed``, numpy's own
+    SeedSequence and PCG64: each yielded generator starts in the state of
+    ``rng_from_seed(seed, idx)``, whatever chunk the index comes in."""
+
+    @given(st.integers(0, 2**63 - 1),
+           st.lists(st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 2**33)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_states_and_draws_equal_rng_from_seed(self, seed, indices):
+        # one and two words of index in one chunk: missing pool words hash as 0
+        indices = [2**32 - 1, *indices, 2**32]
+        yielded = 0
+        for idx, rng in zip(indices, _instance_rngs(seed, indices)):
+            assert_same_stream(rng, rng_from_seed(seed, idx))
+            yielded += 1
+        assert yielded == len(indices)
+
+    @pytest.mark.parametrize("seed, indices", [
+        (2**63, [0, 2**63 - 1]), (2**64 - 1, [2**32]), (2**64, [0, 2**32 - 1]),
+        (2**96 - 1, [7]),
+    ], ids=["2**63", "2**64-1", "3-word-seed", "3-word-seed-max"])
+    def test_seeds_past_two_words_up_to_four_words_of_entropy(self, seed, indices):
+        for idx, rng in zip(indices, _instance_rngs(seed, indices)):
+            assert_same_stream(rng, rng_from_seed(seed, idx))
+
+    @pytest.mark.parametrize("seed, indices", [
+        (2**64, [2**32]), (2**64, [1, 2**40]), (2**96, [0]),
+    ], ids=["3+2-words", "3+2-words-late", "4+1-words"])
+    def test_entropy_past_four_words_raises(self, seed, indices):
+        with pytest.raises(DimensionMismatch, match="4 words"):
+            list(_instance_rngs(seed, indices))
+
+    @given(st.integers(0, 2**63 - 1), st.integers(0, 2 * verify._CHUNK))
+    @settings(max_examples=50, deadline=None)
+    def test_chunk_of_one_has_the_state_of_the_full_run(self, seed, idx):
+        # replay re-runs one instance as a chunk of one
+        chunk = list(range(idx - idx % verify._CHUNK, idx - idx % verify._CHUNK + verify._CHUNK))
+        states = [rng.bit_generator.state for rng in _instance_rngs(seed, chunk)]
+        (alone,) = [rng.bit_generator.state for rng in _instance_rngs(seed, [idx])]
+        assert alone == states[chunk.index(idx)] == rng_from_seed(seed, idx).bit_generator.state
 
 
 class TestExponentialDraws:
     """The private samplers draw unit exponentials where they drew ``rng.dirichlet``, and the
     CI table draws one run of them where it looped over z: the arrays of the ``rng.dirichlet``
-    forms, bit for bit, and the generator left where those forms left it."""
+    forms, bit for bit, and the generator left where those forms left it.  Sparse rows take
+    the bounded integers ``rng.choice(m_out, k, replace=False)`` takes, which read 32-bit
+    halves, so the whole generator state is compared, buffered half included."""
 
     @given(seeds, st.lists(st.integers(1, 12), min_size=1, max_size=3),
            st.sampled_from((0.0, sampling._FLOOR_FRAC)))
@@ -425,7 +481,7 @@ class TestExponentialDraws:
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
         got = sampling._floored(rng_a, tuple(shape), floor_frac)
         assert np.array_equal(got, oracles.dirichlet_floored(rng_b, tuple(shape), floor_frac))
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @given(seeds, st.sampled_from(KINDS + (None,)), st.integers(1, 10),
            st.one_of(st.none(), st.integers(1, 10)), st.sampled_from((0.0, sampling._FLOOR_FRAC)))
@@ -435,7 +491,21 @@ class TestExponentialDraws:
         got = sampling._channel_rows(rng_a, m_in, m_out, kind, floor_frac)
         want = oracles.dirichlet_channel_rows(rng_b, m_in, m_out, kind, floor_frac)
         assert got.shape == want.shape and np.array_equal(got, want)
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @given(seeds, st.integers(1, 6), st.integers(1, 12), st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_sparse_rows_equal_choice_form_after_32_bit_draws(self, seed, m_in, m_out, lead):
+        # ``lead`` 32-bit draws first: an odd count leaves PCG64 holding a buffered half, which
+        # the row draws' bounded integers must read as ``rng.choice`` reads it
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        for rng in (rng_a, rng_b):
+            rng.integers(7, size=lead, dtype=np.uint32)
+        got = sampling._channel_rows(rng_a, m_in, m_out, "sparse", 0.0)
+        want = oracles.dirichlet_channel_rows(rng_b, m_in, m_out, "sparse", 0.0)
+        assert np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert np.all((got > 0.0).sum(axis=1) <= 2) and np.all(got.sum(axis=1) > 1.0 - 1e-15)
 
     @given(seeds, st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
     @settings(max_examples=300, deadline=None)
@@ -443,7 +513,7 @@ class TestExponentialDraws:
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
         got = sampling._ci_table(rng_a, mz, mx, my)
         assert np.array_equal(got, oracles.loop_ci_table(rng_b, mz, mx, my))
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_bregman_quasi_check_per_joint_shape_equals_per_shape_and_rule(self, seed):

@@ -149,11 +149,33 @@ def test_strict_drop_must_reach_its_certified_value(drop, passes):
     # below strictness_tol the bound asks nothing of the drop itself; the certified value, a
     # lower bound of the drop in exact arithmetic, still does, up to a float tie
     rec = verify._Recorder(default_config("truth-monotone"))
-    rec.strict_drop("peer_payment_drops_strictly", 0, drop, 3e-11, 2e-11, {})
+    rec.strict_drop("peer_payment_drops_strictly", 0, drop, 3e-11, 2e-11, dict)
     assert rec.claims["peer_payment_drops_strictly"]["violations"] == (0 if passes else 1)
     assert rec.margins == [drop]
     if not passes:
         assert rec.violations[0]["data"] == {"certified": 3e-11, "bound": 2e-11}
+
+
+def test_witness_payloads_are_built_only_for_failed_claims():
+    rec, built = verify._Recorder(default_config("truth-monotone")), []
+
+    def payload():
+        built.append(len(built))
+        return {"witness": len(built)}
+
+    rec.check("held", "equality", True, 0, payload)
+    rec.strict_drop("dropped", 0, 2e-10, 2e-10, 1e-10, payload)
+    assert built == [] and not rec.violations
+    rec.check("held", "equality", False, 1, payload)
+    rec.strict_drop("dropped", 2, 0.0, 2e-10, 1e-10, payload)
+    assert built == [0, 1]
+    assert rec.violations == [
+        {"instance": 1, "claim": "held", "data": {"witness": 1}},
+        {"instance": 2, "claim": "dropped", "data": {"witness": 2, "certified": 2e-10,
+                                                     "bound": 1e-10}}]
+    # a passing suite run writes no witness payload at all
+    with mock.patch.object(verify, "_jl", side_effect=AssertionError("payload built")):
+        assert run_suite(default_config("accuracy-gain", instances=600)).passed
 
 
 def test_mi_dpi_strict_bound_is_exact_for_chi_squared():
@@ -165,8 +187,10 @@ def test_mi_dpi_strict_bound_is_exact_for_chi_squared():
     seen, strict_drop = [], verify._Recorder.strict_drop
 
     def spied(rec, name, idx, drop, certified, bound, data):
-        n = len(data["scenario"]["strategies"]) if "scenario" in data else 2
-        seen.append((name, data.get("generator", data.get("measure")), n, drop, certified, bound))
+        witness = data()
+        n = len(witness["scenario"]["strategies"]) if "scenario" in witness else 2
+        seen.append((name, witness.get("generator", witness.get("measure")), n, drop, certified,
+                     bound))
         return strict_drop(rec, name, idx, drop, certified, bound, data)
 
     with mock.patch.object(verify._Recorder, "strict_drop", spied):
