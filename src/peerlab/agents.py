@@ -94,8 +94,9 @@ class PairwisePrior(_PairJoints):
         table = self.joint._require_pairwise("PairwisePrior")
         if table.shape[0] != table.shape[1]:
             raise DimensionMismatch("pairwise prior must be square")
-        if self.symmetric and not np.allclose(table, table.T, atol=1e-12):
-            raise ModeMismatch("prior flagged symmetric but table is not")
+        if self.symmetric:  # np.allclose(table, table.T, atol=1e-12) on a finite table
+            if not np.all(np.abs(table - table.T) <= 1e-12 + 1e-5 * np.abs(table.T)):
+                raise ModeMismatch("prior flagged symmetric but table is not")
 
     @property
     def alphabet_size(self) -> int:
@@ -424,10 +425,20 @@ def world_tensor(
 # ---------------------------------------------------------------------------
 
 
+def _read_only(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, read from the caller's ``given``, made read-only: copied if it is writeable and
+    may share memory with a ``given`` array, else frozen in place."""
+    if arr.flags.writeable and isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ReportMatrix:
     """n agents x T questions of reported signal indices, with an answered mask of bools
-    or 0/1 integers.  Unanswered entries may hold any integers."""
+    or 0/1 integers.  Unanswered entries may hold any integers.  Both are kept read-only:
+    a read-only input array is shared, a writeable one copied (:func:`_read_only`)."""
 
     entries: np.ndarray
     mask: np.ndarray
@@ -450,16 +461,16 @@ class ReportMatrix:
 
         if outside(entries) and outside(entries[mask]):  # copies the answered ones only then
             raise DimensionMismatch("report entries outside the alphabet")
-        entries.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "entries", _read_only(entries, self.entries))
+        object.__setattr__(self, "mask", _read_only(mask, self.mask))
         object.__setattr__(self, "alphabet_size", alphabet_size)
 
     @classmethod
     def full(cls, entries, alphabet_size: int) -> "ReportMatrix":
         entries = np.asarray(entries)
-        return cls(entries, np.ones(entries.shape, dtype=bool), alphabet_size)
+        mask = np.ones(entries.shape, dtype=bool)
+        mask.setflags(write=False)
+        return cls(entries, mask, alphabet_size)
 
     @property
     def n_agents(self) -> int:
@@ -537,6 +548,7 @@ def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
         coin = rng.random(T) < eff.full_effort_prob
         u = rng.random(T)
         entries[i] = _inverse_cdf(rows, u, np.where(coin, entries[i], m))
+    entries.setflags(write=False)  # handed over, not copied
     return ReportMatrix.full(entries, m)
 
 

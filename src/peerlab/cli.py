@@ -349,7 +349,7 @@ def cmd_sweep(args) -> int:
             gen = _GENERATORS.get(args.measure or "tvd")
             if gen is None:
                 raise CliError(f"unknown --measure {args.measure!r}")
-            exact = _agent0_payment(_exact_joints(scenario), gen)
+            exact = _agent0_payment((b[0] for b in _exact_joints([scenario])), gen)
 
             def cell(g: int, seed: int) -> float:
                 reports = generate_reports(scenario, g, seed)

@@ -10,7 +10,8 @@ The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
 agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
 (J, report_i, report_J) with J uniform over i's reference agents is exact or
 counted, one call of the core of :func:`report_joint` or :func:`empirical_pair_joint`
-per block of agents of about ``agents.COUNT_CELLS`` cells.  Counted joints are read
+per block of agents of about ``agents.COUNT_CELLS`` cells; exact blocks span a stack of
+scenarios of one (n, m), such as a scenario and its relabeled twins.  Counted joints are read
 from one store that counts each unordered agent pair once (n(n-1)/2·m² counts under
 all-pairs pairing, 64 MB at n = 1000 and m = 4), each counting step within
 ``agents.COUNT_CELLS`` cells of scratch; one stacked kernel (f-MI,
@@ -142,22 +143,25 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_joints(scenario: Scenario):
+def _exact_joints(scenarios: Sequence[Scenario]):
     """Per block of agents, in agent order, the tables of the exact conditional-mode joints
-    of (J, report_i, report_J) with J uniform over each agent i's other agents, shaped
-    (agents in the block, n-1, m, m): one :func:`_report_tables` call per block of about
-    ``agents.COUNT_CELLS`` cells, the budget of the count kernel."""
-    n, m, prior = scenario.n_agents, scenario.alphabet_size, scenario.prior
+    of (J, report_i, report_J) with J uniform over each agent i's other agents, in each of a
+    stack of scenarios that share (n, m), shaped (scenarios, agents in the block, n-1, m, m):
+    one :func:`_report_tables` call per block of about ``agents.COUNT_CELLS`` cells, counted
+    over the scenario axis too (the budget of the count kernel).  A lone scenario is a stack
+    of one."""
+    n, m = scenarios[0].n_agents, scenarios[0].alphabet_size
     refs = np.array(_reference_sets(n, ALL_PAIRS, None), dtype=np.intp)
-    efforts = [scenario.effort(i) for i in range(n)]
-    channels = np.stack([s.channel.rows for s in scenario.strategies])
-    probs = np.array([e.full_effort_prob for e in efforts])[:, None, None]
-    lazy = np.stack([e.resolve_no_effort(m).weights for e in efforts])
-    block = max(agents.COUNT_CELLS // (refs.shape[1] * m * m), 1)
+    efforts = [[s.effort(i) for i in range(n)] for s in scenarios]
+    channels = np.array([[st.channel.rows for st in s.strategies] for s in scenarios])
+    probs = np.array([[e.full_effort_prob for e in row] for row in efforts])[..., None, None]
+    lazy = np.array([[e.resolve_no_effort(m).weights for e in row] for row in efforts])
+    block = max(agents.COUNT_CELLS // (len(scenarios) * refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
-        q = np.stack([prior._pair_tables(i, refs[i]) for i in own])
-        yield _report_tables(channels[own, None], channels[refs[own]], q, probs[own, None],
-                             probs[refs[own]], lazy[own, None], lazy[refs[own]])
+        q = np.array([[s.prior._pair_tables(i, refs[i]) for i in own] for s in scenarios])
+        yield _report_tables(channels[:, own, None], channels[:, refs[own]], q,
+                             probs[:, own, None], probs[:, refs[own]],
+                             lazy[:, own, None], lazy[:, refs[own]])
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):
@@ -172,8 +176,9 @@ def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None)
 def _peer_means(tables, per_table) -> np.ndarray:
     """Per agent, ``per_table`` of its pair joints averaged over its reference agents J,
     from its (J, report_i, report_J) table, as :func:`conditional_mi` averages MI.
-    ``tables`` yields, in agent order, blocks of agents' tables (agents, k, m, m)."""
-    return np.hstack([_slice_mean(t, per_table) for t in tables])
+    ``tables`` yields, in agent order, blocks of agents' tables (..., agents, k, m, m), with
+    any leading axes (a scenario stack) the same in each block; the result is (..., n)."""
+    return np.concatenate([_slice_mean(t, per_table) for t in tables], axis=-1)
 
 
 def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport:
@@ -182,7 +187,7 @@ def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport
 
     payment_i = (1 / (n-1)) * sum_{j != i} MI(report_i ; report_j).
     """
-    payments = _peer_means(_exact_joints(scenario), _mi_kernel(measure))
+    payments = _peer_means(_exact_joints([scenario]), _mi_kernel(measure))[0]
     effort_costs = utilities = None
     if scenario.efforts is not None:
         effort_costs = np.array(
@@ -415,7 +420,7 @@ def sppm_expected_payments(
     truth-telling on the same prior each payment equals the Bregman mutual
     information of the prior pair joint.
     """
-    payments = _peer_means(_exact_joints(scenario), _score_shifts(known_prior, rule))
+    payments = _peer_means(_exact_joints([scenario]), _score_shifts(known_prior, rule))[0]
     return PaymentReport(
         mechanism="sppm", mode="exact", payments=payments, measure=rule.value
     )

@@ -349,8 +349,11 @@ def _check_seed(seed) -> None:
 
 
 def rng_from_seed(seed: RngSeed, *stream: int) -> np.random.Generator:
-    """A PCG64 generator for (seed, stream...); distinct streams never collide.  The seed
-    is not checked here: public entry points check theirs with :func:`_check_seed`."""
+    """A PCG64 generator for (seed, stream...).  ``SeedSequence`` hashes the tuple's integers
+    as little-endian uint32 words padded with zero words to 4, so tuples whose words agree up
+    to trailing zeros within 4 words collide: (5, 900000, 0) and (5, 900000) start in one
+    state, as do (5, 2**32) and (5, 0, 1).  The seed is not checked here: public entry points
+    check theirs with :func:`_check_seed`."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
 
 

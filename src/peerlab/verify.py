@@ -6,7 +6,8 @@ an optional global part (checks recorded at instance -1) plus an instance
 part that the runner hands the instance indices in chunks.  Each instance is
 drawn on its own from a generator in the state ``rng_from_seed(config.seed,
 idx)`` starts in, which ``probability._instance_rngs`` sets from one
-SeedSequence hash of the whole chunk's seeds; most suites then
+SeedSequence hash of the whole chunk's seeds (bts' global population draws take
+spawn-keyed streams, which no instance stream meets); most suites then
 check it alone, some on one stack per instance (scenario-equivalence of it
 and its relabeled twins, md-equivalence of its three report pairs, bts of its
 two world tensors), while the one-table suites (bregman-quasi, accuracy-gain)
@@ -95,7 +96,6 @@ from .probability import (
     _validated_tables,
     apply_channel,
     permutation_channel,
-    rng_from_seed,
     uniform_distribution,
 )
 
@@ -800,7 +800,9 @@ def _bts_global(rec: _Recorder, config: SuiteConfig) -> None:
     for pos, n_agents in enumerate(_POPULATION_SIZES):
         gaps = []
         for rep_i in range(_POPULATION_REPS):
-            rng = rng_from_seed(config.seed, 900000 + pos * 1000 + rep_i)
+            # a spawn key pads the seed to 4 words first, so no (seed, idx) instance stream meets it
+            key = np.random.SeedSequence(config.seed, spawn_key=(900000, pos, rep_i))
+            rng = np.random.Generator(np.random.PCG64(key))
             gaps.append(_bts_population_gap(CANONICAL_WORLD, n_agents, preds, ideal, rng))
         medians.append(statistics.median(gaps))
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
@@ -903,24 +905,31 @@ def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
 
 
 def _scenario_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
+    """Pays a scenario and its relabeled twins from stacks: one (11, n, n-1, m, m) stack of
+    exact joints from one :func:`_exact_joints` call, under a world model one stack of world
+    tensors for both bts scores, and per mechanism one reduction to each twin's largest
+    payment difference; the checks are then recorded twin by twin."""
     scenario, _ = _random_equivalence_scenario(rng)
     n, m = scenario.n_agents, scenario.alphabet_size
     perm_lists = [_random_perms(rng, scenario.prior, n, m) for _ in range(_PERM_LISTS)]
     scenarios = [scenario] + [permute_scenario(scenario, perms) for perms in perm_lists]
-    # every agent's exact joints in the scenario and its twins, as one (11, n, n-1, m, m) stack
-    tables = np.stack([np.concatenate(list(_exact_joints(s))) for s in scenarios])
+    tables = np.concatenate(list(_exact_joints(scenarios)), axis=1)
     kernels = _equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False))
     pay = {name: _slice_mean(tables, kernel) for name, kernel in kernels.items()}
     if isinstance(scenario.prior, WorldModelPrior):
-        scores = [bts_idealized_scores(s.prior, s.strategies) for s in scenarios]
-        pay["bts-idealized-information"] = np.array([[s.information_score] * n for s in scores])
-        pay["bts-idealized-prediction"] = np.array([[s.prediction_score] * n for s in scores])
+        tensors = np.stack([world_tensor(s.prior, s.strategies).table for s in scenarios])
+        info = _slice_mean(tensors, _mi_kernel(ConvexGenerator.KL))
+        pay["bts-idealized-information"] = info[:, None]
+        pay["bts-idealized-prediction"] = -_log_score_gains(tensors)[:, None]
+    # per mechanism, each twin's largest |payment difference| from the scenario over agents
+    diffs = {name: np.abs(pay[name][1:] - pay[name][0]).max(axis=1).tolist()
+             for name in sorted(pay)}
     base_dict = scenario_to_dict(scenario)
-    for t, (perms, twin) in enumerate(zip(perm_lists, scenarios[1:]), 1):
+    for t, (perms, twin) in enumerate(zip(perm_lists, scenarios[1:])):
         def matrices() -> list:
             return _jl(np.eye(m)[perms.maps])
-        for name in sorted(pay):
-            diff = float(np.max(np.abs(pay[name][0] - pay[name][t])))
+        for name, per_twin in diffs.items():
+            diff = per_twin[t]
             rec.check("payments_identical", "equality", diff <= 1e-12, idx, lambda: {
                 "mechanism": name,
                 "scenario": base_dict,

@@ -4,8 +4,8 @@ The measure oracles are written with plain Python loops and math functions,
 deliberately avoiding the library's own vectorized code paths, so tests can
 cross-check the two routes against each other.  The reference routes at the
 end are the payment loops, the one-scenario-per-effort-level utility, the
-one-scenario-at-a-time payments of the scenario-equivalence suite and the
-strategy sampler that the library's merged engines and stacks replaced, kept
+one-scenario-at-a-time exact joints and payments of the scenario-equivalence suite
+and the strategy sampler that the library's merged engines and stacks replaced, kept
 as they were, with the ``rng.dirichlet`` draws of the floored table, the channel
 rows and the CI table that the private samplers made before they took unit
 exponentials; the md/ca loops take their comparison subsets from the engine's
@@ -504,11 +504,37 @@ def effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=N
     return float(mechanisms.mip_expected_payments(scn, gen).payments[0]) - lam * cost
 
 
+def exact_joints(scenario: Scenario):
+    """Per block of agents, the exact (J, report_i, report_J) tables of one scenario, shaped
+    (agents in the block, n-1, m, m), one report-table call per block of about
+    ``agents.COUNT_CELLS`` cells, as the exact engines built them before they took a stack
+    of scenarios."""
+    n, m, prior = scenario.n_agents, scenario.alphabet_size, scenario.prior
+    refs = np.array(_reference_sets(n, ALL_PAIRS, None), dtype=np.intp)
+    efforts = [scenario.effort(i) for i in range(n)]
+    channels = np.stack([s.channel.rows for s in scenario.strategies])
+    probs = np.array([e.full_effort_prob for e in efforts])[:, None, None]
+    lazy = np.stack([e.resolve_no_effort(m).weights for e in efforts])
+    block = max(agents.COUNT_CELLS // (refs.shape[1] * m * m), 1)
+    for own in np.array_split(np.arange(n), range(block, n, block)):
+        q = np.stack([prior._pair_tables(i, refs[i]) for i in own])
+        yield agents._report_tables(channels[own, None], channels[refs[own]], q,
+                                    probs[own, None], probs[refs[own]], lazy[own, None],
+                                    lazy[refs[own]])
+
+
+def stacked_exact_joints(scenarios) -> np.ndarray:
+    """Every agent's exact joints in each scenario, one scenario at a time, as one
+    (scenarios, n, n-1, m, m) stack: the scenario-equivalence suite's route before
+    ``mechanisms._exact_joints`` took the scenario and its twins in one call."""
+    return np.stack([np.concatenate(list(exact_joints(s))) for s in scenarios])
+
+
 def equivalence_payment_vectors(scenario: Scenario, kernels: dict) -> dict:
     """Exact per-agent payments of every exact evaluator of the scenario-equivalence suite
     (``kernels``, plus the idealized bts scores under a world model), one scenario at a time,
     as the suite paid the scenario and each twin before it paid them as one stack."""
-    tables = list(mechanisms._exact_joints(scenario))
+    tables = list(exact_joints(scenario))
     out = {name: mechanisms._peer_means(tables, kernel) for name, kernel in kernels.items()}
     if isinstance(scenario.prior, WorldModelPrior):
         n = scenario.n_agents

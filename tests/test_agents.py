@@ -37,6 +37,7 @@ from peerlab import (
     world_tensor,
     ZeroMass,
 )
+from peerlab import agents
 from peerlab.agents import _inverse_cdf
 
 SWAP = Strategy(permutation_channel([1, 0]), label="swap")
@@ -46,6 +47,35 @@ class TestPriors:
     def test_symmetric_flag_enforced(self):
         with pytest.raises(ModeMismatch):
             PairwisePrior(JointDistribution(np.array([[0.5, 0.2], [0.1, 0.2]])), symmetric=True)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)), st.booleans(),
+           st.one_of(st.floats(0.5, 1.5), st.sampled_from((1.0, 1.0 - 1e-9, 1.0 + 1e-9))),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetry_rule_is_allclose(self, seed, m, zero_cell, factor, negative):
+        # one off-diagonal cell moved to about the bound 1e-12 + 1e-5 * |mirror| from its
+        # mirror (mass kept by its row's diagonal): accepted exactly when np.allclose accepts
+        rng = np.random.default_rng(seed)
+        x = rng.random((m, m)) + 0.1
+        x = x + x.T
+        a, b = rng.choice(m, size=2, replace=False).tolist()
+        if zero_cell:
+            x[a, b] = x[b, a] = 0.0
+        x /= x.sum()
+        step = (1e-12 + 1e-5 * x[b, a]) * factor
+        new = max(x[b, a] - step, 0.0) if negative else x[b, a] + step
+        x[a, a] -= new - x[a, b]
+        x[a, b] = new
+        joint = JointDistribution(x)
+        accepted = np.allclose(joint.table, joint.table.T, atol=1e-12)
+        if factor <= 1.0 - 1e-6 or (factor >= 1.0 + 1e-6 and new > 0.0):
+            assert accepted == (factor < 1.0)
+        if accepted:
+            PairwisePrior(joint)
+        else:
+            with pytest.raises(ModeMismatch, match="prior flagged symmetric but table is not"):
+                PairwisePrior(joint)
+        assert not PairwisePrior(joint, symmetric=False).symmetric
 
     def test_pair_joint_transposes_for_reversed_order(self):
         q = JointDistribution(np.array([[0.5, 0.2], [0.1, 0.2]]))
@@ -195,6 +225,47 @@ class TestGenerateReports:
         reports = generate_reports(scn, 20_000, seed=9)
         emp = empirical_pair_joint(reports, 0, 3)
         assert np.max(np.abs(emp.table - two_state_world.pair_joint(0, 3).table)) < 0.02
+
+
+class TestReportMatrixArrays:
+    """A writeable input array is copied, so the caller's stays writeable; a read-only one
+    is shared, and the report paths hand over read-only arrays, so they copy nothing."""
+
+    def test_writeable_inputs_are_copied(self):
+        entries, mask = np.zeros((2, 3), np.intp), np.ones((2, 3), bool)
+        reports = ReportMatrix(entries, mask, 2)
+        entries[0, 0] = 1
+        mask[0, 0] = False
+        assert reports.entries[0, 0] == 0 and reports.mask[0, 0]
+        assert not (reports.entries.flags.writeable or reports.mask.flags.writeable)
+        int_mask = np.ones((2, 3), np.int64)
+        ReportMatrix(entries, int_mask, 2)
+        int_mask[0, 0] = 0
+        view = np.zeros((4, 3), np.intp)[::2]
+        ReportMatrix(view, mask, 2)
+        view[1, 2] = 1
+
+    def test_read_only_inputs_are_shared(self):
+        entries, mask = np.zeros((2, 3), np.intp), np.ones((2, 3), bool)
+        entries.setflags(write=False)
+        mask.setflags(write=False)
+        reports = ReportMatrix(entries, mask, 2)
+        assert reports.entries is entries and reports.mask is mask
+        assert ReportMatrix.full(entries, 2).entries is entries
+
+    def test_report_paths_copy_nothing(self, monkeypatch, two_state_world):
+        read_only = agents._read_only
+
+        def shared(arr, given):
+            out = read_only(arr, given)
+            assert out is arr
+            return out
+
+        monkeypatch.setattr(agents, "_read_only", shared)
+        scn = Scenario(two_state_world, tuple(truth_telling(2) for _ in range(4)))
+        reports = generate_reports(scn, 200, seed=4)
+        assert not reports.entries.flags.writeable and not reports.mask.flags.writeable
+        ReportMatrix.full(np.array([[0, 1], [1, 0]]).astype(np.int32), 2)
 
 
 class TestEmpiricalPairJoint:

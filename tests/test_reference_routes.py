@@ -16,7 +16,8 @@ per-instance parts.  So must the report-joint core on a stack and on the exact
 engines' blocks of agents (against ``report_joint`` per pair), the effort suite's
 stacked payments (against ``oracles.effort_utility``) and the scenario-equivalence
 suite's one stack of a scenario and its twins (against
-``oracles.equivalence_payment_vectors``).  Last, the scores and the shifted-score
+``oracles.equivalence_payment_vectors``, and its joints against
+``oracles.stacked_exact_joints``).  Last, the scores and the shifted-score
 table must match their one-signal and one-cell loops bit for bit, and the log-score
 gain, the reported world states and the optimal predictions their per-atom,
 per-state and per-signal loops to 1e-12."""
@@ -580,7 +581,7 @@ class TestExactPairLoop:
     @settings(max_examples=80, deadline=None)
     def test_agreement_matches_loop(self, seed, n, efforts):
         scenario = random_scenario(seed, n, efforts)
-        assert_close(_peer_means(_exact_joints(scenario), _agreement_rewards),
+        assert_close(_peer_means(_exact_joints([scenario]), _agreement_rewards)[0],
                      oracles.agreement_expected(scenario))
 
     @given(seeds, st.integers(2, 6), st.booleans())
@@ -624,7 +625,9 @@ class TestExactBlocks:
     @staticmethod
     def blocks(scenario, cells):
         with mock.patch.object(agents_module, "COUNT_CELLS", cells):
-            return list(_exact_joints(scenario))
+            blocks = list(_exact_joints([scenario]))
+        assert all(b.shape[0] == 1 for b in blocks)  # a stack of one scenario
+        return [b[0] for b in blocks]
 
     @given(st.sampled_from((1, 40, agents_module.COUNT_CELLS)), seeds, st.integers(2, 6),
            st.booleans())
@@ -645,7 +648,7 @@ class TestExactBlocks:
         m = scenario.alphabet_size
         reports = ReportMatrix.full(rng_from_seed(seed).integers(m, size=(n, 100)), m)
         with mock.patch.object(agents_module, "COUNT_CELLS", cells):
-            exact = cli._agent0_payment(_exact_joints(scenario), gen)
+            exact = cli._agent0_payment((b[0] for b in _exact_joints([scenario])), gen)
             assert exact == mip_expected_payments(scenario, gen).payments[0]
             counted = cli._agent0_payment(_empirical_joints(reports, PAIRINGS[0], None), gen)
             assert counted == fmi_mechanism_payments(reports, gen).payments[0]
@@ -758,32 +761,44 @@ class TestEffortStacks:
                               [mutual_information(w, measure) for w in want])
 
 
+def mode_scenario(rng, mode: str, n: int, m: int, efforts: bool) -> Scenario:
+    """A scenario of the scenario-equivalence suite's kind under one prior mode."""
+    if mode == "full":
+        prior = sampling.random_full_joint_prior(rng, n, m)
+    elif mode == "pairwise":
+        prior = sampling.random_pairwise_symmetric_prior(rng, m)
+    else:
+        prior = sampling.random_world_model(rng, int(rng.integers(2, 4)), m)
+    strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
+    profile = tuple(EffortStrategy(float(rng.uniform()), float(rng.uniform(0, 0.5)))
+                    for _ in range(n)) if efforts else None
+    return Scenario(prior, strategies, profile)
+
+
 class TestEquivalenceStack:
     """The scenario-equivalence suite pays a scenario and its ten relabeled twins as one stack;
-    each kernel's payments must be the very floats of the one-scenario-at-a-time route it
-    replaced (``oracles.equivalence_payment_vectors``), under every prior mode of the suite."""
+    each kernel's payments and both bts scores must be the very floats of the
+    one-scenario-at-a-time route it replaced (``oracles.equivalence_payment_vectors``), under
+    every prior mode of the suite, and the stacked exact joints those of
+    ``oracles.stacked_exact_joints``, whatever the blocks."""
 
     @given(seeds, st.sampled_from((2, 3)), st.sampled_from((2, 3)),
            st.sampled_from(("full", "pairwise", "world")), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_stack_equals_per_scenario_route(self, seed, m, n, mode, efforts):
         rng = rng_from_seed(seed)
-        if mode == "full":
-            prior = sampling.random_full_joint_prior(rng, n, m)
-        elif mode == "pairwise":
-            prior = sampling.random_pairwise_symmetric_prior(rng, m)
-        else:
-            prior = sampling.random_world_model(rng, int(rng.integers(2, 4)), m)
-        strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
-        profile = tuple(EffortStrategy(float(rng.uniform()), float(rng.uniform(0, 0.5)))
-                        for _ in range(n)) if efforts else None
-        scenario = Scenario(prior, strategies, profile)
-        stacks, twins = [], []
-        slice_mean, permute = verify._slice_mean, verify.permute_scenario
+        scenario = mode_scenario(rng, mode, n, m, efforts)
+        stacks, gains, twins = [], [], []
+        slice_mean, log_gains, permute = (verify._slice_mean, verify._log_score_gains,
+                                          verify.permute_scenario)
 
         def spied_mean(tables, kernel):
             stacks.append(slice_mean(tables, kernel))
             return stacks[-1]
+
+        def spied_gains(tensors):
+            gains.append(log_gains(tensors))
+            return gains[-1]
 
         def spied_permute(base, perms):
             twins.append(permute(base, perms))
@@ -793,17 +808,40 @@ class TestEquivalenceStack:
         with mock.patch.object(verify, "_random_equivalence_scenario",
                                return_value=(scenario, None)), \
                 mock.patch.object(verify, "_slice_mean", spied_mean), \
+                mock.patch.object(verify, "_log_score_gains", spied_gains), \
                 mock.patch.object(verify, "permute_scenario", spied_permute):
             verify._scenario_equivalence_instance(verify._Recorder(config), config, 0, rng)
-        kernels = verify._equivalence_kernels(PairwisePrior(prior.pair_joint(0, 1),
+        kernels = verify._equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1),
                                                             symmetric=False))
-        assert len(stacks) == len(kernels)
+        world = mode == "world"
+        # one slice mean per kernel, then the bts information score on a world model
+        assert (len(stacks), len(gains)) == (len(kernels) + world, int(world))
         # the twins are built before the inverse round trips
         for t, paid in enumerate([scenario] + twins[:verify._PERM_LISTS]):
             want = oracles.equivalence_payment_vectors(paid, kernels)
             for name, got in zip(kernels, stacks):
                 assert got.shape == (1 + verify._PERM_LISTS, n)
                 assert np.array_equal(got[t], want[name]), name
+            if world:
+                assert stacks[-1][t] == want["bts-idealized-information"][0]
+                assert -gains[0][t] == want["bts-idealized-prediction"][0]
+
+    @given(seeds, st.sampled_from(("full", "pairwise", "world")), st.sampled_from((2, 3, 5)),
+           st.sampled_from((2, 3)), st.lists(st.booleans(), min_size=2, max_size=11),
+           st.sampled_from((1, 40, 300, agents_module.COUNT_CELLS)))
+    @settings(max_examples=120, deadline=None)
+    def test_joint_stack_equals_per_scenario_route(self, seed, mode, n, m, efforts, cells):
+        # scenarios of one (n, m), each with no efforts or drawn ones; small budgets split the
+        # agents into several blocks of the whole stack
+        rng = rng_from_seed(seed)
+        scenarios = [mode_scenario(rng, mode, n, m, e) for e in efforts]
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            blocks = list(_exact_joints(scenarios))
+            want = oracles.stacked_exact_joints(scenarios)
+        size = max(cells // (len(scenarios) * (n - 1) * m * m), 1)
+        assert [b.shape[:2] for b in blocks] == [(len(scenarios), len(range(n)[k:k + size]))
+                                                 for k in range(0, n, size)]
+        assert np.array_equal(np.concatenate(blocks, axis=1), want)
 
 
 def assert_same_scenario(got, want):

@@ -329,7 +329,7 @@ def call_counts(monkeypatch):
 
 
 def test_equivalence_instance_builds_each_joint_once(call_counts):
-    # n <= 3 agents: the scenario and each of its 10 twins build every agent's joints with one
+    # n <= 3 agents: the scenario and its 10 twins build every agent's joints with one
     # report-table call, and one score-shift kernel per rule pays the whole stack
     config = default_config("scenario-equivalence", instances=1)
     for stream in range(1, 7):
@@ -337,7 +337,7 @@ def test_equivalence_instance_builds_each_joint_once(call_counts):
         call_counts.clear()
         verify._scenario_equivalence_instance(verify._Recorder(config), config, stream,
                                               rng_from_seed(0, stream))
-        assert call_counts == {"_exact_joints": 11, "_report_tables": 11, "_score_shifts": 2}
+        assert call_counts == {"_exact_joints": 1, "_report_tables": 1, "_score_shifts": 2}
 
 
 def test_equivalence_instance_builds_score_shifts_once(call_counts):
@@ -353,12 +353,12 @@ def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypat
     joints, permute = verify._exact_joints, verify.permute_scenario
     calls, maps = [], []
 
-    def skewed(scenario):
-        # the base scenario's joints are built first; the first twin's get extra agreement
-        calls.append(scenario)
-        blocks = list(joints(scenario))
-        if len(calls) == 2:
-            blocks[0] = blocks[0] + 0.1 * np.eye(blocks[0].shape[-1])
+    def skewed(scenarios):
+        # the base scenario leads the stack; the first twin's joints get extra agreement
+        calls.append(scenarios)
+        blocks = list(joints(scenarios))
+        blocks[0] = blocks[0].copy()
+        blocks[0][1] += 0.1 * np.eye(blocks[0].shape[-1])
         return blocks
 
     def recorded(scenario, perms):
@@ -371,7 +371,7 @@ def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypat
     violations = [v for v in verdict.violations if v["claim"] == "payments_identical"]
     assert violations and not verdict.passed
     want = [permutation_channel(row).rows.tolist() for row in maps[0]]
-    scenario = verify.scenario_to_dict(calls[0])
+    scenario = verify.scenario_to_dict(calls[0][0])
     for v in violations:
         assert set(v["data"]) == {"mechanism", "scenario", "perms", "difference"}
         assert v["data"]["perms"] == want and v["data"]["scenario"] == scenario
@@ -381,6 +381,30 @@ def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypat
     assert replay_violation(violations[0], config)
     monkeypatch.undo()
     assert not replay_violation(violations[0], config)
+
+
+def test_bts_population_streams_never_meet_instance_streams(monkeypatch):
+    # the finite-population reps draw from spawn-keyed streams; the (seed, 900000 + ...)
+    # streams they once read are instance streams, and tuples padded with zero words
+    # such as (seed, 900000, pos, rep) would collide with them as well
+    states, gap = [], verify._bts_population_gap
+
+    def spied(world, n_agents, preds, ideal, rng):
+        states.append(rng.bit_generator.state)
+        return gap(world, n_agents, preds, ideal, rng)
+
+    monkeypatch.setattr(verify, "_bts_population_gap", spied)
+    config = default_config("bts", instances=1, seed=5)
+    verify._bts_global(verify._Recorder(config), config)
+    reps = [(pos, rep) for pos in range(len(verify._POPULATION_SIZES))
+            for rep in range(verify._POPULATION_REPS)]
+    assert states == [np.random.PCG64(np.random.SeedSequence(5, spawn_key=(900000, *key))).state
+                      for key in reps]
+    padded = rng_from_seed(5, 900000, 0, 0).bit_generator.state
+    assert padded == rng_from_seed(5, 900000).bit_generator.state
+    instance = [rng_from_seed(5, 900000 + pos * 1000 + rep).bit_generator.state
+                for pos, rep in reps]
+    assert not any(state in instance for state in states)
 
 
 def test_effort_suite_pays_each_list_from_one_stack(call_counts):
