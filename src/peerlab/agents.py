@@ -1,11 +1,11 @@
 """Agent models: priors, report strategies, effort strategies, scenarios.
 
 A *scenario* bundles a prior over private signals, one report channel per
-agent and (optionally) one zero-one effort strategy per agent.  It is both
-the unit of simulation (``generate_reports``) and the unit of the
-relabeling-equivalence checks (``permute_scenario``).  A relabeling
-(``PermutationList``) is one integer index map per agent, not a permutation
-matrix.
+agent and (optionally) one zero-one effort strategy per agent; it is the unit
+of simulation (``generate_reports``).  A relabeling (``PermutationList``) is one
+integer index map per agent, and relabels arrays: channel rows and each prior
+mode's raw arrays are gathered for T map lists at once.  ``permute_scenario`` is
+the one-object wrapper of that gather, and validates the twin it builds.
 
 Priors come in three modes:
 
@@ -52,6 +52,7 @@ from .probability import (
     RngSeed,
     TransitionMatrix,
     _check_seed,
+    _floats,
     _index,
     _int_at_least,
     _integers,
@@ -70,10 +71,26 @@ MAX_FULL_JOINT_AGENTS = 6
 
 
 class _PairJoints:
-    """The pair joint of each prior mode, from the mode's ``_pair_tables(i, refs)``."""
+    """What the prior modes share.  A *stack* holds a mode's raw arrays, named as in the
+    scenario file, each with a leading axis of S priors; ``_stack()`` is the prior's own,
+    S = 1.  Each mode has one pair-table body, ``_pairs(own, refs, stack)``: the
+    (S, agents, k, m, m) signal-pair tables of each agent of ``own`` (rows) with each agent of
+    its row of ``refs``.  ``_relabel(maps, stack)`` gathers a stack for T maps (T, n, m), S
+    being 1 or T.  Both read ``_stack()`` when ``stack`` is None."""
+
+    def _agent(self, value, name: str) -> int:
+        return _int_at_least(value, 0, name)
+
+    def _agent_pair(self, i, j) -> tuple[int, int]:
+        """Two distinct agent indices: whole numbers >= 0 (below n under a full joint)."""
+        i, j = self._agent(i, "i"), self._agent(j, "j")
+        if i == j:
+            raise DimensionMismatch("a pair joint needs two distinct agents")
+        return i, j
 
     def pair_joint(self, i: int, j: int) -> JointDistribution:
-        return JointDistribution(self._pair_tables(i, [j])[0])
+        i, j = self._agent_pair(i, j)
+        return JointDistribution(self._pairs([i], [[j]])[0, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -89,8 +106,11 @@ class PairwisePrior(_PairJoints):
 
     joint: JointDistribution
     symmetric: bool = True
+    _MODE = "pairwise"
 
     def __post_init__(self):
+        if not isinstance(self.joint, JointDistribution):
+            raise ModeMismatch(f"PairwisePrior needs a JointDistribution, got {self.joint!r}")
         table = self.joint._require_pairwise("PairwisePrior")
         if table.shape[0] != table.shape[1]:
             raise DimensionMismatch("pairwise prior must be square")
@@ -102,13 +122,17 @@ class PairwisePrior(_PairJoints):
     def alphabet_size(self) -> int:
         return self.joint.shape[0]
 
-    def _pair_tables(self, i: int, refs) -> np.ndarray:
-        """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
-        refs = np.asarray(refs)
-        if np.any(refs == i):
-            raise DimensionMismatch("a pair joint needs two distinct agents")
-        table = self.joint.table
-        return np.where((refs > i)[:, None, None], table, table.T)
+    def _stack(self) -> dict:
+        return {"table": self.joint.table[None]}
+
+    def _pairs(self, own, refs, stack=None) -> np.ndarray:
+        tables = (stack or self._stack())["table"][:, None, None]
+        later = (np.asarray(refs) > np.asarray(own)[:, None])[..., None, None]
+        return np.where(later, tables, tables.swapaxes(-1, -2))
+
+    def _relabel(self, maps, stack=None) -> dict:
+        tables, p = (stack or self._stack())["table"], maps[:, 0]
+        return {"table": tables[np.arange(len(tables))[:, None, None], p[:, :, None], p[:, None]]}
 
 
 @dataclass(frozen=True)
@@ -116,9 +140,10 @@ class FullJointPrior(_PairJoints):
     """Explicit joint over all n agents' signals, one tensor axis per agent."""
 
     tensor: np.ndarray
+    _MODE = "full_joint"
 
     def __post_init__(self):
-        arr = np.asarray(self.tensor, dtype=np.float64)
+        arr = _floats(self.tensor, "full-joint tensor")
         if arr.ndim < 2:
             raise WrongRank("full-joint prior needs at least 2 agents")
         if arr.ndim > MAX_FULL_JOINT_AGENTS:
@@ -137,15 +162,24 @@ class FullJointPrior(_PairJoints):
     def alphabet_size(self) -> int:
         return self.tensor.shape[0]
 
-    def _pair_tables(self, i: int, refs) -> np.ndarray:
-        """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
-        n, m = self.n_agents, self.alphabet_size
-        for j in refs:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise DimensionMismatch(f"bad agent pair ({i}, {j})")
-        return np.stack([
-            np.moveaxis(self.tensor, (i, j), (0, 1)).reshape(m, m, -1).sum(axis=-1) for j in refs
-        ])
+    def _agent(self, value, name: str) -> int:
+        return _index(value, self.n_agents, name)
+
+    def _stack(self) -> dict:
+        return {"tensor": self.tensor[None]}
+
+    def _pairs(self, own, refs, stack=None) -> np.ndarray:
+        """One marginal over the whole stack per agent pair."""
+        tensors, refs = (stack or self._stack())["tensor"], np.asarray(refs)
+        s, m = len(tensors), tensors.shape[-1]
+        pairs = [np.moveaxis(tensors, (1 + i, 1 + j), (1, 2)).reshape(s, m, m, -1).sum(axis=-1)
+                 for i, row in zip(np.asarray(own).tolist(), refs.tolist()) for j in row]
+        return np.stack(pairs, axis=1).reshape(s, *refs.shape, m, m)
+
+    def _relabel(self, maps, stack=None) -> dict:
+        tensors, (t, n, m) = (stack or self._stack())["tensor"], maps.shape
+        index = [maps[:, a].reshape(t, *[1] * a, m, *[1] * (n - 1 - a)) for a in range(n)]
+        return {"tensor": tensors[(np.arange(len(tensors)).reshape(-1, *[1] * n), *index)]}
 
 
 @dataclass(frozen=True)
@@ -154,9 +188,12 @@ class WorldModelPrior(_PairJoints):
 
     state_probs: Distribution
     states: tuple[Distribution, ...]
+    _MODE = "world_model"
 
     def __post_init__(self):
         states = tuple(self.states)
+        if not all(isinstance(d, Distribution) for d in (self.state_probs, *states)):
+            raise ModeMismatch("WorldModelPrior needs Distributions for state_probs and states")
         if len(states) != self.state_probs.size:
             raise DimensionMismatch("one signal distribution per world state")
         sizes = {s.size for s in states}
@@ -172,20 +209,30 @@ class WorldModelPrior(_PairJoints):
     def alphabet_size(self) -> int:
         return self.states[0].size
 
-    def _pair_tables(self, i: int, refs) -> np.ndarray:
-        """Signal-pair tables of agent i (rows) with each agent of ``refs``: (len(refs), m, m)."""
-        if np.any(np.asarray(refs) == i):
-            raise DimensionMismatch("a pair joint needs two distinct agents")
-        table = self._signal_pair_table().sum(axis=0)
-        return np.broadcast_to(table, (len(refs),) + table.shape)
+    def _stack(self) -> dict:
+        return {"state_probs": self.state_probs.weights[None],
+                "states": np.stack([s.weights for s in self.states])[None]}
+
+    def _pairs(self, own, refs, stack=None) -> np.ndarray:
+        """One table per prior of the stack, shared by every agent pair."""
+        shared = _state_pair_tables(stack or self._stack()).sum(axis=-3)[:, None, None]
+        return np.broadcast_to(shared, (len(shared), *np.shape(refs), *shared.shape[-2:]))
+
+    def _relabel(self, maps, stack=None) -> dict:
+        stack = stack or self._stack()
+        return {"state_probs": np.broadcast_to(stack["state_probs"], (len(maps), self.n_states)),
+                "states": np.take_along_axis(stack["states"], maps[:, :1], axis=2)}
 
     def signal_pair_tensor(self) -> JointDistribution:
         """Conditional-mode joint over (Z = world state, X = signal_i, Y = signal_j)."""
-        return JointDistribution(self._signal_pair_table())
+        return JointDistribution(_state_pair_tables(self._stack())[0])
 
-    def _signal_pair_table(self) -> np.ndarray:
-        omega = np.stack([s.weights for s in self.states])
-        return self.state_probs.weights[:, None, None] * (omega[:, :, None] * omega[:, None, :])
+
+def _state_pair_tables(stack: dict) -> np.ndarray:
+    """Per world state of each world of a stack, its probability times the joint of two iid
+    signals: (S, w, m, m)."""
+    states = stack["states"]
+    return stack["state_probs"][..., None, None] * (states[..., :, None] * states[..., None, :])
 
 
 Prior = Union[PairwisePrior, FullJointPrior, WorldModelPrior]
@@ -276,7 +323,7 @@ class PermutationList:
         return self.maps.shape[1]
 
     def inverse(self) -> "PermutationList":
-        return PermutationList(np.argsort(self.maps, axis=1))
+        return PermutationList(_inverse_maps(self.maps))
 
 
 @dataclass(frozen=True)
@@ -346,15 +393,14 @@ def report_joint(
 
     This validates the inputs and hands them to :func:`_report_tables`.
     """
-    if np.ndim(j) != 0:
-        raise DimensionMismatch(f"report_joint takes one reference agent j, got {j!r}")
+    i, j = prior._agent_pair(i, j)
     a, b, m = s_i.channel.rows, s_j.channel.rows, prior.alphabet_size
     if a.shape[0] != m or b.shape[0] != m:
         raise DimensionMismatch("strategy alphabet differs from prior alphabet")
     eff_i, eff_j = eff_i or FULL_EFFORT, eff_j or FULL_EFFORT
     tables = _report_tables(
-        a, b[None], prior._pair_tables(i, [j]), eff_i.full_effort_prob, eff_j.full_effort_prob,
-        eff_i.resolve_no_effort(a.shape[1]).weights,
+        a, b[None], prior._pairs([i], [[j]])[0, 0], eff_i.full_effort_prob,
+        eff_j.full_effort_prob, eff_i.resolve_no_effort(a.shape[1]).weights,
         eff_j.resolve_no_effort(b.shape[1]).weights[None],
     )
     return JointDistribution(tables[0])
@@ -399,8 +445,21 @@ def reported_world_states(
     mats = [s.channel.rows for s in strategies]
     if len({mat.shape for mat in mats}) != 1 or mats[0].shape[0] != prior.alphabet_size:
         raise DimensionMismatch("strategies need one channel shape on the world-state alphabet")
-    omega = np.stack([s.weights for s in prior.states])
-    return tuple(Distribution(row) for row in (omega @ np.stack(mats)).mean(axis=0))
+    return tuple(map(Distribution, _reported_states(prior._stack(), np.stack(mats)[None])[0]))
+
+
+def _reported_states(stack: dict, rows: np.ndarray) -> np.ndarray:
+    """:func:`reported_world_states` of each world of a stack, (S, w, m'): its states seen
+    through the mean of the agents' channels (S, n, m, m')."""
+    return (stack["states"][:, None] @ rows).mean(axis=-3)
+
+
+def _world_tensors(stack: dict, reported: np.ndarray) -> np.ndarray:
+    """:func:`world_tensor` of each world of a stack, (S, m, w, m'), from its reported states
+    (S, w, m')."""
+    # C order, as a single world's product had: the score kernels' sums follow the layout
+    omega = np.ascontiguousarray(stack["states"].swapaxes(-1, -2))[..., None]
+    return stack["state_probs"][:, None, :, None] * (omega * reported[:, None])
 
 
 def world_tensor(
@@ -415,9 +474,8 @@ def world_tensor(
     """
     if not isinstance(prior, WorldModelPrior):
         raise ModeMismatch("world_tensor needs a WorldModelPrior")
-    omega = np.stack([s.weights for s in prior.states], axis=1)[:, :, None]
-    omega_hat = np.stack([r.weights for r in reported_world_states(prior, strategies)])
-    return JointDistribution(prior.state_probs.weights[:, None] * (omega * omega_hat))
+    reported = np.stack([r.weights for r in reported_world_states(prior, strategies)])
+    return JointDistribution(_world_tensors(prior._stack(), reported[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +701,15 @@ def empirical_pair_joint(reports: ReportMatrix, i: int, j: int) -> JointDistribu
 # ---------------------------------------------------------------------------
 
 
-def _permute_prior(prior: Prior, maps: np.ndarray) -> Prior:
-    if isinstance(prior, FullJointPrior):
-        return FullJointPrior(prior.tensor[np.ix_(*maps)])
-    if np.any(maps != maps[0]):
-        raise UnsupportedPriorMode(
-            "pairwise and world-model priors only support symmetric permutation lists"
-        )
-    p = maps[0]
-    if isinstance(prior, PairwisePrior):
-        return PairwisePrior(JointDistribution(prior.joint.table[np.ix_(p, p)]), prior.symmetric)
-    states = tuple(Distribution(s.weights[p]) for s in prior.states)
-    return WorldModelPrior(prior.state_probs, states)
+def _inverse_maps(maps: np.ndarray) -> np.ndarray:
+    """The inverse of each relabeling map along the last axis."""
+    return np.argsort(maps, axis=-1)
+
+
+def _relabel_rows(rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Channels (..., n, m, m') relabeled by maps (..., n, m): agent i's row s becomes its
+    row ``maps[..., i, s]``; leading axes broadcast."""
+    return np.take_along_axis(rows, maps[..., None], axis=-2)
 
 
 def permute_scenario(scenario: Scenario, perms: PermutationList) -> Scenario:
@@ -664,17 +719,28 @@ def permute_scenario(scenario: Scenario, perms: PermutationList) -> Scenario:
     The twin is coupled to the original by relabeling every agent's signal,
     so each agent reports with the same distribution and holds the same
     beliefs; any mechanism therefore pays the two scenarios identically.
-    Applying the inverse list undoes the operation exactly.
+    Applying the inverse list undoes the operation exactly.  This is the
+    one-object form of the array gathers (the channels' rows, the prior's
+    ``_relabel``), and the one place that validates a twin.
     """
+    if not isinstance(scenario, Scenario) or not isinstance(perms, PermutationList):
+        raise ModeMismatch("permute_scenario needs a Scenario and a PermutationList")
     if len(perms) != scenario.n_agents:
         raise DimensionMismatch("one permutation per agent")
     if perms.alphabet_size != scenario.alphabet_size:
         raise DimensionMismatch("permutation alphabet differs from scenario alphabet")
-    strategies = tuple(
-        Strategy(TransitionMatrix(s.channel.rows[pmap]), s.label)
-        for s, pmap in zip(scenario.strategies, perms.maps)
-    )
-    return Scenario(_permute_prior(scenario.prior, perms.maps), strategies, scenario.efforts)
+    prior, maps = scenario.prior, perms.maps
+    if not isinstance(prior, FullJointPrior) and np.any(maps != maps[0]):
+        raise UnsupportedPriorMode(
+            "pairwise and world-model priors only support symmetric permutation lists"
+        )
+    rows = _relabel_rows(np.stack([s.channel.rows for s in scenario.strategies]), maps)
+    strategies = tuple(Strategy(TransitionMatrix(r), s.label)
+                       for s, r in zip(scenario.strategies, rows))
+    # the stack's arrays are named as in the scenario file, whose reader builds the twin's prior
+    relabeled = {name: arr[0] for name, arr in prior._relabel(maps[None]).items()}
+    prior = _prior_from_dict({**_prior_to_dict(prior), **relabeled})
+    return Scenario(prior, strategies, scenario.efforts)
 
 
 # ---------------------------------------------------------------------------
@@ -685,19 +751,10 @@ SCENARIO_SCHEMA_VERSION = 1
 
 
 def _prior_to_dict(prior: Prior) -> dict:
+    d = {"mode": prior._MODE, **{name: arr[0].tolist() for name, arr in prior._stack().items()}}
     if isinstance(prior, PairwisePrior):
-        return {
-            "mode": "pairwise",
-            "table": prior.joint.table.tolist(),
-            "symmetric": prior.symmetric,
-        }
-    if isinstance(prior, FullJointPrior):
-        return {"mode": "full_joint", "tensor": prior.tensor.tolist()}
-    return {
-        "mode": "world_model",
-        "state_probs": prior.state_probs.weights.tolist(),
-        "states": [s.weights.tolist() for s in prior.states],
-    }
+        d["symmetric"] = prior.symmetric
+    return d
 
 
 def _prior_from_dict(d: dict) -> Prior:

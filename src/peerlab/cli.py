@@ -44,6 +44,7 @@ from .mechanisms import (
     ALL_PAIRS,
     BtsReportProfile,
     _empirical_joints,
+    _exact_inputs,
     _exact_joints,
     _peer_means,
     _predictive_table,
@@ -349,7 +350,7 @@ def cmd_sweep(args) -> int:
             gen = _GENERATORS.get(args.measure or "tvd")
             if gen is None:
                 raise CliError(f"unknown --measure {args.measure!r}")
-            exact = _agent0_payment((b[0] for b in _exact_joints([scenario])), gen)
+            exact = _agent0_payment((b[0] for b in _exact_joints(*_exact_inputs(scenario))), gen)
 
             def cell(g: int, seed: int) -> float:
                 reports = generate_reports(scenario, g, seed)

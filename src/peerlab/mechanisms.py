@@ -143,25 +143,31 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_joints(scenarios: Sequence[Scenario]):
+def _exact_joints(pairs, channels, probs, lazy):
     """Per block of agents, in agent order, the tables of the exact conditional-mode joints
     of (J, report_i, report_J) with J uniform over each agent i's other agents, in each of a
-    stack of scenarios that share (n, m), shaped (scenarios, agents in the block, n-1, m, m):
-    one :func:`_report_tables` call per block of about ``agents.COUNT_CELLS`` cells, counted
-    over the scenario axis too (the budget of the count kernel).  A lone scenario is a stack
-    of one."""
-    n, m = scenarios[0].n_agents, scenarios[0].alphabet_size
+    stack of S scenarios of one (n, m), shaped (S, agents in the block, n-1, m, m).  The stack
+    is arrays, as :func:`_exact_inputs` gives them for S = 1: a prior's ``_pairs`` on its
+    stack, channels (S, n, m, m), effort probabilities (S, n) and no-effort weights (S, n, m),
+    the last two broadcast when S = 1.  One :func:`_report_tables` call per block of about
+    ``agents.COUNT_CELLS`` cells, counted over the stack too (the count kernel's budget)."""
+    s, n, m = channels.shape[:3]
     refs = np.array(_reference_sets(n, ALL_PAIRS, None), dtype=np.intp)
-    efforts = [[s.effort(i) for i in range(n)] for s in scenarios]
-    channels = np.array([[st.channel.rows for st in s.strategies] for s in scenarios])
-    probs = np.array([[e.full_effort_prob for e in row] for row in efforts])[..., None, None]
-    lazy = np.array([[e.resolve_no_effort(m).weights for e in row] for row in efforts])
-    block = max(agents.COUNT_CELLS // (len(scenarios) * refs.shape[1] * m * m), 1)
+    probs = probs[..., None, None]
+    block = max(agents.COUNT_CELLS // (s * refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
-        q = np.array([[s.prior._pair_tables(i, refs[i]) for i in own] for s in scenarios])
-        yield _report_tables(channels[:, own, None], channels[:, refs[own]], q,
-                             probs[:, own, None], probs[:, refs[own]],
+        yield _report_tables(channels[:, own, None], channels[:, refs[own]],
+                             pairs(own, refs[own]), probs[:, own, None], probs[:, refs[own]],
                              lazy[:, own, None], lazy[:, refs[own]])
+
+
+def _exact_inputs(scenario: Scenario) -> tuple:
+    """The :func:`_exact_joints` arguments of one scenario, a stack of one."""
+    m = scenario.alphabet_size
+    efforts = [scenario.effort(i) for i in range(scenario.n_agents)]
+    return (scenario.prior._pairs, np.stack([s.channel.rows for s in scenario.strategies])[None],
+            np.array([[e.full_effort_prob for e in efforts]]),
+            np.stack([e.resolve_no_effort(m).weights for e in efforts])[None])
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):
@@ -187,7 +193,7 @@ def mip_expected_payments(scenario: Scenario, measure: Measure) -> PaymentReport
 
     payment_i = (1 / (n-1)) * sum_{j != i} MI(report_i ; report_j).
     """
-    payments = _peer_means(_exact_joints([scenario]), _mi_kernel(measure))[0]
+    payments = _peer_means(_exact_joints(*_exact_inputs(scenario)), _mi_kernel(measure))[0]
     effort_costs = utilities = None
     if scenario.efforts is not None:
         effort_costs = np.array(
@@ -420,7 +426,8 @@ def sppm_expected_payments(
     truth-telling on the same prior each payment equals the Bregman mutual
     information of the prior pair joint.
     """
-    payments = _peer_means(_exact_joints([scenario]), _score_shifts(known_prior, rule))[0]
+    joints = _exact_joints(*_exact_inputs(scenario))
+    payments = _peer_means(joints, _score_shifts(known_prior, rule))[0]
     return PaymentReport(
         mechanism="sppm", mode="exact", payments=payments, measure=rule.value
     )

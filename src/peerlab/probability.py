@@ -52,7 +52,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.weights, dtype=np.float64)
+        arr = _floats(self.weights, "weights")
         if arr.ndim != 1:
             raise WrongRank("a Distribution is one-dimensional")
         object.__setattr__(self, "weights", _validated_tables(arr, 1, "weights"))
@@ -65,11 +65,21 @@ class Distribution:
         return float(self.weights[_index(sigma, self.size, "sigma")])
 
 
+def _floats(values, name: str, copy: bool | None = None) -> np.ndarray:
+    """``values`` as a float64 array, copied when ``copy`` (else only if they are not one);
+    DimensionMismatch, not numpy's bare error, when they do not convert: a ragged nest,
+    complex or non-numeric entries."""
+    try:
+        return np.array(values, dtype=np.float64, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} must be a rectangular array of real numbers") from exc
+
+
 def _validated_tables(values, rank: int, name: str = "table") -> np.ndarray:
     """``values`` as a read-only array of probability tables, each over its last ``rank`` axes,
     checked as the module docstring says; ``name`` leads the messages.  Validates every
     probability object, after the object's own rank check, and a stack of tables alike."""
-    arr = np.array(values, dtype=np.float64)  # a private copy: the caller's array is never frozen
+    arr = _floats(values, name, copy=True)  # a private copy: the caller's array is never frozen
     if arr.size == 0:
         raise EmptyAlphabet(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -127,7 +137,7 @@ def make_distribution(weights) -> Distribution:
     Raises ``EmptyAlphabet``, ``NegativeWeight`` or ``ZeroMass`` when the
     weights cannot describe a probability vector.
     """
-    arr = np.asarray(weights, dtype=np.float64)
+    arr = _floats(weights, "weights")
     with np.errstate(invalid="ignore"):  # inf weights: the validator names them
         total = arr.sum()  # not > 0: the weights go to the validator as they are
         return Distribution(arr / total if total > 0.0 else arr)
@@ -166,7 +176,7 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.float64)
+        arr = _floats(self.table, "table")
         if arr.ndim not in (2, 3):
             raise WrongRank(f"joint table must have rank 2 or 3, got {arr.ndim}")
         object.__setattr__(self, "table", _validated_tables(arr, arr.ndim))
@@ -202,7 +212,7 @@ class TransitionMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=np.float64)
+        arr = _floats(self.rows, "rows")
         if arr.ndim != 2:
             raise WrongRank("a TransitionMatrix is two-dimensional")
         object.__setattr__(self, "rows", _validated_tables(arr, 1, "rows"))

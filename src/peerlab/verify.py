@@ -35,6 +35,7 @@ moved pair's certified drop over n - 1 peers (data processing: no other term ris
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -48,12 +49,14 @@ from .agents import (
     EffortStrategy,
     FullJointPrior,
     PairwisePrior,
-    PermutationList,
     Scenario,
     WorldModelPrior,
+    _inverse_maps,
+    _relabel_rows,
     _report_tables,
+    _reported_states,
+    _world_tensors,
     generate_reports,
-    permute_scenario,
     scenario_to_dict,
     truth_telling,
     world_tensor,
@@ -78,6 +81,7 @@ from .mechanisms import (
     SEEDED_RANDOM,
     BtsReportProfile,
     _agreement_rewards,
+    _exact_inputs,
     _exact_joints,
     _score_shifts,
     bts_idealized_scores,
@@ -389,7 +393,7 @@ def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: in
     deviation = sampling.random_mixed_strategy(rng, m)
     dev_scn = Scenario(prior, tuple([deviation] + opponents))
     # agent 0 truthful and deviating, as one leading channel axis on one build of the pair tables
-    q = prior._pair_tables(0, range(1, n))
+    q = prior._pairs([0], [range(1, n)])[0, 0]
     channels = np.stack([np.eye(m), deviation.channel.rows])[:, None]
     opponent_channels = np.stack([s.channel.rows for s in opponents])
     pay_truth, pay_dev = _agent0_payments(q, channels, opponent_channels, 1.0, 1.0, gen).tolist()
@@ -429,7 +433,7 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
     deviation = sampling.random_mixed_strategy(rng, m)
     after_scn = Scenario(prior, (observer, deviation, bystander))
     # agent 1 truthful and deviating, as one leading channel axis on one build of the pair tables
-    q = prior._pair_tables(0, (1, 2))
+    q = prior._pairs([0], [(1, 2)])[0, 0]
     peer_channels = np.stack([[np.eye(m), bystander.channel.rows],
                               [deviation.channel.rows, bystander.channel.rows]])
     pay_before, pay_after = _agent0_payments(q, observer.channel.rows, peer_channels,
@@ -876,14 +880,14 @@ def _equivalence_kernels(known_prior: PairwisePrior) -> dict:
     return kernels
 
 
-def _random_perms(rng, prior, n: int, m: int) -> PermutationList:
-    """One map per agent under a full-joint prior, else one map shared by all agents."""
+def _random_maps(rng, prior, n: int, m: int) -> np.ndarray:
+    """Relabeling maps (n, m): one per agent under a full-joint prior, else one shared by all."""
     if isinstance(prior, FullJointPrior):
-        return PermutationList([rng.permutation(m) for _ in range(n)])
-    return PermutationList.symmetric(rng.permutation(m), n)
+        return np.array([rng.permutation(m) for _ in range(n)])
+    return np.tile(rng.permutation(m), (n, 1))
 
 
-def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
+def _random_equivalence_scenario(rng) -> tuple[Scenario, np.ndarray]:
     m = sampling._pick(rng, (2, 3))
     n = sampling._pick(rng, _AGENT_COUNTS)
     mode = int(rng.integers(3))
@@ -893,7 +897,7 @@ def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
         prior = sampling.random_pairwise_symmetric_prior(rng, m)
     else:
         prior = sampling.random_world_model(rng, int(rng.integers(2, 4)), m)
-    perms = _random_perms(rng, prior, n, m)
+    maps = _random_maps(rng, prior, n, m)
     strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
     efforts = None
     if rng.random() < 0.5:
@@ -901,43 +905,60 @@ def _random_equivalence_scenario(rng) -> tuple[Scenario, PermutationList]:
             EffortStrategy(float(rng.uniform(0, 1)), float(rng.uniform(0, 0.5)))
             for _ in range(n)
         )
-    return Scenario(prior, strategies, efforts), perms
+    return Scenario(prior, strategies, efforts), maps
+
+
+def _equivalence_twins(scenario: Scenario, maps: np.ndarray) -> tuple:
+    """The scenario relabeled by each of T maps (T, n, m), as arrays: the prior's raw stack, the
+    (T, n, m, m) channels, the (T, n, n-1, m, m) exact joints from one :func:`_exact_joints`
+    call, and under a world model the (T, m, w, m) world tensors (else None)."""
+    prior = scenario.prior
+    _, channels, probs, lazy = _exact_inputs(scenario)
+    stack, channels = prior._relabel(maps), _relabel_rows(channels, maps)
+    pairs = functools.partial(prior._pairs, stack=stack)
+    tables = np.concatenate(list(_exact_joints(pairs, channels, probs, lazy)), axis=1)
+    if not isinstance(prior, WorldModelPrior):
+        return stack, channels, tables, None
+    return stack, channels, tables, _world_tensors(stack, _reported_states(stack, channels))
 
 
 def _scenario_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
-    """Pays a scenario and its relabeled twins from stacks: one (11, n, n-1, m, m) stack of
-    exact joints from one :func:`_exact_joints` call, under a world model one stack of world
-    tensors for both bts scores, and per mechanism one reduction to each twin's largest
-    payment difference; the checks are then recorded twin by twin."""
+    """Pays a scenario and its relabeled twins from stacks: the scenario is the twin of the
+    identity maps, and :func:`_equivalence_twins` gathers all eleven; per mechanism one
+    reduction gives each twin's largest payment difference.  Each twin is gathered back
+    through the inverse maps and compared, array for array, with the scenario.  The checks
+    are then recorded twin by twin."""
     scenario, _ = _random_equivalence_scenario(rng)
-    n, m = scenario.n_agents, scenario.alphabet_size
-    perm_lists = [_random_perms(rng, scenario.prior, n, m) for _ in range(_PERM_LISTS)]
-    scenarios = [scenario] + [permute_scenario(scenario, perms) for perms in perm_lists]
-    tables = np.concatenate(list(_exact_joints(scenarios)), axis=1)
-    kernels = _equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False))
+    prior, n, m = scenario.prior, scenario.n_agents, scenario.alphabet_size
+    maps = np.stack([np.tile(np.arange(m), (n, 1))]
+                    + [_random_maps(rng, prior, n, m) for _ in range(_PERM_LISTS)])
+    stack, channels, tables, tensors = _equivalence_twins(scenario, maps)
+    kernels = _equivalence_kernels(PairwisePrior(prior.pair_joint(0, 1), symmetric=False))
     pay = {name: _slice_mean(tables, kernel) for name, kernel in kernels.items()}
-    if isinstance(scenario.prior, WorldModelPrior):
-        tensors = np.stack([world_tensor(s.prior, s.strategies).table for s in scenarios])
+    if tensors is not None:
         info = _slice_mean(tensors, _mi_kernel(ConvexGenerator.KL))
         pay["bts-idealized-information"] = info[:, None]
         pay["bts-idealized-prediction"] = -_log_score_gains(tensors)[:, None]
     # per mechanism, each twin's largest |payment difference| from the scenario over agents
     diffs = {name: np.abs(pay[name][1:] - pay[name][0]).max(axis=1).tolist()
              for name in sorted(pay)}
-    base_dict = scenario_to_dict(scenario)
-    for t, (perms, twin) in enumerate(zip(perm_lists, scenarios[1:])):
+    inverse = _inverse_maps(maps)
+    back, back_channels = prior._relabel(inverse, stack), _relabel_rows(channels, inverse)
+    base, base_channels = prior._stack(), np.stack([s.channel.rows for s in scenario.strategies])
+    for t in range(1, 1 + _PERM_LISTS):
         def matrices() -> list:
-            return _jl(np.eye(m)[perms.maps])
+            return _jl(np.eye(m)[maps[t]])
         for name, per_twin in diffs.items():
-            diff = per_twin[t]
+            diff = per_twin[t - 1]
             rec.check("payments_identical", "equality", diff <= 1e-12, idx, lambda: {
                 "mechanism": name,
-                "scenario": base_dict,
+                "scenario": scenario_to_dict(scenario),
                 "perms": matrices(),
                 "difference": diff,
             })
-        back = permute_scenario(twin, perms.inverse())
-        rec.check("inverse_roundtrip", "equality", scenario_to_dict(back) == base_dict, idx,
+        roundtrip = np.array_equal(back_channels[t], base_channels) and all(
+            np.array_equal(back[name][t], base[name][0]) for name in base)
+        rec.check("inverse_roundtrip", "equality", roundtrip, idx,
                   lambda: {"perms": matrices()})
 
 

@@ -40,7 +40,9 @@ last accuracy-gain at 1100 instances and seed 11 under ``--equality-tol
 shape over three chunks next to its conditional information, and last
 truth-monotone at 985 instances and seed 14 and dominant-truthfulness at 514
 instances and seed 255, whose last instances drop a payment strictly by less
-than the strictness tolerance, as their proved pair bounds allow.  A
+than the strictness tolerance, as their proved pair bounds allow, and last exact
+mip and sppm on a 5-agent, 3-signal full-joint scenario with efforts, whose pair
+marginals each add 27 cells, so that a change in their summation order shows.  A
 command that raises instead of writing an output is digested as its exception
 type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
@@ -139,6 +141,8 @@ def write_inputs(workdir: str) -> dict[str, str]:
     docs["world-four-states"] = _scenario(rng, "world", False, (6, 9))
     docs["world-four-states"]["prior"] = {"mode": "world_model", "state_probs": _dist(rng, 4),
                                           "states": [_dist(rng, 6) for _ in range(4)]}
+    # 5 agents of 3 signals on a full joint with efforts: each pair marginal sums 27 cells
+    docs["full-effort-five"] = _scenario(rng, "full", True, (3, 5))
     paths = {}
     for name, doc in docs.items():
         paths[name] = os.path.join(workdir, f"{name}.json")
@@ -235,6 +239,11 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
                 ["verify", "truth-monotone", "--instances", "985", "--seed", "14"]))
     out.append(("verify-dominant-truthfulness-514-255",
                 ["verify", "dominant-truthfulness", "--instances", "514", "--seed", "255"]))
+    # pair marginals of 27 cells each, whose sums can see the order they are added in
+    for name, extra in (("mip", ["--measure", "kl"]), ("sppm", ["--exact", "--rule", "log"])):
+        out.append((f"mechanism-full-effort-five-{name}{''.join(extra)}",
+                    ["mechanism", "--mechanism", name, "--scenario", paths["full-effort-five"],
+                     *extra]))
     return out
 
 

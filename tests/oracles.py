@@ -4,7 +4,10 @@ The measure oracles are written with plain Python loops and math functions,
 deliberately avoiding the library's own vectorized code paths, so tests can
 cross-check the two routes against each other.  The reference routes at the
 end are the payment loops, the one-scenario-per-effort-level utility, the
-one-scenario-at-a-time exact joints and payments of the scenario-equivalence suite
+one-scenario-at-a-time exact joints and payments of the scenario-equivalence suite,
+the per-agent pair-table bodies of the three prior modes, the exact joints of a list of
+scenario objects and the suite's per-twin ``permute_scenario`` route (before one body per
+mode took a block of agents over a stack of priors and the twins became array gathers),
 and the strategy sampler that the library's merged engines and stacks replaced, kept
 as they were, with the ``rng.dirichlet`` draws of the floored table, the channel
 rows and the CI table that the private samplers made before they took unit
@@ -504,6 +507,71 @@ def effort_utility(prior, n: int, m: int, lam: float, cost: float, gen, active=N
     return float(mechanisms.mip_expected_payments(scn, gen).payments[0]) - lam * cost
 
 
+def agent_pair_tables(prior, i: int, refs) -> np.ndarray:
+    """Signal-pair tables of agent i (rows) with each agent of ``refs``, (len(refs), m, m): the
+    per-agent bodies of the three prior modes, as they were before one body per mode took a
+    block of agents over a stack of priors."""
+    refs = np.asarray(refs)
+    if isinstance(prior, FullJointPrior):
+        n, m = prior.n_agents, prior.alphabet_size
+        for j in refs:
+            if i == j or not (0 <= i < n and 0 <= j < n):
+                raise DimensionMismatch(f"bad agent pair ({i}, {j})")
+        return np.stack([
+            np.moveaxis(prior.tensor, (i, j), (0, 1)).reshape(m, m, -1).sum(axis=-1) for j in refs
+        ])
+    if np.any(refs == i):
+        raise DimensionMismatch("a pair joint needs two distinct agents")
+    if isinstance(prior, PairwisePrior):
+        table = prior.joint.table
+        return np.where((refs > i)[:, None, None], table, table.T)
+    omega = np.stack([s.weights for s in prior.states])
+    table = (prior.state_probs.weights[:, None, None]
+             * (omega[:, :, None] * omega[:, None, :])).sum(axis=0)
+    return np.broadcast_to(table, (len(refs),) + table.shape)
+
+
+def scenario_stack_joints(scenarios):
+    """Per block of agents, the exact joints of a list of scenarios of one (n, m), shaped
+    (scenarios, agents in the block, n-1, m, m), as ``mechanisms._exact_joints`` built them
+    from the scenario objects before it took arrays: per (scenario, agent) one
+    :func:`agent_pair_tables` call, one report-table call per block."""
+    n, m = scenarios[0].n_agents, scenarios[0].alphabet_size
+    refs = np.array(_reference_sets(n, ALL_PAIRS, None), dtype=np.intp)
+    efforts = [[s.effort(i) for i in range(n)] for s in scenarios]
+    channels = np.array([[st.channel.rows for st in s.strategies] for s in scenarios])
+    probs = np.array([[e.full_effort_prob for e in row] for row in efforts])[..., None, None]
+    lazy = np.array([[e.resolve_no_effort(m).weights for e in row] for row in efforts])
+    block = max(agents.COUNT_CELLS // (len(scenarios) * refs.shape[1] * m * m), 1)
+    for own in np.array_split(np.arange(n), range(block, n, block)):
+        q = np.array([[agent_pair_tables(s.prior, i, refs[i]) for i in own] for s in scenarios])
+        yield agents._report_tables(channels[:, own, None], channels[:, refs[own]], q,
+                                    probs[:, own, None], probs[:, refs[own]],
+                                    lazy[:, own, None], lazy[:, refs[own]])
+
+
+def twin_route(scenario: Scenario, maps):
+    """The scenario-equivalence suite's twins under each of ``maps`` (T, n, m) as objects, one
+    per map list through the permutation-matrix route (:func:`matrix_permute_scenario`), the
+    (T, n, n-1, m, m) exact joints of the twin objects from :func:`scenario_stack_joints`, and
+    under a world model one :func:`object_world_tensor` per twin, stacked (else None)."""
+    twins = [matrix_permute_scenario(scenario, p) for p in maps]
+    tables = np.concatenate(list(scenario_stack_joints(twins)), axis=1)
+    tensors = None
+    if isinstance(scenario.prior, WorldModelPrior):
+        tensors = np.stack([object_world_tensor(t.prior, t.strategies).table for t in twins])
+    return twins, tables, tensors
+
+
+def object_world_tensor(prior: WorldModelPrior, strategies) -> JointDistribution:
+    """``world_tensor`` of a strategy profile as it was before one body took a stack of worlds,
+    from arrays stacked one state (and one channel) at a time."""
+    omega = np.stack([s.weights for s in prior.states], axis=1)[:, :, None]
+    mats = np.stack([s.channel.rows for s in strategies])
+    omega_hat = (np.stack([s.weights for s in prior.states]) @ mats).mean(axis=0)
+    return JointDistribution(prior.state_probs.weights[:, None] * (omega * omega_hat))
+
+
 def exact_joints(scenario: Scenario):
     """Per block of agents, the exact (J, report_i, report_J) tables of one scenario, shaped
     (agents in the block, n-1, m, m), one report-table call per block of about
@@ -517,7 +585,7 @@ def exact_joints(scenario: Scenario):
     lazy = np.stack([e.resolve_no_effort(m).weights for e in efforts])
     block = max(agents.COUNT_CELLS // (refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
-        q = np.stack([prior._pair_tables(i, refs[i]) for i in own])
+        q = np.stack([agent_pair_tables(prior, i, refs[i]) for i in own])
         yield agents._report_tables(channels[own, None], channels[refs[own]], q,
                                     probs[own, None], probs[refs[own]], lazy[own, None],
                                     lazy[refs[own]])
@@ -962,7 +1030,7 @@ def effort_instance(rec, config, idx: int, rng) -> None:
     gen = sampling.random_generator_choice(rng)
     full_mi = measures.mutual_information(prior.pair_joint(0, 1), gen)
     cost = float(rng.uniform(0.0, 1.5 * max(full_mi, 1e-3)))
-    q = prior._pair_tables(0, range(1, n))
+    q = agent_pair_tables(prior, 0, range(1, n))
     pay, payments = (p[0] for p in verify._effort_payments(q[None], gen))
     utils = (pay - verify._EFFORT_GRID * cost).tolist()
     data = {"prior": _jl(prior.joint.table), "measure": gen.value, "cost": cost,

@@ -5,7 +5,9 @@ error and never a silent NaN.  The same holds for the empirical payment
 engines given a single agent, for strategies whose channels do not share one
 shape on a world's signals, for the exported strategy sampler's size and seed,
 for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
-never counts from the end.  Report masks hold bools or 0/1 integers.  The seeds of the samplers
+never counts from the end, in the empirical and in every prior mode's pair joints.  Tables that do not
+convert to real arrays (ragged, complex), priors built from lists and relabelings of anything but a
+Scenario by a PermutationList raise a PeerLabError too.  Report masks hold bools or 0/1 integers.  The seeds of the samplers
 and of the payment engines, all-pairs engines that only record one included, are non-negative
 integers of any size; a suite's seed stays in the intp range."""
 
@@ -48,6 +50,7 @@ from peerlab import (
     make_distribution,
     md_payments,
     permutation_channel,
+    permute_scenario,
     point_mass,
     random_strategy,
     report_joint,
@@ -319,6 +322,60 @@ def test_agent_index_out_of_range_or_not_one(call):
     with pytest.raises(DimensionMismatch):
         call()
 
+
+
+WORLD = WorldModelPrior(Distribution(np.array([0.3, 0.7])),
+                        (Distribution(np.array([0.9, 0.1])), Distribution(np.array([0.2, 0.8]))))
+FULL = FullJointPrior(np.full((2, 2, 2), 0.125))
+
+
+@pytest.mark.parametrize("prior", [PRIOR, WORLD, FULL], ids=["pairwise", "world", "full"])
+@pytest.mark.parametrize("i, j", [(0.5, 1), (-1, 0), (0, -3), (1, 1), (0, [1]), (np.int64(-1), 0)],
+                         ids=["i=0.5", "i=-1", "j=-3", "i=j", "j=list", "i=int64(-1)"])
+def test_pair_joint_needs_two_distinct_agent_indices(prior, i, j):
+    # no prior mode counts a negative index from the end or reads a fraction
+    match = "two distinct agents" if i == j else None
+    with pytest.raises(DimensionMismatch, match=match):
+        prior.pair_joint(i, j)
+    with pytest.raises(DimensionMismatch, match=match):
+        report_joint(prior, i, j, TRUTH, TRUTH)
+
+
+def test_full_joint_pair_joint_needs_agents_below_n():
+    for i, j in ((0, 3), (3, 0)):
+        with pytest.raises(DimensionMismatch, match=r"0\.\.2"):
+            FULL.pair_joint(i, j)
+    assert FULL.pair_joint(np.int64(2), 1.0).table.shape == (2, 2)
+
+
+RAGGED = [[0.5, 0.5], [1.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Distribution(RAGGED), lambda: Distribution([0.5 + 0j, 0.5]),
+    lambda: Distribution(["a", "b"]), lambda: make_distribution(RAGGED),
+    lambda: JointDistribution(RAGGED), lambda: TransitionMatrix(RAGGED),
+    lambda: FullJointPrior(RAGGED), lambda: FullJointPrior([[0.5 + 0j, 0.5], [0.0, 0.0]]),
+], ids=["distribution-ragged", "distribution-complex", "distribution-strings",
+        "make-distribution-ragged", "joint-ragged", "channel-ragged", "full-joint-ragged",
+        "full-joint-complex"])
+def test_unconvertible_tables_raise_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match="rectangular array of real numbers"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PairwisePrior([[0.25, 0.25], [0.25, 0.25]]),
+    lambda: PairwisePrior(np.full((2, 2), 0.25)),
+    lambda: WorldModelPrior([1.0], ([0.5, 0.5],)),
+    lambda: WorldModelPrior(Distribution(np.array([1.0])), ([0.5, 0.5],)),
+    lambda: permute_scenario(truthful_scenario(PRIOR, 3), [[1, 0], [1, 0], [1, 0]]),
+    lambda: permute_scenario(PRIOR, PermutationList([[1, 0], [1, 0]])),
+], ids=["pairwise-list", "pairwise-array", "world-lists", "world-state-lists",
+        "permute-list", "permute-prior"])
+def test_prior_and_relabeling_inputs_need_their_types(call):
+    with pytest.raises(ModeMismatch):
+        call()
 
 
 SEEDED = "seeded-random-reference"

@@ -17,12 +17,15 @@ engines' blocks of agents (against ``report_joint`` per pair), the effort suite'
 stacked payments (against ``oracles.effort_utility``) and the scenario-equivalence
 suite's one stack of a scenario and its twins (against
 ``oracles.equivalence_payment_vectors``, and its joints against
-``oracles.stacked_exact_joints``).  Last, the scores and the shifted-score
+``oracles.stacked_exact_joints``), its gathered twins' joints and world tensors (against the
+per-twin ``permute_scenario`` route, ``oracles.twin_route``), and each prior mode's pair-table
+body on a stack (against ``oracles.agent_pair_tables``).  Last, the scores and the shifted-score
 table must match their one-signal and one-cell loops bit for bit, and the log-score
 gain, the reported world states and the optimal predictions their per-atom,
 per-state and per-signal loops to 1e-12."""
 
 import collections
+import functools
 import itertools
 import math
 from unittest import mock
@@ -91,7 +94,8 @@ from peerlab.agents import _count_tables, _inverse_cdf, _report_tables
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _empirical_joints, _empirical_mi_payments,
-    _exact_joints, _peer_means, _reference_sets, _score_shifts, optimal_predictions,
+    _exact_inputs, _exact_joints, _peer_means, _reference_sets,
+    _score_shifts, optimal_predictions,
 )
 from peerlab.measures import _log_score_gains, _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
@@ -581,7 +585,7 @@ class TestExactPairLoop:
     @settings(max_examples=80, deadline=None)
     def test_agreement_matches_loop(self, seed, n, efforts):
         scenario = random_scenario(seed, n, efforts)
-        assert_close(_peer_means(_exact_joints([scenario]), _agreement_rewards)[0],
+        assert_close(_peer_means(_exact_joints(*_exact_inputs(scenario)), _agreement_rewards)[0],
                      oracles.agreement_expected(scenario))
 
     @given(seeds, st.integers(2, 6), st.booleans())
@@ -603,7 +607,7 @@ class TestExactPairLoop:
         m = scenario.alphabet_size
         got = _report_tables(
             s[i].channel.rows, np.array([s[j].channel.rows for j in refs]),
-            prior._pair_tables(i, refs), e(i).full_effort_prob,
+            oracles.agent_pair_tables(prior, i, refs), e(i).full_effort_prob,
             np.array([e(j).full_effort_prob for j in refs])[:, None, None],
             e(i).resolve_no_effort(m).weights,
             np.array([e(j).resolve_no_effort(m).weights for j in refs]))
@@ -625,7 +629,7 @@ class TestExactBlocks:
     @staticmethod
     def blocks(scenario, cells):
         with mock.patch.object(agents_module, "COUNT_CELLS", cells):
-            blocks = list(_exact_joints([scenario]))
+            blocks = list(_exact_joints(*_exact_inputs(scenario)))
         assert all(b.shape[0] == 1 for b in blocks)  # a stack of one scenario
         return [b[0] for b in blocks]
 
@@ -648,7 +652,8 @@ class TestExactBlocks:
         m = scenario.alphabet_size
         reports = ReportMatrix.full(rng_from_seed(seed).integers(m, size=(n, 100)), m)
         with mock.patch.object(agents_module, "COUNT_CELLS", cells):
-            exact = cli._agent0_payment((b[0] for b in _exact_joints([scenario])), gen)
+            blocks = _exact_joints(*_exact_inputs(scenario))
+            exact = cli._agent0_payment((b[0] for b in blocks), gen)
             assert exact == mip_expected_payments(scenario, gen).payments[0]
             counted = cli._agent0_payment(_empirical_joints(reports, PAIRINGS[0], None), gen)
             assert counted == fmi_mechanism_payments(reports, gen).payments[0]
@@ -713,7 +718,7 @@ class TestReportStacks:
         b = np.array([[s.channel.rows for s, _ in row] for row in peers])
         lj = np.array([[e.full_effort_prob for _, e in row] for row in peers])[..., None, None]
         xj = np.array([[e.no_effort_report.weights for _, e in row] for row in peers])
-        got = _report_tables(a, b, prior._pair_tables(0, refs), li, lj, xi, xj)
+        got = _report_tables(a, b, oracles.agent_pair_tables(prior, 0, refs), li, lj, xi, xj)
         assert got.shape == (max(len(own), len(peers)), k, m, m)
         for t, table in enumerate(got):
             (s_i, e_i), row = own[min(t, len(own) - 1)], peers[min(t, len(peers) - 1)]
@@ -736,7 +741,7 @@ class TestEffortStacks:
         else:
             prior = sampling.random_pairwise_symmetric_prior(rng_from_seed(seed), m)
         grid = verify._EFFORT_GRID
-        q = prior._pair_tables(0, range(1, n))
+        q = prior._pairs([0], [range(1, n)])[0, 0]
         pay, active = (p[0] for p in verify._effort_payments(q[None], measure))
         want = [oracles.effort_utility(prior, n, m, float(lam), cost, measure) for lam in grid]
         assert np.array_equal(pay - grid * cost, want)
@@ -751,7 +756,7 @@ class TestEffortStacks:
         prior = sampling.random_pairwise_symmetric_prior(rng, m)
         strat = sampling.random_mixed_strategy(rng, m, kind)
         li = np.array([1.0, 0.0, lam])[:, None, None, None]
-        joints = verify._agent0_tables(prior._pair_tables(0, [1]), strat.channel.rows,
+        joints = verify._agent0_tables(prior._pairs([0], [[1]])[0, 0], strat.channel.rows,
                                        np.eye(m), li, 1.0)[:, 0]
         truth = Strategy(identity_channel(m))
         want = [report_joint(prior, 0, 1, strat, truth, EffortStrategy(l), EffortStrategy(1.0))
@@ -761,26 +766,66 @@ class TestEffortStacks:
                               [mutual_information(w, measure) for w in want])
 
 
-def mode_scenario(rng, mode: str, n: int, m: int, efforts: bool) -> Scenario:
-    """A scenario of the scenario-equivalence suite's kind under one prior mode."""
+def mode_scenario(rng, mode: str, n: int, m: int, efforts: bool, states=None,
+                  symmetric=True) -> Scenario:
+    """A scenario of the scenario-equivalence suite's kind under one prior mode; a world model
+    has 2 or 3 states, drawn, unless ``states`` fixes the count, and a pairwise prior is
+    symmetric unless ``symmetric`` is cleared, so that a transposed table shows."""
     if mode == "full":
         prior = sampling.random_full_joint_prior(rng, n, m)
+    elif mode == "pairwise" and not symmetric:
+        prior = PairwisePrior(sampling.random_joint(rng, m, m), symmetric=False)
     elif mode == "pairwise":
         prior = sampling.random_pairwise_symmetric_prior(rng, m)
     else:
-        prior = sampling.random_world_model(rng, int(rng.integers(2, 4)), m)
+        prior = sampling.random_world_model(
+            rng, int(rng.integers(2, 4)) if states is None else states, m)
     strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
     profile = tuple(EffortStrategy(float(rng.uniform()), float(rng.uniform(0, 0.5)))
                     for _ in range(n)) if efforts else None
     return Scenario(prior, strategies, profile)
 
 
+def prior_stack(priors) -> tuple:
+    """The raw arrays of priors of one mode and shape, as one stack."""
+    stacks = [p._stack() for p in priors]
+    return {name: np.concatenate([stack[name] for stack in stacks]) for name in stacks[0]}
+
+
+class TestPairBlocks:
+    """Each prior mode's one pair-table body, over a stack of priors and a block of agents,
+    must give each prior the very tables of the per-agent body it replaced
+    (``oracles.agent_pair_tables``), whatever the agents, their reference rows and, for the
+    full-joint marginals and the world-model state sums, the number of terms summed."""
+
+    @given(seeds, st.sampled_from(("full", "pairwise", "world")), st.integers(2, 5),
+           st.sampled_from((2, 3, 4)), st.integers(1, 4), st.integers(1, 10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_equals_per_agent_bodies(self, seed, mode, n, m, size, states, data):
+        rng = rng_from_seed(seed)
+        priors = [mode_scenario(rng, mode, n, m, False, states, symmetric=False).prior
+                  for _ in range(size)]
+        own = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        refs = np.array([data.draw(st.permutations([j for j in range(n) if j != i]))
+                         for i in own])
+        got = priors[0]._pairs(own, refs, prior_stack(priors))
+        assert got.shape == (size, len(own), n - 1, m, m)
+        for s, prior in enumerate(priors):
+            assert np.array_equal(prior._pairs(own, refs)[0], got[s])
+            for a, i in enumerate(own):
+                assert np.array_equal(got[s, a], oracles.agent_pair_tables(prior, i, refs[a]))
+            i, j = own[0], refs[0, 0]
+            assert np.array_equal(prior.pair_joint(i, j).table,
+                                  oracles.agent_pair_tables(prior, i, [j])[0])
+
+
 class TestEquivalenceStack:
-    """The scenario-equivalence suite pays a scenario and its ten relabeled twins as one stack;
-    each kernel's payments and both bts scores must be the very floats of the
-    one-scenario-at-a-time route it replaced (``oracles.equivalence_payment_vectors``), under
-    every prior mode of the suite, and the stacked exact joints those of
-    ``oracles.stacked_exact_joints``, whatever the blocks."""
+    """The scenario-equivalence suite pays a scenario and its ten relabeled twins as one stack
+    of gathered arrays; each kernel's payments and both bts scores must be the very floats of
+    the one-scenario-at-a-time route it replaced (``oracles.equivalence_payment_vectors``),
+    under every prior mode of the suite; the gathered twins' joints and world tensors those of
+    the per-twin ``permute_scenario`` route (``oracles.twin_route``); and the joints of any
+    stack of scenarios those of ``oracles.stacked_exact_joints``, whatever the blocks."""
 
     @given(seeds, st.sampled_from((2, 3)), st.sampled_from((2, 3)),
            st.sampled_from(("full", "pairwise", "world")), st.booleans())
@@ -788,9 +833,9 @@ class TestEquivalenceStack:
     def test_stack_equals_per_scenario_route(self, seed, m, n, mode, efforts):
         rng = rng_from_seed(seed)
         scenario = mode_scenario(rng, mode, n, m, efforts)
-        stacks, gains, twins = [], [], []
-        slice_mean, log_gains, permute = (verify._slice_mean, verify._log_score_gains,
-                                          verify.permute_scenario)
+        stacks, gains, maps = [], [], []
+        slice_mean, log_gains, random_maps = (verify._slice_mean, verify._log_score_gains,
+                                              verify._random_maps)
 
         def spied_mean(tables, kernel):
             stacks.append(slice_mean(tables, kernel))
@@ -800,24 +845,25 @@ class TestEquivalenceStack:
             gains.append(log_gains(tensors))
             return gains[-1]
 
-        def spied_permute(base, perms):
-            twins.append(permute(base, perms))
-            return twins[-1]
+        def spied_maps(*args):
+            maps.append(random_maps(*args))
+            return maps[-1]
 
         config = default_config("scenario-equivalence", instances=1)
         with mock.patch.object(verify, "_random_equivalence_scenario",
                                return_value=(scenario, None)), \
                 mock.patch.object(verify, "_slice_mean", spied_mean), \
                 mock.patch.object(verify, "_log_score_gains", spied_gains), \
-                mock.patch.object(verify, "permute_scenario", spied_permute):
+                mock.patch.object(verify, "_random_maps", spied_maps):
             verify._scenario_equivalence_instance(verify._Recorder(config), config, 0, rng)
         kernels = verify._equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1),
                                                             symmetric=False))
         world = mode == "world"
         # one slice mean per kernel, then the bts information score on a world model
-        assert (len(stacks), len(gains)) == (len(kernels) + world, int(world))
-        # the twins are built before the inverse round trips
-        for t, paid in enumerate([scenario] + twins[:verify._PERM_LISTS]):
+        assert (len(stacks), len(gains), len(maps)) == (len(kernels) + world, int(world),
+                                                        verify._PERM_LISTS)
+        twins = [oracles.matrix_permute_scenario(scenario, p) for p in maps]
+        for t, paid in enumerate([scenario] + twins):
             want = oracles.equivalence_payment_vectors(paid, kernels)
             for name, got in zip(kernels, stacks):
                 assert got.shape == (1 + verify._PERM_LISTS, n)
@@ -827,6 +873,33 @@ class TestEquivalenceStack:
                 assert -gains[0][t] == want["bts-idealized-prediction"][0]
 
     @given(seeds, st.sampled_from(("full", "pairwise", "world")), st.sampled_from((2, 3, 5)),
+           st.sampled_from((2, 3)), st.booleans(), st.booleans(), st.integers(1, 11),
+           st.sampled_from((1, 40, agents_module.COUNT_CELLS)))
+    @settings(max_examples=150, deadline=None)
+    def test_gathered_twins_equal_per_twin_route(self, seed, mode, n, m, efforts, shared, count,
+                                                 cells):
+        # per-agent maps only where the prior allows them, under a full joint
+        rng = rng_from_seed(seed)
+        scenario = mode_scenario(rng, mode, n, m, efforts, symmetric=False)
+        rows = 1 if shared or mode != "full" else n
+        maps = np.array([np.resize([rng.permutation(m) for _ in range(rows)], (n, m))
+                         for _ in range(count)])
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            stack, channels, tables, tensors = verify._equivalence_twins(scenario, maps)
+            twins, want_tables, want_tensors = oracles.twin_route(scenario, maps)
+        assert np.array_equal(tables, want_tables)
+        assert (tensors is None) == (want_tensors is None) == (mode != "world")
+        if tensors is not None:  # and the scores read from them, which can see their layout
+            kl = _mi_kernel(ConvexGenerator.KL)
+            assert np.array_equal(tensors, want_tensors)
+            assert np.array_equal(_slice_mean(tensors, kl), _slice_mean(want_tensors, kl))
+            assert np.array_equal(_log_score_gains(tensors), _log_score_gains(want_tensors))
+        for t, twin in enumerate(twins):
+            assert np.array_equal(channels[t], [s.channel.rows for s in twin.strategies])
+            for name, want in twin.prior._stack().items():
+                assert np.array_equal(stack[name][t], want[0])
+
+    @given(seeds, st.sampled_from(("full", "pairwise", "world")), st.sampled_from((2, 3, 5)),
            st.sampled_from((2, 3)), st.lists(st.booleans(), min_size=2, max_size=11),
            st.sampled_from((1, 40, 300, agents_module.COUNT_CELLS)))
     @settings(max_examples=120, deadline=None)
@@ -834,9 +907,12 @@ class TestEquivalenceStack:
         # scenarios of one (n, m), each with no efforts or drawn ones; small budgets split the
         # agents into several blocks of the whole stack
         rng = rng_from_seed(seed)
-        scenarios = [mode_scenario(rng, mode, n, m, e) for e in efforts]
+        scenarios = [mode_scenario(rng, mode, n, m, e, states=3) for e in efforts]
+        pairs = functools.partial(scenarios[0].prior._pairs,
+                                  stack=prior_stack([s.prior for s in scenarios]))
+        arrays = [np.concatenate(parts) for parts in list(zip(*map(_exact_inputs, scenarios)))[1:]]
         with mock.patch.object(agents_module, "COUNT_CELLS", cells):
-            blocks = list(_exact_joints(scenarios))
+            blocks = list(_exact_joints(pairs, *arrays))
             want = oracles.stacked_exact_joints(scenarios)
         size = max(cells // (len(scenarios) * (n - 1) * m * m), 1)
         assert [b.shape[:2] for b in blocks] == [(len(scenarios), len(range(n)[k:k + size]))
@@ -1701,7 +1777,7 @@ class TestOneStackInstances:
         prior = verify._pair_prior_for(rng, n, m)
         a = sampling.random_mixed_strategy(rng, m, kind_a)
         b = sampling.random_mixed_strategy(rng, m, kind_b)
-        q = prior._pair_tables(0, range(1, n))
+        q = prior._pairs([0], [range(1, n)])[0, 0]
         got = verify._agent0_tables(q[:1], a.channel.rows, b.channel.rows[None], 1.0, 1.0)[0]
         want = report_joint(prior, 0, 1, a, b)
         assert np.array_equal(got, want.table)

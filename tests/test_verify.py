@@ -350,37 +350,93 @@ def test_equivalence_instance_builds_score_shifts_once(call_counts):
 
 def test_forced_equivalence_violation_keeps_matrix_payload_and_replays(monkeypatch):
     config = default_config("scenario-equivalence", instances=1, seed=3)
-    joints, permute = verify._exact_joints, verify.permute_scenario
-    calls, maps = [], []
+    joints, draw, random_maps = (verify._exact_joints, verify._random_equivalence_scenario,
+                                 verify._random_maps)
+    scenarios, maps = [], []
 
-    def skewed(scenarios):
+    def skewed(*args):
         # the base scenario leads the stack; the first twin's joints get extra agreement
-        calls.append(scenarios)
-        blocks = list(joints(scenarios))
+        blocks = list(joints(*args))
         blocks[0] = blocks[0].copy()
         blocks[0][1] += 0.1 * np.eye(blocks[0].shape[-1])
         return blocks
 
-    def recorded(scenario, perms):
-        maps.append(perms.maps)
-        return permute(scenario, perms)
+    def drawn(rng):
+        scenarios.append(draw(rng)[0])
+        return scenarios[-1], None
+
+    def recorded(*args):
+        maps.append(random_maps(*args))
+        return maps[-1]
 
     monkeypatch.setattr(verify, "_exact_joints", skewed)
-    monkeypatch.setattr(verify, "permute_scenario", recorded)
+    monkeypatch.setattr(verify, "_random_equivalence_scenario", drawn)
+    monkeypatch.setattr(verify, "_random_maps", recorded)
     verdict = run_suite(config)
     violations = [v for v in verdict.violations if v["claim"] == "payments_identical"]
     assert violations and not verdict.passed
-    want = [permutation_channel(row).rows.tolist() for row in maps[0]]
-    scenario = verify.scenario_to_dict(calls[0][0])
+    # the scenario draw makes one map list of its own before the ten of the twins
+    assert len(maps) == 1 + verify._PERM_LISTS
+    want = [permutation_channel(row).rows.tolist() for row in maps[1]]
+    scenario = verify.scenario_to_dict(scenarios[0])
     for v in violations:
         assert set(v["data"]) == {"mechanism", "scenario", "perms", "difference"}
         assert v["data"]["perms"] == want and v["data"]["scenario"] == scenario
         assert v["data"]["difference"] > 1e-12
     assert {v["data"]["mechanism"] for v in violations} >= {"mip-kl", "agreement-expected"}
-    calls.clear()
     assert replay_violation(violations[0], config)
     monkeypatch.undo()
     assert not replay_violation(violations[0], config)
+
+
+CYCLE = [1, 2, 0]  # a 3-cycle: unlike a swap of two signals, not its own inverse
+
+
+@pytest.fixture(params=["full", "pairwise", "world"])
+def cycled_instance(request, monkeypatch):
+    """A function running one scenario-equivalence instance, with the checks it recorded, of
+    a 3-agent, 3-signal scenario under each prior mode whose ten twins all relabel every
+    agent's signals by the 3-cycle."""
+    rng = rng_from_seed(0)
+    prior = {"full": lambda: sampling.random_full_joint_prior(rng, 3, 3),
+             "pairwise": lambda: sampling.random_pairwise_symmetric_prior(rng, 3),
+             "world": lambda: sampling.random_world_model(rng, 2, 3)}[request.param]()
+    scenario = verify.Scenario(prior, tuple(sampling.random_mixed_strategy(rng, 3)
+                                            for _ in range(3)))
+    monkeypatch.setattr(verify, "_random_equivalence_scenario", lambda rng: (scenario, None))
+    monkeypatch.setattr(verify, "_random_maps", lambda *args: np.array([CYCLE] * 3))
+
+    def run():
+        config = default_config("scenario-equivalence", instances=1)
+        rec = verify._Recorder(config)
+        verify._scenario_equivalence_instance(rec, config, 0, rng_from_seed(0, 0))
+        return rec
+    return run
+
+
+def violated(rec, claim: str) -> list:
+    return [v for v in rec.violations if v["claim"] == claim]
+
+
+def test_inverse_roundtrip_fails_with_the_forward_maps(cycled_instance, monkeypatch):
+    rec = cycled_instance()
+    assert rec.claims["inverse_roundtrip"]["instances"] == verify._PERM_LISTS
+    assert not rec.violations
+    monkeypatch.setattr(verify, "_inverse_maps", lambda maps: maps)  # mutant: no inverse
+    assert len(violated(cycled_instance(), "inverse_roundtrip")) == verify._PERM_LISTS
+
+
+def test_payments_differ_when_twins_keep_the_base_prior(cycled_instance, monkeypatch):
+    rec = cycled_instance()
+    scenario = verify._random_equivalence_scenario(None)[0]
+    assert not rec.violations
+
+    def unrelabeled(self, maps, stack=None):  # mutant: the prior's arrays are not gathered
+        return {name: np.broadcast_to(a, (len(maps), *a.shape[1:]))
+                for name, a in (stack or self._stack()).items()}
+
+    monkeypatch.setattr(type(scenario.prior), "_relabel", unrelabeled)
+    assert {v["data"]["mechanism"] for v in violated(cycled_instance(), "payments_identical")}
 
 
 def test_bts_population_streams_never_meet_instance_streams(monkeypatch):
