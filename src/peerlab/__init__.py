@@ -11,6 +11,7 @@ from .errors import (
     EmptyAlphabet,
     InadmissibleSupport,
     LogOfZero,
+    MissingField,
     ModeMismatch,
     NegativeWeight,
     NoOverlap,

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MissingField,
     ModeMismatch,
     NoOverlap,
     UnsupportedPriorMode,
@@ -757,16 +758,25 @@ def _prior_to_dict(prior: Prior) -> dict:
     return d
 
 
+def _field(d: dict, key: str, what: str):
+    """``d[key]``, or MissingField naming the key that ``what`` lacks."""
+    try:
+        return d[key]
+    except KeyError:
+        raise MissingField(f"{what} has no {key!r} key") from None
+
+
 def _prior_from_dict(d: dict) -> Prior:
     mode = d.get("mode")
     if mode == "pairwise":
-        return PairwisePrior(JointDistribution(np.array(d["table"])), d.get("symmetric", True))
+        table = np.array(_field(d, "table", "pairwise prior"))
+        return PairwisePrior(JointDistribution(table), d.get("symmetric", True))
     if mode == "full_joint":
-        return FullJointPrior(np.array(d["tensor"]))
+        return FullJointPrior(np.array(_field(d, "tensor", "full-joint prior")))
     if mode == "world_model":
         return WorldModelPrior(
-            Distribution(np.array(d["state_probs"])),
-            tuple(Distribution(np.array(s)) for s in d["states"]),
+            Distribution(np.array(_field(d, "state_probs", "world-model prior"))),
+            tuple(Distribution(np.array(s)) for s in _field(d, "states", "world-model prior")),
         )
     raise UnsupportedPriorMode(f"unknown prior mode {mode!r}")
 
@@ -796,22 +806,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(d: dict) -> Scenario:
     strategies = tuple(
-        Strategy(TransitionMatrix(np.array(s["channel"])), s.get("label", ""))
-        for s in d["strategies"]
+        Strategy(TransitionMatrix(np.array(_field(s, "channel", "strategy"))), s.get("label", ""))
+        for s in _field(d, "strategies", "scenario")
     )
     efforts = None
     if d.get("efforts") is not None:
         efforts = tuple(
             EffortStrategy(
-                e["full_effort_prob"],
-                e["cost"],
+                _field(e, "full_effort_prob", "effort"),
+                _field(e, "cost", "effort"),
                 None if e.get("no_effort_report") is None else Distribution(
                     np.array(e["no_effort_report"])
                 ),
             )
             for e in d["efforts"]
         )
-    return Scenario(_prior_from_dict(d["prior"]), strategies, efforts)
+    return Scenario(_prior_from_dict(_field(d, "prior", "scenario")), strategies, efforts)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -41,6 +41,10 @@ class UnsupportedPriorMode(PeerLabError, ValueError):
     """The prior mode cannot support the requested operation (e.g. sampling)."""
 
 
+class MissingField(PeerLabError, ValueError):
+    """A scenario or prior document lacks a required key."""
+
+
 class NoOverlap(PeerLabError, ValueError):
     """Two agents share no answered question."""
 

@@ -75,20 +75,22 @@ ALL_PAIRS = "all-pairs-average"
 SEEDED_RANDOM = "seeded-random-reference"
 
 
-def _reference_sets(n: int, pairing: str, seed: RngSeed | None):
-    """Per agent, the reference agents to average over.  Seeded pairing draws one per
-    agent i, in agent order: k uniform on 0..n-2, mapped past i as j = k + (k >= i)."""
+def _reference_sets(n: int, pairing: str, seed: RngSeed | None) -> np.ndarray:
+    """Per agent i, a row of the reference agents to average over, (n, k): each j != i, or
+    under seeded pairing one draw per agent in agent order, k uniform on 0..n-2 mapped past i
+    as j = k + (k >= i)."""
     if n < 2:
         raise DimensionMismatch("payments need at least 2 agents")
     if pairing == ALL_PAIRS:
-        return [[j for j in range(n) if j != i] for i in range(n)]
+        k = np.arange(n - 1)
+        return k + (k >= np.arange(n)[:, None])
     if pairing == SEEDED_RANDOM:
         if seed is None:
             raise DimensionMismatch("seeded-random-reference pairing needs a seed")
         _check_seed(seed)
         rng = rng_from_seed(seed, 17)
-        draws = [int(rng.integers(n - 1)) for _ in range(n)]
-        return [[k + (k >= i)] for i, k in enumerate(draws)]
+        k = np.array([int(rng.integers(n - 1)) for _ in range(n)], dtype=np.intp)
+        return (k + (k >= np.arange(n)))[:, None]
     raise DimensionMismatch(f"unknown pairing {pairing!r}")
 
 
@@ -152,7 +154,7 @@ def _exact_joints(pairs, channels, probs, lazy):
     the last two broadcast when S = 1.  One :func:`_report_tables` call per block of about
     ``agents.COUNT_CELLS`` cells, counted over the stack too (the count kernel's budget)."""
     s, n, m = channels.shape[:3]
-    refs = np.array(_reference_sets(n, ALL_PAIRS, None), dtype=np.intp)
+    refs = _reference_sets(n, ALL_PAIRS, None)
     probs = probs[..., None, None]
     block = max(agents.COUNT_CELLS // (s * refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
@@ -174,7 +176,7 @@ def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None)
     """Per block of agents, in agent order, the tables of the empirical conditional-mode
     joints of (J, report_i, report_J) with J uniform over each agent i's reference agents,
     shaped (agents in the block, k, m, m)."""
-    refs = np.array(_reference_sets(reports.n_agents, pairing, seed), dtype=np.intp)
+    refs = _reference_sets(reports.n_agents, pairing, seed)
     blocks = _count_tables(reports, np.arange(reports.n_agents), refs)
     return (tables / refs.shape[1] for tables in blocks)
 
@@ -521,7 +523,7 @@ def bts_payments(
         info = log_fr - (logs.sum(axis=0)[sig] - own) / (n - 1)
         pred = (logs @ counts - own - log_fr.sum() + log_fr) / (n - 1)
     elif pairing == SEEDED_RANDOM:
-        refs = np.array(_reference_sets(n, pairing, seed), dtype=np.intp)[:, 0]
+        refs = _reference_sets(n, pairing, seed)[:, 0]
         failing = lone | lone[refs] | zero[refs, sig] | zero[agents, sig[refs]]
         info = log_fr - logs[refs, sig]
         pred = logs[agents, sig[refs]] - log_fr[refs]

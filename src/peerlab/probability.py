@@ -65,21 +65,27 @@ class Distribution:
         return float(self.weights[_index(sigma, self.size, "sigma")])
 
 
-def _floats(values, name: str, copy: bool | None = None) -> np.ndarray:
-    """``values`` as a float64 array, copied when ``copy`` (else only if they are not one);
-    DimensionMismatch, not numpy's bare error, when they do not convert: a ragged nest,
-    complex or non-numeric entries."""
+def _floats(values, name: str, copy: bool | None = None, order: str = "K") -> np.ndarray:
+    """``values`` as a float64 array laid out in ``order``, copied when ``copy`` (else only if
+    they are not one); DimensionMismatch, not numpy's bare error or a ComplexWarning, when they
+    do not convert: a ragged nest, or complex or non-numeric entries at any depth."""
     try:
-        return np.array(values, dtype=np.float64, copy=copy)
+        if type(values) is not np.ndarray:  # a nest may hold complex arrays
+            values = np.asarray(values)
+        if values.dtype.kind != "c":  # a cast to float64 would drop the imaginary parts
+            return np.array(values, dtype=np.float64, copy=copy, order=order)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name} must be a rectangular array of real numbers") from exc
+    raise DimensionMismatch(f"{name} must be a rectangular array of real numbers")
 
 
 def _validated_tables(values, rank: int, name: str = "table") -> np.ndarray:
-    """``values`` as a read-only array of probability tables, each over its last ``rank`` axes,
-    checked as the module docstring says; ``name`` leads the messages.  Validates every
-    probability object, after the object's own rank check, and a stack of tables alike."""
-    arr = _floats(values, name, copy=True)  # a private copy: the caller's array is never frozen
+    """``values`` as a read-only, C-ordered array of probability tables, each over its last
+    ``rank`` axes, checked as the module docstring says; ``name`` leads the messages.
+    Validates every probability object, after the object's own rank check, and a stack of
+    tables alike.  The stacked kernels give each table of a C-ordered stack the bits of its
+    slice alone, whatever the layout of ``values``."""
+    arr = _floats(values, name, copy=True, order="C")  # private: the caller's is never frozen
     if arr.size == 0:
         raise EmptyAlphabet(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):

@@ -6,14 +6,21 @@ deterministic per seed.  Dense objects are mixed with a uniform component
 macroscopic mass; this keeps strict data-processing margins well away from
 the strictness tolerance without ever filtering instances on outcomes.
 
-The private forms ``_floored``, ``_channel_rows``, ``_ci_table`` and ``_symmetrized`` return
-raw arrays, which the public samplers (all but ``_ci_table``) wrap in validated objects;
-suites that validate whole stacks of tables at once draw through them.  Each flat-Dirichlet
-draw is taken as the unit exponentials ``rng.dirichlet(np.ones(k))`` draws for it
-(``_floored_rows``), so it reads the same stream and gives the same bits as ``rng.dirichlet``.
-A sparse row's one or two columns are the bounded integers ``rng.choice(m_out, k,
-replace=False)`` draws (Floyd's algorithm, then a one-swap shuffle), taken one by one; they
-read PCG64's buffered 32-bit halves as that call does, so the stream and the bits match too.
+The private forms ``_floored``, ``_channel_rows`` and ``_symmetrized`` return raw arrays,
+which the public samplers wrap in validated objects.  Each flat-Dirichlet draw is taken as the
+unit exponentials ``rng.dirichlet(np.ones(k))`` draws for it (``_floored_rows``), so it reads
+the same stream and gives the same bits as ``rng.dirichlet``.  A sparse row's one or two
+columns are the bounded integers ``rng.choice(m_out, k, replace=False)`` draws (Floyd's
+algorithm, then a one-swap shuffle), taken one by one.
+
+Table drawing is split in two: a *read* makes an instance's generator calls in stream order
+and keeps raw values (unit exponentials, or a permutation or sparse channel's cells), and a
+*stack* builds the tables of many reads in one array pass, each with the bits it has alone
+(``_floored_tables``, ``_channel_stack``, ``_ci_tables``); ``_channel_rows`` is the stack of
+one read.  The public samplers read with the caller's generator.  The suites read a fresh
+instance generator through ``_Halves``, which takes the bounded 32-bit draws as numpy takes
+them from PCG64's raw 64-bit words: a draw is the low half of a fresh word, whose high half is
+buffered for the next draw, and 64-bit draws neither read nor clear that half.
 """
 
 from __future__ import annotations
@@ -55,6 +62,11 @@ def _floored_rows(e: np.ndarray, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
     return (1.0 - floor_frac) * rows + floor_frac / e.shape[-1]
 
 
+def _floored_tables(e: np.ndarray, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
+    """``_floored``'s table of each stack entry of unit exponentials ``e`` (g, *shape)."""
+    return _floored_rows(e.reshape(len(e), -1), floor_frac).reshape(e.shape)
+
+
 def _floored(rng, shape: tuple, floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
     """A flat-Dirichlet table of ``shape`` mixed with the uniform table at weight ``floor_frac``."""
     return _floored_rows(rng.standard_exponential(math.prod(shape)), floor_frac).reshape(shape)
@@ -77,14 +89,13 @@ def random_conditional_tensor(rng, mz: int, mx: int, my: int) -> JointDistributi
     return JointDistribution(_floored(rng, _shape(mz=mz, mx=mx, my=my)))
 
 
-def _ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
-    """pz, then each z's px and py, as one run of the floored draws that follow one another
-    in the stream; ``t[z] = pz[z] * outer(px, py)``."""
-    e = rng.standard_exponential(mz * (1 + mx + my))
-    pz = _floored_rows(e[:mz])
-    factors = e[mz:].reshape(mz, mx + my)
-    px, py = _floored_rows(factors[:, :mx]), _floored_rows(factors[:, mx:])
-    return pz[:, None, None] * (px[:, :, None] * py[:, None, :])
+def _ci_tables(e: np.ndarray, mz: int, mx: int, my: int) -> np.ndarray:
+    """Per row of unit exponentials ``e`` (..., mz * (1 + mx + my)), the (mz, mx, my) table
+    ``t[z] = pz[z] * outer(px, py)`` of pz, then each z's px and py, floored in that order."""
+    pz = _floored_rows(e[..., :mz])
+    factors = e[..., mz:].reshape(e.shape[:-1] + (mz, mx + my))
+    px, py = _floored_rows(factors[..., :mx]), _floored_rows(factors[..., mx:])
+    return pz[..., None, None] * (px[..., :, None] * py[..., None, :])
 
 
 def random_strategy_kind(rng) -> str:
@@ -118,38 +129,122 @@ def random_channel(rng, m_in: int, m_out: int | None = None, kind: str | None = 
     return TransitionMatrix(_channel_rows(rng, m_in, m_out, kind, floor_frac))
 
 
-def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
-                  floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
+class _Halves:
+    """Stands in for a fresh generator ``rng`` (one whose buffered half is empty) in a read:
+    ``random`` and ``standard_exponential`` are its own, and the bounded 32-bit draws
+    ``integers(k)`` and ``permutation(n)`` give numpy's values from its raw 64-bit words, with
+    the buffered half kept here, so ``rng`` itself must take no 32-bit draw afterwards."""
+
+    __slots__ = ("random", "standard_exponential", "_raw", "_has", "_half")
+
+    def __init__(self, rng):
+        self.random, self.standard_exponential = rng.random, rng.standard_exponential
+        self._raw, self._has, self._half = rng.bit_generator.random_raw, False, 0
+
+    def _next32(self) -> int:
+        if self._has:
+            self._has = False
+            return self._half
+        word = self._raw()
+        self._has, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        """``int(rng.integers(k))``: Lemire's multiply-shift, rejecting a low word below
+        numpy's threshold (2**32 - k) % k; k == 1 reads nothing."""
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def permutation(self, n: int) -> list:
+        """``rng.permutation(n).tolist()``: numpy's shuffle from the last position down, each
+        swap index by ``random_interval``'s rejection of draws masked to its bit length."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
+def _channel_read(rng, m_in: int, m_out: int | None = None, kind: str | None = None):
+    """One channel of the given (else a sampled) kind, as :func:`_channel_stack` reads it:
+    a dense or constant channel's unit exponentials (m_in, m_out), the constant row repeated,
+    or a permutation or sparse channel's cells (rows, columns, values).  ``rng`` is a
+    generator or a :class:`_Halves`."""
     m_out = m_in if m_out is None else m_out
     kind = kind or random_strategy_kind(rng)
     if kind == "permutation" and m_in != m_out:
         kind = "sparse"
     if kind == "dense":
-        rows = _floored_rows(rng.standard_exponential((m_in, m_out)), floor_frac)
-    elif kind == "constant":
-        rows = np.repeat(_floored(rng, (1, m_out), floor_frac), m_in, axis=0)
-    elif kind == "permutation":
-        rows = np.zeros((m_in, m_out))
-        rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
-    elif kind == "sparse":
-        # per row 1 or 2 columns, as rng.choice(m_out, size, replace=False) draws them (Floyd's
-        # draws, then a one-swap shuffle), over the flat-Dirichlet weights of _floored_rows
-        rows = np.zeros((m_in, m_out))
-        for r in range(m_in):
-            if rng.integers(1, min(m_out, 2) + 1) == 1:
-                support = [int(rng.integers(m_out))]
-            else:
-                first, second = int(rng.integers(m_out - 1)), int(rng.integers(m_out))
-                support = [first, m_out - 1 if second == first else second]
-                if rng.integers(2) == 0:
-                    support.reverse()
-            e = rng.standard_exponential(len(support)).tolist()
-            scale = 1.0 / (e[0] + e[1] if len(e) == 2 else e[0])
-            for col, x in zip(support, e):
-                rows[r, col] = x * scale
-    else:
+        return rng.standard_exponential((m_in, m_out))
+    if kind == "constant":
+        return rng.standard_exponential((1, m_out)).repeat(m_in, axis=0)
+    if kind == "permutation":
+        return range(m_in), rng.permutation(m_in), [1.0] * m_in
+    if kind != "sparse":
         raise DimensionMismatch(f"unknown channel kind {kind!r}")
-    return rows
+    # per row 1 or 2 columns, as rng.choice(m_out, size, replace=False) draws them (Floyd's
+    # draws, then a one-swap shuffle), over the flat-Dirichlet weights of _floored_rows
+    below, widest = rng.integers, min(m_out, 2)
+    rows, cols, values = [], [], []
+    for r in range(m_in):
+        if below(widest) == 0:
+            support, e = [below(m_out)], [rng.standard_exponential()]
+        else:
+            first, second = below(m_out - 1), below(m_out)
+            support = [first, m_out - 1 if second == first else second]
+            if below(2) == 0:
+                support.reverse()
+            e = rng.standard_exponential(2).tolist()
+        scale = 1.0 / (e[0] + e[1] if len(e) == 2 else e[0])
+        rows += [r] * len(e)
+        cols += support
+        values += [x * scale for x in e]
+    return rows, cols, values
+
+
+def _channel_stack(reads: list, m_in: int, m_out: int,
+                   floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
+    """The (len(reads), m_in, m_out) rows of :func:`_channel_read` values: all exponential
+    tables floored in one pass, all cells scattered in one; a lone read, as the public samplers
+    draw it, goes straight into its table."""
+    if len(reads) == 1:
+        read = reads[0]
+        if type(read) is np.ndarray:
+            return _floored_rows(read, floor_frac)[None]
+        out = np.zeros((1, m_in, m_out))
+        out[0, read[0], read[1]] = read[2]
+        return out
+    dense, at, rows, cols, values = [], [], [], [], []
+    for pos, read in enumerate(reads):
+        if type(read) is np.ndarray:
+            dense.append(pos)
+        else:
+            at += [pos] * len(read[2])
+            rows.extend(read[0])
+            cols.extend(read[1])
+            values.extend(read[2])
+    if len(dense) == len(reads):
+        return _floored_rows(np.array(reads), floor_frac)
+    out = np.zeros((len(reads), m_in, m_out))
+    if dense:
+        out[dense] = _floored_rows(np.array([reads[pos] for pos in dense]), floor_frac)
+    out[at, rows, cols] = values
+    return out
+
+
+def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
+                  floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
+    m_out = m_in if m_out is None else m_out
+    return _channel_stack([_channel_read(rng, m_in, m_out, kind)], m_in, m_out, floor_frac)[0]
 
 
 def random_generator_choice(rng, strictly_convex_only: bool = False) -> ConvexGenerator:

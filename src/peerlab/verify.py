@@ -11,11 +11,13 @@ spawn-keyed streams, which no instance stream meets); most suites then
 check it alone, some on one stack per instance (scenario-equivalence of it
 and its relabeled twins, md-equivalence of its three report pairs, bts of its
 two world tensors), while the one-table suites (bregman-quasi, accuracy-gain)
-and effort check a chunk's drawn instances together, one stacked call per
-shape group, and record them in index order.  They draw raw arrays through
-the private samplers, which read the public samplers' stream and give their
-bits, and validate each shape group's stack once, with the tests the
-validated objects would have applied.  A table's value never
+and effort first take each instance's reads (``sampling``'s raw draws, whose
+bounded draws start from the fresh generator's empty buffered half), then per
+shape group of the chunk build its tables from the reads as one stack, with
+the bits the public samplers give each table, validate the stack once with the
+tests the validated objects would have applied, check it in one call, and
+record the instances in index order; a failed claim's payload rebuilds its
+instance's tables from its reads.  A table's value never
 depends on the stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
 recorded violation is replayed by re-running its one instance as a chunk of
@@ -498,49 +500,52 @@ def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
               abs(utils[0] - utils[-1]) <= 1e-12, -1, lambda: {"grid_utilities": utils})
 
 
-def _effort_draw(rng) -> tuple:
-    """Peer count, raw joint, generator, the unit draws of cost and lambda, and raw strategy
-    rows, from the public samplers' stream and bits: ``rng.uniform(0.0, h)`` is
-    ``h * rng.random()``."""
-    m = sampling._pick(rng, _ALPHABET_SIZES)
-    n = sampling._pick(rng, _AGENT_COUNTS)
-    joint = sampling._floored(rng, (m, m))
-    gen = sampling.random_generator_choice(rng)
-    cost_unit, lam = rng.random(), rng.random()
-    rows = sampling._channel_rows(rng, m, None, sampling.random_strategy_kind(rng), 0.0)
-    return n, joint, gen, cost_unit, lam, rows
+def _effort_read(rng) -> tuple:
+    """Peer count, the joint's unit exponentials, generator, the unit draws of cost and lambda,
+    and the strategy's channel read, in the public samplers' stream order from a fresh
+    instance generator: ``rng.uniform(0.0, h)`` is ``h * rng.random()``."""
+    draws = sampling._Halves(rng)
+    m = sampling._pick(draws, _ALPHABET_SIZES)
+    n = sampling._pick(draws, _AGENT_COUNTS)
+    joint = draws.standard_exponential((m, m))
+    gen = sampling.random_generator_choice(draws)
+    cost_unit, lam = draws.random(), draws.random()
+    return n, joint, gen, cost_unit, lam, sampling._channel_read(draws, m)
 
 
 def _effort_check(group: list) -> tuple:
-    """Per instance of a group with one alphabet, peer count and generator: its symmetric prior,
-    cost, grid utilities, payments by active peers, mixture-law gap and both sides of mixture
-    convexity.  Joints and priors are validated as rank-2 tables, strategies by row."""
-    n, gen = group[0][0], group[0][2]
-    joints = _validated_tables(np.stack([d[1] for d in group]), rank=2)
+    """Per instance of a group with one alphabet, peer count and generator: its cost, grid
+    utilities, payments by active peers, mixture-law gap and both sides of mixture convexity.
+    Joints, priors and strategies are built from the reads as one stack each and validated,
+    joints and priors as rank-2 tables, strategies by row."""
+    n, gen, m = group[0][0], group[0][2], group[0][1].shape[0]
+    joints = _validated_tables(sampling._floored_tables(np.array([d[1] for d in group])), rank=2)
     priors = _validated_tables(sampling._symmetrized(joints), rank=2)
-    rows = _validated_tables(np.stack([d[5] for d in group]), rank=1)
+    rows = _validated_tables(sampling._channel_stack([d[5] for d in group], m, m, 0.0), rank=1)
     cost_unit, lam = np.array([d[3] for d in group]), np.array([d[4] for d in group])
     cost = 1.5 * np.maximum(_mi_kernel(gen)(priors), 1e-3) * cost_unit
     q = np.broadcast_to(priors[:, None], (len(group), n - 1) + priors.shape[1:])
     pay, active = _effort_payments(q, gen)
     # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
     li = np.stack([np.ones_like(lam), np.zeros_like(lam), lam])[:, :, None, None, None]
-    j_full, j_none, j_mix = tables = _agent0_tables(q[:, :1], rows[:, None], np.eye(q.shape[-1]),
-                                                    li, 1.0)[:, :, 0]
+    j_full, j_none, j_mix = tables = _agent0_tables(q[:, :1], rows[:, None], np.eye(m), li,
+                                                    1.0)[:, :, 0]
     w = lam[:, None, None]
     mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
     mi_full, mi_none, lhs = _mi_kernel(gen)(tables)
     rhs = lam * mi_full + (1.0 - lam) * mi_none
-    return priors, cost, pay - _EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
+    return cost, pay - _EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
 
 
 def _effort_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol = config.equality_tol
-    drawn = [_effort_draw(rng) for rng in _instance_rngs(config.seed, chunk)]
-    checked = _grouped(drawn, lambda d: (d[1].shape, d[0], d[2]), _effort_check)
-    for idx, d, (prior, cost, utils, payments, gap, lhs, rhs) in zip(chunk, drawn, checked):
+    reads = [_effort_read(rng) for rng in _instance_rngs(config.seed, chunk)]
+    checked = _grouped(reads, lambda d: (d[1].shape, d[0], d[2]), _effort_check)
+    for idx, d, (cost, utils, payments, gap, lhs, rhs) in zip(chunk, reads, checked):
         def data() -> dict:
-            return {"prior": prior, "measure": d[2].value, "cost": cost, "grid_utilities": utils}
+            prior = sampling._symmetrized(sampling._floored_tables(d[1][None]))[0]
+            return {"prior": _jl(prior), "measure": d[2].value,
+                    "cost": cost, "grid_utilities": utils}
         rec.check("pure_effort_optimal", "inequality",
                   max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
         # effort monotonicity: payment under truth as peers join full effort
@@ -565,27 +570,28 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _bregman_quasi_draw(rng) -> tuple:
-    """Raw joint, rule, X channel rows and Y channel rows, from the public samplers' stream
-    and bits."""
-    mx = sampling._pick(rng, _ALPHABET_SIZES)
-    my = sampling._pick(rng, _ALPHABET_SIZES)
-    joint = sampling._floored(rng, (mx, my))
-    rule = sampling.random_rule_choice(rng)
-    channel = sampling._channel_rows(rng, mx)
-    y_channel = sampling._channel_rows(rng, my)
-    return joint, rule, channel, y_channel
+def _bregman_quasi_read(rng) -> tuple:
+    """The joint's unit exponentials (mx, my), rule, and X and Y channel reads, in the public
+    samplers' stream order from a fresh instance generator."""
+    draws = sampling._Halves(rng)
+    mx = sampling._pick(draws, _ALPHABET_SIZES)
+    my = sampling._pick(draws, _ALPHABET_SIZES)
+    joint = draws.standard_exponential((mx, my))
+    rule = sampling.random_rule_choice(draws)
+    return joint, rule, sampling._channel_read(draws, mx), sampling._channel_read(draws, my)
 
 
 def _bregman_quasi_check(group: list) -> tuple:
     """Per instance of a group with one joint shape (so one shape of each square channel): BMI
     before and after each channel, whether the X channel is the identity, and the log bridge
-    gap.  The joints are validated as rank-2 tables, the channels row by row and both pushes
-    as one stack; the BMI of the joints and both pushes is taken once per rule of the group,
-    and each instance reads its own rule's."""
-    joints = _validated_tables(np.stack([d[0] for d in group]), rank=2)
-    channels = _validated_tables(np.stack([d[2] for d in group]), rank=1)
-    y_channels = _validated_tables(np.stack([d[3] for d in group]), rank=1)
+    gap.  The joints and channels are built from the reads as one stack each and validated,
+    the joints as rank-2 tables, the channels row by row and both pushes as one stack; the
+    BMI of the joints and both pushes is taken once per rule of the group, and each instance
+    reads its own rule's."""
+    mx, my = group[0][0].shape
+    joints = _validated_tables(sampling._floored_tables(np.array([d[0] for d in group])), rank=2)
+    channels = _validated_tables(sampling._channel_stack([d[2] for d in group], mx, mx), rank=1)
+    y_channels = _validated_tables(sampling._channel_stack([d[3] for d in group], my, my), rank=1)
     pushed = _validated_tables(np.concatenate([_push_first(joints, channels),
                                                joints @ y_channels]), rank=2)
     tables = np.concatenate([joints, pushed])
@@ -599,25 +605,29 @@ def _bregman_quasi_check(group: list) -> tuple:
 
 def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol, stol = config.equality_tol, config.strictness_tol
-    drawn = [_bregman_quasi_draw(rng) for rng in _instance_rngs(config.seed, chunk)]
-    checked = _grouped(drawn, lambda d: d[0].shape, _bregman_quasi_check)
-    for idx, (joint, rule, channel, y_channel), values in zip(chunk, drawn, checked):
+    reads = [_bregman_quasi_read(rng) for rng in _instance_rngs(config.seed, chunk)]
+    checked = _grouped(reads, lambda d: d[0].shape, _bregman_quasi_check)
+    for idx, (e, rule, x_read, y_read), values in zip(chunk, reads, checked):
         before, after, identity, bridge_gap, after_y = values
+        mx, my = e.shape
+
+        def joint() -> list:
+            return _jl(sampling._floored_tables(e[None])[0])
 
         def data() -> dict:
-            return {"joint": _jl(joint), "channel": _jl(channel), "rule": rule.value,
-                    "before": before, "after": after}
+            return {"joint": joint(), "channel": _jl(sampling._channel_stack([x_read], mx, mx)[0]),
+                    "rule": rule.value, "before": before, "after": after}
         rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
         if identity:
             rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
         rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
-                  lambda: {"joint": _jl(joint), "gap": bridge_gap})
+                  lambda: {"joint": joint(), "gap": bridge_gap})
         if after_y > before + stol:
             rec.finding({
                 "kind": "second_entry_increase",
                 "instance": idx,
-                "joint": _jl(joint),
-                "y_channel": _jl(y_channel),
+                "joint": joint(),
+                "y_channel": _jl(sampling._channel_stack([y_read], my, my)[0]),
                 "rule": rule.value,
                 "before": before,
                 "after": after_y,
@@ -637,21 +647,38 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _accuracy_gain_draw(rng, idx: int) -> np.ndarray:
-    """A raw (Z, X, Y) tensor: ``_ci_table``'s draw, or ``random_conditional_tensor``'s."""
-    mz = sampling._pick(rng, _ALPHABET_SIZES)
-    mx = sampling._pick(rng, _ALPHABET_SIZES)
-    my = sampling._pick(rng, _ALPHABET_SIZES)
+def _accuracy_gain_read(rng, idx: int) -> tuple:
+    """A (Z, X, Y) tensor shape, whether it is a CI table, and its unit exponentials, in the
+    stream order of ``random_conditional_tensor`` or of the CI table from a fresh instance
+    generator."""
+    draws = sampling._Halves(rng)
+    mz = sampling._pick(draws, _ALPHABET_SIZES)
+    mx = sampling._pick(draws, _ALPHABET_SIZES)
+    my = sampling._pick(draws, _ALPHABET_SIZES)
     if idx % 3 == 1:
-        return sampling._ci_table(rng, mz, mx, my)
-    return sampling._floored(rng, (1 if idx % 5 == 2 else mz, mx, my))
+        return (mz, mx, my), True, draws.standard_exponential(mz * (1 + mx + my))
+    shape = (1 if idx % 5 == 2 else mz, mx, my)
+    return shape, False, draws.standard_exponential(shape)
 
 
-def _accuracy_gain_check(tensors: list) -> tuple:
-    """Per tensor of a group with one shape, validated once as rank-3 tables: the log-score
+def _accuracy_gain_tensors(reads: list) -> np.ndarray:
+    """The tensors of reads of one shape as one stack: the floored ones in one pass, the CI
+    tables in another."""
+    shape = reads[0][0]
+    out = np.empty((len(reads),) + shape)
+    for ci in (False, True):
+        at = [pos for pos, d in enumerate(reads) if d[1] is ci]
+        if at:
+            e = np.array([reads[pos][2] for pos in at])
+            out[at] = sampling._ci_tables(e, *shape) if ci else sampling._floored_tables(e)
+    return out
+
+
+def _accuracy_gain_check(tensors) -> tuple:
+    """Per tensor of a stack with one shape, validated once as rank-3 tables: the log-score
     accuracy gain, the conditional KL information and, where Z has one value, the Shannon
     information of its one slice (else NaN)."""
-    t = _validated_tables(np.stack(tensors), rank=3)
+    t = _validated_tables(tensors, rank=3)
     lhs, rhs = _log_score_gains(t), _slice_mean(t, _mi_kernel(ConvexGenerator.KL))
     if t.shape[1] > 1:
         return lhs, rhs, np.full_like(rhs, np.nan)
@@ -661,12 +688,14 @@ def _accuracy_gain_check(tensors: list) -> tuple:
 
 def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol = config.equality_tol
-    drawn = [_accuracy_gain_draw(rng, idx)
+    reads = [_accuracy_gain_read(rng, idx)
              for idx, rng in zip(chunk, _instance_rngs(config.seed, chunk))]
-    checked = _grouped(drawn, lambda tensor: tensor.shape, _accuracy_gain_check)
-    for idx, tensor, (lhs, rhs, flat) in zip(chunk, drawn, checked):
+    checked = _grouped(reads, lambda d: d[0],
+                       lambda group: _accuracy_gain_check(_accuracy_gain_tensors(group)))
+    for idx, read, (lhs, rhs, flat) in zip(chunk, reads, checked):
         def data() -> dict:
-            return {"tensor": _jl(tensor), "accuracy_gain": lhs, "conditional_mi": rhs}
+            return {"tensor": _jl(_accuracy_gain_tensors([read])[0]), "accuracy_gain": lhs,
+                    "conditional_mi": rhs}
         rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
         if idx % 3 == 1:
             rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)

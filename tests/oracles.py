@@ -33,6 +33,9 @@ per-state and per-signal loops of the shifted-score table, the log-score gain, t
 reported world states and the optimal predictions, as they were before each got one
 array body.  The two per-signal scores, ``log_score`` and ``quadratic_score``, take
 numpy's scalar log and ``np.dot``, so that the score routes give the library's bits.
+The file ends with the per-instance draws of the one-table suites and effort and the channel
+rows and CI table they drew, each table built on its own with numpy's bounded draws, before
+the suites kept raw reads and built each shape group's tables as one stack.
 """
 
 import math
@@ -811,7 +814,8 @@ def dirichlet_channel_rows(rng, m_in: int, m_out: int | None = None, kind: str |
 
 
 def loop_ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
-    """``sampling._ci_table`` as it drew pz and then each z's px and py in a loop over z."""
+    """The CI table of ``oracles.ci_table`` as it drew pz and then each z's px and py in a loop
+    over z."""
     pz = dirichlet_floored(rng, (mz,))
     t = np.zeros((mz, mx, my))
     for z in range(mz):
@@ -1411,3 +1415,80 @@ def loop_optimal_predictions(world: WorldModelPrior, strategies=None) -> tuple:
             raise ZeroFrequency(f"signal {sigma} has zero prior probability")
         out.append(Distribution((post_w / total) @ reported_states))
     return tuple(out)
+
+
+def channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
+                 floor_frac: float = sampling._FLOOR_FRAC) -> np.ndarray:
+    """``sampling._channel_rows`` as it drew one channel with numpy's own bounded draws
+    (``rng.integers``, ``rng.permutation``) and built its rows on its own, before the draws
+    became reads that a stack builds."""
+    m_out = m_in if m_out is None else m_out
+    kind = kind or sampling.random_strategy_kind(rng)
+    if kind == "permutation" and m_in != m_out:
+        kind = "sparse"
+    if kind == "dense":
+        rows = sampling._floored_rows(rng.standard_exponential((m_in, m_out)), floor_frac)
+    elif kind == "constant":
+        rows = np.repeat(sampling._floored(rng, (1, m_out), floor_frac), m_in, axis=0)
+    elif kind == "permutation":
+        rows = np.zeros((m_in, m_out))
+        rows[np.arange(m_in), rng.permutation(m_in)] = 1.0
+    elif kind == "sparse":
+        rows = np.zeros((m_in, m_out))
+        for r in range(m_in):
+            if rng.integers(1, min(m_out, 2) + 1) == 1:
+                support = [int(rng.integers(m_out))]
+            else:
+                first, second = int(rng.integers(m_out - 1)), int(rng.integers(m_out))
+                support = [first, m_out - 1 if second == first else second]
+                if rng.integers(2) == 0:
+                    support.reverse()
+            e = rng.standard_exponential(len(support)).tolist()
+            scale = 1.0 / (e[0] + e[1] if len(e) == 2 else e[0])
+            for col, x in zip(support, e):
+                rows[r, col] = x * scale
+    else:
+        raise DimensionMismatch(f"unknown channel kind {kind!r}")
+    return rows
+
+
+def ci_table(rng, mz: int, mx: int, my: int) -> np.ndarray:
+    """``sampling._ci_table``, which drew one CI tensor and built it on its own, before
+    ``sampling._ci_tables`` built a stack of them from their unit exponentials."""
+    e = rng.standard_exponential(mz * (1 + mx + my))
+    pz = sampling._floored_rows(e[:mz])
+    factors = e[mz:].reshape(mz, mx + my)
+    px, py = sampling._floored_rows(factors[:, :mx]), sampling._floored_rows(factors[:, mx:])
+    return pz[:, None, None] * (px[:, :, None] * py[:, None, :])
+
+
+def bregman_quasi_draw(rng) -> tuple:
+    """``verify._bregman_quasi_draw``: one instance's raw joint, rule, X channel rows and Y
+    channel rows, each table built on its own from numpy's own draws."""
+    mx = sampling._pick(rng, _ALPHABET_SIZES)
+    my = sampling._pick(rng, _ALPHABET_SIZES)
+    joint = sampling._floored(rng, (mx, my))
+    rule = sampling.random_rule_choice(rng)
+    return joint, rule, channel_rows(rng, mx), channel_rows(rng, my)
+
+
+def accuracy_gain_draw(rng, idx: int) -> np.ndarray:
+    """``verify._accuracy_gain_draw``: one instance's raw (Z, X, Y) tensor, built on its own."""
+    mz = sampling._pick(rng, _ALPHABET_SIZES)
+    mx = sampling._pick(rng, _ALPHABET_SIZES)
+    my = sampling._pick(rng, _ALPHABET_SIZES)
+    if idx % 3 == 1:
+        return ci_table(rng, mz, mx, my)
+    return sampling._floored(rng, (1 if idx % 5 == 2 else mz, mx, my))
+
+
+def effort_draw(rng) -> tuple:
+    """``verify._effort_draw``: one instance's peer count, raw joint, generator, unit draws of
+    cost and lambda and raw strategy rows, each table built on its own."""
+    m = sampling._pick(rng, _ALPHABET_SIZES)
+    n = sampling._pick(rng, _AGENT_COUNTS)
+    joint = sampling._floored(rng, (m, m))
+    gen = sampling.random_generator_choice(rng)
+    cost_unit, lam = rng.random(), rng.random()
+    rows = channel_rows(rng, m, None, sampling.random_strategy_kind(rng), 0.0)
+    return n, joint, gen, cost_unit, lam, rows

@@ -7,8 +7,9 @@ shape on a world's signals, for the exported strategy sampler's size and seed,
 for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
 never counts from the end, in the empirical and in every prior mode's pair joints.  Tables that do not
 convert to real arrays (ragged, complex), priors built from lists and relabelings of anything but a
-Scenario by a PermutationList raise a PeerLabError too.  Report masks hold bools or 0/1 integers.  The seeds of the samplers
-and of the payment engines, all-pairs engines that only record one included, are non-negative
+Scenario by a PermutationList raise a PeerLabError too, as do complex arrays and scenario
+documents without a required key, which the error names.  Report masks hold bools or 0/1
+integers.  The seeds of the samplers and of the payment engines, all-pairs engines that only record one included, are non-negative
 integers of any size; a suite's seed stays in the intp range."""
 
 import json
@@ -62,7 +63,9 @@ from peerlab import (
     uniform_distribution,
 )
 from peerlab import sampling
-from peerlab.errors import PeerLabError, UnsupportedPriorMode
+from peerlab.agents import scenario_from_dict, scenario_to_dict
+from peerlab.cli import main
+from peerlab.errors import MissingField, PeerLabError, UnsupportedPriorMode
 from peerlab.probability import rng_from_seed, sample
 
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.5, -1.0, 0.0, 3.0])
@@ -356,9 +359,15 @@ RAGGED = [[0.5, 0.5], [1.0]]
     lambda: Distribution(["a", "b"]), lambda: make_distribution(RAGGED),
     lambda: JointDistribution(RAGGED), lambda: TransitionMatrix(RAGGED),
     lambda: FullJointPrior(RAGGED), lambda: FullJointPrior([[0.5 + 0j, 0.5], [0.0, 0.0]]),
+    lambda: Distribution(np.array([0.5 + 0.3j, 0.5])),
+    lambda: JointDistribution(np.full((2, 2), 0.25 + 0j)),
+    lambda: make_distribution(np.array([1.0, 1.0], dtype=np.complex64)),
+    lambda: TransitionMatrix([np.array([0.5 + 0.3j, 0.5]), np.array([0.5, 0.5])]),
 ], ids=["distribution-ragged", "distribution-complex", "distribution-strings",
         "make-distribution-ragged", "joint-ragged", "channel-ragged", "full-joint-ragged",
-        "full-joint-complex"])
+        "full-joint-complex", "distribution-complex-array", "joint-complex-array",
+        "make-distribution-complex-array", "channel-complex-rows"])
+@pytest.mark.filterwarnings("error")  # complex input raises at any depth; it never casts
 def test_unconvertible_tables_raise_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch, match="rectangular array of real numbers"):
         call()
@@ -441,3 +450,41 @@ def test_zero_one_integer_mask_reads_as_bool():
     assert ints.mask.dtype == bool and np.array_equal(ints.mask, bools.mask)
     assert np.array_equal(empirical_pair_joint(ints, 0, 1).table,
                           empirical_pair_joint(bools, 0, 1).table)
+
+
+def _without(doc: dict, path: tuple) -> dict:
+    """A copy of the JSON document ``doc`` with the key at ``path`` removed."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    del node[key]
+    return doc
+
+
+SCENARIO_DOC = scenario_to_dict(Scenario(PRIOR, (truth_telling(2),) * 2,
+                                         (EffortStrategy(0.5, 0.1),) * 2))
+WORLD_DOC = scenario_to_dict(truthful_scenario(WorldModelPrior(HALF, (HALF, HALF)), 2))
+FULL_DOC = scenario_to_dict(truthful_scenario(FULL, 3))
+
+
+@pytest.mark.parametrize("doc, path", [
+    (SCENARIO_DOC, ("strategies",)), (SCENARIO_DOC, ("prior",)),
+    (SCENARIO_DOC, ("strategies", 1, "channel")), (SCENARIO_DOC, ("efforts", 0, "cost")),
+    (SCENARIO_DOC, ("efforts", 1, "full_effort_prob")), (SCENARIO_DOC, ("prior", "table")),
+    (FULL_DOC, ("prior", "tensor")), (WORLD_DOC, ("prior", "state_probs")),
+    (WORLD_DOC, ("prior", "states")),
+], ids=["strategies", "prior", "channel", "cost", "full-effort-prob", "pairwise-table",
+        "full-joint-tensor", "world-state-probs", "world-states"])
+def test_scenario_document_names_a_missing_key(doc, path):
+    assert scenario_from_dict(doc).n_agents >= 2
+    with pytest.raises(MissingField, match=f"has no '{path[-1]}' key"):
+        scenario_from_dict(_without(doc, path))
+
+
+def test_cli_names_a_missing_scenario_key(tmp_path, capsys):
+    path = tmp_path / "bad1.json"
+    path.write_text(json.dumps(_without(SCENARIO_DOC, ("strategies",))))
+    assert main(["mechanism", "--mechanism", "mip", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"peerlab: {path}: scenario has no 'strategies' key\n"

@@ -99,8 +99,8 @@ from peerlab.mechanisms import (
 )
 from peerlab.measures import _log_score_gains, _mi_kernel, _shannon_mi, _slice_mean
 from peerlab.probability import (
-    TransitionMatrix, _identity_mask, _instance_rngs, _push_first, identity_channel,
-    rng_from_seed, uniform_distribution,
+    TransitionMatrix, _identity_mask, _instance_rngs, _push_first, _validated_tables,
+    identity_channel, rng_from_seed, uniform_distribution,
 )
 
 import oracles
@@ -377,8 +377,9 @@ class TestStreamEqualDraws:
     @settings(max_examples=150, deadline=None)
     def test_tables_equal_public_samplers(self, seed, mz, mx, my, floor_frac):
         routes = [
-            (lambda r: sampling._ci_table(r, mz, mx, my),
-             lambda r: JointDistribution(sampling._ci_table(r, mz, mx, my)).table),
+            (lambda r: sampling._ci_tables(r.standard_exponential(mz * (1 + mx + my)),
+                                           mz, mx, my),
+             lambda r: JointDistribution(oracles.ci_table(r, mz, mx, my)).table),
             (lambda r: sampling._floored(r, (mz, mx, my)),
              lambda r: sampling.random_conditional_tensor(r, mz, mx, my).table),
             (lambda r: sampling._floored(r, (mx, my)),
@@ -516,7 +517,7 @@ class TestExponentialDraws:
     @settings(max_examples=300, deadline=None)
     def test_ci_table_equals_loop(self, seed, mz, mx, my):
         rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
-        got = sampling._ci_table(rng_a, mz, mx, my)
+        got = sampling._ci_tables(rng_a.standard_exponential(mz * (1 + mx + my)), mz, mx, my)
         assert np.array_equal(got, oracles.loop_ci_table(rng_b, mz, mx, my))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -524,12 +525,142 @@ class TestExponentialDraws:
     def test_bregman_quasi_check_per_joint_shape_equals_per_shape_and_rule(self, seed):
         # one group per joint shape, both rules' BMI on one stack, against one group per
         # (joint shape, rule, Y channel shape)
-        drawn = [verify._bregman_quasi_draw(rng_from_seed(seed, idx)) for idx in range(700)]
-        got = verify._grouped(drawn, lambda d: d[0].shape, verify._bregman_quasi_check)
+        reads = [verify._bregman_quasi_read(rng_from_seed(seed, idx)) for idx in range(700)]
+        drawn = [oracles.bregman_quasi_draw(rng_from_seed(seed, idx)) for idx in range(700)]
+        got = verify._grouped(reads, lambda d: d[0].shape, verify._bregman_quasi_check)
         want = verify._grouped(drawn, lambda d: (d[0].shape, d[1], d[3].shape),
                                oracles.shape_rule_bregman_quasi_check)
         assert got == want
         assert {d[1] for d in drawn} == set(ScoringRule)
+
+
+# one bounded or 64-bit draw of the emulation tests: (kind, bound or size)
+halves_ops = st.lists(st.one_of(
+    st.tuples(st.just("integers"), st.integers(1, 5) | st.sampled_from((7, 2**31 + 1, 3 * 2**30))),
+    st.tuples(st.just("permutation"), st.integers(0, 9)),
+    st.tuples(st.just("random"), st.just(1)),
+    st.tuples(st.just("exponential"), st.integers(1, 4)),
+), max_size=25)
+
+
+def assert_same_128_bit_state(rng, want):
+    """The two PCG64 states agree, the buffered 32-bit half aside."""
+    assert rng.bit_generator.state["state"] == want.bit_generator.state["state"]
+
+
+class TestReadsAndStacks:
+    """The bounded draws of ``sampling._Halves`` against numpy's ``integers`` and
+    ``permutation`` on the same stream, and the read + stack route of each table against the
+    per-instance bodies it replaced (``oracles.channel_rows``, ``bregman_quasi_draw``,
+    ``accuracy_gain_draw``, ``effort_draw``): the same bits and the same stream position, and
+    for a public sampler the whole generator state, so that the caller's next numpy draws
+    match."""
+
+    @given(seeds, st.integers(0, 3), halves_ops)
+    @settings(max_examples=400, deadline=None)
+    def test_halves_draw_numpys_bounded_integers(self, seed, lead, ops):
+        # ``lead`` 32-bit draws first: an odd count leaves a buffered half for the next bounded
+        # draw; 64-bit draws in between neither read nor clear it
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        draws = sampling._Halves(rng_a)
+        assert [draws.integers(7) for _ in range(lead)] == rng_b.integers(7, size=lead).tolist()
+        for op, arg in ops:
+            if op == "integers":
+                assert draws.integers(arg) == int(rng_b.integers(arg))
+            elif op == "permutation":
+                assert draws.permutation(arg) == rng_b.permutation(arg).tolist()
+            elif op == "random":
+                assert draws.random() == rng_b.random()
+            else:
+                assert np.array_equal(draws.standard_exponential(arg),
+                                      rng_b.standard_exponential(arg))
+        want = rng_b.bit_generator.state
+        assert (int(draws._has), draws._half) == (want["has_uint32"], want["uinteger"])
+        assert_same_128_bit_state(rng_a, rng_b)
+
+    @given(seeds, st.sampled_from(KINDS + (None,)), st.integers(1, 6),
+           st.one_of(st.none(), st.integers(1, 6)), st.sampled_from((0.0, sampling._FLOOR_FRAC)),
+           st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_channel_rows_equal_per_instance_body(self, seed, kind, m_in, m_out, floor_frac,
+                                                  lead):
+        rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+        for rng in (rng_a, rng_b):
+            rng.integers(7, size=lead, dtype=np.uint32)
+        got = sampling._channel_rows(rng_a, m_in, m_out, kind, floor_frac)
+        want = oracles.channel_rows(rng_b, m_in, m_out, kind, floor_frac)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert_same_stream(rng_a, rng_b)
+
+    @given(seeds, st.integers(1, 5), st.integers(1, 5),
+           st.lists(st.sampled_from(KINDS + (None,)), min_size=1, max_size=12),
+           st.sampled_from((0.0, sampling._FLOOR_FRAC)))
+    @settings(max_examples=300, deadline=None)
+    def test_channel_stack_equals_each_channel_alone(self, seed, m_in, m_out, kinds, floor_frac):
+        reads = [sampling._channel_read(sampling._Halves(rng_from_seed(seed, pos)),
+                                        m_in, m_out, kind) for pos, kind in enumerate(kinds)]
+        got = sampling._channel_stack(reads, m_in, m_out, floor_frac)
+        alone = [oracles.channel_rows(rng_from_seed(seed, pos), m_in, m_out, kind, floor_frac)
+                 for pos, kind in enumerate(kinds)]
+        dirichlet = [oracles.dirichlet_channel_rows(rng_from_seed(seed, pos), m_in, m_out, kind,
+                                                    floor_frac) for pos, kind in enumerate(kinds)]
+        assert np.array_equal(got, np.stack(alone)) and np.array_equal(got, np.stack(dirichlet))
+
+    @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_bregman_quasi_stacks_equal_per_instance_draws(self, seed, indices):
+        reads = [verify._bregman_quasi_read(rng_from_seed(seed, idx)) for idx in indices]
+        drawn = [oracles.bregman_quasi_draw(rng_from_seed(seed, idx)) for idx in indices]
+        groups = {}
+        for read, draw in zip(reads, drawn):
+            assert read[1] is draw[1]
+            groups.setdefault(read[0].shape, []).append((read, draw))
+        for (mx, my), group in groups.items():
+            reads, drawn = zip(*group)
+            joints = sampling._floored_tables(np.stack([d[0] for d in reads]))
+            assert np.array_equal(joints, np.stack([d[0] for d in drawn]))
+            for pos, m in ((2, mx), (3, my)):
+                got = sampling._channel_stack([d[pos] for d in reads], m, m)
+                assert np.array_equal(got, np.stack([d[pos] for d in drawn]))
+
+    @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_accuracy_gain_stacks_equal_per_instance_draws(self, seed, indices):
+        reads = [verify._accuracy_gain_read(rng_from_seed(seed, idx), idx) for idx in indices]
+        drawn = [oracles.accuracy_gain_draw(rng_from_seed(seed, idx), idx) for idx in indices]
+        got = verify._grouped(reads, lambda d: d[0],
+                              lambda group: [verify._accuracy_gain_tensors(group)])
+        for (tensor,), want in zip(got, drawn):
+            assert np.array_equal(tensor, want)
+
+    @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_effort_stacks_equal_per_instance_draws(self, seed, indices):
+        reads = [verify._effort_read(rng_from_seed(seed, idx)) for idx in indices]
+        drawn = [oracles.effort_draw(rng_from_seed(seed, idx)) for idx in indices]
+        for read, draw in zip(reads, drawn):
+            assert read[0] == draw[0] and read[2] is draw[2] and read[3:5] == draw[3:5]
+            assert np.array_equal(sampling._floored_tables(read[1][None])[0], draw[1])
+        reads_by_m = {}
+        for read, draw in zip(reads, drawn):
+            reads_by_m.setdefault(read[1].shape[0], []).append((read[5], draw[5]))
+        for m, pairs in reads_by_m.items():
+            got = sampling._channel_stack([p[0] for p in pairs], m, m, 0.0)
+            assert np.array_equal(got, np.stack([p[1] for p in pairs]))
+
+    @pytest.mark.parametrize("suite", ["bregman-quasi", "accuracy-gain", "effort"])
+    def test_reads_leave_the_stream_where_the_draws_left_it(self, suite):
+        read, draw = {
+            "bregman-quasi": (verify._bregman_quasi_read, oracles.bregman_quasi_draw),
+            "accuracy-gain": (lambda r: verify._accuracy_gain_read(r, 4),
+                              lambda r: oracles.accuracy_gain_draw(r, 4)),
+            "effort": (verify._effort_read, oracles.effort_draw),
+        }[suite]
+        for idx in range(200):
+            rng_a, rng_b = rng_from_seed(3, idx), rng_from_seed(3, idx)
+            read(rng_a)
+            draw(rng_b)
+            assert_same_128_bit_state(rng_a, rng_b)
 
 
 def random_scenario(seed: int, n: int, efforts: bool) -> Scenario:
@@ -1332,7 +1463,25 @@ def test_bts_population_gap_matches_sweep_cell(n_states, m, world_seed, n_agents
 @settings(max_examples=300, deadline=None)
 def test_seeded_reference_draw_matches_list_form(n, seed):
     for pairing in PAIRINGS:
-        assert _reference_sets(n, pairing, seed) == oracles.loop_reference_sets(n, pairing, seed)
+        refs = _reference_sets(n, pairing, seed)
+        assert refs.dtype == np.intp
+        assert np.array_equal(refs, oracles.loop_reference_sets(n, pairing, seed))
+
+
+@given(seeds, st.integers(2, 5), st.integers(2, 12))
+@settings(max_examples=100, deadline=None)
+def test_validated_stack_bits_do_not_depend_on_layout(seed, m, worlds):
+    # an 11-table stack of (m, worlds, m) tensors built as a swapaxes view, not C-ordered: once
+    # validated, the stacked kernel reads it with the bits of its C-ordered copy
+    rng = np.random.default_rng(seed)
+    a, b = rng.random((11, worlds, m)), rng.random((11, worlds, m))
+    tensors = a[..., None] * b[..., None, :]
+    view = (tensors / tensors.sum(axis=(1, 2, 3), keepdims=True)).swapaxes(1, 2)
+    got = _validated_tables(view, rank=3)
+    assert got.flags.c_contiguous
+    kernel = _mi_kernel(ConvexGenerator.KL)
+    want = _slice_mean(_validated_tables(np.ascontiguousarray(view), rank=3), kernel)
+    assert np.array_equal(_slice_mean(got, kernel), want)
 
 
 @st.composite

@@ -467,50 +467,49 @@ def test_effort_suite_pays_each_list_from_one_stack(call_counts):
     # no report_joint per grid point or per instance: the canonical grid and active-peer list,
     # then per (alphabet, peer count, generator) group of the chunk its grids, its active-peer
     # lists and its mixture triples, one core call each
-    drawn = [verify._effort_draw(rng_from_seed(0, idx)) for idx in range(60)]
-    groups = {(d[1].shape, d[0], d[2]) for d in drawn}
+    reads = [verify._effort_read(rng_from_seed(0, idx)) for idx in range(60)]
+    groups = {(d[1].shape, d[0], d[2]) for d in reads}
     assert run_suite(default_config("effort", instances=60)).passed
     assert call_counts["report_joint"] == call_counts["_exact_joints"] == 0
     assert call_counts["_report_tables"] == 2 + 3 * len(groups) <= 2 + 3 * 24 < 2 + 3 * 60
 
 
-# (suite, private sampler, rank of the spoiled result, which such result): instance 5's joint,
-# X channel and Y channel; the 5th non-CI tensor (instance 6) and the 2nd CI tensor
-# (instance 4); instance 5's effort joint and instance 8's mixed strategy
-SPOILED_DRAWS = [
-    ("bregman-quasi", "_floored", 2, 5),
-    ("bregman-quasi", "_channel_rows", 2, 10),
-    ("bregman-quasi", "_channel_rows", 2, 11),
-    ("accuracy-gain", "_floored", 3, 4),
-    ("accuracy-gain", "_ci_table", 3, 1),
-    ("effort", "_floored", 2, 5),
-    ("effort", "_channel_rows", 2, 8),
+# (suite, stack builder, which call of it, which table of that call's stack): bregman-quasi's
+# joints, X channels and Y channels (each group builds its X channels, then its Y channels:
+# calls 2 and 3 are the second group's); accuracy-gain's floored and CI tensors; effort's
+# joints and mixed strategies
+SPOILED_TABLES = [
+    ("bregman-quasi", "_floored_tables", 1, -1),
+    ("bregman-quasi", "_channel_stack", 2, -1),
+    ("bregman-quasi", "_channel_stack", 3, -1),
+    ("accuracy-gain", "_floored_tables", 2, -1),
+    ("accuracy-gain", "_ci_tables", 1, -1),
+    ("effort", "_floored_tables", 2, -1),
+    ("effort", "_channel_stack", 1, -1),
 ]
 
 
-@pytest.mark.parametrize("suite, name, ndim, at", SPOILED_DRAWS)
+@pytest.mark.parametrize("suite, name, call, at", SPOILED_TABLES)
 @pytest.mark.parametrize("offset, error", [(1e-6, ZeroMass), (math.nan, NegativeWeight)])
-def test_stacked_validation_rejects_one_spoiled_draw(monkeypatch, suite, name, ndim, at,
+def test_stacked_validation_rejects_one_spoiled_draw(monkeypatch, suite, name, call, at,
                                                      offset, error):
-    # one drawn table of a chunk is off by 1e-6 in mass, or holds a NaN: the suite raises
-    # what the validated object of that draw raises
-    draw, seen, spoiled = getattr(sampling, name), [], []
+    # one table of a stack built from a chunk's reads is off by 1e-6 in mass, or holds a NaN:
+    # the suite raises what the validated object of that table raises
+    build, calls, spoiled = getattr(sampling, name), [], []
 
     def spoiling(*args, **kwargs):
-        out = draw(*args, **kwargs)
-        if out.ndim == ndim:
-            seen.append(out)
-            if len(seen) == at + 1:
-                out = out.copy()
-                out.flat[0] += offset
-                spoiled.append(out)
+        out = build(*args, **kwargs)
+        calls.append(out)
+        if len(calls) == call + 1:
+            out[at].flat[0] += offset
+            spoiled.append(out[at].copy())
         return out
 
     monkeypatch.setattr(sampling, name, spoiling)
     with pytest.raises(error):
         run_suite(default_config(suite, instances=12))
     assert len(spoiled) == 1
-    make = TransitionMatrix if name == "_channel_rows" else JointDistribution
+    make = TransitionMatrix if name == "_channel_stack" else JointDistribution
     with pytest.raises(error):
         make(spoiled[0])
     monkeypatch.undo()
