@@ -25,9 +25,9 @@ strategy when questions are a priori similar and randomly ordered.
 Exact report tables have one builder, ``_report_tables``, and counted ones the Gram
 kernel ``_count_tables``; both take blocks of agents, and ``report_joint`` and
 ``empirical_pair_joint`` are their public forms for one agent pair.  The Gram kernel
-counts each unordered agent pair once, into a store of n(n-1)/2·m² counts under
-all-pairs pairing (64 MB at n = 1000 and m = 4), with at most ``COUNT_CELLS`` cells
-of scratch per step, and reads the reverse pair transposed.
+counts each unordered agent pair once, into a store of n(n-1)/2·m² counts under all-pairs
+pairing (64 MB at n = 1000 and m = 4), ANDing each lower agent's packed reports with all its
+partners' in steps of at most ``COUNT_CELLS`` cells; it reads the reverse pair transposed.
 """
 
 from __future__ import annotations
@@ -543,7 +543,7 @@ class ReportMatrix:
         return np.flatnonzero(self.mask[i])
 
 
-COUNT_CELLS = 2**18  # 8-byte scratch cells per step of the signal draw and of the count kernel
+COUNT_CELLS = 2**17  # 8-byte cells of scratch per step (1 MB, so that its arrays stay in cache)
 
 
 def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
@@ -613,18 +613,21 @@ def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
 
 def _packed_one_hot(reports: ReportMatrix, agents: np.ndarray) -> np.ndarray:
     """The masked one-hot report array F of ``agents`` (ascending and distinct), bit-packed
-    along the questions: shaped (words, m, agents) in uint64, where bit q of word w of
-    (a, i) is set when the i-th listed agent answered question 64·w + q with report a.
-    The report rows are compared in the narrowest unsigned type that holds m (an unanswered
-    entry may wrap, but is masked out), and are not gathered when every agent is listed."""
+    along the questions: (agents + 1, m, words) in uint64, bit q of word w of (i, a) set when
+    the i-th listed agent answered question 64·w + q with report a, and the last row zero.
+    Blocks of report rows are compared in the narrowest unsigned type that holds m, masked
+    once packed (an unanswered entry may wrap), and gathered only if some agent is unlisted."""
     T, m = reports.n_questions, reports.alphabet_size
-    rows = slice(None) if len(agents) == reports.n_agents else agents
-    entries = reports.entries[rows].astype(np.min_scalar_type(m))
-    mask = reports.mask[rows]
-    packed = np.zeros((m, len(agents), -(-T // 64) * 8), dtype=np.uint8)
-    for a in range(m):
-        packed[a, :, :(T + 7) // 8] = np.packbits((entries == a) & mask, axis=-1)
-    return np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
+    packed = np.zeros((len(agents) + 1, m, -(-T // 64) * 8), dtype=np.uint8)
+    block = max(8 * COUNT_CELLS // max(T, 1), 1)  # a block of one-byte rows fills COUNT_CELLS cells
+    for start in range(0, len(agents), block):
+        at = slice(start, min(start + block, len(agents)))
+        rows = at if len(agents) == reports.n_agents else agents[at]
+        entries = reports.entries[rows].astype(np.min_scalar_type(m))
+        answered = np.packbits(reports.mask[rows], axis=-1)
+        for a in range(m):
+            packed[at, a, :(T + 7) // 8] = np.packbits(entries == a, axis=-1) & answered
+    return packed.view(np.uint64)
 
 
 def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
@@ -640,13 +643,14 @@ def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
     keys' m x m counts holds n(n-1)/2·m² counts under all-pairs pairing (157 KB at n = 50,
     64 MB at n = 1000, with m = 4) and at most n tables under seeded pairing.
 
-    F is bit-packed (:func:`_packed_one_hot`), and each step gathers the lower and the
-    higher agent's m words of a run of 64-question words, key axis innermost, ANDs the
-    lower agent's word of one report at a time with the higher agent's m words and sums
-    the popcounts.  A step's scratch, both gathered operands and one report's ANDs, stays
-    within ``COUNT_CELLS`` cells; its sums are taken in uint32 (exact: a step covers at
-    most 64·``COUNT_CELLS`` < 2³² questions) and then added to the store.  So all-pairs
-    pairing costs n(n-1)/2·m²·T/64 word operations and seeded pairing at most n·m²·T/64.
+    F is bit-packed agent-major (:func:`_packed_one_hot`).  Each lower agent's run of keys is
+    cut into pieces of at most ``slots`` keys, whose ANDs and operands over all T questions fit
+    ``COUNT_CELLS`` cells.  Longest first, as many pieces as fit share a step, padded to the
+    first's length by F's zero row (whose counts are dropped); a step ANDs each piece's lower
+    agent's m words, gathered once, with all its partners' m words, splitting the words when
+    one key does not fit.  That is n(n-1)/2·m²·T/64 word operations under all-pairs pairing and
+    at most n·m²·T/64 plus padding under seeded pairing.  Popcount sums are taken in the
+    narrowest unsigned type that holds 64 per word of the step (exact), then stored.
     The shared-question total of (i, j), the Gram of the answer mask, is the sum of its
     m x m table, and each table is its counts divided by that total.  The first agent in
     order with a reference it shares no answered question with raises :class:`NoOverlap`,
@@ -657,22 +661,25 @@ def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
     own, ref = np.repeat(at[:len(agents)], k), at[len(agents):]
     keys, key_at = np.unique(np.minimum(own, ref) * listed.size + np.maximum(own, ref),
                              return_inverse=True)
-    low, high = np.divmod(keys, listed.size)
+    low, high = keys // listed.size, np.append(keys % listed.size, listed.size)  # pad: F's 0 row
     bits = _packed_one_hot(reports, listed)
-    cells = 3 * m  # per key and question word: both operands' m words, one report's m ANDs
-    store = np.empty((keys.size, m, m), dtype=np.uint64)
-    block = max(COUNT_CELLS // cells, 1)
-    for start in range(0, keys.size, block):
-        rows, cols = low[start:start + block], high[start:start + block]
-        step = max(COUNT_CELLS // (rows.size * cells), 1)
-        counts = np.zeros((m, m, rows.size), dtype=np.uint64)
-        for w in range(0, bits.shape[0], step):
-            words = bits[w:w + step]
-            first, second = np.take(words, rows, axis=2), np.take(words, cols, axis=2)
-            for a in range(m):  # report a of the lower agent against each of the higher's
-                pairs = first[:, a, None] & second
-                counts[a] += np.bitwise_count(pairs).sum(axis=0, dtype=np.uint32)
-        store[start:start + rows.size] = counts.transpose(2, 0, 1)
+    cells = m * (m + 2)  # per pair slot and word: the m·m ANDs, both agents' m words
+    slots = max(COUNT_CELLS // (cells * max(bits.shape[-1], 1)), 1)  # T = 0 packs no word
+    first = np.flatnonzero((np.arange(keys.size) - np.searchsorted(low, low)) % slots == 0)
+    sizes = np.diff(first, append=keys.size)  # the pieces: their first keys and their sizes
+    first, sizes = np.stack([first, sizes])[:, np.argsort(-sizes, kind="stable")]  # longest first
+    store = np.zeros((keys.size + 1, m, m), dtype=np.uint64)  # the last row is dropped
+    start = 0
+    while start < first.size:
+        pieces, col = slice(start, start + slots // sizes[start]), np.arange(sizes[start])
+        slot = np.where(col < sizes[pieces, None], first[pieces, None] + col, keys.size)
+        lows, highs = low[first[pieces]], high[slot[:, None]]
+        step = max(COUNT_CELLS // (slot.size * cells), 1)
+        for w in range(0, bits.shape[-1], step):  # ANDs (pieces, m, width, m, words)
+            pairs = bits[lows, :, None, None, w:w + step] & bits[highs, :, w:w + step]
+            counts = np.bitwise_count(pairs).sum(-1, dtype=np.min_scalar_type(64 * step))
+            store[slot] += counts.transpose(0, 2, 1, 3)
+        start = pieces.stop
     key_at, flip = key_at.reshape(refs.shape), (own > ref).reshape(refs.shape)[..., None, None]
     block = max(COUNT_CELLS // max(k * m * m, 1), 1)
     for start in range(0, len(agents), block):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -60,7 +61,7 @@ from .mechanisms import (
     sppm_expected_payments,
     sppm_payments,
 )
-from .probability import Distribution, JointDistribution, rng_from_seed
+from .probability import JointDistribution, rng_from_seed
 from .verify import CANONICAL_WORLD, SUITES, _bts_population_gap, default_config, run_suite
 
 SCHEMA_VERSION = 1
@@ -196,17 +197,6 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_bts_profile(path: str, alpha_override: float | None,
-                      inputs: dict) -> tuple[BtsReportProfile, float]:
-    doc = _load_json(path, inputs)
-    with _input_errors(path):
-        profile = BtsReportProfile(
-            doc["signals"],
-            tuple(Distribution(np.array(p, dtype=np.float64)) for p in doc["predictions"]),
-        )
-        return profile, alpha_override if alpha_override is not None else float(doc.get("alpha", 3.0))
-
-
 def cmd_mechanism(args) -> int:
     config = {
         "command": "mechanism",
@@ -227,7 +217,10 @@ def cmd_mechanism(args) -> int:
         if args.mechanism == "bts":
             if not args.profile:
                 raise CliError("bts needs --profile FILE")
-            profile, alpha = _load_bts_profile(args.profile, args.alpha, inputs)
+            doc = _load_json(args.profile, inputs)
+            with _input_errors(args.profile):
+                profile = BtsReportProfile(doc["signals"], doc["predictions"])
+                alpha = args.alpha if args.alpha is not None else float(doc.get("alpha", 3.0))
             report = bts_payments(profile, alpha, seed=args.seed)
         else:
             if not args.scenario:
@@ -365,9 +358,7 @@ def cmd_sweep(args) -> int:
                     raise CliError("bts-gap needs a world-model prior")
                 world = scenario.prior
             ideal = bts_idealized_scores(world).information_score
-            # no prediction for a signal of zero prior probability, which is never drawn
-            preds = {s: Distribution(row) for s, row in enumerate(_predictive_table(world))
-                     if not np.isnan(row[0])}
+            preds = _predictive_table(world)  # NaN rows, of zero-prior signals, are never drawn
 
             def cell(g: int, seed: int) -> float:
                 return _bts_population_gap(world, g, preds, ideal, rng_from_seed(seed))
@@ -386,7 +377,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every call: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(prog="peerlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -396,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", help="rank-2 table JSON file")
     p.add_argument("--tensor", help="rank-3 table JSON file")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("mechanism", help="payment run over a scenario file")
     p.add_argument("--mechanism", required=True,
@@ -412,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None, help="information-score weight (bts)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mechanism)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("suite", help="suite id, e.g. dpi")
@@ -421,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equality-tol", type=float, default=None)
     p.add_argument("--strictness-tol", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="convergence tables (long-format CSV)")
     p.add_argument("--kind", required=True, choices=["fmi-gap", "bts-gap"])
@@ -431,15 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # the command is looked up per call, so a wrapper put on a cmd_* function runs
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"peerlab: {exc}", file=sys.stderr)
         return exc.code

@@ -12,14 +12,12 @@ agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
 counted, one call of the core of :func:`report_joint` or :func:`empirical_pair_joint`
 per block of agents of about ``agents.COUNT_CELLS`` cells; exact blocks span a stack of
 scenarios of one (n, m), such as a scenario and its relabeled twins.  Counted joints are read
-from one store that counts each unordered agent pair once (n(n-1)/2·m² counts under
-all-pairs pairing, 64 MB at n = 1000 and m = 4), each counting step within
-``agents.COUNT_CELLS`` cells of scratch; one stacked kernel (f-MI,
-BMI, score shift or agreement) runs over its report-pair slices, averaged with the
-weights Pr[J=j], so a mutual-information payment is MI(report_i; report_J | J).  The
-blocks can be built once for many kernels.  Finite-n
-signal-plus-prediction scores (:func:`bts_payments`) need no joint: with P the
-predictions, they are closed forms info_i = log fr_i - mean_j log P[j, s_i] and
+from the store of ``agents._count_tables``, which counts each unordered agent pair once; one
+stacked kernel (f-MI, BMI, score shift or agreement) runs over its report-pair slices,
+averaged with the weights Pr[J=j], so a mutual-information payment is
+MI(report_i; report_J | J).  The blocks can be built once for many kernels.  Finite-n
+signal-plus-prediction scores (:func:`bts_payments`) need no joint: with P the profile's
+(n, m) prediction array, they are closed forms info_i = log fr_i - mean_j log P[j, s_i] and
 pred_i = mean_j log P[i, s_j] - mean_j log fr_j, O(n·m) array operations over
 the signal counts.  Errors are those of the first failing (i, j) pair in agent
 order: fr_i, then per reference j, P[j, s_i], fr_j and P[i, s_j].
@@ -54,6 +52,7 @@ from .errors import (
     DimensionMismatch,
     LogOfZero,
     NonBinaryAlphabet,
+    PeerLabError,
     ZeroFrequency,
 )
 from .measures import (
@@ -67,7 +66,7 @@ from .measures import (
 )
 from .probability import (
     Distribution, JointDistribution, RngSeed, _check_seed, _int_at_least, _integers,
-    rng_from_seed,
+    _validated_tables, rng_from_seed,
 )
 report_joint = agents.report_joint  # not called here; still importable from this module
 
@@ -442,25 +441,33 @@ def sppm_expected_payments(
 
 @dataclass(frozen=True)
 class BtsReportProfile:
-    """Per-agent reported signal and reported prediction of peers' reports."""
+    """Per-agent reported signal and reported prediction of peers' reports: ``predictions``
+    is one read-only (n, m) float64 array, given as such or as rows or :class:`Distribution`s
+    and validated as one stack, raising the first failing prediction's own error."""
 
     signals: np.ndarray
-    predictions: tuple[Distribution, ...]
+    predictions: np.ndarray
 
     def __post_init__(self):
+        preds = self.predictions
+        if not isinstance(preds, np.ndarray) or preds.ndim != 2:
+            preds = [p.weights if isinstance(p, Distribution) else p for p in preds]
+        try:
+            stack = _validated_tables(preds, 1, "weights")
+        except PeerLabError:
+            stack = np.empty(0)
+        if stack.ndim != 2:  # each alone raises the first failing prediction's error
+            tuple(map(Distribution, preds))
         sig = _integers(self.signals, "signals")
-        preds = tuple(self.predictions)
         if sig.ndim != 1 or sig.shape[0] != len(preds):
             raise DimensionMismatch("one prediction per reported signal")
-        sizes = {p.size for p in preds}
-        if len(sizes) != 1:
+        if stack.ndim != 2:  # none failed alone: no predictions, or of several sizes
             raise DimensionMismatch("predictions must share one alphabet")
-        m = sizes.pop()
-        if sig.size and (sig.min() < 0 or sig.max() >= m):
+        if sig.size and (sig.min() < 0 or sig.max() >= stack.shape[1]):
             raise DimensionMismatch("signal outside the prediction alphabet")
         sig.setflags(write=False)
         object.__setattr__(self, "signals", sig)
-        object.__setattr__(self, "predictions", preds)
+        object.__setattr__(self, "predictions", stack)
 
     @property
     def n_agents(self) -> int:
@@ -468,7 +475,7 @@ class BtsReportProfile:
 
     @property
     def alphabet_size(self) -> int:
-        return self.predictions[0].size
+        return self.predictions.shape[1]
 
 
 def bts_payments(
@@ -508,14 +515,11 @@ def bts_payments(
         raise DimensionMismatch("signal-plus-prediction scoring needs n >= 3")
     if not (math.isfinite(alpha) and math.isfinite(smoothing) and smoothing >= 0.0):
         raise DimensionMismatch("alpha must be finite, smoothing finite and >= 0")
-    m = profile.alphabet_size
-    sig = profile.signals
-    agents = np.arange(n)
+    m, sig, agents = profile.alphabet_size, profile.signals, np.arange(n)
     counts = np.bincount(sig, minlength=m)
-    preds = np.stack([p.weights for p in profile.predictions])
     fr = (counts[sig] - 1.0 + smoothing) / (n - 1 + smoothing * m)
-    zero, lone = preds <= 0.0, fr <= 0.0
-    logs, log_fr = np.log(np.where(zero, 1.0, preds)), np.log(np.where(lone, 1.0, fr))
+    zero, lone = profile.predictions <= 0.0, fr <= 0.0
+    logs, log_fr = np.log(np.where(zero, 1.0, profile.predictions)), np.log(np.where(lone, 1.0, fr))
     if pairing == ALL_PAIRS:
         refs, own, zero_own = None, logs[agents, sig], zero[agents, sig]
         failing = (lone | (lone.sum() > lone) | (zero.sum(axis=0)[sig] > zero_own)

@@ -85,12 +85,12 @@ from .mechanisms import (
     _agreement_rewards,
     _exact_inputs,
     _exact_joints,
+    _predictive_table,
     _score_shifts,
     bts_idealized_scores,
     bts_payments,
     ca_payments,
     md_payments,
-    optimal_predictions,
 )
 from .probability import (
     Distribution,
@@ -805,11 +805,11 @@ def _shannon_conditional_direct(tensor: JointDistribution) -> float:
 
 
 def _bts_population_gap(world: WorldModelPrior, n_agents: int, preds, ideal: float, rng) -> float:
-    """|mean information score - ideal| of ``n_agents`` truthful agents reporting ``preds``,
-    drawing from ``rng`` in order the world state, their signals and the pairing seed."""
+    """|mean information score - ideal| of ``n_agents`` truthful agents, signal s reporting row
+    s of ``preds``, drawing from ``rng`` in order the world state, signals and pairing seed."""
     w = int(rng.choice(world.n_states, p=world.state_probs.weights))
     sig = rng.choice(world.alphabet_size, size=n_agents, p=world.states[w].weights)
-    profile = BtsReportProfile(sig, tuple(preds[s] for s in sig.tolist()))
+    profile = BtsReportProfile(sig, preds[sig])
     pay = bts_payments(profile, _BTS_ALPHA, pairing=SEEDED_RANDOM,
                        seed=int(rng.integers(2**31)), smoothing=0.5)
     return abs(float(pay.information_scores.mean()) - ideal)
@@ -828,7 +828,7 @@ def _bts_global(rec: _Recorder, config: SuiteConfig) -> None:
 
     # finite-population convergence toward the idealized information score
     ideal = truth_scores.information_score
-    preds = optimal_predictions(CANONICAL_WORLD)
+    preds = _predictive_table(CANONICAL_WORLD)
     medians = []
     for pos, n_agents in enumerate(_POPULATION_SIZES):
         gaps = []

@@ -23,7 +23,7 @@ utilities, the mixture sides and both payments, then fmi and bmi on the
 world-model scenario with efforts at T = 2500 questions (40 of the count
 kernel's 64-question words, the last one partial), then exact mip and sppm on
 a 200-agent, 4-signal world-model scenario with efforts, whose report tables
-the exact engines build in three blocks of agents, then dpi at 300
+the exact engines build in five blocks of agents, then dpi at 300
 instances under ``--equality-tol 1e-300 --strictness-tol 1``, whose violations
 carry the joints, channels and divergence inputs of its sampled instances, and
 last scenario-equivalence at 40 instances and seed 11, which draws three-agent
@@ -135,7 +135,7 @@ def write_inputs(workdir: str) -> dict[str, str]:
                                        "predictions": [[0.5, 0.3, 0.2]] * 4 + [[0.0, 0.6, 0.4]] * 2}
     docs["profile-lone-dissenter"] = {"signals": [2, 0, 1, 0, 1, 1],
                                       "predictions": [[0.4, 0.4, 0.2]] * 6}
-    # 200 agents of 4 signals: the exact engines build its report tables in three blocks
+    # 200 agents of 4 signals: the exact engines build its report tables in five blocks
     docs["world-effort-200"] = _scenario(rng, "world", True, (4, 200))
     # 9 agents of 6 signals over 4 world states, for the reported states and predictions
     docs["world-four-states"] = _scenario(rng, "world", False, (6, 9))

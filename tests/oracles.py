@@ -35,7 +35,9 @@ array body.  The two per-signal scores, ``log_score`` and ``quadratic_score``, t
 numpy's scalar log and ``np.dot``, so that the score routes give the library's bits.
 The file ends with the per-instance draws of the one-table suites and effort and the channel
 rows and CI table they drew, each table built on its own with numpy's bounded draws, before
-the suites kept raw reads and built each shape group's tables as one stack.
+the suites kept raw reads and built each shape group's tables as one stack, and with the
+checks of a signal-plus-prediction profile, one ``Distribution`` per prediction, before
+``BtsReportProfile`` validated its predictions as one stack.
 """
 
 import math
@@ -83,6 +85,7 @@ from peerlab.probability import (
     RngSeed,
     TransitionMatrix,
     _identity_mask,
+    _integers,
     _push_first,
     _validated_tables,
     condition_on,
@@ -1492,3 +1495,20 @@ def effort_draw(rng) -> tuple:
     cost_unit, lam = rng.random(), rng.random()
     rows = channel_rows(rng, m, None, sampling.random_strategy_kind(rng), 0.0)
     return n, joint, gen, cost_unit, lam, rows
+
+
+def object_bts_profile(signals, predictions):
+    """``BtsReportProfile``'s checks as they were made one object at a time: a
+    ``Distribution`` per prediction (in order, so the first failing one raises), then the
+    signals, one prediction per signal, one alphabet and the signal range.  Returns the
+    signals and the stacked prediction weights."""
+    preds = tuple(p if isinstance(p, Distribution) else Distribution(p) for p in predictions)
+    sig = _integers(signals, "signals")
+    if sig.ndim != 1 or sig.shape[0] != len(preds):
+        raise DimensionMismatch("one prediction per reported signal")
+    sizes = {p.size for p in preds}
+    if len(sizes) != 1:
+        raise DimensionMismatch("predictions must share one alphabet")
+    if sig.size and (sig.min() < 0 or sig.max() >= sizes.pop()):
+        raise DimensionMismatch("signal outside the prediction alphabet")
+    return sig, np.stack([p.weights for p in preds])

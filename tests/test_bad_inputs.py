@@ -68,6 +68,8 @@ from peerlab.cli import main
 from peerlab.errors import MissingField, PeerLabError, UnsupportedPriorMode
 from peerlab.probability import rng_from_seed, sample
 
+import oracles
+
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.5, -1.0, 0.0, 3.0])
 # Kept small: an accepted size parameter is used, and a huge one would only
 # measure allocation.
@@ -406,6 +408,51 @@ def test_bad_seeds_raise_dimension_mismatch(call, seed):
 
 
 BTS_PROFILE = BtsReportProfile(np.array([0, 0, 1, 1]), (HALF,) * 4)
+
+_HALVES = [[0.5, 0.5]] * 4
+# Each case spoils the predictions of a four-agent profile; where two predictions fail, the
+# first one in agent order must be the one named, though a stacked check meets the other first.
+BAD_PREDICTIONS = {
+    "ragged": _HALVES[:3] + [[0.5, [0.25, 0.25]]],
+    "2-d": _HALVES[:3] + [[[0.5, 0.5], [0.5, 0.5]]],
+    "all-2-d": [[[0.25, 0.25], [0.25, 0.25]]] * 4,
+    "scalars": [0.5] * 4,
+    "nan": _HALVES[:3] + [[0.5, math.nan]],
+    "negative": _HALVES[:3] + [[1.5, -0.5]],
+    "negative-before-nan": _HALVES[:1] + [[1.5, -0.5], [0.5, math.nan]] + _HALVES[:1],
+    "mass-off-1e-6": _HALVES[:3] + [[0.5, 0.500001]],
+    "first-off-mass-not-worst": _HALVES[:1] + [[0.5, 0.500001], [0.5, 0.6]] + _HALVES[:1],
+    "two-lengths": _HALVES[:3] + [[0.2, 0.3, 0.5]],
+    "empty": [],
+    "three": _HALVES[:3],
+    "distribution-tuple": (HALF,) * 4,
+    "array": np.array(_HALVES),
+    "three-signals": [[0.2, 0.3, 0.5]] * 4,
+}
+
+
+def _outcome(build):
+    """(value, None) on success, (None, (type, message)) on a PeerLabError."""
+    try:
+        return build(), None
+    except PeerLabError as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("signals", [[0, 0, 1, 1], [0.5, 0, 1, 1], [0, 0, 1], [0, 0, 1, 2]],
+                         ids=["signals", "fractional-signal", "three-signals", "signal-2"])
+@pytest.mark.parametrize("preds", BAD_PREDICTIONS.values(), ids=BAD_PREDICTIONS.keys())
+def test_bts_profile_errors_match_one_distribution_each(preds, signals):
+    """The stacked predictions raise what one Distribution per prediction raised, then the
+    profile's own checks, in the same order and with the same message, and otherwise hold
+    the same weights, as one read-only (n, m) float64 array."""
+    got = _outcome(lambda: BtsReportProfile(np.array(signals), preds))
+    want = _outcome(lambda: oracles.object_bts_profile(np.array(signals), preds))
+    assert got[1] == want[1]
+    if want[1] is None:
+        stack = got[0].predictions
+        assert stack.dtype == np.float64 and not stack.flags.writeable
+        assert np.array_equal(got[0].signals, want[0][0]) and np.array_equal(stack, want[0][1])
 
 
 @pytest.mark.parametrize("seed", [-1.5, -1, 1.5, "7", np.int64(-2)],

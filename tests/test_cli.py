@@ -3,6 +3,10 @@ import collections
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,12 @@ from peerlab import (
     save_scenario,
     truthful_scenario,
 )
-from peerlab.cli import main
+import peerlab
+from peerlab.cli import build_parser, main
+from peerlab.errors import PeerLabError
 from peerlab.verify import CANONICAL_WORLD
+
+import oracles
 
 
 @pytest.fixture
@@ -263,6 +271,73 @@ class TestWrongTypeInputs:
         path = tmp_path / "absent.json"
         assert main(["mechanism", "--mechanism", "bts", "--profile", str(path)]) == 2
         assert capsys.readouterr().err == f"peerlab: {path}: No such file or directory\n"
+
+
+_HALVES = [[0.5, 0.5]] * 4
+
+
+class TestBtsProfileErrors:
+    """A profile file whose predictions are spoiled exits 2 naming the file and the error of
+    the first failing prediction, as one Distribution per prediction raised it (a nest that
+    is not a rectangular array of numbers included), then the profile's own checks."""
+
+    @pytest.mark.parametrize("preds", [
+        _HALVES[:3] + [[0.5, [0.25, 0.25]]],
+        _HALVES[:3] + [[[0.5, 0.5], [0.5, 0.5]]],
+        _HALVES[:3] + [[0.5, math.nan]],
+        _HALVES[:3] + [[1.5, -0.5]],
+        _HALVES[:1] + [[1.5, -0.5], [0.5, math.nan]] + _HALVES[:1],
+        _HALVES[:3] + [[0.5, 0.500001]],
+        _HALVES[:1] + [[0.5, 0.500001], [0.5, 0.6]] + _HALVES[:1],
+        _HALVES[:3] + [[0.2, 0.3, 0.5]],
+        [],
+        _HALVES[:3] + [{"p": 0.5}],
+    ], ids=["ragged", "2-d", "nan", "negative", "negative-before-nan", "mass-off-1e-6",
+            "first-off-mass-not-worst", "two-lengths", "empty", "object"])
+    def test_first_failing_prediction(self, tmp_path, capsys, preds):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"signals": [0, 0, 1, 1], "predictions": preds}))
+        with pytest.raises(PeerLabError) as want:
+            oracles.object_bts_profile(np.array([0, 0, 1, 1]), preds)
+        assert main(["mechanism", "--mechanism", "bts", "--profile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"peerlab: {path}: {want.value}\n" and captured.out == ""
+
+
+class TestOneParser:
+    """The parser is built once per process and parsing leaves it as it was: a bad command
+    line after good ones still exits 2 with argparse's message, and each command writes the
+    bytes that a fresh process writes."""
+
+    def test_bad_argv_after_a_good_call(self, joint_file, capsys):
+        assert build_parser() is build_parser()
+        for argv, message in ((["mechanism", "--mechanism", "nope"], "invalid choice: 'nope'"),
+                              (["measure", "--mi"], "expected one argument"),
+                              ([], "the following arguments are required: command")):
+            assert main(["measure", "--mi", "kl", "--joint", joint_file]) == 0
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and err.startswith("usage: peerlab") and message in err
+
+    def test_same_bytes_as_a_fresh_process(self, joint_file, scenario_file, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(peerlab.__file__).parents[1])}
+        env.pop("PEERLAB_OUT_DIR", None)
+        for name, argv in {
+            "verify": ["verify", "bts", "--instances", "4", "--seed", "3"],
+            "mechanism": ["mechanism", "--mechanism", "fmi", "--scenario", scenario_file,
+                          "-T", "300", "--seed", "2"],
+            "measure": ["measure", "--mi", "tvd", "--joint", joint_file],
+            "sweep": ["sweep", "--kind", "fmi-gap", "--scenario", scenario_file,
+                      "--grid", "50,100", "--seeds", "2"],
+        }.items():
+            here, fresh = tmp_path / f"{name}-here.out", tmp_path / f"{name}-fresh.out"
+            assert main([*argv, "--out", str(here)]) == 0
+            done = subprocess.run([sys.executable, "-m", "peerlab.cli", *argv, "--out", str(fresh)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert here.read_bytes() == fresh.read_bytes()
 
 
 @pytest.fixture

@@ -790,14 +790,14 @@ class TestExactBlocks:
             assert counted == fmi_mechanism_payments(reports, gen).payments[0]
 
     def test_module_sizes_split_into_blocks(self):
-        # 130 agents of 4 signals: blocks of 262144 // (129 * 16) = 127 agents, then 3
+        # 130 agents of 4 signals: blocks of 131072 // (129 * 16) = 63 agents, then 4
         rng = rng_from_seed(13)
         prior = sampling.random_world_model(rng, 3, 4)
         strategies = tuple(sampling.random_mixed_strategy(rng, 4) for _ in range(130))
         efforts = tuple(EffortStrategy(float(rng.uniform())) for _ in range(130))
         scenario = Scenario(prior, strategies, efforts)
         blocks = self.blocks(scenario, agents_module.COUNT_CELLS)
-        assert [len(b) for b in blocks] == [127, 3]
+        assert [len(b) for b in blocks] == [63, 63, 4]
         assert np.array_equal(np.concatenate(blocks), self.per_pair_tables(scenario))
 
 
@@ -1244,7 +1244,7 @@ class TestGramCounts:
 
     @pytest.mark.parametrize("pairing", PAIRINGS)
     def test_module_sizes_match_bincount(self, pairing):
-        # all-pairs: 130 agents of 129 references span two blocks, 200 questions four words
+        # all-pairs: 130 agents of 129 references span three blocks, 200 questions four words
         # (one step each)
         n, T, m = 130, 200, 4
         rng = np.random.default_rng(11)
@@ -1281,9 +1281,14 @@ class TestGramCounts:
 class TestUnorderedCounts:
     """The count kernel, which counts each unordered agent pair once and reads the reverse
     pair transposed, against the ordered-pair route it replaced: block for block and bit
-    for bit, or the same NoOverlap message.  ``COUNT_CELLS`` is patched small so that key
-    blocks, word steps and agent blocks all split.  References repeat, include the agent
-    itself, and hold (i, j) beside (j, i)."""
+    for bit, or the same NoOverlap message.  ``COUNT_CELLS`` is patched small so that steps
+    split: at 1, 8 and 40 cells a step holds one key and splits the 64-question words, at
+    300 and 1000 the lower agents' partner runs are cut into pieces and several pieces,
+    padded to the longest, share a step; agent blocks and the packing's row blocks split
+    too.  Both pairings and drawn agent lists are covered, with report masks that have
+    holes, T off the multiples of 64 or 0 (no word at all), and an empty list of agents (no
+    key at all).  References repeat, include the agent itself, and hold (i, j) beside
+    (j, i)."""
 
     @staticmethod
     def both_routes(reports, agent_list, refs, cells):
@@ -1297,20 +1302,22 @@ class TestUnorderedCounts:
             for a, b in zip(got[0], want[0]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @given(st.sampled_from((1, 8, 40, 300, agents_module.COUNT_CELLS)), st.data())
+    @given(st.sampled_from((1, 8, 40, 300, 1000, agents_module.COUNT_CELLS)), st.data())
     @settings(max_examples=200, deadline=None)
     def test_blocks_match_ordered_route(self, cells, data):
         m = data.draw(st.integers(2, 4))
         n = data.draw(st.integers(2, 9))
-        T = data.draw(st.sampled_from((1, 63, 64, 65, 128, 129, 320)) | st.integers(1, 400))
+        T = data.draw(st.sampled_from((0, 1, 63, 64, 65, 128, 129, 320)) | st.integers(1, 400))
         rng = np.random.default_rng(data.draw(seeds))
         entries = rng.integers(0, m, (n, T))
         mask = rng.random((n, T)) < data.draw(st.floats(0.05, 1.0))
         entries[~mask] = rng.integers(-3, m + 3, int((~mask).sum()))  # never read
         reports = ReportMatrix(entries, mask, m)
         who = st.integers(0, n - 1)
-        form = data.draw(st.sampled_from(PAIRINGS + ("drawn",)))
-        if form == "drawn":  # any agents, in any order, with repeats and self-references
+        form = data.draw(st.sampled_from(PAIRINGS + ("drawn", "empty")))
+        if form == "empty":
+            agent_list, refs = np.zeros(0, dtype=np.intp), np.zeros((0, 2), dtype=np.intp)
+        elif form == "drawn":  # any agents, in any order, with repeats and self-references
             agent_list = np.array(data.draw(st.lists(who, min_size=1, max_size=2 * n)))
             k = data.draw(st.integers(1, 4))
             refs = np.array(data.draw(st.lists(st.lists(who, min_size=k, max_size=k),
@@ -1320,6 +1327,19 @@ class TestUnorderedCounts:
             agent_list = np.arange(n)
             refs = np.array(_reference_sets(n, form, data.draw(seeds)), dtype=np.intp)
         self.both_routes(reports, agent_list, refs, cells)
+
+    @pytest.mark.parametrize("pairing", PAIRINGS)
+    @pytest.mark.parametrize("cells", (40, 300, 1000))
+    def test_step_boundaries(self, cells, pairing):
+        # m = 3 and T = 129 give 3 words of 15 cells each: at 40 cells a step holds one key
+        # and 2 of its 3 words; at 300, pieces of at most 6 keys, so all-pairs cuts the runs
+        # of agents 0 and 1 and steps pair pieces of 3 and 2 keys, padded; at 1000, pieces
+        # of up to 22 keys, so no run is cut and short runs share padded steps
+        n, m, T = 9, 3, 129
+        rng = np.random.default_rng(8)
+        reports = ReportMatrix(rng.integers(0, m, (n, T)), rng.random((n, T)) < 0.9, m)
+        refs = np.array(_reference_sets(n, pairing, 6), dtype=np.intp)
+        self.both_routes(reports, np.arange(n), refs, cells)
 
     @pytest.mark.parametrize("cells", (1, 8, 40, 300, agents_module.COUNT_CELLS))
     def test_seeded_mirror_pairs_and_self_references(self, cells):
@@ -1454,8 +1474,8 @@ def test_bts_population_gap_matches_sweep_cell(n_states, m, world_seed, n_agents
     sweep's old per-cell draw exactly, on random worlds."""
     world = sampling.random_world_model(rng_from_seed(world_seed), n_states, m)
     ideal = bts_idealized_scores(world).information_score
-    got = verify._bts_population_gap(world, n_agents, optimal_predictions(world), ideal,
-                                     rng_from_seed(seed))
+    preds = np.stack([p.weights for p in optimal_predictions(world)])
+    got = verify._bts_population_gap(world, n_agents, preds, ideal, rng_from_seed(seed))
     assert got == oracles.bts_gap_cell(world, n_agents, seed, ideal, 3.0)
 
 
