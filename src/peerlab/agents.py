@@ -45,6 +45,7 @@ from .errors import (
     ModeMismatch,
     NoOverlap,
     UnsupportedPriorMode,
+    WrongFieldType,
     WrongRank,
 )
 from .probability import (
@@ -639,9 +640,9 @@ def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
     count of report pair (a, b) for agents (i, j) is entry (i·m + a, j·m + b) of the Gram
     product F Fᵀ.  F Fᵀ is symmetric, so each requested pair maps to its unordered key
     (min, max), through one ``np.unique``, and each distinct key is counted once; an agent
-    reads its table with a lower-numbered reference transposed.  The uint64 store of the
-    keys' m x m counts holds n(n-1)/2·m² counts under all-pairs pairing (157 KB at n = 50,
-    64 MB at n = 1000, with m = 4) and at most n tables under seeded pairing.
+    reads its table with a lower-numbered reference transposed.  The store of the keys' m x m
+    counts, in the narrowest unsigned type that holds T, has n(n-1)/2·m² counts under all-pairs
+    pairing (39 KB at n = 50, 16 MB at n = 1000; m = 4, T = 10⁴), at most n tables if seeded.
 
     F is bit-packed agent-major (:func:`_packed_one_hot`).  Each lower agent's run of keys is
     cut into pieces of at most ``slots`` keys, whose ANDs and operands over all T questions fit
@@ -668,7 +669,7 @@ def _count_tables(reports: ReportMatrix, agents: np.ndarray, refs: np.ndarray):
     first = np.flatnonzero((np.arange(keys.size) - np.searchsorted(low, low)) % slots == 0)
     sizes = np.diff(first, append=keys.size)  # the pieces: their first keys and their sizes
     first, sizes = np.stack([first, sizes])[:, np.argsort(-sizes, kind="stable")]  # longest first
-    store = np.zeros((keys.size + 1, m, m), dtype=np.uint64)  # the last row is dropped
+    store = np.zeros((keys.size + 1, m, m), dtype=np.min_scalar_type(reports.n_questions))
     start = 0
     while start < first.size:
         pieces, col = slice(start, start + slots // sizes[start]), np.arange(sizes[start])
@@ -765,16 +766,23 @@ def _prior_to_dict(prior: Prior) -> dict:
     return d
 
 
+def _node(node, kind: str, what: str):
+    """``node``, or WrongFieldType naming ``what`` and the JSON type ``kind`` it must have."""
+    if not isinstance(node, dict if kind == "object" else (list, tuple, np.ndarray)):
+        raise WrongFieldType(f"{what} must be a JSON {kind}, not {type(node).__name__}")
+    return node
+
+
 def _field(d: dict, key: str, what: str):
-    """``d[key]``, or MissingField naming the key that ``what`` lacks."""
+    """``d[key]`` of the JSON object ``d``, or MissingField naming the key that ``what`` lacks."""
     try:
-        return d[key]
+        return _node(d, "object", what)[key]
     except KeyError:
         raise MissingField(f"{what} has no {key!r} key") from None
 
 
 def _prior_from_dict(d: dict) -> Prior:
-    mode = d.get("mode")
+    mode = _node(d, "object", "prior").get("mode")
     if mode == "pairwise":
         table = np.array(_field(d, "table", "pairwise prior"))
         return PairwisePrior(JointDistribution(table), d.get("symmetric", True))
@@ -783,7 +791,8 @@ def _prior_from_dict(d: dict) -> Prior:
     if mode == "world_model":
         return WorldModelPrior(
             Distribution(np.array(_field(d, "state_probs", "world-model prior"))),
-            tuple(Distribution(np.array(s)) for s in _field(d, "states", "world-model prior")),
+            tuple(Distribution(np.array(s)) for s in _node(
+                _field(d, "states", "world-model prior"), "array", "world-model prior 'states'")),
         )
     raise UnsupportedPriorMode(f"unknown prior mode {mode!r}")
 
@@ -814,7 +823,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(d: dict) -> Scenario:
     strategies = tuple(
         Strategy(TransitionMatrix(np.array(_field(s, "channel", "strategy"))), s.get("label", ""))
-        for s in _field(d, "strategies", "scenario")
+        for s in _node(_field(d, "strategies", "scenario"), "array", "scenario 'strategies'")
     )
     efforts = None
     if d.get("efforts") is not None:
@@ -826,7 +835,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                     np.array(e["no_effort_report"])
                 ),
             )
-            for e in d["efforts"]
+            for e in _node(d["efforts"], "array", "scenario 'efforts'")
         )
     return Scenario(_prior_from_dict(_field(d, "prior", "scenario")), strategies, efforts)
 

@@ -45,6 +45,15 @@ class MissingField(PeerLabError, ValueError):
     """A scenario or prior document lacks a required key."""
 
 
+class WrongFieldType(PeerLabError, TypeError):
+    """A node of a scenario or prior document has the wrong JSON type."""
+
+
+class UnknownSuite(PeerLabError, KeyError):
+    """No verification suite has the requested name."""
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
+
 class NoOverlap(PeerLabError, ValueError):
     """Two agents share no answered question."""
 

@@ -183,19 +183,19 @@ def _shannon_mi(tables: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(compact: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row of ``mask`` (its last axis), the sum of the row's entries in ``compact``, which
-    holds the masked entries row after row (``values[mask]``).  Each sum is bit for bit
-    ``np.sum`` of the row's own entries: a lone row is that sum, and rows with one count
-    of entries are summed as one (rows, count) array."""
+    """Per row of ``mask`` (its last axis), the sum of the row's entries in the last axis of
+    ``compact`` (``values[mask]``, row after row; leading axes lead the result).  Each sum is
+    bit for bit ``np.sum`` of the row's own entries: a lone row is that sum, and rows with one
+    count of entries are summed as one C-ordered (..., rows, count) gather."""
     if mask.ndim == 1:
-        return np.sum(compact)
+        return np.sum(compact, axis=-1)
     counts = mask.sum(axis=-1).ravel()
     starts = np.cumsum(counts) - counts
-    out = np.zeros(counts.shape)
+    out = np.zeros(compact.shape[:-1] + counts.shape)
     for n in np.unique(counts):
         rows = counts == n
-        out[rows] = compact[starts[rows][:, None] + np.arange(n)].sum(axis=-1)
-    return out.reshape(mask.shape[:-1])
+        out[..., rows] = compact.take(starts[rows][:, None] + np.arange(n), -1).sum(-1)
+    return out.reshape(compact.shape[:-1] + mask.shape[:-1])
 
 
 def bregman_mi(joint: JointDistribution, rule: ScoringRule) -> float:
@@ -235,7 +235,8 @@ def conditional_mi(tensor: JointDistribution, measure: Measure) -> float:
 def _slice_mean(t: np.ndarray, per_slice) -> np.ndarray:
     """sum_z Pr[Z=z] per_slice(joint of (X, Y) given Z=z) for each conditional-mode table of a
     stack shaped (..., mz, mx, my), with ``per_slice`` evaluated once on the stack of all live
-    slices; zero-mass slices contribute 0."""
+    slices; zero-mass slices contribute 0.  A ``per_slice`` of K stacked kernels, giving (K, live)
+    values, gives (K, ...) means from one :func:`_row_sums` call, each with its kernel's bits."""
     pz = t.sum(axis=(-2, -1))
     live = pz > 0.0
     return _row_sums(pz[live] * per_slice(t[live] / pz[live][:, None, None]), live)

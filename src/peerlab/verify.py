@@ -63,7 +63,7 @@ from .agents import (
     truth_telling,
     world_tensor,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnknownSuite
 from .measures import (
     ConvexGenerator,
     ScoringRule,
@@ -470,26 +470,25 @@ def suite_truth_monotone(config: SuiteConfig) -> SuiteVerdict:
 # Zero-one effort structure
 # ---------------------------------------------------------------------------
 
-# Each list of payments is one stack: agent 0's report joints at all 11 effort levels, or at
-# every count of active peers, come from one _report_tables call per group of instances.
+# Agent 0's report joints at all 11 effort levels, or at every count of active peers, are one
+# _report_tables stack per (alphabet, peer count) group, paid per generator on its own rows.
 _CANONICAL_BINARY = np.array([[0.4, 0.1], [0.1, 0.4]])
 _EFFORT_GRID = np.linspace(0.0, 1.0, 11)
 
 
-def _effort_payments(q, gen) -> tuple:
-    """Truthful agent 0's exact payments with truthful peers on each instance's pair tables
-    ``q`` (g, k, m, m): (g, 11) at each effort level of the grid with every peer investing,
-    and (g, k + 1) in full effort with its first a peers investing, for a = 0..k."""
+def _effort_tables(q) -> tuple:
+    """Truthful agent 0's report tables with truthful peers on each instance's pair tables
+    ``q`` (g, k, m, m): (11, g, k, m, m) at each effort level of the grid with every peer
+    investing, and (k + 1, g, k, m, m) in full effort with its first a = 0..k peers investing."""
     k, eye = q.shape[1], np.eye(q.shape[-1])
-    grid = _agent0_payments(q, eye, eye, _EFFORT_GRID[:, None, None, None, None], 1.0, gen)
-    active = _agent0_payments(q, eye, eye, 1.0, np.tri(k + 1, k, -1)[:, None, :, None, None], gen)
-    return grid.T, active.T
+    return (_agent0_tables(q, eye, eye, _EFFORT_GRID[:, None, None, None, None], 1.0),
+            _agent0_tables(q, eye, eye, 1.0, np.tri(k + 1, k, -1)[:, None, :, None, None]))
 
 
 def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
     # canonical binary example: totals decide the pure effort level
-    grid = _EFFORT_GRID
-    pay = _effort_payments(_CANONICAL_BINARY[None, None], ConvexGenerator.TVD)[0][0]
+    grid, kernel = _EFFORT_GRID, _mi_kernel(ConvexGenerator.TVD)
+    pay = _slice_mean(_effort_tables(_CANONICAL_BINARY[None, None])[0], kernel)[:, 0]
     for cost, best in ((0.7, 0.0), (0.2, 1.0)):
         utils = (pay - grid * cost).tolist()
         rec.check("canonical_pure_effort", "equality",
@@ -514,25 +513,31 @@ def _effort_read(rng) -> tuple:
 
 
 def _effort_check(group: list) -> tuple:
-    """Per instance of a group with one alphabet, peer count and generator: its cost, grid
-    utilities, payments by active peers, mixture-law gap and both sides of mixture convexity.
-    Joints, priors and strategies are built from the reads as one stack each and validated,
-    joints and priors as rank-2 tables, strategies by row."""
-    n, gen, m = group[0][0], group[0][2], group[0][1].shape[0]
+    """Per instance of a group with one alphabet and peer count: its cost, grid utilities,
+    payments by active peers, mixture-law gap and both sides of mixture convexity.  Joints,
+    priors, strategies and agent 0's report tables are built from the reads as one stack each
+    and validated, joints and priors as rank-2 tables, strategies by row; each generator's
+    kernel runs on its own instances' rows, which keeps the floats of a one-generator group."""
+    n, m, size = group[0][0], group[0][1].shape[0], len(group)
     joints = _validated_tables(sampling._floored_tables(np.array([d[1] for d in group])), rank=2)
     priors = _validated_tables(sampling._symmetrized(joints), rank=2)
     rows = _validated_tables(sampling._channel_stack([d[5] for d in group], m, m, 0.0), rank=1)
     cost_unit, lam = np.array([d[3] for d in group]), np.array([d[4] for d in group])
-    cost = 1.5 * np.maximum(_mi_kernel(gen)(priors), 1e-3) * cost_unit
-    q = np.broadcast_to(priors[:, None], (len(group), n - 1) + priors.shape[1:])
-    pay, active = _effort_payments(q, gen)
+    q = np.broadcast_to(priors[:, None], (size, n - 1) + priors.shape[1:])
+    paid = _effort_tables(q)
     # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
     li = np.stack([np.ones_like(lam), np.zeros_like(lam), lam])[:, :, None, None, None]
     j_full, j_none, j_mix = tables = _agent0_tables(q[:, :1], rows[:, None], np.eye(m), li,
                                                     1.0)[:, :, 0]
     w = lam[:, None, None]
     mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
-    mi_full, mi_none, lhs = _mi_kernel(gen)(tables)
+    cost, pay, active, sides = (np.zeros(s) for s in (size, (size, 11), (size, n), (3, size)))
+    for gen in dict.fromkeys(d[2] for d in group):
+        at, kernel = np.array([d[2] is gen for d in group]), _mi_kernel(gen)
+        cost[at] = 1.5 * np.maximum(kernel(priors[at]), 1e-3) * cost_unit[at]
+        pay[at], active[at] = (_slice_mean(t[:, at], kernel).T for t in paid)
+        sides[:, at] = kernel(tables[:, at])
+    mi_full, mi_none, lhs = sides
     rhs = lam * mi_full + (1.0 - lam) * mi_none
     return cost, pay - _EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
 
@@ -540,7 +545,7 @@ def _effort_check(group: list) -> tuple:
 def _effort_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
     tol = config.equality_tol
     reads = [_effort_read(rng) for rng in _instance_rngs(config.seed, chunk)]
-    checked = _grouped(reads, lambda d: (d[1].shape, d[0], d[2]), _effort_check)
+    checked = _grouped(reads, lambda d: (d[1].shape, d[0]), _effort_check)
     for idx, d, (cost, utils, payments, gap, lhs, rhs) in zip(chunk, reads, checked):
         def data() -> dict:
             prior = sampling._symmetrized(sampling._floored_tables(d[1][None]))[0]
@@ -953,17 +958,18 @@ def _equivalence_twins(scenario: Scenario, maps: np.ndarray) -> tuple:
 
 def _scenario_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     """Pays a scenario and its relabeled twins from stacks: the scenario is the twin of the
-    identity maps, and :func:`_equivalence_twins` gathers all eleven; per mechanism one
-    reduction gives each twin's largest payment difference.  Each twin is gathered back
-    through the inverse maps and compared, array for array, with the scenario.  The checks
-    are then recorded twin by twin."""
+    identity maps, and :func:`_equivalence_twins` gathers all eleven; one slice mean pays
+    them under all nine kernels, and per mechanism one reduction gives each twin's largest
+    payment difference.  Each twin is gathered back through the inverse maps and compared,
+    array for array, with the scenario.  The checks are then recorded twin by twin."""
     scenario, _ = _random_equivalence_scenario(rng)
     prior, n, m = scenario.prior, scenario.n_agents, scenario.alphabet_size
     maps = np.stack([np.tile(np.arange(m), (n, 1))]
                     + [_random_maps(rng, prior, n, m) for _ in range(_PERM_LISTS)])
     stack, channels, tables, tensors = _equivalence_twins(scenario, maps)
     kernels = _equivalence_kernels(PairwisePrior(prior.pair_joint(0, 1), symmetric=False))
-    pay = {name: _slice_mean(tables, kernel) for name, kernel in kernels.items()}
+    paid = _slice_mean(tables, lambda slices: np.stack([k(slices) for k in kernels.values()]))
+    pay = dict(zip(kernels, paid))
     if tensors is not None:
         info = _slice_mean(tensors, _mi_kernel(ConvexGenerator.KL))
         pay["bts-idealized-information"] = info[:, None]
@@ -1030,7 +1036,7 @@ SUITES = {
 
 def default_config(suite: str, **overrides) -> SuiteConfig:
     if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
+        raise UnknownSuite(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
     params = {"suite": suite, "instances": _PARTS[suite][2]}
     params.update(overrides)
     return SuiteConfig(**params)
@@ -1038,7 +1044,7 @@ def default_config(suite: str, **overrides) -> SuiteConfig:
 
 def run_suite(config: SuiteConfig) -> SuiteVerdict:
     if config.suite not in SUITES:
-        raise KeyError(f"unknown suite {config.suite!r}; known: {sorted(SUITES)}")
+        raise UnknownSuite(f"unknown suite {config.suite!r}; known: {sorted(SUITES)}")
     return SUITES[config.suite](config)
 
 

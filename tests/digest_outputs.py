@@ -42,7 +42,11 @@ truth-monotone at 985 instances and seed 14 and dominant-truthfulness at 514
 instances and seed 255, whose last instances drop a payment strictly by less
 than the strictness tolerance, as their proved pair bounds allow, and last exact
 mip and sppm on a 5-agent, 3-signal full-joint scenario with efforts, whose pair
-marginals each add 27 cells, so that a change in their summation order shows.  A
+marginals each add 27 cells, so that a change in their summation order shows, and
+last effort at its default 1000 instances and seed 5 under ``--equality-tol 1e-300``:
+two chunks, in each of which every (alphabet, peer count) group of the check mixes all
+four generators, with violation payloads that carry each generator's costs, grid
+utilities and mixture sides.  A
 command that raises instead of writing an output is digested as its exception
 type.
 ``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
@@ -244,6 +248,10 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"mechanism-full-effort-five-{name}{''.join(extra)}",
                     ["mechanism", "--mechanism", name, "--scenario", paths["full-effort-five"],
                      *extra]))
+    # every (alphabet, peer count) group of both chunks mixes the four generators
+    out.append(("verify-effort-1000-5-forced",
+                ["verify", "effort", "--instances", "1000", "--seed", "5",
+                 "--equality-tol", "1e-300"]))
     return out
 
 

@@ -37,7 +37,9 @@ The file ends with the per-instance draws of the one-table suites and effort and
 rows and CI table they drew, each table built on its own with numpy's bounded draws, before
 the suites kept raw reads and built each shape group's tables as one stack, and with the
 checks of a signal-plus-prediction profile, one ``Distribution`` per prediction, before
-``BtsReportProfile`` validated its predictions as one stack.
+``BtsReportProfile`` validated its predictions as one stack, and with the effort check of a
+group of one alphabet, peer count and generator, which built its tables per generator,
+before one group per alphabet and peer count ran each generator's kernel on its own rows.
 """
 
 import math
@@ -1038,7 +1040,8 @@ def effort_instance(rec, config, idx: int, rng) -> None:
     full_mi = measures.mutual_information(prior.pair_joint(0, 1), gen)
     cost = float(rng.uniform(0.0, 1.5 * max(full_mi, 1e-3)))
     q = agent_pair_tables(prior, 0, range(1, n))
-    pay, payments = (p[0] for p in verify._effort_payments(q[None], gen))
+    pay, payments = (measures._slice_mean(t, measures._mi_kernel(gen))[:, 0]
+                     for t in verify._effort_tables(q[None]))
     utils = (pay - verify._EFFORT_GRID * cost).tolist()
     data = {"prior": _jl(prior.joint.table), "measure": gen.value, "cost": cost,
             "grid_utilities": utils}
@@ -1512,3 +1515,28 @@ def object_bts_profile(signals, predictions):
     if sig.size and (sig.min() < 0 or sig.max() >= sizes.pop()):
         raise DimensionMismatch("signal outside the prediction alphabet")
     return sig, np.stack([p.weights for p in preds])
+
+
+def generator_effort_check(group: list) -> tuple:
+    """``verify._effort_check`` as it ran on a group with one alphabet, peer count and
+    generator: per instance its cost, grid utilities, payments by active peers, mixture-law
+    gap and both sides of mixture convexity, with the joints, priors, strategies and report
+    tables of the group built as one stack each."""
+    n, gen, m = group[0][0], group[0][2], group[0][1].shape[0]
+    joints = _validated_tables(sampling._floored_tables(np.array([d[1] for d in group])), rank=2)
+    priors = _validated_tables(sampling._symmetrized(joints), rank=2)
+    rows = _validated_tables(sampling._channel_stack([d[5] for d in group], m, m, 0.0), rank=1)
+    cost_unit, lam = np.array([d[3] for d in group]), np.array([d[4] for d in group])
+    cost = 1.5 * np.maximum(measures._mi_kernel(gen)(priors), 1e-3) * cost_unit
+    q = np.broadcast_to(priors[:, None], (len(group), n - 1) + priors.shape[1:])
+    pay, active = (measures._slice_mean(t, measures._mi_kernel(gen)).T
+                   for t in verify._effort_tables(q))
+    # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
+    li = np.stack([np.ones_like(lam), np.zeros_like(lam), lam])[:, :, None, None, None]
+    j_full, j_none, j_mix = tables = verify._agent0_tables(q[:, :1], rows[:, None], np.eye(m),
+                                                           li, 1.0)[:, :, 0]
+    w = lam[:, None, None]
+    mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
+    mi_full, mi_none, lhs = measures._mi_kernel(gen)(tables)
+    rhs = lam * mi_full + (1.0 - lam) * mi_none
+    return cost, pay - verify._EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs

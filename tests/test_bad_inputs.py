@@ -7,9 +7,10 @@ shape on a world's signals, for the exported strategy sampler's size and seed,
 for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
 never counts from the end, in the empirical and in every prior mode's pair joints.  Tables that do not
 convert to real arrays (ragged, complex), priors built from lists and relabelings of anything but a
-Scenario by a PermutationList raise a PeerLabError too, as do complex arrays and scenario
-documents without a required key, which the error names.  Report masks hold bools or 0/1
-integers.  The seeds of the samplers and of the payment engines, all-pairs engines that only record one included, are non-negative
+Scenario by a PermutationList raise a PeerLabError too, as do complex arrays, scenario
+documents without a required key or with a node of the wrong JSON type (the error names
+the key, or the node and the type it needs), and unknown suite names.  Report masks hold
+bools or 0/1 integers.  The seeds of the samplers and of the payment engines, all-pairs engines that only record one included, are non-negative
 integers of any size; a suite's seed stays in the intp range."""
 
 import json
@@ -33,6 +34,7 @@ from peerlab import (
     PermutationList,
     ReportMatrix,
     Scenario,
+    SUITES,
     SuiteConfig,
     ScoringRule,
     Strategy,
@@ -56,6 +58,7 @@ from peerlab import (
     random_strategy,
     report_joint,
     reported_world_states,
+    default_config,
     run_suite,
     sppm_payments,
     truth_telling,
@@ -65,7 +68,9 @@ from peerlab import (
 from peerlab import sampling
 from peerlab.agents import scenario_from_dict, scenario_to_dict
 from peerlab.cli import main
-from peerlab.errors import MissingField, PeerLabError, UnsupportedPriorMode
+from peerlab.errors import (
+    MissingField, PeerLabError, UnknownSuite, UnsupportedPriorMode, WrongFieldType,
+)
 from peerlab.probability import rng_from_seed, sample
 
 import oracles
@@ -535,3 +540,37 @@ def test_cli_names_a_missing_scenario_key(tmp_path, capsys):
     path.write_text(json.dumps(_without(SCENARIO_DOC, ("strategies",))))
     assert main(["mechanism", "--mechanism", "mip", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"peerlab: {path}: scenario has no 'strategies' key\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "scenario must be a JSON object, not list"),
+    ({"prior": 5, "strategies": []}, "prior must be a JSON object, not int"),
+    ({**SCENARIO_DOC, "strategies": [5]}, "strategy must be a JSON object, not int"),
+    ({**SCENARIO_DOC, "efforts": [1]}, "effort must be a JSON object, not int"),
+    ({**SCENARIO_DOC, "strategies": 5}, "scenario 'strategies' must be a JSON array, not int"),
+    ({**SCENARIO_DOC, "efforts": "none"}, "scenario 'efforts' must be a JSON array, not str"),
+    ({**WORLD_DOC, "prior": {**WORLD_DOC["prior"], "states": 2}},
+     "world-model prior 'states' must be a JSON array, not int"),
+], ids=["scenario-list", "prior-int", "strategy-int", "effort-int", "strategies-int",
+        "efforts-str", "world-states-int"])
+def test_scenario_document_names_a_node_of_the_wrong_type(doc, message):
+    with pytest.raises(WrongFieldType) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message and isinstance(info.value, PeerLabError)
+
+
+def test_cli_names_a_scenario_node_of_the_wrong_type(tmp_path, capsys):
+    path = tmp_path / "bad2.json"
+    path.write_text(json.dumps({**SCENARIO_DOC, "strategies": [5]}))
+    assert main(["mechanism", "--mechanism", "mip", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"peerlab: {path}: strategy must be a JSON object, not int\n"
+
+
+def test_unknown_suite_is_a_peerlab_error_and_a_key_error():
+    # existing ``except KeyError`` callers still catch it; str() is the message itself
+    for call in (lambda: default_config("nope"),
+                 lambda: run_suite(SuiteConfig(suite="nope", instances=1))):
+        with pytest.raises(KeyError) as info:
+            call()
+        assert isinstance(info.value, UnknownSuite) and isinstance(info.value, PeerLabError)
+        assert str(info.value) == f"unknown suite 'nope'; known: {sorted(SUITES)}"

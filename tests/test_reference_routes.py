@@ -97,7 +97,9 @@ from peerlab.mechanisms import (
     _exact_inputs, _exact_joints, _peer_means, _reference_sets,
     _score_shifts, optimal_predictions,
 )
-from peerlab.measures import _log_score_gains, _mi_kernel, _shannon_mi, _slice_mean
+from peerlab.measures import (
+    _log_score_gains, _mi_kernel, _row_sums, _shannon_mi, _slice_mean,
+)
 from peerlab.probability import (
     TransitionMatrix, _identity_mask, _instance_rngs, _push_first, _validated_tables,
     identity_channel, rng_from_seed, uniform_distribution,
@@ -648,6 +650,24 @@ class TestReadsAndStacks:
             got = sampling._channel_stack([p[0] for p in pairs], m, m, 0.0)
             assert np.array_equal(got, np.stack([p[1] for p in pairs]))
 
+    @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_effort_group_check_equals_per_generator_groups(self, seed, indices):
+        # one group per (alphabet, peer count) mixes generators; each generator's rows of
+        # every column must be the bits of the check of that generator's instances alone
+        reads = [verify._effort_read(rng_from_seed(seed, idx)) for idx in indices]
+        groups = {}
+        for read in reads:
+            groups.setdefault((read[1].shape, read[0]), []).append(read)
+        for group in groups.values():
+            got = verify._effort_check(group)
+            assert len(got) == 6 and all(len(col) == len(group) for col in got)
+            for gen in {d[2] for d in group}:
+                at = [pos for pos, d in enumerate(group) if d[2] is gen]
+                want = oracles.generator_effort_check([group[pos] for pos in at])
+                for column, alone in zip(got, want):
+                    assert np.array_equal(column[at], alone)
+
     @pytest.mark.parametrize("suite", ["bregman-quasi", "accuracy-gain", "effort"])
     def test_reads_leave_the_stream_where_the_draws_left_it(self, suite):
         read, draw = {
@@ -873,7 +893,8 @@ class TestEffortStacks:
             prior = sampling.random_pairwise_symmetric_prior(rng_from_seed(seed), m)
         grid = verify._EFFORT_GRID
         q = prior._pairs([0], [range(1, n)])[0, 0]
-        pay, active = (p[0] for p in verify._effort_payments(q[None], measure))
+        pay, active = (_slice_mean(t, _mi_kernel(measure))[:, 0]
+                       for t in verify._effort_tables(q[None]))
         want = [oracles.effort_utility(prior, n, m, float(lam), cost, measure) for lam in grid]
         assert np.array_equal(pay - grid * cost, want)
         want = [oracles.effort_utility(prior, n, m, 1.0, 0.0, measure, a) for a in range(n)]
@@ -954,7 +975,8 @@ class TestEquivalenceStack:
     """The scenario-equivalence suite pays a scenario and its ten relabeled twins as one stack
     of gathered arrays; each kernel's payments and both bts scores must be the very floats of
     the one-scenario-at-a-time route it replaced (``oracles.equivalence_payment_vectors``),
-    under every prior mode of the suite; the gathered twins' joints and world tensors those of
+    under every prior mode of the suite, and a violation must name its own mechanism's
+    payments; the gathered twins' joints and world tensors those of
     the per-twin ``permute_scenario`` route (``oracles.twin_route``); and the joints of any
     stack of scenarios those of ``oracles.stacked_exact_joints``, whatever the blocks."""
 
@@ -968,8 +990,8 @@ class TestEquivalenceStack:
         slice_mean, log_gains, random_maps = (verify._slice_mean, verify._log_score_gains,
                                               verify._random_maps)
 
-        def spied_mean(tables, kernel):
-            stacks.append(slice_mean(tables, kernel))
+        def spied_mean(tables, per_slice):
+            stacks.append(slice_mean(tables, per_slice))
             return stacks[-1]
 
         def spied_gains(tensors):
@@ -990,18 +1012,55 @@ class TestEquivalenceStack:
         kernels = verify._equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1),
                                                             symmetric=False))
         world = mode == "world"
-        # one slice mean per kernel, then the bts information score on a world model
-        assert (len(stacks), len(gains), len(maps)) == (len(kernels) + world, int(world),
+        # one slice mean of every kernel's stacked payments, then the bts information score on
+        # a world model
+        assert (len(stacks), len(gains), len(maps)) == (1 + world, int(world),
                                                         verify._PERM_LISTS)
+        stacked = stacks[0]
+        assert stacked.shape == (len(kernels), 1 + verify._PERM_LISTS, n)
         twins = [oracles.matrix_permute_scenario(scenario, p) for p in maps]
         for t, paid in enumerate([scenario] + twins):
             want = oracles.equivalence_payment_vectors(paid, kernels)
-            for name, got in zip(kernels, stacks):
-                assert got.shape == (1 + verify._PERM_LISTS, n)
+            for name, got in zip(kernels, stacked):
                 assert np.array_equal(got[t], want[name]), name
             if world:
                 assert stacks[-1][t] == want["bts-idealized-information"][0]
                 assert -gains[0][t] == want["bts-idealized-prediction"][0]
+
+    @given(seeds, st.sampled_from((2, 3)), st.sampled_from((2, 3)),
+           st.sampled_from(("full", "pairwise", "world")), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_violations_name_each_kernel_payment(self, seed, m, n, mode, efforts):
+        # the twins' joints are another scenario's, so payments differ: each violation must
+        # carry its own mechanism's largest difference, as the per-scenario route gives it
+        rng = rng_from_seed(seed)
+        scenario, other = (mode_scenario(rng, mode, n, m, efforts) for _ in range(2))
+        twins, maps = verify._equivalence_twins, []
+
+        def other_twins(base, twin_maps):
+            maps.extend(twin_maps)
+            stack, channels, tables, tensors = twins(base, twin_maps)
+            return stack, channels, np.concatenate([tables[:1], twins(other, twin_maps)[2][1:]]), \
+                tensors
+
+        config = default_config("scenario-equivalence", instances=1)
+        rec = verify._Recorder(config)
+        with mock.patch.object(verify, "_random_equivalence_scenario",
+                               return_value=(scenario, None)), \
+                mock.patch.object(verify, "_equivalence_twins", other_twins):
+            verify._scenario_equivalence_instance(rec, config, 0, rng)
+        kernels = verify._equivalence_kernels(PairwisePrior(scenario.prior.pair_joint(0, 1),
+                                                            symmetric=False))
+        base = oracles.equivalence_payment_vectors(scenario, kernels)
+        want = []
+        for twin_maps in maps[1:]:
+            paid = oracles.equivalence_payment_vectors(
+                oracles.matrix_permute_scenario(other, twin_maps), kernels)
+            diffs = {name: float(np.abs(paid[name] - base[name]).max()) for name in kernels}
+            want += [(name, diffs[name]) for name in sorted(kernels) if diffs[name] > 1e-12]
+        got = [(v["data"]["mechanism"], v["data"]["difference"]) for v in rec.violations
+               if v["claim"] == "payments_identical" and v["data"]["mechanism"] in kernels]
+        assert got == want and len(want) > 0
 
     @given(seeds, st.sampled_from(("full", "pairwise", "world")), st.sampled_from((2, 3, 5)),
            st.sampled_from((2, 3)), st.booleans(), st.booleans(), st.integers(1, 11),
@@ -1199,7 +1258,8 @@ class TestGramCounts:
     """The Gram count kernel against the bincount route it replaced and the per-pair loop,
     bit for bit.  ``COUNT_CELLS`` is patched small so that the examples split the agents
     into several blocks and the 64-question words into several steps; T falls below, on
-    and past the word and step edges."""
+    and past the word and step edges, and on both sides of the edges where the count store
+    widens from uint8 to uint16 and from uint16 to uint32."""
 
     @staticmethod
     def bincount_route(reports, refs):
@@ -1211,7 +1271,8 @@ class TestGramCounts:
     def test_joints_match_bincount_and_loop(self, cells, data):
         m = data.draw(st.integers(2, 4))
         n = data.draw(st.sampled_from((2, 3)) | st.integers(4, 9))
-        T = data.draw(st.sampled_from((1, 63, 64, 65, 128, 129, 320)) | st.integers(1, 400))
+        T = data.draw(st.sampled_from((1, 63, 64, 65, 128, 129, 255, 256, 300, 320))
+                      | st.sampled_from((65535, 65536, 70000)) | st.integers(1, 400))
         rng = np.random.default_rng(data.draw(seeds))
         entries = rng.integers(0, m, (n, T))
         mask = rng.random((n, T)) < data.draw(st.floats(0.2, 1.0))
@@ -1725,6 +1786,26 @@ class TestStackedKernels:
         assert np.array_equal(got, [conditional_mi(JointDistribution(t), measure) for t in stack])
         assert np.array_equal(got, [oracles.masked_slice_mean(t, _mi_kernel(measure))
                                     for t in stack])
+
+    @given(st.integers(1, 4), st.lists(st.integers(1, 4), max_size=3), st.integers(0, 20),
+           st.floats(0.0, 1.0), st.booleans(), seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_row_sums_over_leading_axes(self, k, lead, width, density, empty_row, seed):
+        # K stacked rows of compact entries over one mask (1-D when ``lead`` is empty) whose
+        # rows hold several counts of entries, among them all-False rows: each of the K
+        # results has the bits of that row alone, and each sum those of np.sum
+        rng = np.random.default_rng(seed)
+        mask = rng.random((*lead, width)) < density
+        if empty_row and mask.ndim > 1:
+            mask[(0,) * (mask.ndim - 1)] = False
+        compact = rng.standard_normal((k, int(mask.sum()))) * 10.0 ** rng.integers(-9, 9, (k, 1))
+        got = _row_sums(compact, mask)
+        assert got.shape == (k, *lead)
+        ends = np.cumsum(mask.sum(axis=-1).ravel())
+        for row, sums in zip(compact, got):
+            assert np.array_equal(sums, _row_sums(row, mask))
+            alone = [np.sum(part) for part in np.split(row, ends[:-1])]
+            assert np.array_equal(np.ravel(sums), alone)
 
     @given(table_stacks(), st.integers(1, 4), seeds)
     @settings(max_examples=200, deadline=None)
