@@ -22,18 +22,20 @@ Strategies are *consistent* channels (one per agent, applied to every
 question); mixed per-question behavior is equivalent to a mixed consistent
 strategy when questions are a priori similar and randomly ordered.
 
-Exact report tables have one builder, ``_report_tables``, and counted ones the Gram
-kernel ``_count_tables``; both take blocks of agents, and ``report_joint`` and
-``empirical_pair_joint`` are their public forms for one agent pair.  The Gram kernel
-counts each unordered agent pair once, into a store of n(n-1)/2·m² counts under all-pairs
-pairing (64 MB at n = 1000 and m = 4), ANDing each lower agent's packed reports with all its
-partners' in steps of at most ``COUNT_CELLS`` cells; it reads the reverse pair transposed.
+Exact report tables have one builder, ``_report_tables``: aᵀ q b on report channels, each
+agent's effort folded into hers by ``_effort_rows``.  Counted ones have the Gram kernel
+``_count_tables``.  Both take blocks of agents; ``report_joint`` and ``empirical_pair_joint``
+are their public forms for one agent pair.  The Gram kernel counts each unordered agent pair
+once, into a store of n(n-1)/2·m² counts under all-pairs pairing (64 MB at n = 1000 and
+m = 4), ANDing each lower agent's packed reports with all its partners' in steps of at most
+``COUNT_CELLS`` cells; it reads the reverse pair transposed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -277,10 +279,17 @@ class EffortStrategy:
     no_effort_report: Distribution | None = None
 
     def __post_init__(self):
+        for name in ("full_effort_prob", "cost"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise DimensionMismatch(f"{name} must be a real number, not {value!r}")
         if not 0.0 <= self.full_effort_prob <= 1.0:
             raise DimensionMismatch("full_effort_prob must lie in [0, 1]")
         if not (math.isfinite(self.cost) and self.cost >= 0.0):
             raise DimensionMismatch("cost must be finite and non-negative")
+        if not isinstance(self.no_effort_report, (Distribution, type(None))):
+            raise ModeMismatch("no_effort_report must be a Distribution or None, not "
+                               f"{type(self.no_effort_report).__name__}")
 
     def resolve_no_effort(self, m: int) -> Distribution:
         if self.no_effort_report is None:
@@ -387,49 +396,37 @@ def report_joint(
     eff_i: EffortStrategy | None = None,
     eff_j: EffortStrategy | None = None,
 ) -> JointDistribution:
-    """Exact joint of the two agents' reports.
-
-    Each agent's report is her channel applied to her signal with probability
-    ``full_effort_prob``, else an independent draw from her no-effort
-    distribution; the result is the four-way mixture over the effort coins.
-
-    This validates the inputs and hands them to :func:`_report_tables`.
-    """
+    """Exact joint of the two agents' reports, each through her channel with her effort
+    folded in (:func:`_effort_rows`).  This validates the inputs and hands them to
+    :func:`_report_tables`."""
     i, j = prior._agent_pair(i, j)
     a, b, m = s_i.channel.rows, s_j.channel.rows, prior.alphabet_size
     if a.shape[0] != m or b.shape[0] != m:
         raise DimensionMismatch("strategy alphabet differs from prior alphabet")
-    eff_i, eff_j = eff_i or FULL_EFFORT, eff_j or FULL_EFFORT
-    tables = _report_tables(
-        a, b[None], prior._pairs([i], [[j]])[0, 0], eff_i.full_effort_prob,
-        eff_j.full_effort_prob, eff_i.resolve_no_effort(a.shape[1]).weights,
-        eff_j.resolve_no_effort(b.shape[1]).weights[None],
-    )
-    return JointDistribution(tables[0])
+    a, b = (_effort_rows(rows, e.full_effort_prob, e.resolve_no_effort(rows.shape[1]).weights)
+            for rows, e in ((a, eff_i or FULL_EFFORT), (b, eff_j or FULL_EFFORT)))
+    return JointDistribution(_report_tables(a, b[None], prior._pairs([i], [[j]])[0, 0])[0])
 
 
-def _report_tables(a, b, q, li, lj, xi, xj) -> np.ndarray:
+def _effort_rows(rows, prob, weights) -> np.ndarray:
+    """The one place the zero-one effort model enters the exact tables.  An agent with channel
+    ``rows`` (..., m, m') who invests with probability ``prob`` and else reports a draw from
+    ``weights`` (..., m') reports through one channel, prob·rows + (1 - prob)·1·weightsᵀ;
+    ``prob`` broadcasts against it.  At prob = 1 it is ``rows``, bit for bit."""
+    return prob * rows + (1.0 - prob) * weights[..., None, :]
+
+
+def _report_tables(a, b, q) -> np.ndarray:
     """Every exact report table is built here: per reference agent J of k, agent i's joint
-    report table with it divided by k, so that the validated (..., k, m', m') result is
-    the conditional-mode joint of (J, report_i, report_J) with J uniform over the k agents.
+    report table with it, aᵀ q b, divided by k, so that the validated (..., k, m', m') result
+    is the conditional-mode joint of (J, report_i, report_J) with J uniform over the k agents.
 
-    ``a`` (..., m, m') is agent i's channel and ``xi`` (..., m') its no-effort weights;
-    ``b`` (..., k, m, m'), ``q`` (..., k, m, m) and ``xj`` (..., k, m') hold one channel,
-    signal-pair table and no-effort weights per reference agent.  ``li`` and ``lj`` are
-    the effort probabilities, broadcast against the (..., k, m', m') result.  Leading axes
-    broadcast against one another, ``a`` and ``xi`` carrying a unit reference axis; each
+    ``a`` (..., m, m') is agent i's report channel; ``b`` (..., k, m, m') and ``q``
+    (..., k, m, m) hold one report channel and signal-pair table per reference agent.
+    Leading axes broadcast against one another, ``a`` carrying a unit reference axis; each
     table of the stack has the bits of the call on its slice alone.
     """
-    at = a.swapaxes(-1, -2)
-    mi = at @ q.sum(axis=-1)[..., :, None]  # full-effort report marginals: a column
-    mj = q.sum(axis=-2)[..., None, :] @ b  # and a row
-    xi, xj = xi[..., :, None], xj[..., None, :]
-    tables = (
-        li * lj * (at @ q @ b)
-        + li * (1.0 - lj) * (mi * xj)
-        + (1.0 - li) * lj * (xi * mj)
-        + (1.0 - li) * (1.0 - lj) * (xi * xj)
-    )
+    tables = a.swapaxes(-1, -2) @ q @ b
     return _validated_tables(tables / tables.shape[-3], rank=3)
 
 
@@ -762,13 +759,16 @@ SCENARIO_SCHEMA_VERSION = 1
 def _prior_to_dict(prior: Prior) -> dict:
     d = {"mode": prior._MODE, **{name: arr[0].tolist() for name, arr in prior._stack().items()}}
     if isinstance(prior, PairwisePrior):
-        d["symmetric"] = prior.symmetric
+        d["symmetric"] = bool(prior.symmetric)
     return d
+
+
+_JSON_TYPES = {"object": dict, "array": (list, tuple, np.ndarray), "boolean": bool, "string": str}
 
 
 def _node(node, kind: str, what: str):
     """``node``, or WrongFieldType naming ``what`` and the JSON type ``kind`` it must have."""
-    if not isinstance(node, dict if kind == "object" else (list, tuple, np.ndarray)):
+    if not isinstance(node, _JSON_TYPES[kind]):
         raise WrongFieldType(f"{what} must be a JSON {kind}, not {type(node).__name__}")
     return node
 
@@ -785,7 +785,8 @@ def _prior_from_dict(d: dict) -> Prior:
     mode = _node(d, "object", "prior").get("mode")
     if mode == "pairwise":
         table = np.array(_field(d, "table", "pairwise prior"))
-        return PairwisePrior(JointDistribution(table), d.get("symmetric", True))
+        symmetric = _node(d.get("symmetric", True), "boolean", "pairwise prior 'symmetric'")
+        return PairwisePrior(JointDistribution(table), symmetric)
     if mode == "full_joint":
         return FullJointPrior(np.array(_field(d, "tensor", "full-joint prior")))
     if mode == "world_model":
@@ -822,7 +823,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(d: dict) -> Scenario:
     strategies = tuple(
-        Strategy(TransitionMatrix(np.array(_field(s, "channel", "strategy"))), s.get("label", ""))
+        Strategy(TransitionMatrix(np.array(_field(s, "channel", "strategy"))),
+                 _node(s.get("label", ""), "string", "strategy 'label'"))
         for s in _node(_field(d, "strategies", "scenario"), "array", "scenario 'strategies'")
     )
     efforts = None

@@ -10,10 +10,11 @@ The all-pairs engines (mip, fmi, bmi, both sppm engines and the expected
 agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
 (J, report_i, report_J) with J uniform over i's reference agents is exact or
 counted, one call of the core of :func:`report_joint` or :func:`empirical_pair_joint`
-per block of agents of about ``agents.COUNT_CELLS`` cells; exact blocks span a stack of
-scenarios of one (n, m), such as a scenario and its relabeled twins.  Counted joints are read
-from the store of ``agents._count_tables``, which counts each unordered agent pair once; one
-stacked kernel (f-MI, BMI, score shift or agreement) runs over its report-pair slices,
+per block of agents of about ``agents.COUNT_CELLS`` cells.  Exact blocks take each agent's
+channel with its effort folded in (``agents._effort_rows``) and span a stack of scenarios
+of one (n, m), such as a scenario and its relabeled twins.  Counted joints are read from the
+store of ``agents._count_tables``, which counts each unordered agent pair once; one stacked
+kernel (f-MI, BMI, score shift or agreement) runs over its report-pair slices,
 averaged with the weights Pr[J=j], so a mutual-information payment is
 MI(report_i; report_J | J).  The blocks can be built once for many kernels.  Finite-n
 signal-plus-prediction scores (:func:`bts_payments`) need no joint: with P the profile's
@@ -44,6 +45,7 @@ from .agents import (
     Strategy,
     WorldModelPrior,
     _count_tables,
+    _effort_rows,
     _report_tables,
     reported_world_states,
     world_tensor,
@@ -144,31 +146,29 @@ def agent_welfare(report: PaymentReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_joints(pairs, channels, probs, lazy):
+def _exact_joints(pairs, rows):
     """Per block of agents, in agent order, the tables of the exact conditional-mode joints
     of (J, report_i, report_J) with J uniform over each agent i's other agents, in each of a
     stack of S scenarios of one (n, m), shaped (S, agents in the block, n-1, m, m).  The stack
     is arrays, as :func:`_exact_inputs` gives them for S = 1: a prior's ``_pairs`` on its
-    stack, channels (S, n, m, m), effort probabilities (S, n) and no-effort weights (S, n, m),
-    the last two broadcast when S = 1.  One :func:`_report_tables` call per block of about
-    ``agents.COUNT_CELLS`` cells, counted over the stack too (the count kernel's budget)."""
-    s, n, m = channels.shape[:3]
+    stack and report channels (S, n, m, m).  One :func:`_report_tables` call per block of
+    about ``agents.COUNT_CELLS`` cells, counted over the stack too (the count kernel's budget)."""
+    s, n, m = rows.shape[:3]
     refs = _reference_sets(n, ALL_PAIRS, None)
-    probs = probs[..., None, None]
     block = max(agents.COUNT_CELLS // (s * refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
-        yield _report_tables(channels[:, own, None], channels[:, refs[own]],
-                             pairs(own, refs[own]), probs[:, own, None], probs[:, refs[own]],
-                             lazy[:, own, None], lazy[:, refs[own]])
+        yield _report_tables(rows[:, own, None], rows[:, refs[own]], pairs(own, refs[own]))
 
 
 def _exact_inputs(scenario: Scenario) -> tuple:
-    """The :func:`_exact_joints` arguments of one scenario, a stack of one."""
+    """The :func:`_exact_joints` arguments of one scenario, a stack of one: its prior's
+    ``_pairs`` and each agent's channel with its effort folded in (:func:`_effort_rows`)."""
     m = scenario.alphabet_size
     efforts = [scenario.effort(i) for i in range(scenario.n_agents)]
-    return (scenario.prior._pairs, np.stack([s.channel.rows for s in scenario.strategies])[None],
-            np.array([[e.full_effort_prob for e in efforts]]),
-            np.stack([e.resolve_no_effort(m).weights for e in efforts])[None])
+    rows = _effort_rows(np.stack([s.channel.rows for s in scenario.strategies]),
+                        np.array([e.full_effort_prob for e in efforts])[:, None, None],
+                        np.stack([e.resolve_no_effort(m).weights for e in efforts]))
+    return scenario.prior._pairs, rows[None]
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):

@@ -53,6 +53,7 @@ from .agents import (
     PairwisePrior,
     Scenario,
     WorldModelPrior,
+    _effort_rows,
     _inverse_maps,
     _relabel_rows,
     _report_tables,
@@ -371,20 +372,6 @@ def _pair_prior_for(rng, n: int, m: int):
     return sampling.random_full_joint_prior(rng, n, m)
 
 
-def _agent0_tables(q, a, b, li, lj) -> np.ndarray:
-    """Agent 0's report tables (..., k, m, m) per leading index of the inputs, from one
-    :func:`_report_tables` call: its channel ``a`` and its k peers' channels ``b`` on their pair
-    tables ``q`` (k, m, m), at effort probabilities ``li`` and ``lj``, uniform without effort."""
-    x = uniform_distribution(q.shape[-1]).weights
-    return _report_tables(a, b, q, li, lj, x, x[None])
-
-
-def _agent0_payments(q, a, b, li, lj, gen) -> np.ndarray:
-    """Agent 0's exact mip payment, as ``mip_expected_payments`` gives it, per leading index of
-    the inputs: the peer mean of the kernel on :func:`_agent0_tables`."""
-    return _slice_mean(_agent0_tables(q, a, b, li, lj), _mi_kernel(gen))
-
-
 def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng) -> None:
     tol = config.equality_tol
     m = sampling._pick(rng, _ALPHABET_SIZES)
@@ -398,7 +385,8 @@ def _dominant_truthfulness_instance(rec: _Recorder, config: SuiteConfig, idx: in
     q = prior._pairs([0], [range(1, n)])[0, 0]
     channels = np.stack([np.eye(m), deviation.channel.rows])[:, None]
     opponent_channels = np.stack([s.channel.rows for s in opponents])
-    pay_truth, pay_dev = _agent0_payments(q, channels, opponent_channels, 1.0, 1.0, gen).tolist()
+    pay_truth, pay_dev = _slice_mean(_report_tables(channels, opponent_channels, q),
+                                     _mi_kernel(gen)).tolist()
 
     def data() -> dict:
         return {"scenario": scenario_to_dict(dev_scn), "measure": gen.value,
@@ -438,8 +426,8 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
     q = prior._pairs([0], [(1, 2)])[0, 0]
     peer_channels = np.stack([[np.eye(m), bystander.channel.rows],
                               [deviation.channel.rows, bystander.channel.rows]])
-    pay_before, pay_after = _agent0_payments(q, observer.channel.rows, peer_channels,
-                                             1.0, 1.0, gen).tolist()
+    pay_before, pay_after = _slice_mean(_report_tables(observer.channel.rows, peer_channels, q),
+                                        _mi_kernel(gen)).tolist()
 
     def data() -> dict:
         return {"scenario": scenario_to_dict(after_scn), "measure": gen.value,
@@ -454,7 +442,7 @@ def _truth_monotone_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
         rec.strict_drop("peer_payment_drops_strictly", idx, pay_before - pay_after,
                         drop / (n - 1), bound / (n - 1), data)
     if deviation.label == "constant":
-        pair = _agent0_tables(q[:1], observer.channel.rows, deviation.channel.rows[None], 1.0, 1.0)
+        pair = _report_tables(observer.channel.rows, deviation.channel.rows[None], q[:1])
         rec.check("constant_pairing_zero", "equality", abs(_mi_kernel(gen)(pair[0])) <= 1e-12,
                   idx, data)
 
@@ -480,9 +468,10 @@ def _effort_tables(q) -> tuple:
     """Truthful agent 0's report tables with truthful peers on each instance's pair tables
     ``q`` (g, k, m, m): (11, g, k, m, m) at each effort level of the grid with every peer
     investing, and (k + 1, g, k, m, m) in full effort with its first a = 0..k peers investing."""
-    k, eye = q.shape[1], np.eye(q.shape[-1])
-    return (_agent0_tables(q, eye, eye, _EFFORT_GRID[:, None, None, None, None], 1.0),
-            _agent0_tables(q, eye, eye, 1.0, np.tri(k + 1, k, -1)[:, None, :, None, None]))
+    k, eye, x = q.shape[1], np.eye(q.shape[-1]), uniform_distribution(q.shape[-1]).weights
+    grid = _effort_rows(eye, _EFFORT_GRID[:, None, None, None, None], x)
+    active = _effort_rows(eye, np.tri(k + 1, k, -1)[:, None, :, None, None], x)
+    return _report_tables(grid, eye, q), _report_tables(eye, active, q)
 
 
 def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
@@ -527,8 +516,9 @@ def _effort_check(group: list) -> tuple:
     paid = _effort_tables(q)
     # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
     li = np.stack([np.ones_like(lam), np.zeros_like(lam), lam])[:, :, None, None, None]
-    j_full, j_none, j_mix = tables = _agent0_tables(q[:, :1], rows[:, None], np.eye(m), li,
-                                                    1.0)[:, :, 0]
+    tables = _report_tables(_effort_rows(rows[:, None], li, uniform_distribution(m).weights),
+                            np.eye(m), q[:, :1])[:, :, 0]  # folded channels not held past here
+    j_full, j_none, j_mix = tables
     w = lam[:, None, None]
     mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
     cost, pay, active, sides = (np.zeros(s) for s in (size, (size, 11), (size, n), (3, size)))
@@ -726,8 +716,8 @@ def _md_equivalence_instance(rec: _Recorder, config: SuiteConfig, idx: int, rng)
     s2 = sampling.random_mixed_strategy(rng, 2)
     # the truthful pair, the drawn pair and agent 0 anti-correlating, as one stack
     eye = np.eye(2)
-    tables = _agent0_tables(q.table[None], np.stack([eye, s1.channel.rows, _SWAP])[:, None],
-                            np.stack([eye, s2.channel.rows, eye])[:, None], 1.0, 1.0)[:, 0]
+    tables = _report_tables(np.stack([eye, s1.channel.rows, _SWAP])[:, None],
+                            np.stack([eye, s2.channel.rows, eye])[:, None], q.table[None])[:, 0]
     half_tvd, r_half, flip_half = (0.5 * _f_mi(tables, ConvexGenerator.TVD)).tolist()
     reward, r_reward, flip_reward = _agreement_rewards(tables).tolist()
     rec.check("truth_identity", "equality", abs(reward - half_tvd) <= 1e-12, idx,
@@ -946,11 +936,12 @@ def _equivalence_twins(scenario: Scenario, maps: np.ndarray) -> tuple:
     """The scenario relabeled by each of T maps (T, n, m), as arrays: the prior's raw stack, the
     (T, n, m, m) channels, the (T, n, n-1, m, m) exact joints from one :func:`_exact_joints`
     call, and under a world model the (T, m, w, m) world tensors (else None)."""
-    prior = scenario.prior
-    _, channels, probs, lazy = _exact_inputs(scenario)
-    stack, channels = prior._relabel(maps), _relabel_rows(channels, maps)
+    prior, (_, rows) = scenario.prior, _exact_inputs(scenario)
+    stack = prior._relabel(maps)
+    channels = _relabel_rows(np.stack([s.channel.rows for s in scenario.strategies])[None], maps)
+    # a relabeling gathers rows, so it commutes with folding the effort into them
     pairs = functools.partial(prior._pairs, stack=stack)
-    tables = np.concatenate(list(_exact_joints(pairs, channels, probs, lazy)), axis=1)
+    tables = np.concatenate(list(_exact_joints(pairs, _relabel_rows(rows, maps))), axis=1)
     if not isinstance(prior, WorldModelPrior):
         return stack, channels, tables, None
     return stack, channels, tables, _world_tensors(stack, _reported_states(stack, channels))

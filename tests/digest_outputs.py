@@ -49,10 +49,13 @@ four generators, with violation payloads that carry each generator's costs, grid
 utilities and mixture sides.  A
 command that raises instead of writing an output is digested as its exception
 type.
-``--keep DIR`` also writes every output to DIR; ``--diff`` compares two such
-directories field by field and prints, per changed field, the largest
-relative change of a float (|a - b| / max(1, |b|)) or the two differing
-values.
+``--keep DIR`` also writes every output to DIR, and each command's exit status to
+DIR/_status.json; ``--diff`` compares two such directories field by field and prints, per
+changed field, the largest relative change of a float (|a - b| / max(1, |b|)) or the two
+differing values.  It ends with one summary line: the outputs compared, the outputs changed,
+how many of those changed an exit status, their structure or a field that is not a float (an
+integer such as a claim's violation count, a string, a null), and the largest relative float
+change among the others.  It exits 1 when any output changed that way, else 0.
 
 pytest does not collect this file.
 """
@@ -255,12 +258,16 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
     return out
 
 
+STATUS = "_status.json"
+
+
 def run(keep: str | None) -> None:
     from peerlab.cli import main
 
     with tempfile.TemporaryDirectory() as workdir:
         paths = write_inputs(workdir)
         combined = hashlib.sha256()
+        statuses = {}
         for name, argv in commands(paths):
             target = os.path.join(workdir, "out")
             if os.path.exists(target):
@@ -282,6 +289,10 @@ def run(keep: str | None) -> None:
             digest = hashlib.sha256(data + status.encode()).hexdigest()
             combined.update(f"{name} {digest}\n".encode())
             print(f"{digest}  {name}  ({status})")
+            statuses[name] = status
+    if keep:
+        with open(os.path.join(keep, STATUS), "w") as fh:
+            json.dump(statuses, fh, indent=1, sort_keys=True)
     print(f"{combined.hexdigest()}  combined")
 
 
@@ -307,8 +318,11 @@ def _leaves(obj, path=""):
 
 
 def _number(value):
-    """A float from a JSON number or a CSV cell; None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """A float from a JSON float or a CSV cell written as one; None for anything else, an
+    integer included (a count is compared exactly)."""
+    if isinstance(value, float):
+        return value
+    if not isinstance(value, str) or value.lstrip("-").isdigit():
         return None
     try:
         return float(value)
@@ -316,18 +330,36 @@ def _number(value):
         return None
 
 
-def diff(old_dir: str, new_dir: str) -> None:
-    for name in sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir))):
+def _statuses(directory: str) -> dict:
+    try:
+        with open(os.path.join(directory, STATUS)) as fh:
+            return json.load(fh)
+    except FileNotFoundError:  # kept before the statuses were
+        return {}
+
+
+def diff(old_dir: str, new_dir: str) -> int:
+    """Print each changed field, then the summary line; 1 if a status, a structure or a field
+    that is not a float changed, else 0."""
+    old_status, new_status = _statuses(old_dir), _statuses(new_dir)
+    names = sorted((set(os.listdir(old_dir)) | set(os.listdir(new_dir))) - {STATUS})
+    changed, hard, largest = 0, 0, 0.0
+    for name in names:
         try:
             old = _load(open(os.path.join(old_dir, name)).read())
             new = _load(open(os.path.join(new_dir, name)).read())
         except FileNotFoundError:
             print(f"{name}: present on one side only")
+            changed, hard = changed + 1, hard + 1
             continue
-        if old == new:
+        strict = old_status.get(name) != new_status.get(name)
+        if strict:
+            print(f"{name}: {old_status.get(name)} -> {new_status.get(name)}")
+        if old == new and not strict:
             continue
         a, b = dict(_leaves(old)), dict(_leaves(new))
         if a.keys() != b.keys():
+            strict = True
             print(f"{name}: structure differs; only old {sorted(a.keys() - b.keys())[:5]}, "
                   f"only new {sorted(b.keys() - a.keys())[:5]}")
         worst: dict[str, float] = {}
@@ -341,9 +373,17 @@ def diff(old_dir: str, new_dir: str) -> None:
                 rel = abs(y - x) / max(1.0, abs(x))
                 worst[field] = max(worst.get(field, 0.0), rel)
             else:
+                strict = True
                 print(f"{name}: {path}: {a[path]!r} -> {b[path]!r}")
         for field, rel in sorted(worst.items()):
             print(f"{name}: {field}: largest relative change {rel:.3g}")
+        changed, hard = changed + 1, hard + strict
+        if not strict:  # floats of a changed structure may not be the same quantity
+            largest = max([largest, *worst.values()])
+    print(f"{len(names)} outputs compared, {changed} changed, {hard} of them in an exit status, "
+          f"their structure or a field that is not a float; largest relative float change in "
+          f"the others {largest:.3g}")
+    return 1 if hard else 0
 
 
 if __name__ == "__main__":
@@ -352,8 +392,4 @@ if __name__ == "__main__":
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two --keep directories instead of running")
     args = parser.parse_args()
-    if args.diff:
-        diff(*args.diff)
-    else:
-        run(args.keep)
-    sys.exit(0)
+    sys.exit(diff(*args.diff) if args.diff else run(args.keep))

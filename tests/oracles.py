@@ -3,8 +3,9 @@
 The measure oracles are written with plain Python loops and math functions,
 deliberately avoiding the library's own vectorized code paths, so tests can
 cross-check the two routes against each other.  The reference routes at the
-end are the payment loops, the one-scenario-per-effort-level utility, the
-one-scenario-at-a-time exact joints and payments of the scenario-equivalence suite,
+end are the payment loops, the four-term effort mixture of the exact report tables
+(before each agent's effort was folded into her channel), the one-scenario-per-effort-level
+utility, the one-scenario-at-a-time exact joints and payments of the scenario-equivalence suite,
 the per-agent pair-table bodies of the three prior modes, the exact joints of a list of
 scenario objects and the suite's per-twin ``permute_scenario`` route (before one body per
 mode took a block of agents over a stack of priors and the twins became array gathers),
@@ -96,6 +97,7 @@ from peerlab.probability import (
     push_first,
     push_second,
     rng_from_seed,
+    uniform_distribution,
     z_marginal,
 )
 from peerlab.verify import _AGENT_COUNTS, _ALPHABET_SIZES, _jl
@@ -394,6 +396,29 @@ def loop_report_joint(prior, i, j, s_i, s_j, eff_i=None, eff_j=None) -> JointDis
     return JointDistribution(table)
 
 
+def mixture_report_tables(a, b, q, li, lj, xi, xj) -> np.ndarray:
+    """``agents._report_tables`` as it was before each agent's effort was folded into her
+    channel: the four-way mixture over the effort coins, written out term by term.
+
+    ``a`` (..., m, m') is agent i's channel and ``xi`` (..., m') its no-effort weights;
+    ``b`` (..., k, m, m'), ``q`` (..., k, m, m) and ``xj`` (..., k, m') hold one channel,
+    signal-pair table and no-effort weights per reference agent.  ``li`` and ``lj`` are
+    the effort probabilities, broadcast against the (..., k, m', m') result.  Leading axes
+    broadcast against one another, ``a`` and ``xi`` carrying a unit reference axis.
+    """
+    at = a.swapaxes(-1, -2)
+    mi = at @ q.sum(axis=-1)[..., :, None]  # full-effort report marginals: a column
+    mj = q.sum(axis=-2)[..., None, :] @ b  # and a row
+    xi, xj = xi[..., :, None], xj[..., None, :]
+    tables = (
+        li * lj * (at @ q @ b)
+        + li * (1.0 - lj) * (mi * xj)
+        + (1.0 - li) * lj * (xi * mj)
+        + (1.0 - li) * (1.0 - lj) * (xi * xj)
+    )
+    return _validated_tables(tables / tables.shape[-3], rank=3)
+
+
 def loop_empirical_pair_joint(reports, i: int, j: int) -> JointDistribution:
     shared = reports.mask[i] & reports.mask[j]
     total = int(shared.sum())
@@ -550,12 +575,11 @@ def scenario_stack_joints(scenarios):
     channels = np.array([[st.channel.rows for st in s.strategies] for s in scenarios])
     probs = np.array([[e.full_effort_prob for e in row] for row in efforts])[..., None, None]
     lazy = np.array([[e.resolve_no_effort(m).weights for e in row] for row in efforts])
+    rows = agents._effort_rows(channels, probs, lazy)
     block = max(agents.COUNT_CELLS // (len(scenarios) * refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
         q = np.array([[agent_pair_tables(s.prior, i, refs[i]) for i in own] for s in scenarios])
-        yield agents._report_tables(channels[:, own, None], channels[:, refs[own]], q,
-                                    probs[:, own, None], probs[:, refs[own]],
-                                    lazy[:, own, None], lazy[:, refs[own]])
+        yield agents._report_tables(rows[:, own, None], rows[:, refs[own]], q)
 
 
 def twin_route(scenario: Scenario, maps):
@@ -591,12 +615,11 @@ def exact_joints(scenario: Scenario):
     channels = np.stack([s.channel.rows for s in scenario.strategies])
     probs = np.array([e.full_effort_prob for e in efforts])[:, None, None]
     lazy = np.stack([e.resolve_no_effort(m).weights for e in efforts])
+    rows = agents._effort_rows(channels, probs, lazy)
     block = max(agents.COUNT_CELLS // (refs.shape[1] * m * m), 1)
     for own in np.array_split(np.arange(n), range(block, n, block)):
         q = np.stack([agent_pair_tables(prior, i, refs[i]) for i in own])
-        yield agents._report_tables(channels[own, None], channels[refs[own]], q,
-                                    probs[own, None], probs[refs[own]], lazy[own, None],
-                                    lazy[refs[own]])
+        yield agents._report_tables(rows[own, None], rows[refs[own]], q)
 
 
 def stacked_exact_joints(scenarios) -> np.ndarray:
@@ -1058,7 +1081,8 @@ def effort_instance(rec, config, idx: int, rng) -> None:
     lam = float(rng.uniform(0.0, 1.0))
     rows = TransitionMatrix(dirichlet_channel_rows(rng, m, None, None, 0.0)).rows
     li = np.array([1.0, 0.0, lam])[:, None, None, None]  # agent 0 at effort 1, 0 and lam
-    j_full, j_none, j_mix = joints = verify._agent0_tables(q[:1], rows, np.eye(m), li, 1.0)[:, 0]
+    mixed = agents._effort_rows(rows, li, uniform_distribution(m).weights)
+    j_full, j_none, j_mix = joints = agents._report_tables(mixed, np.eye(m), q[:1])[:, 0]
     mix_table = lam * j_full + (1.0 - lam) * j_none
     rec.check("effort_mixture_law", "equality",
               float(np.max(np.abs(j_mix - mix_table))) <= 1e-12, idx, lambda: data)
@@ -1533,8 +1557,8 @@ def generator_effort_check(group: list) -> tuple:
                    for t in verify._effort_tables(q))
     # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
     li = np.stack([np.ones_like(lam), np.zeros_like(lam), lam])[:, :, None, None, None]
-    j_full, j_none, j_mix = tables = verify._agent0_tables(q[:, :1], rows[:, None], np.eye(m),
-                                                           li, 1.0)[:, :, 0]
+    mixed = agents._effort_rows(rows[:, None], li, uniform_distribution(m).weights)
+    j_full, j_none, j_mix = tables = agents._report_tables(mixed, np.eye(m), q[:, :1])[:, :, 0]
     w = lam[:, None, None]
     mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
     mi_full, mi_none, lhs = measures._mi_kernel(gen)(tables)

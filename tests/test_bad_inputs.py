@@ -9,7 +9,8 @@ never counts from the end, in the empirical and in every prior mode's pair joint
 convert to real arrays (ragged, complex), priors built from lists and relabelings of anything but a
 Scenario by a PermutationList raise a PeerLabError too, as do complex arrays, scenario
 documents without a required key or with a node of the wrong JSON type (the error names
-the key, or the node and the type it needs), and unknown suite names.  Report masks hold
+the key, or the node and the type it needs), effort strategies whose probability or cost is
+not one real number or whose no-effort report is not a Distribution, and unknown suite names.  Report masks hold
 bools or 0/1 integers.  The seeds of the samplers and of the payment engines, all-pairs engines that only record one included, are non-negative
 integers of any size; a suite's seed stays in the intp range."""
 
@@ -117,6 +118,27 @@ def test_weight_constructors(x):
 def test_effort_strategy(p, cost):
     eff = built(lambda: EffortStrategy(p, cost))
     assert eff is None or (0.0 <= eff.full_effort_prob <= 1.0 and math.isfinite(eff.cost))
+
+
+@pytest.mark.parametrize("field", ["full_effort_prob", "cost"])
+@pytest.mark.parametrize("value", [None, "x", [0.5], np.array([0.5, 0.5]), np.array(0.5), True],
+                         ids=["None", "str", "list", "array", "0-d-array", "bool"])
+def test_effort_strategy_needs_real_numbers(field, value):
+    with pytest.raises(DimensionMismatch, match=f"^{field} must be a real number"):
+        EffortStrategy(**{field: value})
+
+
+def test_effort_strategy_accepts_numpy_scalars():
+    eff = EffortStrategy(np.float64(0.5), np.float32(0.25))
+    assert (eff.full_effort_prob, eff.cost) == (0.5, 0.25)
+    assert EffortStrategy(np.int64(1), np.int32(0)).full_effort_prob == 1
+
+
+@pytest.mark.parametrize("report", [[0.5, 0.5], np.array([0.5, 0.5]), 0.5],
+                         ids=["list", "array", "number"])
+def test_effort_strategy_needs_a_distribution(report):
+    with pytest.raises(ModeMismatch, match="must be a Distribution or None"):
+        EffortStrategy(0.5, 0.0, report)
 
 
 @given(VALUES, WEIGHTS)
@@ -551,12 +573,24 @@ def test_cli_names_a_missing_scenario_key(tmp_path, capsys):
     ({**SCENARIO_DOC, "efforts": "none"}, "scenario 'efforts' must be a JSON array, not str"),
     ({**WORLD_DOC, "prior": {**WORLD_DOC["prior"], "states": 2}},
      "world-model prior 'states' must be a JSON array, not int"),
+    ({**SCENARIO_DOC, "prior": {**SCENARIO_DOC["prior"], "symmetric": "yes"}},
+     "pairwise prior 'symmetric' must be a JSON boolean, not str"),
+    ({**SCENARIO_DOC, "strategies": [{**SCENARIO_DOC["strategies"][0], "label": 5}] * 2},
+     "strategy 'label' must be a JSON string, not int"),
 ], ids=["scenario-list", "prior-int", "strategy-int", "effort-int", "strategies-int",
-        "efforts-str", "world-states-int"])
+        "efforts-str", "world-states-int", "symmetric-str", "label-int"])
 def test_scenario_document_names_a_node_of_the_wrong_type(doc, message):
     with pytest.raises(WrongFieldType) as info:
         scenario_from_dict(doc)
     assert str(info.value) == message and isinstance(info.value, PeerLabError)
+
+
+@pytest.mark.parametrize("field, value", [("cost", None), ("full_effort_prob", "x"), ("cost", [0.5])],
+                         ids=["cost-null", "prob-str", "cost-list"])
+def test_scenario_document_names_an_effort_field_that_is_no_number(field, value):
+    efforts = [{**SCENARIO_DOC["efforts"][0], field: value}] * 2
+    with pytest.raises(DimensionMismatch, match=f"^{field} must be a real number"):
+        scenario_from_dict({**SCENARIO_DOC, "efforts": efforts})
 
 
 def test_cli_names_a_scenario_node_of_the_wrong_type(tmp_path, capsys):

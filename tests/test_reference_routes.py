@@ -19,7 +19,9 @@ suite's one stack of a scenario and its twins (against
 ``oracles.equivalence_payment_vectors``, and its joints against
 ``oracles.stacked_exact_joints``), its gathered twins' joints and world tensors (against the
 per-twin ``permute_scenario`` route, ``oracles.twin_route``), and each prior mode's pair-table
-body on a stack (against ``oracles.agent_pair_tables``).  Last, the scores and the shifted-score
+body on a stack (against ``oracles.agent_pair_tables``).  The exact report tables with each
+agent's effort folded into her channel must match the four-term effort mixture they replaced
+(``oracles.mixture_report_tables``) bit for bit at full effort, else to 1e-12.  Last, the scores and the shifted-score
 table must match their one-signal and one-cell loops bit for bit, and the log-score
 gain, the reported world states and the optimal predictions their per-atom,
 per-state and per-signal loops to 1e-12."""
@@ -90,7 +92,7 @@ from peerlab import (
 from peerlab import agents as agents_module
 from peerlab import cli
 from peerlab import measures as measures_module
-from peerlab.agents import _count_tables, _inverse_cdf, _report_tables
+from peerlab.agents import _count_tables, _effort_rows, _inverse_cdf, _report_tables
 from peerlab.errors import LogOfZero, PeerLabError, ZeroFrequency
 from peerlab.mechanisms import (
     _agreement_rewards, _comparison_subsets, _empirical_joints, _empirical_mi_payments,
@@ -756,12 +758,12 @@ class TestExactPairLoop:
         refs = [j for j in range(n) if j != i][::-1]
         s, e, prior = scenario.strategies, scenario.effort, scenario.prior
         m = scenario.alphabet_size
-        got = _report_tables(
-            s[i].channel.rows, np.array([s[j].channel.rows for j in refs]),
-            oracles.agent_pair_tables(prior, i, refs), e(i).full_effort_prob,
-            np.array([e(j).full_effort_prob for j in refs])[:, None, None],
-            e(i).resolve_no_effort(m).weights,
-            np.array([e(j).resolve_no_effort(m).weights for j in refs]))
+        a = _effort_rows(s[i].channel.rows, e(i).full_effort_prob,
+                         e(i).resolve_no_effort(m).weights)
+        b = _effort_rows(np.array([s[j].channel.rows for j in refs]),
+                         np.array([e(j).full_effort_prob for j in refs])[:, None, None],
+                         np.array([e(j).resolve_no_effort(m).weights for j in refs]))
+        got = _report_tables(a, b, oracles.agent_pair_tables(prior, i, refs))
         want = [oracles.loop_report_joint(prior, i, j, s[i], s[j], e(i), e(j)).table for j in refs]
         assert_close(got, np.array(want) / len(refs))
 
@@ -869,7 +871,8 @@ class TestReportStacks:
         b = np.array([[s.channel.rows for s, _ in row] for row in peers])
         lj = np.array([[e.full_effort_prob for _, e in row] for row in peers])[..., None, None]
         xj = np.array([[e.no_effort_report.weights for _, e in row] for row in peers])
-        got = _report_tables(a, b, oracles.agent_pair_tables(prior, 0, refs), li, lj, xi, xj)
+        got = _report_tables(_effort_rows(a, li, xi), _effort_rows(b, lj, xj),
+                             oracles.agent_pair_tables(prior, 0, refs))
         assert got.shape == (max(len(own), len(peers)), k, m, m)
         for t, table in enumerate(got):
             (s_i, e_i), row = own[min(t, len(own) - 1)], peers[min(t, len(peers) - 1)]
@@ -908,14 +911,93 @@ class TestEffortStacks:
         prior = sampling.random_pairwise_symmetric_prior(rng, m)
         strat = sampling.random_mixed_strategy(rng, m, kind)
         li = np.array([1.0, 0.0, lam])[:, None, None, None]
-        joints = verify._agent0_tables(prior._pairs([0], [[1]])[0, 0], strat.channel.rows,
-                                       np.eye(m), li, 1.0)[:, 0]
+        mixed = _effort_rows(strat.channel.rows, li, uniform_distribution(m).weights)
+        joints = _report_tables(mixed, np.eye(m), prior._pairs([0], [[1]])[0, 0])[:, 0]
         truth = Strategy(identity_channel(m))
         want = [report_joint(prior, 0, 1, strat, truth, EffortStrategy(l), EffortStrategy(1.0))
                 for l in (1.0, 0.0, lam)]
         assert np.array_equal(joints, [w.table for w in want])
         assert np.array_equal(_mi_kernel(measure)(joints),
                               [mutual_information(w, measure) for w in want])
+
+
+class TestFoldedEffort:
+    """Each agent's effort folded into her channel (``agents._effort_rows``), then one aᵀ q b,
+    against the four-term mixture over the effort coins it replaced
+    (``oracles.mixture_report_tables``): bit for bit where every effort probability is 1, else
+    to REL_TOL, on stacks of channels, on the effort suite's grid and active-peer broadcasts
+    and on the exact engines' stacks of scenarios, whatever the blocks."""
+
+    @staticmethod
+    def assert_matches(got, want, full):
+        if full:
+            assert np.array_equal(got, want)
+        else:
+            assert_close(got, want)
+
+    @given(seeds, st.sampled_from((2, 3, 4)), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_mixture(self, seed, m, k, lead, full, data):
+        rng = rng_from_seed(seed)
+
+        def channels(*shape):
+            return np.array([sampling.random_mixed_strategy(rng, m).channel.rows
+                             for _ in range(math.prod(shape))]).reshape(*shape, m, m)
+
+        def probs(*shape):
+            levels = [1.0] if full else [0.0, 1.0, float(rng.uniform())]
+            return np.array(data.draw(st.lists(st.sampled_from(levels), min_size=math.prod(shape),
+                                               max_size=math.prod(shape)))).reshape(*shape, 1, 1)
+
+        def weights(*shape):
+            return np.array([sampling.random_distribution(rng, m).weights
+                             for _ in range(math.prod(shape))]).reshape(*shape, m)
+
+        a, b, q = channels(lead, 1), channels(lead, k), channels(k) / m  # q: tables of mass 1
+        li, lj, xi, xj = probs(lead, 1), probs(lead, k), weights(lead, 1), weights(lead, k)
+        got = _report_tables(_effort_rows(a, li, xi), _effort_rows(b, lj, xj), q)
+        self.assert_matches(got, oracles.mixture_report_tables(a, b, q, li, lj, xi, xj), full)
+
+    @given(seeds, st.sampled_from((2, 3, 4)), st.sampled_from((2, 3)), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_effort_grid_and_active_peers_equal_mixture(self, seed, m, n, size):
+        rng = rng_from_seed(seed)
+        priors = [sampling.random_pairwise_symmetric_prior(rng, m) for _ in range(size)]
+        q = np.stack([p._pairs([0], [range(1, n)])[0, 0] for p in priors])
+        eye, x, k = np.eye(m), uniform_distribution(m).weights, n - 1
+        grid, active = verify._effort_tables(q)
+        lam = verify._EFFORT_GRID[:, None, None, None, None]
+        want = oracles.mixture_report_tables(eye, eye, q, lam, 1.0, x, x[None])
+        self.assert_matches(grid[-1], want[-1], True)  # the grid's last level is 1
+        assert_close(grid, want)
+        peers = np.tri(k + 1, k, -1)[:, None, :, None, None]
+        want = oracles.mixture_report_tables(eye, eye, q, 1.0, peers, x, x[None])
+        self.assert_matches(active[-1], want[-1], True)  # the last row has every peer investing
+        assert_close(active, want)
+
+    @given(seeds, st.sampled_from(("full", "pairwise", "world")), st.sampled_from((2, 3, 5)),
+           st.sampled_from((2, 3)), st.lists(st.booleans(), min_size=1, max_size=6),
+           st.sampled_from((1, 40, agents_module.COUNT_CELLS)))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_joint_stacks_equal_mixture(self, seed, mode, n, m, efforts, cells):
+        rng = rng_from_seed(seed)
+        scenarios = [mode_scenario(rng, mode, n, m, e, states=3) for e in efforts]
+        pairs = functools.partial(scenarios[0].prior._pairs,
+                                  stack=prior_stack([s.prior for s in scenarios]))
+        rows = np.concatenate([_exact_inputs(s)[1] for s in scenarios])
+        with mock.patch.object(agents_module, "COUNT_CELLS", cells):
+            got = np.concatenate(list(_exact_joints(pairs, rows)), axis=1)
+        refs = _reference_sets(n, PAIRINGS[0], None)
+        own = [[s.effort(i) for i in range(n)] for s in scenarios]
+        probs = np.array([[e.full_effort_prob for e in row] for row in own])[..., None, None]
+        lazy = np.array([[e.resolve_no_effort(m).weights for e in row] for row in own])
+        channels = np.array([[strat.channel.rows for strat in s.strategies] for s in scenarios])
+        want = oracles.mixture_report_tables(
+            channels[:, :, None], channels[:, refs], pairs(np.arange(n), refs),
+            probs[:, :, None], probs[:, refs], lazy[:, :, None], lazy[:, refs])
+        for t, effort in enumerate(efforts):
+            self.assert_matches(got[t], want[t], not effort)
 
 
 def mode_scenario(rng, mode: str, n: int, m: int, efforts: bool, states=None,
@@ -1100,9 +1182,9 @@ class TestEquivalenceStack:
         scenarios = [mode_scenario(rng, mode, n, m, e, states=3) for e in efforts]
         pairs = functools.partial(scenarios[0].prior._pairs,
                                   stack=prior_stack([s.prior for s in scenarios]))
-        arrays = [np.concatenate(parts) for parts in list(zip(*map(_exact_inputs, scenarios)))[1:]]
+        rows = np.concatenate([_exact_inputs(s)[1] for s in scenarios])
         with mock.patch.object(agents_module, "COUNT_CELLS", cells):
-            blocks = list(_exact_joints(pairs, *arrays))
+            blocks = list(_exact_joints(pairs, rows))
             want = oracles.stacked_exact_joints(scenarios)
         size = max(cells // (len(scenarios) * (n - 1) * m * m), 1)
         assert [b.shape[:2] for b in blocks] == [(len(scenarios), len(range(n)[k:k + size]))
@@ -2028,7 +2110,7 @@ class TestOneStackInstances:
         a = sampling.random_mixed_strategy(rng, m, kind_a)
         b = sampling.random_mixed_strategy(rng, m, kind_b)
         q = prior._pairs([0], [range(1, n)])[0, 0]
-        got = verify._agent0_tables(q[:1], a.channel.rows, b.channel.rows[None], 1.0, 1.0)[0]
+        got = _report_tables(a.channel.rows, b.channel.rows[None], q[:1])[0]
         want = report_joint(prior, 0, 1, a, b)
         assert np.array_equal(got, want.table)
         assert np.array_equal(_mi_kernel(measure)(got), mutual_information(want, measure))
