@@ -115,6 +115,8 @@ class PairwisePrior(_PairJoints):
     def __post_init__(self):
         if not isinstance(self.joint, JointDistribution):
             raise ModeMismatch(f"PairwisePrior needs a JointDistribution, got {self.joint!r}")
+        if not isinstance(self.symmetric, (bool, np.bool_)):
+            raise ModeMismatch(f"symmetric must be a bool, not {type(self.symmetric).__name__}")
         table = self.joint._require_pairwise("PairwisePrior")
         if table.shape[0] != table.shape[1]:
             raise DimensionMismatch("pairwise prior must be square")
@@ -253,6 +255,10 @@ class Strategy:
 
     channel: TransitionMatrix
     label: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ModeMismatch(f"label must be a str, not {type(self.label).__name__}")
 
     @property
     def is_permutation(self) -> bool:
@@ -810,8 +816,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.efforts is not None:
         d["efforts"] = [
             {
-                "full_effort_prob": e.full_effort_prob,
-                "cost": e.cost,
+                "full_effort_prob": float(e.full_effort_prob),
+                "cost": float(e.cost),
                 "no_effort_report": (
                     None if e.no_effort_report is None else e.no_effort_report.weights.tolist()
                 ),

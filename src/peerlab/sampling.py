@@ -14,10 +14,11 @@ columns are the bounded integers ``rng.choice(m_out, k, replace=False)`` draws (
 algorithm, then a one-swap shuffle), taken one by one.
 
 Table drawing is split in two: a *read* makes an instance's generator calls in stream order
-and keeps raw values (unit exponentials, or a permutation or sparse channel's cells), and a
-*stack* builds the tables of many reads in one array pass, each with the bits it has alone
-(``_floored_tables``, ``_channel_stack``, ``_ci_tables``); ``_channel_rows`` is the stack of
-one read.  The public samplers read with the caller's generator.  The suites read a fresh
+and writes the raw values into a block of zeros of the table's shape (unit exponentials, or a
+permutation or sparse channel's cells) with a flag for the blocks to floor, and a *stack*
+builds the tables of many blocks in one array pass, each with the bits it has alone
+(``_floored_tables``, ``_channel_stack``, ``_ci_tables``); ``_channel_rows`` builds one
+read's table.  The public samplers read with the caller's generator.  The suites read a fresh
 instance generator through ``_Halves``, which takes the bounded 32-bit draws as numpy takes
 them from PCG64's raw 64-bit words: a draw is the low half of a fresh word, whose high half is
 buffered for the next draw, and 64-bit draws neither read nor clear that half.
@@ -174,27 +175,31 @@ class _Halves:
         return out
 
 
-def _channel_read(rng, m_in: int, m_out: int | None = None, kind: str | None = None):
-    """One channel of the given (else a sampled) kind, as :func:`_channel_stack` reads it:
-    a dense or constant channel's unit exponentials (m_in, m_out), the constant row repeated,
-    or a permutation or sparse channel's cells (rows, columns, values).  ``rng`` is a
-    generator or a :class:`_Halves`."""
-    m_out = m_in if m_out is None else m_out
+def _channel_read(rng, block: np.ndarray, kind: str | None = None) -> bool:
+    """Draw one channel of the given (else a sampled) kind into ``block`` (m_in, m_out), which
+    holds zeros, and return whether :func:`_channel_stack` floors it: a dense or constant
+    channel's unit exponentials (the constant row repeated) are floored, a permutation or sparse
+    channel's cells stand on the zeros.  ``rng`` is a generator or a :class:`_Halves`."""
+    m_in, m_out = block.shape
     kind = kind or random_strategy_kind(rng)
     if kind == "permutation" and m_in != m_out:
         kind = "sparse"
     if kind == "dense":
-        return rng.standard_exponential((m_in, m_out))
+        rng.standard_exponential(out=block)
+        return True
     if kind == "constant":
-        return rng.standard_exponential((1, m_out)).repeat(m_in, axis=0)
+        rng.standard_exponential(out=block[0])
+        block[1:] = block[0]
+        return True
     if kind == "permutation":
-        return range(m_in), rng.permutation(m_in), [1.0] * m_in
+        for r, col in enumerate(rng.permutation(m_in)):
+            block[r, col] = 1.0
+        return False
     if kind != "sparse":
         raise DimensionMismatch(f"unknown channel kind {kind!r}")
     # per row 1 or 2 columns, as rng.choice(m_out, size, replace=False) draws them (Floyd's
     # draws, then a one-swap shuffle), over the flat-Dirichlet weights of _floored_rows
     below, widest = rng.integers, min(m_out, 2)
-    rows, cols, values = [], [], []
     for r in range(m_in):
         if below(widest) == 0:
             support, e = [below(m_out)], [rng.standard_exponential()]
@@ -205,46 +210,24 @@ def _channel_read(rng, m_in: int, m_out: int | None = None, kind: str | None = N
                 support.reverse()
             e = rng.standard_exponential(2).tolist()
         scale = 1.0 / (e[0] + e[1] if len(e) == 2 else e[0])
-        rows += [r] * len(e)
-        cols += support
-        values += [x * scale for x in e]
-    return rows, cols, values
+        for col, x in zip(support, e):
+            block[r, col] = x * scale
+    return False
 
 
-def _channel_stack(reads: list, m_in: int, m_out: int,
+def _channel_stack(blocks: np.ndarray, floored: np.ndarray,
                    floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
-    """The (len(reads), m_in, m_out) rows of :func:`_channel_read` values: all exponential
-    tables floored in one pass, all cells scattered in one; a lone read, as the public samplers
-    draw it, goes straight into its table."""
-    if len(reads) == 1:
-        read = reads[0]
-        if type(read) is np.ndarray:
-            return _floored_rows(read, floor_frac)[None]
-        out = np.zeros((1, m_in, m_out))
-        out[0, read[0], read[1]] = read[2]
-        return out
-    dense, at, rows, cols, values = [], [], [], [], []
-    for pos, read in enumerate(reads):
-        if type(read) is np.ndarray:
-            dense.append(pos)
-        else:
-            at += [pos] * len(read[2])
-            rows.extend(read[0])
-            cols.extend(read[1])
-            values.extend(read[2])
-    if len(dense) == len(reads):
-        return _floored_rows(np.array(reads), floor_frac)
-    out = np.zeros((len(reads), m_in, m_out))
-    if dense:
-        out[dense] = _floored_rows(np.array([reads[pos] for pos in dense]), floor_frac)
-    out[at, rows, cols] = values
+    """The channels of :func:`_channel_read` blocks (g, m_in, m_out): the blocks flagged in
+    ``floored`` as flat-Dirichlet rows in one pass, the others as they stand."""
+    out = blocks.copy()
+    out[floored] = _floored_rows(blocks[floored], floor_frac)
     return out
 
 
 def _channel_rows(rng, m_in: int, m_out: int | None = None, kind: str | None = None,
                   floor_frac: float = _FLOOR_FRAC) -> np.ndarray:
-    m_out = m_in if m_out is None else m_out
-    return _channel_stack([_channel_read(rng, m_in, m_out, kind)], m_in, m_out, floor_frac)[0]
+    block = np.zeros((m_in, m_in if m_out is None else m_out))
+    return _floored_rows(block, floor_frac) if _channel_read(rng, block, kind) else block
 
 
 def random_generator_choice(rng, strictly_convex_only: bool = False) -> ConvexGenerator:

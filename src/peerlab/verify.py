@@ -3,28 +3,27 @@
 Each suite draws seeded random instances, checks the claimed (in)equalities
 at configured tolerances, and returns a machine-readable verdict.  A suite is
 an optional global part (checks recorded at instance -1) plus an instance
-part that the runner hands the instance indices in chunks.  Each instance is
+part that the runner streams the instance indices to.  Each instance is
 drawn on its own from a generator in the state ``rng_from_seed(config.seed,
 idx)`` starts in, which ``probability._instance_rngs`` sets from one
-SeedSequence hash of the whole chunk's seeds (bts' global population draws take
+SeedSequence hash of a whole chunk's seeds (bts' global population draws take
 spawn-keyed streams, which no instance stream meets); most suites then
 check it alone, some on one stack per instance (scenario-equivalence of it
 and its relabeled twins, md-equivalence of its three report pairs, bts of its
 two world tensors), while the one-table suites (bregman-quasi, accuracy-gain)
-and effort first take each instance's reads (``sampling``'s raw draws, whose
-bounded draws start from the fresh generator's empty buffered half), then per
-shape group of the chunk build its tables from the reads as one stack, with
-the bits the public samplers give each table, validate the stack once with the
-tests the validated objects would have applied, check it in one call, and
-record the instances in index order; a failed claim's payload rebuilds its
-instance's tables from its reads.  A table's value never
+and effort write each instance's reads (``sampling``'s raw draws, whose
+bounded draws start from the fresh generator's empty buffered half) into the
+pending stack of its shape, and once a stack holds ``_CHUNK`` rows, or the run
+ends, build its tables as one array, with the bits the public samplers give
+each table, validate them once as the validated objects would, check them in
+one call and count each claim from the check's arrays; only a failed claim or a
+finding builds its payload, from its instance's rows.  A table's value never
 depends on the stack it is in, so instance ``idx`` stays a pure function of
 ``(config.seed, idx)``: verdict JSON is byte-identical across runs and any
-recorded violation is replayed by re-running its one instance as a chunk of
-one (``replay_violation``).  Violations also carry their witness data for
-reading, which the recorder builds only for a claim that fails.  Claims that
-are asymptotic in the source theory are tagged
-``convergence`` rather than ``equality``.
+recorded violation is replayed by re-running its one instance alone
+(``replay_violation``).  Violations also carry their witness data for reading,
+which the recorder builds only for a claim that fails.  Claims that are
+asymptotic in the source theory are tagged ``convergence``, not ``equality``.
 
 Strictness assertions follow the proved direction only: a strict decrease is
 required exactly where the witness condition holds (strictly convex
@@ -209,6 +208,20 @@ class _Recorder:
             entry["violations"] += 1
             self.violations.append({"instance": instance, "claim": name, "data": data()})
 
+    def checks(self, name: str, kind: str, ok: np.ndarray, instances: np.ndarray,
+               data: Callable[[int], dict], where: np.ndarray | None = None) -> None:
+        """:meth:`check` on each row of a stack (each row in the mask ``where``): ``ok`` and
+        ``instances`` hold one entry per row, and a failed row's payload is ``data(row)``."""
+        counted = np.ones(len(ok), dtype=bool) if where is None else where
+        if counted.any():
+            entry = self.claims.setdefault(
+                name, {"name": name, "kind": kind, "instances": 0, "violations": 0})
+            entry["instances"] += int(counted.sum())
+            failed = np.flatnonzero(counted & ~ok).tolist()
+            entry["violations"] += len(failed)
+            self.violations += [{"instance": int(instances[row]), "claim": name,
+                                 "data": data(row)} for row in failed]
+
     def margin(self, value: float) -> None:
         self.margins.append(float(value))
 
@@ -227,6 +240,8 @@ class _Recorder:
         self.findings.append(entry)
 
     def verdict(self) -> SuiteVerdict:
+        """Violations and findings stable-sorted by instance: stacks are checked out of index
+        order, and the sort restores it while keeping each instance's claim order."""
         hist = {label: 0 for label in _HIST_LABELS}
         for m in self.margins:
             idx = sum(m >= edge for edge in _HIST_EDGES)
@@ -240,61 +255,80 @@ class _Recorder:
             suite=self.config.suite,
             config=self.config.to_dict(),
             instances=self.config.instances,
-            violations=tuple(self.violations),
+            violations=tuple(sorted(self.violations, key=lambda v: v["instance"])),
             strictness=stats,
             strictness_histogram=hist,
             claims=tuple(self.claims[name] for name in sorted(self.claims)),
-            findings=tuple(self.findings),
+            findings=tuple(sorted(self.findings, key=lambda f: f["instance"])),
             passed=not self.violations,
         )
 
 
-_CHUNK = 512  # instances drawn before one check; bounds what a check holds at once
+_CHUNK = 192  # instances seeded by one hash, and the rows a shape stack holds before its check
 
 
 def _run(config: SuiteConfig, indices=None) -> _Recorder:
     """Run the parts of ``config.suite`` on a fresh recorder over ``indices``
     (default: all of them).  Index -1 is the global part ``setup(rec, config)``,
-    skipped when the suite has none.  The indices ``>= 0`` go, in order and in
-    chunks of at most ``_CHUNK``, to ``instances(rec, config, chunk)``, which
-    draws each instance ``idx`` of the chunk alone, from ``_instance_rngs``' generator
-    in the state of ``rng_from_seed(config.seed, idx)``, checks the chunk (per instance
-    or stacked) and records it in index order; so each instance is still a pure
-    function of ``(config.seed, idx)``."""
+    skipped when the suite has none.  The indices ``>= 0`` stream in order to
+    ``instances(rec, config, pairs)`` as ``(idx, rng)`` pairs, ``rng`` set by ``_instance_rngs``
+    (hashed for ``_CHUNK`` indices at once) to the state of ``rng_from_seed(config.seed, idx)``;
+    the part draws each instance alone and checks it alone (:func:`_each`) or on its shape's
+    stack (:func:`_stacked`), so each instance is still a pure function of its index."""
     setup, instances, _ = _PARTS[config.suite]
     rec = _Recorder(config)
     indices = range(-1, config.instances) if indices is None else indices
     if setup is not None and -1 in indices:
         setup(rec, config)
     todo = [idx for idx in indices if idx >= 0]
-    for start in range(0, len(todo), _CHUNK):
-        instances(rec, config, todo[start:start + _CHUNK])
+    chunks = (todo[start:start + _CHUNK] for start in range(0, len(todo), _CHUNK))
+    instances(rec, config, (pair for chunk in chunks
+                            for pair in zip(chunk, _instance_rngs(config.seed, chunk))))
     return rec
 
 
 def _each(instance):
-    """The chunk part of a suite that checks one instance at a time:
-    ``instance(rec, config, idx, rng)`` per index, ``rng`` in the state of
-    ``rng_from_seed(config.seed, idx)``."""
-    def run_chunk(rec: _Recorder, config: SuiteConfig, chunk) -> None:
-        for idx, rng in zip(chunk, _instance_rngs(config.seed, chunk)):
+    """The instance part of a suite that checks each instance alone: ``instance(rec, config,
+    idx, rng)`` per pair."""
+    def run(rec: _Recorder, config: SuiteConfig, pairs) -> None:
+        for idx, rng in pairs:
             instance(rec, config, idx, rng)
-    return run_chunk
+    return run
 
 
-def _grouped(items: list, key, check) -> list:
-    """Per item, in order, its row (as Python scalars) of the arrays that
-    ``check(group)`` returns, with one entry per member, for the group of items
-    sharing its ``key``; ``check`` runs once per group."""
-    groups: dict = {}
-    for pos, item in enumerate(items):
-        groups.setdefault(key(item), []).append(pos)
-    rows = [None] * len(items)
-    for positions in groups.values():
-        columns = [col.tolist() for col in check([items[p] for p in positions])]
-        for pos, row in zip(positions, zip(*columns)):
-            rows[pos] = row
-    return rows
+class _Stack:
+    """Pending rows of one shape ``key``: indices ``idx`` and per field a zero-filled array of
+    (row shape, dtype) rows, doubled up to ``_CHUNK`` as rows come; reads write into them."""
+
+    def __init__(self, key, **fields):
+        self.key, self.size, self._fields = key, 0, {"idx": ((), np.int64), **fields}
+        for name, (shape, dtype) in self._fields.items():
+            setattr(self, name, np.zeros((1,) + shape, dtype))
+
+    def add(self, idx: int) -> int:
+        """The next row, for instance ``idx``."""
+        if self.size == len(self.idx):
+            for name in self._fields:
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate([old, np.zeros_like(old[:_CHUNK - len(old)])]))
+        self.idx[self.size] = idx
+        self.size += 1
+        return self.size - 1
+
+
+def _stacked(read, check):
+    """The instance part of a suite checked on stacks: ``read(stacks, idx, rng)`` writes instance
+    ``idx`` into the :class:`_Stack` of its shape in ``stacks`` and returns it; ``check(rec,
+    config, stack)`` takes out each stack that holds ``_CHUNK`` rows, and the rest at the end."""
+    def run(rec: _Recorder, config: SuiteConfig, pairs) -> None:
+        stacks: dict = {}
+        for idx, rng in pairs:
+            stack = read(stacks, idx, rng)
+            if stack.size == _CHUNK:
+                check(rec, config, stacks.pop(stack.key))
+        while stacks:
+            check(rec, config, stacks.popitem()[1])
+    return run
 
 
 def _jl(arr) -> list:
@@ -488,30 +522,34 @@ def _effort_global(rec: _Recorder, config: SuiteConfig) -> None:
               abs(utils[0] - utils[-1]) <= 1e-12, -1, lambda: {"grid_utilities": utils})
 
 
-def _effort_read(rng) -> tuple:
-    """Peer count, the joint's unit exponentials, generator, the unit draws of cost and lambda,
-    and the strategy's channel read, in the public samplers' stream order from a fresh
-    instance generator: ``rng.uniform(0.0, h)`` is ``h * rng.random()``."""
+def _effort_read(stacks: dict, idx: int, rng) -> _Stack:
+    """Into the stack of its (alphabet, peer count), instance ``idx``'s joint exponentials,
+    generator, unit draws of cost and lambda (``rng.uniform(0.0, h)`` is ``h * rng.random()``)
+    and strategy block with its floor flag, in the samplers' order from a fresh generator."""
     draws = sampling._Halves(rng)
     m = sampling._pick(draws, _ALPHABET_SIZES)
     n = sampling._pick(draws, _AGENT_COUNTS)
-    joint = draws.standard_exponential((m, m))
-    gen = sampling.random_generator_choice(draws)
-    cost_unit, lam = draws.random(), draws.random()
-    return n, joint, gen, cost_unit, lam, sampling._channel_read(draws, m)
+    s = stacks.get((m, n)) or stacks.setdefault((m, n), _Stack(
+        (m, n), joint=((m, m), float), gen=((), np.int8), cost_unit=((), float),
+        lam=((), float), rows=((m, m), float), floored=((), bool)))
+    row = s.add(idx)
+    draws.standard_exponential(out=s.joint[row])
+    s.gen[row] = sampling._GENERATORS.index(sampling.random_generator_choice(draws))
+    s.cost_unit[row], s.lam[row] = draws.random(), draws.random()
+    s.floored[row] = sampling._channel_read(draws, s.rows[row])
+    return s
 
 
-def _effort_check(group: list) -> tuple:
-    """Per instance of a group with one alphabet and peer count: its cost, grid utilities,
+def _effort_check(s: _Stack) -> tuple:
+    """Per row of a stack of one alphabet and peer count: its prior, cost, grid utilities,
     payments by active peers, mixture-law gap and both sides of mixture convexity.  Joints,
-    priors, strategies and agent 0's report tables are built from the reads as one stack each
-    and validated, joints and priors as rank-2 tables, strategies by row; each generator's
-    kernel runs on its own instances' rows, which keeps the floats of a one-generator group."""
-    n, m, size = group[0][0], group[0][1].shape[0], len(group)
-    joints = _validated_tables(sampling._floored_tables(np.array([d[1] for d in group])), rank=2)
+    priors, strategies and agent 0's report tables are built and validated as one stack each;
+    each generator's kernel runs on its own rows, which keeps a one-generator stack's floats."""
+    (m, n), size = s.key, s.size
+    joints = _validated_tables(sampling._floored_tables(s.joint[:size]), rank=2)
     priors = _validated_tables(sampling._symmetrized(joints), rank=2)
-    rows = _validated_tables(sampling._channel_stack([d[5] for d in group], m, m, 0.0), rank=1)
-    cost_unit, lam = np.array([d[3] for d in group]), np.array([d[4] for d in group])
+    rows = _validated_tables(sampling._channel_stack(s.rows[:size], s.floored[:size], 0.0), rank=1)
+    cost_unit, lam, gens = s.cost_unit[:size], s.lam[:size], s.gen[:size]
     q = np.broadcast_to(priors[:, None], (size, n - 1) + priors.shape[1:])
     paid = _effort_tables(q)
     # agent 0 at effort 1, 0 and lam, with its mixed strategy against one truthful peer
@@ -521,36 +559,34 @@ def _effort_check(group: list) -> tuple:
     j_full, j_none, j_mix = tables
     w = lam[:, None, None]
     mix_gap = np.max(np.abs(j_mix - (w * j_full + (1.0 - w) * j_none)), axis=(-2, -1))
-    cost, pay, active, sides = (np.zeros(s) for s in (size, (size, 11), (size, n), (3, size)))
-    for gen in dict.fromkeys(d[2] for d in group):
-        at, kernel = np.array([d[2] is gen for d in group]), _mi_kernel(gen)
+    cost, pay, active, sides = (np.zeros(k) for k in (size, (size, 11), (size, n), (3, size)))
+    for code in np.unique(gens).tolist():
+        at, kernel = gens == code, _mi_kernel(sampling._GENERATORS[code])
         cost[at] = 1.5 * np.maximum(kernel(priors[at]), 1e-3) * cost_unit[at]
         pay[at], active[at] = (_slice_mean(t[:, at], kernel).T for t in paid)
         sides[:, at] = kernel(tables[:, at])
     mi_full, mi_none, lhs = sides
     rhs = lam * mi_full + (1.0 - lam) * mi_none
-    return cost, pay - _EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
+    return priors, cost, pay - _EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
 
 
-def _effort_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
-    tol = config.equality_tol
-    reads = [_effort_read(rng) for rng in _instance_rngs(config.seed, chunk)]
-    checked = _grouped(reads, lambda d: (d[1].shape, d[0]), _effort_check)
-    for idx, d, (cost, utils, payments, gap, lhs, rhs) in zip(chunk, reads, checked):
-        def data() -> dict:
-            prior = sampling._symmetrized(sampling._floored_tables(d[1][None]))[0]
-            return {"prior": _jl(prior), "measure": d[2].value,
-                    "cost": cost, "grid_utilities": utils}
-        rec.check("pure_effort_optimal", "inequality",
-                  max(utils) <= max(utils[0], utils[-1]) + 1e-12, idx, data)
-        # effort monotonicity: payment under truth as peers join full effort
-        monotone = all(b <= a + tol for a, b in zip(payments[1:], payments))
-        rec.check("effort_monotone", "inequality", monotone, idx,
-                  lambda: {"payments_by_active_peers": payments, **data()})
-        # mixture convexity of the information measure
-        rec.check("effort_mixture_law", "equality", gap <= 1e-12, idx, data)
-        rec.check("mixture_convexity", "inequality", lhs <= rhs + tol, idx,
-                  lambda: {"lam": d[4], "lhs": lhs, "rhs": rhs, **data()})
+def _effort_instances(rec: _Recorder, config: SuiteConfig, s: _Stack) -> None:
+    tol, idx = config.equality_tol, s.idx[:s.size]
+    priors, cost, utils, payments, gap, lhs, rhs = _effort_check(s)
+
+    def data(row: int) -> dict:
+        return {"prior": _jl(priors[row]), "measure": sampling._GENERATORS[s.gen[row]].value,
+                "cost": float(cost[row]), "grid_utilities": utils[row].tolist()}
+    rec.checks("pure_effort_optimal", "inequality",
+               utils.max(axis=1) <= np.maximum(utils[:, 0], utils[:, -1]) + 1e-12, idx, data)
+    # effort monotonicity: payment under truth as peers join full effort
+    rec.checks("effort_monotone", "inequality",
+               np.all(payments[:, :-1] <= payments[:, 1:] + tol, axis=1), idx,
+               lambda row: {"payments_by_active_peers": payments[row].tolist(), **data(row)})
+    # mixture convexity of the information measure
+    rec.checks("effort_mixture_law", "equality", gap <= 1e-12, idx, data)
+    rec.checks("mixture_convexity", "inequality", lhs <= rhs + tol, idx, lambda row: {
+        "lam": float(s.lam[row]), "lhs": float(lhs[row]), "rhs": float(rhs[row]), **data(row)})
 
 
 def suite_effort(config: SuiteConfig) -> SuiteVerdict:
@@ -565,68 +601,60 @@ def suite_effort(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _bregman_quasi_read(rng) -> tuple:
-    """The joint's unit exponentials (mx, my), rule, and X and Y channel reads, in the public
-    samplers' stream order from a fresh instance generator."""
+def _bregman_quasi_read(stacks: dict, idx: int, rng) -> _Stack:
+    """Into the stack of its joint shape, instance ``idx``'s joint exponentials, rule, and X and
+    Y channel blocks with their floor flags, in the samplers' order from a fresh generator."""
     draws = sampling._Halves(rng)
     mx = sampling._pick(draws, _ALPHABET_SIZES)
     my = sampling._pick(draws, _ALPHABET_SIZES)
-    joint = draws.standard_exponential((mx, my))
-    rule = sampling.random_rule_choice(draws)
-    return joint, rule, sampling._channel_read(draws, mx), sampling._channel_read(draws, my)
+    s = stacks.get((mx, my)) or stacks.setdefault((mx, my), _Stack(
+        (mx, my), joint=((mx, my), float), rule=((), np.int8), x=((mx, mx), float),
+        x_floored=((), bool), y=((my, my), float), y_floored=((), bool)))
+    row = s.add(idx)
+    draws.standard_exponential(out=s.joint[row])
+    s.rule[row] = sampling._RULES.index(sampling.random_rule_choice(draws))
+    s.x_floored[row] = sampling._channel_read(draws, s.x[row])
+    s.y_floored[row] = sampling._channel_read(draws, s.y[row])
+    return s
 
 
-def _bregman_quasi_check(group: list) -> tuple:
-    """Per instance of a group with one joint shape (so one shape of each square channel): BMI
-    before and after each channel, whether the X channel is the identity, and the log bridge
-    gap.  The joints and channels are built from the reads as one stack each and validated,
-    the joints as rank-2 tables, the channels row by row and both pushes as one stack; the
-    BMI of the joints and both pushes is taken once per rule of the group, and each instance
-    reads its own rule's."""
-    mx, my = group[0][0].shape
-    joints = _validated_tables(sampling._floored_tables(np.array([d[0] for d in group])), rank=2)
-    channels = _validated_tables(sampling._channel_stack([d[2] for d in group], mx, mx), rank=1)
-    y_channels = _validated_tables(sampling._channel_stack([d[3] for d in group], my, my), rank=1)
+def _bregman_quasi_check(s: _Stack) -> tuple:
+    """The joints, X and Y channels of a stack of one joint shape, each built and validated as
+    one stack (joints as rank-2 tables, channels by row, both pushes as one stack), then per row
+    BMI before and after each channel, whether the X channel is the identity, and the log
+    bridge gap; BMI is taken once per rule over the stack, and each row reads its rule's."""
+    n = s.size
+    joints = _validated_tables(sampling._floored_tables(s.joint[:n]), rank=2)
+    channels = _validated_tables(sampling._channel_stack(s.x[:n], s.x_floored[:n]), rank=1)
+    y_channels = _validated_tables(sampling._channel_stack(s.y[:n], s.y_floored[:n]), rank=1)
     pushed = _validated_tables(np.concatenate([_push_first(joints, channels),
                                                joints @ y_channels]), rank=2)
     tables = np.concatenate([joints, pushed])
-    rules = list(dict.fromkeys([ScoringRule.LOG] + [d[1] for d in group]))
-    bmi = np.stack([_bregman_mi(tables, rule).reshape(3, len(group)) for rule in rules])
-    pick = [rules.index(d[1]) for d in group]
-    before, after, after_y = bmi[pick, :, np.arange(len(group))].T
-    bridge_gap = np.abs(bmi[0, 0] - _shannon_mi(joints))
-    return before, after, _identity_mask(channels), bridge_gap, after_y
+    bmi = np.stack([_bregman_mi(tables, rule).reshape(3, n) for rule in sampling._RULES])
+    before, after, after_y = bmi[s.rule[:n], :, np.arange(n)].T
+    bridge_gap = np.abs(bmi[sampling._RULES.index(ScoringRule.LOG), 0] - _shannon_mi(joints))
+    identity = _identity_mask(channels)
+    return joints, channels, y_channels, before, after, identity, bridge_gap, after_y
 
 
-def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
-    tol, stol = config.equality_tol, config.strictness_tol
-    reads = [_bregman_quasi_read(rng) for rng in _instance_rngs(config.seed, chunk)]
-    checked = _grouped(reads, lambda d: d[0].shape, _bregman_quasi_check)
-    for idx, (e, rule, x_read, y_read), values in zip(chunk, reads, checked):
-        before, after, identity, bridge_gap, after_y = values
-        mx, my = e.shape
+def _bregman_quasi_instances(rec: _Recorder, config: SuiteConfig, s: _Stack) -> None:
+    tol, stol, idx = config.equality_tol, config.strictness_tol, s.idx[:s.size]
+    joints, channels, y_channels, before, after, identity, gap, after_y = _bregman_quasi_check(s)
 
-        def joint() -> list:
-            return _jl(sampling._floored_tables(e[None])[0])
-
-        def data() -> dict:
-            return {"joint": joint(), "channel": _jl(sampling._channel_stack([x_read], mx, mx)[0]),
-                    "rule": rule.value, "before": before, "after": after}
-        rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
-        if identity:
-            rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
-        rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
-                  lambda: {"joint": joint(), "gap": bridge_gap})
-        if after_y > before + stol:
-            rec.finding({
-                "kind": "second_entry_increase",
-                "instance": idx,
-                "joint": joint(),
-                "y_channel": _jl(sampling._channel_stack([y_read], my, my)[0]),
-                "rule": rule.value,
-                "before": before,
-                "after": after_y,
-            })
+    def data(row: int) -> dict:
+        return {"joint": _jl(joints[row]), "channel": _jl(channels[row]),
+                "rule": sampling._RULES[s.rule[row]].value, "before": float(before[row]),
+                "after": float(after[row])}
+    rec.checks("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
+    rec.checks("identity_equality", "equality", np.abs(after - before) <= 1e-12, idx, data,
+               identity)
+    rec.checks("log_bridge", "equality", gap <= tol, idx,
+               lambda row: {"joint": _jl(joints[row]), "gap": float(gap[row])})
+    for row in np.flatnonzero(after_y > before + stol).tolist():
+        rec.finding({"kind": "second_entry_increase", "instance": int(idx[row]),
+                     "joint": _jl(joints[row]), "y_channel": _jl(y_channels[row]),
+                     "rule": sampling._RULES[s.rule[row]].value, "before": float(before[row]),
+                     "after": float(after_y[row])})
 
 
 def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
@@ -642,30 +670,31 @@ def suite_bregman_quasi(config: SuiteConfig) -> SuiteVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _accuracy_gain_read(rng, idx: int) -> tuple:
-    """A (Z, X, Y) tensor shape, whether it is a CI table, and its unit exponentials, in the
-    stream order of ``random_conditional_tensor`` or of the CI table from a fresh instance
-    generator."""
+def _accuracy_gain_read(stacks: dict, idx: int, rng) -> _Stack:
+    """Into the stack of its (Z, X, Y) shape, instance ``idx``'s unit exponentials, flagged if
+    they make a CI table, in the order of ``random_conditional_tensor`` or the CI table."""
     draws = sampling._Halves(rng)
     mz = sampling._pick(draws, _ALPHABET_SIZES)
     mx = sampling._pick(draws, _ALPHABET_SIZES)
     my = sampling._pick(draws, _ALPHABET_SIZES)
-    if idx % 3 == 1:
-        return (mz, mx, my), True, draws.standard_exponential(mz * (1 + mx + my))
-    shape = (1 if idx % 5 == 2 else mz, mx, my)
-    return shape, False, draws.standard_exponential(shape)
+    ci = idx % 3 == 1
+    shape = (1 if idx % 5 == 2 and not ci else mz, mx, my)
+    s = stacks.get(shape) or stacks.setdefault(shape, _Stack(
+        shape, raw=((shape[0] * max(mx * my, 1 + mx + my),), float), ci=((), bool)))
+    row = s.add(idx)
+    s.ci[row] = ci
+    draws.standard_exponential(out=s.raw[row, :shape[0] * (1 + mx + my if ci else mx * my)])
+    return s
 
 
-def _accuracy_gain_tensors(reads: list) -> np.ndarray:
-    """The tensors of reads of one shape as one stack: the floored ones in one pass, the CI
-    tables in another."""
-    shape = reads[0][0]
-    out = np.empty((len(reads),) + shape)
-    for ci in (False, True):
-        at = [pos for pos, d in enumerate(reads) if d[1] is ci]
-        if at:
-            e = np.array([reads[pos][2] for pos in at])
-            out[at] = sampling._ci_tables(e, *shape) if ci else sampling._floored_tables(e)
+def _accuracy_gain_tensors(s: _Stack) -> np.ndarray:
+    """The tensors of a stack of one shape: the floored in one pass, the CI tables in another."""
+    (mz, mx, my), ci, raw = s.key, s.ci[:s.size], s.raw[:s.size]
+    out = np.empty((s.size,) + s.key)
+    if not ci.all():
+        out[~ci] = sampling._floored_tables(raw[~ci, :mz * mx * my].reshape((-1,) + s.key))
+    if ci.any():
+        out[ci] = sampling._ci_tables(raw[ci, :mz * (1 + mx + my)], mz, mx, my)
     return out
 
 
@@ -681,21 +710,18 @@ def _accuracy_gain_check(tensors) -> tuple:
     return lhs, rhs, _shannon_mi(flat)
 
 
-def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, chunk) -> None:
-    tol = config.equality_tol
-    reads = [_accuracy_gain_read(rng, idx)
-             for idx, rng in zip(chunk, _instance_rngs(config.seed, chunk))]
-    checked = _grouped(reads, lambda d: d[0],
-                       lambda group: _accuracy_gain_check(_accuracy_gain_tensors(group)))
-    for idx, read, (lhs, rhs, flat) in zip(chunk, reads, checked):
-        def data() -> dict:
-            return {"tensor": _jl(_accuracy_gain_tensors([read])[0]), "accuracy_gain": lhs,
-                    "conditional_mi": rhs}
-        rec.check("gain_equals_information", "equality", abs(lhs - rhs) <= tol, idx, data)
-        if idx % 3 == 1:
-            rec.check("ci_tensor_zero", "equality", abs(rhs) <= tol, idx, data)
-        if idx % 5 == 2 and idx % 3 != 1:
-            rec.check("degenerate_z_unconditional", "equality", abs(rhs - flat) <= tol, idx, data)
+def _accuracy_gain_instances(rec: _Recorder, config: SuiteConfig, s: _Stack) -> None:
+    tol, idx, ci = config.equality_tol, s.idx[:s.size], s.ci[:s.size]
+    tensors = _accuracy_gain_tensors(s)
+    lhs, rhs, flat = _accuracy_gain_check(tensors)
+
+    def data(row: int) -> dict:
+        return {"tensor": _jl(tensors[row]), "accuracy_gain": float(lhs[row]),
+                "conditional_mi": float(rhs[row])}
+    rec.checks("gain_equals_information", "equality", np.abs(lhs - rhs) <= tol, idx, data)
+    rec.checks("ci_tensor_zero", "equality", np.abs(rhs) <= tol, idx, data, ci)
+    rec.checks("degenerate_z_unconditional", "equality", np.abs(rhs - flat) <= tol, idx, data,
+               (idx % 5 == 2) & ~ci)
 
 
 def suite_accuracy_gain(config: SuiteConfig) -> SuiteVerdict:
@@ -1004,9 +1030,9 @@ _PARTS = {
     "dpi": (None, _each(_dpi_instance), 10000),
     "dominant-truthfulness": (None, _each(_dominant_truthfulness_instance), 1000),
     "truth-monotone": (None, _each(_truth_monotone_instance), 1000),
-    "effort": (_effort_global, _effort_instances, 1000),
-    "bregman-quasi": (None, _bregman_quasi_instances, 10000),
-    "accuracy-gain": (None, _accuracy_gain_instances, 1000),
+    "effort": (_effort_global, _stacked(_effort_read, _effort_instances), 1000),
+    "bregman-quasi": (None, _stacked(_bregman_quasi_read, _bregman_quasi_instances), 10000),
+    "accuracy-gain": (None, _stacked(_accuracy_gain_read, _accuracy_gain_instances), 1000),
     "md-equivalence": (None, _each(_md_equivalence_instance), 1000),
     "bts": (_bts_global, _each(_bts_instance), 1000),
     "scenario-equivalence": (None, _each(_scenario_equivalence_instance), 100),

@@ -10,8 +10,8 @@ It prints one sha256 per output and a combined digest over all of them.  The
 outputs are the nine ``verify`` suites at seeds 0 and 7 (fixed instance
 counts), the two one-table suites (bregman-quasi, accuracy-gain) under
 ``--equality-tol 1e-300`` so that their violation payloads are digested too,
-bregman-quasi at 1100 instances (more than two of the 512-instance chunks its
-check stacks, and not a multiple of them), every ``mechanism`` over fixed
+bregman-quasi at 1100 instances (over four of the 256-instance batches its
+seeds are hashed in, and not a multiple of one), every ``mechanism`` over fixed
 world-model, pairwise and full-joint scenario files with and without efforts
 in json and csv, ``measure`` on a joint and a tensor file, both ``sweep``
 kinds (``bts-gap`` on the built-in world and on two world-model scenario
@@ -30,29 +30,30 @@ last scenario-equivalence at 40 instances and seed 11, which draws three-agent
 full-joint priors (each agent relabeled by its own map) with and without
 efforts, then ``mechanism bts-idealized`` and ``sweep --kind bts-gap`` on a
 9-agent, 6-signal world-model scenario with four states, then effort at 1100
-instances and seed 11 under ``--equality-tol 1e-300`` (more than two of the
-512-instance chunks its check groups, not a multiple of them, with violation
+instances and seed 11 under ``--equality-tol 1e-300`` (each (alphabet, peer
+count) stack spanning over four 256-instance seed batches, with violation
 payloads), then md-equivalence at 300 instances and seed 3 under
 ``--equality-tol 1e-300``, whose violations carry the rewards and half
 total-variation informations of the truthful and the drawn report pairs, and
 last accuracy-gain at 1100 instances and seed 11 under ``--equality-tol
 1e-300``, whose violations carry the stacked accuracy gain of every tensor
-shape over three chunks next to its conditional information, and last
+shape's stack next to its conditional information, and last
 truth-monotone at 985 instances and seed 14 and dominant-truthfulness at 514
 instances and seed 255, whose last instances drop a payment strictly by less
 than the strictness tolerance, as their proved pair bounds allow, and last exact
 mip and sppm on a 5-agent, 3-signal full-joint scenario with efforts, whose pair
 marginals each add 27 cells, so that a change in their summation order shows, and
 last effort at its default 1000 instances and seed 5 under ``--equality-tol 1e-300``:
-two chunks, in each of which every (alphabet, peer count) group of the check mixes all
-four generators, with violation payloads that carry each generator's costs, grid
+every (alphabet, peer count) stack of the check mixes all four generators, with violation payloads that carry each generator's costs, grid
 utilities and mixture sides.  A
 command that raises instead of writing an output is digested as its exception
 type.
 ``--keep DIR`` also writes every output to DIR, and each command's exit status to
 DIR/_status.json; ``--diff`` compares two such directories field by field and prints, per
 changed field, the largest relative change of a float (|a - b| / max(1, |b|)) or the two
-differing values.  It ends with one summary line: the outputs compared, the outputs changed,
+differing values.  A verdict's violations and findings are matched by (claim or kind,
+instance), not by list position: it lists the entries that went or appeared, says when the
+matched ones come in another order, and compares each matched pair field by field.  It ends with one summary line: the outputs compared, the outputs changed,
 how many of those changed an exit status, their structure or a field that is not a float (an
 integer such as a claim's violation count, a string, a null), and the largest relative float
 change among the others.  It exits 1 when any output changed that way, else 0.
@@ -63,6 +64,7 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -229,15 +231,15 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
                  paths["world-four-states"]]))
     out.append(("sweep-bts-gap-world-four-states",
                 bts_gap + ["--seed", "5", "--scenario", paths["world-four-states"]]))
-    # more than two of the 512-instance chunks the effort check groups, not a multiple of
-    # one, with the violation payloads of every group
+    # effort stacks spanning over four 256-instance seed batches, with the violation
+    # payloads of every stack
     out.append(("verify-effort-1100-forced",
                 ["verify", "effort", "--instances", "1100", "--seed", "11",
                  "--equality-tol", "1e-300"]))
     out.append(("verify-md-equivalence-forced",
                 ["verify", "md-equivalence", "--instances", "300", "--seed", "3",
                  "--equality-tol", "1e-300"]))
-    # the stacked accuracy gain of every shape group over three chunks, with its payloads
+    # the stacked accuracy gain of every shape's stack, with its payloads
     out.append(("verify-accuracy-gain-1100-forced",
                 ["verify", "accuracy-gain", "--instances", "1100", "--seed", "11",
                  "--equality-tol", "1e-300"]))
@@ -251,7 +253,7 @@ def commands(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"mechanism-full-effort-five-{name}{''.join(extra)}",
                     ["mechanism", "--mechanism", name, "--scenario", paths["full-effort-five"],
                      *extra]))
-    # every (alphabet, peer count) group of both chunks mixes the four generators
+    # every (alphabet, peer count) stack mixes the four generators
     out.append(("verify-effort-1000-5-forced",
                 ["verify", "effort", "--instances", "1000", "--seed", "5",
                  "--equality-tol", "1e-300"]))
@@ -330,6 +332,44 @@ def _number(value):
         return None
 
 
+def _keyed(obj, field: str, name: str):
+    """The entries of a verdict's list ``field`` as a dict keyed "name@instance#k" (the k-th
+    entry of that pair), or None when ``obj`` holds no such list."""
+    entries = obj.get(field) if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and name in e and "instance" in e for e in entries):
+        return None
+    seen: collections.Counter = collections.Counter()
+    keyed = {}
+    for entry in entries:
+        pair = f"{entry[name]}@{entry['instance']}"
+        seen[pair] += 1
+        keyed[f"{pair}#{seen[pair]}"] = entry
+    return keyed
+
+
+def _match_entries(name: str, old, new) -> bool:
+    """Key the violations and findings of both verdicts in place, keeping only the entries on
+    both sides; print those that went or appeared, and a change of order.  True if any did."""
+    hard = False
+    for field, by in (("violations", "claim"), ("findings", "kind")):
+        a, b = _keyed(old, field, by), _keyed(new, field, by)
+        if a is None or b is None:
+            continue
+        went, came = [k for k in a if k not in b], [k for k in b if k not in a]
+        for label, keys in (("went", went), ("appeared", came)):
+            if keys:
+                print(f"{name}: {len(keys)} {field} {label}: {', '.join(keys[:10])}"
+                      + (", ..." if len(keys) > 10 else ""))
+        old[field], new[field] = ({k: v for k, v in d.items() if k in a and k in b}
+                                  for d in (a, b))
+        reordered = list(old[field]) != list(new[field])
+        if reordered:
+            print(f"{name}: {field} matched in another order")
+        hard = hard or bool(went or came) or reordered
+    return hard
+
+
 def _statuses(directory: str) -> dict:
     try:
         with open(os.path.join(directory, STATUS)) as fh:
@@ -357,6 +397,7 @@ def diff(old_dir: str, new_dir: str) -> int:
             print(f"{name}: {old_status.get(name)} -> {new_status.get(name)}")
         if old == new and not strict:
             continue
+        strict = _match_entries(name, old, new) or strict
         a, b = dict(_leaves(old)), dict(_leaves(new))
         if a.keys() != b.keys():
             strict = True

@@ -41,6 +41,10 @@ checks of a signal-plus-prediction profile, one ``Distribution`` per prediction,
 ``BtsReportProfile`` validated its predictions as one stack, and with the effort check of a
 group of one alphabet, peer count and generator, which built its tables per generator,
 before one group per alphabet and peer count ran each generator's kernel on its own rows.
+Last come the list-form channel read and stack, the per-chunk grouping and the bregman-quasi
+route over them (reads kept as tuples, one check per joint shape of each 512-instance chunk,
+instances recorded one by one), as they ran before each read went into a compact per-shape
+stack that is checked whole.
 """
 
 import math
@@ -88,6 +92,7 @@ from peerlab.probability import (
     RngSeed,
     TransitionMatrix,
     _identity_mask,
+    _instance_rngs,
     _integers,
     _push_first,
     _validated_tables,
@@ -1544,12 +1549,12 @@ def object_bts_profile(signals, predictions):
 def generator_effort_check(group: list) -> tuple:
     """``verify._effort_check`` as it ran on a group with one alphabet, peer count and
     generator: per instance its cost, grid utilities, payments by active peers, mixture-law
-    gap and both sides of mixture convexity, with the joints, priors, strategies and report
-    tables of the group built as one stack each."""
+    gap and both sides of mixture convexity, with the priors, strategies and report tables of
+    the group built as one stack each, here from the tables :func:`effort_draw` built alone."""
     n, gen, m = group[0][0], group[0][2], group[0][1].shape[0]
-    joints = _validated_tables(sampling._floored_tables(np.array([d[1] for d in group])), rank=2)
+    joints = _validated_tables(np.stack([d[1] for d in group]), rank=2)
     priors = _validated_tables(sampling._symmetrized(joints), rank=2)
-    rows = _validated_tables(sampling._channel_stack([d[5] for d in group], m, m, 0.0), rank=1)
+    rows = _validated_tables(np.stack([d[5] for d in group]), rank=1)
     cost_unit, lam = np.array([d[3] for d in group]), np.array([d[4] for d in group])
     cost = 1.5 * np.maximum(measures._mi_kernel(gen)(priors), 1e-3) * cost_unit
     q = np.broadcast_to(priors[:, None], (len(group), n - 1) + priors.shape[1:])
@@ -1564,3 +1569,155 @@ def generator_effort_check(group: list) -> tuple:
     mi_full, mi_none, lhs = measures._mi_kernel(gen)(tables)
     rhs = lam * mi_full + (1.0 - lam) * mi_none
     return cost, pay - verify._EFFORT_GRID * cost[:, None], active, mix_gap, lhs, rhs
+
+
+def list_channel_read(rng, m_in: int, m_out: int | None = None, kind: str | None = None):
+    """``sampling._channel_read`` as it kept one channel's draws in Python objects, before a read
+    wrote them into a block of its shape's stack: a dense or constant channel's unit
+    exponentials (m_in, m_out), the constant row repeated, or a permutation or sparse channel's
+    cells (rows, columns, values)."""
+    m_out = m_in if m_out is None else m_out
+    kind = kind or sampling.random_strategy_kind(rng)
+    if kind == "permutation" and m_in != m_out:
+        kind = "sparse"
+    if kind == "dense":
+        return rng.standard_exponential((m_in, m_out))
+    if kind == "constant":
+        return rng.standard_exponential((1, m_out)).repeat(m_in, axis=0)
+    if kind == "permutation":
+        return range(m_in), rng.permutation(m_in), [1.0] * m_in
+    if kind != "sparse":
+        raise DimensionMismatch(f"unknown channel kind {kind!r}")
+    below, widest = rng.integers, min(m_out, 2)
+    rows, cols, values = [], [], []
+    for r in range(m_in):
+        if below(widest) == 0:
+            support, e = [below(m_out)], [rng.standard_exponential()]
+        else:
+            first, second = below(m_out - 1), below(m_out)
+            support = [first, m_out - 1 if second == first else second]
+            if below(2) == 0:
+                support.reverse()
+            e = rng.standard_exponential(2).tolist()
+        scale = 1.0 / (e[0] + e[1] if len(e) == 2 else e[0])
+        rows += [r] * len(e)
+        cols += support
+        values += [x * scale for x in e]
+    return rows, cols, values
+
+
+def list_channel_stack(reads: list, m_in: int, m_out: int,
+                       floor_frac: float = sampling._FLOOR_FRAC) -> np.ndarray:
+    """``sampling._channel_stack`` over :func:`list_channel_read` values: all exponential tables
+    floored in one pass, all cells scattered in one, and a lone read straight into its table."""
+    if len(reads) == 1:
+        read = reads[0]
+        if type(read) is np.ndarray:
+            return sampling._floored_rows(read, floor_frac)[None]
+        out = np.zeros((1, m_in, m_out))
+        out[0, read[0], read[1]] = read[2]
+        return out
+    dense, at, rows, cols, values = [], [], [], [], []
+    for pos, read in enumerate(reads):
+        if type(read) is np.ndarray:
+            dense.append(pos)
+        else:
+            at += [pos] * len(read[2])
+            rows.extend(read[0])
+            cols.extend(read[1])
+            values.extend(read[2])
+    if len(dense) == len(reads):
+        return sampling._floored_rows(np.array(reads), floor_frac)
+    out = np.zeros((len(reads), m_in, m_out))
+    if dense:
+        out[dense] = sampling._floored_rows(np.array([reads[pos] for pos in dense]), floor_frac)
+    out[at, rows, cols] = values
+    return out
+
+
+def grouped(items: list, key, check) -> list:
+    """``verify._grouped``: per item, in order, its row (as Python scalars) of the arrays that
+    ``check(group)`` returns for the group of items sharing its ``key``."""
+    groups: dict = {}
+    for pos, item in enumerate(items):
+        groups.setdefault(key(item), []).append(pos)
+    rows = [None] * len(items)
+    for positions in groups.values():
+        columns = [col.tolist() for col in check([items[p] for p in positions])]
+        for pos, row in zip(positions, zip(*columns)):
+            rows[pos] = row
+    return rows
+
+
+def list_bregman_quasi_read(rng) -> tuple:
+    """``verify._bregman_quasi_read`` as it kept one instance's reads in a tuple: the joint's
+    unit exponentials (mx, my), rule, and X and Y channel reads of :func:`list_channel_read`."""
+    draws = sampling._Halves(rng)
+    mx = sampling._pick(draws, _ALPHABET_SIZES)
+    my = sampling._pick(draws, _ALPHABET_SIZES)
+    joint = draws.standard_exponential((mx, my))
+    rule = sampling.random_rule_choice(draws)
+    return joint, rule, list_channel_read(draws, mx), list_channel_read(draws, my)
+
+
+def list_bregman_quasi_check(group: list) -> tuple:
+    """``verify._bregman_quasi_check`` on a group of :func:`list_bregman_quasi_read` tuples with
+    one joint shape: BMI before and after each channel, whether the X channel is the identity,
+    and the log bridge gap, with the BMI taken once per rule of the group."""
+    mx, my = group[0][0].shape
+    joints = _validated_tables(sampling._floored_tables(np.array([d[0] for d in group])), rank=2)
+    channels = _validated_tables(list_channel_stack([d[2] for d in group], mx, mx), rank=1)
+    y_channels = _validated_tables(list_channel_stack([d[3] for d in group], my, my), rank=1)
+    pushed = _validated_tables(np.concatenate([_push_first(joints, channels),
+                                               joints @ y_channels]), rank=2)
+    tables = np.concatenate([joints, pushed])
+    rules = list(dict.fromkeys([ScoringRule.LOG] + [d[1] for d in group]))
+    bmi = np.stack([measures._bregman_mi(tables, rule).reshape(3, len(group)) for rule in rules])
+    pick = [rules.index(d[1]) for d in group]
+    before, after, after_y = bmi[pick, :, np.arange(len(group))].T
+    bridge_gap = np.abs(bmi[0, 0] - measures._shannon_mi(joints))
+    return before, after, _identity_mask(channels), bridge_gap, after_y
+
+
+def chunk_bregman_quasi_instances(rec, config, chunk) -> None:
+    """The bregman-quasi part of one chunk of instance indices as it ran before the reads went
+    into per-shape stacks: the chunk's reads kept as tuples, one check per joint shape of the
+    chunk (:func:`grouped`), and the instances recorded one by one in index order."""
+    tol, stol = config.equality_tol, config.strictness_tol
+    reads = [list_bregman_quasi_read(rng) for rng in _instance_rngs(config.seed, chunk)]
+    checked = grouped(reads, lambda d: d[0].shape, list_bregman_quasi_check)
+    for idx, (e, rule, x_read, y_read), values in zip(chunk, reads, checked):
+        before, after, identity, bridge_gap, after_y = values
+        mx, my = e.shape
+
+        def joint() -> list:
+            return _jl(sampling._floored_tables(e[None])[0])
+
+        def data() -> dict:
+            return {"joint": joint(), "channel": _jl(list_channel_stack([x_read], mx, mx)[0]),
+                    "rule": rule.value, "before": before, "after": after}
+        rec.check("bmi_first_entry_dpi", "inequality", after <= before + tol, idx, data)
+        if identity:
+            rec.check("identity_equality", "equality", abs(after - before) <= 1e-12, idx, data)
+        rec.check("log_bridge", "equality", bridge_gap <= tol, idx,
+                  lambda: {"joint": joint(), "gap": bridge_gap})
+        if after_y > before + stol:
+            rec.finding({
+                "kind": "second_entry_increase",
+                "instance": idx,
+                "joint": joint(),
+                "y_channel": _jl(list_channel_stack([y_read], my, my)[0]),
+                "rule": rule.value,
+                "before": before,
+                "after": after_y,
+            })
+
+
+def chunk_bregman_quasi_verdict(config) -> str:
+    """The bregman-quasi verdict JSON of ``config`` through :func:`chunk_bregman_quasi_instances`
+    over chunks of 512 indices in order, the chunk size the route ran with."""
+    rec = verify._Recorder(config)
+    for start in range(0, config.instances, 512):
+        chunk = list(range(start, min(start + 512, config.instances)))
+        chunk_bregman_quasi_instances(rec, config, chunk)
+    return rec.verdict().to_json()

@@ -10,7 +10,9 @@ convert to real arrays (ragged, complex), priors built from lists and relabeling
 Scenario by a PermutationList raise a PeerLabError too, as do complex arrays, scenario
 documents without a required key or with a node of the wrong JSON type (the error names
 the key, or the node and the type it needs), effort strategies whose probability or cost is
-not one real number or whose no-effort report is not a Distribution, and unknown suite names.  Report masks hold
+not one real number or whose no-effort report is not a Distribution, pairwise
+priors whose ``symmetric`` is not a bool, strategies whose label is not a str, and unknown
+suite names.  A scenario document writes numpy effort numbers as JSON floats.  Report masks hold
 bools or 0/1 integers.  The seeds of the samplers and of the payment engines, all-pairs engines that only record one included, are non-negative
 integers of any size; a suite's seed stays in the intp range."""
 
@@ -139,6 +141,35 @@ def test_effort_strategy_accepts_numpy_scalars():
 def test_effort_strategy_needs_a_distribution(report):
     with pytest.raises(ModeMismatch, match="must be a Distribution or None"):
         EffortStrategy(0.5, 0.0, report)
+
+
+@pytest.mark.parametrize("value", ["yes", 1, None, np.array(True)],
+                         ids=["str", "int", "None", "0-d-array"])
+def test_pairwise_prior_symmetric_must_be_a_bool(value):
+    with pytest.raises(ModeMismatch, match="^symmetric must be a bool, not "):
+        PairwisePrior(PRIOR.joint, symmetric=value)
+    assert PairwisePrior(PRIOR.joint, symmetric=np.True_).symmetric
+
+
+@pytest.mark.parametrize("value", [5, None, b"dense", ["dense"]],
+                         ids=["int", "None", "bytes", "list"])
+def test_strategy_label_must_be_a_str(value):
+    with pytest.raises(ModeMismatch, match="^label must be a str, not "):
+        Strategy(identity_channel(2), label=value)
+
+
+def test_scenario_document_writes_numpy_effort_scalars_as_floats():
+    efforts = (EffortStrategy(np.float32(0.5), np.float32(0.1)),
+               EffortStrategy(np.int64(1), np.float16(0.25), HALF))
+    scenario = Scenario(PRIOR, (truth_telling(2),) * 2, efforts)
+    doc = scenario_to_dict(scenario)
+    assert all(type(e[field]) is float for e in doc["efforts"]
+               for field in ("full_effort_prob", "cost"))
+    back = scenario_from_dict(json.loads(json.dumps(doc)))
+    assert np.array_equal([[e.full_effort_prob, e.cost] for e in back.efforts],
+                          [[e.full_effort_prob, e.cost] for e in efforts])
+    assert np.array_equal(back.efforts[1].no_effort_report.weights, HALF.weights)
+    assert np.array_equal(back.prior.joint.table, PRIOR.joint.table)
 
 
 @given(VALUES, WEIGHTS)

@@ -11,8 +11,10 @@ md/ca oracles take each pair's comparison subsets from the engine's batched
 draw, whose law ``TestSubsetDraws`` checks against exact enumeration.  The
 stacked measure kernels must give each table of a stack the exact bits of its
 public single-table function, and the one-table suites and the effort suite,
-which check a chunk of instances on stacks, the exact verdict JSON of their
-per-instance parts.  So must the report-joint core on a stack and on the exact
+which check each shape's stack of instances whole, the exact verdict JSON of their
+per-instance parts (and bregman-quasi that of its per-chunk grouped route, with
+stacks checked at the cap).  Block reads and their stacks must give the list-form
+route's bits.  So must the report-joint core on a stack and on the exact
 engines' blocks of agents (against ``report_joint`` per pair), the effort suite's
 stacked payments (against ``oracles.effort_utility``) and the scenario-equivalence
 suite's one stack of a scenario and its twins (against
@@ -527,14 +529,15 @@ class TestExponentialDraws:
 
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_bregman_quasi_check_per_joint_shape_equals_per_shape_and_rule(self, seed):
-        # one group per joint shape, both rules' BMI on one stack, against one group per
-        # (joint shape, rule, Y channel shape)
-        reads = [verify._bregman_quasi_read(rng_from_seed(seed, idx)) for idx in range(700)]
+        # one stack per joint shape, every rule's BMI on one stack, against one group per
+        # (joint shape, rule, Y channel shape) of the per-instance draws
+        stacks = stacks_of(verify._bregman_quasi_read, seed, range(700))
         drawn = [oracles.bregman_quasi_draw(rng_from_seed(seed, idx)) for idx in range(700)]
-        got = verify._grouped(reads, lambda d: d[0].shape, verify._bregman_quasi_check)
-        want = verify._grouped(drawn, lambda d: (d[0].shape, d[1], d[3].shape),
+        want = oracles.grouped(drawn, lambda d: (d[0].shape, d[1], d[3].shape),
                                oracles.shape_rule_bregman_quasi_check)
-        assert got == want
+        for stack in stacks.values():
+            columns = [col.tolist() for col in verify._bregman_quasi_check(stack)[3:]]
+            assert list(zip(*columns)) == [want[idx] for idx in rows_of(stack)]
         assert {d[1] for d in drawn} == set(ScoringRule)
 
 
@@ -552,13 +555,28 @@ def assert_same_128_bit_state(rng, want):
     assert rng.bit_generator.state["state"] == want.bit_generator.state["state"]
 
 
+def stacks_of(read, seed: int, indices) -> dict:
+    """The pending shape stacks of a suite's ``read`` over ``indices``, each instance read from
+    its fresh generator and none checked."""
+    stacks: dict = {}
+    for idx in indices:
+        read(stacks, idx, rng_from_seed(seed, idx))
+    return stacks
+
+
+def rows_of(stack) -> list:
+    """The instance index of each row of a pending stack."""
+    return stack.idx[:stack.size].tolist()
+
+
 class TestReadsAndStacks:
     """The bounded draws of ``sampling._Halves`` against numpy's ``integers`` and
     ``permutation`` on the same stream, and the read + stack route of each table against the
     per-instance bodies it replaced (``oracles.channel_rows``, ``bregman_quasi_draw``,
     ``accuracy_gain_draw``, ``effort_draw``): the same bits and the same stream position, and
     for a public sampler the whole generator state, so that the caller's next numpy draws
-    match."""
+    match; and the block reads and stacks against the list-form ones they replaced
+    (``oracles.list_channel_read``, ``list_channel_stack``)."""
 
     @given(seeds, st.integers(0, 3), halves_ops)
     @settings(max_examples=400, deadline=None)
@@ -601,82 +619,99 @@ class TestReadsAndStacks:
            st.sampled_from((0.0, sampling._FLOOR_FRAC)))
     @settings(max_examples=300, deadline=None)
     def test_channel_stack_equals_each_channel_alone(self, seed, m_in, m_out, kinds, floor_frac):
-        reads = [sampling._channel_read(sampling._Halves(rng_from_seed(seed, pos)),
-                                        m_in, m_out, kind) for pos, kind in enumerate(kinds)]
-        got = sampling._channel_stack(reads, m_in, m_out, floor_frac)
+        blocks = np.zeros((len(kinds), m_in, m_out))
+        floored = np.array([sampling._channel_read(sampling._Halves(rng_from_seed(seed, pos)),
+                                                   blocks[pos], kind)
+                            for pos, kind in enumerate(kinds)])
+        got = sampling._channel_stack(blocks, floored, floor_frac)
         alone = [oracles.channel_rows(rng_from_seed(seed, pos), m_in, m_out, kind, floor_frac)
                  for pos, kind in enumerate(kinds)]
         dirichlet = [oracles.dirichlet_channel_rows(rng_from_seed(seed, pos), m_in, m_out, kind,
                                                     floor_frac) for pos, kind in enumerate(kinds)]
         assert np.array_equal(got, np.stack(alone)) and np.array_equal(got, np.stack(dirichlet))
 
+    @given(seeds, st.integers(1, 5), st.integers(1, 5),
+           st.lists(st.sampled_from(KINDS + (None,)), min_size=1, max_size=12),
+           st.sampled_from((0.0, sampling._FLOOR_FRAC)))
+    @settings(max_examples=300, deadline=None)
+    def test_block_reads_and_stacks_equal_list_route(self, seed, m_in, m_out, kinds,
+                                                      floor_frac):
+        # each block read leaves the stream where the list-form read left it, and the stack of
+        # the blocks, of one read alone or of all of them, is the list-form stack bit for bit
+        blocks, floored, reads = np.zeros((len(kinds), m_in, m_out)), [], []
+        for pos, kind in enumerate(kinds):
+            rng_a, rng_b = rng_from_seed(seed, pos), rng_from_seed(seed, pos)
+            draws_a, draws_b = sampling._Halves(rng_a), sampling._Halves(rng_b)
+            floored.append(sampling._channel_read(draws_a, blocks[pos], kind))
+            reads.append(oracles.list_channel_read(draws_b, m_in, m_out, kind))
+            assert (draws_a._has, draws_a._half) == (draws_b._has, draws_b._half)
+            assert_same_128_bit_state(rng_a, rng_b)
+        floored = np.array(floored)
+        got = sampling._channel_stack(blocks, floored, floor_frac)
+        assert np.array_equal(got, oracles.list_channel_stack(reads, m_in, m_out, floor_frac))
+        for pos, read in enumerate(reads):
+            alone = sampling._channel_stack(blocks[pos:pos + 1], floored[pos:pos + 1], floor_frac)
+            assert np.array_equal(alone,
+                                  oracles.list_channel_stack([read], m_in, m_out, floor_frac))
+
     @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_bregman_quasi_stacks_equal_per_instance_draws(self, seed, indices):
-        reads = [verify._bregman_quasi_read(rng_from_seed(seed, idx)) for idx in indices]
-        drawn = [oracles.bregman_quasi_draw(rng_from_seed(seed, idx)) for idx in indices]
-        groups = {}
-        for read, draw in zip(reads, drawn):
-            assert read[1] is draw[1]
-            groups.setdefault(read[0].shape, []).append((read, draw))
-        for (mx, my), group in groups.items():
-            reads, drawn = zip(*group)
-            joints = sampling._floored_tables(np.stack([d[0] for d in reads]))
-            assert np.array_equal(joints, np.stack([d[0] for d in drawn]))
-            for pos, m in ((2, mx), (3, my)):
-                got = sampling._channel_stack([d[pos] for d in reads], m, m)
+        for stack in stacks_of(verify._bregman_quasi_read, seed, indices).values():
+            drawn = [oracles.bregman_quasi_draw(rng_from_seed(seed, idx))
+                     for idx in rows_of(stack)]
+            assert [sampling._RULES[r] for r in stack.rule[:stack.size]] == [d[1] for d in drawn]
+            for got, pos in zip(verify._bregman_quasi_check(stack)[:3], (0, 2, 3)):
                 assert np.array_equal(got, np.stack([d[pos] for d in drawn]))
 
     @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_accuracy_gain_stacks_equal_per_instance_draws(self, seed, indices):
-        reads = [verify._accuracy_gain_read(rng_from_seed(seed, idx), idx) for idx in indices]
-        drawn = [oracles.accuracy_gain_draw(rng_from_seed(seed, idx), idx) for idx in indices]
-        got = verify._grouped(reads, lambda d: d[0],
-                              lambda group: [verify._accuracy_gain_tensors(group)])
-        for (tensor,), want in zip(got, drawn):
-            assert np.array_equal(tensor, want)
+        for stack in stacks_of(verify._accuracy_gain_read, seed, indices).values():
+            drawn = [oracles.accuracy_gain_draw(rng_from_seed(seed, idx), idx)
+                     for idx in rows_of(stack)]
+            assert np.array_equal(verify._accuracy_gain_tensors(stack), np.stack(drawn))
 
     @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_effort_stacks_equal_per_instance_draws(self, seed, indices):
-        reads = [verify._effort_read(rng_from_seed(seed, idx)) for idx in indices]
-        drawn = [oracles.effort_draw(rng_from_seed(seed, idx)) for idx in indices]
-        for read, draw in zip(reads, drawn):
-            assert read[0] == draw[0] and read[2] is draw[2] and read[3:5] == draw[3:5]
-            assert np.array_equal(sampling._floored_tables(read[1][None])[0], draw[1])
-        reads_by_m = {}
-        for read, draw in zip(reads, drawn):
-            reads_by_m.setdefault(read[1].shape[0], []).append((read[5], draw[5]))
-        for m, pairs in reads_by_m.items():
-            got = sampling._channel_stack([p[0] for p in pairs], m, m, 0.0)
-            assert np.array_equal(got, np.stack([p[1] for p in pairs]))
+        for (m, n), stack in stacks_of(verify._effort_read, seed, indices).items():
+            size = stack.size
+            drawn = [oracles.effort_draw(rng_from_seed(seed, idx)) for idx in rows_of(stack)]
+            assert [d[0] for d in drawn] == [n] * size
+            assert [sampling._GENERATORS[g] for g in stack.gen[:size]] == [d[2] for d in drawn]
+            assert stack.cost_unit[:size].tolist() == [d[3] for d in drawn]
+            assert stack.lam[:size].tolist() == [d[4] for d in drawn]
+            joints = sampling._floored_tables(stack.joint[:size])
+            assert np.array_equal(joints, np.stack([d[1] for d in drawn]))
+            rows = sampling._channel_stack(stack.rows[:size], stack.floored[:size], 0.0)
+            assert np.array_equal(rows, np.stack([d[5] for d in drawn]))
 
     @given(seeds, st.lists(st.integers(0, 2**20), min_size=1, max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_effort_group_check_equals_per_generator_groups(self, seed, indices):
-        # one group per (alphabet, peer count) mixes generators; each generator's rows of
+        # one stack per (alphabet, peer count) mixes generators; each generator's rows of
         # every column must be the bits of the check of that generator's instances alone
-        reads = [verify._effort_read(rng_from_seed(seed, idx)) for idx in indices]
-        groups = {}
-        for read in reads:
-            groups.setdefault((read[1].shape, read[0]), []).append(read)
-        for group in groups.values():
-            got = verify._effort_check(group)
-            assert len(got) == 6 and all(len(col) == len(group) for col in got)
-            for gen in {d[2] for d in group}:
-                at = [pos for pos, d in enumerate(group) if d[2] is gen]
-                want = oracles.generator_effort_check([group[pos] for pos in at])
-                for column, alone in zip(got, want):
+        for stack in stacks_of(verify._effort_read, seed, indices).values():
+            got = verify._effort_check(stack)
+            assert len(got) == 7 and all(len(col) == stack.size for col in got)
+            drawn = [oracles.effort_draw(rng_from_seed(seed, idx)) for idx in rows_of(stack)]
+            assert np.array_equal(got[0], sampling._symmetrized(np.stack([d[1] for d in drawn])))
+            gens = stack.gen[:stack.size]
+            for code in set(gens.tolist()):
+                at = gens == code
+                want = oracles.generator_effort_check([d for d, here in zip(drawn, at) if here])
+                for column, alone in zip(got[1:], want):
                     assert np.array_equal(column[at], alone)
 
     @pytest.mark.parametrize("suite", ["bregman-quasi", "accuracy-gain", "effort"])
     def test_reads_leave_the_stream_where_the_draws_left_it(self, suite):
         read, draw = {
-            "bregman-quasi": (verify._bregman_quasi_read, oracles.bregman_quasi_draw),
-            "accuracy-gain": (lambda r: verify._accuracy_gain_read(r, 4),
+            "bregman-quasi": (lambda r: verify._bregman_quasi_read({}, 0, r),
+                              oracles.bregman_quasi_draw),
+            "accuracy-gain": (lambda r: verify._accuracy_gain_read({}, 4, r),
                               lambda r: oracles.accuracy_gain_draw(r, 4)),
-            "effort": (verify._effort_read, oracles.effort_draw),
+            "effort": (lambda r: verify._effort_read({}, 0, r), oracles.effort_draw),
         }[suite]
         for idx in range(200):
             rng_a, rng_b = rng_from_seed(3, idx), rng_from_seed(3, idx)
@@ -1974,6 +2009,16 @@ class TestOneTableSuites:
         assert len(verdict.violations) > 0
         for violation in verdict.violations:
             assert replay_violation(violation, config)
+
+    def test_stacks_checked_at_the_cap_equal_chunk_route(self):
+        # about 667 instances per joint shape: each shape's stack is checked whenever it holds
+        # _CHUNK rows, out of index order, and its rest at the end; every violation carries
+        # its payload, and the verdict is the per-chunk grouped route's, byte for byte
+        config = default_config("bregman-quasi", instances=6000, seed=0, equality_tol=1e-300)
+        shapes = collections.Counter(oracles.bregman_quasi_draw(rng_from_seed(0, idx))[0].shape
+                                     for idx in range(6000))
+        assert len(shapes) == 9 and min(shapes.values()) > 2 * verify._CHUNK
+        assert run_suite(config).to_json() == oracles.chunk_bregman_quasi_verdict(config)
 
 
 @st.composite

@@ -465,11 +465,13 @@ def test_bts_population_streams_never_meet_instance_streams(monkeypatch):
 
 def test_effort_suite_pays_each_list_from_one_stack(call_counts):
     # no report_joint per grid point or per instance: the canonical grid and active-peer list,
-    # then per (alphabet, peer count) group of the chunk, whatever its generators, its grids,
+    # then per (alphabet, peer count) stack, whatever its generators, its grids,
     # its active-peer lists and its mixture triples, one core call each
-    reads = [verify._effort_read(rng_from_seed(0, idx)) for idx in range(60)]
-    groups = {(d[1].shape, d[0]) for d in reads}
-    assert len({(d[1].shape, d[0], d[2]) for d in reads}) > len(groups)  # generators mix
+    stacks: dict = {}
+    for idx in range(60):
+        verify._effort_read(stacks, idx, rng_from_seed(0, idx))
+    groups = stacks.values()
+    assert any(len(set(s.gen[:s.size].tolist())) > 1 for s in groups)  # generators mix
     assert run_suite(default_config("effort", instances=60)).passed
     assert call_counts["report_joint"] == call_counts["_exact_joints"] == 0
     assert call_counts["_report_tables"] == 2 + 3 * len(groups) <= 2 + 3 * 6
