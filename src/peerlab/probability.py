@@ -120,9 +120,10 @@ def _integers(values, name: str) -> np.ndarray:
 
 def _index(value, size: int, name: str) -> int:
     """``value`` as an index into an axis of length ``size``; DimensionMismatch unless it is
-    one whole number in 0..size-1 (a negative index does not count from the end)."""
+    one whole number in 0..size-1 (a negative index does not count from the end, and a bool,
+    numpy's mask, is no index)."""
     idx = _integers(value, name)
-    if idx.ndim or not 0 <= idx < size:
+    if idx.ndim or np.asarray(value).dtype == bool or not 0 <= idx < size:
         raise DimensionMismatch(f"{name} must be an integer in 0..{size - 1}, got {value!r}")
     return int(idx)
 

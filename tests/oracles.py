@@ -1222,7 +1222,10 @@ def masked_slice_mean(t: np.ndarray, per_slice) -> float:
 
 def bincount_empirical_pair_joint(reports, i: int, j) -> JointDistribution:
     """``empirical_pair_joint`` as it counted before the Gram kernel: one bincount of integer
-    codes (slice offset plus cell; unshared questions go past the last slice)."""
+    codes (slice offset plus cell; unshared questions go past the last slice).  One reference
+    must differ from the agent, as in the public form."""
+    if np.ndim(j) == 0 and i == j:
+        raise DimensionMismatch("a pair joint needs two distinct agents")
     refs = np.atleast_1d(np.asarray(j, dtype=np.intp))
     m = reports.alphabet_size
     shared = reports.mask[refs] & reports.mask[i]

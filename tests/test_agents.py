@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from peerlab import (
     Strategy,
     TransitionMatrix,
     UnsupportedPriorMode,
+    WorldModelPrior,
     empirical_pair_joint,
     generate_reports,
     load_scenario,
@@ -266,6 +268,27 @@ class TestReportMatrixArrays:
         reports = generate_reports(scn, 200, seed=4)
         assert not reports.entries.flags.writeable and not reports.mask.flags.writeable
         ReportMatrix.full(np.array([[0, 1], [1, 0]]).astype(np.int32), 2)
+
+    def test_sampled_reports_take_one_byte_per_answer(self):
+        """At the benchmark's (n, T) = (50, 10⁴), a sampled matrix holds one byte per answer,
+        plus 4 KiB for its objects (about 1.1 KiB measured), and its draws peak below three."""
+        rng = np.random.default_rng(5)
+        n, m, T = 50, 4, 10_000
+        world = WorldModelPrior(Distribution(np.array([0.3, 0.7])),
+                                tuple(Distribution(rng.dirichlet(np.ones(m))) for _ in range(2)))
+        efforts = tuple(EffortStrategy(float(p), 0.1) for p in rng.uniform(size=n))
+        scn = Scenario(world, tuple(truth_telling(m) for _ in range(n)), efforts)
+        generate_reports(scn, 10, seed=1)  # any first-call set-up is not the matrix's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reports = generate_reports(scn, T, seed=2)
+            held, peak = (size - start for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert held <= n * T + 4096 and peak <= 3 * n * T, (held, peak)
+        assert reports.entries.dtype == np.uint8 and reports.mask.strides == (0, 0)
+        assert not (reports.entries.flags.writeable or reports.mask.flags.writeable)
 
 
 class TestEmpiricalPairJoint:

@@ -5,7 +5,9 @@ error and never a silent NaN.  The same holds for the empirical payment
 engines given a single agent, for strategies whose channels do not share one
 shape on a world's signals, for the exported strategy sampler's size and seed,
 for the table samplers' sizes, and for signal indices and seeds, and for agent indices, where a negative value
-never counts from the end, in the empirical and in every prior mode's pair joints.  Tables that do not
+never counts from the end and a bool is no index, in the empirical and in every prior mode's
+pair joints and in a report matrix's answered questions; an empirical pair joint needs two
+distinct agents.  Tables that do not
 convert to real arrays (ragged, complex), priors built from lists and relabelings of anything but a
 Scenario by a PermutationList raise a PeerLabError too, as do complex arrays, scenario
 documents without a required key or with a node of the wrong JSON type (the error names
@@ -384,6 +386,20 @@ TRUTH = truth_telling(2)
 def test_agent_index_out_of_range_or_not_one(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def test_empirical_pair_joint_needs_two_distinct_agents():
+    with pytest.raises(DimensionMismatch, match="^a pair joint needs two distinct agents$"):
+        empirical_pair_joint(THREE_AGENTS, 1, 1)
+
+
+@pytest.mark.parametrize("i", [-1, 5, 1.5, True], ids=["-1", "n+3", "1.5", "True"])
+def test_answered_needs_one_agent_index(i):
+    # no negative index from the end, no bare IndexError, no bool mask over the whole matrix
+    reports = ReportMatrix.full(np.zeros((2, 3), dtype=np.uint8), 2)
+    with pytest.raises(DimensionMismatch, match="^i must be"):
+        reports.answered(i)
+    assert reports.answered(1).tolist() == [0, 1, 2]
 
 
 

@@ -1287,7 +1287,9 @@ class TestEmpiricalPairLoop:
         i = data.draw(st.integers(0, reports.n_agents - 1))
         j = data.draw(st.integers(0, reports.n_agents - 1))
         got = outcome(empirical_pair_joint, reports, i, j)
-        want = outcome(oracles.loop_empirical_pair_joint, reports, i, j)
+        # the loop counts any pair, an agent with herself too; the public form needs two agents
+        want = outcome(oracles.loop_empirical_pair_joint, reports, i, j) if i != j else (
+            None, DimensionMismatch)
         assert_same_outcome(got, want, lambda a, b: np.testing.assert_array_equal(a.table, b.table))
 
     @given(masked_reports(), st.data())
@@ -1600,10 +1602,72 @@ class TestColumnwiseSampling:
         for rows in (None, np.arange(u.size) % 2):
             table = weights if rows is None else np.stack([weights, weights[::-1]])
             draws = _inverse_cdf(table, u, rows)
-            assert draws.dtype == np.intp
+            assert draws.dtype == np.min_scalar_type(m)
             assert draws.min() == 0 and draws.max() == m - 1 and draws[-1] == m - 1
             gathered = table if rows is None else table[rows]
             assert np.array_equal(draws, oracles.gathered_inverse_cdf(gathered, u))
+
+
+def narrow_scenario(rng, mode: str, m: int, efforts: bool) -> Scenario:
+    """A scenario on m signals under prior ``mode``: two agents for a pairwise prior and for
+    a full joint past m = 4, else three; each agent with a random effort when ``efforts``."""
+    n = 2 if mode == "pairwise" or (mode == "full" and m > 4) else 3
+    prior = {"world": lambda: sampling.random_world_model(rng, int(rng.integers(1, 4)), m),
+             "full": lambda: sampling.random_full_joint_prior(rng, n, m),
+             "pairwise": lambda: PairwisePrior(sampling.random_joint(rng, m, m), False)}[mode]()
+    strategies = tuple(sampling.random_mixed_strategy(rng, m) for _ in range(n))
+    effort_profile = None if not efforts else tuple(
+        EffortStrategy(float(rng.uniform()), 0.0,
+                       None if rng.random() < 0.5 else sampling.random_distribution(rng, m))
+        for _ in range(n))
+    return Scenario(prior, strategies, effort_profile)
+
+
+def narrow_payments(reports: ReportMatrix, known: PairwisePrior, seed: int) -> list:
+    """Every empirical engine's outcome on ``reports``: fmi, bmi and sppm, and md and ca on
+    two signals."""
+    engines = [lambda r: fmi_mechanism_payments(r, ConvexGenerator.KL),
+               lambda r: bmi_mechanism_payments(r, ScoringRule.LOG, PAIRINGS[1], seed),
+               lambda r: sppm_payments(r.entries[:, 0], known, ScoringRule.QUADRATIC)]
+    if reports.alphabet_size == 2:
+        engines += [lambda r: md_payments(r, 1, seed), lambda r: ca_payments(r, 1, seed)]
+    return [outcome(engine, reports) for engine in engines]
+
+
+class TestNarrowReports:
+    """Sampled reports are one byte per answer (two from m = 256) under a zero-byte mask; the
+    engines pay them exactly as the same entries widened to intp under a mask of ones."""
+
+    @given(seeds, st.sampled_from(("world", "full", "pairwise")), st.booleans(),
+           st.sampled_from((2, 3, 4, 256, 257)), st.integers(1, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_payments_match_the_intp_route(self, seed, mode, efforts, m, T):
+        rng = rng_from_seed(seed)
+        scenario = narrow_scenario(rng, mode, m, efforts)
+        reports = generate_reports(scenario, T, seed)
+        assert reports.entries.dtype == np.min_scalar_type(m) and reports.mask.strides == (0, 0)
+        wide = ReportMatrix(reports.entries.astype(np.intp), np.ones(reports.entries.shape, bool), m)
+        known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
+        for got, want in zip(*(narrow_payments(r, known, seed) for r in (reports, wide))):
+            assert_same_outcome(got, want, assert_same_report)
+
+    @given(seeds, st.sampled_from((2, 3, 4)), st.integers(1, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_partial_masks_count_like_the_intp_route(self, seed, m, T):
+        rng = rng_from_seed(seed)
+        scenario = narrow_scenario(rng, "world", m, False)
+        entries = generate_reports(scenario, T, seed).entries.copy()
+        mask = rng.random(entries.shape) < 0.7
+        entries[~mask] = 255  # an unanswered entry may hold anything
+        narrow = ReportMatrix(entries, mask, m)
+        wide = ReportMatrix(entries.astype(np.intp), mask, m)
+        assert narrow.entries.dtype == np.uint8
+        known = PairwisePrior(scenario.prior.pair_joint(0, 1), symmetric=False)
+        got, want = (outcome(lambda r: list(_empirical_joints(r, "all-pairs-average", None)), r)
+                     for r in (narrow, wide))
+        assert_same_outcome(got, want, lambda a, b: np.testing.assert_array_equal(a, b))
+        for got, want in zip(*(narrow_payments(r, known, seed) for r in (narrow, wide))):
+            assert_same_outcome(got, want, assert_same_report)
 
 
 class TestBtsPairLoop:
