@@ -22,8 +22,10 @@ Strategies are *consistent* channels (one per agent, applied to every
 question); mixed per-question behavior is equivalent to a mixed consistent
 strategy when questions are a priori similar and randomly ordered.
 
-Exact report tables have one builder, ``_report_tables``: aᵀ q b on report channels, each
-agent's effort folded into hers by ``_effort_rows``.  Counted ones have the Gram kernel
+Effort enters every route through one fold, ``_folded_rows``: each agent's channel with her
+effort folded in, prob·rows + (1 - prob)·1·wᵀ.  Exact report tables read it through their one
+builder, ``_report_tables`` (aᵀ q b), and ``generate_reports`` draws each agent's reports
+through it, one uniform per question.  Counted tables have the Gram kernel
 ``_count_tables``.  Both take blocks of agents; ``report_joint`` and ``empirical_pair_joint``
 are their public forms for one agent pair.  The Gram kernel counts each unordered agent pair
 once, into a store of n(n-1)/2·m² counts under all-pairs pairing (16 MB at n = 1000, m = 4
@@ -259,6 +261,9 @@ class Strategy:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.channel, TransitionMatrix):
+            raise ModeMismatch("Strategy needs a TransitionMatrix, not "
+                               f"{type(self.channel).__name__}")
         if not isinstance(self.label, str):
             raise ModeMismatch(f"label must be a str, not {type(self.label).__name__}")
 
@@ -280,6 +285,7 @@ class EffortStrategy:
     """Zero-one effort: invest full effort with probability ``full_effort_prob``
     (paying ``cost`` per question invested), otherwise observe nothing and
     report an independent draw from ``no_effort_report`` (uniform when None).
+    Every route reads it folded into the agent's channel (:func:`_folded_rows`).
     """
 
     full_effort_prob: float = 1.0
@@ -354,7 +360,7 @@ class Scenario:
     efforts: tuple[EffortStrategy, ...] | None = None
 
     def __post_init__(self):
-        strategies = tuple(self.strategies)
+        strategies = _members(self.strategies, Strategy, "strategies")
         if len(strategies) < 2:
             raise DimensionMismatch("a scenario needs at least 2 agents")
         if not isinstance(self.prior, Prior):
@@ -366,7 +372,7 @@ class Scenario:
             raise DimensionMismatch("full-joint prior has a different number of agents")
         efforts = self.efforts
         if efforts is not None:
-            efforts = tuple(efforts)
+            efforts = _members(efforts, EffortStrategy, "efforts")
             if len(efforts) != len(strategies):
                 raise DimensionMismatch("one effort strategy per agent")
             for e in efforts:
@@ -384,6 +390,19 @@ class Scenario:
 
     def effort(self, i: int) -> EffortStrategy:
         return FULL_EFFORT if self.efforts is None else self.efforts[i]
+
+
+def _members(values, cls: type, what: str) -> tuple:
+    """``values`` as a tuple, or ModeMismatch naming ``cls`` unless it is a sequence of them."""
+    try:
+        members = tuple(values)
+    except TypeError:
+        raise ModeMismatch(f"{what} must be a sequence of {cls.__name__}, not "
+                           f"{type(values).__name__}") from None
+    for v in members:
+        if not isinstance(v, cls):
+            raise ModeMismatch(f"{what} must hold {cls.__name__} objects, not {type(v).__name__}")
+    return members
 
 
 def truthful_scenario(prior: Prior, n: int) -> Scenario:
@@ -405,23 +424,32 @@ def report_joint(
     eff_j: EffortStrategy | None = None,
 ) -> JointDistribution:
     """Exact joint of the two agents' reports, each through her channel with her effort
-    folded in (:func:`_effort_rows`).  This validates the inputs and hands them to
+    folded in (:func:`_folded_rows`).  This validates the inputs and hands them to
     :func:`_report_tables`."""
     i, j = prior._agent_pair(i, j)
-    a, b, m = s_i.channel.rows, s_j.channel.rows, prior.alphabet_size
-    if a.shape[0] != m or b.shape[0] != m:
+    m = prior.alphabet_size
+    if s_i.channel.shape[0] != m or s_j.channel.shape[0] != m:
         raise DimensionMismatch("strategy alphabet differs from prior alphabet")
-    a, b = (_effort_rows(rows, e.full_effort_prob, e.resolve_no_effort(rows.shape[1]).weights)
-            for rows, e in ((a, eff_i or FULL_EFFORT), (b, eff_j or FULL_EFFORT)))
+    a, b = (_folded_rows([s], [e or FULL_EFFORT])[0] for s, e in ((s_i, eff_i), (s_j, eff_j)))
     return JointDistribution(_report_tables(a, b[None], prior._pairs([i], [[j]])[0, 0])[0])
 
 
 def _effort_rows(rows, prob, weights) -> np.ndarray:
-    """The one place the zero-one effort model enters the exact tables.  An agent with channel
-    ``rows`` (..., m, m') who invests with probability ``prob`` and else reports a draw from
-    ``weights`` (..., m') reports through one channel, prob·rows + (1 - prob)·1·weightsᵀ;
-    ``prob`` broadcasts against it.  At prob = 1 it is ``rows``, bit for bit."""
+    """The zero-one effort model as one channel.  An agent with channel ``rows`` (..., m, m')
+    who invests with probability ``prob`` and else reports a draw from ``weights`` (..., m')
+    reports through one channel, prob·rows + (1 - prob)·1·weightsᵀ; ``prob`` broadcasts
+    against it.  At prob = 1 it is ``rows``, bit for bit."""
     return prob * rows + (1.0 - prob) * weights[..., None, :]
+
+
+def _folded_rows(strategies: Sequence[Strategy], efforts: Sequence[EffortStrategy] | None):
+    """The one fold of effort into report channels that every route reads, exact tables and
+    sampled reports alike: per agent, her channel with her effort folded in
+    (:func:`_effort_rows`), (agents, m, m'); ``efforts`` None is full effort for all."""
+    rows = np.stack([s.channel.rows for s in strategies])
+    efforts = efforts or (FULL_EFFORT,) * len(rows)
+    return _effort_rows(rows, np.array([e.full_effort_prob for e in efforts])[:, None, None],
+                        np.stack([e.resolve_no_effort(rows.shape[-1]).weights for e in efforts]))
 
 
 def _report_tables(a, b, q) -> np.ndarray:
@@ -554,39 +582,16 @@ class ReportMatrix:
 COUNT_CELLS = 2**17  # 8-byte cells of scratch per step (1 MB, so that its arrays stay in cache)
 
 
-def _sample_signal_tuples(scenario: Scenario, T: int, rng) -> np.ndarray:
-    """T iid draws of all n agents' private signals, shape (n, T), in the narrowest unsigned
-    type that holds the alphabet size."""
-    prior, n = scenario.prior, scenario.n_agents
-    signals = np.empty((n, T), dtype=np.min_scalar_type(prior.alphabet_size))
-    if isinstance(prior, WorldModelPrior):
-        states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
-        table = np.stack([s.weights for s in prior.states])
-        block = max(COUNT_CELLS // max(2 * T, 1), 1)  # a block's uniforms and draws stay in cache
-        for start in range(0, n, block):  # the rng stream of one (n, T) draw, block by block
-            rows = signals[start:start + block]
-            rows[:] = _inverse_cdf(table, rng.random(rows.shape), states)
-        return signals
-    if isinstance(prior, PairwisePrior) and n != 2:
-        raise UnsupportedPriorMode(
-            "a pairwise prior is only generative for 2 agents; "
-            "use a full-joint or world-model prior"
-        )
-    table = prior.tensor if isinstance(prior, FullJointPrior) else prior.joint.table
-    draws = rng.choice(table.size, size=T, p=table.reshape(-1))
-    signals[:] = np.unravel_index(draws, table.shape)
-    return signals
-
-
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
-    """Inverse-CDF draws: for each uniform ``u``, the first index whose cumulative
-    weight reaches it.  ``weights`` holds distributions along its last axis.  Without
-    ``rows`` it broadcasts against ``u``; with ``rows``, an index into its leading
-    axes that broadcasts against ``u``, each u draws from its row.  The cumulative sums
-    are taken before that gather, and the draws counted one column at a time, and returned,
-    in the narrowest unsigned type that holds the alphabet size; ``rows`` is made intp once.
-    The last column is never compared: it counts as 1, so weights summing to just under 1
-    (within ``NORM_TOL``) still map every u < 1 into the alphabet."""
+    """Inverse-CDF draws: for each uniform ``u``, the first index whose cumulative weight
+    reaches it.  ``weights`` holds distributions along its last axis.  Without ``rows`` it
+    broadcasts against ``u``; with ``rows``, an index into its leading axes that broadcasts
+    against ``u``, each u draws from its row (the sampler's rows: an agent's folded report
+    table given each question's latent draw).  The cumulative sums are taken before that
+    gather, and the draws counted one column at a time, and returned, in the narrowest
+    unsigned type that holds the alphabet size; ``rows`` is made intp once.  The last column
+    is never compared: it counts as 1, so weights summing to just under 1 (within
+    ``NORM_TOL``) still map every u < 1 into the alphabet."""
     cdf = np.cumsum(weights, axis=-1)
     draws = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[-1]))
     rows = None if rows is None else np.asarray(rows, dtype=np.intp)
@@ -597,25 +602,33 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
 
 
 def generate_reports(scenario: Scenario, T: int, seed: RngSeed) -> ReportMatrix:
-    """Sample a full report matrix: T iid questions through each agent's
-    effort coin and report channel.  Deterministic per seed.
+    """Sample a full report matrix: T iid questions, each agent reporting through her
+    channel with her effort folded in (:func:`_folded_rows`).  Deterministic per seed.
 
-    Per agent, its channel rows and its no-effort weights are one (m+1, m) table: a
-    question whose effort coin comes up draws from the row of its signal, any other from
-    row m, with one uniform per question either way.  The entries are one (n, T) store in
-    the narrowest unsigned type that holds m (one byte per answer below m = 256), each
-    agent's signals overwritten by her reports; the mask is :meth:`ReportMatrix.full`'s."""
+    Per question one latent draw: its world state under a world model, else its signal tuple.
+    Per agent one uniform per question, drawn through her report table given the latent: each
+    state's signals composed with her folded channel (numpy's own loops), else her folded row
+    of her signal.  The entries are one (n, T) store in the narrowest unsigned type that holds
+    m (one byte per answer below m = 256); the mask is :meth:`ReportMatrix.full`'s."""
     T = _int_at_least(T, 0, "T")
     _check_seed(seed)
-    m = scenario.alphabet_size
+    prior, n, m = scenario.prior, scenario.n_agents, scenario.alphabet_size
+    if isinstance(prior, PairwisePrior) and n != 2:
+        raise UnsupportedPriorMode("a pairwise prior is only generative for 2 agents; "
+                                   "use a full-joint or world-model prior")
     rng = rng_from_seed(seed)
-    entries = _sample_signal_tuples(scenario, T, rng)  # row i becomes agent i's reports
-    for i in range(scenario.n_agents):
-        eff = scenario.effort(i)
-        rows = np.vstack([scenario.strategies[i].channel.rows, eff.resolve_no_effort(m).weights])
-        coin = rng.random(T) < eff.full_effort_prob
-        u = rng.random(T)
-        entries[i] = _inverse_cdf(rows, u, np.where(coin, entries[i], m))
+    rows = _folded_rows(scenario.strategies, scenario.efforts)
+    if isinstance(prior, WorldModelPrior):
+        latent = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
+        states = prior._stack()["states"][0, :, :, None]  # (w, m, 1): each state's signals
+        tables, latents = (states * rows[:, None]).sum(axis=-2), (latent,) * n
+    else:
+        joint = prior.tensor if isinstance(prior, FullJointPrior) else prior.joint.table
+        latent = rng.choice(joint.size, size=T, p=joint.reshape(-1))
+        tables, latents = rows, np.unravel_index(latent, joint.shape)
+    entries = np.empty((n, T), dtype=np.min_scalar_type(m))
+    for i in range(n):
+        entries[i] = _inverse_cdf(tables[i], rng.random(T), latents[i])
     entries.setflags(write=False)  # handed over, not copied
     return ReportMatrix.full(entries, m)
 

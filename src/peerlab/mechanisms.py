@@ -11,8 +11,9 @@ agreement reward) share one form, joints -> kernel.  Per agent i, the joint of
 (J, report_i, report_J) with J uniform over i's reference agents is exact or
 counted, one call of the core of :func:`report_joint` or :func:`empirical_pair_joint`
 per block of agents of about ``agents.COUNT_CELLS`` cells.  Exact blocks take each agent's
-channel with its effort folded in (``agents._effort_rows``) and span a stack of scenarios
-of one (n, m), such as a scenario and its relabeled twins.  Counted joints are read from the
+channel with its effort folded in by ``agents._folded_rows``, the one fold that sampled
+reports are drawn through too, and span a stack of scenarios of one (n, m), such as a
+scenario and its relabeled twins.  Counted joints are read from the
 store of ``agents._count_tables``, which counts each unordered agent pair once; one stacked
 kernel (f-MI, BMI, score shift or agreement) runs over its report-pair slices,
 averaged with the weights Pr[J=j], so a mutual-information payment is
@@ -45,7 +46,7 @@ from .agents import (
     Strategy,
     WorldModelPrior,
     _count_tables,
-    _effort_rows,
+    _folded_rows,
     _report_tables,
     reported_world_states,
     world_tensor,
@@ -162,13 +163,8 @@ def _exact_joints(pairs, rows):
 
 def _exact_inputs(scenario: Scenario) -> tuple:
     """The :func:`_exact_joints` arguments of one scenario, a stack of one: its prior's
-    ``_pairs`` and each agent's channel with its effort folded in (:func:`_effort_rows`)."""
-    m = scenario.alphabet_size
-    efforts = [scenario.effort(i) for i in range(scenario.n_agents)]
-    rows = _effort_rows(np.stack([s.channel.rows for s in scenario.strategies]),
-                        np.array([e.full_effort_prob for e in efforts])[:, None, None],
-                        np.stack([e.resolve_no_effort(m).weights for e in efforts]))
-    return scenario.prior._pairs, rows[None]
+    ``_pairs`` and each agent's channel with its effort folded in (:func:`_folded_rows`)."""
+    return scenario.prior._pairs, _folded_rows(scenario.strategies, scenario.efforts)[None]
 
 
 def _empirical_joints(reports: ReportMatrix, pairing: str, seed: RngSeed | None):

@@ -23,7 +23,9 @@ which paid each report pair and scored each world tensor on its own through the
 public single-pair functions, and the masked sums the Shannon and slice-mean
 code used before it took stacks follow.  The file closes
 with the bincount route of the empirical pair counts, the report sampler that
-gathered each draw's weights before its cumulative sums, the two-``isclose``
+gathered each draw's weights before its cumulative sums, and the coin route that drew
+every signal, then an effort coin per agent and question, before each agent's effort was
+folded into her channel, the two-``isclose``
 permutation test, the cell-pair loop of the fine-grained test and the signal-pair loop of
 the divergence witness, as they were before the Gram kernel, the column-wise inverse
 CDF, the direct tolerance test, the all-pairs comparison and the broadcast witness mask
@@ -1284,30 +1286,59 @@ def gathered_inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[..., None] > cdf).sum(axis=-1)
 
 
+def _latent_draw(prior, n: int, T: int, rng) -> np.ndarray | tuple:
+    """The first draw of both samplers below: per question, the world state under a world
+    model (a (T,) array), else the signal tuple (a tuple of n (T,) arrays)."""
+    if isinstance(prior, WorldModelPrior):
+        return rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
+    if isinstance(prior, PairwisePrior) and n != 2:
+        raise UnsupportedPriorMode("a pairwise prior is only generative for 2 agents")
+    table = prior.tensor if isinstance(prior, FullJointPrior) else prior.joint.table
+    return np.unravel_index(rng.choice(table.size, size=T, p=table.reshape(-1)), table.shape)
+
+
 def gathered_generate_reports(scenario: Scenario, T: int, seed) -> np.ndarray:
-    """The report entries ``generate_reports`` drew before the column-wise inverse CDF, with
-    the same rng calls in the same order (T >= 1)."""
+    """The report entries of ``generate_reports``, each question's report weights gathered
+    before their cumulative sums: the same rng calls in the same order, one latent draw per
+    question, then one uniform per agent and question.  Each agent's effort is folded into
+    her channel here, and under a world model her weights given the state are summed signal
+    by signal."""
     prior, n, m = scenario.prior, scenario.n_agents, scenario.alphabet_size
     rng = rng_from_seed(seed)
-    if isinstance(prior, FullJointPrior):
-        flat = prior.tensor.reshape(-1)
-        signals = np.array(np.unravel_index(rng.choice(flat.size, size=T, p=flat),
-                                            prior.tensor.shape))
-    elif isinstance(prior, WorldModelPrior):
-        states = rng.choice(prior.n_states, size=T, p=prior.state_probs.weights)
+    latent = _latent_draw(prior, n, T, rng)
+    if isinstance(prior, WorldModelPrior):
+        signals = np.stack([s.weights for s in prior.states])[latent]  # (T, m)
+    entries = np.zeros((n, T), dtype=np.intp)
+    for i in range(n):
+        eff, rows = scenario.effort(i), scenario.strategies[i].channel.rows
+        p = eff.full_effort_prob
+        folded = p * rows + (1.0 - p) * eff.resolve_no_effort(m).weights[None, :]
+        if isinstance(prior, WorldModelPrior):
+            weights = sum(signals[:, s, None] * folded[s] for s in range(m))
+        else:
+            weights = folded[latent[i]]
+        entries[i] = gathered_inverse_cdf(weights, rng.random(T))
+    return entries
+
+
+def coin_generate_reports(scenario: Scenario, T: int, seed) -> np.ndarray:
+    """The report entries ``generate_reports`` drew before each agent's effort was folded into
+    her channel: every signal drawn first (under a world model, one (n, T) block of uniforms
+    after the states), then per agent an effort coin and a uniform per question, a question
+    whose coin comes up drawing from the channel row of its signal, any other from the
+    no-effort weights.  Its reports follow the law of ``generate_reports``."""
+    prior, n, m = scenario.prior, scenario.n_agents, scenario.alphabet_size
+    rng = rng_from_seed(seed)
+    latent = _latent_draw(prior, n, T, rng)
+    if isinstance(prior, WorldModelPrior):
         table = np.stack([s.weights for s in prior.states])
-        signals = gathered_inverse_cdf(table[states], rng.random((n, T)))
-    else:
-        if n != 2:
-            raise UnsupportedPriorMode("a pairwise prior is only generative for 2 agents")
-        flat = prior.joint.table.reshape(-1)
-        signals = np.array(np.unravel_index(rng.choice(flat.size, size=T, p=flat), (m, m)))
+        latent = gathered_inverse_cdf(table[latent], rng.random((n, T)))
     entries = np.zeros((n, T), dtype=np.intp)
     for i in range(n):
         eff = scenario.effort(i)
         coin = rng.random(T) < eff.full_effort_prob
         u = rng.random(T)
-        full = gathered_inverse_cdf(scenario.strategies[i].channel.rows[signals[i]], u)
+        full = gathered_inverse_cdf(scenario.strategies[i].channel.rows[latent[i]], u)
         lazy = gathered_inverse_cdf(eff.resolve_no_effort(m).weights, u)
         entries[i] = np.where(coin, full, lazy)
     return entries

@@ -271,7 +271,7 @@ class TestReportMatrixArrays:
 
     def test_sampled_reports_take_one_byte_per_answer(self):
         """At the benchmark's (n, T) = (50, 10⁴), a sampled matrix holds one byte per answer,
-        plus 4 KiB for its objects (about 1.1 KiB measured), and its draws peak below three."""
+        plus 4 KiB for its objects (about 1.1 KiB measured), and its draws peak below two."""
         rng = np.random.default_rng(5)
         n, m, T = 50, 4, 10_000
         world = WorldModelPrior(Distribution(np.array([0.3, 0.7])),
@@ -286,7 +286,7 @@ class TestReportMatrixArrays:
             held, peak = (size - start for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert held <= n * T + 4096 and peak <= 3 * n * T, (held, peak)
+        assert held <= n * T + 4096 and peak <= 2 * n * T, (held, peak)
         assert reports.entries.dtype == np.uint8 and reports.mask.strides == (0, 0)
         assert not (reports.entries.flags.writeable or reports.mask.flags.writeable)
 

@@ -160,6 +160,27 @@ def test_strategy_label_must_be_a_str(value):
         Strategy(identity_channel(2), label=value)
 
 
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Strategy(np.eye(2)), "Strategy needs a TransitionMatrix, not ndarray"),
+    (lambda: Scenario(PRIOR, (identity_channel(2), truth_telling(2))),
+     "strategies must hold Strategy objects, not TransitionMatrix"),
+    (lambda: Scenario(PRIOR, (np.eye(2), truth_telling(2))),
+     "strategies must hold Strategy objects, not ndarray"),
+    (lambda: Scenario(PRIOR, truth_telling(2)),
+     "strategies must be a sequence of Strategy, not Strategy"),
+    (lambda: Scenario(PRIOR, (truth_telling(2),) * 2, ({"full_effort_prob": 1.0},) * 2),
+     "efforts must hold EffortStrategy objects, not dict"),
+    (lambda: Scenario(PRIOR, (truth_telling(2),) * 2, (None, EffortStrategy())),
+     "efforts must hold EffortStrategy objects, not NoneType"),
+    (lambda: Scenario(PRIOR, (truth_telling(2),) * 2, EffortStrategy()),
+     "efforts must be a sequence of EffortStrategy, not EffortStrategy"),
+], ids=["strategy-array", "channel-member", "array-member", "one-strategy", "dict-effort",
+        "None-effort", "one-effort"])
+def test_scenario_members_need_their_types(call, expected):
+    with pytest.raises(ModeMismatch, match=f"^{expected}$"):
+        call()
+
+
 def test_scenario_document_writes_numpy_effort_scalars_as_floats():
     efforts = (EffortStrategy(np.float32(0.5), np.float32(0.1)),
                EffortStrategy(np.int64(1), np.float16(0.25), HALF))

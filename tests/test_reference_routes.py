@@ -26,7 +26,9 @@ agent's effort folded into her channel must match the four-term effort mixture t
 (``oracles.mixture_report_tables``) bit for bit at full effort, else to 1e-12.  Last, the scores and the shifted-score
 table must match their one-signal and one-cell loops bit for bit, and the log-score
 gain, the reported world states and the optimal predictions their per-atom,
-per-state and per-signal loops to 1e-12."""
+per-state and per-signal loops to 1e-12.  Sampled reports must follow the exact report
+tables in law, within a proved L1 bound, on the sampler and on the coin route it replaced
+(``oracles.coin_generate_reports``)."""
 
 import collections
 import functools
@@ -1606,6 +1608,49 @@ class TestColumnwiseSampling:
             assert draws.min() == 0 and draws.max() == m - 1 and draws[-1] == m - 1
             gathered = table if rows is None else table[rows]
             assert np.array_equal(draws, oracles.gathered_inverse_cdf(gathered, u))
+
+
+def l1_deviation_bound(T: int, cells: int, alarm: float) -> float:
+    """The ε at which the L1 deviation inequality Pr(‖P̂ − P‖₁ ≥ ε) ≤ (2^cells − 2)·e^{−Tε²/2}
+    for the empirical distribution P̂ of T iid draws over ``cells`` outcomes (Weissman,
+    Ordentlich, Seroussi, Verdú & Weinberger, HPL-2003-97) puts one check's false-alarm
+    rate at ``alarm``."""
+    return math.sqrt(2.0 / T * math.log((2.0**cells - 2.0) / alarm))
+
+
+class TestSampledLaw:
+    """Sampled reports follow the exact report tables: for every ordered agent pair, the
+    pair joint counted over T questions lies within ε of ``report_joint`` in L1, on
+    ``generate_reports`` and on the coin route it replaced (``oracles.coin_generate_reports``).
+    ε is set by the L1 deviation inequality and a union bound over the pairs and both
+    routes, so that each case raises a false alarm with probability at most 1e-9."""
+
+    T, ALARM = 100_000, 1e-9
+
+    @pytest.mark.parametrize("mode", ("world", "full", "pairwise"))
+    def test_pair_joints_match_report_joint(self, mode):
+        rng = rng_from_seed(33)
+        m, n = 3, 2 if mode == "pairwise" else 3
+        prior = {"world": lambda: sampling.random_world_model(rng, 3, m),
+                 "full": lambda: sampling.random_full_joint_prior(rng, n, m),
+                 "pairwise": lambda: PairwisePrior(sampling.random_joint(rng, m, m), False)}[mode]()
+        strategies = tuple(sampling.random_mixed_strategy(rng, m, "dense") for _ in range(n))
+        efforts = tuple(  # agent 0 invests at most half the time
+            EffortStrategy(float(rng.uniform(0.0, 0.5 if i == 0 else 1.0)), 0.0,
+                           None if i == 1 else sampling.random_distribution(rng, m))
+            for i in range(n))
+        scenario = Scenario(prior, strategies, efforts)
+        pairs = list(itertools.permutations(range(n), 2))
+        eps = l1_deviation_bound(self.T, m * m, self.ALARM / (2 * len(pairs)))
+        routes = (generate_reports(scenario, self.T, 5).entries,
+                  oracles.coin_generate_reports(scenario, self.T, 5))
+        for entries in routes:
+            reports = ReportMatrix.full(entries, m)
+            for i, j in pairs:
+                want = report_joint(prior, i, j, strategies[i], strategies[j],
+                                    efforts[i], efforts[j]).table
+                gap = np.abs(empirical_pair_joint(reports, i, j).table - want).sum()
+                assert gap < eps, (i, j, gap, eps)
 
 
 def narrow_scenario(rng, mode: str, m: int, efforts: bool) -> Scenario:
